@@ -69,12 +69,8 @@ fuzz-smoke:
 	$(GO) test ./internal/conformance/ -run '^$$' -fuzz FuzzDifferential -fuzztime 30s
 	$(GO) test ./internal/asm/ -run '^$$' -fuzz FuzzAssembleRoundtrip -fuzztime 10s
 
-# bench runs the cycle-model microbenchmarks, then regenerates
-# BENCH_pipeline.json (current throughput next to the frozen pre-optimization
-# baseline) via the programmatic harness in internal/bench. Set BENCH_LABEL
-# to also record the measurement in the file's history array:
-#   make bench BENCH_LABEL=soa-inflight-store
-BENCH_LABEL ?=
+# bench runs the cycle-model benchmarks, then the repository's benchmark
+# (cmd/ctcpperf, see its README) on the all-kernels FDRT workload.
 bench:
 	$(GO) test ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
-	$(GO) run ./cmd/ctcpbench -microbench -bench-out BENCH_pipeline.json $(if $(BENCH_LABEL),-bench-label $(BENCH_LABEL))
+	bash cmd/ctcpperf/run.sh --workload kernels-fdrt --seed 1 --seconds 14 --trace 0

@@ -6,7 +6,6 @@
 //	ctcpbench -exp fig6,table8     # selected artifacts
 //	ctcpbench -insts 500000        # bigger per-run budget
 //	ctcpbench -v                   # per-simulation progress on stderr
-//	ctcpbench -microbench          # simulator-throughput report -> BENCH_pipeline.json
 //	ctcpbench -cpuprofile cpu.out  # pprof capture of any of the above
 //	ctcpbench -sample 50000 -sample-detail 25000 -sample-warmup 12500
 //	                               # region-parallel sampled simulation
@@ -20,18 +19,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"ctcp/internal/bench"
 	"ctcp/internal/experiment"
 	"ctcp/internal/workload"
 )
@@ -75,19 +71,13 @@ func artifactNames() string {
 // cliOptions collects every parsed flag; run takes the struct instead of a
 // positional-argument list that grew unreadable.
 type cliOptions struct {
-	exps       string
-	insts      uint64
-	par        int
-	verbose    bool
-	inject     bool
-	micro      bool
-	benchOut   string
-	benchInsts uint64
-	benchLabel string
-	benchDate  string
-	benchGate  string
-	cpuProf    string
-	memProf    string
+	exps    string
+	insts   uint64
+	par     int
+	verbose bool
+	inject  bool
+	cpuProf string
+	memProf string
 
 	sampleInterval uint64
 	sampleDetail   uint64
@@ -124,12 +114,6 @@ func main() {
 	flag.IntVar(&o.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.verbose, "v", false, "log each simulation start/finish/failure to stderr")
 	flag.BoolVar(&o.inject, "inject-fault", false, "fault-injection self-test: run one deliberately pathological configuration and verify the sweep degrades gracefully (exits non-zero)")
-	flag.BoolVar(&o.micro, "microbench", false, "measure simulator throughput per kernel and write the JSON report instead of regenerating artifacts")
-	flag.StringVar(&o.benchOut, "bench-out", "BENCH_pipeline.json", "output path for the -microbench report")
-	flag.Uint64Var(&o.benchInsts, "bench-insts", bench.DefaultInsts, "committed instruction budget per -microbench run")
-	flag.StringVar(&o.benchLabel, "bench-label", "", "record the -microbench measurement in the report's history array under this label (replacing a same-labeled entry)")
-	flag.StringVar(&o.benchDate, "bench-date", "", "date recorded with -bench-label (e.g. 2026-08-08; defaults to today, UTC)")
-	flag.StringVar(&o.benchGate, "bench-gate", "", "path to a committed bench record: fail if any kernel's fresh ns/cycle regresses more than 15% against its 'current' block")
 	flag.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&o.memProf, "memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Uint64Var(&o.sampleInterval, "sample", 0, "region-parallel sampled simulation: checkpoint the functional emulator every N instructions and simulate the regions in detail concurrently (0 = full detail)")
@@ -144,8 +128,7 @@ func main() {
 
 func run(o *cliOptions) int {
 	exps, insts, par, verbose := o.exps, o.insts, o.par, o.verbose
-	inject, micro, benchOut, benchInsts := o.inject, o.micro, o.benchOut, o.benchInsts
-	cpuProf, memProf := o.cpuProf, o.memProf
+	inject, cpuProf, memProf := o.inject, o.cpuProf, o.memProf
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpbench: %v\n", err)
 		return 1
@@ -178,14 +161,6 @@ func run(o *cliOptions) int {
 				fmt.Fprintf(os.Stderr, "ctcpbench: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if micro {
-		if err := runMicrobench(benchOut, benchInsts, o.benchLabel, o.benchDate, o.benchGate); err != nil {
-			fmt.Fprintf(os.Stderr, "ctcpbench: microbench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	opts := experiment.Options{
@@ -278,124 +253,6 @@ func run(o *cliOptions) int {
 		exit = 1
 	}
 	return exit
-}
-
-// runMicrobench measures simulator throughput for every tracked kernel and
-// writes the JSON report. A baseline block already present in the output
-// file is preserved verbatim (it records the pre-optimization model and must
-// not be overwritten by re-runs), as is the recorded history; when the file
-// is new, the frozen bench.Baseline() measurement seeds it. A non-empty
-// label appends the fresh measurement to the history (replacing a
-// same-labeled entry), and a non-empty gatePath compares it against that
-// file's committed "current" block, failing on a >15% ns/cycle regression.
-func runMicrobench(path string, insts uint64, label, date, gatePath string) error {
-	file := bench.File{Baseline: bench.Baseline()}
-	if old, err := os.ReadFile(path); err == nil {
-		var prev bench.File
-		if err := json.Unmarshal(old, &prev); err == nil && len(prev.Baseline.Kernels) > 0 {
-			file.Baseline = prev.Baseline
-			file.History = prev.History
-		}
-	}
-	fmt.Printf("ctcpbench: measuring simulator throughput (%d insts/run, strategy %s)\n",
-		insts, file.Baseline.Strategy)
-	cur, err := bench.Run(insts)
-	if err != nil {
-		return err
-	}
-	file.Current = cur
-	micro, err := bench.RunMicro()
-	if err != nil {
-		return err
-	}
-	file.Micro = micro
-	fmt.Printf("micro: emu %.1f ns/inst (generic %.1f), assign hit %.1f ns/trace (miss %.1f)\n",
-		micro.EmuNsPerInst, micro.EmuGenericNsPerInst,
-		micro.AssignHitNsPerTrace, micro.AssignMissNsPerTrace)
-	if label != "" {
-		if date == "" {
-			date = time.Now().UTC().Format("2006-01-02")
-		}
-		if !file.RecordHistory(cur, label, date) {
-			fmt.Printf("history: last entry %q already records these numbers; keeping it unchanged\n", label)
-		}
-	}
-
-	strat, err := bench.RunStrategies(insts)
-	if err != nil {
-		return err
-	}
-	file.Strategies = strat
-
-	// Sampled-simulation speedup: measured once per report on the longest
-	// kernel, with workers/NumCPU recorded so the number stays honest on
-	// machines with little parallelism.
-	samp, err := bench.RunSample(bench.SampleInsts, 4)
-	if err != nil {
-		return err
-	}
-	file.Sample = samp
-	fmt.Printf("sampled simulation: %s %d insts, %d workers on %d CPUs: %.2fx wall-clock, IPC %.4f vs %.4f (%+.2f%%)\n",
-		samp.Kernel, samp.Insts, samp.Workers, samp.NumCPU, samp.Speedup,
-		samp.SampledIPC, samp.FullIPC, 100*samp.IPCRelErr)
-
-	names := make([]string, 0, len(cur.Kernels))
-	for name := range cur.Kernels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Printf("%-10s %12s %14s %12s %14s\n", "kernel", "ns/cycle", "cycles/s", "allocs/op", "vs baseline")
-	for _, name := range names {
-		m := cur.Kernels[name]
-		speedup := "-"
-		if b, ok := file.Baseline.Kernels[name]; ok && m.CyclesPerSec > 0 && b.CyclesPerSec > 0 {
-			speedup = fmt.Sprintf("%.2fx, %.1fx allocs",
-				m.CyclesPerSec/b.CyclesPerSec,
-				float64(b.AllocsPerOp)/float64(maxInt64(m.AllocsPerOp, 1)))
-		}
-		fmt.Printf("%-10s %12.1f %14.0f %12d %14s\n", name, m.NsPerCycle, m.CyclesPerSec, m.AllocsPerOp, speedup)
-	}
-
-	fmt.Printf("\n%-14s %12s (gzip, per strategy family)\n", "strategy", "ns/cycle")
-	for _, k := range bench.StrategyFamilies() {
-		if m, ok := strat[k.String()]; ok {
-			fmt.Printf("%-14s %12.1f\n", k.String(), m.NsPerCycle)
-		}
-	}
-
-	buf, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("ctcpbench: report written to %s\n", path)
-
-	// Gate last, after the artifact is on disk, so a failing run still
-	// leaves the fresh numbers inspectable.
-	if gatePath != "" {
-		old, err := os.ReadFile(gatePath)
-		if err != nil {
-			return fmt.Errorf("bench-gate: %w", err)
-		}
-		var committed bench.File
-		if err := json.Unmarshal(old, &committed); err != nil {
-			return fmt.Errorf("bench-gate: parsing %s: %w", gatePath, err)
-		}
-		if err := bench.Gate(committed.Current, cur, 0.15); err != nil {
-			return fmt.Errorf("bench-gate vs %s: %w", gatePath, err)
-		}
-		fmt.Printf("ctcpbench: bench-gate passed (within 15%% of %s)\n", gatePath)
-	}
-	return nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // renderArtifact runs one artifact builder, converting a panic anywhere in

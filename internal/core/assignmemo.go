@@ -7,7 +7,7 @@ import "ctcp/internal/trace"
 // (dynamic criticality classification, chain arbitration, per-cluster
 // capacity scan, Friendly fallback) usually recomputes exactly what it
 // computed the last time the same line was built. The memo keys each built
-// line by its StartPC in a dense pcMap and fingerprints every input the
+// line by its StartPC in a dense pcmap.Map and fingerprints every input the
 // assignment pass actually reads; when a rebuilt line's fingerprint matches,
 // the cached per-slot cluster vector, (possibly decayed) profiles, and
 // option-histogram deltas are replayed instead of re-running the walk.
@@ -35,7 +35,7 @@ import "ctcp/internal/trace"
 // a fingerprint probe, so only the four assignment strategies memoize.
 
 // assignMemoEntry is one cached assignment result. The zero value is an
-// absent entry (pcMap contract); present distinguishes a stored result.
+// absent entry (pcmap.Map contract); present distinguishes a stored result.
 type assignMemoEntry struct {
 	present bool
 	n       uint16 // slot count, bounds-checks the cached vectors

@@ -1,6 +1,6 @@
 package core
 
-// Tests and microbenchmarks for the fill unit's assignment memo: replay
+// Tests and benchmarks for the fill unit's assignment memo: replay
 // must be indistinguishable from the fresh walk, invalidation must fire on
 // every input the walk reads, and the hit path must be measurably cheaper
 // than the walk it replaces (BenchmarkAssign).

@@ -15,6 +15,7 @@ package core
 
 import (
 	"ctcp/internal/emu"
+	"ctcp/internal/pcmap"
 	"ctcp/internal/trace"
 )
 
@@ -151,11 +152,12 @@ type RetireInfo struct {
 //
 // The table is consulted for every retired instruction (updateChains) and
 // every slot of every built trace (assign), so entries live in a dense
-// PC-indexed pcMap rather than a hash map; the FIFO order ring is unchanged.
+// PC-indexed pcmap.Map rather than a hash map; the FIFO order ring is
+// unchanged.
 type ChainProfile struct {
 	capLimit int
 	count    int // live (present) designations
-	tab      pcMap[chainSlot]
+	tab      pcmap.Map[chainSlot]
 	order    []uint64
 	head     int
 }
@@ -177,7 +179,7 @@ func NewChainProfile(capLimit int) *ChainProfile {
 
 // peek returns the pending designation for pc without consuming it.
 func (c *ChainProfile) peek(pc uint64) (trace.Profile, bool) {
-	if e := c.tab.lookup(pc); e != nil && e.present {
+	if e := c.tab.Lookup(pc); e != nil && e.present {
 		return e.prof, true
 	}
 	return trace.Profile{}, false
@@ -191,7 +193,7 @@ func (c *ChainProfile) Get(pc uint64) trace.Profile {
 
 // Set records the profile for pc, evicting the oldest entry when full.
 func (c *ChainProfile) Set(pc uint64, p trace.Profile) {
-	e := c.tab.ensure(pc)
+	e := c.tab.Ensure(pc)
 	if !e.present {
 		if c.count >= c.capLimit {
 			// FIFO eviction; skip order entries already deleted. Eviction
@@ -199,7 +201,7 @@ func (c *ChainProfile) Set(pc uint64, p trace.Profile) {
 			for c.head < len(c.order) {
 				victim := c.order[c.head]
 				c.head++
-				if ve := c.tab.lookup(victim); ve != nil && ve.present {
+				if ve := c.tab.Lookup(victim); ve != nil && ve.present {
 					*ve = chainSlot{}
 					c.count--
 					break
@@ -226,7 +228,7 @@ func (c *ChainProfile) Has(pc uint64) bool {
 
 // Take removes and returns the pending designation for pc, if any.
 func (c *ChainProfile) Take(pc uint64) (trace.Profile, bool) {
-	e := c.tab.lookup(pc)
+	e := c.tab.Lookup(pc)
 	if e == nil || !e.present {
 		return trace.Profile{}, false
 	}
@@ -241,7 +243,7 @@ func (c *ChainProfile) Len() int { return c.count }
 
 // Reset clears the table.
 func (c *ChainProfile) Reset() {
-	c.tab.reset()
+	c.tab.Reset()
 	c.count = 0
 	c.order = nil
 	c.head = 0

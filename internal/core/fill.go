@@ -5,6 +5,7 @@ import (
 
 	"ctcp/internal/cluster"
 	"ctcp/internal/isa"
+	"ctcp/internal/pcmap"
 	"ctcp/internal/trace"
 )
 
@@ -82,7 +83,7 @@ type FillUnit struct {
 	// for the migration statistics of Table 9. It is updated for every slot
 	// of every built trace, so it uses the same dense PC-indexed layout as
 	// the chain table.
-	lastCluster pcMap[clusterSlot]
+	lastCluster pcmap.Map[clusterSlot]
 
 	// Geometry-derived cluster orders, fixed for the fill unit's lifetime.
 	selfFirst [][]int // selfFirst[c] = [c, neighbors of c middle-most first]
@@ -101,7 +102,7 @@ type FillUnit struct {
 	// memo caches per-line assignment results keyed by trace StartPC,
 	// fingerprint-validated against every input the walk reads (see
 	// assignmemo.go). Scratch: never serialized, cleared on Flush/Restore.
-	memo       pcMap[assignMemoEntry]
+	memo       pcmap.Map[assignMemoEntry]
 	memoHits   uint64
 	memoMisses uint64
 
@@ -199,7 +200,7 @@ func (f *FillUnit) Flush() {
 	if tr := f.builder.Flush(); tr != nil {
 		f.finishTrace(tr)
 	}
-	f.memo.reset()
+	f.memo.Reset()
 }
 
 func (f *FillUnit) finishTrace(tr *trace.Trace) {
@@ -287,7 +288,7 @@ type clusterSlot struct {
 func (f *FillUnit) recordMigration(tr *trace.Trace) {
 	for i := range tr.Slots {
 		s := &tr.Slots[i]
-		e := f.lastCluster.ensure(s.PC)
+		e := f.lastCluster.Ensure(s.PC)
 		if e.present {
 			f.S.Seen++
 			isChain := s.Profile.IsMember()
@@ -314,7 +315,7 @@ func (f *FillUnit) assign(tr *trace.Trace, infos []RetireInfo) {
 		return
 	}
 	fp := f.assignFP(tr, infos)
-	e := f.memo.ensure(tr.StartPC)
+	e := f.memo.Ensure(tr.StartPC)
 	if e.present && e.fp == fp && int(e.n) == len(tr.Slots) {
 		f.memoHits++
 		f.replayAssign(tr, e)

@@ -130,7 +130,7 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 		f.pending[i].Snapshot(w)
 	}
 	pcs := make([]uint64, 0, 64)
-	f.lastCluster.forEach(func(pc uint64, e *clusterSlot) {
+	f.lastCluster.ForEach(func(pc uint64, e *clusterSlot) {
 		if e.present {
 			pcs = append(pcs, pc)
 		}
@@ -139,7 +139,7 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 	w.Int(len(pcs))
 	for _, pc := range pcs {
 		w.U64(pc)
-		w.Int(int(f.lastCluster.lookup(pc).cluster))
+		w.Int(int(f.lastCluster.Lookup(pc).cluster))
 	}
 	// Geometry-derived orders, fixed at construction: not serialized.
 	_ = f.selfFirst
@@ -189,7 +189,7 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 	}
 	f.chains.Restore(r)
 	f.builder.Restore(r)
-	f.memo.reset()
+	f.memo.Reset()
 	n := r.Int()
 	if r.Err() != nil {
 		return
@@ -211,10 +211,10 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	f.lastCluster.reset()
+	f.lastCluster.Reset()
 	for i := 0; i < nc; i++ {
 		pc := r.U64()
-		*f.lastCluster.ensure(pc) = clusterSlot{cluster: int16(r.Int()), present: true}
+		*f.lastCluster.Ensure(pc) = clusterSlot{cluster: int16(r.Int()), present: true}
 	}
 	f.S.TracesBuilt = r.U64()
 	f.S.InstsBuilt = r.U64()

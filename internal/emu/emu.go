@@ -449,19 +449,11 @@ func (m *Machine) StepInto(c *Committed) error {
 	return nil
 }
 
-// StepGeneric executes one instruction through the original switch-on-opcode
-// interpreter, bypassing the predecoded dispatch. It exists for measurement:
-// the microbench record (internal/bench) reports the predecoded and generic
-// per-instruction costs side by side so the predecode gain stays visible in
-// BENCH_pipeline.json. Semantics are identical to StepInto by construction —
-// the predecode differential test pins every uop kind against this path.
-func (m *Machine) StepGeneric(c *Committed) error { return m.stepGeneric(c) }
-
 // stepGeneric is the original switch-on-opcode interpreter. The predecoded
 // dispatch defers to it for the shapes the uop table does not model
-// (misaligned direct control targets, undefined opcodes), and the predecode
+// (misaligned direct control targets, undefined opcodes), the predecode
 // differential test uses it as the semantic oracle every uop kind is checked
-// against.
+// against, and BenchmarkStepGeneric times it beside BenchmarkStep.
 func (m *Machine) stepGeneric(c *Committed) error {
 	if m.halted {
 		return &Fault{m.PC, "machine is halted"}

@@ -24,8 +24,8 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig().WithStrategy(core.FDRT, false)
 	p := New(emu.New(prog), cfg)
 
-	// Warm up past pool ramp-up, pcTable growth and trace-cache fill: the
-	// amortized //ctcp:coldpath sites are allowed to allocate here.
+	// Warm up past pool ramp-up, per-PC table growth and trace-cache fill:
+	// their amortized allocations are allowed here.
 	for i := 0; i < 20_000 && !p.done(); i++ {
 		step(p)
 	}

@@ -1,13 +1,14 @@
 package pipeline
 
-// Microbenchmarks for the cycle-model hot path. Every paper artifact is a
+// Benchmarks for the cycle-model hot path. Every paper artifact is a
 // full-matrix sweep over this loop, so ns/cycle and allocs/op here bound the
 // wall-clock of the whole experiment harness. BenchmarkCycle times the inner
 // p.cycle() step in isolation; BenchmarkRunProgram measures end-to-end
 // simulation throughput per kernel and reports ns/cycle and sim-cycles/sec.
 //
-// `make bench` runs these and records the numbers (plus the pre-optimization
-// baseline) in BENCH_pipeline.json.
+// These are for local before/after comparisons (`make bench` runs them).
+// The repository's recorded benchmark is cmd/ctcpperf, which measures ns per
+// committed instruction on every kernel.
 
 import (
 	"testing"

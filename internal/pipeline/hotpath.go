@@ -90,90 +90,11 @@ func (ps *portSched) book(t int64, ports int) int64 {
 
 // pcStats is the per-static-instruction producer history behind Table 3
 // (last forwarded producer per source, and last critical inter-trace
-// producer per source). A zero PC means "not seen yet", as in the original
-// map encoding.
+// producer per source), one pcmap.Map entry per PC. A zero PC means "not
+// seen yet", so the zero entry is also the absent one.
 type pcStats struct {
 	lastProd      [2]uint64
 	lastCritInter [2]uint64
-}
-
-// maxPCTableEntries bounds the dense table at 1M static instructions
-// (32 MB); streams with wilder PC ranges fall back to a map so a synthetic
-// stream cannot make the simulator allocate unbounded memory.
-const maxPCTableEntries = 1 << 20
-
-// pcTable maps instruction addresses to their pcStats through a dense
-// array indexed by (PC-base)/stride. Program text is contiguous, so after
-// the first pass over the working set every lookup is a single bounds-
-// checked index with no hashing and no allocation.
-type pcTable struct {
-	base     uint64 // PC/PCStride of entry 0; valid once tab is non-nil
-	tab      []pcStats
-	overflow map[uint64]*pcStats
-}
-
-// statsFor is the steady-state lookup: once the table covers the program's
-// working set it is a single bounds-checked index. Anything else — first
-// touch, growth in either direction, the overflow map — is the cold path.
-func (t *pcTable) statsFor(pc uint64, stride uint64) *pcStats {
-	idx := pc / stride
-	if t.tab == nil || idx < t.base || idx-t.base >= uint64(len(t.tab)) {
-		return t.grow(pc, idx)
-	}
-	return &t.tab[idx-t.base]
-}
-
-// grow extends the dense table to cover idx (doubling toward the back,
-// exact-prepending toward the front) or falls back to the overflow map when
-// the span would exceed maxPCTableEntries. Growth doubles, so the work
-// amortizes to zero per steady-state lookup.
-//
-//ctcp:coldpath
-func (t *pcTable) grow(pc, idx uint64) *pcStats {
-	if t.tab == nil {
-		t.base = idx
-		t.tab = make([]pcStats, 64)
-	}
-	if idx < t.base {
-		if front := t.base - idx; front+uint64(len(t.tab)) <= maxPCTableEntries {
-			nt := make([]pcStats, front+uint64(len(t.tab)))
-			copy(nt[front:], t.tab)
-			t.tab = nt
-			t.base = idx
-		} else {
-			return t.slow(pc)
-		}
-	}
-	off := idx - t.base
-	if off >= uint64(len(t.tab)) {
-		if off >= maxPCTableEntries {
-			return t.slow(pc)
-		}
-		n := uint64(len(t.tab))
-		for n <= off {
-			n *= 2
-		}
-		nt := make([]pcStats, n)
-		copy(nt, t.tab)
-		t.tab = nt
-	}
-	return &t.tab[off]
-}
-
-// slow is the overflow-map fallback for PC ranges too wild for the dense
-// table; each new static instruction allocates once.
-//
-//ctcp:coldpath
-func (t *pcTable) slow(pc uint64) *pcStats {
-	if t.overflow == nil {
-		t.overflow = make(map[uint64]*pcStats)
-	}
-	e := t.overflow[pc]
-	if e == nil {
-		e = new(pcStats)
-		t.overflow[pc] = e
-	}
-	return e
 }
 
 // readyEvent queues one resolved RS entry for its future ready cycle.
@@ -234,6 +155,9 @@ func (h *readyHeap) pop() readyEvent {
 // functional-unit class, control kind) even though it is a pure function of
 // the instruction word. Program text is immutable, so the first dynamic
 // instance of a PC fills its entry and every later instance reads 8 bytes.
+// The cache is a pcmap.Map keyed by PC whose zero entry (valid unset) is
+// absent. It is derived state: never serialized, refilled lazily after
+// restore.
 type decEntry struct {
 	src   [2]isa.Reg
 	dest  isa.Reg
@@ -273,70 +197,6 @@ func decodeInst(in isa.Inst) decEntry {
 		e.ctrl = ctrlJMP
 	case in.Op == isa.RET:
 		e.ctrl = ctrlRET
-	}
-	return e
-}
-
-// decTable maps instruction addresses to decode-cache entries through the
-// same dense (PC-base)/stride array pcTable uses, with the same doubling
-// growth and overflow-map fallback. It is derived state: never serialized,
-// refilled lazily after restore.
-type decTable struct {
-	base     uint64
-	tab      []decEntry
-	overflow map[uint64]*decEntry
-}
-
-// entryFor is the steady-state lookup: a single bounds-checked index.
-func (t *decTable) entryFor(pc uint64) *decEntry {
-	idx := pc / isa.PCStride
-	if t.tab == nil || idx < t.base || idx-t.base >= uint64(len(t.tab)) {
-		return t.grow(pc, idx)
-	}
-	return &t.tab[idx-t.base]
-}
-
-//ctcp:coldpath
-func (t *decTable) grow(pc, idx uint64) *decEntry {
-	if t.tab == nil {
-		t.base = idx
-		t.tab = make([]decEntry, 64)
-	}
-	if idx < t.base {
-		if front := t.base - idx; front+uint64(len(t.tab)) <= maxPCTableEntries {
-			nt := make([]decEntry, front+uint64(len(t.tab)))
-			copy(nt[front:], t.tab)
-			t.tab = nt
-			t.base = idx
-		} else {
-			return t.slow(pc)
-		}
-	}
-	off := idx - t.base
-	if off >= uint64(len(t.tab)) {
-		if off >= maxPCTableEntries {
-			return t.slow(pc)
-		}
-		n := uint64(len(t.tab))
-		for n <= off {
-			n *= 2
-		}
-		nt := make([]decEntry, n)
-		copy(nt, t.tab)
-		t.tab = nt
-	}
-	return &t.tab[off]
-}
-
-//ctcp:coldpath
-func (t *decTable) slow(pc uint64) *decEntry {
-	if t.overflow == nil {
-		t.overflow = make(map[uint64]*decEntry)
-	}
-	e := t.overflow[pc]
-	if e == nil {
-		e = new(decEntry)
-		t.overflow[pc] = e
 	}
 	return e
 }

@@ -10,6 +10,7 @@ import (
 	"ctcp/internal/core"
 	"ctcp/internal/emu"
 	"ctcp/internal/isa"
+	"ctcp/internal/pcmap"
 	"ctcp/internal/trace"
 )
 
@@ -98,8 +99,8 @@ type Pipeline struct {
 	btbBubble       int64
 	groupSeq        uint64
 
-	pcHist pcTable  // per-static-PC producer history (Table 3)
-	dec    decTable // per-static-PC decode cache (derived, never serialized)
+	pcHist pcmap.Map[pcStats]  // per-static-PC producer history (Table 3)
+	dec    pcmap.Map[decEntry] // per-static-PC decode cache (derived, never serialized)
 
 	lastRetireCycle int64
 
@@ -523,7 +524,7 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 	if p.cfg.Strategy.SteersAtIssue() {
 		st.cluster[idx] = -1
 	}
-	d := p.dec.entryFor(rec.PC)
+	d := p.dec.Ensure(rec.PC)
 	if !d.valid {
 		*d = decodeInst(rec.Inst)
 	}
@@ -1232,7 +1233,7 @@ func (p *Pipeline) recordInputStats(idx uint32) {
 			p.S.FwdIntraCluster++
 		}
 		if hist == nil {
-			hist = p.pcHist.statsFor(st.rec[idx].PC, isa.PCStride)
+			hist = p.pcHist.Ensure(st.rec[idx].PC)
 		}
 		if hist.lastProd[k] != 0 {
 			if k == 0 {
@@ -1254,7 +1255,7 @@ func (p *Pipeline) recordInputStats(idx uint32) {
 		k := int(critSrc) - 1
 		cp := st.index(st.critProd[idx])
 		if hist == nil {
-			hist = p.pcHist.statsFor(st.rec[idx].PC, isa.PCStride)
+			hist = p.pcHist.Ensure(st.rec[idx].PC)
 		}
 		if hist.lastCritInter[k] != 0 {
 			if k == 0 {

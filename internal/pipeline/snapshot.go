@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"ctcp/internal/emu"
-	"ctcp/internal/isa"
+	"ctcp/internal/pcmap"
 	"ctcp/internal/snap"
 )
 
@@ -127,7 +127,7 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 		w.I64Slice(p.fuFree[c])
 	}
 	p.ports.snapshot(w, p.now)
-	p.pcHist.snapshot(w)
+	snapshotPCHist(w, &p.pcHist)
 	snapshotStats(w, &p.S)
 
 	// The buffered peek is empty at a drained boundary (asserted above);
@@ -222,7 +222,7 @@ func (p *Pipeline) Restore(r *snap.Reader) {
 		copy(p.fuFree[c], row)
 	}
 	p.ports.restore(r)
-	p.pcHist.restore(r)
+	restorePCHist(r, &p.pcHist)
 	restoreStats(r, &p.S)
 
 	p.havePeek = false
@@ -290,27 +290,21 @@ func (ps *portSched) restore(r *snap.Reader) {
 	}
 }
 
-// snapshot emits the per-static-PC producer history: every non-zero entry
-// of the dense table (keyed back to its PC) followed by the sorted
-// overflow entries. The dense table's base/length are layout, not state —
-// restore regrows an equivalent table through statsFor.
-func (t *pcTable) snapshot(w *snap.Writer) {
-	zero := pcStats{}
+// snapshotPCHist emits the per-static-PC producer history: the count of
+// non-zero entries, then each one keyed by its PC in ascending PC order. The
+// table's dense base/length are layout, not state: restorePCHist regrows an
+// equivalent table through Ensure.
+func snapshotPCHist(w *snap.Writer, t *pcmap.Map[pcStats]) {
 	var pcs []uint64
-	for i := range t.tab {
-		if t.tab[i] != zero {
-			pcs = append(pcs, (t.base+uint64(i))*isa.PCStride)
-		}
-	}
-	for pc, e := range t.overflow { //ctcp:lint-ok maporder -- keys are collected and sorted before use
-		if *e != zero {
+	t.ForEach(func(pc uint64, e *pcStats) {
+		if *e != (pcStats{}) {
 			pcs = append(pcs, pc)
 		}
-	}
+	})
 	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	w.Int(len(pcs))
 	for _, pc := range pcs {
-		e := t.statsFor(pc, isa.PCStride)
+		e := t.Lookup(pc)
 		w.U64(pc)
 		w.U64(e.lastProd[0])
 		w.U64(e.lastProd[1])
@@ -319,8 +313,8 @@ func (t *pcTable) snapshot(w *snap.Writer) {
 	}
 }
 
-// restore replays the entries through statsFor into the (fresh) table.
-func (t *pcTable) restore(r *snap.Reader) {
+// restorePCHist replays the entries through Ensure into the (fresh) table.
+func restorePCHist(r *snap.Reader, t *pcmap.Map[pcStats]) {
 	n := r.Int()
 	if r.Err() != nil {
 		return
@@ -339,7 +333,7 @@ func (t *pcTable) restore(r *snap.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		*t.statsFor(pc, isa.PCStride) = e
+		*t.Ensure(pc) = e
 	}
 }
 

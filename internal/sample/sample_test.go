@@ -337,7 +337,7 @@ func TestSampledSpeedup(t *testing.T) {
 }
 
 // BenchmarkSampled reports the sampled-vs-monolithic speedup as a custom
-// metric; the microbenchmark harness records it into BENCH_pipeline.json.
+// metric.
 func BenchmarkSampled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mono, samp, _, _ := measureSpeedup(b, 200_000, 4)
