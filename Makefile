@@ -49,7 +49,8 @@ results:
 # restart-reuse from the result store, journal restart-replay of queued and
 # interrupted jobs, failed-fingerprint retry, tenant auth/quota/rate limits,
 # fair-share dispatch, the progress event stream, job retention,
-# stale-fingerprint resimulation, backpressure, and the shutdown drain.
+# stale-fingerprint resimulation, backpressure, the shutdown drain, and a
+# ctcpbench -resume directory served as the store.
 serve-check:
 	$(GO) test -race -count=1 ./internal/serve/
 

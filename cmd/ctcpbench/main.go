@@ -9,8 +9,9 @@
 //	ctcpbench -cpuprofile cpu.out  # pprof capture of any of the above
 //	ctcpbench -sample 50000 -sample-detail 25000 -sample-warmup 12500
 //	                               # region-parallel sampled simulation
-//	ctcpbench -resume ckpts/ -checkpoint-every 50000
-//	                               # resumable runs: rerun continues a killed sweep
+//	ctcpbench -resume results/ -checkpoint-every 50000
+//	                               # resumable runs: rerun continues a killed sweep;
+//	                               # the directory is a result store ctcpd can serve
 //
 // A simulation that aborts (pathological configuration) no longer crashes
 // the process: the failing key is recorded, every artifact that did
@@ -97,11 +98,6 @@ func (o *cliOptions) validate() error {
 	if o.sampleInterval != 0 && o.resumeDir != "" {
 		return fmt.Errorf("-sample and -resume are mutually exclusive")
 	}
-	if o.resumeDir != "" {
-		if err := os.MkdirAll(o.resumeDir, 0o755); err != nil {
-			return fmt.Errorf("creating -resume directory: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -120,7 +116,7 @@ func main() {
 	flag.Uint64Var(&o.sampleDetail, "sample-detail", 0, "instructions simulated in detail per region (0 = the whole region)")
 	flag.Uint64Var(&o.sampleWarmup, "sample-warmup", 0, "warmup instructions per region excluded from the measurement (region 0 is always measured whole)")
 	flag.IntVar(&o.sampleWorkers, "sample-workers", 0, "detailed-simulation workers for -sample (0 = GOMAXPROCS)")
-	flag.StringVar(&o.resumeDir, "resume", "", "checkpoint directory: runs persist resumable state here and a rerun continues where a killed sweep stopped")
+	flag.StringVar(&o.resumeDir, "resume", "", "result-store directory: runs keep <fingerprint>.ckpt checkpoints and <fingerprint>.json results here, a rerun continues where a killed sweep stopped, and ctcpd -store can serve it")
 	flag.Uint64Var(&o.ckptEvery, "checkpoint-every", 0, "instructions between on-disk checkpoints (requires -resume; 0 = budget/4)")
 	flag.Parse()
 	os.Exit(run(&o))

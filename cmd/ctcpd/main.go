@@ -4,11 +4,10 @@
 // Usage:
 //
 //	ctcpd -serve -addr :8321 -store results/          # start the service
-//	ctcpd -serve ... -ckpt-dir ckpts/                 # allow checkpointed jobs;
-//	                                                  # shutdown drains losslessly
 //	ctcpd -serve ... -keys keys.txt -rate 10 -quota 8 # multi-tenant intake
 //	ctcpd -submit -bm gzip -config fdrt               # submit one job
 //	ctcpd -submit ... -timeout 2m                     # ...and wait for the result
+//	ctcpd -submit ... -checkpoint                     # resumable run; shutdown drains losslessly
 //	ctcpd -batch sweep.json                           # submit a whole sweep
 //	ctcpd -wait job-3                                 # wait for an earlier job
 //	ctcpd -watch job-3                                # stream its progress events
@@ -23,8 +22,11 @@
 // resimulating. Acceptances are journaled, so jobs queued (or interrupted)
 // at shutdown are replayed by the next start on the same -store/-journal.
 // SIGINT/SIGTERM drain the server: in-flight checkpointed runs stop at the
-// next segment boundary and resume bit-exactly on restart. Against a keyed
-// server, pass -key (sent as X-API-Key) with every client verb.
+// next segment boundary and resume bit-exactly on restart. Their checkpoints
+// live in the -store directory, which has the same layout as a ctcpbench
+// -resume directory: either tool answers from what the other simulated.
+// Against a keyed server, pass -key (sent as X-API-Key) with every client
+// verb.
 package main
 
 import (
@@ -60,7 +62,6 @@ type cliOptions struct {
 
 	// -serve
 	storeDir string
-	ckptDir  string
 	slotDir  string
 	journal  string
 	keysPath string
@@ -138,8 +139,7 @@ func main() {
 	flag.BoolVar(&o.forkZIn, "fork-zero-intra", false, "fork delta: zero intra-trace forwarding latency")
 	flag.BoolVar(&o.forkZOut, "fork-zero-inter", false, "fork delta: zero inter-trace forwarding latency")
 	flag.StringVar(&o.addr, "addr", "localhost:8321", "listen address (-serve) or server address (client verbs)")
-	flag.StringVar(&o.storeDir, "store", "", "result-store directory (required with -serve)")
-	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "checkpoint directory: enables checkpointed jobs and lossless shutdown")
+	flag.StringVar(&o.storeDir, "store", "", "result-store directory, also holding checkpointed jobs' checkpoints (required with -serve)")
 	flag.StringVar(&o.slotDir, "slot-dir", "", "named save-state slot directory: enables /api/v1/slots (list, inspect, fork)")
 	flag.StringVar(&o.journal, "journal", "", "durable queue journal path (default <store>/queue.journal)")
 	flag.StringVar(&o.keysPath, "keys", "", "API key file: \"<key> <tenant> [quota=N] [rate=R] [burst=B]\" per line; enables auth")
@@ -157,7 +157,7 @@ func main() {
 	flag.Uint64Var(&o.sampleInterval, "sample", 0, "sampled simulation: region interval (0 = full detail)")
 	flag.Uint64Var(&o.sampleDetail, "sample-detail", 0, "instructions simulated in detail per region")
 	flag.Uint64Var(&o.sampleWarmup, "sample-warmup", 0, "warmup instructions per region")
-	flag.BoolVar(&o.checkpoint, "checkpoint", false, "request a checkpoint-segmented (resumable) run")
+	flag.BoolVar(&o.checkpoint, "checkpoint", false, "request a checkpoint-segmented run, resumable across server restarts")
 	flag.Uint64Var(&o.ckptEvery, "checkpoint-every", 0, "instructions between checkpoints (0 = budget/4)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "how long -submit/-wait block for the result (0: -submit returns immediately, -wait blocks forever)")
 	flag.Parse()
@@ -198,7 +198,6 @@ func runServe(o *cliOptions) int {
 	logger := log.New(os.Stderr, "ctcpd: ", log.LstdFlags)
 	s, err := serve.New(serve.Config{
 		Store:         o.storeDir,
-		CheckpointDir: o.ckptDir,
 		SlotDir:       o.slotDir,
 		Journal:       o.journal,
 		Keys:          o.keysPath,

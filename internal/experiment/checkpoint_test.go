@@ -39,16 +39,22 @@ func segmentedReference(t *testing.T) *pipeline.Stats {
 	return p.Finish()
 }
 
-// TestCheckpointedRunMatchesSegmented: a checkpointed run writes its
-// journal, removes its checkpoint, matches the in-memory segmented
-// reference exactly, and a second runner over the same directory returns
-// the identical stats straight from the journal.
+// ckptPath names the checkpoint a runner with opts keeps for gzip/base.
+func ckptPath(opts Options) string {
+	return filepath.Join(opts.CheckpointDir, FormatFP(RunFingerprint("gzip", BaseConfig(), opts))+".ckpt")
+}
+
+// TestCheckpointedRunMatchesSegmented: a checkpointed run puts its store
+// record, removes its checkpoint, matches the in-memory segmented reference
+// exactly, and a second runner over the same directory returns the
+// identical stats straight from the store.
 func TestCheckpointedRunMatchesSegmented(t *testing.T) {
 	dir := t.TempDir()
 	want := segmentedReference(t)
 	bm, _ := workload.ByName("gzip")
 
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	opts := Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -59,29 +65,35 @@ func TestCheckpointedRunMatchesSegmented(t *testing.T) {
 		t.Errorf("checkpointed run diverged from segmented reference\n want %s\n got  %s", wj, gj)
 	}
 
-	stem := filepath.Join(dir, sanitizeKey("gzip/base"))
-	if _, err := os.Stat(stem + ".done.json"); err != nil {
-		t.Fatalf("stats journal missing: %v", err)
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(stem + ".ckpt"); !os.IsNotExist(err) {
+	rec, ok := st.Get(RunFingerprint("gzip", BaseConfig(), opts))
+	if !ok {
+		t.Fatal("store record missing")
+	}
+	if rec.Benchmark != "gzip" || rec.Config != "base" || rec.Budget != ckptBudget || rec.Mode != "checkpointed" {
+		t.Errorf("record labels %+v", rec)
+	}
+	if _, err := os.Stat(ckptPath(opts)); !os.IsNotExist(err) {
 		t.Errorf("checkpoint not removed after completion (err=%v)", err)
 	}
 
-	// A fresh runner resumes from the journal without resimulating: hook
-	// the default path so any real simulation would be visible.
-	r2 := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	// A fresh runner answers from the store without resimulating.
+	r2 := NewRunner(opts)
 	got2, err := r2.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got2) {
-		t.Error("journal-resumed stats differ from the original run")
+		t.Error("store-answered stats differ from the original run")
 	}
 }
 
 // TestCheckpointedResumeFromPlantedCheckpoint simulates an interrupted
 // sweep: the first segment's checkpoint is on disk (written through the
-// public Snapshot path) with no journal, and the runner must pick it up
+// public Snapshot path) with no record, and the runner must pick it up
 // and finish bit-identically to the uninterrupted segmented run.
 func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
@@ -100,11 +112,11 @@ func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
 	w.U64(RunFingerprint("gzip", BaseConfig(), opts))
 	w.End()
 	p.Snapshot(w)
-	if err := snap.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), w); err != nil {
+	if err := snap.WriteFile(ckptPath(opts), w); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -119,12 +131,12 @@ func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
 // TestCheckpointedCorruptCheckpointRestarts: an undecodable checkpoint is
 // discarded and the run completes from scratch instead of failing.
 func TestCheckpointedCorruptCheckpointRestarts(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+	opts := Options{Budget: ckptBudget, CheckpointDir: t.TempDir(), CheckpointEvery: ckptEvery}
+	if err := os.WriteFile(ckptPath(opts), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bm, _ := workload.ByName("gzip")
-	r := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery})
+	r := NewRunner(opts)
 	got, err := r.RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +147,9 @@ func TestCheckpointedCorruptCheckpointRestarts(t *testing.T) {
 }
 
 // TestCheckpointedBudgetChangeResimulates is the stale-result regression
-// test: a completed run's journal must only satisfy reruns with the same
+// test: a completed run's record must only satisfy reruns with the same
 // budget. Rerunning the same key over the same directory at double the
-// budget has to produce fresh full-length stats, never the old journal's.
+// budget has to produce fresh full-length stats, never the old record's.
 func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
 	dir := t.TempDir()
 	bm, _ := workload.ByName("gzip")
@@ -160,15 +172,15 @@ func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
 		t.Fatalf("rerun at budget %d served stale stats: retired %d", 2*ckptBudget, second.Retired)
 	}
 
-	// The journal now records the new budget's run; a third runner at the
-	// new budget is satisfied from it, and one at the old budget is not.
+	// The store now holds both budgets' runs, each under its own
+	// fingerprint, and answers each budget with its own stats.
 	again, err := NewRunner(Options{Budget: 2 * ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
 		RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(second, again) {
-		t.Error("journal reread at the same budget differs from the run that wrote it")
+		t.Error("record reread at the same budget differs from the run that wrote it")
 	}
 	back, err := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
 		RunErr(bm, "base", BaseConfig())
@@ -182,8 +194,10 @@ func TestCheckpointedBudgetChangeResimulates(t *testing.T) {
 
 // TestCheckpointedStaleCheckpointDiscarded plants a mid-run checkpoint
 // written under a different budget (whose snapshotted LimitStream still
-// carries that budget) and checks a run at a new budget discards it and
-// restarts from scratch instead of resuming into the wrong budget.
+// carries that budget) at the new budget's file name, as a rename or copy
+// would, and checks the run at the new budget refuses it by its embedded
+// fingerprint and restarts from scratch instead of resuming into the wrong
+// budget.
 func TestCheckpointedStaleCheckpointDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	bm, _ := workload.ByName("gzip")
@@ -202,62 +216,18 @@ func TestCheckpointedStaleCheckpointDiscarded(t *testing.T) {
 	w.U64(RunFingerprint("gzip", BaseConfig(), oldOpts))
 	w.End()
 	p.Snapshot(w)
-	if err := snap.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".ckpt"), w); err != nil {
+	newOpts := Options{Budget: 2 * ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
+	if err := snap.WriteFile(ckptPath(newOpts), w); err != nil {
 		t.Fatal(err)
 	}
 
-	newBudget := 2 * ckptBudget
-	got, err := NewRunner(Options{Budget: newBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
-		RunErr(bm, "base", BaseConfig())
+	newBudget := newOpts.Budget
+	got, err := NewRunner(newOpts).RunErr(bm, "base", BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Retired != newBudget {
 		t.Fatalf("run resumed a stale checkpoint: retired %d, want %d", got.Retired, newBudget)
-	}
-}
-
-// TestCheckpointedLegacyJournalIgnored: a pre-fingerprint journal (raw stats
-// JSON) must be treated as stale and resimulated, not trusted — it cannot
-// prove which budget or config produced it.
-func TestCheckpointedLegacyJournalIgnored(t *testing.T) {
-	dir := t.TempDir()
-	bm, _ := workload.ByName("gzip")
-	bogus, err := json.Marshal(&pipeline.Stats{Cycles: 42, Retired: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, sanitizeKey("gzip/base")+".done.json"), bogus, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewRunner(Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}).
-		RunErr(bm, "base", BaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := segmentedReference(t); !reflect.DeepEqual(want, got) {
-		t.Error("legacy journal was served instead of resimulating")
-	}
-}
-
-// TestSanitizeKeyDistinct: keys that collapse to the same character-mapped
-// stem must still map to distinct files (the short raw-key hash), and equal
-// keys must keep mapping to equal stems across calls.
-func TestSanitizeKeyDistinct(t *testing.T) {
-	if sanitizeKey("a/b-x") == sanitizeKey("a_b/x") {
-		t.Error("distinct keys share a checkpoint file stem")
-	}
-	if sanitizeKey("gzip/base") != sanitizeKey("gzip/base") {
-		t.Error("sanitizeKey is not deterministic")
-	}
-	keys := []string{"a/b-x", "a_b/x", "a-b/x", "a/b_x", "a/b/x", "a//b-x", "A/b-x"}
-	seen := map[string]string{}
-	for _, k := range keys {
-		stem := sanitizeKey(k)
-		if prev, dup := seen[stem]; dup {
-			t.Errorf("keys %q and %q collide on stem %q", prev, k, stem)
-		}
-		seen[stem] = k
 	}
 }
 

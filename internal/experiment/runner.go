@@ -6,7 +6,6 @@ package experiment
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -111,9 +110,9 @@ type Options struct {
 	// CheckpointDir, when non-empty, makes every run segmented and
 	// resumable: the runner writes an on-disk checkpoint of the full
 	// simulator state every CheckpointEvery instructions (default
-	// Budget/4), and a journal of the final stats when a run completes. A
-	// rerun over the same directory resumes each key from its newest
-	// checkpoint — or returns instantly from the journal — so a killed
+	// Budget/4), and the final stats as a Store record when a run
+	// completes. A rerun over the same directory resumes each run from its
+	// newest checkpoint — or returns instantly from the store — so a killed
 	// sweep loses at most one segment per key. Resumed runs are bit-exact:
 	// the segment schedule is derived from the checkpoint spacing, so a
 	// resumed run retires the same instructions in the same cycles as an
@@ -224,13 +223,13 @@ func (r *Runner) Fingerprint(bm workload.Benchmark, cfg pipeline.Config) uint64 
 // benchmark name, the full serialized configuration (pipeline.Config's
 // canonical fingerprint), the instruction budget, and the result-affecting
 // mode options — into one FNV-64a value. Results persisted under this
-// fingerprint (stats journals, checkpoint headers, the ctcpd result store)
-// can never be served back for a run that would compute something else:
-// changing the budget, any config field, or the segmentation/sampling
-// schedule changes the fingerprint. Concurrency knobs (Parallelism,
-// SampleWorkers) are excluded because the runner and sampler are
-// deterministic under them; so is CheckpointDir, which relocates files
-// without affecting the simulated schedule.
+// fingerprint (Store records, checkpoint headers) can never be served back
+// for a run that would compute something else: changing the budget, any
+// config field, or the segmentation/sampling schedule changes the
+// fingerprint. Concurrency knobs (Parallelism, SampleWorkers) are excluded
+// because the runner and sampler are deterministic under them; so is the
+// CheckpointDir path, which relocates files without affecting the simulated
+// schedule.
 func RunFingerprint(bmName string, cfg pipeline.Config, opts Options) uint64 {
 	budget := opts.Budget
 	if budget == 0 {
@@ -335,7 +334,7 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 		// recovers panics (including from hooked run functions) into errors.
 		defer close(e.done)
 		start := time.Now()
-		e.stats, e.err = r.simulate(key, bm, cfg)
+		e.stats, e.err = r.simulate(key, bm, cfgKey, cfg)
 		e.wall = time.Since(start)
 	}()
 
@@ -376,9 +375,8 @@ func (r *Runner) Forget(bm workload.Benchmark, cfgKey string) {
 
 // simulate executes one run, holding a semaphore slot only around the
 // cycle-level model: program generation is memoized and cheap, so it must
-// not occupy a simulation slot. The key names the run's checkpoint files
-// when checkpointing is enabled.
-func (r *Runner) simulate(key string, bm workload.Benchmark, cfg pipeline.Config) (s *pipeline.Stats, err error) {
+// not occupy a simulation slot.
+func (r *Runner) simulate(key string, bm workload.Benchmark, cfgKey string, cfg pipeline.Config) (s *pipeline.Stats, err error) {
 	defer func() {
 		// Safety net for panics escaping runFn itself (RunProgramErr already
 		// recovers model panics; this catches hooked or future run paths).
@@ -399,7 +397,7 @@ func (r *Runner) simulate(key string, bm workload.Benchmark, cfg pipeline.Config
 	}
 	switch {
 	case r.opts.CheckpointDir != "":
-		return r.runCheckpointed(key, r.Fingerprint(bm, cfg), prog, cfg)
+		return r.runCheckpointed(key, bm, cfgKey, prog, cfg)
 	case r.opts.SampleInterval != 0:
 		return r.runSampled(key, prog, cfg)
 	default:
@@ -433,64 +431,28 @@ func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) 
 	return &s, nil
 }
 
-// sanitizeKey maps a run key to a filesystem-safe checkpoint file stem. The
-// character mapping alone is lossy — "a/b-x" and "a_b/x" both map to
-// "a_b-x", which would let two distinct runs clobber each other's files — so
-// the stem also carries a short hash of the raw key: distinct keys always
-// get distinct stems, while the readable prefix keeps the directory
-// browsable.
-func sanitizeKey(key string) string {
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	sum := h.Sum64()
-	mapped := strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '-', c == '_':
-			return c
-		default:
-			return '_'
-		}
-	}, key)
-	return fmt.Sprintf("%s-%08x", mapped, uint32(sum^(sum>>32)))
-}
-
-// journal is the on-disk schema of a completed run's .done.json. The
-// fingerprint ties the stats to the exact budget + config + schedule that
-// produced them; a journal whose fingerprint does not match the requested
-// run is stale (for example, the sweep was rerun with a different -insts)
-// and is ignored rather than served.
-type journal struct {
-	Fingerprint string          `json:"fingerprint"`
-	Key         string          `json:"key"`
-	Budget      uint64          `json:"budget"`
-	Stats       *pipeline.Stats `json:"stats"`
-}
-
 // runCheckpointed executes one run as a sequence of RunTo segments,
-// persisting the full simulator state after each one. A completed run
-// leaves a stats journal and removes its checkpoint; a rerun finds the
-// journal and returns instantly. A killed run leaves its newest checkpoint
-// behind, and the rerun resumes from it bit-exactly. Both durable files are
-// bound to the run fingerprint (budget + config + schedule): a journal or
-// checkpoint written under different options — the classic stale case is a
-// rerun with a changed -insts budget over the same directory — is detected
-// on load and discarded, restarting from scratch, exactly as a checkpoint
-// that fails to decode (truncated write, version skew) is.
-func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
-	stem := filepath.Join(r.opts.CheckpointDir, sanitizeKey(key))
-	ckptPath := stem + ".ckpt"
-	donePath := stem + ".done.json"
-	fpHex := fmt.Sprintf("%016x", fp)
-
-	if buf, err := os.ReadFile(donePath); err == nil {
-		var j journal
-		if json.Unmarshal(buf, &j) == nil && j.Stats != nil && j.Fingerprint == fpHex {
-			return j.Stats, nil
-		}
-		// Stale (written under a different budget/config), pre-fingerprint,
-		// or corrupt journal: fall through, resimulate, and overwrite.
+// persisting the full simulator state after each one as <fp>.ckpt in
+// CheckpointDir. A completed run puts its stats into the directory's Store
+// as <fp>.json and removes its checkpoint; a rerun finds the record and
+// returns instantly. A killed run leaves its newest checkpoint behind, and
+// the rerun resumes from it bit-exactly. Both files are named by the run
+// fingerprint (budget + config + schedule), so a rerun under different
+// options — the classic stale case is a changed -insts budget over the same
+// directory — looks up different files. The checkpoint also carries the
+// fingerprint inside, so one renamed or copied onto another run's name is
+// discarded on load and the run restarts from scratch, exactly as a
+// checkpoint that fails to decode (truncated write, version skew) is.
+func (r *Runner) runCheckpointed(key string, bm workload.Benchmark, cfgKey string, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+	st, err := OpenStore(r.opts.CheckpointDir)
+	if err != nil {
+		return nil, err
 	}
+	fp := r.Fingerprint(bm, cfg)
+	if rec, ok := st.Get(fp); ok {
+		return rec.Stats, nil
+	}
+	ckptPath := filepath.Join(r.opts.CheckpointDir, FormatFP(fp)+".ckpt")
 
 	budget := r.opts.Budget
 	every := effectiveEvery(budget, r.opts.CheckpointEvery)
@@ -507,8 +469,7 @@ func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg p
 			p.Restore(rd)
 		}
 		if rd.Err() != nil || rd.Close() != nil {
-			// Stale (old budget/config still baked into the snapshotted
-			// LimitStream) or unusable checkpoint: restart clean.
+			// Renamed or copied from another run, or unusable: restart clean.
 			p = newPipe()
 		}
 	}
@@ -538,17 +499,11 @@ func (r *Runner) runCheckpointed(key string, fp uint64, prog *isa.Program, cfg p
 		r.emit(ProgressEvent{Kind: RunSegment, Key: key, Done: p.Consumed(), Total: budget})
 	}
 	s := p.Finish()
-	buf, err := json.Marshal(journal{Fingerprint: fpHex, Key: key, Budget: budget, Stats: s})
-	if err != nil {
-		return nil, err
+	if err := st.Put(&Record{Fingerprint: FormatFP(fp), Benchmark: bm.Name, Config: cfgKey,
+		Budget: budget, Mode: "checkpointed", Stats: s}); err != nil {
+		return nil, fmt.Errorf("writing result record: %w", err)
 	}
-	// The journal takes the same atomic temp+rename path as checkpoints: a
-	// kill mid-write must never leave a torn .done.json that a rerun would
-	// half-parse.
-	if err := snap.WriteFileBytes(donePath, buf); err != nil {
-		return nil, fmt.Errorf("writing stats journal %s: %w", donePath, err)
-	}
-	os.Remove(ckptPath) // superseded by the journal
+	os.Remove(ckptPath) // superseded by the record
 	return s, nil
 }
 

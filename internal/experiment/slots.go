@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -109,7 +108,7 @@ func (m SlotMeta) fingerprints() (runFP, cfgFP string, err error) {
 		return "", "", err
 	}
 	fp := RunFingerprint(m.Benchmark, cfg, Options{Budget: m.Budget})
-	return fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", cfg.Fingerprint()), nil
+	return FormatFP(fp), FormatFP(cfg.Fingerprint()), nil
 }
 
 // SlotStore manages named slots in one directory (one <name>.slot file
@@ -424,10 +423,4 @@ func (st *SlotStore) Remove(name string) error {
 		return err
 	}
 	return os.Remove(path)
-}
-
-// ParseFP parses a slot fingerprint hex string (the inverse of the %016x
-// formatting used in SlotMeta).
-func ParseFP(s string) (uint64, error) {
-	return strconv.ParseUint(s, 16, 64)
 }

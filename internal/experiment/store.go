@@ -1,15 +1,28 @@
-package serve
+package experiment
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 
 	"ctcp/internal/pipeline"
 	"ctcp/internal/snap"
 )
+
+// FormatFP renders a fingerprint in its canonical form: 16 lower-case hex
+// digits. Store file names, records, slot metadata and the service API all
+// use it.
+func FormatFP(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+
+// ParseFP parses a hex fingerprint (the inverse of FormatFP). It accepts any
+// hex spelling of a 64-bit value; callers that need the canonical form
+// compare the input against FormatFP of the result.
+func ParseFP(s string) (uint64, error) {
+	return strconv.ParseUint(s, 16, 64)
+}
 
 // Record is one persisted simulation result. The file is named by the run
 // fingerprint (content addressing: the name *is* the identity of what was
@@ -27,12 +40,12 @@ type Record struct {
 	Stats       *pipeline.Stats `json:"stats"`
 }
 
-// Store is a content-addressed, crash-safe result store: one JSON record per
-// run fingerprint, written atomically (temp+rename via snap.WriteFileBytes),
-// so concurrent writers of the same fingerprint — which by construction hold
-// identical payloads — and readers racing a write both observe a complete
-// record or none. It is the durable layer that lets a restarted ctcpd serve
-// repeated requests without resimulating.
+// Store is the content-addressed, crash-safe store of completed runs: one
+// JSON record per run fingerprint, written atomically (temp+rename via
+// snap.WriteFileBytes), so concurrent writers of the same fingerprint — which
+// by construction hold identical payloads — and readers racing a write both
+// observe a complete record or none. Checkpointed runs (ctcpbench -resume)
+// and ctcpd share it: a directory one of them filled answers the other.
 type Store struct {
 	dir string
 
@@ -42,18 +55,16 @@ type Store struct {
 // OpenStore opens (creating if needed) a result store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("serve: store directory must be set")
+		return nil, fmt.Errorf("store: directory must be set")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: creating store: %w", err)
+		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
 	return &Store{dir: dir}, nil
 }
 
-func fpHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
-
 func (st *Store) path(fp uint64) string {
-	return filepath.Join(st.dir, fpHex(fp)+".json")
+	return filepath.Join(st.dir, FormatFP(fp)+".json")
 }
 
 // Get returns the persisted record for fp, if a valid one exists. A missing,
@@ -67,7 +78,7 @@ func (st *Store) Get(fp uint64) (*Record, bool) {
 		return nil, false
 	}
 	var rec Record
-	if json.Unmarshal(buf, &rec) != nil || rec.Stats == nil || rec.Fingerprint != fpHex(fp) {
+	if json.Unmarshal(buf, &rec) != nil || rec.Stats == nil || rec.Fingerprint != FormatFP(fp) {
 		st.misses.Add(1)
 		return nil, false
 	}
@@ -76,14 +87,15 @@ func (st *Store) Get(fp uint64) (*Record, bool) {
 }
 
 // Put persists rec under its fingerprint, atomically replacing any previous
-// record for the same fingerprint.
+// record for the same fingerprint. The fingerprint must be canonical: a
+// record Get would reject as mislabeled is refused here instead.
 func (st *Store) Put(rec *Record) error {
 	if rec.Stats == nil {
-		return fmt.Errorf("serve: refusing to persist a record without stats")
+		return fmt.Errorf("store: refusing to persist a record without stats")
 	}
-	var fp uint64
-	if _, err := fmt.Sscanf(rec.Fingerprint, "%016x", &fp); err != nil {
-		return fmt.Errorf("serve: record fingerprint %q is not a 64-bit hex value", rec.Fingerprint)
+	fp, err := ParseFP(rec.Fingerprint)
+	if err != nil || FormatFP(fp) != rec.Fingerprint {
+		return fmt.Errorf("store: record fingerprint %q is not 16 lower-case hex digits", rec.Fingerprint)
 	}
 	buf, err := json.Marshal(rec)
 	if err != nil {
@@ -96,8 +108,8 @@ func (st *Store) Put(rec *Record) error {
 	return nil
 }
 
-// Len counts the records currently on disk (a /metrics gauge; the store has
-// no in-memory index to keep consistent).
+// Len counts the records currently on disk (the store has no in-memory
+// index to keep consistent).
 func (st *Store) Len() int {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -110,4 +122,9 @@ func (st *Store) Len() int {
 		}
 	}
 	return n
+}
+
+// Counts reports this handle's valid reads, missed reads and writes.
+func (st *Store) Counts() (hits, misses, puts uint64) {
+	return st.hits.Load(), st.misses.Load(), st.puts.Load()
 }

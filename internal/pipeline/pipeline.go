@@ -257,15 +257,17 @@ func (p *Pipeline) RunTo(limit uint64) bool {
 }
 
 // Finish completes a segmented run: it flushes the fill unit's partial
-// trace and returns the collected statistics. Run calls it internally;
-// RunTo callers invoke it once after the last segment.
+// trace and returns a copy of the collected statistics, so a caller that
+// keeps the result does not keep the Pipeline alive. Run calls it
+// internally; RunTo callers invoke it once after the last segment.
 func (p *Pipeline) Finish() *Stats {
 	p.fill.Flush()
 	p.S.Cycles = p.now
 	p.S.BP = p.bp.S
 	p.S.TC = p.tc.S
 	p.S.Fill = p.fill.S
-	return &p.S
+	s := p.S
+	return &s
 }
 
 // Consumed returns the number of committed records pulled from the stream

@@ -67,6 +67,21 @@ func TestRunToMatchesRun(t *testing.T) {
 	}
 }
 
+// TestFinishReturnsCopy: Finish hands out its own copy of the counters, not
+// a pointer into the Pipeline, so memoized stats do not keep a finished
+// run's caches and trace cache alive, and no two results alias.
+func TestFinishReturnsCopy(t *testing.T) {
+	_, p := newSegPipe(t, "gzip", core.FDRT, resumeInsts)
+	p.RunTo(0)
+	a, b := p.Finish(), p.Finish()
+	if a == b || a == &p.S || b == &p.S {
+		t.Fatal("Finish returned a pointer into the Pipeline")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two Finish calls on a finished run disagree")
+	}
+}
+
 // TestSnapshotResumeBitExact: for every kernel and every strategy, snapshot
 // at the halfway drained boundary, restore into a fresh machine+pipeline,
 // finish both ways, and require identical Stats and identical final memory

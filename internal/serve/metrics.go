@@ -121,9 +121,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		m.runner.CacheHits += rs.CacheHits
 	}
 	m.storeRecords = s.store.Len()
-	m.storeHitsDisk = s.store.hits.Load()
-	m.storeMisses = s.store.misses.Load()
-	m.storePuts = s.store.puts.Load()
+	m.storeHitsDisk, m.storeMisses, m.storePuts = s.store.Counts()
 	return m
 }
 
@@ -176,7 +174,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("ctcpd_store_records", "Result records currently persisted.", m.storeRecords)
 	counter("ctcpd_store_reads_hit_total", "Store reads that returned a valid record.", m.storeHitsDisk)
 	counter("ctcpd_store_reads_miss_total", "Store reads that found no valid record.", m.storeMisses)
-	counter("ctcpd_store_writes_total", "Records persisted to the store.", m.storePuts)
+	counter("ctcpd_store_writes_total", "Records the service persisted to the store (checkpointed runs write their own).", m.storePuts)
 	// Per-tenant rows, in sorted tenant order for deterministic scrapes.
 	fmt.Fprintf(&b, "# HELP ctcpd_tenant_jobs_total Job outcomes per tenant.\n# TYPE ctcpd_tenant_jobs_total counter\n")
 	for _, tn := range m.tenants {

@@ -28,11 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -44,11 +42,11 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Store is the result-store directory (required).
+	// Store is the result-store directory (required). Checkpointed jobs
+	// keep their segment checkpoints here too, beside the records they
+	// complete into, which is what makes shutdown lossless for long
+	// simulations.
 	Store string
-	// CheckpointDir, when set, lets jobs request checkpoint-segmented runs;
-	// it is also what makes shutdown lossless for long simulations.
-	CheckpointDir string
 	// SlotDir, when set, exposes the named save-state slots in that
 	// directory over /api/v1/slots (list, inspect, fork).
 	SlotDir string
@@ -107,8 +105,8 @@ type Request struct {
 	SampleDetail   uint64 `json:"sample_detail,omitempty"`
 	SampleWarmup   uint64 `json:"sample_warmup,omitempty"`
 
-	// Checkpoint requests a checkpoint-segmented run (requires the server to
-	// be configured with a checkpoint directory).
+	// Checkpoint requests a checkpoint-segmented run, resumable across
+	// server restarts.
 	Checkpoint      bool   `json:"checkpoint,omitempty"`
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 }
@@ -187,7 +185,7 @@ type pooledRunner struct {
 // serve with net/http, stop with Shutdown.
 type Server struct {
 	cfg     Config
-	store   *Store
+	store   *experiment.Store
 	journal *jobJournal
 	slots   *experiment.SlotStore // nil unless Config.SlotDir is set
 	mux     *http.ServeMux
@@ -226,14 +224,9 @@ type Server struct {
 // New builds a Server, opens (or creates) its result store, replays the
 // queue journal, and starts its worker pool.
 func New(cfg Config) (*Server, error) {
-	store, err := OpenStore(cfg.Store)
+	store, err := experiment.OpenStore(cfg.Store)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.CheckpointDir != "" {
-		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: creating checkpoint directory: %w", err)
-		}
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -332,7 +325,7 @@ func (s *Server) options(req Request) experiment.Options {
 		Interrupt:      s.interrupt,
 	}
 	if req.Checkpoint {
-		opts.CheckpointDir = s.cfg.CheckpointDir
+		opts.CheckpointDir = s.cfg.Store
 		opts.CheckpointEvery = req.CheckpointEvery
 	}
 	return opts
@@ -417,9 +410,6 @@ func (s *Server) validate(req Request) (Request, workload.Benchmark, pipeline.Co
 	if req.SampleInterval != 0 && req.Checkpoint {
 		return req, bm, cfg, fmt.Errorf("sampled and checkpointed modes are mutually exclusive")
 	}
-	if req.Checkpoint && s.cfg.CheckpointDir == "" {
-		return req, bm, cfg, fmt.Errorf("checkpoint requested but the server has no checkpoint directory")
-	}
 	return req, bm, cfg, nil
 }
 
@@ -449,7 +439,7 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 	}
 	opts := s.options(req)
 	fp := experiment.RunFingerprint(bm.Name, cfg, opts)
-	hex := fpHex(fp)
+	hex := experiment.FormatFP(fp)
 
 	s.mu.Lock()
 	if s.closed {
@@ -588,8 +578,8 @@ func (s *Server) replayJournal() error {
 	}
 	cands := make([]replayCand, 0, len(entries))
 	for _, e := range entries {
-		var fp uint64
-		if _, err := fmt.Sscanf(e.FP, "%016x", &fp); err != nil {
+		fp, err := experiment.ParseFP(e.FP)
+		if err != nil {
 			continue
 		}
 		if _, ok := s.store.Get(fp); ok {
@@ -601,7 +591,7 @@ func (s *Server) replayJournal() error {
 			continue
 		}
 		opts := s.options(req)
-		if hex := fpHex(experiment.RunFingerprint(bm.Name, cfg, opts)); hex != e.FP {
+		if hex := experiment.FormatFP(experiment.RunFingerprint(bm.Name, cfg, opts)); hex != e.FP {
 			s.logf("journal: dropping %s: fingerprint drift (now %s)", e.FP, hex)
 			continue
 		}
@@ -697,8 +687,10 @@ func (s *Server) runJob(j *Job) {
 	stats, err := pr.r.RunErr(j.bm, j.Request.Config, j.cfg)
 	wall := time.Since(j.begun)
 
-	if err == nil {
-		if perr := s.store.Put(&Record{
+	// A checkpointed run has already put its record into the store, which
+	// is also its checkpoint directory.
+	if err == nil && !j.Request.Checkpoint {
+		if perr := s.store.Put(&experiment.Record{
 			Fingerprint: j.Fingerprint,
 			Benchmark:   j.Request.Benchmark,
 			Config:      j.Request.Config,
@@ -990,14 +982,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnauthorized, err)
 		return
 	}
-	fp, err := strconv.ParseUint(r.PathValue("fp"), 16, 64)
+	fp, err := experiment.ParseFP(r.PathValue("fp"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fingerprint must be a 64-bit hex value"))
 		return
 	}
 	rec, ok := s.store.Get(fp)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no result for fingerprint %s", fpHex(fp)))
+		writeError(w, http.StatusNotFound, fmt.Errorf("no result for fingerprint %s", experiment.FormatFP(fp)))
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,7 +152,7 @@ func TestServeFailedJobRetry(t *testing.T) {
 // to uninterrupted direct runs — while fingerprints the first process
 // already completed are answered from the store with zero resimulation.
 func TestServeRestartReplaysQueue(t *testing.T) {
-	storeDir, ckptDir := t.TempDir(), t.TempDir()
+	storeDir := t.TempDir()
 	reqBig := Request{Benchmark: "gzip", Config: "base", Budget: 500_000,
 		Checkpoint: true, CheckpointEvery: testEvery}
 	reqA := Request{Benchmark: "gzip", Config: "fdrt", Budget: testBudget}
@@ -180,7 +179,7 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 		want[fmt.Sprintf("%s/%d", req.Config, req.Budget)] = string(buf)
 	}
 
-	s1, err := New(Config{Store: storeDir, CheckpointDir: ckptDir, Workers: 1})
+	s1, err := New(Config{Store: storeDir, Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -207,13 +206,13 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 
 	// What did the first process finish? Anything already in the store must
 	// not be resimulated; everything else must be replayed to completion.
-	probe, err := OpenStore(storeDir)
+	probe, err := experiment.OpenStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed := 0
 	for _, hex := range fps {
-		fp, err := strconv.ParseUint(hex, 16, 64)
+		fp, err := experiment.ParseFP(hex)
 		if err != nil {
 			t.Fatalf("fingerprint %q: %v", hex, err)
 		}
@@ -225,8 +224,8 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 		t.Log("first server finished everything before shutdown; replay set is empty")
 	}
 
-	// Restart over the same store, checkpoint dir, and journal.
-	_, hs2 := newTestServer(t, Config{Store: storeDir, CheckpointDir: ckptDir, Workers: 2})
+	// Restart over the same store (checkpoints included) and journal.
+	_, hs2 := newTestServer(t, Config{Store: storeDir, Workers: 2})
 	for i, req := range reqs {
 		v, code := submit[jobView](t, hs2.URL, req)
 		if code != http.StatusOK {
@@ -266,7 +265,7 @@ func TestServeTenantAuthQuotaRate(t *testing.T) {
 	if err := os.WriteFile(keys, []byte(content), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Keys: keys, CheckpointDir: t.TempDir()})
+	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Keys: keys})
 
 	// No key, wrong key: 401.
 	if _, code := submit[map[string]string](t, hs.URL, Request{Benchmark: "gzip", Config: "base"}); code != http.StatusUnauthorized {
@@ -424,7 +423,7 @@ func readEvents(t *testing.T, base, id string) []Event {
 // queued, running, per-segment (checkpointed) or per-region (sampled)
 // progress, terminal — and ends the stream at the terminal event.
 func TestServeEventStream(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 2, CheckpointDir: t.TempDir()})
+	_, hs := newTestServer(t, Config{Workers: 2})
 
 	ck, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base",
 		Budget: testBudget, Checkpoint: true, CheckpointEvery: testEvery})

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ctcp/internal/experiment"
-	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
 )
 
@@ -202,7 +201,7 @@ func TestServeExactlyOnce(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET result status %d", resp.StatusCode)
 	}
-	var rec Record
+	var rec experiment.Record
 	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 		t.Fatalf("decode record: %v", err)
 	}
@@ -297,7 +296,7 @@ func TestServeBudgetChangeResimulates(t *testing.T) {
 // direct runner execution bit-for-bit — regardless of how far the first
 // server got.
 func TestServeCheckpointRestartMatchesDirect(t *testing.T) {
-	storeDir, ckptDir := t.TempDir(), t.TempDir()
+	storeDir := t.TempDir()
 	req := Request{Benchmark: "gzip", Config: "base", Budget: testBudget,
 		Checkpoint: true, CheckpointEvery: testEvery}
 
@@ -318,7 +317,7 @@ func TestServeCheckpointRestartMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s1, err := New(Config{Store: storeDir, CheckpointDir: ckptDir, Workers: 1})
+	s1, err := New(Config{Store: storeDir, Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -328,7 +327,7 @@ func TestServeCheckpointRestartMatchesDirect(t *testing.T) {
 	}
 	// Shut down immediately: the job is either still queued (resolved as
 	// interrupted by the drain), interrupted between segments (newest
-	// checkpoint on disk), or already done (journal + store record on disk).
+	// checkpoint on disk), or already done (store record on disk).
 	// All three must converge to the same bits on the successor.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -337,7 +336,7 @@ func TestServeCheckpointRestartMatchesDirect(t *testing.T) {
 	}
 	hs1.Close()
 
-	_, hs2 := newTestServer(t, Config{Store: storeDir, CheckpointDir: ckptDir, Workers: 1})
+	_, hs2 := newTestServer(t, Config{Store: storeDir, Workers: 1})
 	v, _ := submit[jobView](t, hs2.URL, req)
 	v = waitJob(t, hs2.URL, v.ID)
 	if v.Status != StatusDone {
@@ -345,6 +344,45 @@ func TestServeCheckpointRestartMatchesDirect(t *testing.T) {
 	}
 	if got := statsJSON(t, v); got != string(want) {
 		t.Errorf("resumed result differs from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+	// The completed job leaves just its record: no checkpoint, no second copy.
+	if names, _ := filepath.Glob(filepath.Join(storeDir, v.Fingerprint+".*")); len(names) != 1 || filepath.Ext(names[0]) != ".json" {
+		t.Errorf("store files for %s = %v, want just the .json record", v.Fingerprint, names)
+	}
+}
+
+// TestServeAnswersResumeDirectoryStore: a ctcpbench -resume directory and a
+// ctcpd store are the same thing. A checkpointed runner fills a directory;
+// a server opened over it answers the equivalent checkpointed request from
+// the store, bit-identically, without simulating.
+func TestServeAnswersResumeDirectoryStore(t *testing.T) {
+	dir := t.TempDir()
+	bm, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip benchmark missing")
+	}
+	direct, err := experiment.NewRunner(experiment.Options{
+		Budget: testBudget, CheckpointDir: dir, CheckpointEvery: testEvery,
+	}).RunErr(bm, "base", experiment.StrategyConfigs()["base"])
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{Store: dir, Workers: 1})
+	v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base",
+		Budget: testBudget, Checkpoint: true, CheckpointEvery: testEvery})
+	if code != http.StatusOK || !v.Cached || v.Status != StatusDone {
+		t.Fatalf("submit: status %d cached=%v job status %q, want 200 from the store", code, v.Cached, v.Status)
+	}
+	if got := statsJSON(t, v); got != string(want) {
+		t.Errorf("served stats differ from the direct run:\n got %s\nwant %s", got, want)
+	}
+	if got := metricValue(t, hs.URL, "ctcpd_runner_started_total"); got != 0 {
+		t.Errorf("ctcpd_runner_started_total = %v, want 0", got)
 	}
 }
 
@@ -378,7 +416,7 @@ func waitRunning(t *testing.T, base, id string) {
 // by a deliberately huge checkpointed run; shutdown cuts it off at the next
 // segment boundary, so the test never pays for the full budget.
 func TestServeBackpressure(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CheckpointDir: t.TempDir()})
+	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	big, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base",
 		Budget: 50_000_000, Checkpoint: true, CheckpointEvery: testEvery})
 	if code != http.StatusAccepted {
@@ -415,7 +453,6 @@ func TestServeValidation(t *testing.T) {
 	cases := []Request{
 		{Benchmark: "no-such-benchmark", Config: "base"},
 		{Benchmark: "gzip", Config: "no-such-config"},
-		{Benchmark: "gzip", Config: "base", Checkpoint: true}, // no checkpoint dir configured
 		{Benchmark: "gzip", Config: "base", SampleInterval: 1000, Checkpoint: true},
 	}
 	for _, req := range cases {
@@ -514,48 +551,5 @@ func TestServeListJobs(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitJob(t, hs.URL, id)
-	}
-}
-
-// TestStoreRejectsMislabeledRecord: a record copied to the wrong fingerprint
-// file name reads as a miss, not as someone else's result.
-func TestStoreRejectsMislabeledRecord(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(42); ok {
-		t.Fatal("empty store returned a record")
-	}
-	rec := &Record{Fingerprint: fpHex(42), Benchmark: "gzip", Config: "base",
-		Budget: 1, Mode: "full", Stats: &pipeline.Stats{Cycles: 7, Retired: 3}}
-	if err := st.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := st.Get(42)
-	if !ok || got.Benchmark != "gzip" {
-		t.Fatalf("round trip failed: %+v ok=%v", got, ok)
-	}
-	// Impersonation: copy the record to a different fingerprint's file name.
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.path(43), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(43); ok {
-		t.Error("mislabeled record was served")
-	}
-	// Corrupt record: also a miss.
-	if err := os.WriteFile(st.path(44), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(44); ok {
-		t.Error("corrupt record was served")
-	}
-	if n := st.Len(); n != 3 {
-		t.Errorf("Len = %d, want 3 files on disk", n)
 	}
 }
