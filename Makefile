@@ -47,8 +47,9 @@ results:
 # serve-check runs the ctcpd service suite under the race detector: the
 # exactly-once dedup guarantee (asserted from the outside via /metrics),
 # restart-reuse from the result store, journal restart-replay of queued and
-# interrupted jobs, failed-fingerprint retry, tenant auth/quota/rate limits,
-# fair-share dispatch, the progress event stream, job retention,
+# interrupted jobs, replay of a journal written by an older server
+# (TestServeReplaysLegacyJournal), failed-fingerprint retry, FIFO dispatch
+# order (TestServeFIFODispatch), the progress event stream, job retention,
 # stale-fingerprint resimulation, backpressure, the shutdown drain, and a
 # ctcpbench -resume directory served as the store.
 serve-check:

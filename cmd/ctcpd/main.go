@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	ctcpd -serve -addr :8321 -store results/          # start the service
-//	ctcpd -serve ... -keys keys.txt -rate 10 -quota 8 # multi-tenant intake
+//	ctcpd -serve -store results/                      # start the service (loopback only)
 //	ctcpd -submit -bm gzip -config fdrt               # submit one job
 //	ctcpd -submit ... -timeout 2m                     # ...and wait for the result
 //	ctcpd -submit ... -checkpoint                     # resumable run; shutdown drains losslessly
@@ -25,8 +24,8 @@
 // next segment boundary and resume bit-exactly on restart. Their checkpoints
 // live in the -store directory, which has the same layout as a ctcpbench
 // -resume directory: either tool answers from what the other simulated.
-// Against a keyed server, pass -key (sent as X-API-Key) with every client
-// verb.
+// The service has no authentication; the default -addr binds the loopback
+// interface only.
 package main
 
 import (
@@ -64,17 +63,10 @@ type cliOptions struct {
 	storeDir string
 	slotDir  string
 	journal  string
-	keysPath string
-	rate     float64
-	burst    float64
-	quota    int
 	retain   int
 	workers  int
 	queue    int
 	drain    time.Duration
-
-	// client verbs
-	key string
 
 	// -submit
 	bm             string
@@ -142,15 +134,10 @@ func main() {
 	flag.StringVar(&o.storeDir, "store", "", "result-store directory, also holding checkpointed jobs' checkpoints (required with -serve)")
 	flag.StringVar(&o.slotDir, "slot-dir", "", "named save-state slot directory: enables /api/v1/slots (list, inspect, fork)")
 	flag.StringVar(&o.journal, "journal", "", "durable queue journal path (default <store>/queue.journal)")
-	flag.StringVar(&o.keysPath, "keys", "", "API key file: \"<key> <tenant> [quota=N] [rate=R] [burst=B]\" per line; enables auth")
-	flag.Float64Var(&o.rate, "rate", 0, "default per-tenant submissions/second (0 = unlimited)")
-	flag.Float64Var(&o.burst, "burst", 0, "default per-tenant token-bucket burst (0 = max(rate,1))")
-	flag.IntVar(&o.quota, "quota", 0, "default per-tenant queued+running job bound (0 = unbounded)")
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs kept listable in memory (0 = 512); results persist in the store")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 0, "accepted-but-not-running job bound; overflow is rejected with 429 (0 = 64)")
 	flag.DurationVar(&o.drain, "drain", 60*time.Second, "shutdown drain budget for in-flight simulations")
-	flag.StringVar(&o.key, "key", "", "API key sent with client verbs (X-API-Key)")
 	flag.StringVar(&o.bm, "bm", "", "benchmark name to submit")
 	flag.StringVar(&o.config, "config", "", "strategy configuration name to submit")
 	flag.Uint64Var(&o.insts, "insts", 0, "committed instruction budget (0 = server default)")
@@ -200,10 +187,6 @@ func runServe(o *cliOptions) int {
 		Store:         o.storeDir,
 		SlotDir:       o.slotDir,
 		Journal:       o.journal,
-		Keys:          o.keysPath,
-		TenantRate:    o.rate,
-		TenantBurst:   o.burst,
-		TenantQuota:   o.quota,
 		RetainJobs:    o.retain,
 		QueueDepth:    o.queue,
 		Workers:       o.workers,
@@ -268,17 +251,14 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// do issues one API call, attaching -key when set.
-func do(o *cliOptions, method, url string, body io.Reader) (*http.Response, error) {
+// do issues one API call.
+func do(method, url string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequest(method, url, body)
 	if err != nil {
 		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if o.key != "" {
-		req.Header.Set("X-API-Key", o.key)
 	}
 	return http.DefaultClient.Do(req)
 }
@@ -298,7 +278,7 @@ func runSubmit(o *cliOptions) int {
 		fmt.Fprintf(os.Stderr, "ctcpd: %v\n", err)
 		return 1
 	}
-	resp, err := do(o, http.MethodPost, baseURL(o.addr)+"/api/v1/jobs", bytes.NewReader(body))
+	resp, err := do(http.MethodPost, baseURL(o.addr)+"/api/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpd: submit: %v\n", err)
 		return 1
@@ -352,7 +332,7 @@ func runBatch(o *cliOptions) int {
 		fmt.Fprintf(os.Stderr, "ctcpd: batch: %v\n", err)
 		return 1
 	}
-	resp, err := do(o, http.MethodPost, baseURL(o.addr)+"/api/v1/batch", bytes.NewReader(body))
+	resp, err := do(http.MethodPost, baseURL(o.addr)+"/api/v1/batch", bytes.NewReader(body))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpd: batch: %v\n", err)
 		return 1
@@ -392,7 +372,7 @@ func runBatch(o *cliOptions) int {
 // runWatch streams a job's server-sent events to stdout, one JSON object
 // per line, until the job reaches a terminal status.
 func runWatch(o *cliOptions, id string) int {
-	resp, err := do(o, http.MethodGet, baseURL(o.addr)+"/api/v1/jobs/"+id+"/events", nil)
+	resp, err := do(http.MethodGet, baseURL(o.addr)+"/api/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpd: watch: %v\n", err)
 		return 1
@@ -439,7 +419,7 @@ func runWait(o *cliOptions, id string) int {
 	}
 	url := baseURL(o.addr) + "/api/v1/jobs/" + id + "?wait=10s"
 	for {
-		resp, err := do(o, http.MethodGet, url, nil)
+		resp, err := do(http.MethodGet, url, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ctcpd: wait: %v\n", err)
 			return 1
@@ -473,7 +453,7 @@ func runWait(o *cliOptions, id string) int {
 // getJSON GETs one API path and prints the body on stdout (pretty-printed by
 // the server already); non-200 responses go to stderr with exit 1.
 func getJSON(o *cliOptions, path string) int {
-	resp, err := do(o, http.MethodGet, baseURL(o.addr)+path, nil)
+	resp, err := do(http.MethodGet, baseURL(o.addr)+path, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpd: %v\n", err)
 		return 1
@@ -518,7 +498,7 @@ func runFork(o *cliOptions) int {
 		fmt.Fprintf(os.Stderr, "ctcpd: %v\n", err)
 		return 1
 	}
-	resp, err := do(o, http.MethodPost, baseURL(o.addr)+"/api/v1/slots/"+o.forkSlot+"/fork", bytes.NewReader(body))
+	resp, err := do(http.MethodPost, baseURL(o.addr)+"/api/v1/slots/"+o.forkSlot+"/fork", bytes.NewReader(body))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ctcpd: fork: %v\n", err)
 		return 1

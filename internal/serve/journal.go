@@ -20,9 +20,8 @@ const (
 
 // journalEntry is one record of the durable queue journal.
 type journalEntry struct {
-	Op     string `json:"op"`
-	FP     string `json:"fp"`
-	Tenant string `json:"tenant,omitempty"`
+	Op string `json:"op"`
+	FP string `json:"fp"`
 	// Request is the normalized (defaults applied) submission, kept on
 	// accepts so a restart can rebuild and re-dispatch the job.
 	Request *Request `json:"req,omitempty"`
@@ -31,8 +30,7 @@ type journalEntry struct {
 // jobJournal is the append side of the durable queue: one checksummed line
 // per event through snap's journal helpers. Appends serialize on their own
 // mutex — never the server's — so journaling can stay off the handler
-// fast path. The path is empty for journal-less servers (tests that opt
-// out); every method is then a no-op.
+// fast path.
 type jobJournal struct {
 	mu   sync.Mutex
 	path string
@@ -47,9 +45,6 @@ type jobJournal struct {
 //
 //ctcp:coldlock jl.mu is a leaf lock that exists to serialize the journal write itself
 func (jl *jobJournal) append(e journalEntry) error {
-	if jl.path == "" {
-		return nil
-	}
 	buf, err := json.Marshal(e)
 	if err != nil {
 		return err
@@ -68,9 +63,6 @@ func (jl *jobJournal) append(e journalEntry) error {
 // A torn trailing line — the only damage the append discipline can leave —
 // is dropped by the reader.
 func (jl *jobJournal) load() ([]journalEntry, error) {
-	if jl.path == "" {
-		return nil, nil
-	}
 	lines, err := snap.ReadFileLines(jl.path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading queue journal: %w", err)
@@ -113,9 +105,6 @@ func (jl *jobJournal) load() ([]journalEntry, error) {
 //
 //ctcp:coldlock jl.mu is a leaf lock that exists to serialize the journal rewrite itself
 func (jl *jobJournal) compact(entries []journalEntry) error {
-	if jl.path == "" {
-		return nil
-	}
 	payloads := make([][]byte, 0, len(entries))
 	for _, e := range entries {
 		buf, err := json.Marshal(e)

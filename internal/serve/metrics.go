@@ -41,28 +41,18 @@ func (h *histogram) snapshot() histogram {
 	return cp
 }
 
-// tenantMetrics is one tenant's counter row in /metrics.
-type tenantMetrics struct {
-	name                                      string
-	submitted, completed, failed, interrupted uint64
-	rejected, throttled, storeHits            uint64
-	active, queued                            int
-}
-
 // metricsSnapshot is one consistent read of every counter /metrics exposes:
-// the service-level job counters, the queue gauge, per-tenant rows, latency
-// histograms, and the pooled runners' execution counters summed into one
-// view. The runner sums are the exactly-once witness: after any number of
-// duplicate submissions of one job — or a restart over a journal of
-// completed fingerprints — runner.started stays 1.
+// the service-level job counters, the queue gauge, latency histograms, and
+// the pooled runners' execution counters summed into one view. The runner
+// sums are the exactly-once witness: after any number of duplicate
+// submissions of one job — or a restart over a journal of completed
+// fingerprints — runner.started stays 1.
 type metricsSnapshot struct {
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
-	throttled, unauthorized                                        uint64
 	queueDepth, queueCap                                           int
 	queueWaitSeconds, simSeconds                                   float64
 	queueWaitN, simN                                               uint64
 	queueHist, simHist                                             histogram
-	tenants                                                        []tenantMetrics
 	runner                                                         experiment.RunnerStats
 	runnerCount                                                    int
 	storeRecords                                                   int
@@ -78,8 +68,6 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		interrupted:      s.interrupted,
 		rejected:         s.rejected,
 		storeHits:        s.storeHits,
-		throttled:        s.throttled,
-		unauthorized:     s.unauthorized,
 		queueDepth:       s.pending,
 		queueCap:         s.cfg.QueueDepth,
 		queueWaitSeconds: s.queueWait.Seconds(),
@@ -90,21 +78,6 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		simHist:          s.simHist.snapshot(),
 		runner:           s.runnerBase, // evicted runners' counters
 		runnerCount:      len(s.runners),
-	}
-	for _, name := range s.rr {
-		tn := s.tenants[name]
-		m.tenants = append(m.tenants, tenantMetrics{
-			name:        tn.name,
-			submitted:   tn.submitted,
-			completed:   tn.completed,
-			failed:      tn.failed,
-			interrupted: tn.interrupted,
-			rejected:    tn.rejected,
-			throttled:   tn.throttled,
-			storeHits:   tn.storeHits,
-			active:      tn.active,
-			queued:      len(tn.pending),
-		})
 	}
 	runners := make([]*experiment.Runner, 0, len(s.runners))
 	for _, pr := range s.runners { //ctcp:lint-ok maporder -- summed into scalar totals; order-insensitive
@@ -153,9 +126,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ctcpd_jobs_completed_total", "Jobs that finished successfully.", m.completed)
 	counter("ctcpd_jobs_failed_total", "Jobs that failed with a simulation error.", m.failed)
 	counter("ctcpd_jobs_interrupted_total", "Jobs cut short by shutdown.", m.interrupted)
-	counter("ctcpd_jobs_rejected_total", "Submissions rejected by queue depth or tenant quota.", m.rejected)
-	counter("ctcpd_jobs_throttled_total", "Submissions rejected by a tenant rate limit.", m.throttled)
-	counter("ctcpd_unauthorized_total", "API requests with a missing or unknown key.", m.unauthorized)
+	counter("ctcpd_jobs_rejected_total", "Submissions rejected by queue depth.", m.rejected)
 	counter("ctcpd_store_hits_total", "Submissions answered from the result store.", m.storeHits)
 	gauge("ctcpd_queue_depth", "Jobs accepted but not yet running.", m.queueDepth)
 	gauge("ctcpd_queue_capacity", "Configured queue bound.", m.queueCap)
@@ -175,21 +146,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ctcpd_store_reads_hit_total", "Store reads that returned a valid record.", m.storeHitsDisk)
 	counter("ctcpd_store_reads_miss_total", "Store reads that found no valid record.", m.storeMisses)
 	counter("ctcpd_store_writes_total", "Records the service persisted to the store (checkpointed runs write their own).", m.storePuts)
-	// Per-tenant rows, in sorted tenant order for deterministic scrapes.
-	fmt.Fprintf(&b, "# HELP ctcpd_tenant_jobs_total Job outcomes per tenant.\n# TYPE ctcpd_tenant_jobs_total counter\n")
-	for _, tn := range m.tenants {
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"submitted\"} %d\n", tn.name, tn.submitted)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"completed\"} %d\n", tn.name, tn.completed)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"failed\"} %d\n", tn.name, tn.failed)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"interrupted\"} %d\n", tn.name, tn.interrupted)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"rejected\"} %d\n", tn.name, tn.rejected)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"throttled\"} %d\n", tn.name, tn.throttled)
-		fmt.Fprintf(&b, "ctcpd_tenant_jobs_total{tenant=%q,outcome=\"store_hit\"} %d\n", tn.name, tn.storeHits)
-	}
-	fmt.Fprintf(&b, "# HELP ctcpd_tenant_active Queued plus running jobs per tenant.\n# TYPE ctcpd_tenant_active gauge\n")
-	for _, tn := range m.tenants {
-		fmt.Fprintf(&b, "ctcpd_tenant_active{tenant=%q} %d\n", tn.name, tn.active)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := w.Write([]byte(b.String())); err != nil {
 		s.logf("metrics: client hung up mid-scrape: %v", err)

@@ -11,11 +11,10 @@
 // internal/snap's torn-write-free disciplines), so a restarted server
 // replays queued and interrupted jobs instead of losing them, while
 // completed fingerprints answer from the store with zero resimulation.
-// Intake is multi-tenant: per-tenant API keys, token-bucket rate limits and
-// queue quotas, with fair-share (round-robin) dispatch across tenants'
-// queues so one tenant's sweep cannot starve another. Progress streams:
-// every job exposes an event feed (queued/running, per-segment and
-// per-region ticks, terminal) over a server-sent-events endpoint.
+// Accepted jobs wait in one bounded FIFO queue and are dispatched in
+// submission order. Progress streams: every job exposes an event feed
+// (queued/running, per-segment and per-region ticks, terminal) over a
+// server-sent-events endpoint.
 //
 // Shutdown drains in-flight simulations cooperatively: checkpoint-mode runs
 // stop at the next segment boundary with their newest checkpoint already on
@@ -54,19 +53,6 @@ type Config struct {
 	// Every accepted job is journaled before the client sees 202; a restart
 	// over the same journal replays outstanding jobs automatically.
 	Journal string
-	// Keys is a static API key file ("<key> <tenant> [quota=N] [rate=R]
-	// [burst=B]" per line). When set, every /api request must present a
-	// known key; when empty the server is open and all traffic shares the
-	// default tenant.
-	Keys string
-	// TenantRate/TenantBurst are the default per-tenant token-bucket
-	// submission limits (accepted submissions per second, bucket size).
-	// Rate 0 = unlimited. The key file can override both per tenant.
-	TenantRate  float64
-	TenantBurst float64
-	// TenantQuota bounds one tenant's queued+running jobs (0 = unbounded
-	// beyond the global QueueDepth; overridable per tenant in the key file).
-	TenantQuota int
 	// QueueDepth bounds the number of accepted-but-not-running jobs
 	// (0 = 64). A full queue rejects submissions with 429 rather than
 	// accepting unbounded work.
@@ -80,14 +66,14 @@ type Config struct {
 	// jobs disappear from /api/v1/jobs, but their results stay addressable
 	// forever via /api/v1/results/{fp} — the store is the system of record.
 	RetainJobs int
-	// MaxRunners bounds the pooled runners (and their memo caches) kept
-	// alive (0 = 8): idle runners beyond the cap are evicted LRU-first, so
-	// sustained traffic over many option profiles cannot grow memory
-	// without bound.
-	MaxRunners int
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
 }
+
+// maxRunners bounds the pooled runners (and their memo caches) kept alive:
+// idle runners beyond the cap are evicted LRU-first, so sustained traffic
+// over many option profiles cannot grow memory without bound.
+const maxRunners = 8
 
 // Request is the submission payload of POST /api/v1/jobs.
 type Request struct {
@@ -141,7 +127,6 @@ type Job struct {
 	Request     Request
 
 	seq    int
-	tenant *tenant
 	bm     workload.Benchmark
 	cfg    pipeline.Config
 	opts   experiment.Options
@@ -161,7 +146,6 @@ type Job struct {
 type jobView struct {
 	ID          string          `json:"id"`
 	Fingerprint string          `json:"fingerprint"`
-	Tenant      string          `json:"tenant"`
 	Benchmark   string          `json:"benchmark"`
 	Config      string          `json:"config"`
 	Budget      uint64          `json:"budget"`
@@ -193,32 +177,27 @@ type Server struct {
 	interrupt chan struct{}
 	wg        sync.WaitGroup
 
-	mu           sync.Mutex
-	cond         *sync.Cond // pending work / shutdown, guarded by mu
-	closed       bool
-	authRequired bool
-	seq          int
-	jobs         map[string]*Job // by ID
-	byFP         map[string]*Job // by fingerprint: the service-level dedup index
-	runners      map[string]*pooledRunner
-	runnerBase   experiment.RunnerStats // counters of evicted runners (keeps /metrics monotonic)
-	tenants      map[string]*tenant     // by name (always includes DefaultTenant)
-	keys         map[string]*tenant     // by API key
-	rr           []string               // fair-share round-robin order (sorted tenant names)
-	rrNext       int
-	pending      int             // reserved or queued, not yet running (the 429 bound)
-	terminal     []*Job          // terminal jobs in completion order (retention ring)
-	progress     map[string]*Job // (runner profile, run key) -> running job
+	mu         sync.Mutex
+	cond       *sync.Cond // pending work / shutdown, guarded by mu
+	closed     bool
+	seq        int
+	jobs       map[string]*Job // by ID
+	byFP       map[string]*Job // by fingerprint: the service-level dedup index
+	runners    map[string]*pooledRunner
+	runnerBase experiment.RunnerStats // counters of evicted runners (keeps /metrics monotonic)
+	queue      []*Job                 // accepted-but-not-running jobs, in submission order
+	pending    int                    // reserved or queued, not yet running (the 429 bound)
+	terminal   []*Job                 // terminal jobs in completion order (retention ring)
+	progress   map[string]*Job        // (runner profile, run key) -> running job
 
 	// testRunFn, when set before the first submission, replaces the
 	// simulation call on every pooled runner (fault injection in tests).
 	testRunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
-	submitted, completed, failed, interrupted, rejected uint64
-	throttled, unauthorized, storeHits                  uint64
-	queueWait, simWall                                  time.Duration
-	queueWaitN, simN                                    uint64
-	queueHist, simHist                                  histogram
+	submitted, completed, failed, interrupted, rejected, storeHits uint64
+	queueWait, simWall                                             time.Duration
+	queueWaitN, simN                                               uint64
+	queueHist, simHist                                             histogram
 }
 
 // New builds a Server, opens (or creates) its result store, replays the
@@ -240,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 512
 	}
-	if cfg.MaxRunners <= 0 {
-		cfg.MaxRunners = 8
-	}
 	if cfg.Journal == "" {
 		cfg.Journal = filepath.Join(cfg.Store, "queue.journal")
 	}
@@ -254,8 +230,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:      make(map[string]*Job),
 		byFP:      make(map[string]*Job),
 		runners:   make(map[string]*pooledRunner),
-		tenants:   make(map[string]*tenant),
-		keys:      make(map[string]*tenant),
 		progress:  make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -266,19 +240,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.slots = st
 	}
-	s.tenants[DefaultTenant] = cfg.newTenant(DefaultTenant, "")
-	if cfg.Keys != "" {
-		byKey, byName, err := loadKeyFile(&cfg, cfg.Keys)
-		if err != nil {
-			return nil, err
-		}
-		s.keys = byKey
-		for name, tn := range byName { //ctcp:lint-ok maporder -- map-to-map copy; order-insensitive
-			s.tenants[name] = tn
-		}
-		s.authRequired = true
-	}
-	s.rr = tenantNames(s.tenants)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /api/v1/batch", s.handleBatch)
@@ -359,14 +320,14 @@ func (s *Server) runnerForLocked(opts experiment.Options) *pooledRunner {
 }
 
 // releaseRunnerLocked returns a runner to the idle pool and evicts
-// least-recently-used idle runners beyond the configured cap. Evicted
+// least-recently-used idle runners beyond maxRunners. Evicted
 // runners fold their counters into runnerBase so /metrics stays monotonic;
 // their memo caches are dropped — the result store still answers repeats.
 // Caller holds s.mu.
 func (s *Server) releaseRunnerLocked(pr *pooledRunner) {
 	pr.active--
 	pr.lastUse = time.Now()
-	for len(s.runners) > s.cfg.MaxRunners {
+	for len(s.runners) > maxRunners {
 		var oldest *pooledRunner
 		for _, cand := range s.runners { //ctcp:lint-ok maporder -- LRU min-scan; order-insensitive
 			if cand.active == 0 && (oldest == nil || cand.lastUse.Before(oldest.lastUse)) {
@@ -413,26 +374,17 @@ func (s *Server) validate(req Request) (Request, workload.Benchmark, pipeline.Co
 	return req, bm, cfg, nil
 }
 
-// Submit accepts a job as the default tenant; HTTP handlers resolve tenants
-// from API keys and go through SubmitAs directly.
-func (s *Server) Submit(req Request) (*Job, int, error) {
-	s.mu.Lock()
-	tn := s.tenants[DefaultTenant]
-	s.mu.Unlock()
-	return s.SubmitAs(req, tn)
-}
-
-// SubmitAs accepts a job for a tenant (or joins/answers an equivalent one).
-// The returned HTTP status tells the story: 202 for a newly accepted (and
-// journaled) simulation, 200 when the request was satisfied by an existing
-// job or the result store, 400 for an invalid request, 429 when throttled or
-// over quota or queue depth, 503 when shutting down.
+// Submit accepts a job (or joins/answers an equivalent one). The returned
+// HTTP status tells the story: 202 for a newly accepted (and journaled)
+// simulation, 200 when the request was satisfied by an existing job or the
+// result store, 400 for an invalid request, 429 when the queue is full, 503
+// when shutting down.
 //
 // The dedup index is checked-and-reserved under the server mutex, but the
 // result-store read — a disk access — happens outside it: the reservation
 // keeps concurrent duplicates joined to one job while every other handler
 // proceeds unblocked.
-func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
+func (s *Server) Submit(req Request) (*Job, int, error) {
 	req, bm, cfg, err := s.validate(req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -448,32 +400,17 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 	}
 	// Service-level dedup: an equivalent job (queued, running, or already
 	// terminal) absorbs the submission — and is deliberately not charged
-	// against the tenant's rate or quota, since it costs no new work.
+	// against the queue depth, since it costs no new work.
 	if j, ok := s.byFP[hex]; ok {
 		s.mu.Unlock()
 		return j, http.StatusOK, nil
 	}
-	// Admission control, all under one lock: token bucket, tenant quota,
-	// global queue depth.
-	if !tn.allow(time.Now()) {
-		tn.throttled++
-		s.throttled++
-		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests, fmt.Errorf("tenant %s is rate-limited (%.3g/s)", tn.name, tn.rate)
-	}
-	if tn.quota > 0 && tn.active >= tn.quota {
-		tn.rejected++
-		s.rejected++
-		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests, fmt.Errorf("tenant %s is at its quota (%d queued+running jobs)", tn.name, tn.quota)
-	}
 	if s.pending >= s.cfg.QueueDepth {
-		tn.rejected++
 		s.rejected++
 		s.mu.Unlock()
 		return nil, http.StatusTooManyRequests, fmt.Errorf("job queue is full (depth %d)", s.cfg.QueueDepth)
 	}
-	j := s.newJobLocked(req, hex, bm, cfg, opts, tn)
+	j := s.newJobLocked(req, hex, bm, cfg, opts)
 	s.mu.Unlock()
 
 	// Durable dedup, off the lock: a previous process may already have
@@ -485,8 +422,6 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 		j.stats = rec.Stats
 		j.cached = true
 		s.pending--
-		tn.active--
-		tn.storeHits++
 		s.storeHits++
 		s.retireLocked(j)
 		s.logf("job %s: %s/%s served from store (%s)", j.ID, req.Benchmark, req.Config, hex)
@@ -495,15 +430,13 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 
 	// Make the acceptance durable before the client hears 202: a crash
 	// after this line replays the job instead of losing it.
-	if err := s.journal.append(journalEntry{Op: journalAccept, FP: hex, Tenant: tn.name, Request: &req}); err != nil {
+	if err := s.journal.append(journalEntry{Op: journalAccept, FP: hex, Request: &req}); err != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		j.status = StatusFailed
 		j.errMsg = err.Error()
 		s.pending--
-		tn.active--
 		s.failed++
-		tn.failed++
 		s.retireLocked(j)
 		return nil, http.StatusInternalServerError, err
 	}
@@ -516,32 +449,28 @@ func (s *Server) SubmitAs(req Request, tn *tenant) (*Job, int, error) {
 		j.status = StatusInterrupted
 		j.errMsg = experiment.ErrInterrupted.Error()
 		s.pending--
-		tn.active--
 		s.interrupted++
-		tn.interrupted++
 		s.retireLocked(j)
 		return nil, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down")
 	}
-	tn.pending = append(tn.pending, j)
+	s.queue = append(s.queue, j)
 	s.submitted++
-	tn.submitted++
 	s.emitEventLocked(j, Event{Type: StatusQueued})
 	s.cond.Signal()
-	s.logf("job %s: queued %s/%s budget=%d mode=%s fp=%s tenant=%s",
-		j.ID, req.Benchmark, req.Config, req.Budget, req.mode(), hex, tn.name)
+	s.logf("job %s: queued %s/%s budget=%d mode=%s fp=%s",
+		j.ID, req.Benchmark, req.Config, req.Budget, req.mode(), hex)
 	return j, http.StatusAccepted, nil
 }
 
 // newJobLocked allocates, indexes, and reserves a job: it occupies a
-// pending slot and a tenant-active slot from this moment. Caller holds s.mu.
-func (s *Server) newJobLocked(req Request, hex string, bm workload.Benchmark, cfg pipeline.Config, opts experiment.Options, tn *tenant) *Job {
+// pending slot from this moment. Caller holds s.mu.
+func (s *Server) newJobLocked(req Request, hex string, bm workload.Benchmark, cfg pipeline.Config, opts experiment.Options) *Job {
 	s.seq++
 	j := &Job{
 		ID:          fmt.Sprintf("job-%d", s.seq),
 		Fingerprint: hex,
 		Request:     req,
 		seq:         s.seq,
-		tenant:      tn,
 		bm:          bm,
 		cfg:         cfg,
 		opts:        opts,
@@ -552,13 +481,12 @@ func (s *Server) newJobLocked(req Request, hex string, bm workload.Benchmark, cf
 	s.jobs[j.ID] = j
 	s.byFP[hex] = j
 	s.pending++
-	tn.active++
 	return j
 }
 
 // replayJournal rebuilds the queue from the journal at startup: outstanding
 // accepts whose fingerprints the store has already answered are compacted
-// away, the rest re-enter their tenants' queues exactly as fresh
+// away, the rest re-enter the queue in journal order exactly as fresh
 // submissions would, and the journal is rewritten to the surviving set.
 func (s *Server) replayJournal() error {
 	entries, err := s.journal.load()
@@ -604,16 +532,11 @@ func (s *Server) replayJournal() error {
 		if _, dup := s.byFP[c.e.FP]; dup {
 			continue
 		}
-		tn, ok := s.tenants[c.e.Tenant]
-		if !ok {
-			tn = s.tenants[DefaultTenant]
-		}
-		j := s.newJobLocked(c.req, c.e.FP, c.bm, c.cfg, c.opts, tn)
-		tn.pending = append(tn.pending, j)
+		j := s.newJobLocked(c.req, c.e.FP, c.bm, c.cfg, c.opts)
+		s.queue = append(s.queue, j)
 		s.submitted++
-		tn.submitted++
 		s.emitEventLocked(j, Event{Type: StatusQueued})
-		s.logf("job %s: replayed %s/%s fp=%s tenant=%s", j.ID, c.req.Benchmark, c.req.Config, c.e.FP, tn.name)
+		s.logf("job %s: replayed %s/%s fp=%s", j.ID, c.req.Benchmark, c.req.Config, c.e.FP)
 		e := c.e
 		e.Request = &c.req
 		kept = append(kept, e)
@@ -622,7 +545,7 @@ func (s *Server) replayJournal() error {
 	return s.journal.compact(kept)
 }
 
-// worker consumes the tenant queues until shutdown.
+// worker consumes the queue until shutdown.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -634,8 +557,8 @@ func (s *Server) worker() {
 	}
 }
 
-// nextJob blocks until a job is dispatchable (fair-share across tenants) or
-// the server closes.
+// nextJob blocks until a job is queued or the server closes, then pops the
+// oldest queued job: dispatch is FIFO in submission order.
 func (s *Server) nextJob() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -643,30 +566,15 @@ func (s *Server) nextJob() *Job {
 		if s.closed {
 			return nil
 		}
-		if j := s.dequeueLocked(); j != nil {
+		if len(s.queue) > 0 {
+			j := s.queue[0]
+			s.queue[0] = nil // don't let the backing array keep retired jobs alive
+			s.queue = s.queue[1:]
+			s.pending--
 			return j
 		}
 		s.cond.Wait()
 	}
-}
-
-// dequeueLocked pops the next job round-robin across tenants with pending
-// work, so interleaved tenants get interleaved service regardless of how
-// deep any one tenant's backlog is. Caller holds s.mu.
-func (s *Server) dequeueLocked() *Job {
-	n := len(s.rr)
-	for i := 0; i < n; i++ {
-		tn := s.tenants[s.rr[(s.rrNext+i)%n]]
-		if len(tn.pending) == 0 {
-			continue
-		}
-		j := tn.pending[0]
-		tn.pending = tn.pending[1:]
-		s.pending--
-		s.rrNext = (s.rrNext + i + 1) % n
-		return j
-	}
-	return nil
 }
 
 // runJob executes one dequeued job to a terminal status.
@@ -720,20 +628,16 @@ func (s *Server) runJob(j *Job) {
 	s.simWall += wall
 	s.simN++
 	s.simHist.observe(wall.Seconds())
-	tn := j.tenant
-	tn.active--
 	switch {
 	case err == nil:
 		j.status = StatusDone
 		j.stats = stats
 		s.completed++
-		tn.completed++
 		s.logf("job %s: done in %v", j.ID, wall.Round(time.Millisecond))
 	case wasInterrupted:
 		j.status = StatusInterrupted
 		j.errMsg = err.Error()
 		s.interrupted++
-		tn.interrupted++
 		// Drop the memoized interruption so a retry (or the journal replay
 		// on restart, which reuses this process's runner pool only in
 		// tests) simulates fresh.
@@ -743,7 +647,6 @@ func (s *Server) runJob(j *Job) {
 		j.status = StatusFailed
 		j.errMsg = err.Error()
 		s.failed++
-		tn.failed++
 		// The runner memoizes failures per key; forget this one so a
 		// resubmission of the fingerprint re-runs instead of replaying the
 		// recorded failure.
@@ -793,22 +696,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.interrupt)
 		s.cond.Broadcast()
 	}
-	// Jobs still sitting in tenant queues will never be picked up (workers
-	// exit on closed); resolve them so waiters unblock. Their journal
-	// entries remain un-settled, so a restart replays them.
-	for _, name := range s.rr {
-		tn := s.tenants[name]
-		for _, j := range tn.pending {
-			j.status = StatusInterrupted
-			j.errMsg = experiment.ErrInterrupted.Error()
-			s.pending--
-			tn.active--
-			s.interrupted++
-			tn.interrupted++
-			s.retireLocked(j)
-		}
-		tn.pending = nil
+	// Jobs still sitting in the queue will never be picked up (workers exit
+	// on closed); resolve them so waiters unblock. Their journal entries
+	// remain un-settled, so a restart replays them.
+	for _, j := range s.queue {
+		j.status = StatusInterrupted
+		j.errMsg = experiment.ErrInterrupted.Error()
+		s.pending--
+		s.interrupted++
+		s.retireLocked(j)
 	}
+	s.queue = nil
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
@@ -830,7 +728,6 @@ func (s *Server) view(j *Job) jobView {
 	return jobView{
 		ID:          j.ID,
 		Fingerprint: j.Fingerprint,
-		Tenant:      j.tenant.name,
 		Benchmark:   j.Request.Benchmark,
 		Config:      j.Request.Config,
 		Budget:      j.Request.Budget,
@@ -857,17 +754,12 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tn, err := s.tenantFor(r)
-	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
 	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	j, status, err := s.SubmitAs(req, tn)
+	j, status, err := s.Submit(req)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -889,11 +781,6 @@ type batchItem struct {
 // in order, each with its own status code, so partial acceptance is
 // explicit rather than all-or-nothing.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tn, err := s.tenantFor(r)
-	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
 	var req struct {
 		Jobs []Request `json:"jobs"`
 	}
@@ -907,7 +794,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]batchItem, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		j, code, err := s.SubmitAs(jr, tn)
+		j, code, err := s.Submit(jr)
 		items[i].Code = code
 		if err != nil {
 			items[i].Error = err.Error()
@@ -919,10 +806,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.tenantFor(r); err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
@@ -951,21 +834,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.view(j))
 }
 
-// handleList lists this process's jobs in submission order. On a keyed
-// server each tenant sees only its own jobs.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	tn, err := s.tenantFor(r)
-	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
+// handleList lists this process's retained jobs in submission order.
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	filter := s.authRequired
 	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs { //ctcp:lint-ok maporder -- collected then sorted by seq below
-		if filter && j.tenant != tn {
-			continue
-		}
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
@@ -978,10 +851,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.tenantFor(r); err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
 	fp, err := experiment.ParseFP(r.PathValue("fp"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("fingerprint must be a 64-bit hex value"))

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -19,74 +18,9 @@ import (
 	"ctcp/internal/experiment"
 	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
+	"ctcp/internal/snap"
 	"ctcp/internal/workload"
 )
-
-// submitKeyed POSTs a job request with an API key and decodes the response.
-func submitKeyed[T any](t *testing.T, base, key string, req Request) (T, int) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal request: %v", err)
-	}
-	hr, err := http.NewRequest(http.MethodPost, base+"/api/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		hr.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		t.Fatalf("POST /api/v1/jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	var out T
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode response (status %d): %v", resp.StatusCode, err)
-	}
-	return out, resp.StatusCode
-}
-
-// getKeyed GETs an API path with an API key.
-func getKeyed(t *testing.T, base, key, path string) *http.Response {
-	t.Helper()
-	hr, err := http.NewRequest(http.MethodGet, base+path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "" {
-		hr.Header.Set("X-API-Key", key)
-	}
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	return resp
-}
-
-// waitJobKeyed long-polls a job with an API key until it is terminal.
-func waitJobKeyed(t *testing.T, base, key, id string) jobView {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp := getKeyed(t, base, key, "/api/v1/jobs/"+id+"?wait=5s")
-		var v jobView
-		err := json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode job: %v", err)
-		}
-		switch v.Status {
-		case StatusDone, StatusFailed, StatusInterrupted:
-			return v
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in status %q", id, v.Status)
-		}
-	}
-}
 
 // TestServeFailedJobRetry is the headline poisoning regression: a job that
 // fails must not wedge its fingerprint. Resubmitting the same request after
@@ -255,87 +189,10 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 	}
 }
 
-// TestServeTenantAuthQuotaRate: a keyed server rejects unknown keys, and
-// enforces per-tenant quotas and rate limits independently.
-func TestServeTenantAuthQuotaRate(t *testing.T) {
-	keys := filepath.Join(t.TempDir(), "keys.txt")
-	content := "# test tenants\n" +
-		"key-alpha alpha quota=1\n" +
-		"key-beta beta rate=0.0001 burst=1\n"
-	if err := os.WriteFile(keys, []byte(content), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Keys: keys})
-
-	// No key, wrong key: 401.
-	if _, code := submit[map[string]string](t, hs.URL, Request{Benchmark: "gzip", Config: "base"}); code != http.StatusUnauthorized {
-		t.Fatalf("keyless submit: status %d, want 401", code)
-	}
-	if _, code := submitKeyed[map[string]string](t, hs.URL, "key-bogus", Request{Benchmark: "gzip", Config: "base"}); code != http.StatusUnauthorized {
-		t.Fatalf("bogus-key submit: status %d, want 401", code)
-	}
-	if got := metricValue(t, hs.URL, "ctcpd_unauthorized_total"); got != 2 {
-		t.Errorf("ctcpd_unauthorized_total = %v, want 2", got)
-	}
-
-	// Alpha (quota 1) pins the worker with a big checkpointed job; its next
-	// distinct submission must bounce on quota, not enqueue.
-	big, code := submitKeyed[jobView](t, hs.URL, "key-alpha", Request{Benchmark: "gzip", Config: "base",
-		Budget: 50_000_000, Checkpoint: true, CheckpointEvery: testEvery})
-	if code != http.StatusAccepted {
-		t.Fatalf("alpha submit: status %d", code)
-	}
-	if big.Tenant != "alpha" {
-		t.Errorf("job tenant %q, want alpha", big.Tenant)
-	}
-	body, code := submitKeyed[map[string]string](t, hs.URL, "key-alpha", Request{
-		Benchmark: "gzip", Config: "base", Budget: testBudget})
-	if code != http.StatusTooManyRequests || !strings.Contains(body["error"], "quota") {
-		t.Fatalf("alpha over quota: status %d error %q, want 429 quota", code, body["error"])
-	}
-	if got := metricValue(t, hs.URL, `ctcpd_tenant_jobs_total{tenant="alpha",outcome="rejected"}`); got != 1 {
-		t.Errorf("alpha rejected counter = %v, want 1", got)
-	}
-
-	// Beta (burst 1, negligible refill) gets one submission through, then is
-	// throttled — independently of alpha's quota state.
-	if _, code := submitKeyed[jobView](t, hs.URL, "key-beta", Request{
-		Benchmark: "gzip", Config: "fdrt", Budget: testBudget}); code != http.StatusAccepted {
-		t.Fatalf("beta submit: status %d", code)
-	}
-	body, code = submitKeyed[map[string]string](t, hs.URL, "key-beta", Request{
-		Benchmark: "gzip", Config: "fdrt", Budget: testBudget + 64})
-	if code != http.StatusTooManyRequests || !strings.Contains(body["error"], "rate-limited") {
-		t.Fatalf("beta throttle: status %d error %q, want 429 rate-limited", code, body["error"])
-	}
-	if got := metricValue(t, hs.URL, "ctcpd_jobs_throttled_total"); got != 1 {
-		t.Errorf("ctcpd_jobs_throttled_total = %v, want 1", got)
-	}
-	if got := metricValue(t, hs.URL, `ctcpd_tenant_jobs_total{tenant="beta",outcome="throttled"}`); got != 1 {
-		t.Errorf("beta throttled counter = %v, want 1", got)
-	}
-
-	// Each tenant lists only its own jobs.
-	resp := getKeyed(t, hs.URL, "key-alpha", "/api/v1/jobs")
-	var views []jobView
-	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(views) != 1 || views[0].Tenant != "alpha" {
-		t.Errorf("alpha listing: %+v, want exactly its own job", views)
-	}
-}
-
-// TestServeFairShareDispatch: with one worker and a deep backlog from one
-// tenant, another tenant's single job is dispatched next rather than
-// waiting behind the whole backlog (round-robin fair share).
-func TestServeFairShareDispatch(t *testing.T) {
-	keys := filepath.Join(t.TempDir(), "keys.txt")
-	if err := os.WriteFile(keys, []byte("key-alpha alpha\nkey-beta beta\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Keys: keys})
+// TestServeFIFODispatch: with the only worker pinned, jobs queued behind it
+// are dispatched strictly in submission order once it is released.
+func TestServeFIFODispatch(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
@@ -353,21 +210,22 @@ func TestServeFairShareDispatch(t *testing.T) {
 	mk := func(extra uint64) Request {
 		return Request{Benchmark: "gzip", Config: "base", Budget: testBudget + extra}
 	}
-	pin, code := submitKeyed[jobView](t, hs.URL, "key-alpha", mk(0))
+	pin, code := submit[jobView](t, hs.URL, mk(0))
 	if code != http.StatusAccepted {
 		t.Fatalf("pin submit: status %d", code)
 	}
 	waitRunning(t, hs.URL, pin.ID)
-	a2, _ := submitKeyed[jobView](t, hs.URL, "key-alpha", mk(128))
-	a3, _ := submitKeyed[jobView](t, hs.URL, "key-alpha", mk(256))
-	b1, code := submitKeyed[jobView](t, hs.URL, "key-beta", mk(512))
-	if code != http.StatusAccepted {
-		t.Fatalf("beta submit: status %d", code)
+	var queued []string
+	for i, extra := range []uint64{128, 256, 512} {
+		v, code := submit[jobView](t, hs.URL, mk(extra))
+		if code != http.StatusAccepted {
+			t.Fatalf("queued submit %d: status %d", i, code)
+		}
+		queued = append(queued, v.ID)
 	}
 	free()
-	for _, id := range []string{pin.ID, a2.ID, a3.ID, b1.ID} {
-		if v := waitJobKeyed(t, hs.URL, "key-alpha", id); v.Status != StatusDone {
-			// alpha can read beta's job by ID; only listings are scoped.
+	for _, id := range append([]string{pin.ID}, queued...) {
+		if v := waitJob(t, hs.URL, id); v.Status != StatusDone {
 			t.Fatalf("job %s: status %q error %q", id, v.Status, v.Error)
 		}
 	}
@@ -376,11 +234,54 @@ func TestServeFairShareDispatch(t *testing.T) {
 		defer s.mu.Unlock()
 		return s.jobs[id].begun
 	}
-	// Round-robin: beta's lone job — submitted after alpha's whole backlog —
-	// is dispatched before alpha's second and third queued jobs.
-	if !begun(b1.ID).Before(begun(a2.ID)) || !begun(a2.ID).Before(begun(a3.ID)) {
-		t.Errorf("dispatch order not fair-share: beta %v, alpha2 %v, alpha3 %v",
-			begun(b1.ID), begun(a2.ID), begun(a3.ID))
+	for i := 1; i < len(queued); i++ {
+		if prev, cur := begun(queued[i-1]), begun(queued[i]); !prev.Before(cur) {
+			t.Errorf("dispatch order not FIFO: %s began at %v, not before %s (submitted later) at %v",
+				queued[i-1], prev, queued[i], cur)
+		}
+	}
+}
+
+// TestServeReplaysLegacyJournal: a queue journal written before the service
+// dropped a journal field still replays. The extra field is ignored, the job
+// runs to done bit-identically to a direct run, and it counts as one
+// acceptance.
+func TestServeReplaysLegacyJournal(t *testing.T) {
+	storeDir := t.TempDir()
+	bm, ok := workload.ByName("gzip")
+	if !ok {
+		t.Fatal("gzip benchmark missing")
+	}
+	base := experiment.StrategyConfigs()["base"]
+	direct, err := experiment.NewRunner(experiment.Options{Budget: testBudget}).RunErr(bm, "base", base)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hex := experiment.FormatFP(experiment.RunFingerprint(bm.Name, base, experiment.Options{Budget: testBudget}))
+	line := fmt.Sprintf(`{"op":"accept","fp":%q,"tenant":"alpha","req":{"benchmark":"gzip","config":"base","budget":%d}}`, hex, testBudget)
+	journal := snap.EncodeJournal([][]byte{[]byte(line)})
+	if err := snap.WriteFileBytes(filepath.Join(storeDir, "queue.journal"), journal); err != nil {
+		t.Fatal(err)
+	}
+
+	_, hs := newTestServer(t, Config{Store: storeDir, Workers: 1})
+	v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base", Budget: testBudget})
+	if code != http.StatusOK || v.Fingerprint != hex {
+		t.Fatalf("submit: status %d fingerprint %s, want 200 joining the replayed job %s", code, v.Fingerprint, hex)
+	}
+	v = waitJob(t, hs.URL, v.ID)
+	if v.Status != StatusDone {
+		t.Fatalf("replayed job: status %q error %q", v.Status, v.Error)
+	}
+	if got := statsJSON(t, v); got != string(want) {
+		t.Errorf("replayed result differs from the direct run:\n got %s\nwant %s", got, want)
+	}
+	if got := metricValue(t, hs.URL, "ctcpd_jobs_submitted_total"); got != 1 {
+		t.Errorf("ctcpd_jobs_submitted_total = %v, want 1", got)
 	}
 }
 
