@@ -65,14 +65,16 @@ conformance:
 
 # fuzz-smoke is the short differential-fuzz pass CI runs on every push: 30s
 # of emulator-vs-timing-model cross-checking over mutated corpus programs,
+# 10s of predecoded-interpreter-vs-reference lockstep over random programs,
 # plus 10s of assembler roundtrip fuzzing. Divergence repros land in
 # $$CTCP_REPRO_DIR (default: $$TMPDIR/ctcp-divergence) as replayable .s files.
 fuzz-smoke:
 	$(GO) test ./internal/conformance/ -run '^$$' -fuzz FuzzDifferential -fuzztime 30s
+	$(GO) test ./internal/emu/ -run '^$$' -fuzz FuzzPredecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/asm/ -run '^$$' -fuzz FuzzAssembleRoundtrip -fuzztime 10s
 
-# bench runs the cycle-model benchmarks, then the repository's benchmark
-# (cmd/ctcpperf, see its README) on the all-kernels FDRT workload.
+# bench runs the emulator and cycle-model benchmarks, then the repository's
+# benchmark (cmd/ctcpperf, see its README) on the all-kernels FDRT workload.
 bench:
-	$(GO) test ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
+	$(GO) test ./internal/emu ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
 	bash cmd/ctcpperf/run.sh --workload kernels-fdrt --seed 1 --seconds 14 --trace 0

@@ -40,23 +40,14 @@ func stepKernel(count int64) *isa.Program {
 }
 
 // BenchmarkStep measures the interpreter's per-instruction cost on the
-// predecoded dispatch path; BenchmarkStepGeneric is the pre-predecode
-// switch interpreter on the same kernel, kept as the before/after reference.
+// predecoded dispatch path.
 func BenchmarkStep(b *testing.B) {
-	benchStep(b, (*Machine).StepInto)
-}
-
-func BenchmarkStepGeneric(b *testing.B) {
-	benchStep(b, (*Machine).stepGeneric)
-}
-
-func benchStep(b *testing.B, step func(*Machine, *Committed) error) {
 	m := New(stepKernel(1 << 40)) // never halts within any benchmark run
 	var c Committed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := step(m, &c); err != nil {
+		if err := m.StepInto(&c); err != nil {
 			b.Fatal(err)
 		}
 	}

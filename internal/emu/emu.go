@@ -31,21 +31,13 @@ type Committed struct {
 // IsTakenControl reports whether the record is a taken control transfer.
 func (c Committed) IsTakenControl() bool { return c.Inst.IsControl() && c.Taken }
 
-// Stream is a source of committed instructions in program order. Next
-// returns ok=false when the stream is exhausted (program halted or an
-// instruction budget was reached).
+// Stream is a source of committed instructions in program order. NextInto
+// writes the next record into *c and returns false when the stream is
+// exhausted (program halted or faulted, or an instruction budget was
+// reached); on false *c is meaningless. The pipeline pulls one record per
+// simulated instruction, so records are written in place through every
+// frame of the stream stack rather than copied out by value.
 type Stream interface {
-	Next() (Committed, bool)
-}
-
-// StreamInto is optionally implemented by streams that can write the next
-// record in place. The pipeline pulls one Committed per simulated
-// instruction, and the by-value Stream contract copies the record once per
-// frame of the stream stack; implementations of StreamInto let that hottest
-// edge write straight into the consumer's buffer. On ok=false *c is
-// meaningless.
-type StreamInto interface {
-	Stream
 	NextInto(c *Committed) bool
 }
 
@@ -122,24 +114,6 @@ func (m *Machine) Err() error { return m.fault }
 // InstCount returns the number of committed instructions so far.
 func (m *Machine) InstCount() uint64 { return m.seq }
 
-func (m *Machine) get(r isa.Reg) uint64 {
-	if r.IsZero() || r == isa.NoReg {
-		return 0
-	}
-	return m.Regs[r]
-}
-
-func (m *Machine) getF(r isa.Reg) float64 { return math.Float64frombits(m.get(r)) }
-
-func (m *Machine) set(r isa.Reg, v uint64) {
-	if r.IsZero() || r == isa.NoReg {
-		return
-	}
-	m.Regs[r] = v
-}
-
-func (m *Machine) setF(r isa.Reg, v float64) { m.set(r, math.Float64bits(v)) }
-
 func boolQ(b bool) uint64 {
 	if b {
 		return 1
@@ -154,8 +128,8 @@ func fpBool(b bool) float64 {
 	return 0.0
 }
 
-// Next implements Stream: it executes one instruction and returns its
-// committed record. ok=false after HALT or a fault.
+// Next executes one instruction and returns its committed record by value.
+// ok=false after HALT or a fault.
 func (m *Machine) Next() (Committed, bool) {
 	var c Committed
 	if !m.NextInto(&c) {
@@ -164,8 +138,9 @@ func (m *Machine) Next() (Committed, bool) {
 	return c, true
 }
 
-// NextInto implements StreamInto: like Next, but writes the record into *c,
-// skipping the by-value copy per return frame. On false *c is meaningless.
+// NextInto implements Stream: it executes one instruction and writes its
+// committed record into *c. It returns false after HALT or a fault, which
+// Err then reports.
 func (m *Machine) NextInto(c *Committed) bool {
 	if m.halted {
 		return false
@@ -197,8 +172,10 @@ func (m *Machine) Step() (Committed, error) {
 // Dispatch runs over the predecoded uop table (predecode.go): one
 // bounds-checked index, one template copy, one switch on a dense tag.
 // Operand roles, immediates, access sizes, and static control targets were
-// all resolved at load time; the few shapes the table does not model defer
-// to stepGeneric, the original interpreter.
+// all resolved at load time. StepInto is the only interpreter: the shapes
+// that can fault statically (undefined opcodes, misaligned direct targets)
+// are uFault uops, resolved by faultUop. On a fault PC and the commit count
+// are unchanged.
 func (m *Machine) StepInto(c *Committed) error {
 	if m.halted {
 		return &Fault{m.PC, "machine is halted"}
@@ -407,23 +384,23 @@ func (m *Machine) StepInto(c *Committed) error {
 		next = target
 
 	case uAddT:
-		m.setF(isa.Reg(u.rc), math.Float64frombits(r[u.ra])+math.Float64frombits(r[u.rb]))
+		r[u.rc] = math.Float64bits(math.Float64frombits(r[u.ra]) + math.Float64frombits(r[u.rb]))
 	case uSubT:
-		m.setF(isa.Reg(u.rc), math.Float64frombits(r[u.ra])-math.Float64frombits(r[u.rb]))
+		r[u.rc] = math.Float64bits(math.Float64frombits(r[u.ra]) - math.Float64frombits(r[u.rb]))
 	case uMulT:
-		m.setF(isa.Reg(u.rc), math.Float64frombits(r[u.ra])*math.Float64frombits(r[u.rb]))
+		r[u.rc] = math.Float64bits(math.Float64frombits(r[u.ra]) * math.Float64frombits(r[u.rb]))
 	case uDivT:
-		m.setF(isa.Reg(u.rc), math.Float64frombits(r[u.ra])/math.Float64frombits(r[u.rb]))
+		r[u.rc] = math.Float64bits(math.Float64frombits(r[u.ra]) / math.Float64frombits(r[u.rb]))
 	case uSqrtT:
-		m.setF(isa.Reg(u.rc), math.Sqrt(math.Float64frombits(r[u.ra])))
+		r[u.rc] = math.Float64bits(math.Sqrt(math.Float64frombits(r[u.ra])))
 	case uCmpTEq:
-		m.setF(isa.Reg(u.rc), fpBool(math.Float64frombits(r[u.ra]) == math.Float64frombits(r[u.rb])))
+		r[u.rc] = math.Float64bits(fpBool(math.Float64frombits(r[u.ra]) == math.Float64frombits(r[u.rb])))
 	case uCmpTLt:
-		m.setF(isa.Reg(u.rc), fpBool(math.Float64frombits(r[u.ra]) < math.Float64frombits(r[u.rb])))
+		r[u.rc] = math.Float64bits(fpBool(math.Float64frombits(r[u.ra]) < math.Float64frombits(r[u.rb])))
 	case uCmpTLe:
-		m.setF(isa.Reg(u.rc), fpBool(math.Float64frombits(r[u.ra]) <= math.Float64frombits(r[u.rb])))
+		r[u.rc] = math.Float64bits(fpBool(math.Float64frombits(r[u.ra]) <= math.Float64frombits(r[u.rb])))
 	case uCvtQT:
-		m.setF(isa.Reg(u.rc), float64(int64(r[u.ra])))
+		r[u.rc] = math.Float64bits(float64(int64(r[u.ra])))
 	case uCvtTQ:
 		r[u.rc] = uint64(int64(math.Float64frombits(r[u.ra])))
 	case uMove:
@@ -439,8 +416,10 @@ func (m *Machine) StepInto(c *Committed) error {
 			m.OutValues = append(m.OutValues, v)
 		}
 
-	default: // uGeneric: performs its own PC/seq bookkeeping
-		return m.stepGeneric(c)
+	case uFault:
+		if err := m.faultUop(u); err != nil {
+			return err
+		}
 	}
 
 	c.NextPC = next
@@ -449,208 +428,46 @@ func (m *Machine) StepInto(c *Committed) error {
 	return nil
 }
 
-// stepGeneric is the original switch-on-opcode interpreter. The predecoded
-// dispatch defers to it for the shapes the uop table does not model
-// (misaligned direct control targets, undefined opcodes), the predecode
-// differential test uses it as the semantic oracle every uop kind is checked
-// against, and BenchmarkStepGeneric times it beside BenchmarkStep.
-func (m *Machine) stepGeneric(c *Committed) error {
-	if m.halted {
-		return &Fault{m.PC, "machine is halted"}
-	}
-	inst, ok := m.prog.InstAt(m.PC)
-	if !ok {
-		return &Fault{m.PC, "pc outside text segment"}
-	}
-	*c = Committed{Seq: m.seq, PC: m.PC, Inst: inst}
-	next := m.PC + isa.PCStride
-
-	opB := func() uint64 { // second integer operand: register or immediate
-		if inst.UseImm {
-			return uint64(inst.Imm)
-		}
-		return m.get(inst.Rb)
-	}
-
+// faultUop executes a uFault uop: an undefined opcode, or direct control
+// whose static target is misaligned. It returns the fault, or nil for a
+// misaligned conditional branch that is not taken, which commits as a plain
+// fall-through. A misaligned BR writes its link register before faulting,
+// as a misaligned JSR does.
+//
+//ctcp:coldpath
+func (m *Machine) faultUop(u *uop) error {
+	inst := u.tmpl.Inst
+	v := m.Regs[u.ra]
+	var taken bool
 	switch inst.Op {
-	case isa.NOP:
-	case isa.ADD:
-		m.set(inst.Rc, m.get(inst.Ra)+opB())
-	case isa.SUB:
-		m.set(inst.Rc, m.get(inst.Ra)-opB())
-	case isa.AND:
-		m.set(inst.Rc, m.get(inst.Ra)&opB())
-	case isa.OR:
-		m.set(inst.Rc, m.get(inst.Ra)|opB())
-	case isa.XOR:
-		m.set(inst.Rc, m.get(inst.Ra)^opB())
-	case isa.ANDNOT:
-		m.set(inst.Rc, m.get(inst.Ra)&^opB())
-	case isa.SLL:
-		m.set(inst.Rc, m.get(inst.Ra)<<(opB()&63))
-	case isa.SRL:
-		m.set(inst.Rc, m.get(inst.Ra)>>(opB()&63))
-	case isa.SRA:
-		m.set(inst.Rc, uint64(int64(m.get(inst.Ra))>>(opB()&63)))
-	case isa.CMPEQ:
-		m.set(inst.Rc, boolQ(m.get(inst.Ra) == opB()))
-	case isa.CMPLT:
-		m.set(inst.Rc, boolQ(int64(m.get(inst.Ra)) < int64(opB())))
-	case isa.CMPLE:
-		m.set(inst.Rc, boolQ(int64(m.get(inst.Ra)) <= int64(opB())))
-	case isa.CMPULT:
-		m.set(inst.Rc, boolQ(m.get(inst.Ra) < opB()))
-	case isa.CMPULE:
-		m.set(inst.Rc, boolQ(m.get(inst.Ra) <= opB()))
-	case isa.SEXTB:
-		m.set(inst.Rc, uint64(int64(int8(m.get(inst.Ra)))))
-	case isa.SEXTW:
-		m.set(inst.Rc, uint64(int64(int16(m.get(inst.Ra)))))
-	case isa.MOVI:
-		m.set(inst.Rc, uint64(inst.Imm))
-	case isa.MUL:
-		m.set(inst.Rc, m.get(inst.Ra)*opB())
-	case isa.DIV:
-		d := int64(opB())
-		if d == 0 {
-			m.set(inst.Rc, 0) // architectural: divide by zero yields zero
-		} else {
-			m.set(inst.Rc, uint64(int64(m.get(inst.Ra))/d))
-		}
-	case isa.REM:
-		d := int64(opB())
-		if d == 0 {
-			m.set(inst.Rc, 0)
-		} else {
-			m.set(inst.Rc, uint64(int64(m.get(inst.Ra))%d))
-		}
-
-	case isa.LDQ, isa.LDL, isa.LDW, isa.LDBU, isa.LDT:
-		ea := m.get(inst.Ra) + uint64(inst.Imm)
-		c.EA = ea
-		switch inst.Op {
-		case isa.LDQ, isa.LDT:
-			c.Size = 8
-			m.set(inst.Rc, m.Mem.Read(ea, 8))
-		case isa.LDL:
-			c.Size = 4
-			m.set(inst.Rc, uint64(int64(int32(m.Mem.Read(ea, 4)))))
-		case isa.LDW:
-			c.Size = 2
-			m.set(inst.Rc, m.Mem.Read(ea, 2))
-		case isa.LDBU:
-			c.Size = 1
-			m.set(inst.Rc, m.Mem.Read(ea, 1))
-		}
-	case isa.STQ, isa.STL, isa.STW, isa.STB, isa.STT:
-		ea := m.get(inst.Ra) + uint64(inst.Imm)
-		c.EA = ea
-		v := m.get(inst.Rb)
-		switch inst.Op {
-		case isa.STQ, isa.STT:
-			c.Size = 8
-			m.Mem.Write(ea, v, 8)
-		case isa.STL:
-			c.Size = 4
-			m.Mem.Write(ea, v, 4)
-		case isa.STW:
-			c.Size = 2
-			m.Mem.Write(ea, v, 2)
-		case isa.STB:
-			c.Size = 1
-			m.Mem.Write(ea, v, 1)
-		}
-
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
-		v := int64(m.get(inst.Ra))
-		var taken bool
-		switch inst.Op {
-		case isa.BEQ:
-			taken = v == 0
-		case isa.BNE:
-			taken = v != 0
-		case isa.BLT:
-			taken = v < 0
-		case isa.BLE:
-			taken = v <= 0
-		case isa.BGT:
-			taken = v > 0
-		case isa.BGE:
-			taken = v >= 0
-		}
-		c.Taken = taken
-		if taken {
-			next = uint64(inst.Imm)
-		}
-	case isa.FBEQ, isa.FBNE:
-		v := m.getF(inst.Ra)
-		taken := v == 0
-		if inst.Op == isa.FBNE {
-			taken = !taken
-		}
-		c.Taken = taken
-		if taken {
-			next = uint64(inst.Imm)
-		}
 	case isa.BR:
-		c.Taken = true
-		m.set(inst.Rc, m.PC+isa.PCStride)
-		next = uint64(inst.Imm)
-	case isa.JSR:
-		c.Taken = true
-		target := m.get(inst.Rb)
-		m.set(inst.Rc, m.PC+isa.PCStride)
-		next = target
-	case isa.JMP, isa.RET:
-		c.Taken = true
-		next = m.get(inst.Rb)
-
-	case isa.ADDT:
-		m.setF(inst.Rc, m.getF(inst.Ra)+m.getF(inst.Rb))
-	case isa.SUBT:
-		m.setF(inst.Rc, m.getF(inst.Ra)-m.getF(inst.Rb))
-	case isa.MULT:
-		m.setF(inst.Rc, m.getF(inst.Ra)*m.getF(inst.Rb))
-	case isa.DIVT:
-		m.setF(inst.Rc, m.getF(inst.Ra)/m.getF(inst.Rb))
-	case isa.SQRTT:
-		m.setF(inst.Rc, math.Sqrt(m.getF(inst.Ra)))
-	case isa.CMPTEQ:
-		m.setF(inst.Rc, fpBool(m.getF(inst.Ra) == m.getF(inst.Rb)))
-	case isa.CMPTLT:
-		m.setF(inst.Rc, fpBool(m.getF(inst.Ra) < m.getF(inst.Rb)))
-	case isa.CMPTLE:
-		m.setF(inst.Rc, fpBool(m.getF(inst.Ra) <= m.getF(inst.Rb)))
-	case isa.CVTQT:
-		m.setF(inst.Rc, float64(int64(m.get(inst.Ra))))
-	case isa.CVTTQ:
-		m.set(inst.Rc, uint64(int64(m.getF(inst.Ra))))
-	case isa.ITOF:
-		m.set(inst.Rc, m.get(inst.Ra)) // bit move into FP space
-	case isa.FTOI:
-		m.set(inst.Rc, m.get(inst.Ra)) // bit move out of FP space
-
-	case isa.HALT:
-		m.halted = true
-		next = m.PC
-	case isa.OUT:
-		v := m.get(inst.Ra)
-		m.OutHash = m.OutHash*0x100000001b3 + v // FNV-style fold
-		if len(m.OutValues) < maxRetainedOut {
-			m.OutValues = append(m.OutValues, v)
+		if realDest(inst) {
+			m.Regs[u.rc] = u.tmpl.NextPC
 		}
-
+		taken = true
+	case isa.BEQ:
+		taken = int64(v) == 0
+	case isa.BNE:
+		taken = int64(v) != 0
+	case isa.BLT:
+		taken = int64(v) < 0
+	case isa.BLE:
+		taken = int64(v) <= 0
+	case isa.BGT:
+		taken = int64(v) > 0
+	case isa.BGE:
+		taken = int64(v) >= 0
+	case isa.FBEQ:
+		taken = math.Float64frombits(v) == 0
+	case isa.FBNE:
+		taken = math.Float64frombits(v) != 0
 	default:
 		return &Fault{m.PC, fmt.Sprintf("unimplemented opcode %v", inst.Op)}
 	}
-
-	if next%isa.PCStride != 0 {
-		return &Fault{m.PC, fmt.Sprintf("misaligned control target %#x", next)}
+	if !taken {
+		return nil
 	}
-	c.NextPC = next
-	m.PC = next
-	m.seq++
-	return nil
+	return &Fault{m.PC, fmt.Sprintf("misaligned control target %#x", u.imm)}
 }
 
 // Run executes until HALT, a fault, or maxInsts committed instructions
@@ -673,46 +490,19 @@ type LimitStream struct {
 	S      Stream
 	Budget uint64
 	used   uint64
-
-	// into caches the S.(StreamInto) assertion after the first NextInto so
-	// the in-place path costs one nil check per record, not a type assertion.
-	// Lazily derived because LimitStream is constructed as a plain literal.
-	into      StreamInto
-	intoKnown bool
 }
 
-// Next implements Stream.
-func (l *LimitStream) Next() (Committed, bool) {
-	if l.Budget != 0 && l.used >= l.Budget {
-		return Committed{}, false
-	}
-	c, ok := l.S.Next()
-	if ok {
-		l.used++
-	}
-	return c, ok
-}
-
-// NextInto implements StreamInto, passing the in-place write through to the
-// wrapped stream when it supports it.
+// NextInto implements Stream, passing the in-place write through to the
+// wrapped stream until the budget is spent.
 func (l *LimitStream) NextInto(c *Committed) bool {
 	if l.Budget != 0 && l.used >= l.Budget {
 		return false
 	}
-	if !l.intoKnown {
-		l.into, _ = l.S.(StreamInto)
-		l.intoKnown = true
+	if !l.S.NextInto(c) {
+		return false
 	}
-	var ok bool
-	if l.into != nil {
-		ok = l.into.NextInto(c)
-	} else {
-		*c, ok = l.S.Next()
-	}
-	if ok {
-		l.used++
-	}
-	return ok
+	l.used++
+	return true
 }
 
 // SliceStream replays a fixed slice of committed records; it is used heavily
@@ -722,17 +512,7 @@ type SliceStream struct {
 	pos  int
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (Committed, bool) {
-	if s.pos >= len(s.Recs) {
-		return Committed{}, false
-	}
-	c := s.Recs[s.pos]
-	s.pos++
-	return c, true
-}
-
-// NextInto implements StreamInto.
+// NextInto implements Stream.
 func (s *SliceStream) NextInto(c *Committed) bool {
 	if s.pos >= len(s.Recs) {
 		return false

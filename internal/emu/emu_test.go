@@ -281,10 +281,8 @@ func TestLimitStream(t *testing.T) {
 	recs := make([]Committed, 10)
 	ls := &LimitStream{S: &SliceStream{Recs: recs}, Budget: 4}
 	n := 0
-	for {
-		if _, ok := ls.Next(); !ok {
-			break
-		}
+	var c Committed
+	for ls.NextInto(&c) {
 		n++
 	}
 	if n != 4 {

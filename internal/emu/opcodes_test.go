@@ -72,9 +72,11 @@ func TestSignExtensions(t *testing.T) {
 }
 
 func TestBranchConditionMatrix(t *testing.T) {
+	fbits := func(f float64) int64 { return int64(math.Float64bits(f)) }
+	negZero := math.Copysign(0, -1)
 	cases := []struct {
 		op    isa.Op
-		v     int64
+		v     int64 // FBEQ/FBNE: the IEEE-754 bits of the tested value
 		taken bool
 	}{
 		{isa.BEQ, 0, true}, {isa.BEQ, 1, false},
@@ -83,22 +85,35 @@ func TestBranchConditionMatrix(t *testing.T) {
 		{isa.BLE, 0, true}, {isa.BLE, 1, false},
 		{isa.BGT, 1, true}, {isa.BGT, 0, false},
 		{isa.BGE, 0, true}, {isa.BGE, -1, false},
+		{isa.FBEQ, fbits(0), true}, {isa.FBEQ, fbits(negZero), true}, {isa.FBEQ, fbits(1.5), false},
+		{isa.FBNE, fbits(0), false}, {isa.FBNE, fbits(negZero), false}, {isa.FBNE, fbits(-1.5), true},
 	}
+	const brPC, target = isa.DefaultTextBase + 8, isa.DefaultTextBase + 20
 	for _, c := range cases {
+		ra := isa.R(1)
+		if c.op == isa.FBEQ || c.op == isa.FBNE {
+			ra = isa.F(1)
+		}
 		m := New(prog(nil,
 			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: c.v},
-			isa.Inst{Op: c.op, Ra: isa.R(1), Imm: int64(isa.DefaultTextBase + 16), UseImm: true},
+			isa.Inst{Op: isa.ITOF, Ra: isa.R(1), Rc: isa.F(1)},
+			isa.Inst{Op: c.op, Ra: ra, Imm: int64(target), UseImm: true},
 			isa.Inst{Op: isa.HALT},
 			isa.Inst{Op: isa.NOP},
 			isa.Inst{Op: isa.HALT},
 		))
 		m.Step()
+		m.Step()
 		rec, err := m.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Taken != c.taken {
-			t.Errorf("%v(%d): taken=%v, want %v", c.op, c.v, rec.Taken, c.taken)
+		wantNext := uint64(brPC + isa.PCStride)
+		if c.taken {
+			wantNext = target
+		}
+		if rec.Taken != c.taken || rec.NextPC != wantNext {
+			t.Errorf("%v(%#x): taken=%v next=%#x, want %v %#x", c.op, c.v, rec.Taken, rec.NextPC, c.taken, wantNext)
 		}
 	}
 }
@@ -173,17 +188,25 @@ func TestCVTTQTruncates(t *testing.T) {
 }
 
 func TestImmediateForms(t *testing.T) {
-	// Every binary integer op accepts an immediate second operand.
-	ops := []isa.Op{isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.ANDNOT,
-		isa.SLL, isa.SRL, isa.SRA, isa.CMPEQ, isa.CMPLT, isa.CMPLE,
-		isa.CMPULT, isa.CMPULE, isa.MUL, isa.DIV, isa.REM}
-	for _, op := range ops {
+	// Every binary integer op accepts an immediate second operand: 13 op 3.
+	cases := []struct {
+		op   isa.Op
+		want uint64
+	}{
+		{isa.ADD, 16}, {isa.SUB, 10}, {isa.AND, 1}, {isa.OR, 15}, {isa.XOR, 14},
+		{isa.ANDNOT, 12}, {isa.SLL, 104}, {isa.SRL, 1}, {isa.SRA, 1},
+		{isa.CMPEQ, 0}, {isa.CMPLT, 0}, {isa.CMPLE, 0}, {isa.CMPULT, 0},
+		{isa.CMPULE, 0}, {isa.MUL, 39}, {isa.DIV, 4}, {isa.REM, 1},
+	}
+	for _, c := range cases {
 		m := run(t, prog(nil,
 			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: 13},
-			isa.Inst{Op: op, Ra: isa.R(1), Imm: 3, UseImm: true, Rc: isa.R(2)},
+			isa.Inst{Op: c.op, Ra: isa.R(1), Imm: 3, UseImm: true, Rc: isa.R(2)},
 			isa.Inst{Op: isa.HALT},
 		))
-		_ = m.Regs[isa.R(2)] // value checked per-op above; here: must not fault
+		if got := m.Regs[isa.R(2)]; got != c.want {
+			t.Errorf("%v(13, #3) = %d, want %d", c.op, got, c.want)
+		}
 	}
 }
 

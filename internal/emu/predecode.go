@@ -18,19 +18,20 @@ import "ctcp/internal/isa"
 // rebuilds it — checkpoints stay bit-compatible with the pre-predecode
 // encoding (DESIGN.md §14).
 //
-// Rare shapes the fast path does not model (misaligned direct control
-// targets, undefined opcodes) lower to uGeneric, which defers to
-// stepGeneric — the original switch interpreter, kept both as the slow path
-// and as the oracle the predecode differential test cross-checks against.
+// Every instruction lowers to a uop, so StepInto is the only interpreter.
+// The shapes that can fault statically (undefined opcodes, direct control
+// with a misaligned target) lower to uFault. The original switch-on-opcode
+// interpreter survives only in the tests, as the reference the predecoded
+// dispatch is cross-checked against (ref_test.go).
 
 // uopKind is the dense dispatch tag of one predecoded micro-op.
 type uopKind uint8
 
 const (
-	// uGeneric defers to stepGeneric (original interpreter): undefined
-	// opcodes and direct control with a misaligned target, whose fault
-	// semantics depend on the dynamic branch outcome.
-	uGeneric uopKind = iota
+	// uFault is an undefined opcode, which always faults, or direct control
+	// with a misaligned target: BR writes its link and faults, a conditional
+	// branch faults only when taken. See Machine.faultUop.
+	uFault uopKind = iota
 	// uNop covers NOP and every operate-format instruction whose destination
 	// is a hardwired-zero register or absent: architecturally side-effect
 	// free.
@@ -322,13 +323,12 @@ func lowerKind(inst isa.Inst, u *uop) uopKind {
 
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE, isa.FBEQ, isa.FBNE:
 		if !aligned(u.imm) {
-			// Faults only when taken: the generic path reproduces that.
-			return uGeneric
+			return uFault // faults only when taken
 		}
 		return condKind[inst.Op]
 	case isa.BR:
 		if !aligned(u.imm) {
-			return uGeneric
+			return uFault
 		}
 		if realDest(inst) {
 			return uBrLink
@@ -355,5 +355,5 @@ func lowerKind(inst isa.Inst, u *uop) uopKind {
 	case isa.OUT:
 		return uOut
 	}
-	return uGeneric
+	return uFault // undefined opcode
 }

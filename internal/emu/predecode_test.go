@@ -8,45 +8,44 @@ import (
 )
 
 // lockstep runs two machines over the same program — one through the
-// predecoded StepInto dispatch, one through the stepGeneric oracle — and
+// predecoded StepInto dispatch, one through the refStep reference — and
 // requires identical Committed records, faults, and architectural state at
-// every step. Returns the number of successfully completed steps.
+// every step, including the state a fault leaves behind. Returns the number
+// of successfully completed steps.
 func lockstep(t *testing.T, p *isa.Program, budget int) int {
 	t.Helper()
 	mf := New(p)
-	mg := New(p)
-	var cf, cg Committed
+	mr := New(p)
+	var cf, cr Committed
 	for step := 0; step < budget; step++ {
+		pc := mf.PC
 		errF := mf.StepInto(&cf)
-		errG := mg.stepGeneric(&cg)
-		if (errF == nil) != (errG == nil) {
-			t.Fatalf("step %d: fast err=%v, generic err=%v", step, errF, errG)
+		errR := mr.refStep(&cr)
+		if (errF == nil) != (errR == nil) {
+			t.Fatalf("step %d: fast err=%v, reference err=%v", step, errF, errR)
 		}
-		if errF != nil {
-			if errF.Error() != errG.Error() {
-				t.Fatalf("step %d: fault mismatch: fast %q, generic %q", step, errF, errG)
-			}
-			return step
+		if errF != nil && errF.Error() != errR.Error() {
+			t.Fatalf("step %d: fault mismatch: fast %q, reference %q", step, errF, errR)
 		}
-		if cf != cg {
-			t.Fatalf("step %d: committed mismatch:\nfast    %+v\ngeneric %+v", step, cf, cg)
+		if errF == nil && cf != cr {
+			t.Fatalf("step %d: committed mismatch:\nfast      %+v\nreference %+v", step, cf, cr)
 		}
-		if mf.Regs != mg.Regs {
+		if mf.Regs != mr.Regs {
 			for i := range mf.Regs {
-				if mf.Regs[i] != mg.Regs[i] {
-					t.Fatalf("step %d (pc %#x): reg %d = %#x fast, %#x generic",
-						step, cf.PC, i, mf.Regs[i], mg.Regs[i])
+				if mf.Regs[i] != mr.Regs[i] {
+					t.Fatalf("step %d (pc %#x): reg %d = %#x fast, %#x reference",
+						step, pc, i, mf.Regs[i], mr.Regs[i])
 				}
 			}
 		}
-		if mf.PC != mg.PC || mf.seq != mg.seq || mf.halted != mg.halted {
-			t.Fatalf("step %d: control mismatch: fast pc=%#x seq=%d halted=%v, generic pc=%#x seq=%d halted=%v",
-				step, mf.PC, mf.seq, mf.halted, mg.PC, mg.seq, mg.halted)
+		if mf.PC != mr.PC || mf.seq != mr.seq || mf.halted != mr.halted {
+			t.Fatalf("step %d: control mismatch: fast pc=%#x seq=%d halted=%v, reference pc=%#x seq=%d halted=%v",
+				step, mf.PC, mf.seq, mf.halted, mr.PC, mr.seq, mr.halted)
 		}
-		if mf.OutHash != mg.OutHash || len(mf.OutValues) != len(mg.OutValues) {
+		if mf.OutHash != mr.OutHash || len(mf.OutValues) != len(mr.OutValues) {
 			t.Fatalf("step %d: OUT state mismatch", step)
 		}
-		if mf.halted {
+		if errF != nil || mf.halted {
 			return step
 		}
 	}
@@ -54,8 +53,8 @@ func lockstep(t *testing.T, p *isa.Program, budget int) int {
 }
 
 // TestPredecodeMatchesGeneric cross-checks the predecoded dispatch against
-// the original interpreter on targeted programs covering every uop kind and
-// the shapes that lower to uGeneric.
+// the generic switch-on-opcode reference (refStep) on targeted programs
+// covering every uop kind and every uFault shape.
 func TestPredecodeMatchesGeneric(t *testing.T) {
 	base := isa.DefaultTextBase
 	fpImm := func(v float64) int64 { return int64(math.Float64bits(v)) }
@@ -178,6 +177,7 @@ func TestPredecodeMatchesGeneric(t *testing.T) {
 			isa.Inst{Op: isa.CMPTLT, Ra: isa.F(2), Rb: isa.F(1), Rc: isa.F(9)},
 			isa.Inst{Op: isa.CMPTLE, Ra: isa.F(1), Rb: isa.F(1), Rc: isa.F(10)},
 			isa.Inst{Op: isa.CVTQT, Ra: isa.R(1), Rc: isa.F(11)},
+			isa.Inst{Op: isa.CVTQT, Ra: isa.R(2), Rc: isa.F(12)}, // negative as int64
 			isa.Inst{Op: isa.CVTTQ, Ra: isa.F(2), Rc: isa.R(3)},
 			isa.Inst{Op: isa.FTOI, Ra: isa.F(5), Rc: isa.R(4)},
 			isa.Inst{Op: isa.HALT},
@@ -204,6 +204,34 @@ func TestPredecodeMatchesGeneric(t *testing.T) {
 			isa.Inst{Op: isa.BR, Imm: int64(base + 3)}, // always faults
 			isa.Inst{Op: isa.HALT},
 		},
+		"misaligned-br-link": {
+			isa.Inst{Op: isa.MOVI, Rc: isa.R(5), Imm: 77},
+			isa.Inst{Op: isa.BR, Rc: isa.R(5), Imm: int64(base + 6)}, // writes R5, then faults
+			isa.Inst{Op: isa.HALT},
+		},
+		"misaligned-fbeq-taken": {
+			isa.Inst{Op: isa.FBEQ, Ra: isa.F(1), Imm: int64(base + 1)}, // F1 = 0.0: taken, faults
+			isa.Inst{Op: isa.HALT},
+		},
+		"misaligned-fbeq-not-taken": {
+			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: fpImm(-2.5)},
+			isa.Inst{Op: isa.ITOF, Ra: isa.R(1), Rc: isa.F(1)},
+			isa.Inst{Op: isa.FBEQ, Ra: isa.F(1), Imm: int64(base + 1)}, // not taken: commits
+			isa.Inst{Op: isa.HALT},
+		},
+		"misaligned-fbne-taken": {
+			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: fpImm(0.5)},
+			isa.Inst{Op: isa.ITOF, Ra: isa.R(1), Rc: isa.F(1)},
+			isa.Inst{Op: isa.FBNE, Ra: isa.F(1), Imm: int64(base + 2)}, // taken, faults
+			isa.Inst{Op: isa.HALT},
+		},
+		"misaligned-fbne-not-taken": {
+			// -0.0 compares equal to zero, so FBNE falls through.
+			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: fpImm(math.Copysign(0, -1))},
+			isa.Inst{Op: isa.ITOF, Ra: isa.R(1), Rc: isa.F(1)},
+			isa.Inst{Op: isa.FBNE, Ra: isa.F(1), Imm: int64(base + 2)}, // not taken: commits
+			isa.Inst{Op: isa.HALT},
+		},
 		"misaligned-jmp": {
 			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: int64(base + 5)},
 			isa.Inst{Op: isa.JMP, Rb: isa.R(1)},
@@ -221,6 +249,15 @@ func TestPredecodeMatchesGeneric(t *testing.T) {
 			isa.Inst{Op: isa.Op(200)},
 			isa.Inst{Op: isa.HALT},
 		},
+		"undefined-opcode-after-state": {
+			isa.Inst{Op: isa.MOVI, Rc: isa.R(1), Imm: 0x55},
+			isa.Inst{Op: isa.OUT, Ra: isa.R(1)},
+			isa.Inst{Op: isa.ITOF, Ra: isa.R(1), Rc: isa.F(3)},
+			isa.Inst{Op: isa.ADD, Ra: isa.R(1), Imm: 1, UseImm: true, Rc: isa.R(2)},
+			isa.Inst{Op: isa.OUT, Ra: isa.R(2)},
+			isa.Inst{Op: isa.Op(isa.NumOps), Ra: isa.R(1), Rb: isa.R(2), Rc: isa.R(3)}, // first undefined opcode
+			isa.Inst{Op: isa.HALT},
+		},
 	}
 	for name, insts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -229,97 +266,125 @@ func TestPredecodeMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestPredecodeMatchesGenericRandom cross-checks the two interpreters on
-// deterministic pseudo-random programs: every opcode, random operands and
-// operand kinds, with control-flow targets kept inside the text segment.
-func TestPredecodeMatchesGenericRandom(t *testing.T) {
-	const textLen = 256
-	base := isa.DefaultTextBase
+// FuzzPredecodeMatchesReference cross-checks StepInto against refStep on
+// pseudo-random programs, one per seed: every opcode, random operands and
+// operand kinds, control-flow targets inside the text segment, and a
+// sprinkling of the uFault shapes. Plain go test runs the seed corpus.
+func FuzzPredecodeMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		s := seed * 0x9e3779b97f4a7c15
-		next := func() uint64 { // xorshift64*
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			return s * 0x2545f4914f6cdd1d
-		}
-		insts := make([]isa.Inst, textLen)
-		for i := range insts {
-			op := isa.Op(next() % uint64(isa.NumOps))
-			inst := isa.Inst{Op: op}
-			info := op.Info()
-			class := info.Class
-			// Random registers; bias toward a small window (incl. R31) so
-			// values flow between instructions.
-			reg := func() isa.Reg { return isa.R(int(next() % 32)) }
-			freg := func() isa.Reg { return isa.F(int(next() % 32)) }
-			switch {
-			case class == isa.ClassFPAdd || class == isa.ClassFPMul ||
-				class == isa.ClassFPDiv || class == isa.ClassFPSqrt:
-				inst.Ra, inst.Rb, inst.Rc = freg(), freg(), freg()
-				if op == isa.ITOF || op == isa.CVTQT {
-					inst.Ra = reg()
-				}
-				if op == isa.FTOI || op == isa.CVTTQ {
-					inst.Rc = reg()
-				}
-			case class == isa.ClassFPBranch:
-				inst.Ra = freg()
-				inst.Imm = int64(base + uint64(next()%textLen)*isa.PCStride)
-			case class == isa.ClassBranch:
-				inst.Ra = reg()
-				inst.Imm = int64(base + uint64(next()%textLen)*isa.PCStride)
-				if op == isa.BR && next()%2 == 0 {
-					inst.Rc = reg()
-				}
-			case class == isa.ClassJump:
-				// Load an in-range aligned target first, then jump through it.
-				inst.Rb = reg()
-				inst.Rc = reg()
-				// Make the register-indirect target usually valid by pointing
-				// Rb at R30, which the preamble seeds with a text address.
-				inst.Rb = isa.R(30)
-			case class.IsMem():
-				inst.Ra = isa.R(29) // preamble points R29 at the data segment
-				inst.Rb = reg()
-				inst.Rc = reg()
-				if op == isa.LDT {
-					inst.Rc = freg()
-				}
-				if op == isa.STT {
-					inst.Rb = freg()
-				}
-				inst.Imm = int64(next() % 4096)
-			default:
-				inst.Ra, inst.Rb, inst.Rc = reg(), reg(), reg()
-				if next()%2 == 0 {
-					inst.UseImm = true
-					inst.Imm = int64(next()) >> (next() % 48)
-				}
-				if op == isa.MOVI {
-					inst.UseImm = false
-					inst.Imm = int64(next()) >> (next() % 32)
-				}
-			}
-			insts[i] = inst
-		}
-		// Preamble: seed R29 (data base) and R30 (aligned text target), then
-		// fall into the random body. Entry stays at TextBase.
-		pre := []isa.Inst{
-			{Op: isa.MOVI, Rc: isa.R(29), Imm: int64(isa.DefaultDataBase)},
-			{Op: isa.MOVI, Rc: isa.R(30), Imm: int64(base + uint64(4+next()%textLen)*isa.PCStride)},
-			{Op: isa.MOVI, Rc: isa.R(28), Imm: 1000}, // step-down fuel, unused by body
-			{Op: isa.NOP},
-		}
-		p := &isa.Program{
-			TextBase: base,
-			DataBase: isa.DefaultDataBase,
-			Entry:    base,
-			Text:     append(pre, insts...),
-		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
 		// Budget-bounded: random programs rarely halt; 4096 steps of exact
 		// agreement (or an identical fault) is the property under test.
-		lockstep(t, p, 4096)
+		lockstep(t, randomProgram(seed), 4096)
+	})
+}
+
+// xorshift returns a xorshift64* generator started at s.
+func xorshift(s uint64) func() uint64 {
+	return func() uint64 {
+		s ^= s >> 12
+		s ^= s << 25
+		s ^= s >> 27
+		return s * 0x2545f4914f6cdd1d
+	}
+}
+
+// randomProgram builds the deterministic lockstep program for seed. Every
+// register operand is an architectural register (within isa.NumRegs).
+func randomProgram(seed uint64) *isa.Program {
+	const textLen = 256
+	base := isa.DefaultTextBase
+	next := xorshift(seed * 0x9e3779b97f4a7c15)
+	insts := make([]isa.Inst, textLen)
+	for i := range insts {
+		op := isa.Op(next() % uint64(isa.NumOps))
+		inst := isa.Inst{Op: op}
+		info := op.Info()
+		class := info.Class
+		// Random registers; bias toward a small window (incl. R31) so
+		// values flow between instructions.
+		reg := func() isa.Reg { return isa.R(int(next() % 32)) }
+		freg := func() isa.Reg { return isa.F(int(next() % 32)) }
+		switch {
+		case class == isa.ClassFPAdd || class == isa.ClassFPMul ||
+			class == isa.ClassFPDiv || class == isa.ClassFPSqrt:
+			inst.Ra, inst.Rb, inst.Rc = freg(), freg(), freg()
+			if op == isa.ITOF || op == isa.CVTQT {
+				inst.Ra = reg()
+			}
+			if op == isa.FTOI || op == isa.CVTTQ {
+				inst.Rc = reg()
+			}
+		case class == isa.ClassFPBranch:
+			inst.Ra = freg()
+			inst.Imm = int64(base + uint64(next()%textLen)*isa.PCStride)
+		case class == isa.ClassBranch:
+			inst.Ra = reg()
+			inst.Imm = int64(base + uint64(next()%textLen)*isa.PCStride)
+			if op == isa.BR && next()%2 == 0 {
+				inst.Rc = reg()
+			}
+		case class == isa.ClassJump:
+			// Load an in-range aligned target first, then jump through it.
+			inst.Rb = reg()
+			inst.Rc = reg()
+			// Make the register-indirect target usually valid by pointing
+			// Rb at R30, which the preamble seeds with a text address.
+			inst.Rb = isa.R(30)
+		case class.IsMem():
+			inst.Ra = isa.R(29) // preamble points R29 at the data segment
+			inst.Rb = reg()
+			inst.Rc = reg()
+			if op == isa.LDT {
+				inst.Rc = freg()
+			}
+			if op == isa.STT {
+				inst.Rb = freg()
+			}
+			inst.Imm = int64(next() % 4096)
+		default:
+			inst.Ra, inst.Rb, inst.Rc = reg(), reg(), reg()
+			if next()%2 == 0 {
+				inst.UseImm = true
+				inst.Imm = int64(next()) >> (next() % 48)
+			}
+			if op == isa.MOVI {
+				inst.UseImm = false
+				inst.Imm = int64(next()) >> (next() % 32)
+			}
+		}
+		insts[i] = inst
+	}
+	// Preamble: seed R29 (data base) and R30 (aligned text target), then
+	// fall into the random body. Entry stays at TextBase.
+	pre := []isa.Inst{
+		{Op: isa.MOVI, Rc: isa.R(29), Imm: int64(isa.DefaultDataBase)},
+		{Op: isa.MOVI, Rc: isa.R(30), Imm: int64(base + uint64(4+next()%textLen)*isa.PCStride)},
+		{Op: isa.MOVI, Rc: isa.R(28), Imm: 1000}, // step-down fuel, unused by body
+		{Op: isa.NOP},
+	}
+	// Overlay the uFault shapes from a second stream, leaving the body
+	// above unchanged elsewhere: a rare undefined opcode, and misaligned
+	// targets on some direct branches (taken ones fault, BR always does).
+	// Within the seed corpus, seed 4 commits misaligned branches not taken,
+	// seed 5 takes one, and seed 7 reaches an undefined opcode.
+	wild := xorshift(seed ^ 0x94d049bb133111eb)
+	for i := range insts {
+		class := insts[i].Op.Class()
+		switch {
+		case wild()%256 == 0:
+			insts[i].Op = isa.Op(uint64(isa.NumOps) + wild()%(256-uint64(isa.NumOps)))
+		case (class == isa.ClassBranch || class == isa.ClassFPBranch) && wild()%16 == 0:
+			insts[i].Imm += int64(1 + wild()%(isa.PCStride-1))
+		}
+	}
+	return &isa.Program{
+		TextBase: base,
+		DataBase: isa.DefaultDataBase,
+		Entry:    base,
+		Text:     append(pre, insts...),
 	}
 }
 

@@ -150,10 +150,6 @@ func (l *LimitStream) Snapshot(w *snap.Writer) {
 	w.Begin("limitstream")
 	w.U64(l.Budget)
 	w.U64(l.used)
-	// The StreamInto cache is derived from S, which never changes after
-	// construction: re-derived lazily on the restored side.
-	_ = l.into
-	_ = l.intoKnown
 	cp, ok := l.S.(snap.Checkpointable)
 	if !ok {
 		w.Failf("limitstream: underlying stream %T is not checkpointable", l.S)

@@ -176,8 +176,9 @@ func TestRestoreWrongProgram(t *testing.T) {
 func TestLimitStreamSnapshot(t *testing.T) {
 	p := loopProg(300)
 	ls := &LimitStream{S: New(p), Budget: 700}
+	var c1, c2 Committed
 	for i := 0; i < 250; i++ {
-		if _, ok := ls.Next(); !ok {
+		if !ls.NextInto(&c1) {
 			t.Fatalf("stream ended early at %d", i)
 		}
 	}
@@ -202,9 +203,8 @@ func TestLimitStreamSnapshot(t *testing.T) {
 	}
 	n := 0
 	for {
-		c1, ok1 := ls.Next()
-		c2, ok2 := ls2.Next()
-		if ok1 != ok2 || c1 != c2 {
+		ok1, ok2 := ls.NextInto(&c1), ls2.NextInto(&c2)
+		if ok1 != ok2 || (ok1 && c1 != c2) {
 			t.Fatalf("limit streams diverge after %d records", n)
 		}
 		if !ok1 {
@@ -224,9 +224,10 @@ func TestSliceStreamSnapshot(t *testing.T) {
 		recs[i] = Committed{Seq: uint64(i), PC: uint64(0x1000 + 4*i)}
 	}
 	s := &SliceStream{Recs: recs}
-	s.Next()
-	s.Next()
-	s.Next()
+	var c Committed
+	s.NextInto(&c)
+	s.NextInto(&c)
+	s.NextInto(&c)
 
 	w := snap.NewWriter()
 	s.Snapshot(w)
@@ -243,7 +244,7 @@ func TestSliceStreamSnapshot(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := s2.Next(); !ok || c.Seq != 3 {
+	if !s2.NextInto(&c) || c.Seq != 3 {
 		t.Errorf("restored cursor at seq %d, want 3", c.Seq)
 	}
 

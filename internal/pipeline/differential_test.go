@@ -28,12 +28,12 @@ type recordingStream struct {
 	recs []emu.Committed
 }
 
-func (r *recordingStream) Next() (emu.Committed, bool) {
-	c, ok := r.src.Next()
-	if ok {
-		r.recs = append(r.recs, c)
+func (r *recordingStream) NextInto(c *emu.Committed) bool {
+	if !r.src.NextInto(c) {
+		return false
 	}
-	return c, ok
+	r.recs = append(r.recs, *c)
+	return true
 }
 
 // referenceRun executes p to architectural completion on a bare machine.

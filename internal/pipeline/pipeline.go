@@ -37,12 +37,6 @@ type Pipeline struct {
 	mem    *cachesim.Hierarchy
 
 	stream emu.Stream
-	// streamInto caches stream.(emu.StreamInto) so peek writes each record
-	// straight into peekedRec instead of copying it up the stream stack once
-	// per frame. Derived lazily (streamIntoKnown) because Run re-wraps the
-	// stream in a LimitStream after construction.
-	streamInto      emu.StreamInto
-	streamIntoKnown bool
 	// predictCond is p.bp.PredictCond bound once; creating the method value
 	// at every trace cache lookup allocated a closure per fetch.
 	predictCond func(uint64) bool
@@ -208,7 +202,6 @@ func (p *Pipeline) FillUnit() *core.FillUnit { return p.fill }
 func (p *Pipeline) Run() *Stats {
 	if p.cfg.MaxInsts != 0 {
 		p.stream = &emu.LimitStream{S: p.stream, Budget: p.cfg.MaxInsts}
-		p.streamInto, p.streamIntoKnown = nil, false
 	}
 	p.runLoop((*Pipeline).done)
 	return p.Finish()
@@ -401,22 +394,9 @@ func (p *Pipeline) peek() (*emu.Committed, bool) {
 		// resumes pulling records exactly where this one stopped.
 		return nil, false
 	}
-	if !p.streamIntoKnown {
-		p.streamInto, _ = p.stream.(emu.StreamInto)
-		p.streamIntoKnown = true
-	}
-	if p.streamInto != nil {
-		if !p.streamInto.NextInto(&p.peekedRec) {
-			p.streamDone = true
-			return nil, false
-		}
-	} else {
-		rec, ok := p.stream.Next()
-		if !ok {
-			p.streamDone = true
-			return nil, false
-		}
-		p.peekedRec = rec
+	if !p.stream.NextInto(&p.peekedRec) {
+		p.streamDone = true
+		return nil, false
 	}
 	p.consumed++
 	p.havePeek = true

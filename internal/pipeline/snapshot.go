@@ -149,10 +149,6 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	_ = p.st
 	_ = p.storeRing
 	_ = p.storeRingMask
-	// The StreamInto cache is derived from the stream field (re-derived
-	// lazily after restore).
-	_ = p.streamInto
-	_ = p.streamIntoKnown
 	// The decode cache is a pure function of the immutable program text,
 	// refilled lazily after restore.
 	_ = p.dec
