@@ -10,10 +10,6 @@
 //	ctcpd -batch sweep.json                           # submit a whole sweep
 //	ctcpd -wait job-3                                 # wait for an earlier job
 //	ctcpd -watch job-3                                # stream its progress events
-//	ctcpd -serve ... -slot-dir slots/                 # expose named save-state slots
-//	ctcpd -slots                                      # list the server's slots
-//	ctcpd -slot warm                                  # inspect one slot
-//	ctcpd -fork warm -as warm-hop1 -fork-hop 1        # fork it into a what-if config
 //
 // A submitted job is identified by its run fingerprint (benchmark + full
 // config + budget + mode): duplicates join the in-flight job, repeats are
@@ -23,7 +19,8 @@
 // SIGINT/SIGTERM drain the server: in-flight checkpointed runs stop at the
 // next segment boundary and resume bit-exactly on restart. Their checkpoints
 // live in the -store directory, which has the same layout as a ctcpbench
-// -resume directory: either tool answers from what the other simulated.
+// -resume directory or a ctcpsim -store directory: each tool answers from,
+// or resumes, what the others simulated.
 // The service has no authentication; the default -addr binds the loopback
 // interface only.
 package main
@@ -54,14 +51,10 @@ type cliOptions struct {
 	batchPath string
 	waitID    string
 	watchID   string
-	listSlots bool
-	slotName  string
-	forkSlot  string
 	addr      string
 
 	// -serve
 	storeDir string
-	slotDir  string
 	journal  string
 	retain   int
 	workers  int
@@ -80,35 +73,23 @@ type cliOptions struct {
 
 	// -submit / -wait
 	timeout time.Duration
-
-	// -fork
-	forkAs    string
-	forkBase  string
-	forkHop   int
-	forkZAll  bool
-	forkZCrit bool
-	forkZIn   bool
-	forkZOut  bool
 }
 
 func (o *cliOptions) validate() error {
 	modes := 0
-	for _, on := range []bool{o.serveMode, o.submit, o.batchPath != "", o.waitID != "", o.watchID != "", o.listSlots, o.slotName != "", o.forkSlot != ""} {
+	for _, on := range []bool{o.serveMode, o.submit, o.batchPath != "", o.waitID != "", o.watchID != ""} {
 		if on {
 			modes++
 		}
 	}
 	if modes != 1 {
-		return fmt.Errorf("exactly one of -serve, -submit, -batch, -wait, -watch, -slots, -slot, -fork is required")
+		return fmt.Errorf("exactly one of -serve, -submit, -batch, -wait, -watch is required")
 	}
 	if o.serveMode && o.storeDir == "" {
 		return fmt.Errorf("-serve requires -store <dir>")
 	}
 	if o.submit && (o.bm == "" || o.config == "") {
 		return fmt.Errorf("-submit requires -bm and -config")
-	}
-	if o.forkSlot != "" && o.forkAs == "" {
-		return fmt.Errorf("-fork requires -as <dst>")
 	}
 	return nil
 }
@@ -120,19 +101,8 @@ func main() {
 	flag.StringVar(&o.batchPath, "batch", "", "submit a batch: JSON file of requests (\"-\" = stdin)")
 	flag.StringVar(&o.waitID, "wait", "", "wait for the given job ID to finish and print its result")
 	flag.StringVar(&o.watchID, "watch", "", "stream the given job's progress events until it finishes")
-	flag.BoolVar(&o.listSlots, "slots", false, "list the server's named save-state slots")
-	flag.StringVar(&o.slotName, "slot", "", "inspect one named save-state slot")
-	flag.StringVar(&o.forkSlot, "fork", "", "fork the given slot into -as under a what-if config delta")
-	flag.StringVar(&o.forkAs, "as", "", "destination slot name for -fork")
-	flag.StringVar(&o.forkBase, "fork-base", "", "fork delta: base config name (default: source slot's base)")
-	flag.IntVar(&o.forkHop, "fork-hop", 0, "fork delta: override inter-cluster hop latency when > 0")
-	flag.BoolVar(&o.forkZAll, "fork-zero-all", false, "fork delta: zero all forwarding latency")
-	flag.BoolVar(&o.forkZCrit, "fork-zero-crit", false, "fork delta: zero critical-input forwarding latency")
-	flag.BoolVar(&o.forkZIn, "fork-zero-intra", false, "fork delta: zero intra-trace forwarding latency")
-	flag.BoolVar(&o.forkZOut, "fork-zero-inter", false, "fork delta: zero inter-trace forwarding latency")
 	flag.StringVar(&o.addr, "addr", "localhost:8321", "listen address (-serve) or server address (client verbs)")
 	flag.StringVar(&o.storeDir, "store", "", "result-store directory, also holding checkpointed jobs' checkpoints (required with -serve)")
-	flag.StringVar(&o.slotDir, "slot-dir", "", "named save-state slot directory: enables /api/v1/slots (list, inspect, fork)")
 	flag.StringVar(&o.journal, "journal", "", "durable queue journal path (default <store>/queue.journal)")
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs kept listable in memory (0 = 512); results persist in the store")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -165,12 +135,6 @@ func run(o *cliOptions) int {
 		return runBatch(o)
 	case o.watchID != "":
 		return runWatch(o, o.watchID)
-	case o.listSlots:
-		return runSlots(o)
-	case o.slotName != "":
-		return runSlot(o)
-	case o.forkSlot != "":
-		return runFork(o)
 	default:
 		return runWait(o, o.waitID)
 	}
@@ -185,7 +149,6 @@ func runServe(o *cliOptions) int {
 	logger := log.New(os.Stderr, "ctcpd: ", log.LstdFlags)
 	s, err := serve.New(serve.Config{
 		Store:         o.storeDir,
-		SlotDir:       o.slotDir,
 		Journal:       o.journal,
 		RetainJobs:    o.retain,
 		QueueDepth:    o.queue,
@@ -448,73 +411,6 @@ func runWait(o *cliOptions, id string) int {
 			return 1
 		}
 	}
-}
-
-// getJSON GETs one API path and prints the body on stdout (pretty-printed by
-// the server already); non-200 responses go to stderr with exit 1.
-func getJSON(o *cliOptions, path string) int {
-	resp, err := do(http.MethodGet, baseURL(o.addr)+path, nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ctcpd: %v\n", err)
-		return 1
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ctcpd: reading response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "ctcpd: %s (%s): %s\n", path, resp.Status, strings.TrimSpace(string(raw)))
-		return 1
-	}
-	fmt.Printf("%s\n", raw)
-	return 0
-}
-
-// runSlots lists the server's named save-state slots.
-func runSlots(o *cliOptions) int {
-	return getJSON(o, "/api/v1/slots")
-}
-
-// runSlot prints one slot's metadata.
-func runSlot(o *cliOptions) int {
-	return getJSON(o, "/api/v1/slots/"+o.slotName)
-}
-
-// runFork forks a server-side slot into a what-if configuration delta and
-// prints the new slot's metadata.
-func runFork(o *cliOptions) int {
-	body, err := json.Marshal(map[string]any{
-		"as":               o.forkAs,
-		"base":             o.forkBase,
-		"hop":              o.forkHop,
-		"zero_all_fwd":     o.forkZAll,
-		"zero_crit_fwd":    o.forkZCrit,
-		"zero_intra_trace": o.forkZIn,
-		"zero_inter_trace": o.forkZOut,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ctcpd: %v\n", err)
-		return 1
-	}
-	resp, err := do(http.MethodPost, baseURL(o.addr)+"/api/v1/slots/"+o.forkSlot+"/fork", bytes.NewReader(body))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ctcpd: fork: %v\n", err)
-		return 1
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ctcpd: reading response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusCreated {
-		fmt.Fprintf(os.Stderr, "ctcpd: fork rejected (%s): %s\n", resp.Status, strings.TrimSpace(string(raw)))
-		return 1
-	}
-	fmt.Printf("%s\n", raw)
-	return 0
 }
 
 // exitFor maps a terminal job status to the process exit code.

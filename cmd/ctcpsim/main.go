@@ -1,18 +1,17 @@
 // Command ctcpsim runs one benchmark through the clustered trace cache
-// processor model and prints a statistics summary, or manages named
-// save-state slots (mid-flight checkpoints that can be resumed bit-exactly
-// or forked into what-if configurations).
+// processor model and prints a statistics summary, or saves a run at a
+// checkpoint under a name and resumes it later, bit-exactly. Named saves are
+// checkpointed runs in a result store directory, the same layout ctcpbench
+// -resume and ctcpd -store use.
 //
 // Usage:
 //
 //	ctcpsim -list
 //	ctcpsim -bench gzip -strategy fdrt -insts 500000
 //	ctcpsim -bench twolf -strategy issue-time -steer 4 -topology ring -hop 1
-//	ctcpsim -save-slot warm -bench gzip -config fdrt -insts 500000 -save-at 250000
-//	ctcpsim -list-slots
-//	ctcpsim -inspect-slot warm
-//	ctcpsim -resume-slot warm
-//	ctcpsim -fork-slot warm -as warm-hop1 -fork-base fdrt -fork-hop 1
+//	ctcpsim -save warm -bench gzip -config fdrt -insts 500000 -save-at 250000
+//	ctcpsim -saves
+//	ctcpsim -resume warm
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 
 	"ctcp/internal/cluster"
 	"ctcp/internal/core"
-	"ctcp/internal/emu"
 	"ctcp/internal/experiment"
 	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
@@ -56,22 +54,12 @@ func main() {
 		clusters = flag.Int("clusters", 4, "number of clusters")
 		ptrace   = flag.Int("pipetrace", 0, "print a per-cycle occupancy trace of the first N active cycles")
 
-		slotDir  = flag.String("slot-dir", "slots", "directory holding named save-state slots")
-		saveSlot = flag.String("save-slot", "", "run -bench under -config, pause at -save-at, and save into this slot")
-		saveAt   = flag.Uint64("save-at", 0, "committed-instruction boundary to pause and save at (default budget/2)")
-		config   = flag.String("config", "base", "named experiment config for -save-slot (see internal/experiment StrategyConfigs)")
-		listSl   = flag.Bool("list-slots", false, "list saved slots and exit")
-		inspect  = flag.String("inspect-slot", "", "print one slot's metadata and exit")
-		resume   = flag.String("resume-slot", "", "restore this slot and run it to completion")
-		forkSlot = flag.String("fork-slot", "", "fork this slot into -as under a what-if config delta")
-		forkAs   = flag.String("as", "", "destination slot name for -fork-slot")
-
-		forkBase  = flag.String("fork-base", "", "fork delta: base config name (default: source slot's base)")
-		forkHop   = flag.Int("fork-hop", 0, "fork delta: override inter-cluster hop latency when > 0")
-		forkZAll  = flag.Bool("fork-zero-all", false, "fork delta: zero all forwarding latency")
-		forkZCrit = flag.Bool("fork-zero-crit", false, "fork delta: zero critical-input forwarding latency")
-		forkZIn   = flag.Bool("fork-zero-intra", false, "fork delta: zero intra-trace forwarding latency")
-		forkZOut  = flag.Bool("fork-zero-inter", false, "fork delta: zero inter-trace forwarding latency")
+		storeDir = flag.String("store", "saves", "result-store directory holding named saves (same layout as ctcpbench -resume and ctcpd -store)")
+		save     = flag.String("save", "", "run -bench under -config, stop at the -save-at checkpoint, and save it under this name")
+		saveAt   = flag.Uint64("save-at", 0, "committed-instruction checkpoint to save at (default budget/2)")
+		config   = flag.String("config", "base", "named experiment config for -save (see internal/experiment StrategyConfigs)")
+		resume   = flag.String("resume", "", "finish the named save and print its stats")
+		saves    = flag.Bool("saves", false, "list the named saves in -store and exit")
 	)
 	flag.Parse()
 
@@ -93,28 +81,14 @@ func main() {
 	}
 
 	switch {
-	case *saveSlot != "":
-		runSaveSlot(*slotDir, *saveSlot, *bench, *config, *insts, *saveAt)
-		return
-	case *listSl:
-		runListSlots(*slotDir)
-		return
-	case *inspect != "":
-		runInspectSlot(*slotDir, *inspect)
+	case *save != "":
+		runSave(openStore(*storeDir), *save, *bench, *config, *insts, *saveAt)
 		return
 	case *resume != "":
-		runResumeSlot(*slotDir, *resume)
+		runResume(openStore(*storeDir), *resume)
 		return
-	case *forkSlot != "":
-		delta := experiment.SlotConfig{
-			Base:           *forkBase,
-			Hop:            *forkHop,
-			ZeroAllFwd:     *forkZAll,
-			ZeroCritFwd:    *forkZCrit,
-			ZeroIntraTrace: *forkZIn,
-			ZeroInterTrace: *forkZOut,
-		}
-		runForkSlot(*slotDir, *forkSlot, *forkAs, delta)
+	case *saves:
+		runSaves(openStore(*storeDir), *storeDir)
 		return
 	}
 
@@ -161,7 +135,7 @@ func main() {
 	printStats(s, kind)
 }
 
-// printStats renders the summary block shared by plain runs and slot resumes.
+// printStats renders the summary block shared by plain runs and resumes.
 func printStats(s *pipeline.Stats, kind core.StrategyKind) {
 	fmt.Printf("\ncycles               %d\n", s.Cycles)
 	fmt.Printf("retired              %d (IPC %.3f)\n", s.Retired, s.IPC())
@@ -183,122 +157,61 @@ func printStats(s *pipeline.Stats, kind core.StrategyKind) {
 	}
 }
 
-func openSlots(dir string) *experiment.SlotStore {
-	st, err := experiment.OpenSlots(dir)
+func openStore(dir string) *experiment.Store {
+	st, err := experiment.OpenStore(dir)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	return st
 }
 
-// runSaveSlot simulates bench under the named config, pauses at the
-// requested drained boundary, and freezes the run into a named slot.
-func runSaveSlot(dir, name, bench, config string, budget, at uint64) {
+// saveLine renders one named save: its run and where that run stands.
+func saveLine(e experiment.NameEntry) string {
+	return fmt.Sprintf("%-20s %-10s %-12s budget=%-9d at=%-9d %-10s fp=%s",
+		e.Name, e.Benchmark, e.Config, e.Budget, e.Every, e.Status, e.Fingerprint)
+}
+
+// runSave simulates bench under the named config up to its first checkpoint
+// and records the run under name.
+func runSave(st *experiment.Store, name, bench, config string, budget, at uint64) {
 	if at == 0 {
 		at = budget / 2
 	}
-	if at >= budget {
-		fatalf("-save-at %d must be below the budget %d", at, budget)
-	}
-	sc := experiment.SlotConfig{Base: config}
-	cfg, err := sc.Resolve()
+	e, err := experiment.SaveName(st, name, bench, config, budget, at)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	bm, ok := workload.ByName(bench)
-	if !ok {
-		fatalf("unknown benchmark %q (try -list)", bench)
+	if e.Status == experiment.NameDone {
+		fmt.Println("run finished before the save point; its result is in the store")
 	}
-	cfg.MaxInsts = 0
-	m := emu.New(bm.ProgramFor(budget))
-	p := pipeline.New(&emu.LimitStream{S: m, Budget: budget}, cfg)
-	if p.RunTo(at) {
-		fatalf("stream exhausted at %d committed instructions, before the save point %d", p.Consumed(), at)
-	}
-	st := openSlots(dir)
-	meta, err := st.Save(experiment.SlotMeta{Name: name, Benchmark: bench, Config: sc, Budget: budget}, p)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("saved slot %q: %s/%s at %d/%d insts (cycle %d)\n",
-		meta.Name, meta.Benchmark, meta.Config.Base, meta.Consumed, meta.Budget, meta.Cycle)
-	fmt.Printf("fingerprints: run=%s config=%s\n", meta.RunFP, meta.CfgFP)
+	fmt.Println(saveLine(e))
 }
 
-func slotLine(m experiment.SlotMeta) string {
-	lineage := ""
-	if m.Parent != "" {
-		lineage = " parent=" + m.Parent
-	}
-	return fmt.Sprintf("%-20s %-8s %-12s %9d/%-9d cycle=%-9d seg=%d run=%s cfg=%s%s",
-		m.Name, m.Benchmark, m.Config.Base, m.Consumed, m.Budget, m.Cycle, m.Segments, m.RunFP, m.CfgFP, lineage)
-}
-
-func runListSlots(dir string) {
-	st := openSlots(dir)
-	slots, err := st.List()
+// runResume finishes a named save from its checkpoint, or reads its result
+// from the store if it already finished.
+func runResume(st *experiment.Store, name string) {
+	e, s, err := experiment.ResumeName(st, name)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if len(slots) == 0 {
-		fmt.Printf("no slots in %s\n", st.Dir())
+	from := "its checkpoint"
+	if e.Status == experiment.NameDone {
+		from = "the store"
+	}
+	fmt.Printf("resuming from %s: %s\n", from, saveLine(e))
+	printStats(s, experiment.StrategyConfigs()[e.Config].Strategy)
+}
+
+func runSaves(st *experiment.Store, dir string) {
+	entries, err := experiment.Names(st)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if len(entries) == 0 {
+		fmt.Printf("no saves in %s\n", dir)
 		return
 	}
-	for _, m := range slots {
-		fmt.Println(slotLine(m))
+	for _, e := range entries {
+		fmt.Println(saveLine(e))
 	}
-}
-
-func runInspectSlot(dir, name string) {
-	st := openSlots(dir)
-	m, err := st.Inspect(name)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("slot        %s\n", m.Name)
-	fmt.Printf("benchmark   %s\n", m.Benchmark)
-	fmt.Printf("config      base=%s hop=%d zeroAll=%v zeroCrit=%v zeroIntra=%v zeroInter=%v\n",
-		m.Config.Base, m.Config.Hop, m.Config.ZeroAllFwd, m.Config.ZeroCritFwd, m.Config.ZeroIntraTrace, m.Config.ZeroInterTrace)
-	fmt.Printf("progress    %d/%d insts at cycle %d (segment %d)\n", m.Consumed, m.Budget, m.Cycle, m.Segments)
-	if m.Parent != "" {
-		fmt.Printf("parent      %s\n", m.Parent)
-	}
-	fmt.Printf("run fp      %s\n", m.RunFP)
-	fmt.Printf("config fp   %s\n", m.CfgFP)
-}
-
-func runResumeSlot(dir, name string) {
-	st := openSlots(dir)
-	meta, _, p, err := st.Restore(name)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg, err := meta.Config.Resolve()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("resuming slot %q: %s/%s from %d/%d insts (cycle %d)\n",
-		meta.Name, meta.Benchmark, meta.Config.Base, meta.Consumed, meta.Budget, meta.Cycle)
-	p.RunTo(0)
-	printStats(p.Finish(), cfg.Strategy)
-}
-
-func runForkSlot(dir, src, dst string, delta experiment.SlotConfig) {
-	if dst == "" {
-		fatalf("-fork-slot requires -as DST")
-	}
-	st := openSlots(dir)
-	if delta.Base == "" {
-		srcMeta, err := st.Inspect(src)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		delta.Base = srcMeta.Config.Base
-	}
-	meta, err := st.Fork(src, dst, delta)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("forked %q -> %q at %d/%d insts\n", src, meta.Name, meta.Consumed, meta.Budget)
-	fmt.Println(slotLine(meta))
 }

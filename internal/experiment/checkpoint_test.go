@@ -24,15 +24,23 @@ const (
 // ckptEvery), which is the bit-exact baseline a resumed run must match.
 func segmentedReference(t *testing.T) *pipeline.Stats {
 	t.Helper()
-	bm, _ := workload.ByName("gzip")
-	cfg := BaseConfig()
+	return segmentedRun(t, "gzip", BaseConfig(), ckptBudget, ckptEvery)
+}
+
+// segmentedRun is segmentedReference for any benchmark, config and schedule.
+func segmentedRun(t *testing.T, bench string, cfg pipeline.Config, budget, every uint64) *pipeline.Stats {
+	t.Helper()
+	bm, ok := workload.ByName(bench)
+	if !ok {
+		t.Fatalf("unknown benchmark %q", bench)
+	}
 	cfg.MaxInsts = 0
-	p := pipeline.New(&emu.LimitStream{S: emu.New(bm.ProgramFor(ckptBudget)), Budget: ckptBudget}, cfg)
-	for next := ckptEvery; ; next += ckptEvery {
-		if next > ckptBudget {
-			next = ckptBudget
+	p := pipeline.New(&emu.LimitStream{S: emu.New(bm.ProgramFor(budget)), Budget: budget}, cfg)
+	for next := every; ; next += every {
+		if next > budget {
+			next = budget
 		}
-		if p.RunTo(next) || p.Consumed() >= ckptBudget {
+		if p.RunTo(next) || p.Consumed() >= budget {
 			break
 		}
 	}

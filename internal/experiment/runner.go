@@ -11,7 +11,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -452,7 +451,7 @@ func (r *Runner) runCheckpointed(key string, bm workload.Benchmark, cfgKey strin
 	if rec, ok := st.Get(fp); ok {
 		return rec.Stats, nil
 	}
-	ckptPath := filepath.Join(r.opts.CheckpointDir, FormatFP(fp)+".ckpt")
+	ckptPath := st.ckptPath(fp)
 
 	budget := r.opts.Budget
 	every := effectiveEvery(budget, r.opts.CheckpointEvery)

@@ -13,7 +13,7 @@ import (
 )
 
 // FormatFP renders a fingerprint in its canonical form: 16 lower-case hex
-// digits. Store file names, records, slot metadata and the service API all
+// digits. Store file names, records, name entries and the service API all
 // use it.
 func FormatFP(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
@@ -44,8 +44,9 @@ type Record struct {
 // JSON record per run fingerprint, written atomically (temp+rename via
 // snap.WriteFileBytes), so concurrent writers of the same fingerprint — which
 // by construction hold identical payloads — and readers racing a write both
-// observe a complete record or none. Checkpointed runs (ctcpbench -resume)
-// and ctcpd share it: a directory one of them filled answers the other.
+// observe a complete record or none. Checkpointed runs (ctcpbench -resume),
+// ctcpsim's named saves and ctcpd share it: a directory one of them filled
+// answers the others.
 type Store struct {
 	dir string
 
@@ -65,6 +66,12 @@ func OpenStore(dir string) (*Store, error) {
 
 func (st *Store) path(fp uint64) string {
 	return filepath.Join(st.dir, FormatFP(fp)+".json")
+}
+
+// ckptPath names the checkpoint an unfinished checkpointed run keeps in the
+// store directory.
+func (st *Store) ckptPath(fp uint64) string {
+	return filepath.Join(st.dir, FormatFP(fp)+".ckpt")
 }
 
 // Get returns the persisted record for fp, if a valid one exists. A missing,

@@ -46,9 +46,6 @@ type Config struct {
 	// complete into, which is what makes shutdown lossless for long
 	// simulations.
 	Store string
-	// SlotDir, when set, exposes the named save-state slots in that
-	// directory over /api/v1/slots (list, inspect, fork).
-	SlotDir string
 	// Journal is the durable queue journal path ("" = <Store>/queue.journal).
 	// Every accepted job is journaled before the client sees 202; a restart
 	// over the same journal replays outstanding jobs automatically.
@@ -171,7 +168,6 @@ type Server struct {
 	cfg     Config
 	store   *experiment.Store
 	journal *jobJournal
-	slots   *experiment.SlotStore // nil unless Config.SlotDir is set
 	mux     *http.ServeMux
 
 	interrupt chan struct{}
@@ -233,13 +229,6 @@ func New(cfg Config) (*Server, error) {
 		progress:  make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.SlotDir != "" {
-		st, err := experiment.OpenSlots(cfg.SlotDir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: opening slot directory: %w", err)
-		}
-		s.slots = st
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /api/v1/batch", s.handleBatch)
@@ -247,9 +236,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /api/v1/results/{fp}", s.handleResult)
-	mux.HandleFunc("GET /api/v1/slots", s.handleSlots)
-	mux.HandleFunc("GET /api/v1/slots/{name}", s.handleSlot)
-	mux.HandleFunc("POST /api/v1/slots/{name}/fork", s.handleSlotFork)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux = mux

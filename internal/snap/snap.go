@@ -456,23 +456,6 @@ func (r *Reader) ExpectInt(label string, want int) {
 	}
 }
 
-// DiscardRest consumes the remainder of the snapshot without decoding it
-// and reports any error accumulated so far. It exists for readers that only
-// need a leading section out of a larger container — e.g. inspecting slot
-// metadata without restoring the pipeline image behind it. Close demands
-// exact consumption; DiscardRest makes the early stop explicit. All open
-// sections must be closed before calling it.
-func (r *Reader) DiscardRest() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.ends) != 0 {
-		return fmt.Errorf("snap: section %q not closed", r.current())
-	}
-	r.off = len(r.buf)
-	return nil
-}
-
 // Close verifies the snapshot was consumed exactly: no recorded error, no
 // open section, no trailing bytes.
 func (r *Reader) Close() error {

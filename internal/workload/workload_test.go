@@ -86,19 +86,28 @@ func TestScaleExtendsRun(t *testing.T) {
 	}
 }
 
+// TestProgramForMeetsBudget pins ProgramFor's promise over every kernel:
+// the exact floor at 8k and 200k instructions, and at least 99.75% of it at
+// 2M, where the linear calibration may undershoot. The programs are
+// deterministic, so these are fixed facts about the suite, not tolerances.
 func TestProgramForMeetsBudget(t *testing.T) {
+	for _, bm := range All() {
+		for _, budget := range []uint64{8_000, 200_000, 2_000_000} {
+			n, err := emu.New(bm.ProgramFor(budget)).Run(0)
+			if err != nil {
+				t.Fatalf("%s at %d: %v", bm.Name, budget, err)
+			}
+			floor := budget
+			if budget > 200_000 {
+				floor = budget - budget/400
+			}
+			if n < floor {
+				t.Errorf("%s: ProgramFor(%d) ran %d instructions, want at least %d", bm.Name, budget, n, floor)
+			}
+		}
+	}
 	bm, _ := ByName("twolf")
-	p := bm.ProgramFor(200_000)
-	m := emu.New(p)
-	n, err := m.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 200_000 {
-		t.Errorf("ProgramFor(200k) only ran %d instructions", n)
-	}
-	// Memoized: same pointer on second call.
-	if bm.ProgramFor(200_000) != p {
+	if bm.ProgramFor(200_000) != bm.ProgramFor(200_000) {
 		t.Error("ProgramFor not memoized")
 	}
 }
