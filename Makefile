@@ -1,18 +1,26 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet lint test race bench results serve-check conformance fuzz-smoke
+.PHONY: check build fmt vet lint test race bench results serve-check conformance fuzz-smoke
 
-# check is the CI gate: compile everything, vet, run the module's own static
-# analysis suite (cmd/ctcplint), then the full test suite under the race
-# detector (the runner stress tests exercise it meaningfully). The
-# conformance corpus runs inside `race` already (it is a normal test
-# package); `conformance` exists as a focused re-run, and `fuzz-smoke` is
-# deliberately NOT part of check — a timed fuzz run is too slow and too
-# nondeterministic for the commit gate, so CI runs it as its own job.
-check: build vet lint race
+# check is the CI gate: compile everything, require gofmt-clean sources, vet,
+# run the module's own static analysis suite (cmd/ctcplint), then the full
+# test suite under the race detector (the runner stress tests exercise it
+# meaningfully). The conformance corpus runs inside `race` already (it is a
+# normal test package); `conformance` exists as a focused re-run, and
+# `fuzz-smoke` is deliberately NOT part of check — a timed fuzz run is too
+# slow and too nondeterministic for the commit gate, so CI runs it as its
+# own job.
+check: build fmt vet lint race
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would rewrite any Go file in the repository, listing
+# the files (gofmt -w <file> fixes one).
+fmt:
+	@files=$$($(GOFMT) -l .); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists unformatted files:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -85,30 +85,13 @@ func New(cfg Config) *Predictor {
 	if !pow2(sets) {
 		panic("bpred: BTB sets must be a power of two")
 	}
-	p := &Predictor{
-		cfg:      cfg,
-		bimodal:  make([]uint8, cfg.BimodalEntries),
-		gshare:   make([]uint8, cfg.GshareEntries),
-		chooser:  make([]uint8, cfg.ChooserEntries),
-		histMask: 1<<uint(cfg.HistoryBits) - 1,
-		btbTags:  make([]uint64, cfg.BTBEntries),
-		btbTgts:  make([]uint64, cfg.BTBEntries),
-		btbValid: make([]bool, cfg.BTBEntries),
-		btbLRU:   make([]uint64, cfg.BTBEntries),
-		ras:      make([]uint64, cfg.RASEntries),
-	}
-	// Weakly taken start state keeps cold loops from mispredicting twice.
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
-	}
-	for i := range p.gshare {
-		p.gshare[i] = 2
-	}
-	for i := range p.chooser {
-		p.chooser[i] = 1 // weakly prefer bimodal
-	}
+	p := &Predictor{cfg: cfg}
+	p.Reset()
 	return p
 }
+
+// Config returns the predictor configuration.
+func (p *Predictor) Config() Config { return p.cfg }
 
 func pcIndex(pc uint64, size int) int {
 	return int((pc >> 2) & uint64(size-1))
@@ -239,8 +222,35 @@ func (p *Predictor) PredictReturn() (uint64, bool) {
 	return p.ras[p.rasTop%len(p.ras)], true
 }
 
-// Reset clears all predictor state and statistics.
+// Reset returns the predictor to the state New builds: weakly-taken
+// counters, empty BTB and return stack, zero history and statistics. The
+// tables are rewritten in place; one is only reallocated when a failed
+// Restore left it at the wrong size.
 func (p *Predictor) Reset() {
-	np := New(p.cfg)
-	*p = *np
+	// Weakly taken start state keeps cold loops from mispredicting twice.
+	p.bimodal = filled(p.bimodal, p.cfg.BimodalEntries, 2)
+	p.gshare = filled(p.gshare, p.cfg.GshareEntries, 2)
+	p.chooser = filled(p.chooser, p.cfg.ChooserEntries, 1) // weakly prefer bimodal
+	p.history = 0
+	p.histMask = 1<<uint(p.cfg.HistoryBits) - 1
+	p.btbTags = filled(p.btbTags, p.cfg.BTBEntries, 0)
+	p.btbTgts = filled(p.btbTgts, p.cfg.BTBEntries, 0)
+	p.btbValid = filled(p.btbValid, p.cfg.BTBEntries, false)
+	p.btbLRU = filled(p.btbLRU, p.cfg.BTBEntries, 0)
+	p.btbStamp = 0
+	p.ras = filled(p.ras, p.cfg.RASEntries, 0)
+	p.rasTop = 0
+	p.S = Stats{}
+}
+
+// filled returns s with every element set to v, reallocated only when its
+// length is not n.
+func filled[T any](s []T, n int, v T) []T {
+	if len(s) != n {
+		s = make([]T, n)
+	}
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }

@@ -58,16 +58,11 @@ func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic(fmt.Sprintf("cachesim: %s: ways %d", cfg.Name, cfg.Ways))
 	}
-	c := &Cache{
-		cfg:      cfg,
-		setMask:  uint64(cfg.Sets - 1),
-		tags:     make([]uint64, cfg.Sets*cfg.Ways),
-		present:  make([]bool, cfg.Sets*cfg.Ways),
-		lruStamp: make([]uint64, cfg.Sets*cfg.Ways),
-	}
+	c := &Cache{cfg: cfg, setMask: uint64(cfg.Sets - 1)}
 	for c.cfg.LineSize>>c.lineShift > 1 {
 		c.lineShift++
 	}
+	c.Reset()
 	return c
 }
 
@@ -142,11 +137,21 @@ func (c *Cache) Invalidate(addr uint64) {
 	}
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, returning the cache to the state New
+// builds. The arrays are cleared in place; they are only reallocated when a
+// failed Restore left them at the wrong size. The tags are cleared too, even
+// though an absent way's tag is never read, because Snapshot encodes them:
+// a reset cache must encode the same bytes as a new one.
 func (c *Cache) Reset() {
-	for i := range c.present {
-		c.present[i] = false
-		c.lruStamp[i] = 0
+	n := c.cfg.Sets * c.cfg.Ways
+	if len(c.tags) != n || len(c.present) != n || len(c.lruStamp) != n {
+		c.tags = make([]uint64, n)
+		c.present = make([]bool, n)
+		c.lruStamp = make([]uint64, n)
+	} else {
+		clear(c.tags)
+		clear(c.present)
+		clear(c.lruStamp)
 	}
 	c.nextStamp = 0
 	c.S = Stats{}

@@ -1,9 +1,12 @@
 package cachesim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ctcp/internal/snap"
 )
 
 func TestHitAfterFill(t *testing.T) {
@@ -177,6 +180,34 @@ func TestHierarchyReset(t *testing.T) {
 	}
 	if h.L1.Probe(0x1234) {
 		t.Error("Reset did not clear contents")
+	}
+}
+
+// TestResetEncodesLikeNew: a used-then-Reset hierarchy snapshots to the
+// same bytes as a new one. Snapshot serializes the raw tag arrays, so
+// behaving like a new cache is not enough; Reset must clear the tags too.
+func TestResetEncodesLikeNew(t *testing.T) {
+	encode := func(h *Hierarchy) []byte {
+		t.Helper()
+		w := snap.NewWriter()
+		h.Snapshot(w)
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := encode(NewHierarchy(DefaultHierarchy()))
+	h := NewHierarchy(DefaultHierarchy())
+	for addr := uint64(0); addr < 1<<20; addr += 4096 + 64 {
+		h.Access(int64(addr), addr)
+	}
+	h.Reset()
+	if got := encode(h); !bytes.Equal(got, want) {
+		t.Error("a reset hierarchy encodes differently from a new one")
+	}
+	if allocs := testing.AllocsPerRun(10, h.Reset); allocs != 0 {
+		t.Errorf("Reset allocated %.0f times, want 0", allocs)
 	}
 }
 

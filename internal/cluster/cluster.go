@@ -66,7 +66,6 @@ func (g Geometry) Distance(a, b int) int {
 }
 
 //ctcp:coldpath
-//
 //go:noinline
 func badDistance(a, b int) {
 	panic(fmt.Sprintf("cluster: distance between invalid clusters %d,%d", a, b))

@@ -135,7 +135,13 @@ func RunRef(prog *isa.Program, budget uint64) (ArchResult, []emu.Committed, erro
 // reference architectural state. Any violation is returned as an error; a
 // configuration the model refuses (core.InvariantError) is returned as a
 // plain error, never a panic.
-func RunPipeline(prog *isa.Program, budget uint64, cfg pipeline.Config, want []emu.Committed) (res ArchResult, err error) {
+func RunPipeline(prog *isa.Program, budget uint64, cfg pipeline.Config, want []emu.Committed) (ArchResult, error) {
+	return RunPipelineOn(new(pipeline.Pipeline), prog, budget, cfg, want)
+}
+
+// RunPipelineOn is RunPipeline on a reused pipeline: p is Reset for the run,
+// so one pipeline can check a whole corpus.
+func RunPipelineOn(p *pipeline.Pipeline, prog *isa.Program, budget uint64, cfg pipeline.Config, want []emu.Committed) (res ArchResult, err error) {
 	if budget == 0 {
 		budget = DefaultBudget
 	}
@@ -169,7 +175,7 @@ func RunPipeline(prog *isa.Program, budget uint64, cfg pipeline.Config, want []e
 		}
 		retired++
 	}
-	p := pipeline.New(&emu.LimitStream{S: m, Budget: budget}, cfg)
+	p.Reset(&emu.LimitStream{S: m, Budget: budget}, cfg)
 	p.Run()
 	if hookErr != nil {
 		return ArchResult{}, fmt.Errorf("conformance: %w", hookErr)

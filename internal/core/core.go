@@ -211,9 +211,10 @@ func (c *ChainProfile) Set(pc uint64, p trace.Profile) {
 		e.present = true
 		c.count++
 		c.order = append(c.order, pc)
-		// Compact the order slice occasionally so it cannot grow without bound.
+		// Compact the order slice in place occasionally so it cannot grow
+		// without bound.
 		if c.head > c.capLimit {
-			c.order = append([]uint64(nil), c.order[c.head:]...)
+			c.order = c.order[:copy(c.order, c.order[c.head:])]
 			c.head = 0
 		}
 	}
@@ -241,10 +242,11 @@ func (c *ChainProfile) Take(pc uint64) (trace.Profile, bool) {
 // Len returns the number of live entries.
 func (c *ChainProfile) Len() int { return c.count }
 
-// Reset clears the table.
+// Reset clears the table, keeping the dense table and the order slice's
+// capacity for reuse.
 func (c *ChainProfile) Reset() {
 	c.tab.Reset()
 	c.count = 0
-	c.order = nil
+	c.order = c.order[:0]
 	c.head = 0
 }

@@ -397,6 +397,30 @@ func TestChainProfileEvictionBound(t *testing.T) {
 	}
 }
 
+// TestChainProfileSteadyStateAllocs: once the table and its FIFO order have
+// reached their bound, eviction and order compaction reuse the same
+// storage, and so does a Reset.
+func TestChainProfileSteadyStateAllocs(t *testing.T) {
+	cp := NewChainProfile(8)
+	pc := uint64(0)
+	set := func() {
+		cp.Set(pc%(64*4), trace.Profile{Role: trace.RoleFollower, ChainCluster: 2})
+		pc += 4
+	}
+	for i := 0; i < 100; i++ {
+		set()
+	}
+	if allocs := testing.AllocsPerRun(100, set); allocs != 0 {
+		t.Errorf("steady-state Set allocated %.2f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { cp.Reset(); set() }); allocs != 0 {
+		t.Errorf("Reset then Set allocated %.2f times, want 0", allocs)
+	}
+	if cp.Len() != 1 {
+		t.Errorf("after Reset and one Set the table holds %d entries, want 1", cp.Len())
+	}
+}
+
 func TestChainProfileUpdateInPlace(t *testing.T) {
 	cp := NewChainProfile(4)
 	cp.Set(0x100, trace.Profile{Role: trace.RoleLeader, ChainCluster: 1})

@@ -69,7 +69,7 @@ func (s FillStats) ChainMigrationRate() float64 {
 //
 // The fill unit runs once per retired instruction, so its assignment pass is
 // part of the simulator's hot path: cluster priority orders that depend only
-// on the geometry are computed once at construction, and all per-trace
+// on the geometry are computed once per geometry (see Reset), and all per-trace
 // working state lives in reusable scratch buffers rather than per-call
 // allocations.
 type FillUnit struct {
@@ -85,7 +85,8 @@ type FillUnit struct {
 	// the chain table.
 	lastCluster pcmap.Map[clusterSlot]
 
-	// Geometry-derived cluster orders, fixed for the fill unit's lifetime.
+	// Geometry-derived cluster orders, rebuilt only when Reset changes the
+	// geometry.
 	selfFirst [][]int // selfFirst[c] = [c, neighbors of c middle-most first]
 	midsTrunc []int   // the Clusters/2 (min 1) middle-most clusters
 	natOrder  []int   // slot indices 0..TotalWidth-1
@@ -109,19 +110,58 @@ type FillUnit struct {
 	S FillStats
 }
 
-// NewFillUnit builds a fill unit that installs into tc.
+// NewFillUnit builds a fill unit that installs into tc, which it empties.
 func NewFillUnit(cfg Config, tc *trace.Cache) *FillUnit {
+	f := new(FillUnit)
+	f.Reset(cfg, tc)
+	return f
+}
+
+// Reset returns the fill unit, in any state, to the state NewFillUnit(cfg,
+// tc) builds, and empties tc. Storage survives where its shape does: when tc
+// is the cache the unit already fills, its installed lines join the
+// builder's recycled pool before the cache is cleared; the chain table, the
+// per-PC tables and the pending buffer are emptied in place; and the
+// geometry-derived cluster orders and per-trace scratch are kept unless
+// the geometry or the trace length changed.
+func (f *FillUnit) Reset(cfg Config, tc *trace.Cache) {
 	capLimit := cfg.ChainTableCap
 	if capLimit == 0 {
 		capLimit = 4 * cfg.Trace.Lines * cfg.Trace.MaxLen
 	}
-	f := &FillUnit{
-		cfg:     cfg,
-		builder: trace.NewBuilder(cfg.Trace),
-		tc:      tc,
-		chains:  NewChainProfile(capLimit),
+	if f.chains == nil || f.chains.capLimit != capLimit {
+		f.chains = NewChainProfile(capLimit)
+	} else {
+		f.chains.Reset()
 	}
-	g := cfg.Geom
+	if f.builder == nil {
+		f.builder = trace.NewBuilder(cfg.Trace)
+	} else {
+		f.builder.Reset(cfg.Trace)
+	}
+	if tc == f.tc {
+		for _, set := range tc.Dump() {
+			for _, line := range set {
+				f.builder.Recycle(line)
+			}
+		}
+	}
+	tc.Reset()
+	f.tc = tc
+	if f.capacity == nil || cfg.Geom != f.cfg.Geom || cfg.Trace.MaxLen != f.cfg.Trace.MaxLen {
+		f.layout(cfg.Geom, cfg.Trace.MaxLen)
+	}
+	f.cfg = cfg
+	f.pending = f.pending[:0]
+	f.lastCluster.Reset()
+	f.memo.Reset()
+	f.memoHits, f.memoMisses = 0, 0
+	f.S = FillStats{}
+}
+
+// layout builds the geometry-derived cluster orders and sizes the per-trace
+// scratch buffers for traces of up to maxLen instructions.
+func (f *FillUnit) layout(g cluster.Geometry, maxLen int) {
 	f.selfFirst = make([][]int, g.Clusters)
 	for c := 0; c < g.Clusters; c++ {
 		f.selfFirst[c] = append([]int{c}, g.Neighbors(c)...)
@@ -136,6 +176,7 @@ func NewFillUnit(cfg Config, tc *trace.Cache) *FillUnit {
 	for i := range f.natOrder {
 		f.natOrder[i] = i
 	}
+	f.midOrder = nil
 	for _, c := range mids {
 		for k := 0; k < g.Width; k++ {
 			f.midOrder = append(f.midOrder, c*g.Width+k)
@@ -143,12 +184,11 @@ func NewFillUnit(cfg Config, tc *trace.Cache) *FillUnit {
 	}
 	f.capacity = make([]int, g.Clusters)
 	f.nextSlot = make([]int, g.Clusters)
-	f.assigned = make([]int, 0, cfg.Trace.MaxLen)
-	f.prods = make([][2]int, 0, cfg.Trace.MaxLen)
-	f.consumers = make([]bool, 0, cfg.Trace.MaxLen)
+	f.assigned = make([]int, 0, maxLen)
+	f.prods = make([][2]int, 0, maxLen)
+	f.consumers = make([]bool, 0, maxLen)
 	f.order = make([]int, 0, g.Clusters+2)
-	f.pending = make([]RetireInfo, 0, cfg.Trace.MaxLen)
-	return f
+	f.pending = make([]RetireInfo, 0, maxLen)
 }
 
 // Chains exposes the chain profile table (the pipeline reads it when

@@ -141,7 +141,8 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 		w.U64(pc)
 		w.Int(int(f.lastCluster.Lookup(pc).cluster))
 	}
-	// Geometry-derived orders, fixed at construction: not serialized.
+	// Geometry-derived orders, rebuilt by Reset when the geometry
+	// changes: not serialized.
 	_ = f.selfFirst
 	_ = f.midsTrunc
 	_ = f.natOrder

@@ -81,7 +81,7 @@ const maxRetainedOut = 64
 // segment, PC is at the entry point, SP at the stack top, and GP at the data
 // base.
 func New(prog *isa.Program) *Machine {
-	m := &Machine{Mem: NewMemory(), prog: prog}
+	m := &Machine{prog: prog}
 	m.predecode()
 	m.Reset()
 	return m

@@ -56,9 +56,9 @@ func (m *Memory) Restore(r *snap.Reader) {
 			r.Failf("memory page %#x has %d bytes (want %d)", idx, len(b), pageSize)
 			return
 		}
-		p := new(page)
-		copy(p[:], b)
-		m.pages[idx] = p
+		// Bytes returns a fresh copy, so the page adopts it without a
+		// second one.
+		m.pages[idx] = (*page)(b)
 	}
 	r.End()
 }

@@ -142,9 +142,12 @@ func (t *Map[E]) ForEach(fn func(pc uint64, e *E)) {
 	}
 }
 
-// Reset drops all slots.
+// Reset empties the map in place: every dense slot is zeroed, which by the
+// package contract makes it absent, and the overflow list is truncated. The
+// dense span and both backing arrays are kept, so a map reused for the same
+// program text never grows again.
 func (t *Map[E]) Reset() {
-	t.base = 0
-	t.tab = nil
-	t.overflow = nil
+	clear(t.tab)
+	clear(t.overflow)
+	t.overflow = t.overflow[:0]
 }

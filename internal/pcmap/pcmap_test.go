@@ -180,8 +180,25 @@ func TestForEachOrderAndReset(t *testing.T) {
 			t.Fatalf("ForEach visited %#x = %v, want %#x = %v", pcs, vals, wantPCs, wantVals)
 		}
 	}
+	span := len(m.tab)
 	m.Reset()
-	if m.Lookup(at(0)) != nil || m.Lookup(at(1)+2) != nil {
-		t.Fatal("Reset left entries behind")
+	// Reset zeroes in place: dense slots stay (absent by the zero-E contract),
+	// the misaligned overflow entry is gone.
+	if e := m.Lookup(at(0)); e == nil || *e != 0 {
+		t.Fatalf("dense slot after Reset = %v, want a kept zero slot", e)
+	}
+	if m.Lookup(at(1)+2) != nil {
+		t.Fatal("Reset left an overflow entry behind")
+	}
+	if len(m.tab) != span {
+		t.Fatalf("Reset changed the dense span from %d to %d slots", span, len(m.tab))
+	}
+	m.ForEach(func(pc uint64, e *uint64) {
+		if *e != 0 {
+			t.Errorf("entry %#x = %d survived Reset", pc, *e)
+		}
+	})
+	if allocs := testing.AllocsPerRun(10, m.Reset); allocs != 0 {
+		t.Errorf("Reset allocated %.0f times, want 0", allocs)
 	}
 }

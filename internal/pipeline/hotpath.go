@@ -35,6 +35,12 @@ func (q *infQueue) push(id infID) {
 	q.buf = append(q.buf, id)
 }
 
+// reset empties the queue, keeping its buffer.
+func (q *infQueue) reset() {
+	q.buf = q.buf[:0]
+	q.head = 0
+}
+
 func (q *infQueue) popFront() infID {
 	id := q.buf[q.head]
 	q.buf[q.head] = noID
@@ -63,12 +69,16 @@ type portSched struct {
 	used  []int32
 }
 
-func newPortSched() portSched {
-	ps := portSched{cycle: make([]int64, portWindow), used: make([]int32, portWindow)}
+// reset empties the schedule in place, allocating the ring on first use.
+func (ps *portSched) reset() {
+	if len(ps.cycle) != portWindow {
+		ps.cycle = make([]int64, portWindow)
+		ps.used = make([]int32, portWindow)
+	}
 	for i := range ps.cycle {
 		ps.cycle[i] = -1
+		ps.used[i] = 0
 	}
-	return ps
 }
 
 // book reserves one port at or after cycle t given ports per cycle, and

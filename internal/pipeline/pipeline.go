@@ -37,8 +37,9 @@ type Pipeline struct {
 	mem    *cachesim.Hierarchy
 
 	stream emu.Stream
-	// predictCond is p.bp.PredictCond bound once; creating the method value
-	// at every trace cache lookup allocated a closure per fetch.
+	// predictCond is p.bp.PredictCond, bound whenever Reset replaces bp;
+	// creating the method value at every trace cache lookup allocated a
+	// closure per fetch.
 	predictCond func(uint64) bool
 	peekedRec   emu.Committed
 	havePeek    bool
@@ -108,7 +109,7 @@ type Pipeline struct {
 	// scr groups the transient scratch state — the graveyard and per-cycle
 	// buffers — that checkpointing deliberately excludes: a snapshot never
 	// serializes it, and a restored pipeline starts with the empty scratch
-	// its constructor built.
+	// Reset left.
 	scr scratch
 
 	S Stats
@@ -136,62 +137,155 @@ type scratch struct {
 // immediately (recovered into a *SimError by RunProgramErr) rather than
 // failing later inside the model.
 func New(stream emu.Stream, cfg Config) *Pipeline {
+	p := new(Pipeline)
+	p.Reset(stream, cfg)
+	return p
+}
+
+// Reset returns p, in any state, to exactly the state New(stream, cfg)
+// builds. That covers a finished run, one paused by RunTo, and one
+// abandoned mid-cycle by a panic. Reset is the pipeline's only
+// initialization path. Buffers whose geometry is unchanged are kept and
+// cleared in place; those whose geometry changed are rebuilt at the new
+// size rather than enlarged, so a reused pipeline holds no more memory than
+// cfg needs (DESIGN.md §7). A bad cfg panics *core.InvariantError before p is
+// touched.
+func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(&core.InvariantError{Msg: err.Error()})
 	}
+	old := p.cfg
 	g := cfg.Geom
-	p := &Pipeline{
-		cfg:       cfg,
-		geom:      g,
-		bp:        bpred.New(cfg.BP),
-		tc:        trace.NewCache(cfg.Trace),
-		icache:    cachesim.New(cfg.ICache),
-		mem:       cachesim.NewHierarchy(cfg.Mem),
-		stream:    stream,
-		ports:     newPortSched(),
-		lastDrain: -1,
+	p.cfg, p.geom = cfg, g
+	p.stream = stream
+
+	// Components are reset in place while their configuration is unchanged.
+	if p.bp == nil || p.bp.Config() != cfg.BP {
+		p.bp = bpred.New(cfg.BP)
+		p.predictCond = p.bp.PredictCond
+	} else {
+		p.bp.Reset()
 	}
-	p.predictCond = p.bp.PredictCond
-	p.fill = core.NewFillUnit(core.Config{
+	if p.icache == nil || p.icache.Config() != cfg.ICache {
+		p.icache = cachesim.New(cfg.ICache)
+	} else {
+		p.icache.Reset()
+	}
+	if p.mem == nil || p.mem.Config() != cfg.Mem {
+		p.mem = cachesim.NewHierarchy(cfg.Mem)
+	} else {
+		p.mem.Reset()
+	}
+	if p.tc == nil || p.tc.Config() != cfg.Trace {
+		p.tc = trace.NewCache(cfg.Trace)
+	}
+	if p.fill == nil {
+		p.fill = new(core.FillUnit)
+	}
+	// The fill unit empties the trace cache, recycling its lines.
+	p.fill.Reset(core.Config{
 		Strategy:      cfg.Strategy,
 		DisableChains: cfg.DisableChains,
 		Geom:          g,
 		Trace:         cfg.Trace,
 	}, p.tc)
-	p.dispatchQ = make([]infQueue, g.Clusters)
-	p.rsEntries = make([][]infID, g.Clusters)
-	p.readyMask = make([][]uint64, g.Clusters)
-	p.readyHeap = make([]readyHeap, g.Clusters)
-	p.distTab = make([]uint8, g.Clusters*g.Clusters)
-	p.fwdTab = make([]int64, g.Clusters*g.Clusters)
-	for a := 0; a < g.Clusters; a++ {
-		for b := 0; b < g.Clusters; b++ {
-			p.distTab[a*g.Clusters+b] = uint8(g.Distance(a, b))
-			p.fwdTab[a*g.Clusters+b] = int64(g.ForwardLat(a, b))
+
+	n := g.Clusters
+	p.distTab = zeroed(p.distTab, n*n)
+	p.fwdTab = zeroed(p.fwdTab, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			p.distTab[a*n+b] = uint8(g.Distance(a, b))
+			p.fwdTab[a*n+b] = int64(g.ForwardLat(a, b))
 		}
 	}
-	p.rsLive = make([]int, g.Clusters)
-	p.rsCount = make([][]int, g.Clusters)
-	p.fuFree = make([][]int64, g.Clusters)
-	for c := 0; c < g.Clusters; c++ {
-		p.rsCount[c] = make([]int, cluster.NumRSKinds)
-		p.fuFree[c] = make([]int64, cluster.NumFUKinds)
+	if len(p.rsEntries) != n {
+		p.dispatchQ = make([]infQueue, n)
+		p.rsEntries = make([][]infID, n)
+		p.readyMask = make([][]uint64, n)
+		p.readyHeap = make([]readyHeap, n)
+		p.rsCount = make([][]int, n)
+		p.fuFree = make([][]int64, n)
+		for c := 0; c < n; c++ {
+			p.rsCount[c] = make([]int, cluster.NumRSKinds)
+			p.fuFree[c] = make([]int64, cluster.NumFUKinds)
+		}
 	}
+	for c := 0; c < n; c++ {
+		p.dispatchQ[c].reset()
+		p.rsEntries[c] = p.rsEntries[c][:0]
+		p.readyMask[c] = p.readyMask[c][:0]
+		p.readyHeap[c] = p.readyHeap[c][:0]
+		clear(p.rsCount[c])
+		clear(p.fuFree[c])
+	}
+	p.rsLive = zeroed(p.rsLive, n)
+	p.steerQ = p.steerQ[:0]
+
+	// The in-flight store keeps its slices' capacity: grow appends zeroed
+	// slots into them, so slot numbers and generations match a new store.
+	// Its population scales with the ROB, so a new ROB size starts afresh.
+	if cfg.ROBSize != old.ROBSize {
+		p.st = infStore{}
+	} else {
+		p.st.reset()
+	}
+	p.rob.reset()
+	p.fetchQ.reset()
+	p.renameMap = [isa.NumRegs]infID{}
+	p.lastStore = noID
+	p.loadsInROB = 0
+	p.renamed = 0
+
 	// The watermark ring must cover every live store seq: outstanding
 	// (renamed, unissued) stores are bounded by ROB occupancy.
 	ring := 1
 	for ring < 2*(cfg.ROBSize+1) {
 		ring <<= 1
 	}
-	p.storeRing = make([]bool, ring)
-	p.loadWaitHead = make([]uint32, ring)
+	p.storeRing = zeroed(p.storeRing, ring)
+	p.loadWaitHead = zeroed(p.loadWaitHead, ring)
 	p.storeRingMask = uint64(ring - 1)
 	p.storeSeqNext = 1
 	p.storeWatermark = 1
-	p.scr.writeUsed = make([]int, g.Clusters*int(cluster.NumRSKinds))
-	p.scr.clusterBudget = make([]int, g.Clusters)
-	p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
-	return p
+
+	p.sbDrain = p.sbDrain[:0]
+	p.lastDrain = -1
+	p.ports.reset()
+
+	p.peekedRec = emu.Committed{}
+	p.havePeek = false
+	p.streamDone = false
+	p.now = 0
+	p.pendingRedirect = noID
+	p.nextFetch = 0
+	p.btbBubble = 0
+	p.groupSeq = 0
+	p.pcHist.Reset()
+	p.dec.Reset()
+	p.lastRetireCycle = 0
+	p.consumed = 0
+	p.fetchLimit = 0
+
+	p.scr.graveyard.reset()
+	p.scr.writeUsed = zeroed(p.scr.writeUsed, n*int(cluster.NumRSKinds))
+	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
+	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
+		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
+	}
+	// A fresh Stats, not a cleared one: a copy Finish returned shares the
+	// old PipeTrace backing array.
+	p.S = Stats{}
+}
+
+// zeroed returns s with every element cleared, reallocated only when its
+// length is not n.
+func zeroed[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // FillUnit exposes the fill unit (tests and experiments read its stats).

@@ -106,9 +106,9 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	w.Int(p.cfg.Geom.Width)
 	w.Int(p.cfg.FetchWidth)
 	w.Int(p.cfg.ROBSize)
-	_ = p.geom    // copy of cfg.Geom made by New
-	_ = p.distTab // pure function of geom, rebuilt by New
-	_ = p.fwdTab  // pure function of geom, rebuilt by New
+	_ = p.geom    // copy of cfg.Geom made by Reset
+	_ = p.distTab // pure function of geom, rebuilt by Reset
+	_ = p.fwdTab  // pure function of geom, rebuilt by Reset
 
 	w.I64(p.now)
 	w.I64(p.nextFetch)
@@ -131,7 +131,7 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	snapshotStats(w, &p.S)
 
 	// The buffered peek is empty at a drained boundary (asserted above);
-	// predictCond is p.bp.PredictCond rebound by New; scr is pooled and
+	// predictCond is p.bp.PredictCond bound by Reset; scr is pooled and
 	// per-cycle scratch that a restored pipeline rebuilds empty. The inflight
 	// store holds no live slot at a drained boundary (snapReady checks every
 	// structure that could reference one), so it is equivalent to the fresh
@@ -170,10 +170,11 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 }
 
 // Restore rebuilds the pipeline from r. The receiver must be freshly
-// constructed by New with the same configuration the snapshot was taken
-// under and a stream of the same concrete type (its position is part of
-// the encoding). After Restore the pipeline continues with RunTo / Finish
-// exactly as the snapshotted one would have.
+// constructed by New, or returned to that state by Reset, with the same
+// configuration the snapshot was taken under and a stream of the same
+// concrete type (its position is part of the encoding). After Restore the
+// pipeline continues with RunTo / Finish exactly as the snapshotted one
+// would have.
 func (p *Pipeline) Restore(r *snap.Reader) {
 	if why := p.snapReady(); why != "" {
 		r.Failf("pipeline restore target is not freshly constructed: %s", why)
@@ -262,10 +263,7 @@ func (ps *portSched) snapshot(w *snap.Writer, now int64) {
 
 // restore resets the ring and replays the live bookings.
 func (ps *portSched) restore(r *snap.Reader) {
-	for i := range ps.cycle {
-		ps.cycle[i] = -1
-		ps.used[i] = 0
-	}
+	ps.reset()
 	n := r.Int()
 	if r.Err() != nil {
 		return

@@ -218,6 +218,42 @@ func (s *infStore) grow() uint32 {
 	return idx
 }
 
+// reset empties the store, keeping every slice's capacity. It must truncate
+// exactly the slices grow appends to (TestInfStoreResetTruncatesEverySlice
+// pins that), so the next grow numbers slots from 0 again and writes each
+// one's zero values over the old contents.
+func (s *infStore) reset() {
+	s.gen = s.gen[:0]
+	s.flags = s.flags[:0]
+	s.class = s.class[:0]
+	s.cluster = s.cluster[:0]
+	s.resultAt = s.resultAt[:0]
+	s.doneAt = s.doneAt[:0]
+	s.readyAt = s.readyAt[:0]
+	s.waitCount = s.waitCount[:0]
+	s.rsSlot = s.rsSlot[:0]
+	s.waiterHead = s.waiterHead[:0]
+	s.waiterNext = s.waiterNext[:0]
+	s.loadNext = s.loadNext[:0]
+	s.barrier = s.barrier[:0]
+	s.rec = s.rec[:0]
+	s.profile = s.profile[:0]
+	s.group = s.group[:0]
+	s.ctrl = s.ctrl[:0]
+	s.station = s.station[:0]
+	s.renameReady = s.renameReady[:0]
+	s.dispatchReady = s.dispatchReady[:0]
+	s.rfReady = s.rfReady[:0]
+	s.src = s.src[:0]
+	s.dest = s.dest[:0]
+	s.prod = s.prod[:0]
+	s.prevStore = s.prevStore[:0]
+	s.critProd = s.critProd[:0]
+	s.critSrc = s.critSrc[:0]
+	s.freeAfter = s.freeAfter[:0]
+	s.free = s.free[:0]
+}
+
 // release recycles a slot: the generation bump invalidates every outstanding
 // reference to the record that lived there.
 func (s *infStore) release(idx uint32) {

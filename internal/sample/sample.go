@@ -116,7 +116,8 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg.MaxInsts = 0 // budgets are per-region LimitStreams, not global
+	cfg.MaxInsts = 0     // budgets are per-region LimitStreams, not global
+	cfg.RetireHook = nil // per-region pipelines must not feed shared observers
 
 	// Forward pass: the functional emulator alone, snapshotting the
 	// architectural state at each region start.
@@ -134,6 +135,13 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 			span = rest
 		}
 		w := snap.NewWriter()
+		if n := len(starts); n > 0 {
+			// The memory image rarely shrinks between checkpoints, so the
+			// previous one plus an eighth sizes this one without the
+			// writer doubling its buffer up from 4 KB.
+			prev := len(starts[n-1].ckpt)
+			w.Grow(prev + prev/8)
+		}
 		m.Snapshot(w)
 		ckpt, err := w.Finish()
 		if err != nil {
@@ -175,6 +183,7 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			wk := worker{m: emu.New(prog), p: new(pipeline.Pipeline)}
 			for idx := range jobs {
 				det, warm := detail, opts.Warmup
 				if idx == 0 {
@@ -184,7 +193,7 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 					// discard, no scaling to extrapolate the ramp.
 					det, warm = starts[idx].span, 0
 				}
-				regions[idx], stats[idx], errs[idx] = runRegion(prog, cfg, starts[idx].ckpt, starts[idx].start, starts[idx].span, det, warm)
+				regions[idx], stats[idx], errs[idx] = wk.runRegion(cfg, starts[idx].ckpt, starts[idx].start, starts[idx].span, det, warm)
 				regions[idx].Index = idx
 				if opts.OnRegion != nil {
 					opts.OnRegion(int(completed.Add(1)), len(starts))
@@ -211,17 +220,27 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// runRegion restores one architectural checkpoint into a fresh emulator and
-// simulates up to detail instructions on a cold cycle model, optionally
-// excluding a warmup prefix from the measurement.
-func runRegion(prog *isa.Program, cfg pipeline.Config, ckpt []byte, start, span, detail, warm uint64) (Region, *pipeline.Stats, error) {
+// worker is one detailed-simulation goroutine's machine, reused for every
+// region it runs: each region's checkpoint is restored into the emulator
+// (Restore overwrites all architectural state) and the pipeline is Reset to
+// the cold state New builds, so a region's result does not depend on which
+// worker ran it or what that worker ran before.
+type worker struct {
+	m      *emu.Machine
+	stream emu.LimitStream
+	p      *pipeline.Pipeline
+}
+
+// runRegion restores one architectural checkpoint into the worker's
+// emulator and simulates up to detail instructions on a cold cycle model,
+// optionally excluding a warmup prefix from the measurement.
+func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detail, warm uint64) (Region, *pipeline.Stats, error) {
 	reg := Region{StartInst: start, SpanInsts: span}
-	m := emu.New(prog)
 	r, err := snap.NewReader(ckpt)
 	if err != nil {
 		return reg, nil, err
 	}
-	m.Restore(r)
+	wk.m.Restore(r)
 	if err := r.Close(); err != nil {
 		return reg, nil, err
 	}
@@ -232,8 +251,9 @@ func runRegion(prog *isa.Program, cfg pipeline.Config, ckpt []byte, start, span,
 	if warm >= budget {
 		warm = budget / 2
 	}
-	cfg.RetireHook = nil // per-region pipelines must not feed shared observers
-	p := pipeline.New(&emu.LimitStream{S: m, Budget: budget}, cfg)
+	wk.stream = emu.LimitStream{S: wk.m, Budget: budget}
+	p := wk.p
+	p.Reset(&wk.stream, cfg)
 	if warm > 0 {
 		p.RunTo(warm)
 		reg.WarmCycles = p.CurrentCycle()

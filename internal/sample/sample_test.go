@@ -12,6 +12,7 @@ import (
 	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
 	"ctcp/internal/prog"
+	"ctcp/internal/snap"
 	"ctcp/internal/workload"
 )
 
@@ -124,6 +125,103 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two sampled runs with 4 workers produced different results")
+	}
+}
+
+// replayFresh recomputes Run's Result one region after another, restoring
+// each checkpoint into a new emulator (emu.New) and simulating it on a new
+// pipeline (pipeline.New), the way cmd/ctcpperf's replay does. It shares no
+// code with Run's workers, which reuse one emulator and one pipeline each,
+// so equal Results pin that reuse against rebuilding.
+func replayFresh(t *testing.T, prog *isa.Program, cfg pipeline.Config, opts Options) *Result {
+	t.Helper()
+	type start struct {
+		at, span uint64
+		ckpt     []byte
+	}
+	var starts []start
+	m := emu.New(prog)
+	res := &Result{}
+	for res.TotalInsts < opts.MaxInsts {
+		span := min(opts.Interval, opts.MaxInsts-res.TotalInsts)
+		w := snap.NewWriter()
+		m.Snapshot(w)
+		ckpt, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n uint64
+		for n < span {
+			if _, ok := m.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if n == 0 {
+			break
+		}
+		starts = append(starts, start{res.TotalInsts, n, ckpt})
+		res.TotalInsts += n
+		if n < span {
+			break
+		}
+	}
+	for idx, s := range starts {
+		detail, warm := min(opts.Detail, s.span), opts.Warmup
+		if idx == 0 {
+			detail, warm = s.span, 0
+		}
+		if warm >= detail {
+			warm = detail / 2
+		}
+		rm := emu.New(prog)
+		r, err := snap.NewReader(s.ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm.Restore(r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		p := pipeline.New(&emu.LimitStream{S: rm, Budget: detail}, cfg)
+		reg := Region{Index: idx, StartInst: s.at, SpanInsts: s.span}
+		if warm > 0 {
+			p.RunTo(warm)
+			reg.WarmCycles, reg.WarmInsts = p.CurrentCycle(), p.Retired()
+		}
+		p.RunTo(0)
+		st := p.Finish()
+		reg.Insts, reg.Cycles = st.Retired-reg.WarmInsts, st.Cycles-reg.WarmCycles
+		if reg.Insts > 0 {
+			reg.EstCycles = float64(reg.Cycles) * float64(s.span) / float64(reg.Insts)
+		}
+		res.Regions = append(res.Regions, reg)
+		res.DetailedInsts += reg.WarmInsts + reg.Insts
+		res.DetailedCycles += reg.WarmCycles + reg.Cycles
+		res.EstimatedCycles += reg.EstCycles
+		addStats(&res.Stats, st)
+	}
+	return res
+}
+
+// TestSampledMatchesFreshPipelines: Run, whose workers each reuse one
+// emulator and one pipeline across regions, returns exactly the Result of
+// restoring and simulating every region on a new emulator and pipeline.
+func TestSampledMatchesFreshPipelines(t *testing.T) {
+	const insts = 100_000
+	opts := Options{Interval: 12_500, Detail: 2_500, Warmup: 1_000, Workers: 2, MaxInsts: insts}
+	for _, name := range []string{"gzip", "mcf", "eon", "vortex"} {
+		prog := benchProgram(t, name, insts).bm.ProgramFor(insts)
+		for _, k := range []core.StrategyKind{core.FDRT, core.IssueTime, core.Friendly} {
+			cfg := pipeline.DefaultConfig().WithStrategy(k, false)
+			got, err := Run(prog, cfg, opts)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, k, err)
+			}
+			if want := replayFresh(t, prog, cfg, opts); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v: Run's result differs from fresh-pipeline replay\n run    %+v\n replay %+v", name, k, got, want)
+			}
+		}
 	}
 }
 

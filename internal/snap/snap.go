@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Format identification.
@@ -77,6 +78,11 @@ func NewWriter() *Writer {
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
 	return w
 }
+
+// Grow makes room for at least n more bytes without another reallocation.
+// It is a capacity hint for callers that know roughly how large the
+// snapshot will be; the encoding is unaffected.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Failf records an error; all subsequent calls become no-ops.
 func (w *Writer) Failf(format string, args ...any) {

@@ -100,6 +100,33 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// TestGrowIsOnlyAHint: the hinted room fills without reallocating, and Grow
+// changes no encoded byte, even when it reallocates mid-encoding.
+func TestGrowIsOnlyAHint(t *testing.T) {
+	want, err := writeSample().Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 64<<10)
+	w := NewWriter()
+	w.Grow(8 + len(payload)) // length prefix + bytes
+	room := cap(w.buf)
+	w.Bytes(payload)
+	if cap(w.buf) != room {
+		t.Errorf("writing into the hinted room grew the buffer from %d to %d bytes", room, cap(w.buf))
+	}
+
+	w = writeSample()
+	w.Grow(8 << 10) // past NewWriter's 4 KB: reallocates mid-encoding
+	got, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("Grow changed the encoding")
+	}
+}
+
 func TestCorruptionDetected(t *testing.T) {
 	data, err := writeSample().Finish()
 	if err != nil {

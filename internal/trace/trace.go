@@ -334,6 +334,23 @@ func NewBuilder(cfg Config) *Builder {
 	return &Builder{cfg: cfg}
 }
 
+// Reset discards the trace under construction and adopts cfg. The recycled
+// line pool is kept, and the line under construction rejoins it, unless cfg
+// differs from the builder's configuration: then the pool is dropped, so the
+// builder never holds more storage than the new configuration uses.
+func (b *Builder) Reset(cfg Config) {
+	if cfg != b.cfg {
+		b.free = nil
+	} else if b.reuse != nil {
+		b.free = append(b.free, b.reuse)
+	}
+	b.cfg = cfg
+	b.reuse = nil
+	b.slots = nil
+	b.blocks = 0
+	b.indirect = false
+}
+
 // Pending returns the number of buffered instructions.
 func (b *Builder) Pending() int { return len(b.slots) }
 
@@ -437,5 +454,6 @@ func (b *Builder) Recycle(t *Trace) {
 	b.free = append(b.free, t)
 }
 
-// Dump exposes the raw line array for diagnostics and tests.
+// Dump exposes the raw line array for diagnostics and tests, and to the fill
+// unit, which recycles the lines before it resets the cache.
 func (c *Cache) Dump() [][]*Trace { return c.lines }
