@@ -285,6 +285,28 @@ func TestSampledRunnerDeterministic(t *testing.T) {
 	}
 }
 
+// TestSampledRunnerRecordsInvalidConfig: a sampled run of a configuration
+// Validate rejects fails that run alone, recorded in the runner's failures,
+// instead of crashing the process from a sampling worker.
+func TestSampledRunnerRecordsInvalidConfig(t *testing.T) {
+	bm, _ := workload.ByName("gzip")
+	r := NewRunner(Options{Budget: ckptBudget, SampleInterval: 5_000, SampleDetail: 2_000, SampleWorkers: 2})
+	bad := BaseConfig()
+	bad.ROBSize = 0
+	if s, err := r.RunErr(bm, "bad", bad); err == nil {
+		t.Fatalf("ROBSize 0 simulated: %+v", s)
+	}
+	if _, err := r.RunErr(bm, "base", BaseConfig()); err != nil {
+		t.Fatalf("healthy run after a failed one: %v", err)
+	}
+	if errs := r.Errors(); len(errs) != 1 || errs["gzip/bad"] == nil {
+		t.Errorf("Errors() = %v, want exactly gzip/bad", errs)
+	}
+	if st := r.Stats(); st.Failed != 1 || st.Completed != 1 {
+		t.Errorf("stats = %+v, want 1 failed / 1 completed", st)
+	}
+}
+
 // TestSampledAndCheckpointedExclusive: configuring both modes is a per-run
 // error, not a silent precedence choice.
 func TestSampledAndCheckpointedExclusive(t *testing.T) {

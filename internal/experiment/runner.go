@@ -50,7 +50,8 @@ const (
 	// checkpoint; Done/Total carry committed instructions out of the budget.
 	RunSegment
 	// RunRegion: a sampled run completed one detailed region window;
-	// Done/Total count regions.
+	// Done/Total count regions, Total being the planned schedule length
+	// (sample.Options.OnRegion).
 	RunRegion
 )
 
@@ -83,7 +84,8 @@ type ProgressEvent struct {
 	Wall time.Duration // simulation wall time (RunCompleted, RunFailed)
 	Err  error         // the failure (RunFailed)
 	// Done/Total report intra-run progress: instructions out of the budget
-	// (RunSegment) or completed regions out of the schedule (RunRegion).
+	// (RunSegment) or completed regions out of the planned schedule
+	// (RunRegion).
 	Done, Total uint64
 }
 

@@ -126,9 +126,13 @@ type scratch struct {
 
 	// Per-cycle scratch, reused across cycles. writeUsed is the flattened
 	// [cluster][station] write-port usage; fetchBuf collects one fetch
-	// group; clusterBudget is the per-cluster steering budget.
+	// group; clusterBudget is the per-cluster steering budget. open is
+	// issue-time steering's per-cluster mask of the stations that can still
+	// take an instruction this cycle (bit rs: not full, a write port left);
+	// a cluster whose steering budget is spent has none.
 	writeUsed     []int
 	clusterBudget []int
+	open          []uint8
 	fetchBuf      []uint32
 }
 
@@ -270,6 +274,7 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.scr.graveyard.reset()
 	p.scr.writeUsed = zeroed(p.scr.writeUsed, n*int(cluster.NumRSKinds))
 	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
+	p.scr.open = zeroed(p.scr.open, n)
 	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
 		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
 	}
@@ -784,9 +789,20 @@ func (p *Pipeline) dispatch() bool {
 	worked := false
 	clear(p.scr.writeUsed)
 	if p.cfg.Strategy.SteersAtIssue() {
-		budget := p.geom.TotalWidth()
-		for c := range p.scr.clusterBudget {
+		// Write ports are all free at the top of the cycle, so a station is
+		// open iff it has a free entry. anyOpen is the union over clusters:
+		// once it is empty nothing more can dispatch this cycle.
+		var anyOpen uint8
+		for c := range p.scr.open {
 			p.scr.clusterBudget[c] = p.geom.Width
+			var m uint8
+			for rs, n := range p.rsCount[c] {
+				if n < p.cfg.RS.Entries {
+					m |= 1 << rs
+				}
+			}
+			p.scr.open[c] = m
+			anyOpen |= m
 		}
 		// Scan the steering window in age order; an instruction whose target
 		// cluster is saturated does not block younger instructions bound for
@@ -795,18 +811,34 @@ func (p *Pipeline) dispatch() bool {
 		scanned := 0
 		for i, id := range p.steerQ {
 			idx := uint32(id) // queue membership implies liveness
-			if budget <= 0 || st.dispatchReady[idx] > p.now || scanned >= 2*p.geom.TotalWidth() {
+			if anyOpen == 0 || st.dispatchReady[idx] > p.now || scanned >= 2*p.geom.TotalWidth() {
 				kept = append(kept, p.steerQ[i:]...)
 				break
 			}
 			scanned++
-			c := p.steerTarget(idx)
+			stations := classStations[st.class[idx]]
+			if anyOpen&stations == 0 {
+				kept = append(kept, id) // no cluster can take this class
+				continue
+			}
+			c := p.steerTarget(idx, stations)
 			if c >= 0 {
 				st.cluster[idx] = int32(c)
 				if p.insertRS(idx, c) {
-					p.scr.clusterBudget[c]--
-					budget--
 					worked = true
+					p.scr.clusterBudget[c]--
+					was := p.scr.open[c]
+					if rs := cluster.RSKind(st.station[idx]); p.scr.clusterBudget[c] <= 0 {
+						p.scr.open[c] = 0
+					} else if p.rsCount[c][rs] >= p.cfg.RS.Entries || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
+						p.scr.open[c] &^= 1 << rs
+					}
+					if p.scr.open[c] != was {
+						anyOpen = 0
+						for _, m := range p.scr.open {
+							anyOpen |= m
+						}
+					}
 					continue
 				}
 				st.cluster[idx] = -1
@@ -837,23 +869,25 @@ func (p *Pipeline) dispatch() bool {
 	return worked
 }
 
+// classStations is cluster.StationsFor as a station bit mask per class,
+// matched against the per-cycle open masks of issue-time steering.
+var classStations = func() (t [isa.NumClasses]uint8) {
+	for class := range t {
+		for _, rs := range cluster.StationsFor(isa.Class(class)) {
+			t[class] |= 1 << rs
+		}
+	}
+	return t
+}()
+
 // steerTarget implements issue-time steering: send the instruction to the
 // cluster generating one of its in-flight inputs (preferring the input
 // expected to arrive last), else balance load; at most Width instructions
-// per cluster per cycle.
-func (p *Pipeline) steerTarget(idx uint32) int {
+// per cluster per cycle. stations is classStations for the instruction's
+// class: a cluster is usable iff its open mask shares a bit with it.
+func (p *Pipeline) steerTarget(idx uint32, stations uint8) int {
 	st := &p.st
-	usable := func(c int) bool {
-		if c < 0 || c >= p.geom.Clusters || p.scr.clusterBudget[c] <= 0 {
-			return false
-		}
-		for _, rs := range cluster.StationsFor(st.class[idx]) {
-			if p.rsCount[c][rs] < p.cfg.RS.Entries && *p.wu(c, rs) < p.cfg.RS.WritePorts {
-				return true
-			}
-		}
-		return false
-	}
+	open := p.scr.open
 	// Prefer the producer whose value arrives later (the likely critical
 	// input); both producers' clusters are known because dispatch is
 	// in order.
@@ -877,21 +911,15 @@ func (p *Pipeline) steerTarget(idx uint32) int {
 			best = int(st.cluster[pi])
 		}
 	}
-	if best >= 0 && usable(best) {
+	if best >= 0 && open[best]&stations != 0 {
 		return best
 	}
-	// Fall back: least-occupied usable cluster.
+	// Fall back: least-occupied usable cluster (rsLive is the cluster's
+	// total station occupancy).
 	target, bestOcc := -1, 1<<30
-	for c := 0; c < p.geom.Clusters; c++ {
-		if !usable(c) {
-			continue
-		}
-		occ := 0
-		for rs := 0; rs < int(cluster.NumRSKinds); rs++ {
-			occ += p.rsCount[c][rs]
-		}
-		if occ < bestOcc {
-			bestOcc, target = occ, c
+	for c, m := range open {
+		if m&stations != 0 && p.rsLive[c] < bestOcc {
+			bestOcc, target = p.rsLive[c], c
 		}
 	}
 	return target

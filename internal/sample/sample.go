@@ -1,14 +1,17 @@
 // Package sample implements region-parallel sampled simulation: a fast
 // functional-only pass over the program drops architectural checkpoints at
-// fixed instruction intervals, then a bounded worker pool simulates a
-// detailed window from each checkpoint in parallel on the cycle model, and
-// the per-region measurements merge into a whole-program estimate.
+// fixed instruction intervals, a bounded worker pool simulates a detailed
+// window from each checkpoint in parallel on the cycle model, and the
+// per-region measurements merge into a whole-program estimate.
 //
-// The speed comes from two directions at once. Fast-forwarding runs the
+// The speed comes from three directions at once. Fast-forwarding runs the
 // emulator alone — orders of magnitude cheaper per instruction than the
 // cycle model — and the detailed windows, which dominate the remaining
 // cost, are embarrassingly parallel because each starts from its own
-// checkpoint. Each window begins with cold microarchitectural state
+// checkpoint. The forward pass also overlaps the windows: it hands each
+// region to the pool as soon as the region's span is known, so the entry
+// region starts after one interval of emulation rather than after the
+// whole program. Each window begins with cold microarchitectural state
 // (empty predictor, caches, and trace cache), so the estimate carries the
 // usual cold-start bias of checkpoint sampling; shorter intervals and
 // longer windows shrink it. The merged result is deterministic: region
@@ -17,8 +20,10 @@ package sample
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +58,10 @@ type Options struct {
 	// MaxInsts is the total instruction budget to cover. Required.
 	MaxInsts uint64
 	// OnRegion, when non-nil, is called once per completed detailed window
-	// with the number of regions finished so far and the schedule total. It
+	// with the number of regions finished so far and the planned schedule
+	// length, ceil(MaxInsts/Interval). Windows start while the forward pass
+	// is still running, so the final region count is not known yet: a
+	// program that halts early finishes with fewer regions than total. It
 	// fires from worker goroutines (concurrently, completion order) and must
 	// be safe for concurrent use; the merged Result stays deterministic
 	// regardless.
@@ -108,116 +116,135 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 	if opts.MaxInsts == 0 {
 		return nil, fmt.Errorf("sample: MaxInsts must be positive")
 	}
+	// Every worker's Pipeline.Reset would panic on a bad cfg; fail once, up
+	// front, before any emulation.
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sample: %w", err)
+	}
 	detail := opts.Detail
 	if detail == 0 || detail > opts.Interval {
 		detail = opts.Interval
 	}
+	// planned is the schedule length; a program that halts early produces
+	// fewer regions.
+	planned := int(min((opts.MaxInsts-1)/opts.Interval+1, math.MaxInt))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, planned)
 	cfg.MaxInsts = 0     // budgets are per-region LimitStreams, not global
 	cfg.RetireHook = nil // per-region pipelines must not feed shared observers
 
-	// Forward pass: the functional emulator alone, snapshotting the
-	// architectural state at each region start.
-	type regionStart struct {
-		start uint64
-		span  uint64
-		ckpt  []byte
-	}
-	var starts []regionStart
-	m := emu.New(prog)
-	var executed uint64
-	for executed < opts.MaxInsts {
-		span := opts.Interval
-		if rest := opts.MaxInsts - executed; rest < span {
-			span = rest
-		}
-		w := snap.NewWriter()
-		if n := len(starts); n > 0 {
-			// The memory image rarely shrinks between checkpoints, so the
-			// previous one plus an eighth sizes this one without the
-			// writer doubling its buffer up from 4 KB.
-			prev := len(starts[n-1].ckpt)
-			w.Grow(prev + prev/8)
-		}
-		m.Snapshot(w)
-		ckpt, err := w.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("sample: checkpoint at inst %d: %w", executed, err)
-		}
-		starts = append(starts, regionStart{start: executed, span: span, ckpt: ckpt})
-		var i uint64
-		for i = 0; i < span; i++ {
-			if _, ok := m.Next(); !ok {
-				break
-			}
-		}
-		if i == 0 {
-			// The program halted exactly at the boundary: the checkpoint
-			// stands for nothing.
-			starts = starts[:len(starts)-1]
-			break
-		}
-		executed += i
-		if i < span {
-			starts[len(starts)-1].span = i
-			break
-		}
-	}
-	total := executed
-
-	// Detailed windows in parallel. Results land in a slot per region, so
-	// the merge below is independent of completion order.
-	regions := make([]Region, len(starts))
-	stats := make([]*pipeline.Stats, len(starts))
-	errs := make([]error, len(starts))
-	jobs := make(chan int)
+	// Detailed windows run while the forward pass produces them. The buffer
+	// holds one job per worker, which bounds the checkpoints alive at once.
+	jobs := make(chan job, workers)
 	var wg sync.WaitGroup
 	var completed atomic.Int64
-	if workers > len(starts) {
-		workers = len(starts)
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			wk := worker{m: emu.New(prog), p: new(pipeline.Pipeline)}
-			for idx := range jobs {
+			for j := range jobs {
 				det, warm := detail, opts.Warmup
-				if idx == 0 {
+				if j.idx == 0 {
 					// The entry region is special: its cold state is the
 					// true initial state, and the warm-up ramp it measures
 					// is nonlinear, so it is simulated whole — no warmup to
 					// discard, no scaling to extrapolate the ramp.
-					det, warm = starts[idx].span, 0
+					det, warm = j.span, 0
 				}
-				regions[idx], stats[idx], errs[idx] = wk.runRegion(cfg, starts[idx].ckpt, starts[idx].start, starts[idx].span, det, warm)
-				regions[idx].Index = idx
+				j.out.reg, j.out.stats, j.out.err = wk.runRegion(cfg, j.ckpt, j.start, j.span, det, warm)
+				j.out.reg.Index = j.idx
 				if opts.OnRegion != nil {
-					opts.OnRegion(int(completed.Add(1)), len(starts))
+					opts.OnRegion(int(completed.Add(1)), planned)
 				}
 			}
 		}()
 	}
-	for idx := range starts {
-		jobs <- idx
-	}
-	close(jobs)
+	slots, total, err := forward(prog, opts, jobs)
 	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
 
-	res := &Result{Regions: regions, TotalInsts: total}
-	for idx := range regions {
-		if errs[idx] != nil {
-			return nil, fmt.Errorf("sample: region %d (inst %d): %w", idx, starts[idx].start, errs[idx])
+	// Each region's result sits in its own slot, so the merge is
+	// independent of completion order.
+	res := &Result{Regions: make([]Region, len(slots)), TotalInsts: total}
+	for idx, s := range slots {
+		if s.err != nil {
+			return nil, fmt.Errorf("sample: region %d (inst %d): %w", idx, s.reg.StartInst, s.err)
 		}
-		res.DetailedInsts += regions[idx].WarmInsts + regions[idx].Insts
-		res.DetailedCycles += regions[idx].WarmCycles + regions[idx].Cycles
-		res.EstimatedCycles += regions[idx].EstCycles
-		addStats(&res.Stats, stats[idx])
+		res.Regions[idx] = s.reg
+		res.DetailedInsts += s.reg.WarmInsts + s.reg.Insts
+		res.DetailedCycles += s.reg.WarmCycles + s.reg.Cycles
+		res.EstimatedCycles += s.reg.EstCycles
+		addStats(&res.Stats, s.stats)
 	}
 	return res, nil
+}
+
+// job is one region handed from the forward pass to the worker pool.
+type job struct {
+	idx         int
+	start, span uint64
+	ckpt        []byte
+	out         *slot
+}
+
+// slot is one region's outcome, written by the worker that simulated it.
+type slot struct {
+	reg   Region
+	stats *pipeline.Stats
+	err   error
+}
+
+// forward is the functional pass: the emulator alone, snapshotting the
+// architectural state at each region start and executing the region's
+// span. A region is sent to jobs as soon as its span is known, because the
+// span sets its detailed budget and scales its estimate. forward closes
+// jobs on every return, so the workers drain and exit even after a
+// checkpoint error. It returns the regions' slots in schedule order and
+// the instructions executed.
+func forward(prog *isa.Program, opts Options, jobs chan<- job) (slots []*slot, executed uint64, err error) {
+	defer close(jobs)
+	m := emu.New(prog)
+	var rec emu.Committed
+	prev := 0 // the previous checkpoint's size
+	for executed < opts.MaxInsts {
+		span := min(opts.Interval, opts.MaxInsts-executed)
+		w := snap.NewWriter()
+		if prev > 0 {
+			// The memory image rarely shrinks between checkpoints, so the
+			// previous one plus an eighth sizes this one without the
+			// writer doubling its buffer up from 4 KB.
+			w.Grow(prev + prev/8)
+		}
+		m.Snapshot(w)
+		ckpt, err := w.Finish()
+		if err != nil {
+			return nil, 0, fmt.Errorf("sample: checkpoint at inst %d: %w", executed, err)
+		}
+		prev = len(ckpt)
+		var n uint64
+		for n < span && m.NextInto(&rec) {
+			n++
+		}
+		if n == 0 {
+			// The program halted exactly at the boundary: the checkpoint
+			// stands for nothing.
+			break
+		}
+		out := new(slot)
+		slots = append(slots, out)
+		jobs <- job{idx: len(slots) - 1, start: executed, span: n, ckpt: ckpt, out: out}
+		executed += n
+		if n < span {
+			break
+		}
+	}
+	return slots, executed, nil
 }
 
 // worker is one detailed-simulation goroutine's machine, reused for every
@@ -233,9 +260,18 @@ type worker struct {
 
 // runRegion restores one architectural checkpoint into the worker's
 // emulator and simulates up to detail instructions on a cold cycle model,
-// optionally excluding a warmup prefix from the measurement.
-func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detail, warm uint64) (Region, *pipeline.Stats, error) {
-	reg := Region{StartInst: start, SpanInsts: span}
+// optionally excluding a warmup prefix from the measurement. A panic in the
+// model (the no-progress watchdog, a *core.InvariantError) becomes the
+// region's *pipeline.SimError, as RunProgramErr does for a whole run: it
+// would otherwise kill the process from a worker goroutine, where no
+// caller's recover reaches. The next Reset clears the abandoned pipeline.
+func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detail, warm uint64) (reg Region, s *pipeline.Stats, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec), Stack: string(debug.Stack())}
+		}
+	}()
+	reg = Region{StartInst: start, SpanInsts: span}
 	r, err := snap.NewReader(ckpt)
 	if err != nil {
 		return reg, nil, err
@@ -260,7 +296,7 @@ func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detai
 		reg.WarmInsts = p.Retired()
 	}
 	p.RunTo(0)
-	s := p.Finish()
+	s = p.Finish()
 	reg.Insts = s.Retired - reg.WarmInsts
 	reg.Cycles = s.Cycles - reg.WarmCycles
 	if reg.Insts > 0 {

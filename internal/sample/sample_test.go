@@ -1,9 +1,12 @@
 package sample
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -205,23 +208,138 @@ func replayFresh(t *testing.T, prog *isa.Program, cfg pipeline.Config, opts Opti
 }
 
 // TestSampledMatchesFreshPipelines: Run, whose workers each reuse one
-// emulator and one pipeline across regions, returns exactly the Result of
-// restoring and simulating every region on a new emulator and pipeline.
+// emulator and one pipeline across regions and start them while the forward
+// pass is still running, returns exactly the Result of finishing the forward
+// pass first and then restoring and simulating every region in order on a
+// new emulator and pipeline. That holds for every pool size, for a program
+// that halts partway through the schedule, and for a budget that ends
+// mid-interval.
 func TestSampledMatchesFreshPipelines(t *testing.T) {
-	const insts = 100_000
-	opts := Options{Interval: 12_500, Detail: 2_500, Warmup: 1_000, Workers: 2, MaxInsts: insts}
+	const insts, interval = 100_000, 12_500
+	type schedule struct {
+		name     string
+		prog     *isa.Program
+		maxInsts uint64
+		ragged   bool // the last region is shorter than the interval
+	}
+	var cases []schedule
 	for _, name := range []string{"gzip", "mcf", "eon", "vortex"} {
-		prog := benchProgram(t, name, insts).bm.ProgramFor(insts)
+		cases = append(cases, schedule{name, benchProgram(t, name, insts).bm.ProgramFor(insts), insts, false})
+	}
+	cases = append(cases,
+		// Sized for 60k, gzip halts inside the fifth of eight intervals.
+		schedule{"gzip/halts-mid-schedule", benchProgram(t, "gzip", 60_000).bm.ProgramFor(60_000), insts, true},
+		// The budget ends 9.5k into the eighth interval.
+		schedule{"mcf/ragged-budget", benchProgram(t, "mcf", insts).bm.ProgramFor(insts), insts - 3_000, true},
+	)
+	for _, c := range cases {
 		for _, k := range []core.StrategyKind{core.FDRT, core.IssueTime, core.Friendly} {
 			cfg := pipeline.DefaultConfig().WithStrategy(k, false)
-			got, err := Run(prog, cfg, opts)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, k, err)
+			opts := Options{Interval: interval, Detail: 2_500, Warmup: 1_000, MaxInsts: c.maxInsts}
+			want := replayFresh(t, c.prog, cfg, opts)
+			if last := want.Regions[len(want.Regions)-1]; c.ragged != (last.SpanInsts < interval) {
+				t.Fatalf("%s: last region spans %d insts; the case needs ragged=%v", c.name, last.SpanInsts, c.ragged)
 			}
-			if want := replayFresh(t, prog, cfg, opts); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%v: Run's result differs from fresh-pipeline replay\n run    %+v\n replay %+v", name, k, got, want)
+			for _, workers := range []int{1, 2, 4} {
+				opts.Workers = workers
+				got, err := Run(c.prog, cfg, opts)
+				if err != nil {
+					t.Fatalf("%s/%v/%d workers: %v", c.name, k, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%v/%d workers: Run's result differs from fresh-pipeline replay\n run    %+v\n replay %+v", c.name, k, workers, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestSampledOnRegionTotal: OnRegion reports the planned schedule length as
+// its total, so a program that halts early finishes with fewer callbacks
+// than that total — one per region, with done never past total.
+func TestSampledOnRegionTotal(t *testing.T) {
+	p := benchProgram(t, "gzip", 30_000)
+	const interval, maxInsts = 10_000, 95_000 // a planned schedule of 10 regions
+	var mu sync.Mutex
+	var calls, maxDone int
+	res, err := Run(p.bm.ProgramFor(30_000), fdrtConfig(), Options{
+		Interval: interval,
+		Detail:   2_000,
+		Workers:  3,
+		MaxInsts: maxInsts,
+		OnRegion: func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			maxDone = max(maxDone, done)
+			if total != 10 {
+				t.Errorf("OnRegion total %d, want the planned 10", total)
+			}
+			if done > total {
+				t.Errorf("OnRegion done %d > total %d", done, total)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Regions); n >= 10 {
+		t.Fatalf("%d regions: the program was meant to halt before the schedule ends", n)
+	}
+	if calls != len(res.Regions) || maxDone != len(res.Regions) {
+		t.Errorf("%d callbacks reaching done=%d, want one per region (%d)", calls, maxDone, len(res.Regions))
+	}
+}
+
+// TestSampledInvalidConfig: a configuration Validate rejects is Run's
+// error, returned before the forward pass, instead of a panic on a worker
+// goroutine that no caller's recover can reach.
+func TestSampledInvalidConfig(t *testing.T) {
+	p := benchProgram(t, "gzip", 10_000)
+	cfg := fdrtConfig()
+	cfg.ROBSize = 0
+	res, err := Run(p.bm.ProgramFor(10_000), cfg, Options{Interval: 2_500, MaxInsts: 10_000, Workers: 2})
+	if err == nil {
+		t.Fatalf("ROBSize 0 accepted: %+v", res)
+	}
+}
+
+// TestSampledRegionPanicRecovered: a panic inside one region's simulation
+// becomes that region's *pipeline.SimError, with the panic and its stack,
+// and the worker that hit it simulates its next region exactly as a new
+// worker would.
+func TestSampledRegionPanicRecovered(t *testing.T) {
+	prog := benchProgram(t, "gzip", 10_000).bm.ProgramFor(10_000)
+	w := snap.NewWriter()
+	emu.New(prog).Snapshot(w)
+	ckpt, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWorker := func() *worker { return &worker{m: emu.New(prog), p: new(pipeline.Pipeline)} }
+
+	bad := fdrtConfig()
+	bad.ROBSize = 0 // Pipeline.Reset panics with *core.InvariantError
+	wk := newWorker()
+	_, s, err := wk.runRegion(bad, ckpt, 0, 5_000, 5_000, 0)
+	var se *pipeline.SimError
+	if !errors.As(err, &se) || s != nil {
+		t.Fatalf("runRegion = (%v, %v), want nil stats and a *pipeline.SimError", s, err)
+	}
+	if !strings.Contains(se.Reason, "ROBSize") || se.Stack == "" {
+		t.Errorf("SimError lacks the panic or its stack: %+v", se)
+	}
+
+	reg, s, err := wk.runRegion(fdrtConfig(), ckpt, 0, 5_000, 2_000, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReg, wantS, err := newWorker().runRegion(fdrtConfig(), ckpt, 0, 5_000, 2_000, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg != wantReg || !reflect.DeepEqual(s, wantS) {
+		t.Errorf("worker after a recovered panic: %+v, want a new worker's %+v", reg, wantReg)
 	}
 }
 

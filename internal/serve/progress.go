@@ -17,7 +17,8 @@ type Event struct {
 	Type string `json:"type"` // queued, running, segment, region, done, failed, interrupted
 	Job  string `json:"job"`
 	// Done/Total report intra-run progress: instructions out of the budget
-	// (segment) or completed regions out of the schedule (region).
+	// (segment) or completed regions out of the planned schedule (region),
+	// which a program that halts early never reaches.
 	Done  uint64 `json:"done,omitempty"`
 	Total uint64 `json:"total,omitempty"`
 	Error string `json:"error,omitempty"`
