@@ -29,11 +29,11 @@ vet:
 # enforces the simulator's determinism and hot-path invariants (map iteration
 # order, //ctcp:hotpath allocations, wall clock/ambient randomness, float
 # equality, Config.Validate coverage, unchecked artifact/response writes) and
-# the service tier's concurrency invariants on a CFG/call-graph layer:
-# lockheld (no blocking I/O while a mutex is held), lockorder (no
-# lock-acquisition cycles module-wide), goroleak (every goroutine has a join
-# signal). A suppression audit rides along: stale //ctcp:lint-ok and
-# //ctcp:coldlock waivers fail the lint like real findings.
+# the service tier's lock invariant on a CFG/call-graph layer: lockheld (no
+# blocking I/O and no second lock while a mutex is held). A suppression
+# audit rides along: stale //ctcp:lint-ok and //ctcp:coldlock waivers fail
+# the lint like real findings. Goroutine leaks are a test-time check
+# (internal/leakcheck), not a lint rule.
 lint:
 	$(GO) run ./cmd/ctcplint ./...
 

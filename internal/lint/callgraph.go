@@ -1,13 +1,10 @@
 package lint
 
-// A module-local call graph over every loaded package, plus the two
-// transitive properties the concurrency analyzers need from it:
-//
-//   - blockingFuncs: can calling this function block the caller (file or
-//     network I/O, channel operations, time.Sleep, sync.WaitGroup.Wait), and
-//     if so, through which witness chain?
-//   - joinFuncs: does this function's body reach a goroutine-lifecycle
-//     signal (a channel receive/select, a WaitGroup Done/Wait, a Cond.Wait)?
+// A module-local call graph over every loaded package, plus the one
+// transitive property lockheld needs from it, blockingFuncs: can calling this
+// function block the caller (file or network I/O, channel operations,
+// time.Sleep, sync.WaitGroup.Wait, taking a mutex), and if so, through which
+// witness chain?
 //
 // Resolution is static: plain function calls and method calls that
 // type-check to a concrete *types.Func. Calls through function values and
@@ -152,10 +149,13 @@ func stdlibBlockCause(fn *types.Func, pos token.Pos) *blockCause {
 		if recv == nil {
 			return nil
 		}
-		// WaitGroup.Wait blocks; Cond.Wait releases the mutex while parked,
-		// so the condition-variable idiom (nextJob's cond loop) is exempt.
-		if recv.Obj().Name() == "WaitGroup" && fn.Name() == "Wait" {
-			return &blockCause{root: "sync.WaitGroup.Wait", pos: pos}
+		// WaitGroup.Wait blocks, and so does taking a mutex, which is what
+		// turns "no lock under a lock" into a lockheld finding; Cond.Wait
+		// releases the mutex while parked, so the condition-variable idiom
+		// (nextJob's cond loop) is exempt.
+		switch name := recv.Obj().Name() + "." + fn.Name(); name {
+		case "WaitGroup.Wait", "Mutex.Lock", "RWMutex.Lock", "RWMutex.RLock":
+			return &blockCause{root: "sync." + name, pos: pos}
 		}
 		return nil
 	}
@@ -291,34 +291,38 @@ func (bs *blockScanner) scanHeader(n ast.Node) *blockCause {
 	}
 }
 
+// callCause is the call classifier for a blockScanner: a call to a function
+// in cold (the //ctcp:coldlock escape hatch) never blocks, a call to a module
+// function blocks when known says it does, and a stdlib call is classified by
+// stdlibBlockCause.
+func (cg *callGraph) callCause(cold map[*types.Func]bool, known map[*types.Func]*blockCause) func(*ast.CallExpr, *types.Func) *blockCause {
+	return func(call *ast.CallExpr, fn *types.Func) *blockCause {
+		if cold[fn] {
+			return nil
+		}
+		if _, isModule := cg.decls[fn]; isModule {
+			if c := known[fn]; c != nil {
+				return &blockCause{root: c.root, via: displayFunc(fn), pos: call.Pos()}
+			}
+			return nil
+		}
+		return stdlibBlockCause(fn, call.Pos())
+	}
+}
+
 // blockingFuncs computes, for every module function, whether calling it can
-// block, with a witness chain. Functions in coldOK are treated as
-// non-blocking at their call sites (the //ctcp:coldlock escape hatch);
-// pass nil to analyze without the hatch.
-func (cg *callGraph) blockingFuncs(coldOK map[*types.Func]bool) map[*types.Func]*blockCause {
+// block, with a witness chain. Functions in cold are treated as non-blocking
+// at their call sites.
+func (cg *callGraph) blockingFuncs(cold map[*types.Func]bool) map[*types.Func]*blockCause {
 	result := map[*types.Func]*blockCause{}
+	call := cg.callCause(cold, result)
 	for changed := true; changed; {
 		changed = false
 		for _, f := range cg.order {
 			if result[f.fn] != nil {
 				continue
 			}
-			bs := &blockScanner{
-				pkg:   f.pkg,
-				comms: selectComms(f.decl.Body),
-				call: func(call *ast.CallExpr, fn *types.Func) *blockCause {
-					if coldOK[fn] {
-						return nil
-					}
-					if _, isModule := cg.decls[fn]; isModule {
-						if c := result[fn]; c != nil {
-							return &blockCause{root: c.root, via: displayFunc(fn), pos: call.Pos()}
-						}
-						return nil
-					}
-					return stdlibBlockCause(fn, call.Pos())
-				},
-			}
+			bs := &blockScanner{pkg: f.pkg, comms: selectComms(f.decl.Body), call: call}
 			if c := bs.scan(f.decl.Body); c != nil {
 				result[f.fn] = c
 				changed = true
@@ -326,82 +330,4 @@ func (cg *callGraph) blockingFuncs(coldOK map[*types.Func]bool) map[*types.Func]
 		}
 	}
 	return result
-}
-
-// joinFuncs computes, for every module function, whether its body
-// (transitively, through static module calls) reaches a goroutine-lifecycle
-// signal: a channel receive, a select, a range over a channel, a
-// WaitGroup Done/Wait, or a Cond.Wait. goroleak accepts a goroutine whose
-// body reaches one of these.
-func (cg *callGraph) joinFuncs() map[*types.Func]bool {
-	result := map[*types.Func]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range cg.order {
-			if result[f.fn] {
-				continue
-			}
-			if cg.bodyJoins(f.pkg, f.decl.Body, result) {
-				result[f.fn] = true
-				changed = true
-			}
-		}
-	}
-	return result
-}
-
-// bodyJoins reports whether the subtree contains a lifecycle signal. Unlike
-// blockScanner it descends into defers (defer wg.Done() is the canonical
-// join) and into nested function literals, but not into nested go
-// statements: an inner goroutine's signals do not tie the outer one.
-func (cg *callGraph) bodyJoins(pkg *Package, root ast.Node, known map[*types.Func]bool) bool {
-	joins := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if joins || n == nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.SelectStmt:
-			joins = true
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				joins = true
-				return false
-			}
-		case *ast.RangeStmt:
-			if t := pkg.Info.TypeOf(n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					joins = true
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			fn := resolveCallee(pkg, n)
-			if fn == nil {
-				return true
-			}
-			if known[fn] {
-				joins = true
-				return false
-			}
-			if fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-				sig, _ := fn.Type().(*types.Signature)
-				if sig != nil && sig.Recv() != nil {
-					recv := recvNamed(sig.Recv().Type())
-					name := fn.Name()
-					if recv != nil &&
-						((recv.Obj().Name() == "WaitGroup" && (name == "Done" || name == "Wait")) ||
-							(recv.Obj().Name() == "Cond" && name == "Wait")) {
-						joins = true
-						return false
-					}
-				}
-			}
-		}
-		return true
-	})
-	return joins
 }

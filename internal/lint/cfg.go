@@ -1,10 +1,10 @@
 package lint
 
 // An intraprocedural control-flow graph over one function body, built at
-// statement granularity. The flow-aware analyzers (lockheld, lockorder) run
-// a may-analysis fixpoint over it: a basic block's entry state is the union
-// of its predecessors' exit states, so "the lock may still be held here"
-// survives joins, which is the conservative direction for both checks.
+// statement granularity. The flow-aware analyzer (lockheld) runs a
+// may-analysis fixpoint over it: a basic block's entry state is the union of
+// its predecessors' exit states, so "the lock may still be held here"
+// survives joins, which is the conservative direction for the check.
 //
 // Granularity and structure:
 //

@@ -4,16 +4,16 @@
 // simulator's load-bearing but otherwise unenforced properties — determinism
 // of every rendered artifact, the allocation-free cycle-model hot path, the
 // absence of wall-clock and unseeded randomness in the timing model, and the
-// service tier's lock-region and goroutine-lifecycle contracts — into
-// machine-checked rules, the way the differential and golden-stats tests pin
-// cycle-exactness.
+// service tier's lock-region contract — into machine-checked rules, the way
+// the differential and golden-stats tests pin cycle-exactness. (Goroutine
+// lifecycle is checked at run time, by internal/leakcheck.)
 //
 // Analyzers come in two shapes. Expression-level analyzers implement Run and
-// are invoked once per matched package. Flow-aware analyzers (lockheld,
-// lockorder, goroleak) implement RunModule and are invoked once with every
-// package in the load: they build the module-local call graph and the
-// per-function CFGs from cfg.go/callgraph.go and reason across package
-// boundaries (a lock-order cycle is only visible globally).
+// are invoked once per matched package. The flow-aware analyzer (lockheld)
+// implements RunModule and is invoked once with every package in the load:
+// it builds the module-local call graph and the per-function CFGs from
+// cfg.go/callgraph.go and reasons across package boundaries (a callee in
+// another package can block, or take a second lock).
 //
 // Conventions understood by the framework and its analyzers:
 //
@@ -211,8 +211,6 @@ func All() []*Analyzer {
 		SnapComplete,
 		WriteCheck,
 		LockHeld,
-		LockOrder,
-		GoroLeak,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wantKey identifies one expected diagnostic: fixture file base name, line,
@@ -59,8 +60,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"writecheck", "ctcp/cmd/fixture", WriteCheck},
 		{"writecheck_serve", "ctcp/internal/serve", WriteCheck},
 		{"lockheld", "ctcp/internal/serve", LockHeld},
-		{"lockorder", "ctcp/internal/serve", LockOrder},
-		{"goroleak", "ctcp/internal/serve", GoroLeak},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -162,19 +161,15 @@ func itoa(n int) string {
 // suppressions in the tree itself: the full registry over every package in
 // the module must produce zero diagnostics. The hot path passes hotalloc on
 // its own merits (no suppressions), so any new allocating construct reached
-// from a //ctcp:hotpath root fails this test with a file:line finding.
+// from a //ctcp:hotpath root fails this test with a file:line finding. The
+// same cold run is also the suite's cost tripwire: it must finish inside
+// lintBudget.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module (plus stdlib sources)")
 	}
-	l, err := NewLoader("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
+	start := time.Now()
+	pkgs := loadModulePkgs(t)
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d.String())
 	}
@@ -183,4 +178,12 @@ func TestModuleLintsClean(t *testing.T) {
 	for _, d := range Audit(pkgs, All()) {
 		t.Errorf("%s", d.String())
 	}
+	elapsed := time.Since(start)
+	if raceEnabled {
+		return // wall-clock time is meaningless under race instrumentation
+	}
+	if elapsed > lintBudget {
+		t.Fatalf("full lint run took %v, over the %v budget; make the analyzers cheaper before raising it", elapsed, lintBudget)
+	}
+	t.Logf("full lint run: %v (budget %v)", elapsed, lintBudget)
 }

@@ -149,3 +149,64 @@ func (s *server) drainUnderLock() {
 	}
 	s.mu.Unlock()
 }
+
+// No lock may be taken while another is held: a second lock under the
+// first is a finding even when every function takes them in the same order,
+// so there is no lock order to keep consistent.
+func (s *server) secondLock() {
+	s.mu.Lock()
+	s.rw.RLock() // want:lockheld
+	s.n++
+	s.rw.RUnlock()
+	s.mu.Unlock()
+}
+
+// Reacquiring the held mutex deadlocks on the spot.
+func (s *server) reacquire() {
+	s.mu.Lock()
+	s.mu.Lock() // want:lockheld
+	s.mu.Unlock()
+	s.mu.Unlock()
+}
+
+// A module callee that takes the held lock again (the self-deadlock shape of
+// calling an accessor like view from inside a region).
+func (s *server) view() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+func (s *server) viewUnderLock() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.view() // want:lockheld
+}
+
+// A module callee that takes a different lock, two calls down.
+var muOther sync.Mutex
+
+func lockOther() { lockOtherInner() }
+
+func lockOtherInner() {
+	muOther.Lock()
+	muOther.Unlock()
+}
+
+func (s *server) otherViaCallee() {
+	s.mu.Lock()
+	lockOther() // want:lockheld
+	s.mu.Unlock()
+}
+
+// Taking locks one after another, never nested, is fine.
+func (s *server) sequential() {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+	muOther.Lock()
+	muOther.Unlock()
+	s.mu.Lock()
+	s.n--
+	s.mu.Unlock()
+}

@@ -1,0 +1,10 @@
+package sample
+
+import (
+	"testing"
+
+	"ctcp/internal/leakcheck"
+)
+
+// TestMain fails the package if a goroutine outlives its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

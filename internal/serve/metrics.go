@@ -44,7 +44,7 @@ func (h *histogram) snapshot() histogram {
 // metricsSnapshot is one consistent read of every counter /metrics exposes:
 // the service-level job counters, the queue gauge, latency histograms, and
 // the pooled runners' execution counters summed into one view. The runner
-// sums are the exactly-once witness: after any number of duplicate
+// counts are the exactly-once witness: after any number of duplicate
 // submissions of one job — or a restart over a journal of completed
 // fingerprints — runner.started stays 1.
 type metricsSnapshot struct {
@@ -76,23 +76,10 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		simN:             s.simN,
 		queueHist:        s.queueHist.snapshot(),
 		simHist:          s.simHist.snapshot(),
-		runner:           s.runnerBase, // evicted runners' counters
+		runner:           s.runner,
 		runnerCount:      len(s.runners),
 	}
-	runners := make([]*experiment.Runner, 0, len(s.runners))
-	for _, pr := range s.runners { //ctcp:lint-ok maporder -- summed into scalar totals; order-insensitive
-		runners = append(runners, pr.r)
-	}
 	s.mu.Unlock()
-	// Runner snapshots take each runner's own lock; do it outside ours.
-	for _, r := range runners {
-		rs := r.Stats()
-		m.runner.Started += rs.Started
-		m.runner.Completed += rs.Completed
-		m.runner.Failed += rs.Failed
-		m.runner.Deduped += rs.Deduped
-		m.runner.CacheHits += rs.CacheHits
-	}
 	m.storeRecords = s.store.Len()
 	m.storeHitsDisk, m.storeMisses, m.storePuts = s.store.Counts()
 	return m

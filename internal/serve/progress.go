@@ -89,27 +89,31 @@ func (s *Server) unsubscribe(j *Job, ch <-chan Event) {
 	}
 }
 
-// routeProgress translates a pooled runner's progress event into a job
-// event. The runner is shared by profile, so the (profile, run key) pair —
-// registered by runJob for exactly the duration of its RunErr call —
-// identifies the owning job.
+// routeProgress handles a pooled runner's progress event. Lifecycle kinds
+// are counted into s.runner for /metrics, so the counts outlive an evicted
+// runner and reading them never takes a runner's lock under s.mu. Segment
+// and region ticks become job events: the runner is shared by profile, so
+// the (profile, run key) pair — registered by runJob for exactly the
+// duration of its RunErr call — identifies the owning job.
 func (s *Server) routeProgress(profile string, ev experiment.ProgressEvent) {
-	var typ string
-	switch ev.Kind {
-	case experiment.RunSegment:
-		typ = "segment"
-	case experiment.RunRegion:
-		typ = "region"
-	default:
-		return // lifecycle kinds are covered by the server's own events
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.progress[profile+"\x00"+ev.Key]
-	if !ok {
-		return
+	switch ev.Kind {
+	case experiment.RunStarted:
+		s.runner.Started++
+	case experiment.RunCompleted:
+		s.runner.Completed++
+	case experiment.RunFailed:
+		s.runner.Failed++
+	case experiment.RunDeduped:
+		s.runner.Deduped++
+	case experiment.RunCached:
+		s.runner.CacheHits++
+	case experiment.RunSegment, experiment.RunRegion:
+		if j, ok := s.progress[profile+"\x00"+ev.Key]; ok {
+			s.emitEventLocked(j, Event{Type: ev.Kind.String(), Done: ev.Done, Total: ev.Total})
+		}
 	}
-	s.emitEventLocked(j, Event{Type: typ, Done: ev.Done, Total: ev.Total})
 }
 
 // handleEvents streams a job's progress as server-sent events: history

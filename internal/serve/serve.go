@@ -173,18 +173,18 @@ type Server struct {
 	interrupt chan struct{}
 	wg        sync.WaitGroup
 
-	mu         sync.Mutex
-	cond       *sync.Cond // pending work / shutdown, guarded by mu
-	closed     bool
-	seq        int
-	jobs       map[string]*Job // by ID
-	byFP       map[string]*Job // by fingerprint: the service-level dedup index
-	runners    map[string]*pooledRunner
-	runnerBase experiment.RunnerStats // counters of evicted runners (keeps /metrics monotonic)
-	queue      []*Job                 // accepted-but-not-running jobs, in submission order
-	pending    int                    // reserved or queued, not yet running (the 429 bound)
-	terminal   []*Job                 // terminal jobs in completion order (retention ring)
-	progress   map[string]*Job        // (runner profile, run key) -> running job
+	mu       sync.Mutex
+	cond     *sync.Cond // pending work / shutdown, guarded by mu
+	closed   bool
+	seq      int
+	jobs     map[string]*Job // by ID
+	byFP     map[string]*Job // by fingerprint: the service-level dedup index
+	runners  map[string]*pooledRunner
+	runner   experiment.RunnerStats // every pooled runner's lifecycle events, counted by routeProgress
+	queue    []*Job                 // accepted-but-not-running jobs, in submission order
+	pending  int                    // reserved or queued, not yet running (the 429 bound)
+	terminal []*Job                 // terminal jobs in completion order (retention ring)
+	progress map[string]*Job        // (runner profile, run key) -> running job
 
 	// testRunFn, when set before the first submission, replaces the
 	// simulation call on every pooled runner (fault injection in tests).
@@ -306,9 +306,9 @@ func (s *Server) runnerForLocked(opts experiment.Options) *pooledRunner {
 }
 
 // releaseRunnerLocked returns a runner to the idle pool and evicts
-// least-recently-used idle runners beyond maxRunners. Evicted
-// runners fold their counters into runnerBase so /metrics stays monotonic;
-// their memo caches are dropped — the result store still answers repeats.
+// least-recently-used idle runners beyond maxRunners. Evicted runners' memo
+// caches are dropped — the result store still answers repeats — while their
+// counts stay in s.runner, which is fed by events, not by the runners.
 // Caller holds s.mu.
 func (s *Server) releaseRunnerLocked(pr *pooledRunner) {
 	pr.active--
@@ -323,12 +323,6 @@ func (s *Server) releaseRunnerLocked(pr *pooledRunner) {
 		if oldest == nil {
 			return // every runner is busy; try again on the next release
 		}
-		rs := oldest.r.Stats()
-		s.runnerBase.Started += rs.Started
-		s.runnerBase.Completed += rs.Completed
-		s.runnerBase.Failed += rs.Failed
-		s.runnerBase.Deduped += rs.Deduped
-		s.runnerBase.CacheHits += rs.CacheHits
 		delete(s.runners, oldest.profile)
 	}
 }
@@ -580,6 +574,14 @@ func (s *Server) runJob(j *Job) {
 
 	stats, err := pr.r.RunErr(j.bm, j.Request.Config, j.cfg)
 	wall := time.Since(j.begun)
+	if err != nil {
+		// The runner memoizes failures and interruptions per key; forget
+		// this one so a resubmission of the fingerprint (or, in tests, the
+		// journal replay over this runner pool) simulates fresh instead of
+		// replaying the recorded error. Forget takes the runner's lock, so
+		// it runs before s.mu is taken: no lock is ever taken under another.
+		pr.r.Forget(j.bm, j.Request.Config)
+	}
 
 	// A checkpointed run has already put its record into the store, which
 	// is also its checkpoint directory.
@@ -624,19 +626,11 @@ func (s *Server) runJob(j *Job) {
 		j.status = StatusInterrupted
 		j.errMsg = err.Error()
 		s.interrupted++
-		// Drop the memoized interruption so a retry (or the journal replay
-		// on restart, which reuses this process's runner pool only in
-		// tests) simulates fresh.
-		pr.r.Forget(j.bm, j.Request.Config)
 		s.logf("job %s: interrupted by shutdown", j.ID)
 	default:
 		j.status = StatusFailed
 		j.errMsg = err.Error()
 		s.failed++
-		// The runner memoizes failures per key; forget this one so a
-		// resubmission of the fingerprint re-runs instead of replaying the
-		// recorded failure.
-		pr.r.Forget(j.bm, j.Request.Config)
 		s.logf("job %s: failed: %v", j.ID, err)
 	}
 	s.retireLocked(j)

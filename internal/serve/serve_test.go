@@ -290,6 +290,35 @@ func TestServeBudgetChangeResimulates(t *testing.T) {
 	}
 }
 
+// TestServeRunnerEvictionKeepsCounters: every budget is its own runner
+// profile, so one job more than maxRunners evicts an idle runner. The
+// runner counters on /metrics must still count the evicted runner's
+// simulation.
+func TestServeRunnerEvictionKeepsCounters(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1})
+	for i := 0; i <= maxRunners; i++ {
+		v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base", Budget: 2_000 + uint64(i)*500})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		if v = waitJob(t, hs.URL, v.ID); v.Status != StatusDone {
+			t.Fatalf("job %d: status %q error %q", i, v.Status, v.Error)
+		}
+	}
+	for _, m := range []struct {
+		name string
+		want float64
+	}{
+		{"ctcpd_runner_started_total", maxRunners + 1},
+		{"ctcpd_runner_completed_total", maxRunners + 1},
+		{"ctcpd_runner_pool_size", maxRunners},
+	} {
+		if got := metricValue(t, hs.URL, m.name); got != m.want {
+			t.Errorf("%s = %v, want %v", m.name, got, m.want)
+		}
+	}
+}
+
 // TestServeCheckpointRestartMatchesDirect: a checkpointed job submitted to a
 // server that is immediately shut down can be completed by a successor
 // server over the same directories, and the result matches an uninterrupted
