@@ -185,8 +185,7 @@ func (e *Experiments) Figure9() *experiment.Figure9Result { return experiment.Fi
 func (e *Experiments) Ablation() *experiment.AblationResult { return experiment.Ablation(e.r) }
 
 // RunnerStats snapshots the harness's execution counters: simulations
-// started/completed/failed, duplicate requests deduplicated, cache hits,
-// and per-key wall times.
+// started/completed/failed, duplicate requests deduplicated, and cache hits.
 func (e *Experiments) RunnerStats() experiment.RunnerStats { return e.r.Stats() }
 
 // Failures returns the per-key errors of simulations that aborted

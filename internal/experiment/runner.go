@@ -41,11 +41,6 @@ const (
 	RunCompleted
 	// RunFailed: the simulation aborted with a pipeline.SimError.
 	RunFailed
-	// RunDeduped: a caller joined a simulation already in flight for the
-	// same key instead of starting a duplicate.
-	RunDeduped
-	// RunCached: a caller was satisfied from the completed-run cache.
-	RunCached
 	// RunSegment: a checkpointed run finished one segment and persisted its
 	// checkpoint; Done/Total carry committed instructions out of the budget.
 	RunSegment
@@ -64,10 +59,6 @@ func (k ProgressKind) String() string {
 		return "done"
 	case RunFailed:
 		return "fail"
-	case RunDeduped:
-		return "dedup"
-	case RunCached:
-		return "hit"
 	case RunSegment:
 		return "segment"
 	case RunRegion:
@@ -121,11 +112,11 @@ type Options struct {
 	CheckpointDir   string
 	CheckpointEvery uint64
 
-	// RunFn, when non-nil, replaces the cycle-accurate simulation call for
-	// full-detail (monolithic) runs. It exists for tests and fault-injection
-	// drills — a service can stand in a failing or blocking simulation
-	// without touching the model — and is excluded from RunFingerprint, so
-	// production servers must leave it nil.
+	// RunFn executes full-detail (monolithic) runs (nil =
+	// pipeline.RunProgramErr). Replacing it exists for tests and
+	// fault-injection drills — a service can stand in a failing or blocking
+	// simulation without touching the model — and is excluded from
+	// RunFingerprint, so production servers must leave it nil.
 	RunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
 	// Interrupt, when non-nil, requests cooperative cancellation: a run that
@@ -151,11 +142,9 @@ type RunnerStats struct {
 	Failed    uint64 // ...that aborted with a SimError
 	Deduped   uint64 // callers who joined an in-flight simulation
 	CacheHits uint64 // callers satisfied from the completed-run cache
-	// Wall holds per-key simulation wall time for every finished run.
-	Wall map[string]time.Duration
 }
 
-// String renders the counters on one line (the Wall map is omitted).
+// String renders the counters on one line.
 func (s RunnerStats) String() string {
 	return fmt.Sprintf("%d simulated (%d failed), %d cache hits, %d deduped",
 		s.Started, s.Failed, s.CacheHits, s.Deduped)
@@ -185,10 +174,6 @@ type Runner struct {
 	started, completed, failed, deduped, cacheHits uint64
 
 	sem chan struct{}
-
-	// runFn executes one prepared simulation; tests hook it to count runs
-	// and inject failures.
-	runFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 }
 
 // NewRunner builds a Runner.
@@ -199,16 +184,14 @@ func NewRunner(opts Options) *Runner {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{
+	if opts.RunFn == nil {
+		opts.RunFn = pipeline.RunProgramErr
+	}
+	return &Runner{
 		opts:  opts,
 		cache: make(map[string]*runEntry),
 		sem:   make(chan struct{}, opts.Parallelism),
-		runFn: pipeline.RunProgramErr,
 	}
-	if opts.RunFn != nil {
-		r.runFn = opts.RunFn
-	}
-	return r
 }
 
 // Budget returns the per-run instruction budget.
@@ -314,14 +297,11 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 		select {
 		case <-e.done:
 			r.cacheHits++
-			r.mu.Unlock()
-			r.emit(ProgressEvent{Kind: RunCached, Key: key, Wall: e.wall, Err: e.err})
 		default:
 			r.deduped++
-			r.mu.Unlock()
-			r.emit(ProgressEvent{Kind: RunDeduped, Key: key})
-			<-e.done
 		}
+		r.mu.Unlock()
+		<-e.done
 		return e.stats, e.err
 	}
 	e := &runEntry{done: make(chan struct{})}
@@ -354,32 +334,12 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 	return e.stats, e.err
 }
 
-// Forget drops the memoized entry for bm/cfgKey if its run has finished. A
-// run that failed (or was interrupted) stays recorded per key forever
-// otherwise, which is right for one-shot sweeps — the failure belongs in
-// the report — but wrong for a long-lived service retrying a transiently
-// failed fingerprint: without Forget, the retry would be answered with the
-// recorded failure instead of a fresh simulation. In-flight entries are
-// left alone (their leader still owns the cell).
-func (r *Runner) Forget(bm workload.Benchmark, cfgKey string) {
-	key := bm.Name + "/" + cfgKey
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.cache[key]; ok {
-		select {
-		case <-e.done:
-			delete(r.cache, key)
-		default:
-		}
-	}
-}
-
 // simulate executes one run, holding a semaphore slot only around the
 // cycle-level model: program generation is memoized and cheap, so it must
 // not occupy a simulation slot.
 func (r *Runner) simulate(key string, bm workload.Benchmark, cfgKey string, cfg pipeline.Config) (s *pipeline.Stats, err error) {
 	defer func() {
-		// Safety net for panics escaping runFn itself (RunProgramErr already
+		// Safety net for panics escaping RunFn itself (RunProgramErr already
 		// recovers model panics; this catches hooked or future run paths).
 		if rec := recover(); rec != nil {
 			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec)}
@@ -403,7 +363,7 @@ func (r *Runner) simulate(key string, bm workload.Benchmark, cfgKey string, cfg 
 		return r.runSampled(key, prog, cfg)
 	default:
 		cfg.MaxInsts = r.opts.Budget
-		return r.runFn(prog, cfg)
+		return r.opts.RunFn(prog, cfg)
 	}
 }
 
@@ -559,22 +519,13 @@ func (r *Runner) Prefetch(bms []workload.Benchmark, cfgs map[string]pipeline.Con
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := RunnerStats{
+	return RunnerStats{
 		Started:   r.started,
 		Completed: r.completed,
 		Failed:    r.failed,
 		Deduped:   r.deduped,
 		CacheHits: r.cacheHits,
-		Wall:      make(map[string]time.Duration, len(r.cache)),
 	}
-	for k, e := range r.cache { //ctcp:lint-ok maporder -- map-to-map copy; result is order-insensitive
-		select {
-		case <-e.done:
-			out.Wall[k] = e.wall
-		default:
-		}
-	}
-	return out
 }
 
 // Errors returns the recorded failures, keyed by "benchmark/config".

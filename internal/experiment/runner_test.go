@@ -20,11 +20,10 @@ func hookRunner(opts Options, fn func(cfg pipeline.Config) (*pipeline.Stats, err
 	if opts.Budget == 0 {
 		opts.Budget = 1_000
 	}
-	r := NewRunner(opts)
-	r.runFn = func(_ *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+	opts.RunFn = func(_ *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
 		return fn(cfg)
 	}
-	return r
+	return NewRunner(opts)
 }
 
 // TestRunSameKeyExactlyOnce is the duplicate-work regression test: N
@@ -176,7 +175,8 @@ func TestPrefetchBoundedConcurrency(t *testing.T) {
 }
 
 // TestProgressEventsEmitted wires a progress callback and checks the event
-// stream covers start, completion, failure, and cache hits.
+// stream covers start, completion and failure, and that a cache hit emits
+// nothing: only a simulation that actually runs is an event.
 func TestProgressEventsEmitted(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[ProgressKind]int{}
@@ -201,8 +201,61 @@ func TestProgressEventsEmitted(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if counts[RunStarted] != 2 || counts[RunCompleted] != 1 ||
-		counts[RunFailed] != 1 || counts[RunCached] != 1 {
+		counts[RunFailed] != 1 || len(counts) != 3 {
 		t.Errorf("event counts = %v", counts)
+	}
+	if st := r.Stats(); st.CacheHits != 1 {
+		t.Errorf("cache hits = %d, want 1", st.CacheHits)
+	}
+}
+
+// TestProgressMayReenterRunner: the Progress callback may call back into
+// the runner. Runner emits every event outside r.mu — a dynamic call that
+// lockheld cannot see — so a callback that reads Stats and Errors on every
+// event must not deadlock, in each mode that emits intra-run ticks. The
+// second run of each key is a cache hit.
+func TestProgressMayReenterRunner(t *testing.T) {
+	bm, _ := workload.ByName("gzip")
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"full", Options{}},
+		{"checkpointed", Options{CheckpointDir: t.TempDir(), CheckpointEvery: 500}},
+		{"sampled", Options{SampleInterval: 500, SampleDetail: 200}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r *Runner
+			var events atomic.Int64
+			opts := tc.opts
+			opts.Budget = 2_000
+			opts.Progress = func(ProgressEvent) {
+				r.Stats()
+				r.Errors()
+				events.Add(1)
+			}
+			r = NewRunner(opts)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 2; i++ {
+					if _, err := r.RunErr(bm, "base", BaseConfig()); err != nil {
+						t.Errorf("run %d: %v", i, err)
+					}
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("runner deadlocked re-entered from its Progress callback")
+			}
+			if st := r.Stats(); st.Started != 1 || st.CacheHits != 1 {
+				t.Errorf("stats = %+v, want 1 started and 1 cache hit", st)
+			}
+			if events.Load() < 2 {
+				t.Errorf("%d progress events, want at least start and done", events.Load())
+			}
+		})
 	}
 }
 

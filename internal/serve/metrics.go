@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-
-	"ctcp/internal/experiment"
 )
 
 // latencyBounds are the histogram bucket upper bounds (seconds) shared by
@@ -43,18 +41,14 @@ func (h *histogram) snapshot() histogram {
 
 // metricsSnapshot is one consistent read of every counter /metrics exposes:
 // the service-level job counters, the queue gauge, latency histograms, and
-// the pooled runners' execution counters summed into one view. The runner
-// counts are the exactly-once witness: after any number of duplicate
-// submissions of one job — or a restart over a journal of completed
-// fingerprints — runner.started stays 1.
+// the runners' simulation counters. runStarted is the exactly-once witness:
+// after any number of duplicate submissions of one job — or a restart over
+// a journal of completed fingerprints — it stays 1.
 type metricsSnapshot struct {
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
+	runStarted, runCompleted, runFailed                            uint64
 	queueDepth, queueCap                                           int
-	queueWaitSeconds, simSeconds                                   float64
-	queueWaitN, simN                                               uint64
 	queueHist, simHist                                             histogram
-	runner                                                         experiment.RunnerStats
-	runnerCount                                                    int
 	storeRecords                                                   int
 	storeHitsDisk, storeMisses, storePuts                          uint64
 }
@@ -62,22 +56,19 @@ type metricsSnapshot struct {
 func (s *Server) snapshotMetrics() metricsSnapshot {
 	s.mu.Lock()
 	m := metricsSnapshot{
-		submitted:        s.submitted,
-		completed:        s.completed,
-		failed:           s.failed,
-		interrupted:      s.interrupted,
-		rejected:         s.rejected,
-		storeHits:        s.storeHits,
-		queueDepth:       s.pending,
-		queueCap:         s.cfg.QueueDepth,
-		queueWaitSeconds: s.queueWait.Seconds(),
-		queueWaitN:       s.queueWaitN,
-		simSeconds:       s.simWall.Seconds(),
-		simN:             s.simN,
-		queueHist:        s.queueHist.snapshot(),
-		simHist:          s.simHist.snapshot(),
-		runner:           s.runner,
-		runnerCount:      len(s.runners),
+		submitted:    s.submitted,
+		completed:    s.completed,
+		failed:       s.failed,
+		interrupted:  s.interrupted,
+		rejected:     s.rejected,
+		storeHits:    s.storeHits,
+		runStarted:   s.runStarted,
+		runCompleted: s.runCompleted,
+		runFailed:    s.runFailed,
+		queueDepth:   s.pending,
+		queueCap:     s.cfg.QueueDepth,
+		queueHist:    s.queueHist.snapshot(),
+		simHist:      s.simHist.snapshot(),
 	}
 	s.mu.Unlock()
 	m.storeRecords = s.store.Len()
@@ -117,18 +108,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ctcpd_store_hits_total", "Submissions answered from the result store.", m.storeHits)
 	gauge("ctcpd_queue_depth", "Jobs accepted but not yet running.", m.queueDepth)
 	gauge("ctcpd_queue_capacity", "Configured queue bound.", m.queueCap)
-	counter("ctcpd_queue_wait_seconds_total", "Total time jobs spent queued.", fmt.Sprintf("%g", m.queueWaitSeconds))
-	counter("ctcpd_queue_wait_count_total", "Jobs that left the queue for a worker.", m.queueWaitN)
-	counter("ctcpd_sim_seconds_total", "Total wall time spent in simulation calls.", fmt.Sprintf("%g", m.simSeconds))
-	counter("ctcpd_sim_count_total", "Simulation calls issued to runners.", m.simN)
 	hist("ctcpd_queue_latency_seconds", "Time from acceptance to dispatch.", m.queueHist)
 	hist("ctcpd_sim_latency_seconds", "Wall time of each simulation call.", m.simHist)
-	counter("ctcpd_runner_started_total", "Distinct simulations begun by the pooled runners.", m.runner.Started)
-	counter("ctcpd_runner_completed_total", "Runner simulations that finished successfully.", m.runner.Completed)
-	counter("ctcpd_runner_failed_total", "Runner simulations that aborted.", m.runner.Failed)
-	counter("ctcpd_runner_deduped_total", "Callers who joined an in-flight runner simulation.", m.runner.Deduped)
-	counter("ctcpd_runner_cache_hits_total", "Callers satisfied from a runner's completed-run cache.", m.runner.CacheHits)
-	gauge("ctcpd_runner_pool_size", "Pooled runners currently alive.", m.runnerCount)
+	counter("ctcpd_runner_started_total", "Distinct simulations begun by the runners.", m.runStarted)
+	counter("ctcpd_runner_completed_total", "Runner simulations that finished successfully.", m.runCompleted)
+	counter("ctcpd_runner_failed_total", "Runner simulations that aborted or were interrupted.", m.runFailed)
 	gauge("ctcpd_store_records", "Result records currently persisted.", m.storeRecords)
 	counter("ctcpd_store_reads_hit_total", "Store reads that returned a valid record.", m.storeHitsDisk)
 	counter("ctcpd_store_reads_miss_total", "Store reads that found no valid record.", m.storeMisses)

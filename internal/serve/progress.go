@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"ctcp/internal/experiment"
 )
 
 // Event is one progress tick on a job's lifecycle, delivered in order over
@@ -85,33 +83,6 @@ func (s *Server) unsubscribe(j *Job, ch <-chan Event) {
 		if sub == ch {
 			delete(j.subs, sub)
 			break
-		}
-	}
-}
-
-// routeProgress handles a pooled runner's progress event. Lifecycle kinds
-// are counted into s.runner for /metrics, so the counts outlive an evicted
-// runner and reading them never takes a runner's lock under s.mu. Segment
-// and region ticks become job events: the runner is shared by profile, so
-// the (profile, run key) pair — registered by runJob for exactly the
-// duration of its RunErr call — identifies the owning job.
-func (s *Server) routeProgress(profile string, ev experiment.ProgressEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch ev.Kind {
-	case experiment.RunStarted:
-		s.runner.Started++
-	case experiment.RunCompleted:
-		s.runner.Completed++
-	case experiment.RunFailed:
-		s.runner.Failed++
-	case experiment.RunDeduped:
-		s.runner.Deduped++
-	case experiment.RunCached:
-		s.runner.CacheHits++
-	case experiment.RunSegment, experiment.RunRegion:
-		if j, ok := s.progress[profile+"\x00"+ev.Key]; ok {
-			s.emitEventLocked(j, Event{Type: ev.Kind.String(), Done: ev.Done, Total: ev.Total})
 		}
 	}
 }

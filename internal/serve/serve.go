@@ -4,7 +4,8 @@
 // concurrent duplicates join the in-flight job, repeats are answered from a
 // content-addressed result store keyed by the canonical run fingerprint
 // (experiment.RunFingerprint) — and exposes its counters in Prometheus text
-// form on /metrics.
+// form on /metrics. That fingerprint index is the only dedup layer: each
+// dispatched job simulates on an experiment.Runner of its own.
 //
 // The job lifecycle is crash-durable: every acceptance is journaled
 // (append-on-accept, tombstone-on-terminal, compact-on-restart, all through
@@ -66,11 +67,6 @@ type Config struct {
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
 }
-
-// maxRunners bounds the pooled runners (and their memo caches) kept alive:
-// idle runners beyond the cap are evicted LRU-first, so sustained traffic
-// over many option profiles cannot grow memory without bound.
-const maxRunners = 8
 
 // Request is the submission payload of POST /api/v1/jobs.
 type Request struct {
@@ -153,15 +149,6 @@ type jobView struct {
 	Stats       *pipeline.Stats `json:"stats,omitempty"`
 }
 
-// pooledRunner wraps one experiment.Runner in the server's pool with the
-// bookkeeping the idle-eviction policy needs.
-type pooledRunner struct {
-	profile string
-	r       *experiment.Runner
-	active  int // jobs currently inside RunErr
-	lastUse time.Time
-}
-
 // Server is the ctcpd HTTP handler plus its worker pool. Create with New,
 // serve with net/http, stop with Shutdown.
 type Server struct {
@@ -178,21 +165,17 @@ type Server struct {
 	closed   bool
 	seq      int
 	jobs     map[string]*Job // by ID
-	byFP     map[string]*Job // by fingerprint: the service-level dedup index
-	runners  map[string]*pooledRunner
-	runner   experiment.RunnerStats // every pooled runner's lifecycle events, counted by routeProgress
-	queue    []*Job                 // accepted-but-not-running jobs, in submission order
-	pending  int                    // reserved or queued, not yet running (the 429 bound)
-	terminal []*Job                 // terminal jobs in completion order (retention ring)
-	progress map[string]*Job        // (runner profile, run key) -> running job
+	byFP     map[string]*Job // by fingerprint: the service's one dedup index
+	queue    []*Job          // accepted-but-not-running jobs, in submission order
+	pending  int             // reserved or queued, not yet running (the 429 bound)
+	terminal []*Job          // terminal jobs in completion order (retention ring)
 
-	// testRunFn, when set before the first submission, replaces the
-	// simulation call on every pooled runner (fault injection in tests).
+	// testRunFn, when set, replaces the simulation call of every job
+	// dispatched afterwards (fault injection in tests).
 	testRunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
-	queueWait, simWall                                             time.Duration
-	queueWaitN, simN                                               uint64
+	runStarted, runCompleted, runFailed                            uint64 // simulations, counted by runJob
 	queueHist, simHist                                             histogram
 }
 
@@ -225,8 +208,6 @@ func New(cfg Config) (*Server, error) {
 		interrupt: make(chan struct{}),
 		jobs:      make(map[string]*Job),
 		byFP:      make(map[string]*Job),
-		runners:   make(map[string]*pooledRunner),
-		progress:  make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	mux := http.NewServeMux()
@@ -260,12 +241,10 @@ func (s *Server) logf(format string, args ...any) {
 
 // options translates a validated request into the runner options that
 // simulate it. Everything here that affects results is covered by
-// experiment.RunFingerprint; Parallelism is sized so a runner never throttles
-// below the server's own worker pool.
+// experiment.RunFingerprint.
 func (s *Server) options(req Request) experiment.Options {
 	opts := experiment.Options{
 		Budget:         req.Budget,
-		Parallelism:    s.cfg.Workers,
 		SampleInterval: req.SampleInterval,
 		SampleDetail:   req.SampleDetail,
 		SampleWarmup:   req.SampleWarmup,
@@ -276,55 +255,6 @@ func (s *Server) options(req Request) experiment.Options {
 		opts.CheckpointEvery = req.CheckpointEvery
 	}
 	return opts
-}
-
-// profileKey groups jobs that can share one experiment.Runner: the runner
-// memoizes by benchmark/config name only, so every result-affecting option
-// must be part of the pool key.
-func profileKey(opts experiment.Options) string {
-	return fmt.Sprintf("b%d|s%d,%d,%d|c%s,%d",
-		opts.Budget,
-		opts.SampleInterval, opts.SampleDetail, opts.SampleWarmup,
-		opts.CheckpointDir, opts.CheckpointEvery)
-}
-
-// runnerForLocked returns the pooled runner for a job's options profile,
-// creating it on first use, and marks it active. Caller holds s.mu.
-func (s *Server) runnerForLocked(opts experiment.Options) *pooledRunner {
-	profile := profileKey(opts)
-	pr, ok := s.runners[profile]
-	if !ok {
-		ropts := opts
-		ropts.Progress = func(ev experiment.ProgressEvent) { s.routeProgress(profile, ev) }
-		ropts.RunFn = s.testRunFn
-		pr = &pooledRunner{profile: profile, r: experiment.NewRunner(ropts)}
-		s.runners[profile] = pr
-	}
-	pr.active++
-	pr.lastUse = time.Now()
-	return pr
-}
-
-// releaseRunnerLocked returns a runner to the idle pool and evicts
-// least-recently-used idle runners beyond maxRunners. Evicted runners' memo
-// caches are dropped — the result store still answers repeats — while their
-// counts stay in s.runner, which is fed by events, not by the runners.
-// Caller holds s.mu.
-func (s *Server) releaseRunnerLocked(pr *pooledRunner) {
-	pr.active--
-	pr.lastUse = time.Now()
-	for len(s.runners) > maxRunners {
-		var oldest *pooledRunner
-		for _, cand := range s.runners { //ctcp:lint-ok maporder -- LRU min-scan; order-insensitive
-			if cand.active == 0 && (oldest == nil || cand.lastUse.Before(oldest.lastUse)) {
-				oldest = cand
-			}
-		}
-		if oldest == nil {
-			return // every runner is busy; try again on the next release
-		}
-		delete(s.runners, oldest.profile)
-	}
 }
 
 // validate resolves a request against the known benchmarks and strategy
@@ -557,31 +487,30 @@ func (s *Server) nextJob() *Job {
 	}
 }
 
-// runJob executes one dequeued job to a terminal status.
+// runJob executes one dequeued job to a terminal status on a runner of its
+// own: byFP and the store already make each fingerprint simulate once, so
+// the runner's memo has nothing to add, and a resubmitted failure meets a
+// fresh runner rather than its recorded error. The runner's progress ticks
+// become the job's events.
 func (s *Server) runJob(j *Job) {
+	opts := j.opts
+	opts.Progress = func(ev experiment.ProgressEvent) {
+		switch ev.Kind {
+		case experiment.RunSegment, experiment.RunRegion:
+			s.emitEvent(j, Event{Type: ev.Kind.String(), Done: ev.Done, Total: ev.Total})
+		}
+	}
 	s.mu.Lock()
 	j.status = StatusRunning
 	j.begun = time.Now()
-	wait := j.begun.Sub(j.queued)
-	s.queueWait += wait
-	s.queueWaitN++
-	s.queueHist.observe(wait.Seconds())
-	pr := s.runnerForLocked(j.opts)
-	key := j.bm.Name + "/" + j.Request.Config
-	s.progress[pr.profile+"\x00"+key] = j
+	s.queueHist.observe(j.begun.Sub(j.queued).Seconds())
+	s.runStarted++
+	opts.RunFn = s.testRunFn
 	s.emitEventLocked(j, Event{Type: StatusRunning})
 	s.mu.Unlock()
 
-	stats, err := pr.r.RunErr(j.bm, j.Request.Config, j.cfg)
+	stats, err := experiment.NewRunner(opts).RunErr(j.bm, j.Request.Config, j.cfg)
 	wall := time.Since(j.begun)
-	if err != nil {
-		// The runner memoizes failures and interruptions per key; forget
-		// this one so a resubmission of the fingerprint (or, in tests, the
-		// journal replay over this runner pool) simulates fresh instead of
-		// replaying the recorded error. Forget takes the runner's lock, so
-		// it runs before s.mu is taken: no lock is ever taken under another.
-		pr.r.Forget(j.bm, j.Request.Config)
-	}
 
 	// A checkpointed run has already put its record into the store, which
 	// is also its checkpoint directory.
@@ -611,26 +540,25 @@ func (s *Server) runJob(j *Job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.progress, pr.profile+"\x00"+key)
-	s.releaseRunnerLocked(pr)
-	s.simWall += wall
-	s.simN++
 	s.simHist.observe(wall.Seconds())
 	switch {
 	case err == nil:
 		j.status = StatusDone
 		j.stats = stats
 		s.completed++
+		s.runCompleted++
 		s.logf("job %s: done in %v", j.ID, wall.Round(time.Millisecond))
 	case wasInterrupted:
 		j.status = StatusInterrupted
 		j.errMsg = err.Error()
 		s.interrupted++
+		s.runFailed++ // a run cut short counts as a failed simulation
 		s.logf("job %s: interrupted by shutdown", j.ID)
 	default:
 		j.status = StatusFailed
 		j.errMsg = err.Error()
 		s.failed++
+		s.runFailed++
 		s.logf("job %s: failed: %v", j.ID, err)
 	}
 	s.retireLocked(j)

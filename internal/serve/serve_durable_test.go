@@ -24,8 +24,9 @@ import (
 
 // TestServeFailedJobRetry is the headline poisoning regression: a job that
 // fails must not wedge its fingerprint. Resubmitting the same request after
-// a failure has to run a fresh simulation — through both the service dedup
-// index (byFP) and the pooled runner's memo — and succeed.
+// a failure has to run a fresh simulation — the service dedup index (byFP)
+// drops the failed job, and the retry runs on a runner of its own — and
+// succeed.
 func TestServeFailedJobRetry(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 2})
 	var calls atomic.Int64

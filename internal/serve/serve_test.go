@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ctcp/internal/experiment"
+	"ctcp/internal/isa"
+	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
 )
 
@@ -89,8 +93,8 @@ func waitJob(t *testing.T, base, id string) jobView {
 	}
 }
 
-// metricValue fetches /metrics and returns the value of one sample line.
-func metricValue(t *testing.T, base, name string) float64 {
+// metricsBody fetches the /metrics exposition text.
+func metricsBody(t *testing.T, base string) string {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -101,7 +105,14 @@ func metricValue(t *testing.T, base, name string) float64 {
 	if _, err := body.ReadFrom(resp.Body); err != nil {
 		t.Fatalf("read /metrics: %v", err)
 	}
-	for _, line := range strings.Split(body.String(), "\n") {
+	return body.String()
+}
+
+// metricValue fetches /metrics and returns the value of one sample line.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	body := metricsBody(t, base)
+	for _, line := range strings.Split(body, "\n") {
 		if rest, ok := strings.CutPrefix(line, name+" "); ok {
 			v, err := strconv.ParseFloat(rest, 64)
 			if err != nil {
@@ -110,7 +121,7 @@ func metricValue(t *testing.T, base, name string) float64 {
 			return v
 		}
 	}
-	t.Fatalf("metric %s not found in:\n%s", name, body.String())
+	t.Fatalf("metric %s not found in:\n%s", name, body)
 	return 0
 }
 
@@ -290,28 +301,58 @@ func TestServeBudgetChangeResimulates(t *testing.T) {
 	}
 }
 
-// TestServeRunnerEvictionKeepsCounters: every budget is its own runner
-// profile, so one job more than maxRunners evicts an idle runner. The
-// runner counters on /metrics must still count the evicted runner's
-// simulation.
-func TestServeRunnerEvictionKeepsCounters(t *testing.T) {
-	_, hs := newTestServer(t, Config{Workers: 1})
-	for i := 0; i <= maxRunners; i++ {
-		v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base", Budget: 2_000 + uint64(i)*500})
+// TestServeMetricsSeries: /metrics exports one series per fact. After one
+// failed and one done job, the exported names are exactly the fixed list
+// below, and the runner counters agree with the latency histograms' counts.
+func TestServeMetricsSeries(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1})
+	var calls atomic.Int64
+	s.mu.Lock()
+	s.testRunFn = func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+		if calls.Add(1) == 1 {
+			return nil, fmt.Errorf("injected fault")
+		}
+		return &pipeline.Stats{Cycles: 1, Retired: 1}, nil
+	}
+	s.mu.Unlock()
+	for i, want := range []string{StatusFailed, StatusDone} {
+		v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base", Budget: testBudget + uint64(i)})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d", i, code)
 		}
-		if v = waitJob(t, hs.URL, v.ID); v.Status != StatusDone {
-			t.Fatalf("job %d: status %q error %q", i, v.Status, v.Error)
+		if v = waitJob(t, hs.URL, v.ID); v.Status != want {
+			t.Fatalf("job %d: status %q error %q, want %s", i, v.Status, v.Error, want)
 		}
 	}
+
+	var got []string
+	for _, line := range strings.Split(metricsBody(t, hs.URL), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got = append(got, f[2])
+		}
+	}
+	want := []string{
+		"ctcpd_jobs_submitted_total", "ctcpd_jobs_completed_total", "ctcpd_jobs_failed_total",
+		"ctcpd_jobs_interrupted_total", "ctcpd_jobs_rejected_total", "ctcpd_store_hits_total",
+		"ctcpd_queue_depth", "ctcpd_queue_capacity",
+		"ctcpd_queue_latency_seconds", "ctcpd_sim_latency_seconds",
+		"ctcpd_runner_started_total", "ctcpd_runner_completed_total", "ctcpd_runner_failed_total",
+		"ctcpd_store_records", "ctcpd_store_reads_hit_total", "ctcpd_store_reads_miss_total",
+		"ctcpd_store_writes_total",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("/metrics series:\n got %v\nwant %v", got, want)
+	}
+
 	for _, m := range []struct {
 		name string
 		want float64
 	}{
-		{"ctcpd_runner_started_total", maxRunners + 1},
-		{"ctcpd_runner_completed_total", maxRunners + 1},
-		{"ctcpd_runner_pool_size", maxRunners},
+		{"ctcpd_runner_started_total", 2},
+		{"ctcpd_sim_latency_seconds_count", 2},
+		{"ctcpd_queue_latency_seconds_count", 2},
+		{"ctcpd_runner_completed_total", 1},
+		{"ctcpd_runner_failed_total", 1},
 	} {
 		if got := metricValue(t, hs.URL, m.name); got != m.want {
 			t.Errorf("%s = %v, want %v", m.name, got, m.want)
