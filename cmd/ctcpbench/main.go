@@ -186,8 +186,8 @@ func run(o *cliOptions) int {
 	}
 	r := experiment.NewRunner(opts)
 	if inject {
-		// A geometry with no clusters gives slot steering no valid target;
-		// the run aborts with a SimError that must be recorded, not fatal.
+		// Config.Validate rejects a geometry with no clusters, so the run
+		// aborts with a SimError that must be recorded, not fatal.
 		bad := experiment.BaseConfig()
 		bad.Geom.Clusters = 0
 		if bm, ok := workload.ByName("gzip"); ok {

@@ -22,6 +22,7 @@ import (
 
 	"ctcp/internal/cluster"
 	"ctcp/internal/core"
+	"ctcp/internal/emu"
 	"ctcp/internal/experiment"
 	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
@@ -52,7 +53,7 @@ func main() {
 		topology = flag.String("topology", "chain", "inter-cluster interconnect: chain or ring")
 		hop      = flag.Int("hop", 2, "inter-cluster forwarding latency per hop")
 		clusters = flag.Int("clusters", 4, "number of clusters")
-		ptrace   = flag.Int("pipetrace", 0, "print a per-cycle occupancy trace of the first N active cycles")
+		ptrace   = flag.Int("pipetrace", 0, "print the first N retired instructions: cycle, cluster, fetch source and critical-input forwarding")
 
 		storeDir = flag.String("store", "saves", "result-store directory holding named saves (same layout as ctcpbench -resume and ctcpd -store)")
 		save     = flag.String("save", "", "run -bench under -config, stop at the -save-at checkpoint, and save it under this name")
@@ -126,13 +127,44 @@ func main() {
 	fmt.Printf("strategy   %v  topology=%v hop=%d clusters=%d budget=%d\n",
 		kind, cfg.Geom.Topology, cfg.Geom.HopLat, cfg.Geom.Clusters, *insts)
 
-	cfg.TraceCycles = *ptrace
-	s := pipeline.RunProgram(bm.ProgramFor(*insts), cfg)
-
-	for _, line := range s.PipeTrace {
-		fmt.Println(line)
+	var p *pipeline.Pipeline
+	if n := *ptrace; n > 0 {
+		geom := cfg.Geom
+		cfg.RetireHook = func(ri core.RetireInfo) {
+			if n > 0 {
+				n--
+				fmt.Println(retireLine(p.CurrentCycle(), ri, geom))
+			}
+		}
 	}
-	printStats(s, kind)
+	p = pipeline.New(emu.New(bm.ProgramFor(*insts)), cfg)
+	printStats(p.Run(), kind)
+}
+
+// retireLine renders one retired instruction for -pipetrace: when it
+// retired, where it ran and came from, and, if its critical input was
+// forwarded, from which cluster, how many hops away, and whether the
+// producer was in another trace.
+func retireLine(cycle int64, ri core.RetireInfo, geom cluster.Geometry) string {
+	src := "ic"
+	if ri.FromTC {
+		src = "tc"
+	}
+	line := fmt.Sprintf("cyc %7d  seq %7d  pc %#06x  %-24s c%d %s",
+		cycle, ri.Rec.Seq, ri.Rec.PC, ri.Rec.Inst, ri.Cluster, src)
+	if !ri.CritForwarded {
+		return line
+	}
+	operand := "rs1"
+	if ri.CritSrc == core.CritRS2 {
+		operand = "rs2"
+	}
+	scope := "intra-trace"
+	if ri.CritInterTrace {
+		scope = "inter-trace"
+	}
+	return fmt.Sprintf("%s  crit %s <- c%d, %d hops, %s", line, operand,
+		ri.CritProducerCluster, geom.Distance(ri.CritProducerCluster, ri.Cluster), scope)
 }
 
 // printStats renders the summary block shared by plain runs and resumes.

@@ -28,14 +28,7 @@ func (p *Predictor) Snapshot(w *snap.Writer) {
 	w.U64(p.btbStamp)
 	w.U64Slice(p.ras)
 	w.Int(p.rasTop)
-	w.U64(p.S.CondBranches)
-	w.U64(p.S.CondMispredict)
-	w.U64(p.S.IndirectJumps)
-	w.U64(p.S.IndirectMiss)
-	w.U64(p.S.BTBLookups)
-	w.U64(p.S.BTBMisses)
-	w.U64(p.S.Returns)
-	w.U64(p.S.ReturnMiss)
+	w.Counters(&p.S)
 	w.End()
 }
 
@@ -62,13 +55,6 @@ func (p *Predictor) Restore(r *snap.Reader) {
 	p.btbStamp = r.U64()
 	p.ras = r.U64Slice()
 	p.rasTop = r.Int()
-	p.S.CondBranches = r.U64()
-	p.S.CondMispredict = r.U64()
-	p.S.IndirectJumps = r.U64()
-	p.S.IndirectMiss = r.U64()
-	p.S.BTBLookups = r.U64()
-	p.S.BTBMisses = r.U64()
-	p.S.Returns = r.U64()
-	p.S.ReturnMiss = r.U64()
+	r.Counters(&p.S)
 	r.End()
 }

@@ -21,8 +21,7 @@ func (c *Cache) Snapshot(w *snap.Writer) {
 	w.BoolSlice(c.present)
 	w.U64Slice(c.lruStamp)
 	w.U64(c.nextStamp)
-	w.U64(c.S.Accesses)
-	w.U64(c.S.Misses)
+	w.Counters(&c.S)
 	w.End()
 }
 
@@ -40,8 +39,7 @@ func (c *Cache) Restore(r *snap.Reader) {
 	c.present = r.BoolSlice()
 	c.lruStamp = r.U64Slice()
 	c.nextStamp = r.U64()
-	c.S.Accesses = r.U64()
-	c.S.Misses = r.U64()
+	r.Counters(&c.S)
 	if r.Err() == nil && (len(c.tags) != c.cfg.Sets*c.cfg.Ways ||
 		len(c.present) != len(c.tags) || len(c.lruStamp) != len(c.tags)) {
 		r.Failf("cache %s: restored table sizes do not match geometry", c.cfg.Name)

@@ -160,20 +160,7 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 	_ = f.memo
 	_ = f.memoHits
 	_ = f.memoMisses
-	w.U64(f.S.TracesBuilt)
-	w.U64(f.S.InstsBuilt)
-	w.U64(f.S.OptionA)
-	w.U64(f.S.OptionB)
-	w.U64(f.S.OptionC)
-	w.U64(f.S.OptionD)
-	w.U64(f.S.OptionE)
-	w.U64(f.S.Skipped)
-	w.U64(f.S.LeadersCreated)
-	w.U64(f.S.FollowersCreated)
-	w.U64(f.S.Seen)
-	w.U64(f.S.Migrated)
-	w.U64(f.S.ChainSeen)
-	w.U64(f.S.ChainMigrated)
+	w.Counters(&f.S)
 	w.End()
 }
 
@@ -217,19 +204,6 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 		pc := r.U64()
 		*f.lastCluster.Ensure(pc) = clusterSlot{cluster: int16(r.Int()), present: true}
 	}
-	f.S.TracesBuilt = r.U64()
-	f.S.InstsBuilt = r.U64()
-	f.S.OptionA = r.U64()
-	f.S.OptionB = r.U64()
-	f.S.OptionC = r.U64()
-	f.S.OptionD = r.U64()
-	f.S.OptionE = r.U64()
-	f.S.Skipped = r.U64()
-	f.S.LeadersCreated = r.U64()
-	f.S.FollowersCreated = r.U64()
-	f.S.Seen = r.U64()
-	f.S.Migrated = r.U64()
-	f.S.ChainSeen = r.U64()
-	f.S.ChainMigrated = r.U64()
+	r.Counters(&f.S)
 	r.End()
 }

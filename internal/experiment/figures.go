@@ -97,30 +97,23 @@ func (t *Table8Result) Render() string {
 		Header: []string{"bench", "Base", "Friendly", "FDRT", "paper(B/F/FDRT)"},
 		Notes:  []string{"paper averages: 39.65% / 56.93% / 61.61%"},
 	}
-	var cols [3][]float64
 	for _, row := range t.IntraRows {
 		p := t.PaperIntra[row.Bench]
 		a.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(row.Values[1]), stats.Pct(row.Values[2]),
 			stats.Pct(p[0])+"/"+stats.Pct(p[1])+"/"+stats.Pct(p[2]))
-		for k := 0; k < 3; k++ {
-			cols[k] = append(cols[k], row.Values[k])
-		}
 	}
-	a.AddRow("Avg", stats.Pct(stats.Mean(cols[0])), stats.Pct(stats.Mean(cols[1])),
-		stats.Pct(stats.Mean(cols[2])), "")
+	avg := columnMean(t.IntraRows, 3)
+	a.AddRow("Avg", stats.Pct(avg[0]), stats.Pct(avg[1]), stats.Pct(avg[2]), "")
 	b := &stats.Table{
 		Title:  "Table 8b: Average Data Forwarding Distance (hops)",
 		Header: []string{"bench", "Base", "Friendly", "FDRT"},
 		Notes:  []string{"paper: FDRT reduces average distance ~40% below base and always below Friendly"},
 	}
-	var dcols [3][]float64
 	for _, row := range t.DistRows {
 		b.AddRow(row.Bench, stats.F3(row.Values[0]), stats.F3(row.Values[1]), stats.F3(row.Values[2]))
-		for k := 0; k < 3; k++ {
-			dcols[k] = append(dcols[k], row.Values[k])
-		}
 	}
-	b.AddRow("Avg", stats.F3(stats.Mean(dcols[0])), stats.F3(stats.Mean(dcols[1])), stats.F3(stats.Mean(dcols[2])))
+	avg = columnMean(t.DistRows, 3)
+	b.AddRow("Avg", stats.F3(avg[0]), stats.F3(avg[1]), stats.F3(avg[2]))
 	return a.Render() + "\n" + b.Render()
 }
 
@@ -165,18 +158,16 @@ func (f *Figure7Result) Render() string {
 			"loop-carried dependences make chains more common in the synthetic suite.",
 		},
 	}
-	var cols [6][]float64
 	for _, row := range f.Rows {
 		cells := []string{row.Bench}
-		for k, v := range row.Values {
+		for _, v := range row.Values {
 			cells = append(cells, stats.Pct(v))
-			cols[k] = append(cols[k], v)
 		}
 		tab.AddRow(cells...)
 	}
 	avg := []string{"Avg"}
-	for k := 0; k < 6; k++ {
-		avg = append(avg, stats.Pct(stats.Mean(cols[k])))
+	for _, v := range columnMean(f.Rows, 6) {
+		avg = append(avg, stats.Pct(v))
 	}
 	tab.AddRow(avg...)
 	return tab.Render()
@@ -227,18 +218,14 @@ func (t *Table9Result) Render() string {
 		Header: []string{"bench", "Pinning", "No Pinning", "All reduction", "Chain reduction", "paper(P/NP)"},
 		Notes:  []string{"paper averages: 4.25% / 5.80% / 27.71% / 40.98%"},
 	}
-	var cols [4][]float64
 	for _, row := range t.Rows {
 		p := t.Paper[row.Bench]
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(row.Values[1]),
 			stats.Pct(row.Values[2]), stats.Pct(row.Values[3]),
 			stats.Pct(p[0])+"/"+stats.Pct(p[1]))
-		for k := 0; k < 4; k++ {
-			cols[k] = append(cols[k], row.Values[k])
-		}
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(cols[0])), stats.Pct(stats.Mean(cols[1])),
-		stats.Pct(stats.Mean(cols[2])), stats.Pct(stats.Mean(cols[3])), "")
+	avg := columnMean(t.Rows, 4)
+	tab.AddRow("Avg", stats.Pct(avg[0]), stats.Pct(avg[1]), stats.Pct(avg[2]), stats.Pct(avg[3]), "")
 	return tab.Render()
 }
 
@@ -278,14 +265,13 @@ func (t *Table10Result) Render() string {
 		Header: []string{"bench", "With Pinning", "No Pinning", "paper(P/NP)"},
 		Notes:  []string{"paper averages: 60.51% / 58.57%"},
 	}
-	var a, b []float64
 	for _, row := range t.Rows {
 		p := t.Paper[row.Bench]
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(row.Values[1]),
 			stats.Pct(p[0])+"/"+stats.Pct(p[1]))
-		a, b = append(a, row.Values[0]), append(b, row.Values[1])
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(a)), stats.Pct(stats.Mean(b)), "")
+	avg := columnMean(t.Rows, 2)
+	tab.AddRow("Avg", stats.Pct(avg[0]), stats.Pct(avg[1]), "")
 	return tab.Render()
 }
 
@@ -426,14 +412,21 @@ func (f *Figure9Result) Render() string {
 
 // --- shared helpers ---
 
-func columnHM(rows []BenchRow, n int) []float64 {
+// columnHM returns the harmonic mean of each of the first n value columns.
+func columnHM(rows []BenchRow, n int) []float64 { return columnAgg(rows, n, stats.HarmonicMean) }
+
+// columnMean returns the arithmetic mean of each of the first n value
+// columns: the "Avg" row of the percentage tables.
+func columnMean(rows []BenchRow, n int) []float64 { return columnAgg(rows, n, stats.Mean) }
+
+func columnAgg(rows []BenchRow, n int, agg func([]float64) float64) []float64 {
 	out := make([]float64, n)
 	for k := 0; k < n; k++ {
 		var col []float64
 		for _, row := range rows {
 			col = append(col, row.Values[k])
 		}
-		out[k] = stats.HarmonicMean(col)
+		out[k] = agg(col)
 	}
 	return out
 }

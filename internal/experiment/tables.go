@@ -44,13 +44,11 @@ func (t *Table1Result) Render() string {
 			"synthetic kernels have shorter basic blocks, so traces are shorter.",
 		},
 	}
-	var tc, sz []float64
 	for _, row := range t.Rows {
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.F2(row.Values[1]))
-		tc = append(tc, row.Values[0])
-		sz = append(sz, row.Values[1])
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(tc)), stats.F2(stats.Mean(sz)))
+	avg := columnMean(t.Rows, 2)
+	tab.AddRow("Avg", stats.Pct(avg[0]), stats.F2(avg[1]))
 	return tab.Render()
 }
 
@@ -95,12 +93,11 @@ func (f *Figure4Result) Render() string {
 			"shorter dependence distances shift weight from the RF to forwarding.",
 		},
 	}
-	var a, b, c []float64
 	for _, row := range f.Rows {
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(row.Values[1]), stats.Pct(row.Values[2]))
-		a, b, c = append(a, row.Values[0]), append(b, row.Values[1]), append(c, row.Values[2])
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(a)), stats.Pct(stats.Mean(b)), stats.Pct(stats.Mean(c)))
+	avg := columnMean(f.Rows, 3)
+	tab.AddRow("Avg", stats.Pct(avg[0]), stats.Pct(avg[1]), stats.Pct(avg[2]))
 	return tab.Render()
 }
 
@@ -136,14 +133,13 @@ func (t *Table2Result) Render() string {
 		Title:  "Table 2: Critical Data Forwarding Dependencies",
 		Header: []string{"bench", "% crit fwd", "paper", "% inter-trace", "paper"},
 	}
-	var a, b []float64
 	for _, row := range t.Rows {
 		p := t.Paper[row.Bench]
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(p[0]),
 			stats.Pct(row.Values[1]), stats.Pct(p[1]))
-		a, b = append(a, row.Values[0]), append(b, row.Values[1])
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(a)), "83.36%", stats.Pct(stats.Mean(b)), "27.84%")
+	avg := columnMean(t.Rows, 2)
+	tab.AddRow("Avg", stats.Pct(avg[0]), "83.36%", stats.Pct(avg[1]), "27.84%")
 	return tab.Render()
 }
 
@@ -183,16 +179,12 @@ func (t *Table3Result) Render() string {
 		Header: []string{"bench", "RS1", "RS2", "crit-inter RS1", "crit-inter RS2"},
 		Notes:  []string{"paper averages: 97.07% / 94.52% / 90.26% / 84.65%"},
 	}
-	var cols [4][]float64
 	for _, row := range t.Rows {
 		tab.AddRow(row.Bench, stats.Pct(row.Values[0]), stats.Pct(row.Values[1]),
 			stats.Pct(row.Values[2]), stats.Pct(row.Values[3]))
-		for k := 0; k < 4; k++ {
-			cols[k] = append(cols[k], row.Values[k])
-		}
 	}
-	tab.AddRow("Avg", stats.Pct(stats.Mean(cols[0])), stats.Pct(stats.Mean(cols[1])),
-		stats.Pct(stats.Mean(cols[2])), stats.Pct(stats.Mean(cols[3])))
+	avg := columnMean(t.Rows, 4)
+	tab.AddRow("Avg", stats.Pct(avg[0]), stats.Pct(avg[1]), stats.Pct(avg[2]), stats.Pct(avg[3]))
 	return tab.Render()
 }
 

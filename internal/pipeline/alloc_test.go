@@ -47,8 +47,8 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// step advances the model exactly as Run does, minus the pipetrace and
-// watchdog bookkeeping.
+// step advances the model exactly as Run does, minus the no-progress
+// watchdog.
 func step(p *Pipeline) {
 	if p.cycle() {
 		p.now++

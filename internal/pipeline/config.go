@@ -60,10 +60,6 @@ type Config struct {
 	// MaxInsts bounds the committed instructions consumed (0 = run the
 	// stream dry).
 	MaxInsts uint64
-	// TraceCycles records a per-cycle occupancy snapshot for the first N
-	// active cycles into Stats.PipeTrace (0 = disabled); a debugging and
-	// teaching aid exposed through ctcpsim -pipetrace.
-	TraceCycles int
 	// RetireHook, when non-nil, observes every retired instruction in
 	// program order with the same record the fill unit receives. It exists
 	// for differential testing and external tracing; it must not retain the
@@ -137,9 +133,6 @@ func (c Config) Validate() error {
 	}
 	if c.ZeroAllFwdLat && (c.ZeroCritFwdLat || c.ZeroIntraTrace || c.ZeroInterTrace) {
 		return fmt.Errorf("config: ZeroAllFwdLat subsumes the selective forwarding knobs; set one or the other")
-	}
-	if c.TraceCycles < 0 {
-		return fmt.Errorf("config: TraceCycles %d must be non-negative", c.TraceCycles)
 	}
 	// No invariant: any committed-instruction budget and any hook (or none)
 	// are legal.

@@ -278,8 +278,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
 		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
 	}
-	// A fresh Stats, not a cleared one: a copy Finish returned shares the
-	// old PipeTrace backing array.
 	p.S = Stats{}
 }
 
@@ -311,11 +309,7 @@ func (p *Pipeline) Run() *Stats {
 // drained (fetch paused at the segment limit, machine empty).
 func (p *Pipeline) runLoop(stop func(*Pipeline) bool) {
 	for !stop(p) {
-		worked := p.cycle()
-		if worked && len(p.S.PipeTrace) < p.cfg.TraceCycles {
-			p.S.PipeTrace = append(p.S.PipeTrace, p.debugDump())
-		}
-		if worked {
+		if p.cycle() {
 			p.now++
 		} else {
 			p.now = p.nextEvent()
@@ -1494,26 +1488,6 @@ func (p *Pipeline) retireInfo(idx uint32, info *core.RetireInfo) {
 		info.CritInterTrace = false
 		info.CritProducerProfile = trace.Profile{}
 	}
-}
-
-// debugDump renders one cycle's occupancy for Config.TraceCycles. (It was
-// named snapshot before the Snapshot/Restore checkpointing contract took
-// that name.)
-func (p *Pipeline) debugDump() string {
-	var sb []byte
-	sb = fmt.Appendf(sb, "cyc %6d | fetchQ %2d | rob %3d | rs", p.now, p.fetchQ.len(), p.rob.len())
-	for c := 0; c < p.geom.Clusters; c++ {
-		occ := 0
-		for st := 0; st < int(cluster.NumRSKinds); st++ {
-			occ += p.rsCount[c][st]
-		}
-		sb = fmt.Appendf(sb, " %2d", occ)
-	}
-	if p.pendingRedirect != noID {
-		sb = append(sb, " | redirect"...)
-	}
-	sb = fmt.Appendf(sb, " | retired %d", p.S.Retired)
-	return string(sb)
 }
 
 func maxI64(a, b int64) int64 {

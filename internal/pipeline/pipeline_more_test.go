@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -274,24 +273,5 @@ func TestTraceProfilesSurviveFetchRetireCycle(t *testing.T) {
 	s := runStats(t, cfg, 2000)
 	if s.Fill.LeadersCreated == 0 {
 		t.Error("no chain leaders on a loop-carried dependence workload")
-	}
-}
-
-func TestPipeTraceSnapshotting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TraceCycles = 10
-	s := runStats(t, cfg, 300)
-	if len(s.PipeTrace) != 10 {
-		t.Fatalf("recorded %d snapshots, want 10", len(s.PipeTrace))
-	}
-	for _, line := range s.PipeTrace {
-		if !strings.Contains(line, "rob") || !strings.Contains(line, "retired") {
-			t.Errorf("malformed snapshot %q", line)
-		}
-	}
-	// Disabled by default.
-	off := runStats(t, DefaultConfig(), 300)
-	if len(off.PipeTrace) != 0 {
-		t.Error("snapshots recorded without TraceCycles")
 	}
 }

@@ -332,103 +332,19 @@ func restorePCHist(r *snap.Reader, t *pcmap.Map[pcStats]) {
 }
 
 // snapshotStats serializes the pipeline-local statistics. The BP/TC/Fill
-// sub-structures are excluded: they are copies Finish takes from the live
-// components (each serialized in its own section), and a segmented run
-// only calls Finish once, after the last segment.
+// sub-structures are excluded (tagged snap:"-"): they are copies Finish takes
+// from the live components (each serialized in its own section), and a
+// segmented run only calls Finish once, after the last segment. The trailing
+// zero is the length of the per-cycle pipe trace Stats once carried; it stays
+// so checkpoints written before its removal still decode.
 func snapshotStats(w *snap.Writer, s *Stats) {
-	w.I64(s.Cycles)
-	w.U64(s.Retired)
-	w.U64(s.RetiredFromTC)
-	w.U64(s.TCGroups)
-	w.U64(s.TCGroupInsts)
-	w.U64(s.ICGroups)
-	w.U64(s.ICGroupInsts)
-	w.U64(s.ICacheMisses)
-	w.U64(s.FetchRedirects)
-	w.U64(s.WithInputs)
-	w.U64(s.CritFromRF)
-	w.U64(s.CritFromRS1)
-	w.U64(s.CritFromRS2)
-	w.U64(s.CritForwarded)
-	w.U64(s.CritInterTrace)
-	w.U64(s.CritIntraCluster)
-	w.U64(s.CritDistSum)
-	w.U64(s.FwdInputs)
-	w.U64(s.FwdIntraCluster)
-	w.U64(s.FwdDistSum)
-	w.U64(s.RS1Seen)
-	w.U64(s.RS1Repeat)
-	w.U64(s.RS2Seen)
-	w.U64(s.RS2Repeat)
-	w.U64(s.CritRS1InterSeen)
-	w.U64(s.CritRS1InterRep)
-	w.U64(s.CritRS2InterSeen)
-	w.U64(s.CritRS2InterRep)
-	w.U64(s.CondBranches)
-	w.U64(s.Mispredicts)
-	w.U64(s.IndirectMiss)
-	w.U64(s.BTBBubbles)
-	w.U64(s.Loads)
-	w.U64(s.Stores)
-	w.U64(s.StoreForwards)
-	w.U64(s.SBFullStalls)
-	w.U64(s.LoadQFullStalls)
-	w.U64(s.ROBFullStalls)
-	w.Int(len(s.PipeTrace))
-	for _, line := range s.PipeTrace {
-		w.String(line)
-	}
+	w.Counters(s)
+	w.Int(0)
 }
 
 func restoreStats(r *snap.Reader, s *Stats) {
-	s.Cycles = r.I64()
-	s.Retired = r.U64()
-	s.RetiredFromTC = r.U64()
-	s.TCGroups = r.U64()
-	s.TCGroupInsts = r.U64()
-	s.ICGroups = r.U64()
-	s.ICGroupInsts = r.U64()
-	s.ICacheMisses = r.U64()
-	s.FetchRedirects = r.U64()
-	s.WithInputs = r.U64()
-	s.CritFromRF = r.U64()
-	s.CritFromRS1 = r.U64()
-	s.CritFromRS2 = r.U64()
-	s.CritForwarded = r.U64()
-	s.CritInterTrace = r.U64()
-	s.CritIntraCluster = r.U64()
-	s.CritDistSum = r.U64()
-	s.FwdInputs = r.U64()
-	s.FwdIntraCluster = r.U64()
-	s.FwdDistSum = r.U64()
-	s.RS1Seen = r.U64()
-	s.RS1Repeat = r.U64()
-	s.RS2Seen = r.U64()
-	s.RS2Repeat = r.U64()
-	s.CritRS1InterSeen = r.U64()
-	s.CritRS1InterRep = r.U64()
-	s.CritRS2InterSeen = r.U64()
-	s.CritRS2InterRep = r.U64()
-	s.CondBranches = r.U64()
-	s.Mispredicts = r.U64()
-	s.IndirectMiss = r.U64()
-	s.BTBBubbles = r.U64()
-	s.Loads = r.U64()
-	s.Stores = r.U64()
-	s.StoreForwards = r.U64()
-	s.SBFullStalls = r.U64()
-	s.LoadQFullStalls = r.U64()
-	s.ROBFullStalls = r.U64()
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 {
-		r.Failf("pipe trace has negative length %d", n)
-		return
-	}
-	s.PipeTrace = nil
-	for i := 0; i < n; i++ {
-		s.PipeTrace = append(s.PipeTrace, r.String())
+	r.Counters(s)
+	if n := r.Int(); r.Err() == nil && n != 0 {
+		r.Failf("pipeline stats carry a %d-line pipe trace, which this build no longer records", n)
 	}
 }

@@ -6,6 +6,7 @@ package pipeline
 // with a snapshot written by the pooled-record build.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -252,10 +253,6 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 // representation is invisible to the format — the restored run must produce
 // exactly the stats the pooled build recorded.
 func TestPooledCheckpointCompat(t *testing.T) {
-	data, err := os.ReadFile("testdata/pooled_v0.ckpt")
-	if err != nil {
-		t.Fatalf("reading pooled-build checkpoint: %v", err)
-	}
 	wantBuf, err := os.ReadFile("testdata/pooled_v0_stats.json")
 	if err != nil {
 		t.Fatalf("reading pooled-build stats: %v", err)
@@ -264,7 +261,29 @@ func TestPooledCheckpointCompat(t *testing.T) {
 	if err := json.Unmarshal(wantBuf, &want); err != nil {
 		t.Fatalf("parsing pooled-build stats: %v", err)
 	}
+	p, m, _ := restorePooledFixture(t)
 
+	p.RunTo(0)
+	got := p.Finish()
+	if !reflect.DeepEqual(&want, got) {
+		wj, _ := json.Marshal(&want)
+		gj, _ := json.Marshal(got)
+		t.Errorf("SoA continuation diverged from the pooled build\n pooled %s\n soa    %s", wj, gj)
+	}
+	const wantMem = uint64(0x22269e311e57baec)
+	if sum := m.Mem.Checksum(); sum != wantMem {
+		t.Errorf("final memory checksum %#x, want %#x", sum, wantMem)
+	}
+}
+
+// restorePooledFixture restores testdata/pooled_v0.ckpt into a fresh mcf/FDRT
+// pipeline, returning it, its emulator and the fixture bytes.
+func restorePooledFixture(t *testing.T) (*Pipeline, *emu.Machine, []byte) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/pooled_v0.ckpt")
+	if err != nil {
+		t.Fatalf("reading pooled-build checkpoint: %v", err)
+	}
 	const budget = 12_000
 	bm, ok := workload.ByName("mcf")
 	if !ok {
@@ -285,16 +304,20 @@ func TestPooledCheckpointCompat(t *testing.T) {
 	if got := p.Consumed(); got != budget/2 {
 		t.Fatalf("restored pipeline consumed %d, want %d", got, budget/2)
 	}
+	return p, m, data
+}
 
-	p.RunTo(0)
-	got := p.Finish()
-	if !reflect.DeepEqual(&want, got) {
-		wj, _ := json.Marshal(&want)
-		gj, _ := json.Marshal(got)
-		t.Errorf("SoA continuation diverged from the pooled build\n pooled %s\n soa    %s", wj, gj)
+// TestSnapshotReencodesPooledFixture pins the encoding itself, not just its
+// decoding: snapshotting the restored fixture reproduces it byte for byte.
+func TestSnapshotReencodesPooledFixture(t *testing.T) {
+	p, _, data := restorePooledFixture(t)
+	w := snap.NewWriter()
+	p.Snapshot(w)
+	got, err := w.Finish()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
-	const wantMem = uint64(0x22269e311e57baec)
-	if sum := m.Mem.Checksum(); sum != wantMem {
-		t.Errorf("final memory checksum %#x, want %#x", sum, wantMem)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("re-snapshot of pooled_v0.ckpt differs: %d bytes, fixture %d", len(got), len(data))
 	}
 }

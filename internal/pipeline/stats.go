@@ -6,7 +6,9 @@ import (
 	"ctcp/internal/trace"
 )
 
-// Stats aggregates everything the paper's tables and figures report.
+// Stats aggregates everything the paper's tables and figures report. It is
+// integer counters only: snap.Counters checkpoints it and sample's merge sums
+// it, both by walking the fields.
 type Stats struct {
 	Cycles  int64
 	Retired uint64
@@ -57,14 +59,10 @@ type Stats struct {
 	LoadQFullStalls uint64
 	ROBFullStalls   uint64
 
-	// Substructures.
-	BP   bpred.Stats
-	TC   trace.Stats
-	Fill core.FillStats
-
-	// PipeTrace holds per-cycle occupancy snapshots when Config.TraceCycles
-	// is set.
-	PipeTrace []string
+	// Substructures, checkpointed by their components' own sections.
+	BP   bpred.Stats    `snap:"-"`
+	TC   trace.Stats    `snap:"-"`
+	Fill core.FillStats `snap:"-"`
 }
 
 // IPC returns retired instructions per cycle.

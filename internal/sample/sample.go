@@ -308,9 +308,8 @@ func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detai
 }
 
 // addStats accumulates src into dst field by field via reflection: integer
-// counters add, nested structs recurse, and everything else (the PipeTrace
-// debug slice) is skipped. Reflection keeps the merge complete by
-// construction as Stats grows new counters.
+// counters add and nested structs recurse. Reflection keeps the merge
+// complete by construction as Stats grows new counters.
 func addStats(dst, src *pipeline.Stats) {
 	addValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
 }

@@ -12,7 +12,8 @@
 // section's full encoding (marker through checksum) is part of its parent's
 // payload, so parent checksums cover children. Scalars inside a payload are
 // raw fixed-width little-endian values with no per-value tags; the schema
-// is the Snapshot/Restore code itself, which is why Reader.End is strict
+// is the Snapshot/Restore code itself (for stats structs, their field
+// declaration order; see Writer.Counters), which is why Reader.End is strict
 // (the payload must be consumed exactly) and why component codecs start by
 // checking a configuration fingerprint with Reader.Expect.
 //

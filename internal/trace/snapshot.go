@@ -82,12 +82,7 @@ func (c *Cache) Snapshot(w *snap.Writer) {
 		}
 	}
 	w.U64(c.stamp)
-	w.U64(c.S.Lookups)
-	w.U64(c.S.Hits)
-	w.U64(c.S.Installs)
-	w.U64(c.S.Replaced)
-	w.U64(c.S.Updated)
-	w.U64(c.S.Evictions)
+	w.Counters(&c.S)
 	w.End()
 }
 
@@ -119,12 +114,7 @@ func (c *Cache) Restore(r *snap.Reader) {
 		}
 	}
 	c.stamp = r.U64()
-	c.S.Lookups = r.U64()
-	c.S.Hits = r.U64()
-	c.S.Installs = r.U64()
-	c.S.Replaced = r.U64()
-	c.S.Updated = r.U64()
-	c.S.Evictions = r.U64()
+	r.Counters(&c.S)
 	r.End()
 }
 
