@@ -148,26 +148,44 @@ type RetireInfo struct {
 // evicted or instructions arrive from the instruction cache); this table
 // only bridges the gap between a designation being made at retirement and
 // the designated instruction next passing through the fill unit. It is
-// bounded and evicts in FIFO order. See DESIGN.md substitution #3.
+// bounded and evicts in FIFO order of designation: the victim is the live
+// entry whose current designation is oldest, the same order Snapshot
+// writes, so a restored table evicts exactly as the uninterrupted one. See
+// DESIGN.md substitution #3 and §7.
 //
 // The table is consulted for every retired instruction (updateChains) and
 // every slot of every built trace (assign), so entries live in a dense
-// PC-indexed pcmap.Map rather than a hash map; the FIFO order ring is
-// unchanged.
+// PC-indexed pcmap.Map rather than a hash map. The FIFO order is a slice of
+// (pc, stamp) references: each insertion stamps its slot and appends one
+// reference, and a reference is valid only while its slot still carries
+// that stamp. Take and eviction leave stale references behind; eviction
+// skips them and compact drops them, which bounds the slice to
+// 2·Len()+orderSlack entries.
 type ChainProfile struct {
 	capLimit int
 	count    int // live (present) designations
 	tab      pcmap.Map[chainSlot]
-	order    []uint64
-	head     int
+	order    []chainRef
+	head     int    // order[:head] has been consumed by eviction
+	stamp    uint64 // the last insertion stamp handed out
 }
 
-// chainSlot is one dense slot: a designation plus its presence bit (the
-// zero slot means "no pending designation for this PC").
+// chainSlot is one dense slot: a designation plus the stamp of the
+// insertion that made it (the zero slot, stamp 0, means "no pending
+// designation for this PC").
 type chainSlot struct {
-	prof    trace.Profile
-	present bool
+	prof  trace.Profile
+	stamp uint64
 }
+
+// chainRef is one FIFO position: the PC designated and its insertion stamp.
+type chainRef struct {
+	pc, stamp uint64
+}
+
+// orderSlack is how many stale references order may hold beyond one per
+// live entry before compact drops them.
+const orderSlack = 64
 
 // NewChainProfile returns a table bounded to capLimit entries.
 func NewChainProfile(capLimit int) *ChainProfile {
@@ -179,10 +197,18 @@ func NewChainProfile(capLimit int) *ChainProfile {
 
 // peek returns the pending designation for pc without consuming it.
 func (c *ChainProfile) peek(pc uint64) (trace.Profile, bool) {
-	if e := c.tab.Lookup(pc); e != nil && e.present {
+	if e := c.tab.Lookup(pc); e != nil && e.stamp != 0 {
 		return e.prof, true
 	}
 	return trace.Profile{}, false
+}
+
+// slotFor returns ref's slot while ref is its current designation, else nil.
+func (c *ChainProfile) slotFor(ref chainRef) *chainSlot {
+	if e := c.tab.Lookup(ref.pc); e != nil && e.stamp == ref.stamp {
+		return e
+	}
+	return nil
 }
 
 // Get returns the profile recorded for pc (zero Profile when absent).
@@ -194,31 +220,47 @@ func (c *ChainProfile) Get(pc uint64) trace.Profile {
 // Set records the profile for pc, evicting the oldest entry when full.
 func (c *ChainProfile) Set(pc uint64, p trace.Profile) {
 	e := c.tab.Ensure(pc)
-	if !e.present {
+	if e.stamp == 0 {
 		if c.count >= c.capLimit {
-			// FIFO eviction; skip order entries already deleted. Eviction
-			// only reads existing slots, so e stays valid across it.
+			// FIFO eviction, skipping stale references. Eviction only
+			// reads existing slots, so e stays valid across it.
 			for c.head < len(c.order) {
-				victim := c.order[c.head]
+				ve := c.slotFor(c.order[c.head])
 				c.head++
-				if ve := c.tab.Lookup(victim); ve != nil && ve.present {
+				if ve != nil {
 					*ve = chainSlot{}
 					c.count--
 					break
 				}
 			}
 		}
-		e.present = true
+		c.stamp++
+		e.stamp = c.stamp
 		c.count++
-		c.order = append(c.order, pc)
-		// Compact the order slice in place occasionally so it cannot grow
-		// without bound.
-		if c.head > c.capLimit {
-			c.order = c.order[:copy(c.order, c.order[c.head:])]
-			c.head = 0
-		}
+		c.order = append(c.order, chainRef{pc, e.stamp})
+		c.compact()
 	}
 	e.prof = p
+}
+
+// compact drops the consumed prefix and every stale reference, in place,
+// once order holds more than 2·count+orderSlack entries. A compacted order
+// holds only live references, and each Set or Take raises len(order) −
+// 2·count by at most two, so compactions cost O(1) amortized and order's
+// capacity stops growing once the live population does.
+func (c *ChainProfile) compact() {
+	if len(c.order) <= 2*c.count+orderSlack {
+		return
+	}
+	n := 0
+	for _, ref := range c.order[c.head:] {
+		if c.slotFor(ref) != nil {
+			c.order[n] = ref
+			n++
+		}
+	}
+	c.order = c.order[:n]
+	c.head = 0
 }
 
 // Has reports whether pc has a pending designation.
@@ -230,12 +272,13 @@ func (c *ChainProfile) Has(pc uint64) bool {
 // Take removes and returns the pending designation for pc, if any.
 func (c *ChainProfile) Take(pc uint64) (trace.Profile, bool) {
 	e := c.tab.Lookup(pc)
-	if e == nil || !e.present {
+	if e == nil || e.stamp == 0 {
 		return trace.Profile{}, false
 	}
 	p := e.prof
 	*e = chainSlot{}
 	c.count--
+	c.compact()
 	return p, true
 }
 
@@ -249,4 +292,5 @@ func (c *ChainProfile) Reset() {
 	c.count = 0
 	c.order = c.order[:0]
 	c.head = 0
+	c.stamp = 0
 }

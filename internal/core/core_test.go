@@ -9,6 +9,7 @@ import (
 	"ctcp/internal/cluster"
 	"ctcp/internal/emu"
 	"ctcp/internal/isa"
+	"ctcp/internal/snap"
 	"ctcp/internal/trace"
 )
 
@@ -397,8 +398,67 @@ func TestChainProfileEvictionBound(t *testing.T) {
 	}
 }
 
+// TestChainProfileEvictionMatchesRestore: eviction order is the order of
+// current designations, the order Snapshot writes, so a table restored
+// mid-run evicts exactly what the uninterrupted one does. A's first
+// designation was taken; its second is younger than B's.
+func TestChainProfileEvictionMatchesRestore(t *testing.T) {
+	const a, b, c = 0x100, 0x200, 0x300
+	leader := trace.Profile{Role: trace.RoleLeader, ChainCluster: 1}
+	live := NewChainProfile(2)
+	live.Set(a, leader)
+	live.Take(a)
+	live.Set(b, leader)
+	live.Set(a, leader)
+
+	w := snap.NewWriter()
+	live.Snapshot(w)
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewChainProfile(2)
+	restored.Restore(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cp   *ChainProfile
+	}{{"live", live}, {"restored", restored}} {
+		tc.cp.Set(c, leader)
+		if tc.cp.Has(b) || !tc.cp.Has(a) || !tc.cp.Has(c) || tc.cp.Len() != 2 {
+			t.Errorf("%s table after Set C: a=%v b=%v c=%v len=%d, want B evicted",
+				tc.name, tc.cp.Has(a), tc.cp.Has(b), tc.cp.Has(c), tc.cp.Len())
+		}
+	}
+}
+
+// TestChainProfileOrderBounded: designations that are taken before the
+// table fills leave stale FIFO references behind; compaction keeps them
+// within a constant of the live population however long the run.
+func TestChainProfileOrderBounded(t *testing.T) {
+	cp := NewChainProfile(1 << 16)
+	p := trace.Profile{Role: trace.RoleFollower, ChainCluster: 3}
+	for i := 0; i < 1_000_000; i++ {
+		pc := uint64(i%8) * 4
+		cp.Set(pc, p)
+		if _, ok := cp.Take(pc); !ok {
+			t.Fatalf("pair %d: Take(%#x) found nothing", i, pc)
+		}
+		if len(cp.order) > 2*cp.Len()+orderSlack {
+			t.Fatalf("pair %d: order holds %d references for %d live entries", i, len(cp.order), cp.Len())
+		}
+	}
+}
+
 // TestChainProfileSteadyStateAllocs: once the table and its FIFO order have
-// reached their bound, eviction and order compaction reuse the same
+// reached their bound, eviction, Take and order compaction reuse the same
 // storage, and so does a Reset.
 func TestChainProfileSteadyStateAllocs(t *testing.T) {
 	cp := NewChainProfile(8)
@@ -407,11 +467,32 @@ func TestChainProfileSteadyStateAllocs(t *testing.T) {
 		cp.Set(pc%(64*4), trace.Profile{Role: trace.RoleFollower, ChainCluster: 2})
 		pc += 4
 	}
+	// setTake designates a PC and consumes an older one, the fill unit's
+	// pattern: most designations are taken, not evicted.
+	setTake := func() {
+		set()
+		cp.Take((pc - 12) % (64 * 4))
+	}
+	// Each measured run repeats the operation many times: AllocsPerRun
+	// divides by its run count in integer arithmetic, which would average a
+	// slice doubling every few thousand calls down to zero.
+	const calls = 10_000
+	repeat := func(f func()) func() {
+		return func() {
+			for i := 0; i < calls; i++ {
+				f()
+			}
+		}
+	}
 	for i := 0; i < 100; i++ {
 		set()
+		setTake()
 	}
-	if allocs := testing.AllocsPerRun(100, set); allocs != 0 {
-		t.Errorf("steady-state Set allocated %.2f times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1, repeat(set)); allocs != 0 {
+		t.Errorf("%d steady-state Sets allocated %.0f times, want 0", calls, allocs)
+	}
+	if allocs := testing.AllocsPerRun(1, repeat(setTake)); allocs != 0 {
+		t.Errorf("%d steady-state Set and Take pairs allocated %.0f times, want 0", calls, allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { cp.Reset(); set() }); allocs != 0 {
 		t.Errorf("Reset then Set allocated %.2f times, want 0", allocs)

@@ -44,43 +44,32 @@ func (ri *RetireInfo) Restore(r *snap.Reader) {
 	ri.CritProducerProfile.ChainCluster = r.U8()
 }
 
-// Snapshot serializes the chain-designation table. The FIFO order slice may
-// hold stale entries for keys that were taken and later re-designated (Set
-// appends a new position; the old one is skipped at eviction time), so the
-// encoding walks the order backwards keeping each live key's most recent —
-// i.e. current — position, then emits the live entries oldest-first.
+// Snapshot serializes the chain-designation table: its live entries in
+// FIFO order, oldest designation first. Stale order references are skipped,
+// so the encoding depends only on the live designations and their order.
 // Restoring replays them through Set, which rebuilds an equivalent table:
-// same contents and same future eviction order, with the stale positions
+// same contents and same future eviction order, with the stale references
 // compacted away.
 func (c *ChainProfile) Snapshot(w *snap.Writer) {
 	w.Begin("chains")
 	w.Int(c.capLimit)
-	live := make([]uint64, 0, c.count)
-	seen := make(map[uint64]bool, c.count)
-	for i := len(c.order) - 1; i >= c.head; i-- {
-		pc := c.order[i]
-		if seen[pc] {
-			continue
-		}
-		seen[pc] = true
-		if c.Has(pc) {
-			live = append(live, pc)
+	live := 0
+	for _, ref := range c.order[c.head:] {
+		if c.slotFor(ref) != nil {
+			live++
 		}
 	}
-	// live is newest-first; emit oldest-first.
-	for i, j := 0, len(live)-1; i < j; i, j = i+1, j-1 {
-		live[i], live[j] = live[j], live[i]
-	}
-	if len(live) != c.count {
-		w.Failf("chain profile: %d live FIFO entries but %d table entries", len(live), c.count)
+	if live != c.count {
+		w.Failf("chain profile: %d live FIFO entries but %d table entries", live, c.count)
 		return
 	}
-	w.Int(len(live))
-	for _, pc := range live {
-		p := c.Get(pc)
-		w.U64(pc)
-		w.U8(p.Role)
-		w.U8(p.ChainCluster)
+	w.Int(live)
+	for _, ref := range c.order[c.head:] {
+		if e := c.slotFor(ref); e != nil {
+			w.U64(ref.pc)
+			w.U8(e.prof.Role)
+			w.U8(e.prof.ChainCluster)
+		}
 	}
 	w.End()
 }

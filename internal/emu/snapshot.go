@@ -36,19 +36,28 @@ func (m *Memory) Snapshot(w *snap.Writer) {
 	w.End()
 }
 
-// Restore replaces the memory contents with the snapshot's pages. The
-// page-translation cache is scratch and is reset, not restored.
+// Restore replaces the memory contents with the snapshot's pages. Each
+// snapshot page is copied into the page already at its index, so a machine
+// restored again and again (a sampling worker's) allocates only for indices
+// it has never touched. Pages the snapshot lacks are zeroed, not dropped:
+// the snapshot omits exactly the all-zero pages. The page-translation cache
+// is scratch and is reset, not restored.
 func (m *Memory) Restore(r *snap.Reader) {
 	r.Begin("memory")
 	n := r.Int()
 	if r.Err() != nil {
 		return
 	}
-	m.pages = make(map[uint64]*page, n)
+	if m.pages == nil {
+		m.pages = make(map[uint64]*page, n)
+	}
+	for _, p := range m.pages { //ctcp:lint-ok maporder -- every page is cleared; the visit order is unobservable
+		clear(p[:])
+	}
 	m.lastIdx, m.lastPage = 0, nil
 	for i := 0; i < n; i++ {
 		idx := r.U64()
-		b := r.Bytes()
+		b := r.BytesView()
 		if r.Err() != nil {
 			return
 		}
@@ -56,9 +65,12 @@ func (m *Memory) Restore(r *snap.Reader) {
 			r.Failf("memory page %#x has %d bytes (want %d)", idx, len(b), pageSize)
 			return
 		}
-		// Bytes returns a fresh copy, so the page adopts it without a
-		// second one.
-		m.pages[idx] = (*page)(b)
+		p := m.pages[idx]
+		if p == nil {
+			p = new(page)
+			m.pages[idx] = p
+		}
+		copy(p[:], b)
 	}
 	r.End()
 }

@@ -134,6 +134,61 @@ func TestMachineSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreIntoUsedMachine: Restore reuses the pages a machine already
+// holds, so restoring into one that has run elsewhere must leave exactly the
+// state a restore into a new machine does. The used machine holds a page the
+// snapshot lacks (which must read as zero afterwards) and the snapshot's
+// pages with other bytes; the snapshot holds a page the used machine never
+// touched.
+func TestRestoreIntoUsedMachine(t *testing.T) {
+	const (
+		onlySrc  = isa.DefaultDataBase + 0x10_0000 // a page only the snapshot has
+		onlyUsed = isa.DefaultDataBase + 0x20_0000 // a page only the used machine has
+	)
+	p := loopProg(200)
+	src := New(p)
+	if _, err := src.Run(300); err != nil {
+		t.Fatal(err)
+	}
+	src.Mem.Write(onlySrc, 0x0123_4567_89ab_cdef, 8)
+	data := snapshotMachine(t, src)
+
+	used := New(p)
+	if _, err := used.Run(900); err != nil {
+		t.Fatal(err)
+	}
+	used.Mem.Write(onlyUsed, ^uint64(0), 8)
+	if used.Mem.Checksum() == src.Mem.Checksum() {
+		t.Fatal("used machine's memory already equals the snapshot's; the test proves nothing")
+	}
+	restoreMachine(t, used, data)
+	fresh := New(p)
+	restoreMachine(t, fresh, data)
+
+	if got := used.Mem.Read(onlyUsed, 8); got != 0 {
+		t.Errorf("page absent from the snapshot reads %#x after restore, want 0", got)
+	}
+	if got := used.Mem.Read(onlySrc, 8); got != 0x0123_4567_89ab_cdef {
+		t.Errorf("page only the snapshot has reads %#x after restore", got)
+	}
+	if string(snapshotMachine(t, used)) != string(snapshotMachine(t, fresh)) {
+		t.Fatal("re-snapshotting the used machine differs from a restore into a new one")
+	}
+	for i := 0; i < 500; i++ {
+		c1, ok1 := fresh.Next()
+		c2, ok2 := used.Next()
+		if ok1 != ok2 || c1 != c2 {
+			t.Fatalf("commit %d after restore diverges:\n  new  %+v (%v)\n  used %+v (%v)", i, c1, ok1, c2, ok2)
+		}
+		if !ok1 {
+			break
+		}
+	}
+	if used.Mem.Checksum() != fresh.Mem.Checksum() || used.OutHash != fresh.OutHash {
+		t.Error("architectural state diverges after identical continuation")
+	}
+}
+
 // TestMachineSnapshotDeterministic: snapshotting the same state twice must
 // produce identical bytes (the codec has no iteration-order leakage).
 func TestMachineSnapshotDeterministic(t *testing.T) {

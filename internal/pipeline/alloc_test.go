@@ -1,13 +1,14 @@
 package pipeline
 
-// Zero-allocation regression test for the cycle-model hot path. The hotalloc
+// Zero-allocation regression tests for the cycle-model hot path. The hotalloc
 // lint rule pins the property structurally (no allocating constructs reachable
-// from //ctcp:hotpath); this test pins it dynamically: after warm-up, whole
+// from //ctcp:hotpath); these tests pin it dynamically: after warm-up, whole
 // simulated cycles must perform no heap allocation at all. Together they catch
 // both what the analyzer models and what it cannot (e.g. allocations inside
 // cross-package callees).
 
 import (
+	"runtime"
 	"testing"
 
 	"ctcp/internal/core"
@@ -44,6 +45,45 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state cycle loop allocated: %.1f allocs per %d cycles (want 0)", allocs, cyclesPerRun)
+	}
+}
+
+// TestCycleLoopBytesWindow is the amortized half of the zero-allocation
+// rule. AllocsPerRun divides its malloc count by the run count in integer
+// arithmetic, so a slice that doubles every few thousand cycles averages to
+// zero there; over a window of windowCycles after warm-up, a leak of that
+// kind costs hundreds of kilobytes. The bound leaves room for the rare
+// first touch of a new static PC or data page, not for growth that scales
+// with run length.
+func TestCycleLoopBytesWindow(t *testing.T) {
+	const (
+		warmCycles   = 20_000
+		windowCycles = 100_000
+		maxBytes     = 32 << 10
+	)
+	for _, name := range []string{"gzip", "gcc", "vortex"} {
+		bm, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("%s kernel missing", name)
+		}
+		p := New(emu.New(bm.ProgramFor(2_000_000)), DefaultConfig().WithStrategy(core.FDRT, false))
+		for i := 0; i < warmCycles && !p.done(); i++ {
+			step(p)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < windowCycles && !p.done(); i++ {
+			step(p)
+		}
+		runtime.ReadMemStats(&after)
+		if p.done() {
+			t.Fatalf("%s: stream exhausted before the window ended; enlarge the program", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+			t.Errorf("%s: %d cycles after warm-up allocated %d bytes (bound %d)", name, windowCycles, got, maxBytes)
+		} else {
+			t.Logf("%s: %d cycles after warm-up allocated %d bytes", name, windowCycles, got)
+		}
 	}
 }
 

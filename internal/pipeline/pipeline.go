@@ -228,9 +228,13 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 
 	// The in-flight store keeps its slices' capacity: grow appends zeroed
 	// slots into them, so slot numbers and generations match a new store.
-	// Its population scales with the ROB, so a new ROB size starts afresh.
-	if cfg.ROBSize != old.ROBSize {
+	// Its population scales with the ROB and fetch widths, so new widths
+	// start afresh, reserved once for the most slots the window can hold:
+	// the ROB, as many retired slots waiting in the graveyard for younger
+	// consumers, and a fetch queue under three fetch widths.
+	if cfg.ROBSize != old.ROBSize || cfg.FetchWidth != old.FetchWidth {
 		p.st = infStore{}
+		p.st.reserve(2*cfg.ROBSize + 3*cfg.FetchWidth)
 	} else {
 		p.st.reset()
 	}

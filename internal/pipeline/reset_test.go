@@ -289,3 +289,28 @@ func TestInfStoreResetTruncatesEverySlice(t *testing.T) {
 		t.Errorf("first slot after reset is %d with generation %d, want 0 with generation 1", idx, s.gen[0])
 	}
 }
+
+// TestInfStoreReserveCoversEverySlice pins infStore.reserve to the struct:
+// after reserve(n), n grows and n releases must not move any slice, so a
+// slice reserve forgot shows up as one grow or release reallocated.
+func TestInfStoreReserveCoversEverySlice(t *testing.T) {
+	const n = 8
+	var s infStore
+	s.reserve(n)
+	v := reflect.ValueOf(&s).Elem()
+	before := make([]uintptr, v.NumField())
+	for i := range before {
+		before[i] = v.Field(i).Pointer()
+	}
+	for i := 0; i < n; i++ {
+		s.grow()
+	}
+	for i := uint32(0); i < n; i++ {
+		s.release(i)
+	}
+	for i, p := range before {
+		if name := v.Type().Field(i).Name; p == 0 || v.Field(i).Pointer() != p {
+			t.Errorf("infStore.%s was reallocated within the %d reserved slots", name, n)
+		}
+	}
+}

@@ -31,6 +31,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"ctcp/internal/core"
 	"ctcp/internal/emu"
@@ -216,6 +217,42 @@ func (s *infStore) grow() uint32 {
 	s.critSrc = append(s.critSrc, 0)
 	s.freeAfter = append(s.freeAfter, 0)
 	return idx
+}
+
+// reserve gives every slice grow or release appends to room for n more
+// slots, so a window that ramps up to n live slots never reallocates. It
+// must cover exactly the slices grow appends to, plus the free list
+// (TestInfStoreReserveCoversEverySlice pins that).
+func (s *infStore) reserve(n int) {
+	s.gen = slices.Grow(s.gen, n)
+	s.flags = slices.Grow(s.flags, n)
+	s.class = slices.Grow(s.class, n)
+	s.cluster = slices.Grow(s.cluster, n)
+	s.resultAt = slices.Grow(s.resultAt, n)
+	s.doneAt = slices.Grow(s.doneAt, n)
+	s.readyAt = slices.Grow(s.readyAt, n)
+	s.waitCount = slices.Grow(s.waitCount, n)
+	s.rsSlot = slices.Grow(s.rsSlot, n)
+	s.waiterHead = slices.Grow(s.waiterHead, n)
+	s.waiterNext = slices.Grow(s.waiterNext, 2*n)
+	s.loadNext = slices.Grow(s.loadNext, n)
+	s.barrier = slices.Grow(s.barrier, n)
+	s.rec = slices.Grow(s.rec, n)
+	s.profile = slices.Grow(s.profile, n)
+	s.group = slices.Grow(s.group, n)
+	s.ctrl = slices.Grow(s.ctrl, n)
+	s.station = slices.Grow(s.station, n)
+	s.renameReady = slices.Grow(s.renameReady, n)
+	s.dispatchReady = slices.Grow(s.dispatchReady, n)
+	s.rfReady = slices.Grow(s.rfReady, n)
+	s.src = slices.Grow(s.src, n)
+	s.dest = slices.Grow(s.dest, n)
+	s.prod = slices.Grow(s.prod, n)
+	s.prevStore = slices.Grow(s.prevStore, n)
+	s.critProd = slices.Grow(s.critProd, n)
+	s.critSrc = slices.Grow(s.critSrc, n)
+	s.freeAfter = slices.Grow(s.freeAfter, n)
+	s.free = slices.Grow(s.free, n)
 }
 
 // reset empties the store, keeping every slice's capacity. It must truncate

@@ -24,6 +24,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -138,14 +139,18 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 
 	// Detailed windows run while the forward pass produces them. The buffer
 	// holds one job per worker, which bounds the checkpoints alive at once.
+	// Their buffers circulate: a worker hands its checkpoint back through
+	// free once the region's state is restored and verified, and the forward
+	// pass encodes a later checkpoint into it.
 	jobs := make(chan job, workers)
+	free := make(chan []byte, workers+1)
 	var wg sync.WaitGroup
 	var completed atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := worker{m: emu.New(prog), p: new(pipeline.Pipeline)}
+			wk := worker{m: emu.New(prog), p: new(pipeline.Pipeline), free: free}
 			for j := range jobs {
 				det, warm := detail, opts.Warmup
 				if j.idx == 0 {
@@ -163,7 +168,7 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 			}
 		}()
 	}
-	slots, total, err := forward(prog, opts, jobs)
+	slots, total, err := forward(prog, opts, jobs, free)
 	wg.Wait()
 	if err != nil {
 		return nil, err
@@ -203,24 +208,27 @@ type slot struct {
 // forward is the functional pass: the emulator alone, snapshotting the
 // architectural state at each region start and executing the region's
 // span. A region is sent to jobs as soon as its span is known, because the
-// span sets its detailed budget and scales its estimate. forward closes
-// jobs on every return, so the workers drain and exit even after a
-// checkpoint error. It returns the regions' slots in schedule order and
-// the instructions executed.
-func forward(prog *isa.Program, opts Options, jobs chan<- job) (slots []*slot, executed uint64, err error) {
+// span sets its detailed budget and scales its estimate. Each checkpoint is
+// encoded into a buffer a worker has handed back on free when one is
+// waiting. forward closes jobs on every return, so the workers drain and
+// exit even after a checkpoint error. It returns the regions' slots in
+// schedule order and the instructions executed.
+func forward(prog *isa.Program, opts Options, jobs chan<- job, free <-chan []byte) (slots []*slot, executed uint64, err error) {
 	defer close(jobs)
 	m := emu.New(prog)
 	var rec emu.Committed
 	prev := 0 // the previous checkpoint's size
 	for executed < opts.MaxInsts {
 		span := min(opts.Interval, opts.MaxInsts-executed)
-		w := snap.NewWriter()
-		if prev > 0 {
-			// The memory image rarely shrinks between checkpoints, so the
-			// previous one plus an eighth sizes this one without the
-			// writer doubling its buffer up from 4 KB.
-			w.Grow(prev + prev/8)
+		var buf []byte
+		select {
+		case buf = <-free:
+		default:
 		}
+		// The memory image rarely shrinks between checkpoints, so the
+		// previous one plus an eighth sizes this one without the writer
+		// regrowing its buffer step by step mid-encoding.
+		w := snap.NewWriterBuffer(slices.Grow(buf[:0], max(prev+prev/8, 4096)))
 		m.Snapshot(w)
 		ckpt, err := w.Finish()
 		if err != nil {
@@ -256,6 +264,7 @@ type worker struct {
 	m      *emu.Machine
 	stream emu.LimitStream
 	p      *pipeline.Pipeline
+	free   chan<- []byte // where restored checkpoints go back (nil: dropped)
 }
 
 // runRegion restores one architectural checkpoint into the worker's
@@ -277,7 +286,15 @@ func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detai
 		return reg, nil, err
 	}
 	wk.m.Restore(r)
-	if err := r.Close(); err != nil {
+	err = r.Close()
+	// The restored machine holds no reference into ckpt, so the forward
+	// pass may encode into it now. When free is full, or nil, the buffer
+	// is left to the garbage collector instead.
+	select {
+	case wk.free <- ckpt:
+	default:
+	}
+	if err != nil {
 		return reg, nil, err
 	}
 	budget := detail

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // Format identification.
@@ -63,8 +62,8 @@ func fnv64a(b []byte) uint64 {
 }
 
 // Writer builds a snapshot in memory. All methods are no-ops after the
-// first error. Writers are single-use: create with NewWriter, emit
-// sections, then call Bytes or WriteFile.
+// first error. Writers are single-use: create with NewWriter or
+// NewWriterBuffer, emit sections, then call Finish or WriteFile.
 type Writer struct {
 	buf   []byte
 	open  []int    // payload start offsets of open sections
@@ -73,17 +72,19 @@ type Writer struct {
 }
 
 // NewWriter returns a Writer with the format header already emitted.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 4096)}
+func NewWriter() *Writer { return NewWriterBuffer(make([]byte, 0, 4096)) }
+
+// NewWriterBuffer is NewWriter encoding into buf's storage: the snapshot
+// overwrites buf from its start and grows past cap(buf) only if it must.
+// Callers that recycle finished snapshots (sample.Run's checkpoints) or
+// know roughly how large one will be pass the storage here; the encoding
+// never depends on what buf held.
+func NewWriterBuffer(buf []byte) *Writer {
+	w := &Writer{buf: buf[:0]}
 	w.buf = append(w.buf, magic...)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
 	return w
 }
-
-// Grow makes room for at least n more bytes without another reallocation.
-// It is a capacity hint for callers that know roughly how large the
-// snapshot will be; the encoding is unaffected.
-func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Failf records an error; all subsequent calls become no-ops.
 func (w *Writer) Failf(format string, args ...any) {
@@ -393,6 +394,20 @@ func (r *Reader) Bytes() []byte {
 	copy(out, r.buf[r.off:])
 	r.off += n
 	return out
+}
+
+// BytesView reads a length-prefixed byte slice without copying it: the
+// result aliases the snapshot buffer and is valid only until that buffer is
+// reused. It serves decoders that copy the bytes into storage they already
+// own (emu's memory pages); everything else uses Bytes.
+func (r *Reader) BytesView() []byte {
+	n := r.sliceLen(1)
+	if r.err != nil || !r.need(n) {
+		return nil
+	}
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
 }
 
 // String reads a length-prefixed string.

@@ -9,8 +9,10 @@ import (
 
 // writeSample emits one snapshot exercising every scalar and slice type
 // plus nested sections.
-func writeSample() *Writer {
-	w := NewWriter()
+func writeSample() *Writer { return fillSample(NewWriter()) }
+
+// fillSample emits the sample sections into w.
+func fillSample(w *Writer) *Writer {
 	w.Begin("outer")
 	w.U64(0xDEADBEEF01234567)
 	w.I64(-42)
@@ -86,6 +88,56 @@ func TestRoundTrip(t *testing.T) {
 	readSample(t, data)
 }
 
+// TestBytesView: the view reads what Bytes reads, aliases the snapshot
+// instead of copying it, and cannot be appended into the bytes after it.
+func TestBytesView(t *testing.T) {
+	w := NewWriter()
+	w.Begin("s")
+	w.Bytes([]byte{1, 2, 3})
+	w.U64(99)
+	w.End()
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Begin("s")
+	v := r.BytesView()
+	if string(v) != "\x01\x02\x03" {
+		t.Errorf("BytesView = %v, want [1 2 3]", v)
+	}
+	if cap(v) != len(v) {
+		t.Errorf("view has capacity %d past its %d bytes", cap(v), len(v))
+	}
+	data[len(magic)+2+3+1+4+8] = 7 // the view's first byte, in place
+	if v[0] != 7 {
+		t.Error("BytesView copied the bytes")
+	}
+	if got := r.U64(); got != 99 {
+		t.Errorf("U64 after the view = %d, want 99", got)
+	}
+
+	// A length prefix that runs past the section's payload must fail.
+	w = NewWriter()
+	w.Begin("s")
+	w.Int(100)
+	w.U8(1)
+	w.End()
+	if data, err = w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err = NewReader(data); err != nil {
+		t.Fatal(err)
+	}
+	r.Begin("s")
+	if r.BytesView() != nil || r.Err() == nil {
+		t.Error("a view past the payload's end did not fail")
+	}
+}
+
 func TestDeterministicEncoding(t *testing.T) {
 	a, err := writeSample().Finish()
 	if err != nil {
@@ -100,30 +152,41 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
-// TestGrowIsOnlyAHint: the hinted room fills without reallocating, and Grow
-// changes no encoded byte, even when it reallocates mid-encoding.
-func TestGrowIsOnlyAHint(t *testing.T) {
+// TestWriterBufferIsOnlyStorage: a writer fills the storage it is given
+// without reallocating when the snapshot fits, and what that storage held
+// before, or whether it was large enough, changes no encoded byte.
+func TestWriterBufferIsOnlyStorage(t *testing.T) {
 	want, err := writeSample().Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 64<<10)
-	w := NewWriter()
-	w.Grow(8 + len(payload)) // length prefix + bytes
-	room := cap(w.buf)
-	w.Bytes(payload)
-	if cap(w.buf) != room {
-		t.Errorf("writing into the hinted room grew the buffer from %d to %d bytes", room, cap(w.buf))
+	dirty := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xEE
+		}
+		return b
 	}
 
-	w = writeSample()
-	w.Grow(8 << 10) // past NewWriter's 4 KB: reallocates mid-encoding
-	got, err := w.Finish()
+	buf := dirty(len(want))
+	got, err := fillSample(NewWriterBuffer(buf)).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &buf[0] || cap(got) != cap(buf) {
+		t.Error("a snapshot that fits its buffer was encoded elsewhere")
+	}
+	if string(got) != string(want) {
+		t.Error("encoding into a used buffer changed the bytes")
+	}
+
+	// Too small: the writer grows past the buffer mid-encoding.
+	got, err = fillSample(NewWriterBuffer(dirty(len(want) / 2))).Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Error("Grow changed the encoding")
+		t.Error("growing past the buffer changed the bytes")
 	}
 }
 
