@@ -121,6 +121,9 @@ func main() {
 	}
 	cfg.Geom.HopLat = *hop
 	cfg.Geom.Clusters = *clusters
+	if slots := cfg.Geom.TotalWidth(); cfg.Trace.MaxLen > slots {
+		cfg.Trace.MaxLen = slots // a trace line fills at most every issue slot once
+	}
 	cfg.MaxInsts = *insts
 
 	fmt.Printf("benchmark  %s (%s)\n", bm.Name, bm.Description)

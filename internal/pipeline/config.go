@@ -110,6 +110,12 @@ func (c Config) Validate() error {
 	if err := validateTrace(c.Trace); err != nil {
 		return err
 	}
+	if slots := c.Geom.TotalWidth(); c.Trace.MaxLen > slots {
+		// The fill unit assigns every instruction of a trace its own issue
+		// slot; a longer trace cannot be materialized.
+		return fmt.Errorf("config: trace MaxLen %d exceeds the %d issue slots of %d clusters × %d",
+			c.Trace.MaxLen, slots, c.Geom.Clusters, c.Geom.Width)
+	}
 	if err := validateBP(c.BP); err != nil {
 		return err
 	}

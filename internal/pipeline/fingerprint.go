@@ -21,11 +21,25 @@ import (
 // fingerprintValue panics on an unhandled kind, so adding a map or pointer
 // field to Config forces a decision here instead of being hashed by accident
 // as its address.
+//
+// The hash also covers modelRevision, so results simulated by an earlier
+// revision of the model are not served under an unchanged Config either.
 func (c Config) Fingerprint() uint64 {
 	h := fnvOffset
+	fnvString(&h, "ModelRevision")
+	fnvU64(&h, modelRevision)
 	fingerprintValue(&h, "Config", reflect.ValueOf(c))
 	return h
 }
+
+// modelRevision numbers the model's results. Bump it in any change that
+// moves a simulated counter under an unchanged Config, so that stores,
+// checkpoints and named saves written before the change are resimulated or
+// refused instead of served.
+//
+//	1: the idle fast-forward is exact, and stall counters count the
+//	   cycles it skips.
+const modelRevision = 1
 
 // FNV-64a, inlined rather than hash/fnv so the canonical constants are pinned
 // in this file next to the format they define.

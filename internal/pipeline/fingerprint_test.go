@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"ctcp/internal/core"
@@ -49,5 +50,23 @@ func TestFingerprintSensitive(t *testing.T) {
 			t.Errorf("mutation %q collides with %q (fingerprint %016x)", m.name, prev, got)
 		}
 		seen[got] = m.name
+	}
+}
+
+// TestFingerprintPinsModelRevision pins the Table 7 configuration's
+// fingerprint. The pin moves when modelRevision or Config's layout changes,
+// and either re-keys every result store, so update it only deliberately. A
+// fingerprint computed without the revision, as before it existed, must
+// not match.
+func TestFingerprintPinsModelRevision(t *testing.T) {
+	const want = uint64(0x79686710db3d2bbf)
+	c := DefaultConfig()
+	if got := c.Fingerprint(); got != want {
+		t.Errorf("DefaultConfig fingerprint %#016x, pinned %#016x (model revision %d)", got, want, modelRevision)
+	}
+	unrevised := fnvOffset
+	fingerprintValue(&unrevised, "Config", reflect.ValueOf(c))
+	if unrevised == c.Fingerprint() {
+		t.Error("the fingerprint ignores modelRevision")
 	}
 }

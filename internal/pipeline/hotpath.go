@@ -52,6 +52,30 @@ func (q *infQueue) popFront() infID {
 	return id
 }
 
+// drop turns entry i into a hole for squeeze to remove.
+func (q *infQueue) drop(i int) { q.buf[q.head+i] = noID }
+
+// squeeze removes the holes among the first n entries, keeping order. The
+// survivors move back to end at entry n, so the entries behind them stay
+// where they are.
+func (q *infQueue) squeeze(n int) {
+	w := q.head + n
+	for r := w - 1; r >= q.head; r-- {
+		if id := q.buf[r]; id != noID {
+			w--
+			q.buf[w] = id
+		}
+	}
+	for r := q.head; r < w; r++ {
+		q.buf[r] = noID
+	}
+	q.head = w
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+}
+
 // portWindow is the ring size, in cycles, of the data-cache port schedule.
 // It only needs to exceed the farthest-future cycle a port can be booked at
 // relative to the current cycle (bounded by the memory hierarchy's worst

@@ -53,20 +53,23 @@ type Pipeline struct {
 	fetchQ infQueue
 
 	dispatchQ []infQueue // per-cluster in-order queues (slot-based)
-	steerQ    []infID    // global in-order queue (issue-time steering)
+	steerQ    infQueue   // global in-order queue (issue-time steering)
 
 	// rsEntries is each cluster's reservation-station window in age order;
 	// issued entries become noID holes (their mask bits are clear, so the
 	// scan skips whole words of them for free) and the array is compacted
 	// only when it is mostly holes, keeping compaction cost amortized O(1)
 	// per dispatch. readyMask bit i set means rsEntries[c][i] is resolved
-	// and unissued; rsLive counts non-hole entries.
-	rsEntries [][]infID
-	readyMask [][]uint64
-	readyHeap []readyHeap // per-cluster resolved-but-not-yet-ready entries
-	rsLive    []int
-	rsCount   [][]int   // per-cluster per-station occupancy
-	fuFree    [][]int64 // per-cluster per-FU next-free cycle
+	// and unissued; readyCount counts the set bits and rsLive the non-hole
+	// entries.
+	rsEntries  [][]infID
+	readyMask  [][]uint64
+	readyCount []int
+	readyHeap  []readyHeap // per-cluster resolved-but-not-yet-ready entries
+	rsLive     []int
+	rsCount    [][]int   // per-cluster per-station occupancy
+	rsFull     []uint8   // per-cluster mask of the stations rsCount has filled (bit rs)
+	fuFree     [][]int64 // per-cluster per-FU next-free cycle
 
 	renameMap  [isa.NumRegs]infID
 	lastStore  infID
@@ -125,16 +128,38 @@ type scratch struct {
 	graveyard infQueue
 
 	// Per-cycle scratch, reused across cycles. writeUsed is the flattened
-	// [cluster][station] write-port usage; fetchBuf collects one fetch
+	// [cluster][station] write-port usage, stale from an earlier cycle
+	// until dispatch clears it, which it does only when portsUsed says a
+	// port was taken since the last clear; fetchBuf collects one fetch
 	// group; clusterBudget is the per-cluster steering budget. open is
 	// issue-time steering's per-cluster mask of the stations that can still
 	// take an instruction this cycle (bit rs: not full, a write port left);
-	// a cluster whose steering budget is spent has none.
+	// a cluster whose steering budget is spent has none. Steering builds
+	// clusterBudget and open only in cycles where the head of the steering
+	// window is dispatch-ready.
 	writeUsed     []int
+	portsUsed     bool
 	clusterBudget []int
 	open          []uint8
 	fetchBuf      []uint32
+
+	// What the idle fast-forward needs from the cycle just simulated (see
+	// nextEvent): wake is the earliest future cycle at which a stage that
+	// was blocked this cycle can act, for the blocks no other event source
+	// covers; stalls has a stall* bit for each stall counter it charged.
+	wake   int64
+	stalls uint8
 }
+
+// never is the wake time of a cycle in which nothing waits on a time.
+const never = int64(1) << 62
+
+// Stall kinds, as bits of scratch.stalls.
+const (
+	stallROB uint8 = 1 << iota
+	stallLoadQ
+	stallSB
+)
 
 // New builds a pipeline reading committed instructions from stream. The
 // configuration is validated up front: a bad Config panics *core.InvariantError
@@ -224,7 +249,9 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 		clear(p.fuFree[c])
 	}
 	p.rsLive = zeroed(p.rsLive, n)
-	p.steerQ = p.steerQ[:0]
+	p.readyCount = zeroed(p.readyCount, n)
+	p.rsFull = zeroed(p.rsFull, n)
+	p.steerQ.reset()
 
 	// The in-flight store keeps its slices' capacity: grow appends zeroed
 	// slots into them, so slot numbers and generations match a new store.
@@ -277,11 +304,14 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 
 	p.scr.graveyard.reset()
 	p.scr.writeUsed = zeroed(p.scr.writeUsed, n*int(cluster.NumRSKinds))
+	p.scr.portsUsed = false
 	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
 	p.scr.open = zeroed(p.scr.open, n)
 	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
 		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
 	}
+	p.scr.wake = never
+	p.scr.stalls = 0
 	p.S = Stats{}
 }
 
@@ -308,15 +338,19 @@ func (p *Pipeline) Run() *Stats {
 	return p.Finish()
 }
 
-// runLoop advances the model one cycle at a time until stop reports true.
-// Run stops at done (stream exhausted, machine empty); RunTo stops at
-// drained (fetch paused at the segment limit, machine empty).
+// runLoop advances the model until stop reports true: one cycle at a time
+// while stages work, and straight to nextEvent after an idle cycle, charging
+// the skipped cycles to the stalls the idle cycle saw. Run stops at done
+// (stream exhausted, machine empty); RunTo stops at drained (fetch paused at
+// the segment limit, machine empty).
 func (p *Pipeline) runLoop(stop func(*Pipeline) bool) {
 	for !stop(p) {
 		if p.cycle() {
 			p.now++
 		} else {
-			p.now = p.nextEvent()
+			next := p.nextEvent()
+			p.chargeSkipped(next - p.now - 1)
+			p.now = next
 		}
 		if p.now-p.lastRetireCycle > 2_000_000 {
 			panic(&core.InvariantError{Msg: fmt.Sprintf(
@@ -410,6 +444,8 @@ func (p *Pipeline) pauseDrain() {
 //
 //ctcp:hotpath
 func (p *Pipeline) cycle() bool {
+	p.scr.wake = never
+	p.scr.stalls = 0
 	worked := false
 	if p.retire() {
 		worked = true
@@ -430,24 +466,34 @@ func (p *Pipeline) cycle() bool {
 	return worked
 }
 
-// nextEvent returns the earliest future cycle at which anything can happen.
+// nextEvent returns the earliest future cycle at which anything can happen,
+// read after an idle cycle: every cycle before it would be idle too, so
+// runLoop skips them. A stage that can act at cycle t puts t here, either
+// below or, for a block only the stage itself sees, through scr.wake
+// (DESIGN.md, "Idle fast-forward").
 func (p *Pipeline) nextEvent() int64 {
 	st := &p.st
-	best := int64(1 << 62)
+	best := p.scr.wake // FU-starved issue, store-buffer-bound retire, steering
 	consider := func(t int64) {
 		if t > p.now && t < best {
 			best = t
 		}
 	}
-	for i := 0; i < p.rob.len(); i++ {
-		idx := uint32(p.rob.at(i))
-		if f := st.flags[idx]; f&fIssued != 0 && f&fRetired == 0 {
+	// Retirement is in order, so only the ROB head's completion matters;
+	// a result's consumers wake through the ready heaps, not through it.
+	if p.rob.len() > 0 {
+		if idx := uint32(p.rob.front()); st.flags[idx]&fIssued != 0 {
 			consider(st.doneAt[idx])
 		}
 	}
-	// Mask-set entries are ready now (or FU-starved, with readyAt in the
-	// past), so the earliest future RS wakeup is the root of each cluster's
-	// ready heap — no mask scan needed.
+	if p.pendingRedirect != noID {
+		if idx := st.index(p.pendingRedirect); st.flags[idx]&fIssued != 0 {
+			consider(st.doneAt[idx])
+		}
+	}
+	// Mask-set entries are ready now or FU-starved (their units' free
+	// times are in wake), so the earliest future RS wakeup is the root of
+	// each cluster's ready heap — no mask scan needed.
 	for c := range p.readyHeap {
 		if h := p.readyHeap[c]; len(h) > 0 {
 			consider(h[0].at)
@@ -461,9 +507,6 @@ func (p *Pipeline) nextEvent() int64 {
 			consider(st.dispatchReady[uint32(p.dispatchQ[c].front())])
 		}
 	}
-	if len(p.steerQ) > 0 {
-		consider(st.dispatchReady[uint32(p.steerQ[0])])
-	}
 	if p.pendingRedirect == noID && !p.streamDone && (p.havePeek || !p.fetchPaused()) {
 		// When fetch is paused with nothing buffered, no fetch event can
 		// fire until the next RunTo raises the limit; considering nextFetch
@@ -471,10 +514,35 @@ func (p *Pipeline) nextEvent() int64 {
 		// the retirement watchdog.
 		consider(p.nextFetch)
 	}
-	if best == int64(1<<62) {
+	if best == never {
 		return p.now + 1
 	}
 	return best
+}
+
+// wakeAt records that a stage blocked this cycle can act at cycle t.
+func (p *Pipeline) wakeAt(t int64) {
+	if t < p.scr.wake {
+		p.scr.wake = t
+	}
+}
+
+// chargeSkipped charges the n cycles runLoop skips after an idle cycle to
+// each stall that cycle saw: the skip is exact, so the state, and with it
+// every stall, holds through the skipped cycles.
+func (p *Pipeline) chargeSkipped(n int64) {
+	if p.scr.stalls == 0 || n <= 0 {
+		return
+	}
+	if p.scr.stalls&stallROB != 0 {
+		p.S.ROBFullStalls += uint64(n)
+	}
+	if p.scr.stalls&stallLoadQ != 0 {
+		p.S.LoadQFullStalls += uint64(n)
+	}
+	if p.scr.stalls&stallSB != 0 {
+		p.S.SBFullStalls += uint64(n)
+	}
 }
 
 // --- stream helpers ---
@@ -715,11 +783,13 @@ func (p *Pipeline) rename() bool {
 		}
 		if p.rob.len() >= p.cfg.ROBSize {
 			p.S.ROBFullStalls++
+			p.scr.stalls |= stallROB
 			break
 		}
 		isLoad := st.flags[idx]&fIsLoad != 0
 		if isLoad && p.loadsInROB >= p.cfg.LoadQueue {
 			p.S.LoadQFullStalls++
+			p.scr.stalls |= stallLoadQ
 			break
 		}
 		for k, r := range st.src[idx] { // src cached at newInflight (decode cache)
@@ -761,7 +831,7 @@ func (p *Pipeline) rename() bool {
 		p.rob.push(id)
 		p.renamed++
 		if p.cfg.Strategy.SteersAtIssue() {
-			p.steerQ = append(p.steerQ, id)
+			p.steerQ.push(id)
 		} else {
 			p.dispatchQ[st.cluster[idx]].push(id)
 		}
@@ -783,72 +853,12 @@ func (p *Pipeline) wu(c int, st cluster.RSKind) *int {
 //
 //ctcp:hotpath
 func (p *Pipeline) dispatch() bool {
+	if p.cfg.Strategy.SteersAtIssue() {
+		return p.steer()
+	}
 	st := &p.st
 	worked := false
-	clear(p.scr.writeUsed)
-	if p.cfg.Strategy.SteersAtIssue() {
-		// Write ports are all free at the top of the cycle, so a station is
-		// open iff it has a free entry. anyOpen is the union over clusters:
-		// once it is empty nothing more can dispatch this cycle.
-		var anyOpen uint8
-		for c := range p.scr.open {
-			p.scr.clusterBudget[c] = p.geom.Width
-			var m uint8
-			for rs, n := range p.rsCount[c] {
-				if n < p.cfg.RS.Entries {
-					m |= 1 << rs
-				}
-			}
-			p.scr.open[c] = m
-			anyOpen |= m
-		}
-		// Scan the steering window in age order; an instruction whose target
-		// cluster is saturated does not block younger instructions bound for
-		// other clusters.
-		kept := p.steerQ[:0]
-		scanned := 0
-		for i, id := range p.steerQ {
-			idx := uint32(id) // queue membership implies liveness
-			if anyOpen == 0 || st.dispatchReady[idx] > p.now || scanned >= 2*p.geom.TotalWidth() {
-				kept = append(kept, p.steerQ[i:]...)
-				break
-			}
-			scanned++
-			stations := classStations[st.class[idx]]
-			if anyOpen&stations == 0 {
-				kept = append(kept, id) // no cluster can take this class
-				continue
-			}
-			c := p.steerTarget(idx, stations)
-			if c >= 0 {
-				st.cluster[idx] = int32(c)
-				if p.insertRS(idx, c) {
-					worked = true
-					p.scr.clusterBudget[c]--
-					was := p.scr.open[c]
-					if rs := cluster.RSKind(st.station[idx]); p.scr.clusterBudget[c] <= 0 {
-						p.scr.open[c] = 0
-					} else if p.rsCount[c][rs] >= p.cfg.RS.Entries || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
-						p.scr.open[c] &^= 1 << rs
-					}
-					if p.scr.open[c] != was {
-						anyOpen = 0
-						for _, m := range p.scr.open {
-							anyOpen |= m
-						}
-					}
-					continue
-				}
-				st.cluster[idx] = -1
-			}
-			kept = append(kept, id)
-		}
-		for i := len(kept); i < len(p.steerQ); i++ {
-			p.steerQ[i] = noID
-		}
-		p.steerQ = kept
-		return worked
-	}
+	p.freePorts()
 	for c := 0; c < p.geom.Clusters; c++ {
 		n := 0
 		for n < p.geom.Width && p.dispatchQ[c].len() > 0 {
@@ -865,6 +875,93 @@ func (p *Pipeline) dispatch() bool {
 		}
 	}
 	return worked
+}
+
+// freePorts frees every write port for this cycle's dispatch, clearing the
+// counts only when a port was taken since they were last cleared.
+func (p *Pipeline) freePorts() {
+	if p.scr.portsUsed {
+		clear(p.scr.writeUsed)
+		p.scr.portsUsed = false
+	}
+}
+
+// allStations is the open mask of a cluster with every station open.
+const allStations = uint8(1)<<cluster.NumRSKinds - 1
+
+// steer is dispatch under issue-time steering. It builds its steering
+// state only in cycles where the head of the steering window is
+// dispatch-ready: dispatchReady grows along the window, so otherwise
+// nothing in it is.
+//
+//ctcp:hotpath
+func (p *Pipeline) steer() bool {
+	st := &p.st
+	q := &p.steerQ
+	if q.len() == 0 {
+		return false
+	}
+	if t := st.dispatchReady[uint32(q.front())]; t > p.now {
+		p.wakeAt(t)
+		return false
+	}
+	// Write ports are all free at the top of the cycle, so a station is
+	// open iff it is not full. anyOpen is the union over clusters: once it
+	// is empty nothing more can dispatch this cycle.
+	p.freePorts()
+	var anyOpen uint8
+	for c := range p.scr.open {
+		p.scr.clusterBudget[c] = p.geom.Width
+		p.scr.open[c] = allStations &^ p.rsFull[c]
+		anyOpen |= p.scr.open[c]
+	}
+	// Scan the steering window in age order; an instruction whose target
+	// cluster is saturated does not block younger instructions bound for
+	// other clusters. Dispatched entries become holes, squeezed out of the
+	// scanned prefix afterwards.
+	limit := 2 * p.geom.TotalWidth()
+	dispatched := 0
+	i := 0
+	for ; i < q.len() && i < limit && anyOpen != 0; i++ {
+		idx := uint32(q.at(i)) // queue membership implies liveness
+		if t := st.dispatchReady[idx]; t > p.now {
+			p.wakeAt(t)
+			break
+		}
+		stations := classStations[st.class[idx]]
+		if anyOpen&stations == 0 {
+			continue // no cluster can take this class
+		}
+		c := p.steerTarget(idx, stations)
+		if c < 0 {
+			continue
+		}
+		st.cluster[idx] = int32(c)
+		if !p.insertRS(idx, c) {
+			st.cluster[idx] = -1
+			continue
+		}
+		q.drop(i)
+		dispatched++
+		p.scr.clusterBudget[c]--
+		was := p.scr.open[c]
+		if rs := cluster.RSKind(st.station[idx]); p.scr.clusterBudget[c] <= 0 {
+			p.scr.open[c] = 0
+		} else if p.rsFull[c]&(1<<rs) != 0 || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
+			p.scr.open[c] &^= 1 << rs
+		}
+		if p.scr.open[c] != was {
+			anyOpen = 0
+			for _, m := range p.scr.open {
+				anyOpen |= m
+			}
+		}
+	}
+	if dispatched == 0 {
+		return false
+	}
+	q.squeeze(i)
+	return true
 }
 
 // classStations is cluster.StationsFor as a station bit mask per class,
@@ -943,7 +1040,11 @@ func (p *Pipeline) insertRS(idx uint32, c int) bool {
 	st.station[idx] = int32(best)
 	st.flags[idx] |= fInRS
 	p.rsCount[c][best]++
+	if p.rsCount[c][best] == p.cfg.RS.Entries {
+		p.rsFull[c] |= 1 << best
+	}
 	*p.wu(c, best)++
+	p.scr.portsUsed = true
 	pos := len(p.rsEntries[c])
 	p.rsEntries[c] = append(p.rsEntries[c], st.id(idx))
 	st.rsSlot[idx] = int32(pos)
@@ -1073,7 +1174,9 @@ func (p *Pipeline) resolve(idx uint32) {
 	if ready <= p.now {
 		st.flags[idx] |= fResolved | fReady
 		pos := int(st.rsSlot[idx])
-		p.readyMask[st.cluster[idx]][pos>>6] |= 1 << uint(pos&63)
+		c := st.cluster[idx]
+		p.readyMask[c][pos>>6] |= 1 << uint(pos&63)
+		p.readyCount[c]++
 	} else {
 		// Not issuable yet: park in the cluster's ready heap instead of
 		// mask-setting, so the issue scan never revisits a known-not-ready
@@ -1145,17 +1248,24 @@ func (p *Pipeline) issue() bool {
 	st := &p.st
 	worked := false
 	for c := 0; c < p.geom.Clusters; c++ {
+		// A cluster with no ready entry and no heap root due cannot issue.
+		// Nor can it owe a compaction: only issuing makes one due, and the
+		// pass that issues runs it.
+		h := &p.readyHeap[c]
+		if p.readyCount[c] == 0 && (len(*h) == 0 || (*h)[0].at > p.now) {
+			continue
+		}
 		entries := p.rsEntries[c]
 		mask := p.readyMask[c]
 		// Promote heap entries whose ready cycle has arrived: set their mask
 		// bits so the age-ordered scan below sees them. Bits and heap pops
 		// commute — scan order is mask position order either way.
-		h := &p.readyHeap[c]
 		for len(*h) > 0 && (*h)[0].at <= p.now {
 			idx := (*h).pop().idx
 			st.flags[idx] |= fReady
 			pos := int(st.rsSlot[idx])
 			mask[pos>>6] |= 1 << uint(pos&63)
+			p.readyCount[c]++
 		}
 		// Classes that already failed to find a free unit this cycle: FUs
 		// only get busier within a cycle (issuing books one, nothing frees
@@ -1179,6 +1289,9 @@ func (p *Pipeline) issue() bool {
 				fu := p.freeFU(c, class)
 				if fu < 0 {
 					noFU |= 1 << class
+					for _, fu := range cluster.UnitsFor(class) {
+						p.wakeAt(p.fuFree[c][fu])
+					}
 					continue
 				}
 				p.doIssue(idx, c, fu)
@@ -1225,10 +1338,12 @@ func (p *Pipeline) doIssue(idx uint32, c int, fu cluster.FUKind) {
 	lat := cluster.LatencyFor(st.class[idx])
 	st.flags[idx] = (st.flags[idx] &^ fInRS) | fIssued
 	p.rsCount[c][st.station[idx]]--
+	p.rsFull[c] &^= 1 << st.station[idx]
 	// Leave a hole: clear the mask bit and detach the id so the slot skips
 	// for free until the next compaction.
 	pos := int(st.rsSlot[idx])
 	p.readyMask[c][pos>>6] &^= 1 << uint(pos&63)
+	p.readyCount[c]--
 	p.rsEntries[c][pos] = noID
 	p.rsLive[c]--
 	p.fuFree[c][fu] = p.now + int64(lat.Issue)
@@ -1405,7 +1520,13 @@ func (p *Pipeline) retire() bool {
 		}
 		if st.flags[idx]&fIsStore != 0 {
 			if p.sbOccupied() >= p.cfg.StoreBuffer {
+				// An entry frees when its drain completes; sbOccupied left
+				// only drains still in the future.
 				p.S.SBFullStalls++
+				p.scr.stalls |= stallSB
+				for _, t := range p.sbDrain {
+					p.wakeAt(t)
+				}
 				break
 			}
 			drain := p.lastDrain + 1

@@ -31,10 +31,8 @@ func (p *Pipeline) snapReady() string {
 	case p.storeWatermark != p.storeSeqNext:
 		return "a store is still unissued in the disambiguation window"
 	}
-	for i := range p.steerQ {
-		if p.steerQ[i] != noID {
-			return "the steering queue is not empty"
-		}
+	if p.steerQ.len() != 0 {
+		return "the steering queue is not empty"
 	}
 	for c := range p.dispatchQ {
 		if p.dispatchQ[c].len() != 0 {
@@ -155,6 +153,11 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	// The ready heaps only hold entries while reservation stations do;
 	// snapReady asserts they are empty at every snapshot boundary.
 	_ = p.readyHeap
+	// Derived from the reservation stations, which snapReady asserts are
+	// empty at every snapshot boundary, so both are zero there: rsFull
+	// from rsCount, readyCount from readyMask.
+	_ = p.rsFull
+	_ = p.readyCount
 
 	if cs, ok := p.stream.(snap.Checkpointable); ok {
 		cs.Snapshot(w)

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/bits"
 	"os"
 	"reflect"
 	"testing"
@@ -159,7 +160,8 @@ func readinessRef(p *Pipeline, idx uint32) int64 {
 //
 //	(a) a live RS entry's ready-mask bit is set iff the entry is resolved
 //	    AND its ready cycle has arrived (unready entries park in the ready
-//	    heap with no mask bit, marked fResolved without fReady),
+//	    heap with no mask bit, marked fResolved without fReady), and each
+//	    cluster's readyCount is its number of set bits,
 //	(b) the moment an entry resolves, its readyAt equals the reference
 //	    recomputation from its producers' resultAt and the RF time,
 //	(c) nothing issues before the cycle it was declared ready for.
@@ -197,6 +199,13 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 		}
 
 		for c := range p.rsEntries {
+			set := 0
+			for _, w := range p.readyMask[c] {
+				set += bits.OnesCount64(w)
+			}
+			if set != p.readyCount[c] {
+				t.Fatalf("cycle %d: cluster %d has %d ready-mask bits, readyCount %d", cyc, c, set, p.readyCount[c])
+			}
 			for pos, id := range p.rsEntries[c] {
 				if id == noID {
 					continue

@@ -53,11 +53,17 @@ type Stats struct {
 	BTBBubbles   uint64
 
 	// Memory behaviour.
-	Loads, Stores   uint64
-	StoreForwards   uint64 // loads satisfied from the store buffer
-	SBFullStalls    uint64
-	LoadQFullStalls uint64
-	ROBFullStalls   uint64
+	Loads, Stores uint64
+	StoreForwards uint64 // loads satisfied from the store buffer
+
+	// Stall counters count cycles: a cycle in which a full structure holds
+	// a stage counts once, whether the model simulated that cycle or the
+	// idle fast-forward skipped it. The fast-forward jumps only over cycles
+	// in which nothing changes, so it charges the skipped span to each
+	// stall seen in the idle cycle before the jump.
+	SBFullStalls    uint64 // cycles retire waited on a full store buffer
+	LoadQFullStalls uint64 // cycles rename waited on a full load queue
+	ROBFullStalls   uint64 // cycles rename waited on a full ROB
 
 	// Substructures, checkpointed by their components' own sections.
 	BP   bpred.Stats    `snap:"-"`
