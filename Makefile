@@ -31,8 +31,8 @@ vet:
 # equality, Config.Validate coverage, unchecked artifact/response writes) and
 # the service tier's lock invariant on a CFG/call-graph layer: lockheld (no
 # blocking I/O and no second lock while a mutex is held). A suppression
-# audit rides along: stale //ctcp:lint-ok and //ctcp:coldlock waivers fail
-# the lint like real findings. Goroutine leaks are a test-time check
+# audit rides along: stale //ctcp:lint-ok waivers fail the lint like real
+# findings. Goroutine leaks are a test-time check
 # (internal/leakcheck), not a lint rule.
 lint:
 	$(GO) run ./cmd/ctcplint ./...
@@ -54,10 +54,13 @@ results:
 
 # serve-check runs the ctcpd service suite under the race detector: the
 # exactly-once dedup guarantee (asserted from the outside via /metrics),
-# restart-reuse from the result store, journal restart-replay of queued and
-# interrupted jobs, replay of a journal written by an older server
-# (TestServeReplaysLegacyJournal), failed-fingerprint retry, FIFO dispatch
-# order (TestServeFIFODispatch), the progress event stream, job retention,
+# restart-reuse from the result store, restart-replay of queued and
+# interrupted jobs from their <fp>.req files, the crash windows around those
+# files (TestServeDropsAnsweredRequest, TestServeReplaysHandWrittenRequest,
+# TestServeIgnoresTornRequest), refusal of an older server's queue journal
+# (TestServeRefusesQueueJournal), failed-fingerprint retry, FIFO dispatch
+# order within and across restarts (TestServeFIFODispatch,
+# TestServeFIFOAcrossRestarts), the progress event stream, job retention,
 # stale-fingerprint resimulation, backpressure, the shutdown drain, and a
 # ctcpbench -resume directory served as the store.
 serve-check:

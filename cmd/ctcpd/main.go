@@ -14,8 +14,9 @@
 // A submitted job is identified by its run fingerprint (benchmark + full
 // config + budget + mode): duplicates join the in-flight job, repeats are
 // answered from the server's result store — across restarts — without
-// resimulating. Acceptances are journaled, so jobs queued (or interrupted)
-// at shutdown are replayed by the next start on the same -store/-journal.
+// resimulating. Each acceptance is a <fp>.req file in the -store directory
+// until it settles, so jobs queued (or interrupted) at shutdown are replayed
+// by the next start on the same -store.
 // SIGINT/SIGTERM drain the server: in-flight checkpointed runs stop at the
 // next segment boundary and resume bit-exactly on restart. Their checkpoints
 // live in the -store directory, which has the same layout as a ctcpbench
@@ -55,7 +56,6 @@ type cliOptions struct {
 
 	// -serve
 	storeDir string
-	journal  string
 	retain   int
 	workers  int
 	queue    int
@@ -103,7 +103,6 @@ func main() {
 	flag.StringVar(&o.watchID, "watch", "", "stream the given job's progress events until it finishes")
 	flag.StringVar(&o.addr, "addr", "localhost:8321", "listen address (-serve) or server address (client verbs)")
 	flag.StringVar(&o.storeDir, "store", "", "result-store directory, also holding checkpointed jobs' checkpoints (required with -serve)")
-	flag.StringVar(&o.journal, "journal", "", "durable queue journal path (default <store>/queue.journal)")
 	flag.IntVar(&o.retain, "retain", 0, "terminal jobs kept listable in memory (0 = 512); results persist in the store")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 0, "accepted-but-not-running job bound; overflow is rejected with 429 (0 = 64)")
@@ -142,14 +141,13 @@ func run(o *cliOptions) int {
 
 // runServe hosts the service until SIGINT/SIGTERM, then drains: the HTTP
 // front end stops accepting, queued jobs resolve as interrupted (their
-// journal entries survive for the next start to replay), and in-flight
+// <fp>.req files survive for the next start to replay), and in-flight
 // checkpointed runs stop at their next segment boundary with the newest
 // checkpoint on disk.
 func runServe(o *cliOptions) int {
 	logger := log.New(os.Stderr, "ctcpd: ", log.LstdFlags)
 	s, err := serve.New(serve.Config{
 		Store:         o.storeDir,
-		Journal:       o.journal,
 		RetainJobs:    o.retain,
 		QueueDepth:    o.queue,
 		Workers:       o.workers,

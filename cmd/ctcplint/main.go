@@ -11,9 +11,8 @@
 //
 // After the analyzers run, the suppression audit reports (as rule
 // "suppressaudit") every //ctcp:lint-ok comment whose rule ran but matched
-// no finding, and every //ctcp:coldlock annotation that exempted nothing —
-// stale waivers fail the lint exactly like real findings, so they cannot
-// accumulate.
+// no finding — stale waivers fail the lint exactly like real findings, so
+// they cannot accumulate.
 package main
 
 import (
@@ -25,6 +24,9 @@ import (
 
 	"ctcp/internal/lint"
 )
+
+// auditDoc describes the suppression audit in the usage and -list output.
+const auditDoc = "stale //ctcp:lint-ok waiver (always on for the rules that ran)"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -41,8 +43,7 @@ func run(args []string) int {
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-16s %s\n", lint.AuditRule,
-			"stale //ctcp:lint-ok or //ctcp:coldlock waiver (always on for the rules that ran)")
+		fmt.Fprintf(os.Stderr, "  %-16s %s\n", lint.AuditRule, auditDoc)
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,8 +60,7 @@ func run(args []string) int {
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stdout, "%s\t%s\n", a.Name, a.Doc)
 		}
-		fmt.Fprintf(os.Stdout, "%s\t%s\n", lint.AuditRule,
-			"stale //ctcp:lint-ok or //ctcp:coldlock waiver (always on for the rules that ran)")
+		fmt.Fprintf(os.Stdout, "%s\t%s\n", lint.AuditRule, auditDoc)
 		return 0
 	}
 	if *rules != "" {

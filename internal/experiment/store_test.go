@@ -61,3 +61,31 @@ func TestStoreRejectsMislabeledRecord(t *testing.T) {
 		t.Errorf("Len = %d, want 3 files on disk", n)
 	}
 }
+
+// TestRunFingerprintGolden pins the store key of every strategy
+// configuration for one benchmark and budget. Every store record,
+// checkpoint and named save is filed under these keys, so a change here
+// re-keys them all: update the table only deliberately, and say so. A
+// Config field added at its zero value, or deleted while always zero,
+// must leave the table as it is.
+func TestRunFingerprintGolden(t *testing.T) {
+	want := map[string]string{
+		"base":         "a4ffd14b82090be7",
+		"friendly":     "a974325ebf5d81f8",
+		"friendly-mid": "c550062cc377420f",
+		"fdrt":         "57d07c22c31044ae",
+		"fdrt-nopin":   "506efe7db52ed154",
+		"issue0":       "f700eee024da7411",
+		"issue4":       "d347e7d2006cb18e",
+	}
+	cfgs := StrategyConfigs()
+	if len(cfgs) != len(want) {
+		t.Errorf("%d strategy configs, %d pinned", len(cfgs), len(want))
+	}
+	opts := Options{Budget: 200_000}
+	for name, cfg := range cfgs { //ctcp:lint-ok maporder -- each entry is checked independently
+		if got := FormatFP(RunFingerprint("gzip", cfg, opts)); got != want[name] {
+			t.Errorf("%s: RunFingerprint = %s, pinned %s", name, got, want[name])
+		}
+	}
+}

@@ -214,7 +214,7 @@ type blockScanner struct {
 	pkg   *Package
 	comms map[ast.Node]bool
 	// call classifies a resolved call; installed by the caller so the
-	// module-transitive behaviour (and coldlock handling) stays theirs.
+	// module-transitive behaviour stays theirs.
 	call func(call *ast.CallExpr, fn *types.Func) *blockCause
 }
 
@@ -291,15 +291,11 @@ func (bs *blockScanner) scanHeader(n ast.Node) *blockCause {
 	}
 }
 
-// callCause is the call classifier for a blockScanner: a call to a function
-// in cold (the //ctcp:coldlock escape hatch) never blocks, a call to a module
+// callCause is the call classifier for a blockScanner: a call to a module
 // function blocks when known says it does, and a stdlib call is classified by
 // stdlibBlockCause.
-func (cg *callGraph) callCause(cold map[*types.Func]bool, known map[*types.Func]*blockCause) func(*ast.CallExpr, *types.Func) *blockCause {
+func (cg *callGraph) callCause(known map[*types.Func]*blockCause) func(*ast.CallExpr, *types.Func) *blockCause {
 	return func(call *ast.CallExpr, fn *types.Func) *blockCause {
-		if cold[fn] {
-			return nil
-		}
 		if _, isModule := cg.decls[fn]; isModule {
 			if c := known[fn]; c != nil {
 				return &blockCause{root: c.root, via: displayFunc(fn), pos: call.Pos()}
@@ -311,11 +307,10 @@ func (cg *callGraph) callCause(cold map[*types.Func]bool, known map[*types.Func]
 }
 
 // blockingFuncs computes, for every module function, whether calling it can
-// block, with a witness chain. Functions in cold are treated as non-blocking
-// at their call sites.
-func (cg *callGraph) blockingFuncs(cold map[*types.Func]bool) map[*types.Func]*blockCause {
+// block, with a witness chain.
+func (cg *callGraph) blockingFuncs() map[*types.Func]*blockCause {
 	result := map[*types.Func]*blockCause{}
-	call := cg.callCause(cold, result)
+	call := cg.callCause(result)
 	for changed := true; changed; {
 		changed = false
 		for _, f := range cg.order {

@@ -24,17 +24,12 @@
 //   - //ctcp:coldpath on a function declaration marks a deliberate amortized
 //     or warm-up allocation site (pool refill, table growth); hotalloc does
 //     not descend into it.
-//   - //ctcp:coldlock on a function declaration exempts its lock regions from
-//     lockheld: the annotated function's mutex exists to serialize the I/O
-//     itself (a dedicated leaf lock), so "blocking under it" is the contract,
-//     not a bug.
 //   - //ctcp:lint-ok <rule>[,<rule>...] [reason] suppresses the named rules
 //     on the comment's own line and on the line immediately below it.
 //
-// Suppressions and coldlock annotations are audited: Audit reports any that
-// no longer exempt a finding, so stale waivers cannot accumulate as the code
-// under them changes. Audit findings ("suppressaudit") are themselves not
-// suppressable.
+// Suppressions are audited: Audit reports any that no longer exempt a
+// finding, so stale waivers cannot accumulate as the code under them
+// changes. Audit findings ("suppressaudit") are themselves not suppressable.
 //
 // The cmd/ctcplint driver loads every package in the module, type-checks it,
 // runs the registry returned by All, then runs the audit, and reports
@@ -81,17 +76,6 @@ type Package struct {
 
 	// suppressions: filename -> line -> waivers covering that line.
 	suppress map[string]map[int][]*suppression
-
-	// coldUsed tracks //ctcp:coldlock annotations that actually exempted a
-	// would-be lockheld finding, for the suppression audit.
-	coldUsed map[*types.Func]bool
-}
-
-func (pkg *Package) markColdlockUsed(fn *types.Func) {
-	if pkg.coldUsed == nil {
-		pkg.coldUsed = make(map[*types.Func]bool)
-	}
-	pkg.coldUsed[fn] = true
 }
 
 // Analyzer is one named rule. Exactly one of Run (per-package) or RunModule
@@ -269,17 +253,12 @@ const AuditRule = "suppressaudit"
 
 // Audit reports stale waivers after a Run over the same packages: every
 // //ctcp:lint-ok whose rule was among the analyzers that ran but which
-// suppressed nothing, and every //ctcp:coldlock annotation that exempted
-// nothing (only when lockheld ran). Audit diagnostics are deliberately not
-// suppressable — a waiver cannot waive its own staleness.
+// suppressed nothing. Audit diagnostics are deliberately not suppressable —
+// a waiver cannot waive its own staleness.
 func Audit(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	ran := make(map[string]bool, len(analyzers))
-	lockheldRan := false
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		if a.Name == LockHeld.Name {
-			lockheldRan = true
-		}
 	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -297,26 +276,6 @@ func Audit(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 						Message: fmt.Sprintf("stale suppression: //ctcp:lint-ok %s matches no finding; remove it", s.rule),
 					})
 				}
-			}
-		}
-		if !lockheldRan {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !funcAnnotated(fd, coldlockMarker) {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok || pkg.coldUsed[fn] {
-					continue
-				}
-				diags = append(diags, Diagnostic{
-					Pos:     pkg.Fset.Position(annotationPos(fd, coldlockMarker)),
-					Rule:    AuditRule,
-					Message: fmt.Sprintf("stale annotation: //ctcp:coldlock on %s exempts nothing (no blocking work under its locks); remove it", fd.Name.Name),
-				})
 			}
 		}
 	}
@@ -338,20 +297,14 @@ func pathIn(pkgPath string, names ...string) bool {
 // funcAnnotated reports whether a function declaration's doc comment carries
 // the given //ctcp:<marker> line.
 func funcAnnotated(d *ast.FuncDecl, marker string) bool {
-	return annotationPos(d, marker) != token.NoPos
-}
-
-// annotationPos returns the position of the //ctcp:<marker> line in a
-// function's doc comment, or token.NoPos.
-func annotationPos(d *ast.FuncDecl, marker string) token.Pos {
 	if d.Doc == nil {
-		return token.NoPos
+		return false
 	}
 	for _, c := range d.Doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if f := strings.Fields(text); len(f) > 0 && f[0] == marker {
-			return c.Pos()
+			return true
 		}
 	}
-	return token.NoPos
+	return false
 }

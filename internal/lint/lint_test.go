@@ -103,9 +103,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 }
 
 // TestSuppressionAudit runs maporder + lockheld over the audit fixture and
-// checks Audit in both directions: the used //ctcp:lint-ok and
-// //ctcp:coldlock waivers stay silent, the stale ones are reported at the
-// waiver's own line (marked want:suppressaudit inside the waiver comment).
+// checks Audit in both directions: the used //ctcp:lint-ok waivers stay
+// silent, the stale ones are reported at the waiver's own line (marked
+// want:suppressaudit inside the waiver comment).
 func TestSuppressionAudit(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -173,8 +173,7 @@ func TestModuleLintsClean(t *testing.T) {
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d.String())
 	}
-	// The audit gate rides along: no suppression or coldlock annotation in
-	// the tree may be stale.
+	// The audit gate rides along: no suppression in the tree may be stale.
 	for _, d := range Audit(pkgs, All()) {
 		t.Errorf("%s", d.String())
 	}

@@ -27,12 +27,8 @@ package lint
 // excluded too (a granularity limit — deferred work runs at return, usually
 // after the deferred unlock, but ordering among defers is not modeled).
 //
-// The escape hatch is //ctcp:coldlock on the function declaration: the
-// function's own lock regions are not reported, and calls to it are treated
-// as non-blocking. It is for locks whose entire purpose is serializing the
-// I/O itself (the queue journal's dedicated leaf mutex). A hatch counts as
-// used only when something blocks inside one of its own lock regions; the
-// suppression audit reports the rest as stale.
+// There is no function-level hatch: blocking work under a lock is waived
+// only line by line, with //ctcp:lint-ok lockheld and a reason.
 
 import (
 	"fmt"
@@ -42,8 +38,6 @@ import (
 	"path/filepath"
 	"sort"
 )
-
-const coldlockMarker = "ctcp:coldlock"
 
 var LockHeld = &Analyzer{
 	Name: "lockheld",
@@ -212,13 +206,7 @@ func shortPos(fset *token.FileSet, pos token.Pos) string {
 
 func runLockHeld(mp *ModulePass) {
 	cg := buildCallGraph(mp.Pkgs)
-	cold := map[*types.Func]bool{}
-	for _, f := range cg.order {
-		if funcAnnotated(f.decl, coldlockMarker) {
-			cold[f.fn] = true
-		}
-	}
-	call := cg.callCause(cold, cg.blockingFuncs(cold))
+	call := cg.callCause(cg.blockingFuncs())
 
 	for _, f := range cg.order {
 		if mp.Analyzer.Match != nil && !mp.Analyzer.Match(f.pkg.Path) {
@@ -231,15 +219,8 @@ func runLockHeld(mp *ModulePass) {
 			if len(held) == 0 {
 				return
 			}
-			c := bs.scanHeader(n)
-			switch {
-			case c == nil:
-			case cold[f.fn]:
-				// The hatch exempts the function's own regions, and is "used"
-				// only if something really blocks inside one of them.
-				pkg.markColdlockUsed(f.fn)
-			default:
-				mp.Reportf(pkg, c.pos, "%s while %s is held; move the blocking work off the lock (reserve-then-fill / copy-then-release) or annotate the function //ctcp:coldlock with a reason",
+			if c := bs.scanHeader(n); c != nil {
+				mp.Reportf(pkg, c.pos, "%s while %s is held; move the blocking work off the lock (reserve-then-fill / copy-then-release)",
 					c.describe(), heldNames(pkg, held))
 			}
 		})

@@ -111,26 +111,24 @@ func (s *server) spawnUnderLock(path string) {
 	s.mu.Unlock()
 }
 
-// journal mirrors the serve-tier escape hatch: a leaf mutex whose entire
-// purpose is serializing the file append.
+// There is no function-level hatch: a leaf mutex whose entire purpose is
+// serializing a file write still holds a lock across I/O.
 type journal struct {
 	mu   sync.Mutex
 	path string
 }
 
 // append serializes writers of the journal file.
-//
-//ctcp:coldlock the mutex exists to serialize this write
 func (j *journal) append(line []byte) {
 	j.mu.Lock()
-	_ = os.WriteFile(j.path, line, 0o644) // exempted by the coldlock hatch
+	_ = os.WriteFile(j.path, line, 0o644) // want:lockheld
 	j.mu.Unlock()
 }
 
-// Calls to a coldlock function are non-blocking at the call site.
+// Calling it under another lock blocks (and nests locks) at the call site.
 func (s *server) logViaJournal(j *journal) {
 	s.mu.Lock()
-	j.append(nil) // coldlock callee: no diagnostic
+	j.append(nil) // want:lockheld
 	s.mu.Unlock()
 }
 

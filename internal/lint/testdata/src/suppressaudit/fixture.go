@@ -4,11 +4,6 @@
 // reported at the waiver's own line.
 package fixture
 
-import (
-	"os"
-	"sync"
-)
-
 // A suppression that really covers a finding is kept.
 func usedSuppression(m map[string]int) int {
 	t := 0
@@ -25,28 +20,4 @@ func staleSuppression(s []int) int {
 		t += v
 	}
 	return t
-}
-
-type store struct {
-	mu   sync.Mutex
-	path string
-}
-
-// usedColdlock's mutex exists to serialize the write below, the exact case
-// the hatch is for: the annotation exempts a real would-be finding.
-//
-//ctcp:coldlock dedicated I/O-serialization leaf lock
-func (s *store) usedColdlock(b []byte) {
-	s.mu.Lock()
-	_ = os.WriteFile(s.path, b, 0o644)
-	s.mu.Unlock()
-}
-
-// staleColdlock guards no blocking work at all; the hatch exempts nothing.
-//
-//ctcp:coldlock nothing blocks under this lock want:suppressaudit
-func (s *store) staleColdlock() {
-	s.mu.Lock()
-	s.path = ""
-	s.mu.Unlock()
 }

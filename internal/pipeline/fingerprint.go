@@ -9,15 +9,19 @@ import (
 // Fingerprint returns a 64-bit FNV-64a hash over the canonical serialization
 // of the full configuration. Two configs fingerprint equal exactly when every
 // result-determining field is equal, so the hash is a safe identity for
-// memoized results, on-disk journals, and checkpoint headers: anything keyed
+// memoized results, store records, and checkpoint headers: anything keyed
 // by it can never serve a result simulated under a different configuration.
 //
 // The serialization walks the struct by reflection in declaration order,
 // hashing each field's path (so a renamed or moved field changes the
 // fingerprint rather than silently colliding with the old layout) followed by
-// its value in a fixed-width encoding. Function-typed fields (RetireHook) are
-// observers, not configuration — they cannot change simulated state — and are
-// excluded. Every other field kind must be explicitly supported:
+// its value in a fixed-width encoding. A scalar field holding its zero value
+// is skipped, path and all, so adding a field whose zero value keeps the old
+// behaviour, or deleting one that was always zero, leaves every fingerprint
+// unchanged; non-zero values still hash under their paths and cannot
+// collide. Function-typed fields (RetireHook) are observers, not
+// configuration — they cannot change simulated state — and are excluded.
+// Every other field kind must be explicitly supported:
 // fingerprintValue panics on an unhandled kind, so adding a map or pointer
 // field to Config forces a decision here instead of being hashed by accident
 // as its address.
@@ -67,6 +71,14 @@ func fnvString(h *uint64, s string) {
 
 func fingerprintValue(h *uint64, path string, v reflect.Value) {
 	switch v.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.String:
+		if v.IsZero() {
+			return // an absent field and a zero one hash alike
+		}
+	}
+	switch v.Kind() {
 	case reflect.Struct:
 		t := v.Type()
 		for i := 0; i < t.NumField(); i++ {
@@ -76,11 +88,7 @@ func fingerprintValue(h *uint64, path string, v reflect.Value) {
 		// Observers only; excluded from the identity.
 	case reflect.Bool:
 		fnvString(h, path)
-		if v.Bool() {
-			fnvU64(h, 1)
-		} else {
-			fnvU64(h, 0)
-		}
+		fnvU64(h, 1) // only true reaches here
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		fnvString(h, path)
 		fnvU64(h, uint64(v.Int()))

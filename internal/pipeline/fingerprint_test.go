@@ -59,7 +59,7 @@ func TestFingerprintSensitive(t *testing.T) {
 // fingerprint computed without the revision, as before it existed, must
 // not match.
 func TestFingerprintPinsModelRevision(t *testing.T) {
-	const want = uint64(0x79686710db3d2bbf)
+	const want = uint64(0xf8186d63c50c8ed1)
 	c := DefaultConfig()
 	if got := c.Fingerprint(); got != want {
 		t.Errorf("DefaultConfig fingerprint %#016x, pinned %#016x (model revision %d)", got, want, modelRevision)
@@ -68,5 +68,38 @@ func TestFingerprintPinsModelRevision(t *testing.T) {
 	fingerprintValue(&unrevised, "Config", reflect.ValueOf(c))
 	if unrevised == c.Fingerprint() {
 		t.Error("the fingerprint ignores modelRevision")
+	}
+}
+
+// TestFingerprintIgnoresZeroFields: a field holding its zero value hashes
+// as if it were absent, so adding a field whose zero value keeps the old
+// behaviour, or deleting one that was always zero, re-keys nothing. A
+// non-zero value still moves the hash.
+func TestFingerprintIgnoresZeroFields(t *testing.T) {
+	type before struct {
+		Lat  int
+		Name string
+	}
+	type after struct {
+		Lat   int
+		Name  string
+		Extra struct {
+			On    bool
+			Scale float64
+		}
+	}
+	hash := func(v any) uint64 {
+		h := fnvOffset
+		fingerprintValue(&h, "Config", reflect.ValueOf(v))
+		return h
+	}
+	old := hash(before{Lat: 3, Name: "L1"})
+	grown := after{Lat: 3, Name: "L1"}
+	if got := hash(grown); got != old {
+		t.Errorf("a zero-valued new field moved the fingerprint: %#016x vs %#016x", got, old)
+	}
+	grown.Extra.On = true
+	if hash(grown) == old {
+		t.Error("setting the new field left the fingerprint unchanged")
 	}
 }

@@ -43,7 +43,7 @@ func (h *histogram) snapshot() histogram {
 // the service-level job counters, the queue gauge, latency histograms, and
 // the runners' simulation counters. runStarted is the exactly-once witness:
 // after any number of duplicate submissions of one job — or a restart over
-// a journal of completed fingerprints — it stays 1.
+// a store of completed fingerprints — it stays 1.
 type metricsSnapshot struct {
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
 	runStarted, runCompleted, runFailed                            uint64

@@ -7,11 +7,11 @@
 // form on /metrics. That fingerprint index is the only dedup layer: each
 // dispatched job simulates on an experiment.Runner of its own.
 //
-// The job lifecycle is crash-durable: every acceptance is journaled
-// (append-on-accept, tombstone-on-terminal, compact-on-restart, all through
-// internal/snap's torn-write-free disciplines), so a restarted server
-// replays queued and interrupted jobs instead of losing them, while
-// completed fingerprints answer from the store with zero resimulation.
+// The job lifecycle is crash-durable: every acceptance is a <fp>.req entry
+// in the store directory, written atomically before the client hears 202
+// and removed once the job settles, so a restarted server replays queued
+// and interrupted jobs instead of losing them, while completed
+// fingerprints answer from the store with zero resimulation.
 // Accepted jobs wait in one bounded FIFO queue and are dispatched in
 // submission order. Progress streams: every job exposes an event feed
 // (queued/running, per-segment and per-region ticks, terminal) over a
@@ -28,15 +28,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"ctcp/internal/experiment"
 	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
+	"ctcp/internal/snap"
 	"ctcp/internal/workload"
 )
 
@@ -45,12 +48,9 @@ type Config struct {
 	// Store is the result-store directory (required). Checkpointed jobs
 	// keep their segment checkpoints here too, beside the records they
 	// complete into, which is what makes shutdown lossless for long
-	// simulations.
+	// simulations. Every accepted job is a <fp>.req file here until it
+	// settles; a restart over the same directory replays them.
 	Store string
-	// Journal is the durable queue journal path ("" = <Store>/queue.journal).
-	// Every accepted job is journaled before the client sees 202; a restart
-	// over the same journal replays outstanding jobs automatically.
-	Journal string
 	// QueueDepth bounds the number of accepted-but-not-running jobs
 	// (0 = 64). A full queue rejects submissions with 429 rather than
 	// accepting unbounded work.
@@ -100,6 +100,14 @@ func (req Request) mode() string {
 	default:
 		return "full"
 	}
+}
+
+// acceptance is the JSON body of <Store>/<fp>.req: one accepted job the
+// store still owes an answer. Seq is the job's acceptance number, which
+// keeps replay in acceptance order across any number of restarts.
+type acceptance struct {
+	Seq     int     `json:"seq"`
+	Request Request `json:"req"`
 }
 
 // Job statuses, in lifecycle order.
@@ -152,10 +160,9 @@ type jobView struct {
 // Server is the ctcpd HTTP handler plus its worker pool. Create with New,
 // serve with net/http, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	store   *experiment.Store
-	journal *jobJournal
-	mux     *http.ServeMux
+	cfg   Config
+	store *experiment.Store
+	mux   *http.ServeMux
 
 	interrupt chan struct{}
 	wg        sync.WaitGroup
@@ -180,11 +187,15 @@ type Server struct {
 }
 
 // New builds a Server, opens (or creates) its result store, replays the
-// queue journal, and starts its worker pool.
+// acceptances it holds, and starts its worker pool.
 func New(cfg Config) (*Server, error) {
 	store, err := experiment.OpenStore(cfg.Store)
 	if err != nil {
 		return nil, err
+	}
+	legacy := filepath.Join(cfg.Store, "queue.journal")
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, fmt.Errorf("serve: %s is a queue journal from an older ctcpd: drain it with the previous binary or delete it", legacy)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -198,13 +209,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 512
 	}
-	if cfg.Journal == "" {
-		cfg.Journal = filepath.Join(cfg.Store, "queue.journal")
-	}
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
-		journal:   &jobJournal{path: cfg.Journal},
 		interrupt: make(chan struct{}),
 		jobs:      make(map[string]*Job),
 		byFP:      make(map[string]*Job),
@@ -220,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux = mux
-	if err := s.replayJournal(); err != nil {
+	if err := s.replayRequests(); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -285,7 +292,7 @@ func (s *Server) validate(req Request) (Request, workload.Benchmark, pipeline.Co
 }
 
 // Submit accepts a job (or joins/answers an equivalent one). The returned
-// HTTP status tells the story: 202 for a newly accepted (and journaled)
+// HTTP status tells the story: 202 for a newly accepted (and durable)
 // simulation, 200 when the request was satisfied by an existing job or the
 // result store, 400 for an invalid request, 429 when the queue is full, 503
 // when shutting down.
@@ -340,7 +347,7 @@ func (s *Server) Submit(req Request) (*Job, int, error) {
 
 	// Make the acceptance durable before the client hears 202: a crash
 	// after this line replays the job instead of losing it.
-	if err := s.journal.append(journalEntry{Op: journalAccept, FP: hex, Request: &req}); err != nil {
+	if err := s.accept(j); err != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		j.status = StatusFailed
@@ -354,7 +361,7 @@ func (s *Server) Submit(req Request) (*Job, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		// Shutdown won the race. The journal entry stays: the restart
+		// Shutdown won the race. The <fp>.req stays: the restart
 		// replays this acceptance, so the work is delayed, not lost.
 		j.status = StatusInterrupted
 		j.errMsg = experiment.ErrInterrupted.Error()
@@ -394,65 +401,101 @@ func (s *Server) newJobLocked(req Request, hex string, bm workload.Benchmark, cf
 	return j
 }
 
-// replayJournal rebuilds the queue from the journal at startup: outstanding
-// accepts whose fingerprints the store has already answered are compacted
-// away, the rest re-enter the queue in journal order exactly as fresh
-// submissions would, and the journal is rewritten to the surviving set.
-func (s *Server) replayJournal() error {
-	entries, err := s.journal.load()
+// reqPath names the <fp>.req file that holds an accepted job until it
+// settles.
+func (s *Server) reqPath(hex string) string {
+	return filepath.Join(s.cfg.Store, hex+".req")
+}
+
+// accept makes j's acceptance durable as <fp>.req. Each file has its own
+// name and is written by temp+rename, so concurrent acceptances need no
+// lock and a crash leaves the whole file or none of it.
+func (s *Server) accept(j *Job) error {
+	buf, err := json.Marshal(acceptance{Seq: j.seq, Request: j.Request})
 	if err != nil {
 		return err
 	}
+	if err := snap.WriteFileBytes(s.reqPath(j.Fingerprint), buf); err != nil {
+		return fmt.Errorf("serve: accepting %s: %w", j.Fingerprint, err)
+	}
+	return nil
+}
+
+// replayRequests rebuilds the queue from the store's <fp>.req files at
+// startup: acceptances whose fingerprints the store has already answered
+// are deleted, the rest re-enter the queue in acceptance order exactly as
+// fresh submissions would, and the job sequence resumes above every
+// acceptance found.
+func (s *Server) replayRequests() error {
+	entries, err := os.ReadDir(s.cfg.Store)
+	if err != nil {
+		return fmt.Errorf("serve: listing accepted jobs: %w", err)
+	}
 	// Phase 1, off-lock: everything that touches the disk or only reads
-	// immutable server config — the store probe, validation, and the
-	// fingerprint-drift check. Holding s.mu across store.Get is exactly the
-	// I/O-under-lock shape lockheld exists to reject.
+	// immutable server config — the reads, the store probe, validation, the
+	// fingerprint-drift check and the deletions. Holding s.mu across
+	// store.Get is exactly the I/O-under-lock shape lockheld exists to
+	// reject.
 	type replayCand struct {
-		e    journalEntry
+		hex  string
+		seq  int
 		req  Request
 		bm   workload.Benchmark
 		cfg  pipeline.Config
 		opts experiment.Options
 	}
-	cands := make([]replayCand, 0, len(entries))
+	var cands []replayCand
+	maxSeq := 0
 	for _, e := range entries {
-		fp, err := experiment.ParseFP(e.FP)
+		hex, ok := strings.CutSuffix(e.Name(), ".req")
+		if !ok || e.IsDir() {
+			continue // torn temp files (<fp>.req.tmp*) never became acceptances
+		}
+		path := filepath.Join(s.cfg.Store, e.Name())
+		buf, err := os.ReadFile(path)
 		if err != nil {
+			return fmt.Errorf("serve: reading accepted job: %w", err)
+		}
+		var a acceptance
+		if err := json.Unmarshal(buf, &a); err != nil {
+			s.logf("requests: dropping %s: %v", hex, err)
+			os.Remove(path)
 			continue
 		}
-		if _, ok := s.store.Get(fp); ok {
-			continue // completed before the restart: the store answers it
+		maxSeq = max(maxSeq, a.Seq)
+		if fp, err := experiment.ParseFP(hex); err == nil {
+			if _, ok := s.store.Get(fp); ok {
+				os.Remove(path) // completed before the restart: the store answers it
+				continue
+			}
 		}
-		req, bm, cfg, err := s.validate(*e.Request)
+		req, bm, cfg, err := s.validate(a.Request)
 		if err != nil {
-			s.logf("journal: dropping %s: %v", e.FP, err)
+			s.logf("requests: dropping %s: %v", hex, err)
+			os.Remove(path)
 			continue
 		}
 		opts := s.options(req)
-		if hex := experiment.FormatFP(experiment.RunFingerprint(bm.Name, cfg, opts)); hex != e.FP {
-			s.logf("journal: dropping %s: fingerprint drift (now %s)", e.FP, hex)
+		if now := experiment.FormatFP(experiment.RunFingerprint(bm.Name, cfg, opts)); now != hex {
+			s.logf("requests: dropping %s: fingerprint drift (now %s)", hex, now)
+			os.Remove(path)
 			continue
 		}
-		cands = append(cands, replayCand{e: e, req: req, bm: bm, cfg: cfg, opts: opts})
+		cands = append(cands, replayCand{hex: hex, seq: a.Seq, req: req, bm: bm, cfg: cfg, opts: opts})
 	}
+	sort.SliceStable(cands, func(i, k int) bool { return cands[i].seq < cands[k].seq })
 	// Phase 2, one short lock region: index and queue the survivors.
 	s.mu.Lock()
-	kept := entries[:0]
+	defer s.mu.Unlock()
+	s.seq = maxSeq
 	for _, c := range cands {
-		if _, dup := s.byFP[c.e.FP]; dup {
-			continue
-		}
-		j := s.newJobLocked(c.req, c.e.FP, c.bm, c.cfg, c.opts)
+		j := s.newJobLocked(c.req, c.hex, c.bm, c.cfg, c.opts)
 		s.queue = append(s.queue, j)
 		s.submitted++
 		s.emitEventLocked(j, Event{Type: StatusQueued})
-		s.logf("job %s: replayed %s/%s fp=%s", j.ID, c.req.Benchmark, c.req.Config, c.e.FP)
-		e := c.e
-		e.Request = &c.req
-		kept = append(kept, e)
+		s.logf("job %s: replayed %s/%s fp=%s", j.ID, c.req.Benchmark, c.req.Config, c.hex)
 	}
-	s.mu.Unlock()
-	return s.journal.compact(kept)
+	return nil
 }
 
 // worker consumes the queue until shutdown.
@@ -512,6 +555,12 @@ func (s *Server) runJob(j *Job) {
 	stats, err := experiment.NewRunner(opts).RunErr(j.bm, j.Request.Config, j.cfg)
 	wall := time.Since(j.begun)
 
+	// Done and failed both settle the acceptance — the submitter got its
+	// answer — but a done job only once its record is in the store.
+	// Interrupted jobs keep their <fp>.req on purpose: their acceptance is
+	// still owed a simulation, and the restart replays it.
+	wasInterrupted := errors.Is(err, experiment.ErrInterrupted)
+	settle := !wasInterrupted
 	// A checkpointed run has already put its record into the store, which
 	// is also its checkpoint directory.
 	if err == nil && !j.Request.Checkpoint {
@@ -524,17 +573,14 @@ func (s *Server) runJob(j *Job) {
 			Stats:       stats,
 		}); perr != nil {
 			// The result is valid even if persisting it failed; the job
-			// succeeds and only durability is lost.
+			// succeeds, and its kept <fp>.req makes a restart resimulate it.
 			s.logf("job %s: result store write failed: %v", j.ID, perr)
+			settle = false
 		}
 	}
-	wasInterrupted := errors.Is(err, experiment.ErrInterrupted)
-	if !wasInterrupted {
-		// Done and failed both settle the acceptance — the submitter got
-		// its answer. Interrupted jobs stay journaled on purpose: their
-		// acceptance is still owed a simulation, and the restart replays it.
-		if jerr := s.journal.append(journalEntry{Op: journalSettle, FP: j.Fingerprint}); jerr != nil {
-			s.logf("job %s: %v", j.ID, jerr)
+	if settle {
+		if rerr := os.Remove(s.reqPath(j.Fingerprint)); rerr != nil {
+			s.logf("job %s: settling: %v", j.ID, rerr)
 		}
 	}
 
@@ -595,7 +641,7 @@ func (s *Server) retireLocked(j *Job) {
 // waits (up to ctx) for the workers to drain. Checkpoint-mode runs stop at
 // their next segment boundary with the newest checkpoint already persisted,
 // so nothing beyond one segment of work is lost — and because queued and
-// interrupted jobs stay in the journal, a restart replays them to
+// interrupted jobs keep their <fp>.req files, a restart replays them to
 // completion rather than forgetting them.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -605,8 +651,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cond.Broadcast()
 	}
 	// Jobs still sitting in the queue will never be picked up (workers exit
-	// on closed); resolve them so waiters unblock. Their journal entries
-	// remain un-settled, so a restart replays them.
+	// on closed); resolve them so waiters unblock. Their <fp>.req files
+	// stay, so a restart replays them.
 	for _, j := range s.queue {
 		j.status = StatusInterrupted
 		j.errMsg = experiment.ErrInterrupted.Error()
@@ -685,7 +731,7 @@ type batchItem struct {
 
 // handleBatch accepts a whole sweep in one request: {"jobs": [Request...]}.
 // Every row goes through the same admission, dedup (index + store), and
-// journaling as a single submission; the response carries one item per row
+// durable acceptance as a single submission; the response carries one item per row
 // in order, each with its own status code, so partial acceptance is
 // explicit rather than all-or-nothing.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,7 +162,7 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 		t.Log("first server finished everything before shutdown; replay set is empty")
 	}
 
-	// Restart over the same store (checkpoints included) and journal.
+	// Restart over the same store (checkpoints and accepted jobs included).
 	_, hs2 := newTestServer(t, Config{Store: storeDir, Workers: 2})
 	for i, req := range reqs {
 		v, code := submit[jobView](t, hs2.URL, req)
@@ -183,8 +186,8 @@ func TestServeRestartReplaysQueue(t *testing.T) {
 	if got := metricValue(t, hs2.URL, "ctcpd_runner_started_total"); got != float64(replayed) {
 		t.Errorf("ctcpd_runner_started_total = %v after restart, want %d (completed fingerprints must not resimulate)", got, replayed)
 	}
-	// The journal settles as replayed jobs finish; a third process over the
-	// same directories owes nothing and starts empty.
+	// Each replayed job removes its <fp>.req as it settles; a third process
+	// over the same directory owes nothing and starts empty.
 	if got := metricValue(t, hs2.URL, "ctcpd_jobs_submitted_total"); got != float64(replayed) {
 		t.Errorf("ctcpd_jobs_submitted_total = %v, want %d replayed acceptances", got, replayed)
 	}
@@ -243,46 +246,282 @@ func TestServeFIFODispatch(t *testing.T) {
 	}
 }
 
-// TestServeReplaysLegacyJournal: a queue journal written before the service
-// dropped a journal field still replays. The extra field is ignored, the job
-// runs to done bit-identically to a direct run, and it counts as one
-// acceptance.
-func TestServeReplaysLegacyJournal(t *testing.T) {
-	storeDir := t.TempDir()
-	bm, ok := workload.ByName("gzip")
+// directRun is the reference for a replayed job: the same request run
+// directly, uninterrupted, as stats JSON.
+func directRun(t *testing.T, req Request) string {
+	t.Helper()
+	bm, ok := workload.ByName(req.Benchmark)
 	if !ok {
-		t.Fatal("gzip benchmark missing")
+		t.Fatalf("benchmark %q missing", req.Benchmark)
 	}
-	base := experiment.StrategyConfigs()["base"]
-	direct, err := experiment.NewRunner(experiment.Options{Budget: testBudget}).RunErr(bm, "base", base)
+	stats, err := experiment.NewRunner(experiment.Options{Budget: req.Budget}).RunErr(bm, req.Config, experiment.StrategyConfigs()[req.Config])
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
-	want, err := json.Marshal(direct)
+	buf, err := json.Marshal(stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hex := experiment.FormatFP(experiment.RunFingerprint(bm.Name, base, experiment.Options{Budget: testBudget}))
-	line := fmt.Sprintf(`{"op":"accept","fp":%q,"tenant":"alpha","req":{"benchmark":"gzip","config":"base","budget":%d}}`, hex, testBudget)
-	journal := snap.EncodeJournal([][]byte{[]byte(line)})
-	if err := snap.WriteFileBytes(filepath.Join(storeDir, "queue.journal"), journal); err != nil {
+	return string(buf)
+}
+
+// fpOf is the fingerprint a server gives req (whose budget is set).
+func fpOf(req Request) string {
+	bm, _ := workload.ByName(req.Benchmark)
+	opts := experiment.Options{Budget: req.Budget}
+	if req.Checkpoint {
+		opts.CheckpointDir, opts.CheckpointEvery = "store", req.CheckpointEvery
+	}
+	return experiment.FormatFP(experiment.RunFingerprint(bm.Name, experiment.StrategyConfigs()[req.Config], opts))
+}
+
+// reqFiles lists the fingerprints of the <fp>.req files in dir.
+func reqFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.req"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	for _, p := range paths {
+		fps = append(fps, strings.TrimSuffix(filepath.Base(p), ".req"))
+	}
+	return fps
+}
+
+// TestServeRefusesQueueJournal: a store still holding a queue journal from
+// an older ctcpd is refused, naming the file, instead of being half-read.
+func TestServeRefusesQueueJournal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "queue.journal")
+	if err := os.WriteFile(path, []byte("0000000000000000 {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: dir, Workers: 1})
+	if err == nil {
+		s.Shutdown(context.Background())
+		t.Fatal("New accepted a store holding queue.journal")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name %s", err, path)
+	}
+}
+
+// TestServeDropsAnsweredRequest is the crash window between a job's record
+// Put and the removal of its <fp>.req: the restart finds both, deletes the
+// acceptance, and simulates nothing.
+func TestServeDropsAnsweredRequest(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Benchmark: "gzip", Config: "base", Budget: testBudget}
+	hex := fpOf(req)
+	st, err := experiment.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(&experiment.Record{Fingerprint: hex, Benchmark: req.Benchmark, Config: req.Config,
+		Budget: req.Budget, Mode: "full", Stats: &pipeline.Stats{Cycles: 77, Retired: testBudget}}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(acceptance{Seq: 3, Request: req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteFileBytes(filepath.Join(dir, hex+".req"), buf); err != nil {
 		t.Fatal(err)
 	}
 
-	_, hs := newTestServer(t, Config{Store: storeDir, Workers: 1})
-	v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "base", Budget: testBudget})
+	_, hs := newTestServer(t, Config{Store: dir, Workers: 1})
+	if left := reqFiles(t, dir); len(left) != 0 {
+		t.Errorf("after New: %v still accepted, want the answered acceptance deleted", left)
+	}
+	v, code := submit[jobView](t, hs.URL, req)
+	if code != http.StatusOK || !v.Cached || v.Stats == nil || v.Stats.Cycles != 77 {
+		t.Errorf("resubmit: status %d cached=%v stats %+v, want the stored record", code, v.Cached, v.Stats)
+	}
+	if got := metricValue(t, hs.URL, "ctcpd_runner_started_total"); got != 0 {
+		t.Errorf("ctcpd_runner_started_total = %v, want 0", got)
+	}
+}
+
+// TestServeReplaysHandWrittenRequest is the crash window after the 202 and
+// before the job ran: a <fp>.req with no record runs exactly once,
+// bit-identical to a direct run, and is gone once the job settles. The job
+// sequence resumes above the acceptance's, and the .req file is no record
+// or name to the store.
+func TestServeReplaysHandWrittenRequest(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Benchmark: "gzip", Config: "base", Budget: testBudget}
+	want := directRun(t, req)
+	hex := fpOf(req)
+	body := fmt.Sprintf(`{"seq":7,"req":{"benchmark":"gzip","config":"base","budget":%d}}`, testBudget)
+	if err := os.WriteFile(filepath.Join(dir, hex+".req"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := experiment.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("Store.Len = %d with only a .req on disk, want 0", n)
+	}
+	if names, err := experiment.Names(st); err != nil || len(names) != 0 {
+		t.Errorf("Names = %v, %v with only a .req on disk, want none", names, err)
+	}
+
+	_, hs := newTestServer(t, Config{Store: dir, Workers: 1})
+	v, code := submit[jobView](t, hs.URL, req)
 	if code != http.StatusOK || v.Fingerprint != hex {
 		t.Fatalf("submit: status %d fingerprint %s, want 200 joining the replayed job %s", code, v.Fingerprint, hex)
+	}
+	if v.ID != "job-8" {
+		t.Errorf("replayed job is %s, want job-8 (numbering resumes above seq 7)", v.ID)
 	}
 	v = waitJob(t, hs.URL, v.ID)
 	if v.Status != StatusDone {
 		t.Fatalf("replayed job: status %q error %q", v.Status, v.Error)
 	}
-	if got := statsJSON(t, v); got != string(want) {
+	if got := statsJSON(t, v); got != want {
 		t.Errorf("replayed result differs from the direct run:\n got %s\nwant %s", got, want)
+	}
+	if left := reqFiles(t, dir); len(left) != 0 {
+		t.Errorf("after settling: %v still accepted", left)
+	}
+	if got := metricValue(t, hs.URL, "ctcpd_runner_started_total"); got != 1 {
+		t.Errorf("ctcpd_runner_started_total = %v, want 1", got)
 	}
 	if got := metricValue(t, hs.URL, "ctcpd_jobs_submitted_total"); got != 1 {
 		t.Errorf("ctcpd_jobs_submitted_total = %v, want 1", got)
+	}
+	if n := st.Len(); n != 1 {
+		t.Errorf("Store.Len = %d after the job, want 1", n)
+	}
+}
+
+// TestServeIgnoresTornRequest is the crash window inside the .req write: a
+// temp file that was never renamed was never an acceptance (the client got
+// no 202), even when its contents are complete, so the restart neither
+// replays nor counts it, and leaves it alone.
+func TestServeIgnoresTornRequest(t *testing.T) {
+	dir := t.TempDir()
+	hex := fpOf(Request{Benchmark: "gzip", Config: "base", Budget: testBudget})
+	torn := filepath.Join(dir, hex+".req.tmp123456")
+	body := fmt.Sprintf(`{"seq":1,"req":{"benchmark":"gzip","config":"base","budget":%d}}`, testBudget)
+	if err := os.WriteFile(torn, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, Config{Store: dir, Workers: 1})
+	s.mu.Lock()
+	queued := len(s.queue)
+	s.mu.Unlock()
+	if queued != 0 {
+		t.Errorf("%d jobs queued from a torn write, want 0", queued)
+	}
+	for _, name := range []string{"ctcpd_jobs_submitted_total", "ctcpd_runner_started_total"} {
+		if got := metricValue(t, hs.URL, name); got != 0 {
+			t.Errorf("%s = %v, want 0", name, got)
+		}
+	}
+	if _, err := os.Stat(torn); err != nil {
+		t.Errorf("the torn write was touched: %v", err)
+	}
+}
+
+// TestServeFIFOAcrossRestarts: jobs queued at one shutdown and jobs the
+// next process accepts behind them are dispatched, by a third process, in
+// original acceptance order. Each process pins its only worker with the same
+// long checkpointed run, which shutdown interrupts at a segment boundary
+// and the third process finishes.
+func TestServeFIFOAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	pin := Request{Benchmark: "gzip", Config: "base", Budget: 500_000,
+		Checkpoint: true, CheckpointEvery: testEvery}
+	mk := func(extra uint64) Request {
+		return Request{Benchmark: "gzip", Config: "base", Budget: testBudget + extra}
+	}
+	first := []Request{mk(128), mk(256), mk(512)}
+	second := []Request{mk(1024), mk(2048)}
+	order := append(append([]Request{pin}, first...), second...)
+
+	// start runs one process over dir: it submits reqs (the pin first, if
+	// given, waiting until it occupies the worker) and shuts down with the
+	// rest still queued.
+	start := func(reqs []Request, pinned bool) {
+		t.Helper()
+		s, err := New(Config{Store: dir, Workers: 1})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		hs := httptest.NewServer(s)
+		defer hs.Close()
+		if pinned {
+			v, code := submit[jobView](t, hs.URL, pin)
+			if code != http.StatusAccepted {
+				t.Fatalf("pin submit: status %d", code)
+			}
+			waitRunning(t, hs.URL, v.ID)
+		}
+		for i, req := range reqs {
+			if _, code := submit[jobView](t, hs.URL, req); code != http.StatusAccepted {
+				t.Fatalf("submit %d: status %d, want 202", i, code)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if got := metricValue(t, hs.URL, "ctcpd_jobs_completed_total"); got != 0 {
+			t.Fatalf("ctcpd_jobs_completed_total = %v, want 0 (the pin must hold the worker until shutdown)", got)
+		}
+	}
+	start(first, true)
+	start(second, false) // the replayed pin holds the worker this time
+
+	var want []string
+	for _, req := range order {
+		want = append(want, fpOf(req))
+	}
+	got := reqFiles(t, dir)
+	sort.Strings(got)
+	sorted := append([]string(nil), want...)
+	sort.Strings(sorted)
+	if !slices.Equal(got, sorted) {
+		t.Fatalf("accepted jobs on disk %v, want %v", got, sorted)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		switch filepath.Ext(e.Name()) {
+		case ".json", ".ckpt", ".name", ".req":
+		default:
+			t.Errorf("store holds %s, outside its four file kinds", e.Name())
+		}
+	}
+
+	s, hs := newTestServer(t, Config{Store: dir, Workers: 1})
+	var begun []time.Time
+	for i, req := range order {
+		v, code := submit[jobView](t, hs.URL, req)
+		if code != http.StatusOK || v.Fingerprint != want[i] {
+			t.Fatalf("submit %d: status %d fingerprint %s, want 200 joining replayed %s", i, code, v.Fingerprint, want[i])
+		}
+		if v = waitJob(t, hs.URL, v.ID); v.Status != StatusDone {
+			t.Fatalf("job %d: status %q error %q", i, v.Status, v.Error)
+		}
+		s.mu.Lock()
+		begun = append(begun, s.jobs[v.ID].begun)
+		s.mu.Unlock()
+	}
+	for i := 1; i < len(begun); i++ {
+		if !begun[i-1].Before(begun[i]) {
+			t.Errorf("dispatch order not FIFO: acceptance %d began at %v, not before acceptance %d at %v",
+				i-1, begun[i-1], i, begun[i])
+		}
+	}
+	if left := reqFiles(t, dir); len(left) != 0 {
+		t.Errorf("after every job settled: %v still accepted", left)
 	}
 }
 

@@ -505,9 +505,9 @@ func WriteFile(path string, w *Writer) error {
 }
 
 // WriteFileBytes is the atomic temp+rename write underneath WriteFile,
-// exposed for the sibling durable files a checkpoint run maintains (stats
-// journals, result-store records): everything that can be read back after a
-// crash goes through the same torn-write-free path.
+// exposed for the sibling durable files of a store directory (result
+// records, named saves, accepted ctcpd jobs): everything that can be read
+// back after a crash goes through the same torn-write-free path.
 func WriteFileBytes(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -538,94 +538,4 @@ func ReadFile(path string) (*Reader, error) {
 		return nil, err
 	}
 	return NewReader(data)
-}
-
-// --- checksummed line journals ---
-//
-// A line journal is the append-only sibling of the atomic snapshot write:
-// where WriteFileBytes replaces a whole file in one rename, a journal grows
-// one record at a time (accept/tombstone logs, job queues). Each record is
-// one text line, `%016x <payload>\n`, where the prefix is the FNV-64a of the
-// payload bytes. Appends are single write(2) calls on an O_APPEND descriptor,
-// so concurrent appenders interleave at record granularity and a crash can
-// only tear the final line — which the reader detects by its checksum and
-// drops. Payloads must not contain newlines (JSON objects qualify).
-
-// EncodeJournalLine renders one journal record, checksum prefix included.
-func EncodeJournalLine(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+18)
-	out = append(out, fmt.Sprintf("%016x ", fnv64a(payload))...)
-	out = append(out, payload...)
-	return append(out, '\n')
-}
-
-// EncodeJournal renders a whole journal image from payloads — the rewrite
-// half of a compaction, paired with WriteFileBytes for atomic replacement.
-func EncodeJournal(payloads [][]byte) []byte {
-	var out []byte
-	for _, p := range payloads {
-		out = append(out, EncodeJournalLine(p)...)
-	}
-	return out
-}
-
-// AppendFileLine appends one checksummed record to the journal at path,
-// creating the file if needed. The record is written with a single write
-// call so a crash mid-append leaves at most one torn trailing line.
-func AppendFileLine(path string, payload []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(EncodeJournalLine(payload))
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
-// ReadFileLines returns the payload of every intact record in the journal
-// at path, in append order. Reading stops at the first record that is torn
-// or fails its checksum: under the single-write append discipline only the
-// final line can be damaged, so everything before it is trustworthy. A
-// missing journal reads as empty.
-func ReadFileLines(path string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out [][]byte
-	for len(data) > 0 {
-		nl := -1
-		for i, c := range data {
-			if c == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // torn tail: no terminating newline
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(line) < 17 || line[16] != ' ' {
-			break
-		}
-		var sum uint64
-		if _, err := fmt.Sscanf(string(line[:16]), "%016x", &sum); err != nil {
-			break
-		}
-		payload := line[17:]
-		if fnv64a(payload) != sum {
-			break
-		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		out = append(out, cp)
-	}
-	return out, nil
 }

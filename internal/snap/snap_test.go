@@ -446,64 +446,3 @@ func mustBytes(t *testing.T, w *Writer) []byte {
 	}
 	return data
 }
-
-// TestJournalRoundTrip: records appended one at a time read back complete and
-// in order, and a compaction rewrite reproduces the same image.
-func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "queue.journal")
-	if got, err := ReadFileLines(path); err != nil || got != nil {
-		t.Fatalf("missing journal: lines=%v err=%v, want empty, nil", got, err)
-	}
-	records := []string{`{"op":"accept","fp":"a"}`, `{"op":"done","fp":"a"}`, `{"op":"accept","fp":"b"}`}
-	for _, rec := range records {
-		if err := AppendFileLine(path, []byte(rec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := ReadFileLines(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("read %d records, want %d", len(got), len(records))
-	}
-	for i, rec := range records {
-		if string(got[i]) != rec {
-			t.Errorf("record %d = %q, want %q", i, got[i], rec)
-		}
-	}
-	// Compaction: rewrite with a subset, atomically.
-	if err := WriteFileBytes(path, EncodeJournal([][]byte{[]byte(records[2])})); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadFileLines(path)
-	if err != nil || len(got) != 1 || string(got[0]) != records[2] {
-		t.Fatalf("compacted journal = %q err=%v, want just %q", got, err, records[2])
-	}
-}
-
-// TestJournalTornTail: a crash mid-append leaves a damaged final line; the
-// reader must keep every intact record before it and drop the tail, whether
-// the damage is a missing newline, a bad checksum, or a malformed prefix.
-func TestJournalTornTail(t *testing.T) {
-	intact := EncodeJournalLine([]byte(`{"op":"accept","fp":"a"}`))
-	for name, tail := range map[string]string{
-		"no-newline":   `0123456789abcdef {"op":"acce`,
-		"bad-checksum": "0000000000000000 {\"op\":\"accept\",\"fp\":\"b\"}\n",
-		"short-line":   "xyz\n",
-		"no-separator": "0123456789abcdefX{\"op\":\"accept\"}\n",
-		"bad-hex":      "zzzzzzzzzzzzzzzz {\"op\":\"accept\"}\n",
-	} {
-		path := filepath.Join(t.TempDir(), name+".journal")
-		if err := os.WriteFile(path, append(append([]byte{}, intact...), tail...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadFileLines(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != 1 || string(got[0]) != `{"op":"accept","fp":"a"}` {
-			t.Errorf("%s: kept %q, want exactly the intact first record", name, got)
-		}
-	}
-}
