@@ -100,13 +100,6 @@ type FillUnit struct {
 	order     []int
 	nextSlot  []int
 
-	// memo caches per-line assignment results keyed by trace StartPC,
-	// fingerprint-validated against every input the walk reads (see
-	// assignmemo.go). Scratch: never serialized, cleared on Flush/Restore.
-	memo       pcmap.Map[assignMemoEntry]
-	memoHits   uint64
-	memoMisses uint64
-
 	S FillStats
 }
 
@@ -154,8 +147,6 @@ func (f *FillUnit) Reset(cfg Config, tc *trace.Cache) {
 	f.cfg = cfg
 	f.pending = f.pending[:0]
 	f.lastCluster.Reset()
-	f.memo.Reset()
-	f.memoHits, f.memoMisses = 0, 0
 	f.S = FillStats{}
 }
 
@@ -196,6 +187,11 @@ func (f *FillUnit) layout(g cluster.Geometry, maxLen int) {
 // inspect it).
 func (f *FillUnit) Chains() *ChainProfile { return f.chains }
 
+// MemoStats always returns 0, 0: the fill unit keeps no assignment memo.
+// It exists only because cmd/ctcpperf, the repository's benchmark, still
+// calls it; it goes when the benchmark stops doing so.
+func (f *FillUnit) MemoStats() (hits, misses uint64) { return 0, 0 }
+
 // Retire feeds one retired instruction to the fill unit. The record is
 // copied once (into the pending buffer); it is passed by pointer because
 // RetireInfo is ~200 bytes and this is called once per retired instruction.
@@ -234,13 +230,11 @@ func (f *FillUnit) CommitRetire() {
 	}
 }
 
-// Flush completes any partial trace (end of simulation) and drops the
-// assignment memo.
+// Flush completes any partial trace (end of simulation).
 func (f *FillUnit) Flush() {
 	if tr := f.builder.Flush(); tr != nil {
 		f.finishTrace(tr)
 	}
-	f.memo.Reset()
 }
 
 func (f *FillUnit) finishTrace(tr *trace.Trace) {
@@ -346,29 +340,9 @@ func (f *FillUnit) recordMigration(tr *trace.Trace) {
 	}
 }
 
-// assign sets SlotIndex/Cluster/Profile for every slot of tr, replaying a
-// memoized result when the line's assignment inputs are unchanged since it
-// was last built (assignmemo.go) and running the full walk otherwise.
+// assign sets SlotIndex/Cluster/Profile for every slot of tr: the Table 5
+// assignment pass.
 func (f *FillUnit) assign(tr *trace.Trace, infos []RetireInfo) {
-	if !f.memoizable() {
-		f.assignCompute(tr, infos)
-		return
-	}
-	fp := f.assignFP(tr, infos)
-	e := f.memo.Ensure(tr.StartPC)
-	if e.present && e.fp == fp && int(e.n) == len(tr.Slots) {
-		f.memoHits++
-		f.replayAssign(tr, e)
-		return
-	}
-	f.memoMisses++
-	before := f.S
-	f.assignCompute(tr, infos)
-	f.storeAssign(tr, e, fp, &before)
-}
-
-// assignCompute runs the full assignment pass.
-func (f *FillUnit) assignCompute(tr *trace.Trace, infos []RetireInfo) {
 	// The profile written into the new line is the one the retiring
 	// instance carried (its old line's bits), unless a pending designation
 	// exists, which is consumed here. Instances fetched from the icache

@@ -143,12 +143,6 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 	_ = f.consumers
 	_ = f.order
 	_ = f.nextSlot
-	// Assignment memo and its diagnostics counters: derived cache, cleared on
-	// Restore (assignmemo.go). Keeping them out of the encoding pins snapshot
-	// bit-compatibility with pre-memo fixtures.
-	_ = f.memo
-	_ = f.memoHits
-	_ = f.memoMisses
 	w.Counters(&f.S)
 	w.End()
 }
@@ -166,7 +160,6 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 	}
 	f.chains.Restore(r)
 	f.builder.Restore(r)
-	f.memo.Reset()
 	n := r.Int()
 	if r.Err() != nil {
 		return

@@ -35,7 +35,7 @@ const DefaultBudget = 200_000
 type ProgressKind int
 
 const (
-	// RunStarted: a new (benchmark, config) key began simulating.
+	// RunStarted: a new run fingerprint began simulating.
 	RunStarted ProgressKind = iota
 	// RunCompleted: the simulation finished successfully.
 	RunCompleted
@@ -71,7 +71,7 @@ func (k ProgressKind) String() string {
 // Options.Progress.
 type ProgressEvent struct {
 	Kind ProgressKind
-	Key  string        // "benchmark/config"
+	Key  string        // "benchmark/label" of the request that started the run
 	Wall time.Duration // simulation wall time (RunCompleted, RunFailed)
 	Err  error         // the failure (RunFailed)
 	// Done/Total report intra-run progress: instructions out of the budget
@@ -150,26 +150,33 @@ func (s RunnerStats) String() string {
 		s.Started, s.Failed, s.CacheHits, s.Deduped)
 }
 
-// runEntry is the singleflight cell for one (benchmark, config) key: the
-// first caller becomes the leader and simulates; everyone else blocks on
-// done and shares the result. Exactly one simulation runs per key.
+// runEntry is the singleflight cell for one run fingerprint: the first
+// caller becomes the leader and simulates; everyone else blocks on done and
+// shares the result. Exactly one simulation runs per fingerprint.
 type runEntry struct {
+	key   string        // "benchmark/label" of the leader's request
 	done  chan struct{} // closed when stats/err/wall are final
 	stats *pipeline.Stats
 	err   error
 	wall  time.Duration
 }
 
-// Runner executes and memoizes benchmark/configuration simulations. All
-// experiments share one Runner so configurations reused across tables (the
-// base, Friendly and FDRT runs appear in many) are simulated once — even
-// when requested concurrently. A failed simulation is recorded per key
-// (see Errors, FailureSummary) and does not poison other keys.
+// Runner executes and memoizes benchmark/configuration simulations, keyed
+// by run fingerprint (RunFingerprint), the identity the result store,
+// ctcpd and named saves use. All experiments share one Runner, so each
+// distinct configuration simulates once, whatever label requests it and
+// even when requested concurrently: the base, Friendly and FDRT runs appear
+// in many tables, and a sweep point equal to the base configuration is the
+// base run. A label only names a run; the first label to start a run names
+// it in progress events, Errors, FailureSummary and checkpointed records.
+// The fingerprint excludes hooks, so a Config.RetireHook would fire only for
+// the first request of a configuration. A failed simulation is recorded
+// under its fingerprint and does not poison other runs.
 type Runner struct {
 	opts Options
 
 	mu    sync.Mutex
-	cache map[string]*runEntry
+	cache map[uint64]*runEntry
 
 	started, completed, failed, deduped, cacheHits uint64
 
@@ -189,7 +196,7 @@ func NewRunner(opts Options) *Runner {
 	}
 	return &Runner{
 		opts:  opts,
-		cache: make(map[string]*runEntry),
+		cache: make(map[uint64]*runEntry),
 		sem:   make(chan struct{}, opts.Parallelism),
 	}
 }
@@ -276,24 +283,25 @@ func (r *Runner) emit(ev ProgressEvent) {
 	}
 }
 
-// Run simulates bm under cfg (cached by benchmark name + cfgKey). It
-// returns nil when the simulation failed; the error stays recorded in the
-// Runner (Errors, FailureSummary) so artifact builders can skip the row and
-// keep going. Use RunErr to observe the error directly.
-func (r *Runner) Run(bm workload.Benchmark, cfgKey string, cfg pipeline.Config) *pipeline.Stats {
-	s, _ := r.RunErr(bm, cfgKey, cfg)
+// Run simulates bm under cfg (cached by run fingerprint; label names the
+// run). It returns nil when the simulation failed; the error stays recorded
+// in the Runner (Errors, FailureSummary) so artifact builders can skip the
+// row and keep going. Use RunErr to observe the error directly.
+func (r *Runner) Run(bm workload.Benchmark, label string, cfg pipeline.Config) *pipeline.Stats {
+	s, _ := r.RunErr(bm, label, cfg)
 	return s
 }
 
 // RunErr simulates bm under cfg and returns the stats or the recorded
-// per-key error. Concurrent callers with the same key share one underlying
-// simulation (singleflight); later callers get cache hits.
-func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Config) (*pipeline.Stats, error) {
-	key := bm.Name + "/" + cfgKey
+// error. Concurrent callers with the same run fingerprint share one
+// underlying simulation (singleflight), whatever their labels; later
+// callers get cache hits.
+func (r *Runner) RunErr(bm workload.Benchmark, label string, cfg pipeline.Config) (*pipeline.Stats, error) {
+	fp := r.Fingerprint(bm, cfg)
 	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		// Someone already owns this key: either the run is finished (cache
-		// hit) or in flight (join it instead of simulating a duplicate).
+	if e, ok := r.cache[fp]; ok {
+		// Someone already owns this run: either it is finished (cache hit)
+		// or in flight (join it instead of simulating a duplicate).
 		select {
 		case <-e.done:
 			r.cacheHits++
@@ -304,8 +312,9 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 		<-e.done
 		return e.stats, e.err
 	}
-	e := &runEntry{done: make(chan struct{})}
-	r.cache[key] = e
+	key := bm.Name + "/" + label
+	e := &runEntry{key: key, done: make(chan struct{})}
+	r.cache[fp] = e
 	r.started++
 	r.mu.Unlock()
 	r.emit(ProgressEvent{Kind: RunStarted, Key: key})
@@ -315,7 +324,7 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 		// recovers panics (including from hooked run functions) into errors.
 		defer close(e.done)
 		start := time.Now()
-		e.stats, e.err = r.simulate(key, bm, cfgKey, cfg)
+		e.stats, e.err = r.simulate(key, fp, bm, label, cfg)
 		e.wall = time.Since(start)
 	}()
 
@@ -337,7 +346,7 @@ func (r *Runner) RunErr(bm workload.Benchmark, cfgKey string, cfg pipeline.Confi
 // simulate executes one run, holding a semaphore slot only around the
 // cycle-level model: program generation is memoized and cheap, so it must
 // not occupy a simulation slot.
-func (r *Runner) simulate(key string, bm workload.Benchmark, cfgKey string, cfg pipeline.Config) (s *pipeline.Stats, err error) {
+func (r *Runner) simulate(key string, fp uint64, bm workload.Benchmark, label string, cfg pipeline.Config) (s *pipeline.Stats, err error) {
 	defer func() {
 		// Safety net for panics escaping RunFn itself (RunProgramErr already
 		// recovers model panics; this catches hooked or future run paths).
@@ -358,7 +367,7 @@ func (r *Runner) simulate(key string, bm workload.Benchmark, cfgKey string, cfg 
 	}
 	switch {
 	case r.opts.CheckpointDir != "":
-		return r.runCheckpointed(key, bm, cfgKey, prog, cfg)
+		return r.runCheckpointed(key, fp, bm, label, prog, cfg)
 	case r.opts.SampleInterval != 0:
 		return r.runSampled(key, prog, cfg)
 	default:
@@ -404,12 +413,11 @@ func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) 
 // fingerprint inside, so one renamed or copied onto another run's name is
 // discarded on load and the run restarts from scratch, exactly as a
 // checkpoint that fails to decode (truncated write, version skew) is.
-func (r *Runner) runCheckpointed(key string, bm workload.Benchmark, cfgKey string, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, label string, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
 	st, err := OpenStore(r.opts.CheckpointDir)
 	if err != nil {
 		return nil, err
 	}
-	fp := r.Fingerprint(bm, cfg)
 	if rec, ok := st.Get(fp); ok {
 		return rec.Stats, nil
 	}
@@ -460,7 +468,7 @@ func (r *Runner) runCheckpointed(key string, bm workload.Benchmark, cfgKey strin
 		r.emit(ProgressEvent{Kind: RunSegment, Key: key, Done: p.Consumed(), Total: budget})
 	}
 	s := p.Finish()
-	if err := st.Put(&Record{Fingerprint: FormatFP(fp), Benchmark: bm.Name, Config: cfgKey,
+	if err := st.Put(&Record{Fingerprint: FormatFP(fp), Benchmark: bm.Name, Config: label,
 		Budget: budget, Mode: "checkpointed", Stats: s}); err != nil {
 		return nil, fmt.Errorf("writing result record: %w", err)
 	}
@@ -475,9 +483,9 @@ func (r *Runner) runCheckpointed(key string, bm workload.Benchmark, cfgKey strin
 // with bounded concurrency.
 func (r *Runner) Prefetch(bms []workload.Benchmark, cfgs map[string]pipeline.Config) {
 	type job struct {
-		bm  workload.Benchmark
-		key string
-		cfg pipeline.Config
+		bm    workload.Benchmark
+		label string
+		cfg   pipeline.Config
 	}
 	n := len(bms) * len(cfgs)
 	if n == 0 {
@@ -494,21 +502,22 @@ func (r *Runner) Prefetch(bms []workload.Benchmark, cfgs map[string]pipeline.Con
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				r.RunErr(j.bm, j.key, j.cfg)
+				r.RunErr(j.bm, j.label, j.cfg)
 			}
 		}()
 	}
-	// Submit in sorted key order: results are cached by key either way, but
-	// a deterministic submission order keeps run scheduling (and therefore
-	// any timing-derived diagnostics) reproducible across processes.
-	keys := make([]string, 0, len(cfgs))
-	for key := range cfgs { //ctcp:lint-ok maporder -- keys are collected and sorted before use
-		keys = append(keys, key)
+	// Submit in sorted label order: results are cached by fingerprint
+	// either way, but a deterministic submission order keeps run scheduling
+	// (and therefore any timing-derived diagnostics) reproducible across
+	// processes.
+	labels := make([]string, 0, len(cfgs))
+	for label := range cfgs { //ctcp:lint-ok maporder -- labels are collected and sorted before use
+		labels = append(labels, label)
 	}
-	sort.Strings(keys)
+	sort.Strings(labels)
 	for _, bm := range bms {
-		for _, key := range keys {
-			jobs <- job{bm, key, cfgs[key]}
+		for _, label := range labels {
+			jobs <- job{bm, label, cfgs[label]}
 		}
 	}
 	close(jobs)
@@ -528,17 +537,17 @@ func (r *Runner) Stats() RunnerStats {
 	}
 }
 
-// Errors returns the recorded failures, keyed by "benchmark/config".
-// In-flight runs are not included.
+// Errors returns the recorded failures, keyed by the "benchmark/label" that
+// started each failed run. In-flight runs are not included.
 func (r *Runner) Errors() map[string]error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]error)
-	for k, e := range r.cache { //ctcp:lint-ok maporder -- map-to-map copy; result is order-insensitive
+	for _, e := range r.cache { //ctcp:lint-ok maporder -- map-to-map copy; result is order-insensitive
 		select {
 		case <-e.done:
 			if e.err != nil {
-				out[k] = e.err
+				out[e.key] = e.err
 			}
 		default:
 		}

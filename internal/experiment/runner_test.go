@@ -70,8 +70,16 @@ func TestRunSameKeyExactlyOnce(t *testing.T) {
 	}
 }
 
+// robConfig returns the base configuration with an n-entry ROB: a distinct
+// run fingerprint per n, for tests whose hooked runs never simulate.
+func robConfig(n int) pipeline.Config {
+	cfg := BaseConfig()
+	cfg.ROBSize = n
+	return cfg
+}
+
 // TestRunDistinctKeysAllExecute checks singleflight does not over-collapse:
-// distinct keys each simulate once, concurrently.
+// distinct configurations each simulate once, concurrently.
 func TestRunDistinctKeysAllExecute(t *testing.T) {
 	var runs atomic.Int64
 	r := hookRunner(Options{Parallelism: 4}, func(pipeline.Config) (*pipeline.Stats, error) {
@@ -81,18 +89,52 @@ func TestRunDistinctKeysAllExecute(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	var wg sync.WaitGroup
 	for _, bm := range workload.Selected() {
-		for _, key := range keys {
+		for i, key := range keys {
 			wg.Add(1)
-			go func(bm workload.Benchmark, key string) {
+			go func(bm workload.Benchmark, key string, cfg pipeline.Config) {
 				defer wg.Done()
-				r.Run(bm, key, BaseConfig())
-			}(bm, key)
+				r.Run(bm, key, cfg)
+			}(bm, key, robConfig(64+i))
 		}
 	}
 	wg.Wait()
 	want := int64(len(keys) * len(workload.Selected()))
 	if n := runs.Load(); n != want {
 		t.Fatalf("ran %d simulations, want %d", n, want)
+	}
+}
+
+// TestRunIdentityIsFingerprint: the runner identifies a run by its
+// fingerprint, not by the label its caller gives it. One configuration
+// requested under two labels simulates once and both callers share its
+// stats; one label reused for a second configuration simulates that
+// configuration too, and its caller gets the second configuration's stats.
+func TestRunIdentityIsFingerprint(t *testing.T) {
+	var runs atomic.Int64
+	r := hookRunner(Options{Parallelism: 2}, func(cfg pipeline.Config) (*pipeline.Stats, error) {
+		runs.Add(1)
+		return &pipeline.Stats{Cycles: int64(cfg.ROBSize)}, nil
+	})
+	bm, _ := workload.ByName("gzip")
+
+	base := r.Run(bm, "base", robConfig(128))
+	sweep := r.Run(bm, "sweep/rob-entries/128/base", robConfig(128))
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("one configuration under two labels simulated %d times, want 1", n)
+	}
+	if base == nil || sweep != base {
+		t.Fatalf("the second label got %p, want the first label's stats %p", sweep, base)
+	}
+
+	small := r.Run(bm, "base", robConfig(64))
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("one label with two configurations simulated %d times, want 2", n)
+	}
+	if small == nil || small.Cycles != 64 || base.Cycles != 128 {
+		t.Fatalf("a reused label returned %+v (first configuration %+v), want each configuration's own stats", small, base)
+	}
+	if st := r.Stats(); st.Started != 2 || st.CacheHits != 1 {
+		t.Errorf("stats = %+v, want 2 started and 1 cache hit", st)
 	}
 }
 
@@ -161,8 +203,8 @@ func TestPrefetchBoundedConcurrency(t *testing.T) {
 		return &pipeline.Stats{Cycles: 1}, nil
 	})
 	cfgs := map[string]pipeline.Config{}
-	for _, key := range []string{"a", "b", "c", "d", "e"} {
-		cfgs[key] = BaseConfig()
+	for i, key := range []string{"a", "b", "c", "d", "e"} {
+		cfgs[key] = robConfig(64 + i)
 	}
 	r.Prefetch(workload.All(), cfgs)
 	if p := peak.Load(); p > limit {

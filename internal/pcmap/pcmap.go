@@ -3,9 +3,9 @@
 // by PC/isa.PCStride. Program text is contiguous, so after the first pass
 // over the working set every lookup is a single bounds-checked index with no
 // hashing and no allocation. The pipeline (per-PC producer history, decode
-// cache) and the fill unit (chain designations, migration history,
-// assignment memo) each keep one per retired or built instruction, which
-// puts these lookups on the simulator's hot path.
+// cache) and the fill unit (chain designations, migration history) each
+// keep one per retired or built instruction, which puts these lookups on
+// the simulator's hot path.
 //
 // Presence is the caller's concern: dense slots exist for every covered
 // address and the zero E means "absent", so E must carry its own presence

@@ -2,8 +2,8 @@ package pipeline
 
 // Benchmarks for the cycle-model hot path. Every paper artifact is a
 // full-matrix sweep over this loop, so ns/cycle and allocs/op here bound the
-// wall-clock of the whole experiment harness. BenchmarkCycle times the inner
-// p.cycle() step in isolation; BenchmarkRunProgram measures end-to-end
+// wall-clock of the whole experiment harness. BenchmarkCycle times one
+// cycle-loop step in isolation; BenchmarkRunProgram measures end-to-end
 // simulation throughput per kernel and reports ns/cycle and sim-cycles/sec.
 //
 // These are for local before/after comparisons (`make bench` runs them).
@@ -32,8 +32,8 @@ var benchKernels = []string{"gzip", "mcf", "eon", "perlbmk"}
 var benchStrategies = []core.StrategyKind{core.Base, core.IssueTime, core.Friendly, core.FDRT}
 
 // benchCycleLoop is the shared inner loop of the per-strategy cycle
-// benchmarks: one p.cycle() step per op, reconstructing the pipeline off the
-// clock when the program drains.
+// benchmarks: one runLoop iteration (step) per op, reconstructing the
+// pipeline off the clock when the program drains.
 func benchCycleLoop(b *testing.B, prog *isa.Program, cfg Config) {
 	p := New(emu.New(prog), cfg)
 	b.ReportAllocs()
@@ -44,11 +44,7 @@ func benchCycleLoop(b *testing.B, prog *isa.Program, cfg Config) {
 			p = New(emu.New(prog), cfg)
 			b.StartTimer()
 		}
-		if p.cycle() {
-			p.now++
-		} else {
-			p.now = p.nextEvent()
-		}
+		step(p)
 	}
 }
 

@@ -187,11 +187,7 @@ func TestSnapshotRejectsUndrained(t *testing.T) {
 	p := New(&emu.LimitStream{S: m, Budget: resumeInsts}, cfg)
 	// Hand-crank a few hundred cycles so instructions are in flight.
 	for i := 0; i < 300; i++ {
-		if p.cycle() {
-			p.now++
-		} else {
-			p.now = p.nextEvent()
-		}
+		step(p)
 	}
 	if p.rob.len() == 0 {
 		t.Fatal("test setup: expected in-flight instructions after 300 cycles")

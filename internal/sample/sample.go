@@ -21,7 +21,6 @@ package sample
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -185,7 +184,7 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 		res.DetailedInsts += s.reg.WarmInsts + s.reg.Insts
 		res.DetailedCycles += s.reg.WarmCycles + s.reg.Cycles
 		res.EstimatedCycles += s.reg.EstCycles
-		addStats(&res.Stats, s.stats)
+		snap.AddCounters(&res.Stats, s.stats)
 	}
 	return res, nil
 }
@@ -322,24 +321,4 @@ func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detai
 		reg.EstCycles = float64(reg.Cycles) * float64(span) / float64(reg.Insts)
 	}
 	return reg, s, nil
-}
-
-// addStats accumulates src into dst field by field via reflection: integer
-// counters add and nested structs recurse. Reflection keeps the merge
-// complete by construction as Stats grows new counters.
-func addStats(dst, src *pipeline.Stats) {
-	addValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
-}
-
-func addValue(dst, src reflect.Value) {
-	switch dst.Kind() {
-	case reflect.Struct:
-		for i := 0; i < dst.NumField(); i++ {
-			addValue(dst.Field(i), src.Field(i))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		dst.SetUint(dst.Uint() + src.Uint())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		dst.SetInt(dst.Int() + src.Int())
-	}
 }

@@ -202,7 +202,7 @@ func replayFresh(t *testing.T, prog *isa.Program, cfg pipeline.Config, opts Opti
 		res.DetailedInsts += reg.WarmInsts + reg.Insts
 		res.DetailedCycles += reg.WarmCycles + reg.Cycles
 		res.EstimatedCycles += reg.EstCycles
-		addStats(&res.Stats, st)
+		snap.AddCounters(&res.Stats, st)
 	}
 	return res
 }

@@ -19,7 +19,7 @@ import (
 // encoded once per slot (instructions, committed records, trace slots)
 // stay hand-coded, where a reflective walk is measurably slower.
 func (w *Writer) Counters(v any) {
-	walkCounters(reflect.ValueOf(v).Elem(), func(f reflect.Value) {
+	walkCounters(reflect.ValueOf(v).Elem(), reflect.Value{}, false, func(f, _ reflect.Value) {
 		if f.CanInt() {
 			w.I64(f.Int())
 		} else {
@@ -32,7 +32,7 @@ func (w *Writer) Counters(v any) {
 // v points to. After an error every counter read is zero, like every other
 // getter.
 func (r *Reader) Counters(v any) {
-	walkCounters(reflect.ValueOf(v).Elem(), func(f reflect.Value) {
+	walkCounters(reflect.ValueOf(v).Elem(), reflect.Value{}, false, func(f, _ reflect.Value) {
 		if f.CanInt() {
 			f.SetInt(r.I64())
 		} else {
@@ -41,22 +41,49 @@ func (r *Reader) Counters(v any) {
 	})
 }
 
+// AddCounters adds every counter of the stats struct src points to into
+// the same counter of dst, which must point to a struct of the same type.
+// It visits the fields Counters does and, unlike Counters, the sub-structs
+// tagged `snap:"-"` too: the tag moves a sub-struct's encoding into its
+// owner's section, but a merged total still sums it. Any field that is not
+// an integer counter panics, as in Counters.
+func AddCounters(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	if d.Type() != s.Type() {
+		panic(fmt.Sprintf("snap: AddCounters: adding a %s into a %s", s.Type(), d.Type()))
+	}
+	walkCounters(d, s, true, func(d, s reflect.Value) {
+		if d.CanInt() {
+			d.SetInt(d.Int() + s.Int())
+		} else {
+			d.SetUint(d.Uint() + s.Uint())
+		}
+	})
+}
+
 // walkCounters calls visit on each counter field of the struct v, in
-// declaration order, recursing into nested structs.
-func walkCounters(v reflect.Value, visit func(reflect.Value)) {
+// declaration order, recursing into nested structs, together with the same
+// field of the struct w when w is valid (of v's type). Fields tagged
+// `snap:"-"` are skipped unless tagged is set. Any field that is neither an
+// integer counter (int, int64, uint, uint64) nor a struct panics.
+func walkCounters(v, w reflect.Value, tagged bool, visit func(f, g reflect.Value)) {
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
-		if sf.Tag.Get("snap") == "-" {
+		if !tagged && sf.Tag.Get("snap") == "-" {
 			continue
+		}
+		var g reflect.Value
+		if w.IsValid() {
+			g = w.Field(i)
 		}
 		switch f := v.Field(i); f.Kind() {
 		case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64:
-			visit(f)
+			visit(f, g)
 		case reflect.Struct:
-			walkCounters(f, visit)
+			walkCounters(f, g, tagged, visit)
 		default:
-			panic(fmt.Sprintf("snap: Counters: field %s.%s has kind %s, not an integer counter", t.Name(), sf.Name, f.Kind()))
+			panic(fmt.Sprintf("snap: field %s.%s has kind %s, not an integer counter", t.Name(), sf.Name, f.Kind()))
 		}
 	}
 }

@@ -95,3 +95,61 @@ func TestCounters(t *testing.T) {
 		t.Errorf("Counters on a []string field: panic %q, want one naming withTrace.Trace", msg)
 	}
 }
+
+// TestAddCounters: the merge sums every counter Counters encodes and, unlike
+// Counters, the `snap:"-"` sub-structs too.
+func TestAddCounters(t *testing.T) {
+	dst := sampleCounters{Cycles: 10, Hits: 1, N: 2, Inner: innerCounters{A: 3, B: -4}, Own: innerCounters{A: 5, B: 6}, Last: 7}
+	src := sampleCounters{Cycles: -1, Hits: 10, N: 20, Inner: innerCounters{A: 30, B: 40}, Own: innerCounters{A: 50, B: -60}, Last: 70}
+	AddCounters(&dst, &src)
+	want := sampleCounters{Cycles: 9, Hits: 11, N: 22, Inner: innerCounters{A: 33, B: 36}, Own: innerCounters{A: 55, B: -54}, Last: 77}
+	if dst != want {
+		t.Errorf("AddCounters = %+v, want %+v", dst, want)
+	}
+}
+
+// withInt32 has counters of a kind the walker does not accept, one of them
+// in a sub-struct only the merge visits.
+type withInt32 struct {
+	Retired uint64
+	Own     narrowCounters `snap:"-"`
+	Narrow  int32
+}
+
+type narrowCounters struct {
+	Small int32
+}
+
+// TestCountersRejectInt32: an int32 counter panics, naming its field, in the
+// encoder, the decoder and the merge alike; none of them skips it silently.
+func TestCountersRejectInt32(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	enc := NewWriter()
+	enc.U64(0)
+	enc.U64(0)
+	b, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, field string
+		f           func()
+	}{
+		{"Writer.Counters", "withInt32.Narrow", func() { NewWriter().Counters(&withInt32{}) }},
+		{"Reader.Counters", "withInt32.Narrow", func() { r.Counters(&withInt32{}) }},
+		// The merge reaches the tagged sub-struct first.
+		{"AddCounters", "narrowCounters.Small", func() { AddCounters(&withInt32{}, &withInt32{}) }},
+	} {
+		if msg := panicOf(c.f); !strings.Contains(msg, c.field) || !strings.Contains(msg, "int32") {
+			t.Errorf("%s on an int32 counter: panic %q, want one naming %s as int32", c.name, msg, c.field)
+		}
+	}
+}
