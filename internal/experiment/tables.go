@@ -230,17 +230,7 @@ func Figure5(r *Runner) *Figure5Result {
 }
 
 // HM returns the harmonic means of each column.
-func (f *Figure5Result) HM() []float64 {
-	out := make([]float64, 5)
-	for k := 0; k < 5; k++ {
-		var col []float64
-		for _, row := range f.Rows {
-			col = append(col, row.Values[k])
-		}
-		out[k] = stats.HarmonicMean(col)
-	}
-	return out
-}
+func (f *Figure5Result) HM() []float64 { return columnHM(f.Rows, 5) }
 
 // Render formats the result.
 func (f *Figure5Result) Render() string {
@@ -252,18 +242,6 @@ func (f *Figure5Result) Render() string {
 			"expected shape: NoFwd >= NoCrit >> NoIntra ~ NoInter >> NoRF ~ 1.0",
 		},
 	}
-	for _, row := range f.Rows {
-		cells := []string{row.Bench}
-		for _, v := range row.Values {
-			cells = append(cells, stats.F3(v))
-		}
-		tab.AddRow(cells...)
-	}
-	hm := f.HM()
-	cells := []string{"HM"}
-	for _, v := range hm {
-		cells = append(cells, stats.F3(v))
-	}
-	tab.AddRow(cells...)
+	appendRowsWithHM(tab, f.Rows, f.HM())
 	return tab.Render()
 }

@@ -24,46 +24,18 @@ var ConfigValidate = &Analyzer{
 }
 
 func runConfigValidate(p *Pass) {
-	// Locate `type Config struct` and its field declarations.
-	var (
-		cfgType   *types.Named
-		fieldDecl = map[types.Object]*ast.Ident{}
-	)
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Config" {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				named, ok := p.Pkg.Info.Defs[ts.Name].Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				cfgType = named
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						if name.IsExported() {
-							fieldDecl[p.Pkg.Info.Defs[name]] = name
-						}
-					}
-				}
-			}
-		}
+	obj, ok := p.Pkg.Types.Scope().Lookup("Config").(*types.TypeName)
+	if !ok {
+		return
 	}
-	if cfgType == nil {
+	cfgType, ok := obj.Type().(*types.Named)
+	if !ok {
+		return
+	}
+	if _, ok := cfgType.Underlying().(*types.Struct); !ok {
 		return
 	}
 
-	// Locate the Validate method and the package's function declarations.
 	decls, _ := packageFuncs(p)
 	var validate *ast.FuncDecl
 	for fn, d := range decls {
@@ -80,11 +52,21 @@ func runConfigValidate(p *Pass) {
 		return
 	}
 
-	// Walk Validate and its intra-package callees, collecting Config field
-	// references.
+	referenced := fieldRefs(p, decls, cfgType, validate)
+	for _, ident := range structFieldIdents(p, cfgType) {
+		if ident.IsExported() && !referenced[p.Pkg.Info.Defs[ident]] {
+			p.Reportf(ident.Pos(), "exported Config field %s is never referenced in the Validate path; add a check (or an explicit `_ = c.%s` audit)", ident.Name, ident.Name)
+		}
+	}
+}
+
+// fieldRefs walks roots and every intra-package function they transitively
+// call, and returns the fields of named that some selector in them refers
+// to.
+func fieldRefs(p *Pass, decls map[*types.Func]*ast.FuncDecl, named *types.Named, roots ...*ast.FuncDecl) map[types.Object]bool {
 	referenced := map[types.Object]bool{}
 	visited := map[*ast.FuncDecl]bool{}
-	queue := []*ast.FuncDecl{validate}
+	queue := roots
 	for len(queue) > 0 {
 		d := queue[0]
 		queue = queue[1:]
@@ -95,22 +77,15 @@ func runConfigValidate(p *Pass) {
 		ast.Inspect(d, func(n ast.Node) bool {
 			if se, ok := n.(*ast.SelectorExpr); ok {
 				if sel, ok := p.Pkg.Info.Selections[se]; ok && sel.Kind() == types.FieldVal &&
-					recvNamed(sel.Recv()) == cfgType {
+					recvNamed(sel.Recv()) == named {
 					referenced[sel.Obj()] = true
 				}
 			}
 			return true
 		})
-		for _, callee := range calleeDecls(p, d, decls) {
-			queue = append(queue, callee)
-		}
+		queue = append(queue, calleeDecls(p, d, decls)...)
 	}
-
-	for obj, ident := range fieldDecl {
-		if !referenced[obj] {
-			p.Reportf(ident.Pos(), "exported Config field %s is never referenced in the Validate path; add a check (or an explicit `_ = c.%s` audit)", obj.Name(), obj.Name())
-		}
-	}
+	return referenced
 }
 
 // recvNamed unwraps a (possibly pointer) receiver or selection type to its

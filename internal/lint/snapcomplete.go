@@ -107,30 +107,7 @@ func runSnapComplete(p *Pass) {
 			continue // non-struct receiver (or struct declared elsewhere)
 		}
 
-		// Walk the union of both methods and their intra-package callees,
-		// collecting field references on the receiver type.
-		referenced := map[types.Object]bool{}
-		visited := map[*ast.FuncDecl]bool{}
-		queue := []*ast.FuncDecl{m.snapshot, m.restore}
-		for len(queue) > 0 {
-			d := queue[0]
-			queue = queue[1:]
-			if visited[d] {
-				continue
-			}
-			visited[d] = true
-			ast.Inspect(d, func(n ast.Node) bool {
-				if se, ok := n.(*ast.SelectorExpr); ok {
-					if sel, ok := p.Pkg.Info.Selections[se]; ok && sel.Kind() == types.FieldVal &&
-						recvNamed(sel.Recv()) == named {
-						referenced[sel.Obj()] = true
-					}
-				}
-				return true
-			})
-			queue = append(queue, calleeDecls(p, d, decls)...)
-		}
-
+		referenced := fieldRefs(p, decls, named, m.snapshot, m.restore)
 		for _, ident := range fieldDecl {
 			obj := p.Pkg.Info.Defs[ident]
 			if !referenced[obj] {
@@ -142,9 +119,10 @@ func runSnapComplete(p *Pass) {
 }
 
 // structFieldIdents finds the struct declaration of named in the package's
-// files and returns its field name identifiers in declaration order (all
-// fields, exported or not — checkpoint completeness is about state, not API).
-// Embedded fields have no name identifier and are skipped.
+// files and returns its field name identifiers in declaration order, exported
+// or not (checkpoint completeness is about state, not API; configvalidate
+// keeps only the exported ones). Embedded fields have no name identifier and
+// are skipped.
 func structFieldIdents(p *Pass, named *types.Named) []*ast.Ident {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {

@@ -110,15 +110,9 @@ func TestCycleLoopBytesWindow(t *testing.T) {
 	}
 }
 
-// step advances the model by one iteration of runLoop: one cycle, or after
-// an idle cycle a jump to nextEvent with the skipped cycles charged to the
-// stalls the idle cycle saw. It omits only the no-progress watchdog.
+// step advances the model by one iteration of runLoop: one cycle. It omits
+// only the no-progress watchdog.
 func step(p *Pipeline) {
-	if p.cycle() {
-		p.now++
-	} else {
-		next := p.nextEvent()
-		p.chargeSkipped(next - p.now - 1)
-		p.now = next
-	}
+	p.cycle()
+	p.now++
 }

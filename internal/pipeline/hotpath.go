@@ -142,7 +142,7 @@ type readyEvent struct {
 // setting their ready-mask bit; issue pops due entries each cycle and sets
 // their bits then. The issue scan therefore only ever visits issuable (or
 // FU-starved) entries — no per-cycle rescan of known-not-ready entries — and
-// nextEvent reads the earliest pending ready cycle straight from the root.
+// a cluster whose root is not yet due is skipped without a scan.
 type readyHeap []readyEvent
 
 func (h *readyHeap) push(e readyEvent) {

@@ -142,24 +142,7 @@ type scratch struct {
 	clusterBudget []int
 	open          []uint8
 	fetchBuf      []uint32
-
-	// What the idle fast-forward needs from the cycle just simulated (see
-	// nextEvent): wake is the earliest future cycle at which a stage that
-	// was blocked this cycle can act, for the blocks no other event source
-	// covers; stalls has a stall* bit for each stall counter it charged.
-	wake   int64
-	stalls uint8
 }
-
-// never is the wake time of a cycle in which nothing waits on a time.
-const never = int64(1) << 62
-
-// Stall kinds, as bits of scratch.stalls.
-const (
-	stallROB uint8 = 1 << iota
-	stallLoadQ
-	stallSB
-)
 
 // New builds a pipeline reading committed instructions from stream. The
 // configuration is validated up front: a bad Config panics *core.InvariantError
@@ -310,8 +293,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
 		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
 	}
-	p.scr.wake = never
-	p.scr.stalls = 0
 	p.S = Stats{}
 }
 
@@ -338,20 +319,14 @@ func (p *Pipeline) Run() *Stats {
 	return p.Finish()
 }
 
-// runLoop advances the model until stop reports true: one cycle at a time
-// while stages work, and straight to nextEvent after an idle cycle, charging
-// the skipped cycles to the stalls the idle cycle saw. Run stops at done
-// (stream exhausted, machine empty); RunTo stops at drained (fetch paused at
-// the segment limit, machine empty).
+// runLoop simulates one cycle at a time until stop reports true. Run stops
+// at done (stream exhausted, machine empty); RunTo stops at drained (fetch
+// paused at the segment limit, machine empty). A model bug that stalls
+// retirement for two million cycles panics instead of looping forever.
 func (p *Pipeline) runLoop(stop func(*Pipeline) bool) {
 	for !stop(p) {
-		if p.cycle() {
-			p.now++
-		} else {
-			next := p.nextEvent()
-			p.chargeSkipped(next - p.now - 1)
-			p.now = next
-		}
+		p.cycle()
+		p.now++
 		if p.now-p.lastRetireCycle > 2_000_000 {
 			panic(&core.InvariantError{Msg: fmt.Sprintf(
 				"pipeline: no retirement progress near cycle %d (rob=%d fetchQ=%d)",
@@ -439,110 +414,16 @@ func (p *Pipeline) pauseDrain() {
 	p.reclaim()
 }
 
-// cycle runs one machine cycle; it reports whether any state changed (used
-// to fast-forward through idle periods).
+// cycle runs one machine cycle.
 //
 //ctcp:hotpath
-func (p *Pipeline) cycle() bool {
-	p.scr.wake = never
-	p.scr.stalls = 0
-	worked := false
-	if p.retire() {
-		worked = true
-	}
+func (p *Pipeline) cycle() {
+	p.retire()
 	p.clearRedirect()
-	if p.issue() {
-		worked = true
-	}
-	if p.dispatch() {
-		worked = true
-	}
-	if p.rename() {
-		worked = true
-	}
-	if p.fetch() {
-		worked = true
-	}
-	return worked
-}
-
-// nextEvent returns the earliest future cycle at which anything can happen,
-// read after an idle cycle: every cycle before it would be idle too, so
-// runLoop skips them. A stage that can act at cycle t puts t here, either
-// below or, for a block only the stage itself sees, through scr.wake
-// (DESIGN.md, "Idle fast-forward").
-func (p *Pipeline) nextEvent() int64 {
-	st := &p.st
-	best := p.scr.wake // FU-starved issue, store-buffer-bound retire, steering
-	consider := func(t int64) {
-		if t > p.now && t < best {
-			best = t
-		}
-	}
-	// Retirement is in order, so only the ROB head's completion matters;
-	// a result's consumers wake through the ready heaps, not through it.
-	if p.rob.len() > 0 {
-		if idx := uint32(p.rob.front()); st.flags[idx]&fIssued != 0 {
-			consider(st.doneAt[idx])
-		}
-	}
-	if p.pendingRedirect != noID {
-		if idx := st.index(p.pendingRedirect); st.flags[idx]&fIssued != 0 {
-			consider(st.doneAt[idx])
-		}
-	}
-	// Mask-set entries are ready now or FU-starved (their units' free
-	// times are in wake), so the earliest future RS wakeup is the root of
-	// each cluster's ready heap — no mask scan needed.
-	for c := range p.readyHeap {
-		if h := p.readyHeap[c]; len(h) > 0 {
-			consider(h[0].at)
-		}
-	}
-	if p.fetchQ.len() > 0 {
-		consider(st.renameReady[uint32(p.fetchQ.front())])
-	}
-	for c := range p.dispatchQ {
-		if p.dispatchQ[c].len() > 0 {
-			consider(st.dispatchReady[uint32(p.dispatchQ[c].front())])
-		}
-	}
-	if p.pendingRedirect == noID && !p.streamDone && (p.havePeek || !p.fetchPaused()) {
-		// When fetch is paused with nothing buffered, no fetch event can
-		// fire until the next RunTo raises the limit; considering nextFetch
-		// here would crawl the idle fast-forward one cycle at a time into
-		// the retirement watchdog.
-		consider(p.nextFetch)
-	}
-	if best == never {
-		return p.now + 1
-	}
-	return best
-}
-
-// wakeAt records that a stage blocked this cycle can act at cycle t.
-func (p *Pipeline) wakeAt(t int64) {
-	if t < p.scr.wake {
-		p.scr.wake = t
-	}
-}
-
-// chargeSkipped charges the n cycles runLoop skips after an idle cycle to
-// each stall that cycle saw: the skip is exact, so the state, and with it
-// every stall, holds through the skipped cycles.
-func (p *Pipeline) chargeSkipped(n int64) {
-	if p.scr.stalls == 0 || n <= 0 {
-		return
-	}
-	if p.scr.stalls&stallROB != 0 {
-		p.S.ROBFullStalls += uint64(n)
-	}
-	if p.scr.stalls&stallLoadQ != 0 {
-		p.S.LoadQFullStalls += uint64(n)
-	}
-	if p.scr.stalls&stallSB != 0 {
-		p.S.SBFullStalls += uint64(n)
-	}
+	p.issue()
+	p.dispatch()
+	p.rename()
+	p.fetch()
 }
 
 // --- stream helpers ---
@@ -580,16 +461,16 @@ func (p *Pipeline) take() *emu.Committed {
 // fetch pulls one fetch group per cycle from the trace cache or icache path.
 //
 //ctcp:hotpath
-func (p *Pipeline) fetch() bool {
+func (p *Pipeline) fetch() {
 	if p.pendingRedirect != noID || p.now < p.nextFetch {
-		return false
+		return
 	}
 	if p.fetchQ.len() >= 2*p.cfg.FetchWidth {
-		return false
+		return
 	}
 	first, ok := p.peek()
 	if !ok {
-		return false
+		return
 	}
 	pc := first.PC
 	group := p.groupSeq
@@ -642,7 +523,7 @@ func (p *Pipeline) fetch() bool {
 	if len(consumed) == 0 {
 		// Defensive: should not happen (the first record always matches).
 		p.nextFetch = p.now + 1
-		return false
+		return
 	}
 	for _, idx := range consumed {
 		p.st.renameReady[idx] = p.now + fetchLat + int64(p.cfg.DecodeStages)
@@ -650,7 +531,6 @@ func (p *Pipeline) fetch() bool {
 	}
 	p.nextFetch = p.now + 1 + p.btbBubble
 	p.btbBubble = 0
-	return true
 }
 
 func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl int, prof trace.Profile) uint32 {
@@ -771,10 +651,9 @@ func (p *Pipeline) clearRedirect() {
 // instructions into the ROB.
 //
 //ctcp:hotpath
-func (p *Pipeline) rename() bool {
+func (p *Pipeline) rename() {
 	st := &p.st
 	budget := p.cfg.FetchWidth
-	worked := false
 	for budget > 0 && p.fetchQ.len() > 0 {
 		id := p.fetchQ.front()
 		idx := uint32(id) // queue membership implies liveness
@@ -783,13 +662,11 @@ func (p *Pipeline) rename() bool {
 		}
 		if p.rob.len() >= p.cfg.ROBSize {
 			p.S.ROBFullStalls++
-			p.scr.stalls |= stallROB
 			break
 		}
 		isLoad := st.flags[idx]&fIsLoad != 0
 		if isLoad && p.loadsInROB >= p.cfg.LoadQueue {
 			p.S.LoadQFullStalls++
-			p.scr.stalls |= stallLoadQ
 			break
 		}
 		for k, r := range st.src[idx] { // src cached at newInflight (decode cache)
@@ -836,9 +713,7 @@ func (p *Pipeline) rename() bool {
 			p.dispatchQ[st.cluster[idx]].push(id)
 		}
 		budget--
-		worked = true
 	}
-	return worked
 }
 
 // --- dispatch (into reservation stations) ---
@@ -852,12 +727,12 @@ func (p *Pipeline) wu(c int, st cluster.RSKind) *int {
 // the configured steering strategy and write-port limits.
 //
 //ctcp:hotpath
-func (p *Pipeline) dispatch() bool {
+func (p *Pipeline) dispatch() {
 	if p.cfg.Strategy.SteersAtIssue() {
-		return p.steer()
+		p.steer()
+		return
 	}
 	st := &p.st
-	worked := false
 	p.freePorts()
 	for c := 0; c < p.geom.Clusters; c++ {
 		n := 0
@@ -871,10 +746,8 @@ func (p *Pipeline) dispatch() bool {
 			}
 			p.dispatchQ[c].popFront()
 			n++
-			worked = true
 		}
 	}
-	return worked
 }
 
 // freePorts frees every write port for this cycle's dispatch, clearing the
@@ -895,15 +768,11 @@ const allStations = uint8(1)<<cluster.NumRSKinds - 1
 // nothing in it is.
 //
 //ctcp:hotpath
-func (p *Pipeline) steer() bool {
+func (p *Pipeline) steer() {
 	st := &p.st
 	q := &p.steerQ
-	if q.len() == 0 {
-		return false
-	}
-	if t := st.dispatchReady[uint32(q.front())]; t > p.now {
-		p.wakeAt(t)
-		return false
+	if q.len() == 0 || st.dispatchReady[uint32(q.front())] > p.now {
+		return
 	}
 	// Write ports are all free at the top of the cycle, so a station is
 	// open iff it is not full. anyOpen is the union over clusters: once it
@@ -924,8 +793,7 @@ func (p *Pipeline) steer() bool {
 	i := 0
 	for ; i < q.len() && i < limit && anyOpen != 0; i++ {
 		idx := uint32(q.at(i)) // queue membership implies liveness
-		if t := st.dispatchReady[idx]; t > p.now {
-			p.wakeAt(t)
+		if st.dispatchReady[idx] > p.now {
 			break
 		}
 		stations := classStations[st.class[idx]]
@@ -957,11 +825,9 @@ func (p *Pipeline) steer() bool {
 			}
 		}
 	}
-	if dispatched == 0 {
-		return false
+	if dispatched > 0 {
+		q.squeeze(i)
 	}
-	q.squeeze(i)
-	return true
 }
 
 // classStations is cluster.StationsFor as a station bit mask per class,
@@ -1244,9 +1110,8 @@ func (p *Pipeline) freeFU(c int, class isa.Class) cluster.FUKind {
 // 64-entry words of them are skipped with one load.
 //
 //ctcp:hotpath
-func (p *Pipeline) issue() bool {
+func (p *Pipeline) issue() {
 	st := &p.st
-	worked := false
 	for c := 0; c < p.geom.Clusters; c++ {
 		// A cluster with no ready entry and no heap root due cannot issue.
 		// Nor can it owe a compaction: only issuing makes one due, and the
@@ -1289,13 +1154,9 @@ func (p *Pipeline) issue() bool {
 				fu := p.freeFU(c, class)
 				if fu < 0 {
 					noFU |= 1 << class
-					for _, fu := range cluster.UnitsFor(class) {
-						p.wakeAt(p.fuFree[c][fu])
-					}
 					continue
 				}
 				p.doIssue(idx, c, fu)
-				worked = true
 				// Re-read the word above the issued bit: issuing may have
 				// resolved younger entries in it this very cycle (a store
 				// unblocking a load), exactly as the per-entry recompute
@@ -1330,7 +1191,6 @@ func (p *Pipeline) issue() bool {
 			}
 		}
 	}
-	return worked
 }
 
 func (p *Pipeline) doIssue(idx uint32, c int, fu cluster.FUKind) {
@@ -1508,10 +1368,10 @@ func (p *Pipeline) sbOccupied() int {
 // feeding the fill unit and the store buffer.
 //
 //ctcp:hotpath
-func (p *Pipeline) retire() bool {
+func (p *Pipeline) retire() {
 	st := &p.st
 	budget := p.cfg.RetireWidth
-	worked := false
+	retired := false
 	for budget > 0 && p.rob.len() > 0 {
 		id := p.rob.front()
 		idx := uint32(id) // ROB membership implies liveness
@@ -1520,13 +1380,7 @@ func (p *Pipeline) retire() bool {
 		}
 		if st.flags[idx]&fIsStore != 0 {
 			if p.sbOccupied() >= p.cfg.StoreBuffer {
-				// An entry frees when its drain completes; sbOccupied left
-				// only drains still in the future.
 				p.S.SBFullStalls++
-				p.scr.stalls |= stallSB
-				for _, t := range p.sbDrain {
-					p.wakeAt(t)
-				}
 				break
 			}
 			drain := p.lastDrain + 1
@@ -1574,12 +1428,11 @@ func (p *Pipeline) retire() bool {
 		p.scr.graveyard.push(id)
 		p.lastRetireCycle = p.now
 		budget--
-		worked = true
+		retired = true
 	}
-	if worked {
+	if retired {
 		p.reclaim()
 	}
-	return worked
 }
 
 // retireInfo fills *info (the retire scratch slot) for the fill unit; the

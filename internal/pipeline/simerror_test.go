@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"ctcp/internal/core"
+	"ctcp/internal/emu"
 	"ctcp/internal/workload"
 )
 
@@ -55,4 +57,32 @@ func TestRunProgramStillPanics(t *testing.T) {
 		}
 	}()
 	RunProgram(bm.ProgramFor(5_000), cfg)
+}
+
+// TestNoProgressWatchdog fires the watchdog, the only guard against a cycle
+// loop that never ends. Validate rejects RetireWidth 0, so setting it after
+// New stands in for a model bug that stops retirement: Run must panic with
+// an *InvariantError once two million cycles pass without a retirement.
+func TestNoProgressWatchdog(t *testing.T) {
+	bm, _ := workload.ByName("gzip")
+	cfg := DefaultConfig()
+	cfg.MaxInsts = 1_000
+	p := New(emu.New(bm.ProgramFor(1_000)), cfg)
+	p.cfg.RetireWidth = 0
+	defer func() {
+		ie, ok := recover().(*core.InvariantError)
+		if !ok {
+			t.Fatalf("Run did not panic with *core.InvariantError")
+		}
+		if want := "no retirement progress near cycle 2000001 "; !strings.Contains(ie.Msg, want) {
+			t.Errorf("panic %q, want it to contain %q", ie.Msg, want)
+		}
+		if p.CurrentCycle() != 2_000_001 {
+			t.Errorf("watchdog fired at cycle %d, want 2000001", p.CurrentCycle())
+		}
+		if p.Retired() != 0 {
+			t.Errorf("retired %d instructions with RetireWidth 0", p.Retired())
+		}
+	}()
+	p.Run()
 }

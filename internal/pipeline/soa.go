@@ -66,9 +66,9 @@ const (
 )
 
 // infStore holds every in-flight instruction's state in parallel slices
-// indexed by slot. The hot block is what issue/nextEvent/retire scan every
-// cycle; the cold block is touched once per pipeline stage per instruction.
-// The store itself is transient machine state: snapshots are only legal at
+// indexed by slot. The hot block is what issue and retire scan every cycle;
+// the cold block is touched once per pipeline stage per instruction. The
+// store itself is transient machine state: snapshots are only legal at
 // drained boundaries where no slot is live, so none of it is serialized.
 type infStore struct {
 	gen []uint32 // current generation per slot; bumped on release

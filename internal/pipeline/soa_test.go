@@ -180,7 +180,7 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 	checked := 0
 	for !p.done() {
 		cyc := p.now
-		worked := p.cycle()
+		p.cycle()
 
 		// (c) entries that issued this cycle were due: issue clears them out
 		// of the RS, so detect the flag transition on still-live slots.
@@ -243,11 +243,7 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 			}
 		}
 
-		if worked {
-			p.now++
-		} else {
-			p.now = p.nextEvent()
-		}
+		p.now++
 	}
 	if checked < 1_000 {
 		t.Fatalf("cross-checked only %d resolutions; trace too short to be meaningful", checked)

@@ -56,11 +56,8 @@ type Stats struct {
 	Loads, Stores uint64
 	StoreForwards uint64 // loads satisfied from the store buffer
 
-	// Stall counters count cycles: a cycle in which a full structure holds
-	// a stage counts once, whether the model simulated that cycle or the
-	// idle fast-forward skipped it. The fast-forward jumps only over cycles
-	// in which nothing changes, so it charges the skipped span to each
-	// stall seen in the idle cycle before the jump.
+	// Stall counters count cycles: each cycle in which a full structure
+	// holds a stage counts once.
 	SBFullStalls    uint64 // cycles retire waited on a full store buffer
 	LoadQFullStalls uint64 // cycles rename waited on a full load queue
 	ROBFullStalls   uint64 // cycles rename waited on a full ROB

@@ -37,7 +37,7 @@ func TestSteerOpenMasksMatchStations(t *testing.T) {
 				// Only dispatch takes from the steering window, and no stage
 				// before it in the cycle changes the window's head.
 				built := p.steerQ.len() > 0 && p.st.dispatchReady[uint32(p.steerQ.front())] <= p.now
-				worked := p.cycle()
+				p.cycle()
 				for c := 0; c < p.geom.Clusters; c++ {
 					var wantFull, wantOpen uint8
 					occ := 0
@@ -69,11 +69,7 @@ func TestSteerOpenMasksMatchStations(t *testing.T) {
 						closed++
 					}
 				}
-				if worked {
-					p.now++
-				} else {
-					p.now = p.nextEvent()
-				}
+				p.now++
 			}
 			if p.Retired() != insts {
 				t.Fatalf("%s RS %+v: retired %d, want %d", name, cfg.RS, p.Retired(), insts)
