@@ -23,13 +23,29 @@ type allocCase struct {
 }
 
 // allocCases covers every strategy, plus ideal (0-cycle) issue-time
-// steering, which dispatches without the steering window.
+// steering, which dispatches without the steering window, plus FDRT under
+// each Figure 5 forwarding knob, the only configurations that reach effFwd's
+// and resolve's knob branches.
 func allocCases() []allocCase {
 	var out []allocCase
 	for _, k := range core.Strategies() {
 		out = append(out, allocCase{k.String(), DefaultConfig().WithStrategy(k, false)})
 	}
-	return append(out, allocCase{"issue-time-ideal", DefaultConfig().WithStrategy(core.IssueTime, true)})
+	out = append(out, allocCase{"issue-time-ideal", DefaultConfig().WithStrategy(core.IssueTime, true)})
+	for _, knob := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"zero-all-fwd-lat", func(c *Config) { c.ZeroAllFwdLat = true }},
+		{"zero-crit-fwd-lat", func(c *Config) { c.ZeroCritFwdLat = true }},
+		{"zero-intra-trace", func(c *Config) { c.ZeroIntraTrace = true }},
+		{"zero-inter-trace", func(c *Config) { c.ZeroInterTrace = true }},
+	} {
+		cfg := DefaultConfig().WithStrategy(core.FDRT, false)
+		knob.set(&cfg)
+		out = append(out, allocCase{knob.name, cfg})
+	}
+	return out
 }
 
 func TestCycleLoopZeroAlloc(t *testing.T) {

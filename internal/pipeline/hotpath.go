@@ -131,59 +131,6 @@ type pcStats struct {
 	lastCritInter [2]uint64
 }
 
-// readyEvent queues one resolved RS entry for its future ready cycle.
-type readyEvent struct {
-	at  int64
-	idx uint32
-}
-
-// readyHeap is a binary min-heap of readyEvents ordered by cycle. resolve
-// parks entries whose ready cycle is still in the future here instead of
-// setting their ready-mask bit; issue pops due entries each cycle and sets
-// their bits then. The issue scan therefore only ever visits issuable (or
-// FU-starved) entries — no per-cycle rescan of known-not-ready entries — and
-// a cluster whose root is not yet due is skipped without a scan.
-type readyHeap []readyEvent
-
-func (h *readyHeap) push(e readyEvent) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].at <= q[i].at {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *readyHeap) pop() readyEvent {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && q[r].at < q[l].at {
-			l = r
-		}
-		if q[i].at <= q[l].at {
-			break
-		}
-		q[i], q[l] = q[l], q[i]
-		i = l
-	}
-	*h = q
-	return top
-}
-
 // decEntry is the cached static decode of one instruction: everything the
 // front end re-derived per dynamic instance (source/destination registers,
 // functional-unit class, control kind) even though it is a pure function of

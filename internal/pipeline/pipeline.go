@@ -60,16 +60,13 @@ type Pipeline struct {
 	// scan skips whole words of them for free) and the array is compacted
 	// only when it is mostly holes, keeping compaction cost amortized O(1)
 	// per dispatch. readyMask bit i set means rsEntries[c][i] is resolved
-	// and unissued; readyCount counts the set bits and rsLive the non-hole
-	// entries.
-	rsEntries  [][]infID
-	readyMask  [][]uint64
-	readyCount []int
-	readyHeap  []readyHeap // per-cluster resolved-but-not-yet-ready entries
-	rsLive     []int
-	rsCount    [][]int   // per-cluster per-station occupancy
-	rsFull     []uint8   // per-cluster mask of the stations rsCount has filled (bit rs)
-	fuFree     [][]int64 // per-cluster per-FU next-free cycle
+	// and unissued; rsLive counts the non-hole entries.
+	rsEntries [][]infID
+	readyMask [][]uint64
+	rsLive    []int
+	rsCount   [][]int   // per-cluster per-station occupancy
+	rsFull    []uint8   // per-cluster mask of the stations rsCount has filled (bit rs)
+	fuFree    [][]int64 // per-cluster per-FU next-free cycle
 
 	renameMap  [isa.NumRegs]infID
 	lastStore  infID
@@ -215,7 +212,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 		p.dispatchQ = make([]infQueue, n)
 		p.rsEntries = make([][]infID, n)
 		p.readyMask = make([][]uint64, n)
-		p.readyHeap = make([]readyHeap, n)
 		p.rsCount = make([][]int, n)
 		p.fuFree = make([][]int64, n)
 		for c := 0; c < n; c++ {
@@ -227,12 +223,10 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 		p.dispatchQ[c].reset()
 		p.rsEntries[c] = p.rsEntries[c][:0]
 		p.readyMask[c] = p.readyMask[c][:0]
-		p.readyHeap[c] = p.readyHeap[c][:0]
 		clear(p.rsCount[c])
 		clear(p.fuFree[c])
 	}
 	p.rsLive = zeroed(p.rsLive, n)
-	p.readyCount = zeroed(p.readyCount, n)
 	p.rsFull = zeroed(p.rsFull, n)
 	p.steerQ.reset()
 
@@ -1037,19 +1031,9 @@ func (p *Pipeline) resolve(idx uint32) {
 	}
 	st.critSrc[idx] = uint8(crit)
 	st.readyAt[idx] = ready
-	if ready <= p.now {
-		st.flags[idx] |= fResolved | fReady
-		pos := int(st.rsSlot[idx])
-		c := st.cluster[idx]
-		p.readyMask[c][pos>>6] |= 1 << uint(pos&63)
-		p.readyCount[c]++
-	} else {
-		// Not issuable yet: park in the cluster's ready heap instead of
-		// mask-setting, so the issue scan never revisits a known-not-ready
-		// entry. issue pops it (and sets the bit) once its cycle arrives.
-		st.flags[idx] |= fResolved
-		p.readyHeap[st.cluster[idx]].push(readyEvent{at: ready, idx: idx})
-	}
+	st.flags[idx] |= fResolved
+	pos := int(st.rsSlot[idx])
+	p.readyMask[st.cluster[idx]][pos>>6] |= 1 << uint(pos&63)
 }
 
 // wakeWaiters delivers a just-issued producer's resultAt to every RS entry
@@ -1104,34 +1088,18 @@ func (p *Pipeline) freeFU(c int, class isa.Class) cluster.FUKind {
 	return cluster.FUKind(-1)
 }
 
-// issue wakes ready reservation-station entries and dispatches them to free
-// functional units. The scan walks each cluster's ready bitmask in age
-// order (bit order == age order); unresolved entries cost nothing — whole
-// 64-entry words of them are skipped with one load.
+// issue dispatches due reservation-station entries to free functional
+// units. The scan walks each cluster's ready bitmask in age order (bit
+// order == age order): unresolved entries cost nothing, since whole 64-entry
+// words of them are skipped with one load, and a resolved entry that is not
+// yet due costs one readyAt load per cycle.
 //
 //ctcp:hotpath
 func (p *Pipeline) issue() {
 	st := &p.st
 	for c := 0; c < p.geom.Clusters; c++ {
-		// A cluster with no ready entry and no heap root due cannot issue.
-		// Nor can it owe a compaction: only issuing makes one due, and the
-		// pass that issues runs it.
-		h := &p.readyHeap[c]
-		if p.readyCount[c] == 0 && (len(*h) == 0 || (*h)[0].at > p.now) {
-			continue
-		}
 		entries := p.rsEntries[c]
 		mask := p.readyMask[c]
-		// Promote heap entries whose ready cycle has arrived: set their mask
-		// bits so the age-ordered scan below sees them. Bits and heap pops
-		// commute — scan order is mask position order either way.
-		for len(*h) > 0 && (*h)[0].at <= p.now {
-			idx := (*h).pop().idx
-			st.flags[idx] |= fReady
-			pos := int(st.rsSlot[idx])
-			mask[pos>>6] |= 1 << uint(pos&63)
-			p.readyCount[c]++
-		}
 		// Classes that already failed to find a free unit this cycle: FUs
 		// only get busier within a cycle (issuing books one, nothing frees
 		// one until the cycle advances), so a miss stays a miss and younger
@@ -1144,9 +1112,10 @@ func (p *Pipeline) issue() {
 				m &= m - 1
 				// Mask membership implies liveness; the generation check
 				// stays on cross-record references, not ownership reads.
-				// Every masked entry is ready (readyAt <= now): unready
-				// entries wait in the heap, never in the mask.
 				idx := uint32(entries[w<<6|b])
+				if st.readyAt[idx] > p.now {
+					continue
+				}
 				class := st.class[idx]
 				if noFU&(1<<class) != 0 {
 					continue
@@ -1185,7 +1154,7 @@ func (p *Pipeline) issue() {
 				mask[i] = 0
 			}
 			for pos, id := range keep {
-				if st.flags[uint32(id)]&fReady != 0 {
+				if st.flags[uint32(id)]&fResolved != 0 {
 					mask[pos>>6] |= 1 << uint(pos&63)
 				}
 			}
@@ -1203,7 +1172,6 @@ func (p *Pipeline) doIssue(idx uint32, c int, fu cluster.FUKind) {
 	// for free until the next compaction.
 	pos := int(st.rsSlot[idx])
 	p.readyMask[c][pos>>6] &^= 1 << uint(pos&63)
-	p.readyCount[c]--
 	p.rsEntries[c][pos] = noID
 	p.rsLive[c]--
 	p.fuFree[c][fu] = p.now + int64(lat.Issue)

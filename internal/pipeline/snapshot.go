@@ -65,11 +65,6 @@ func (p *Pipeline) snapReady() string {
 			}
 		}
 	}
-	for c := range p.readyHeap {
-		if len(p.readyHeap[c]) != 0 {
-			return "a ready heap holds pending entries"
-		}
-	}
 	for _, n := range p.loadWaitHead {
 		if n != 0 {
 			return "a load is waiting on the store watermark"
@@ -150,14 +145,9 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	// The decode cache is a pure function of the immutable program text,
 	// refilled lazily after restore.
 	_ = p.dec
-	// The ready heaps only hold entries while reservation stations do;
-	// snapReady asserts they are empty at every snapshot boundary.
-	_ = p.readyHeap
-	// Derived from the reservation stations, which snapReady asserts are
-	// empty at every snapshot boundary, so both are zero there: rsFull
-	// from rsCount, readyCount from readyMask.
+	// Derived from rsCount, which snapReady asserts is zero at every
+	// snapshot boundary, so it is zero there too.
 	_ = p.rsFull
-	_ = p.readyCount
 
 	if cs, ok := p.stream.(snap.Checkpointable); ok {
 		cs.Snapshot(w)

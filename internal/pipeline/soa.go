@@ -56,13 +56,9 @@ const (
 	fMispredict
 	fCritFwd
 	// fResolved marks an RS entry whose dependencies are all known: its
-	// readyAt/critSrc fields are final. If readyAt is still in the future
-	// the entry waits in its cluster's ready heap; otherwise it is mask-set.
+	// readyAt/critSrc fields are final and its ready-mask bit is set. The
+	// issue scan skips it until readyAt arrives.
 	fResolved
-	// fReady marks a resolved entry whose ready-mask bit is set (readyAt has
-	// arrived): the issue scan sees it. fResolved without fReady means the
-	// entry is parked in the ready heap.
-	fReady
 )
 
 // infStore holds every in-flight instruction's state in parallel slices

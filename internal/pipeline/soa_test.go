@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math/bits"
 	"os"
 	"reflect"
 	"testing"
@@ -154,14 +153,11 @@ func readinessRef(p *Pipeline, idx uint32) int64 {
 	return ready
 }
 
-// TestWakeupMatchesReadinessRecompute steps gzip cycle by cycle and
-// cross-checks the incremental wakeup machinery against the per-entry
-// recompute on the recorded scheduling trace:
+// TestWakeupMatchesReadinessRecompute steps gzip cycle by cycle under every
+// allocCases configuration and cross-checks the incremental wakeup machinery
+// against the per-entry recompute on the recorded scheduling trace:
 //
-//	(a) a live RS entry's ready-mask bit is set iff the entry is resolved
-//	    AND its ready cycle has arrived (unready entries park in the ready
-//	    heap with no mask bit, marked fResolved without fReady), and each
-//	    cluster's readyCount is its number of set bits,
+//	(a) a live RS entry's ready-mask bit is set iff the entry is resolved,
 //	(b) the moment an entry resolves, its readyAt equals the reference
 //	    recomputation from its producers' resultAt and the RF time,
 //	(c) nothing issues before the cycle it was declared ready for.
@@ -171,10 +167,17 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 		t.Fatal("gzip kernel missing")
 	}
 	const insts = 8_000
-	cfg := DefaultConfig().WithStrategy(core.FDRT, false)
-	cfg.MaxInsts = insts
-	p := New(&emu.LimitStream{S: emu.New(bm.ProgramFor(insts)), Budget: insts}, cfg)
+	prog := bm.ProgramFor(insts)
+	for _, c := range allocCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.MaxInsts = insts
+			checkWakeup(t, New(&emu.LimitStream{S: emu.New(prog), Budget: insts}, cfg))
+		})
+	}
+}
 
+func checkWakeup(t *testing.T, p *Pipeline) {
 	st := &p.st
 	pendingReady := map[infID]int64{} // resolved but not yet issued
 	checked := 0
@@ -199,13 +202,6 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 		}
 
 		for c := range p.rsEntries {
-			set := 0
-			for _, w := range p.readyMask[c] {
-				set += bits.OnesCount64(w)
-			}
-			if set != p.readyCount[c] {
-				t.Fatalf("cycle %d: cluster %d has %d ready-mask bits, readyCount %d", cyc, c, set, p.readyCount[c])
-			}
 			for pos, id := range p.rsEntries[c] {
 				if id == noID {
 					continue
@@ -213,17 +209,9 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 				idx := uint32(id)
 				bit := p.readyMask[c][pos>>6]&(1<<uint(pos&63)) != 0
 				resolved := st.flags[idx]&fResolved != 0
-				ready := st.flags[idx]&fReady != 0
-				if bit != ready {
-					t.Fatalf("cycle %d: cluster %d slot %d mask bit %v but fReady %v",
-						cyc, c, idx, bit, ready)
-				}
-				if ready && !resolved {
-					t.Fatalf("cycle %d: cluster %d slot %d fReady without fResolved", cyc, c, idx)
-				}
-				if !bit && resolved && st.readyAt[idx] <= cyc {
-					t.Fatalf("cycle %d: cluster %d slot %d due (readyAt %d) but not mask-set",
-						cyc, c, idx, st.readyAt[idx])
+				if bit != resolved {
+					t.Fatalf("cycle %d: cluster %d slot %d mask bit %v but fResolved %v",
+						cyc, c, idx, bit, resolved)
 				}
 				if !resolved {
 					continue

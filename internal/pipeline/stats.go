@@ -7,8 +7,8 @@ import (
 )
 
 // Stats aggregates everything the paper's tables and figures report. It is
-// integer counters only: snap.Counters checkpoints it and sample's merge sums
-// it, both by walking the fields.
+// integer counters only: snap.Counters checkpoints it and snap.AddCounters
+// sums it, both by walking the fields.
 type Stats struct {
 	Cycles  int64
 	Retired uint64
