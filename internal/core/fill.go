@@ -242,7 +242,7 @@ func (f *FillUnit) finishTrace(tr *trace.Trace) {
 	f.S.TracesBuilt++
 	f.S.InstsBuilt += uint64(len(tr.Slots))
 	f.assign(tr, infos)
-	tr.CheckSlotIndices(f.cfg.Trace.MaxLen)
+	tr.CheckSlotIndices(f.cfg.Geom.TotalWidth())
 	f.recordMigration(tr)
 	// Recycle the displaced line: Install guarantees nothing references it
 	// once it returns (the pipeline copies everything out of a trace during

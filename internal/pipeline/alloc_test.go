@@ -25,7 +25,10 @@ type allocCase struct {
 // allocCases covers every strategy, plus ideal (0-cycle) issue-time
 // steering, which dispatches without the steering window, plus FDRT under
 // each Figure 5 forwarding knob, the only configurations that reach effFwd's
-// and resolve's knob branches.
+// and resolve's knob branches, plus FDRT and issue-time steering on a small
+// window (ROB 8, two-wide fetch and retire) whose 16-slot trace-cache groups
+// are far longer than its fetch width, the case that sizes the in-flight
+// ring by Trace.MaxLen.
 func allocCases() []allocCase {
 	var out []allocCase
 	for _, k := range core.Strategies() {
@@ -44,6 +47,11 @@ func allocCases() []allocCase {
 		cfg := DefaultConfig().WithStrategy(core.FDRT, false)
 		knob.set(&cfg)
 		out = append(out, allocCase{knob.name, cfg})
+	}
+	for _, k := range []core.StrategyKind{core.FDRT, core.IssueTime} {
+		cfg := DefaultConfig().WithStrategy(k, false)
+		cfg.ROBSize, cfg.FetchWidth, cfg.RetireWidth = 8, 2, 2
+		out = append(out, allocCase{k.String() + "-rob8-fetch2", cfg})
 	}
 	return out
 }
@@ -89,7 +97,9 @@ func TestCycleLoopZeroAlloc(t *testing.T) {
 // zero there; over a window of windowCycles after warm-up, a leak of that
 // kind costs hundreds of kilobytes. The bound leaves room for the rare
 // first touch of a new static PC or data page, not for growth that scales
-// with run length.
+// with run length. The warm-up is warmCycles at the default fetch width and
+// proportionally longer for a narrower front end, which needs more cycles
+// to fill the trace cache and the per-PC tables.
 func TestCycleLoopBytesWindow(t *testing.T) {
 	const (
 		warmCycles   = 20_000
@@ -104,7 +114,8 @@ func TestCycleLoopBytesWindow(t *testing.T) {
 					t.Fatalf("%s kernel missing", name)
 				}
 				p := New(emu.New(bm.ProgramFor(2_000_000)), c.cfg)
-				for i := 0; i < warmCycles && !p.done(); i++ {
+				warm := warmCycles * DefaultConfig().FetchWidth / c.cfg.FetchWidth
+				for i := 0; i < warm && !p.done(); i++ {
 					step(p)
 				}
 				var before, after runtime.MemStats

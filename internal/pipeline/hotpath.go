@@ -2,10 +2,10 @@ package pipeline
 
 // Allocation-free hot-path substrate. The cycle loop used to allocate on
 // every instruction (fresh inflight records, filtered-append queue drains,
-// map-based producer/port bookkeeping, per-cycle scratch slices); the types
-// here replace all of that with pooled objects, in-place deques, and dense
-// epoch-checked arrays so steady-state simulation performs no heap
-// allocation at all. Correctness against the original model is pinned by
+// map-based producer/port bookkeeping, per-cycle scratch slices). The
+// in-flight store is a fixed ring sized once per geometry (soa.go), and the
+// types here replace the rest with in-place deques and dense epoch-checked
+// arrays, so steady-state simulation performs no heap allocation at all. Correctness against the original model is pinned by
 // the differential, determinism, and golden-stats tests.
 
 import "ctcp/internal/isa"
@@ -180,26 +180,4 @@ func decodeInst(in isa.Inst) decEntry {
 		e.ctrl = ctrlRET
 	}
 	return e
-}
-
-// reclaim releases retired slots whose last possible referencer has itself
-// retired from the graveyard back into the store's free list. References to
-// a record X are only ever created while X is reachable through
-// renameMap/lastStore, i.e. by instructions renamed before X retired; X
-// stamps the rename count at its retirement into freeAfter, and once that
-// many instructions have retired (retirement is in rename order, and
-// retiring clears outgoing references) nothing can still refer to X.
-// pendingRedirect is the one non-queue reference and blocks the queue head
-// until the redirect clears. Releasing bumps the slot's generation, so any
-// id that illegally survives reclamation fails the store's generation check.
-func (p *Pipeline) reclaim() {
-	for p.scr.graveyard.len() > 0 {
-		id := p.scr.graveyard.front()
-		idx := uint32(id)
-		if p.st.freeAfter[idx] > p.S.Retired || id == p.pendingRedirect {
-			return
-		}
-		p.scr.graveyard.popFront()
-		p.st.release(idx)
-	}
 }

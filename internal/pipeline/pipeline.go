@@ -17,9 +17,10 @@ import (
 const unknown = int64(-1)
 
 // Pipeline is the cycle-level CTCP model. Per-instruction in-flight state
-// lives in the struct-of-arrays store (see soa.go); every reference between
-// instructions — producer edges, the store-disambiguation chain, queues,
-// the rename map — is a generation-checked infID into that store.
+// lives in the struct-of-arrays store, a ring allocated in fetch order (see
+// soa.go); every reference between instructions — producer edges, the
+// store-disambiguation chain, queues, the rename map — is a
+// generation-checked infID into that ring.
 type Pipeline struct {
 	cfg  Config
 	geom cluster.Geometry
@@ -71,7 +72,7 @@ type Pipeline struct {
 	renameMap  [isa.NumRegs]infID
 	lastStore  infID
 	loadsInROB int
-	renamed    uint64 // total instructions renamed (pool recycling epoch)
+	renamed    uint64 // total instructions renamed; nothing reads it, but Snapshot writes it
 
 	// Store-disambiguation watermark: stores take a sequence number at
 	// rename; storeWatermark is the lowest seq not yet known-issued, so
@@ -106,10 +107,9 @@ type Pipeline struct {
 	consumed   uint64
 	fetchLimit uint64
 
-	// scr groups the transient scratch state — the graveyard and per-cycle
-	// buffers — that checkpointing deliberately excludes: a snapshot never
-	// serializes it, and a restored pipeline starts with the empty scratch
-	// Reset left.
+	// scr groups the per-cycle scratch buffers that checkpointing
+	// deliberately excludes: a snapshot never serializes them, and a
+	// restored pipeline starts with the empty scratch Reset left.
 	scr scratch
 
 	S Stats
@@ -117,13 +117,9 @@ type Pipeline struct {
 
 // scratch holds the pipeline's per-cycle transient state, segregated from
 // the architectural and profile state that Snapshot must capture. At a
-// drained boundary the graveyard holds only reclaimable slots and the
-// per-cycle buffers are stale, so none of it carries information forward.
+// drained boundary the per-cycle buffers are stale, so none of it carries
+// information forward.
 type scratch struct {
-	// graveyard holds retired slots whose references may still be live;
-	// reclaim recycles them back into the store's free list.
-	graveyard infQueue
-
 	// Per-cycle scratch, reused across cycles. writeUsed is the flattened
 	// [cluster][station] write-port usage, stale from an earlier cycle
 	// until dispatch clears it, which it does only when portsUsed says a
@@ -163,7 +159,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(&core.InvariantError{Msg: err.Error()})
 	}
-	old := p.cfg
 	g := cfg.Geom
 	p.cfg, p.geom = cfg, g
 	p.stream = stream
@@ -230,15 +225,21 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.rsFull = zeroed(p.rsFull, n)
 	p.steerQ.reset()
 
-	// The in-flight store keeps its slices' capacity: grow appends zeroed
-	// slots into them, so slot numbers and generations match a new store.
-	// Its population scales with the ROB and fetch widths, so new widths
-	// start afresh, reserved once for the most slots the window can hold:
-	// the ROB, as many retired slots waiting in the graveyard for younger
-	// consumers, and a fetch queue under three fetch widths.
-	if cfg.ROBSize != old.ROBSize || cfg.FetchWidth != old.FetchWidth {
-		p.st = infStore{}
-		p.st.reserve(2*cfg.ROBSize + 3*cfg.FetchWidth)
+	// The in-flight store is a ring that reuses a slot only when it laps
+	// it, so its n slots must outlast every reference. Every reference
+	// between records (prod, critProd, prevStore, the rename map,
+	// lastStore) is formed at rename, to a producer still in the ROB, so
+	// it points at most ROBSize-1 allocations back from an unretired
+	// instruction. Unretired instructions span at most the ROB, a fetch
+	// queue under 2·FetchWidth and one fetch group of at most
+	// max(FetchWidth, Trace.MaxLen), so no reference reaches n
+	// allocations back from the newest. pendingRedirect blocks fetch
+	// while it is set and clears in the cycle its instruction retires,
+	// before the next fetch. The ring is rebuilt when n changes and
+	// cleared in place otherwise.
+	group := max(cfg.FetchWidth, cfg.Trace.MaxLen)
+	if n := 2*cfg.ROBSize + 2*cfg.FetchWidth + group; len(p.st.gen) != n {
+		p.st.size(n)
 	} else {
 		p.st.reset()
 	}
@@ -279,13 +280,12 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.consumed = 0
 	p.fetchLimit = 0
 
-	p.scr.graveyard.reset()
 	p.scr.writeUsed = zeroed(p.scr.writeUsed, n*int(cluster.NumRSKinds))
 	p.scr.portsUsed = false
 	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
 	p.scr.open = zeroed(p.scr.open, n)
-	if cap(p.scr.fetchBuf) != cfg.FetchWidth {
-		p.scr.fetchBuf = make([]uint32, 0, cfg.FetchWidth)
+	if cap(p.scr.fetchBuf) != group {
+		p.scr.fetchBuf = make([]uint32, 0, group)
 	}
 	p.S = Stats{}
 }
@@ -344,7 +344,11 @@ func (p *Pipeline) RunTo(limit uint64) bool {
 	p.fetchLimit = limit
 	p.runLoop((*Pipeline).drained)
 	if !p.streamDone {
-		p.pauseDrain()
+		// The pending redirect's instruction has retired by now. Resolve
+		// the redirect as the next cycle would, so the continuation is the
+		// same whether this Pipeline keeps running or a snapshot of it is
+		// restored elsewhere.
+		p.clearRedirect()
 	}
 	return p.streamDone
 }
@@ -391,21 +395,6 @@ func (p *Pipeline) fetchPaused() bool {
 func (p *Pipeline) drained() bool {
 	return (p.streamDone || p.fetchPaused()) && !p.havePeek &&
 		p.rob.len() == 0 && p.fetchQ.len() == 0
-}
-
-// pauseDrain normalizes state at a paused segment boundary so that the
-// continuation proceeds identically whether this Pipeline value keeps
-// running or a snapshot of it is restored into a fresh one: the pending
-// fetch redirect — whose instruction has necessarily retired by now — is
-// resolved exactly as the next cycle would have resolved it, and
-// fully-retired slots are reclaimed into the store's free list (at a
-// drained boundary every graveyard slot is reclaimable, so the store is
-// equivalent to the restored pipeline's empty store: residual slot contents
-// are don't-care either way, since every field is written before its first
-// read in a new life — see infStore.alloc).
-func (p *Pipeline) pauseDrain() {
-	p.clearRedirect()
-	p.reclaim()
 }
 
 // cycle runs one machine cycle.
@@ -531,8 +520,8 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 	st := &p.st
 	idx := st.alloc()
 	st.rec[idx] = *rec
-	// Whole-word flag store: recycled slots are not zeroed (see alloc), so
-	// this is the write that retires the previous life's bits.
+	// Whole-word flag store: reused slots are not zeroed (see alloc), so
+	// this is the write that retires the previous tenant's bits.
 	flags := uint16(0)
 	if fromTC {
 		flags = fFromTC
@@ -540,6 +529,7 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 	st.group[idx] = group
 	st.cluster[idx] = int32(cl)
 	st.profile[idx] = prof
+	st.prod[idx] = [2]infID{}
 	st.resultAt[idx] = unknown
 	st.doneAt[idx] = unknown
 	if p.cfg.Strategy.SteersAtIssue() {
@@ -1339,7 +1329,6 @@ func (p *Pipeline) sbOccupied() int {
 func (p *Pipeline) retire() {
 	st := &p.st
 	budget := p.cfg.RetireWidth
-	retired := false
 	for budget > 0 && p.rob.len() > 0 {
 		id := p.rob.front()
 		idx := uint32(id) // ROB membership implies liveness
@@ -1377,29 +1366,17 @@ func (p *Pipeline) retire() {
 		if p.cfg.RetireHook != nil {
 			p.cfg.RetireHook(*info)
 		}
-		// Drop outgoing references so retired slots don't chain-retain the
-		// whole execution history; fields of *this* slot stay valid for any
-		// younger consumers still holding its id. The slot itself is parked
-		// in the graveyard until those consumers retire, then recycled with
-		// a generation bump (see reclaim). Rename-visible aliases are
+		// Fields of this slot stay valid for younger consumers still
+		// holding its id until the ring laps it. Rename-visible aliases are
 		// severed here so no new references can form after retirement.
-		st.prod[idx] = [2]infID{}
-		st.critProd[idx] = noID
-		st.prevStore[idx] = noID
 		if d := st.dest[idx]; d != isa.NoReg && p.renameMap[d] == id {
 			p.renameMap[d] = noID
 		}
 		if p.lastStore == id {
 			p.lastStore = noID
 		}
-		st.freeAfter[idx] = p.renamed
-		p.scr.graveyard.push(id)
 		p.lastRetireCycle = p.now
 		budget--
-		retired = true
-	}
-	if retired {
-		p.reclaim()
 	}
 }
 

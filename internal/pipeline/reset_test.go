@@ -161,6 +161,8 @@ func geometryConfigs() []struct {
 	cfg  Config
 } {
 	base := DefaultConfig().WithStrategy(core.FDRT, false)
+	fetch8 := base
+	fetch8.FetchWidth, fetch8.Trace.MaxLen = 8, 8
 	twoClusters := base
 	twoClusters.Geom.Clusters, twoClusters.Geom.Width = 2, 8
 	bigROB := base
@@ -174,6 +176,7 @@ func geometryConfigs() []struct {
 		cfg  Config
 	}{
 		{"default", base},
+		{"fetch width 8, 8-long traces", fetch8},
 		{"2 clusters", twoClusters},
 		{"ROB 256", bigROB},
 		{"256 trace lines", smallTC},
@@ -182,13 +185,14 @@ func geometryConfigs() []struct {
 	}
 }
 
-// TestResetAcrossGeometry: a Reset that changes clusters, ROB size or trace
-// cache lines matches New, and the rebuilt buffers take the new geometry's
-// size rather than keeping the larger of the two.
+// TestResetAcrossGeometry: a Reset that changes clusters, ROB size, fetch
+// width, trace length or trace cache lines matches New, and the rebuilt
+// buffers take the new geometry's size rather than keeping the larger of
+// the two.
 func TestResetAcrossGeometry(t *testing.T) {
 	progs := []*isa.Program{resetProg(t, "gzip"), resetProg(t, "eon")}
 	sizes := func(p *Pipeline) []int {
-		return []int{len(p.distTab), len(p.rsEntries), len(p.storeRing), len(p.scr.writeUsed), len(p.tc.Dump())}
+		return []int{len(p.distTab), len(p.rsEntries), len(p.storeRing), len(p.scr.writeUsed), len(p.tc.Dump()), len(p.st.gen)}
 	}
 	p := new(Pipeline)
 	for i, g := range geometryConfigs() {
@@ -254,63 +258,47 @@ func TestResetSnapshotMatchesNew(t *testing.T) {
 }
 
 // TestResetAllocatesNothing: a Reset that keeps the geometry reuses every
-// buffer.
+// buffer. With trace-cache groups longer than the fetch width, the run in
+// between must not regrow the fetch-group buffer either, or the next Reset
+// would reallocate it.
 func TestResetAllocatesNothing(t *testing.T) {
-	cfg := DefaultConfig().WithStrategy(core.FDRT, false)
-	cfg.MaxInsts = resetInsts
-	m := emu.New(resetProg(t, "gzip"))
-	p := New(m, cfg)
-	p.Run()
-	if allocs := testing.AllocsPerRun(10, func() { p.Reset(m, cfg) }); allocs != 0 {
-		t.Errorf("same-geometry Reset allocated %.1f times, want 0", allocs)
-	}
-}
-
-// TestInfStoreResetTruncatesEverySlice pins infStore.reset to the struct:
-// a slice it forgot would keep its old length, and grow would then append
-// that slice's slot past the one the other slices number.
-func TestInfStoreResetTruncatesEverySlice(t *testing.T) {
-	var s infStore
-	for i := 0; i < 5; i++ {
-		s.grow()
-	}
-	s.release(3)
-	s.reset()
-	v := reflect.ValueOf(s)
-	for i := 0; i < v.NumField(); i++ {
-		name := v.Type().Field(i).Name
-		if f := v.Field(i); f.Kind() != reflect.Slice {
-			t.Errorf("infStore.%s is a %v; reset only knows slices", name, f.Kind())
-		} else if f.Len() != 0 {
-			t.Errorf("reset left infStore.%s with %d elements", name, f.Len())
+	narrow := DefaultConfig().WithStrategy(core.FDRT, false)
+	narrow.FetchWidth = 4
+	for _, cfg := range []Config{DefaultConfig().WithStrategy(core.FDRT, false), narrow} {
+		cfg.MaxInsts = resetInsts
+		m := emu.New(resetProg(t, "gzip"))
+		p := New(m, cfg)
+		fetchBuf := cap(p.scr.fetchBuf)
+		p.Run()
+		if got := cap(p.scr.fetchBuf); got != fetchBuf {
+			t.Errorf("fetch width %d: the run regrew the fetch-group buffer from %d to %d slots", cfg.FetchWidth, fetchBuf, got)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { p.Reset(m, cfg) }); allocs != 0 {
+			t.Errorf("fetch width %d: same-geometry Reset allocated %.1f times, want 0", cfg.FetchWidth, allocs)
 		}
 	}
-	if idx := s.alloc(); idx != 0 || s.gen[0] != 1 {
-		t.Errorf("first slot after reset is %d with generation %d, want 0 with generation 1", idx, s.gen[0])
-	}
 }
 
-// TestInfStoreReserveCoversEverySlice pins infStore.reserve to the struct:
-// after reserve(n), n grows and n releases must not move any slice, so a
-// slice reserve forgot shows up as one grow or release reallocated.
-func TestInfStoreReserveCoversEverySlice(t *testing.T) {
+// TestInfStoreSizeCoversEverySlice pins infStore.size to the struct: after
+// size(n) every slice has one element per slot (waiterNext one per source
+// of each slot), so a slice field size forgot fails here instead of
+// panicking on its first index in a run.
+func TestInfStoreSizeCoversEverySlice(t *testing.T) {
 	const n = 8
 	var s infStore
-	s.reserve(n)
-	v := reflect.ValueOf(&s).Elem()
-	before := make([]uintptr, v.NumField())
-	for i := range before {
-		before[i] = v.Field(i).Pointer()
-	}
-	for i := 0; i < n; i++ {
-		s.grow()
-	}
-	for i := uint32(0); i < n; i++ {
-		s.release(i)
-	}
-	for i, p := range before {
-		if name := v.Type().Field(i).Name; p == 0 || v.Field(i).Pointer() != p {
-			t.Errorf("infStore.%s was reallocated within the %d reserved slots", name, n)
+	s.size(n)
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		if f.Kind() != reflect.Slice {
+			continue
+		}
+		want := n
+		if name == "waiterNext" {
+			want = 2 * n
+		}
+		if f.Len() != want {
+			t.Errorf("size(%d) left infStore.%s with %d elements, want %d", n, name, f.Len(), want)
 		}
 	}
 }

@@ -10,10 +10,13 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctcp/internal/core"
@@ -139,6 +142,80 @@ func TestSnapshotResumeBitExact(t *testing.T) {
 					t.Errorf("final OUT hashes differ: %#x vs %#x", mA.OutHash, mB.OutHash)
 				}
 			})
+		}
+	}
+}
+
+// TestRandomSegmentSchedules: for a few kernels under every golden
+// strategy, a seeded random schedule of three to six RunTo boundaries runs
+// three ways. The reference is one pipeline that just pauses at each
+// boundary. At every boundary the second run is snapshotted and continued
+// in a new pipeline restored from the snapshot, and the third in a
+// pipeline that last ran another kernel and is Reset and then restored.
+// All three must finish with identical Stats and memory images.
+func TestRandomSegmentSchedules(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bench := range []string{"gzip", "mcf", "vortex"} {
+		bm, ok := workload.ByName(bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", bench)
+		}
+		prog := bm.ProgramFor(resumeInsts)
+		for _, k := range goldenStrategies() {
+			sched := make([]uint64, 3+rng.Intn(4))
+			for i := range sched {
+				sched[i] = uint64(1 + rng.Intn(resumeInsts-1))
+			}
+			slices.Sort(sched)
+			name := fmt.Sprintf("%s/%v/%v", bench, k, sched)
+			cfg := DefaultConfig().WithStrategy(k, false)
+			newPipe := func() (*emu.Machine, *Pipeline) { return newSegPipe(t, bench, k, resumeInsts) }
+
+			mRef, ref := newPipe()
+			for _, b := range sched {
+				ref.RunTo(b)
+			}
+			ref.RunTo(0)
+			want := ref.Finish()
+
+			// reused first runs another kernel to completion, so each Reset
+			// below starts from a pipeline in a different state.
+			_, reused := newSegPipe(t, "eon", k, resumeInsts)
+			reused.RunTo(0)
+			restoreReused := func() (*emu.Machine, *Pipeline) {
+				m := emu.New(prog)
+				reused.Reset(&emu.LimitStream{S: m, Budget: resumeInsts}, cfg)
+				return m, reused
+			}
+
+			for _, restored := range []struct {
+				how  string
+				into func() (*emu.Machine, *Pipeline)
+			}{{"new", newPipe}, {"reset", restoreReused}} {
+				m, p := newPipe()
+				for _, b := range sched {
+					p.RunTo(b)
+					data := encode(t, p)
+					m, p = restored.into()
+					r, err := snap.NewReader(data)
+					if err != nil {
+						t.Fatalf("%s: reader: %v", name, err)
+					}
+					p.Restore(r)
+					if err := r.Close(); err != nil {
+						t.Fatalf("%s: restore into a %s pipeline at %d: %v", name, restored.how, b, err)
+					}
+				}
+				p.RunTo(0)
+				if got := p.Finish(); !reflect.DeepEqual(want, got) {
+					wj, _ := json.Marshal(want)
+					gj, _ := json.Marshal(got)
+					t.Errorf("%s: restoring into a %s pipeline at each boundary diverged\n one pipeline %s\n restored     %s", name, restored.how, wj, gj)
+				}
+				if a, b := mRef.Mem.Checksum(), m.Mem.Checksum(); a != b {
+					t.Errorf("%s: restoring into a %s pipeline: final memory checksums differ: %#x vs %#x", name, restored.how, a, b)
+				}
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // snapReady reports why the pipeline is not at a snapshotable boundary, or
 // "" when it is. Snapshot and Restore both demand an empty machine: nothing
 // buffered, nothing in flight, no pending redirect. RunTo leaves the
-// pipeline exactly here between segments (see pauseDrain); Snapshot at any
+// pipeline exactly here between segments; Snapshot at any
 // other point would have to serialize the whole out-of-order window, which
 // the drained-boundary contract deliberately avoids.
 func (p *Pipeline) snapReady() string {
@@ -124,18 +124,19 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	snapshotStats(w, &p.S)
 
 	// The buffered peek is empty at a drained boundary (asserted above);
-	// predictCond is p.bp.PredictCond bound by Reset; scr is pooled and
-	// per-cycle scratch that a restored pipeline rebuilds empty. The inflight
+	// predictCond is p.bp.PredictCond bound by Reset; scr is per-cycle
+	// scratch that a restored pipeline rebuilds empty. The inflight
 	// store holds no live slot at a drained boundary (snapReady checks every
 	// structure that could reference one), so it is equivalent to the fresh
-	// store a restored pipeline starts with: residual slot contents are
+	// ring a restored pipeline starts with: residual slot contents are
 	// don't-care either way (every field is written before its first read in
-	// a new life — see infStore.alloc), and generations are never observable
-	// across the boundary. The disambiguation ring's contents behind the watermark are
-	// don't-care by construction (snapReady asserts the watermark has caught
-	// up to the sequence counter, and both counters only ever appear in
-	// relative comparisons, so a restored pipeline restarting them at 1
-	// schedules identically).
+	// a new tenancy — see infStore.alloc), and neither the ring position nor
+	// the generations are observable across the boundary. The
+	// disambiguation ring's contents behind the watermark are don't-care by
+	// construction (snapReady asserts the watermark has caught up to the
+	// sequence counter, and both counters only ever appear in relative
+	// comparisons, so a restored pipeline restarting them at 1 schedules
+	// identically).
 	_ = p.peekedRec
 	_ = p.predictCond
 	_ = p.scr

@@ -8,13 +8,15 @@ package pipeline
 // of a scattered linked structure.
 //
 // Identity. An infID packs a uint32 slot index with a uint32 generation
-// (gen<<32 | idx). Slot 0's zero value is never a valid id because
-// generations start at 1, so infID(0) doubles as the nil reference. Slots
-// are recycled through the same freeAfter/graveyard discipline the pooled
-// records used; recycling bumps the slot's generation, so any reference
-// that illegally outlives its record fails the generation check loudly
-// (*core.InvariantError, recovered into *SimError at the run boundary)
-// instead of silently reading a younger instruction's state.
+// (gen<<32 | idx). A slot's first tenant gets generation 1, so infID(0)
+// never names a tenant and doubles as the nil reference. This model never
+// fetches a wrong path, so instructions leave the window at retire in the
+// order they entered it at fetch, and the store is a ring: alloc hands out
+// slots in turn and bumps the slot's generation each lap, and nothing ever
+// frees a slot. A reference that illegally outlives its tenant's lap fails
+// the generation check loudly (*core.InvariantError, recovered into
+// *SimError at the run boundary) instead of silently reading a younger
+// instruction's state.
 //
 // Wakeup. Readiness is no longer recomputed per scan: an entry entering a
 // reservation station registers with each still-unissued producer (an
@@ -31,7 +33,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 
 	"ctcp/internal/core"
 	"ctcp/internal/emu"
@@ -67,7 +68,7 @@ const (
 // store itself is transient machine state: snapshots are only legal at
 // drained boundaries where no slot is live, so none of it is serialized.
 type infStore struct {
-	gen []uint32 // current generation per slot; bumped on release
+	gen []uint32 // current generation per slot; bumped by alloc each lap
 
 	// Hot: scanned every cycle.
 	flags    []uint16
@@ -100,9 +101,8 @@ type infStore struct {
 	prevStore     []infID
 	critProd      []infID
 	critSrc       []uint8
-	freeAfter     []uint64
 
-	free []uint32 // recycled slots
+	next uint32 // the slot alloc hands out next
 }
 
 // id returns the current reference for a live slot.
@@ -111,7 +111,7 @@ func (s *infStore) id(idx uint32) infID {
 }
 
 // index resolves id to its slot, panicking *core.InvariantError when the
-// slot has been recycled since id was created (use-after-free detection).
+// ring has lapped the slot since id was created (use-after-free detection).
 func (s *infStore) index(id infID) uint32 {
 	idx := uint32(id)
 	if idx >= uint32(len(s.gen)) || uint32(id>>32) != s.gen[idx] {
@@ -135,17 +135,19 @@ func (s *infStore) stale(id infID) {
 		uint64(id), idx, uint32(id>>32), gen)})
 }
 
-// alloc hands out a slot. Steady state pops the free list; the store only
-// grows while the in-flight window ramps up (bounded by ROB size plus
-// graveyard slack), so the grow path is cold.
+// alloc hands out the next slot in ring order under a new generation. The
+// ring is sized so that a slot comes round again only after every reference
+// to its previous tenant is dead (see the ring size in Reset); a reference
+// that outlives its tenant anyway fails index's generation check.
 //
-// Recycled slots are NOT zeroed: every field is either fully written before
-// its first read in the new life, or provably zero at release time. The
-// discipline, field by field:
+// Slots are NOT zeroed before reuse: every field is either fully written
+// before its first read in the new tenancy, or provably zero when the ring
+// laps the slot. The discipline, field by field:
 //
 //   - rec, class, dest, src, ctrl, cluster, group, profile, resultAt,
-//     doneAt, flags: fully assigned in newInflight (flags as one whole-word
-//     store, never |= on a recycled slot).
+//     doneAt, flags, prod: fully assigned in newInflight (flags as one
+//     whole-word store, never |= on a reused slot; prod as [noID, noID],
+//     which rename then fills in for in-flight producers only).
 //   - renameReady: written by fetch for every consumed slot before the id
 //     enters fetchQ.
 //   - rfReady, dispatchReady, prevStore: fully assigned at rename.
@@ -156,143 +158,65 @@ func (s *infStore) stale(id infID) {
 //   - readyAt, critSrc: assigned in resolve, which every instruction passes
 //     through before its ready-mask bit (the only gate to reading them) is
 //     set.
-//   - critProd: assigned in resolve when fCritFwd is set, read only under
-//     fCritFwd, and severed at retire.
-//   - prod: per-source entries are written at rename only for in-flight
-//     producers, but retire zeroes the whole pair, so a recycled slot always
-//     starts from [noID, noID].
+//   - critProd: assigned in resolve when fCritFwd is set, and read only
+//     under fCritFwd.
 //   - waiterHead/waiterNext/loadNext: self-cleaning. This model fetches the
 //     committed stream only (no wrong-path work is ever discarded), so every
 //     instruction issues before it retires: wakeWaiters drains and zeroes the
 //     producer's waiter list at issue, and the store watermark drains and
-//     zeroes every registered load link. A slot can only be released retired,
-//     hence with all three at zero.
-//   - freeAfter: assigned at retire before reclaim reads it.
+//     zeroes every registered load link. The ring laps only retired tenants,
+//     hence with all three at zero; reset clears them after a run abandoned
+//     mid-cycle.
 func (s *infStore) alloc() uint32 {
-	n := len(s.free)
-	if n == 0 {
-		return s.grow()
+	idx := s.next
+	if s.next++; s.next == uint32(len(s.gen)) {
+		s.next = 0
 	}
-	idx := s.free[n-1]
-	s.free = s.free[:n-1]
-	return idx
-}
-
-// grow appends one zeroed slot to every parallel slice while the window
-// ramps up to its steady-state population.
-//
-//ctcp:coldpath
-func (s *infStore) grow() uint32 {
-	idx := uint32(len(s.gen))
-	s.gen = append(s.gen, 1)
-	s.flags = append(s.flags, 0)
-	s.class = append(s.class, 0)
-	s.cluster = append(s.cluster, 0)
-	s.resultAt = append(s.resultAt, 0)
-	s.doneAt = append(s.doneAt, 0)
-	s.readyAt = append(s.readyAt, 0)
-	s.waitCount = append(s.waitCount, 0)
-	s.rsSlot = append(s.rsSlot, 0)
-	s.waiterHead = append(s.waiterHead, 0)
-	s.waiterNext = append(s.waiterNext, 0, 0)
-	s.loadNext = append(s.loadNext, 0)
-	s.barrier = append(s.barrier, 0)
-	s.rec = append(s.rec, emu.Committed{})
-	s.profile = append(s.profile, trace.Profile{})
-	s.group = append(s.group, 0)
-	s.ctrl = append(s.ctrl, 0)
-	s.station = append(s.station, 0)
-	s.renameReady = append(s.renameReady, 0)
-	s.dispatchReady = append(s.dispatchReady, 0)
-	s.rfReady = append(s.rfReady, 0)
-	s.src = append(s.src, [2]isa.Reg{})
-	s.dest = append(s.dest, isa.NoReg)
-	s.prod = append(s.prod, [2]infID{})
-	s.prevStore = append(s.prevStore, noID)
-	s.critProd = append(s.critProd, noID)
-	s.critSrc = append(s.critSrc, 0)
-	s.freeAfter = append(s.freeAfter, 0)
-	return idx
-}
-
-// reserve gives every slice grow or release appends to room for n more
-// slots, so a window that ramps up to n live slots never reallocates. It
-// must cover exactly the slices grow appends to, plus the free list
-// (TestInfStoreReserveCoversEverySlice pins that).
-func (s *infStore) reserve(n int) {
-	s.gen = slices.Grow(s.gen, n)
-	s.flags = slices.Grow(s.flags, n)
-	s.class = slices.Grow(s.class, n)
-	s.cluster = slices.Grow(s.cluster, n)
-	s.resultAt = slices.Grow(s.resultAt, n)
-	s.doneAt = slices.Grow(s.doneAt, n)
-	s.readyAt = slices.Grow(s.readyAt, n)
-	s.waitCount = slices.Grow(s.waitCount, n)
-	s.rsSlot = slices.Grow(s.rsSlot, n)
-	s.waiterHead = slices.Grow(s.waiterHead, n)
-	s.waiterNext = slices.Grow(s.waiterNext, 2*n)
-	s.loadNext = slices.Grow(s.loadNext, n)
-	s.barrier = slices.Grow(s.barrier, n)
-	s.rec = slices.Grow(s.rec, n)
-	s.profile = slices.Grow(s.profile, n)
-	s.group = slices.Grow(s.group, n)
-	s.ctrl = slices.Grow(s.ctrl, n)
-	s.station = slices.Grow(s.station, n)
-	s.renameReady = slices.Grow(s.renameReady, n)
-	s.dispatchReady = slices.Grow(s.dispatchReady, n)
-	s.rfReady = slices.Grow(s.rfReady, n)
-	s.src = slices.Grow(s.src, n)
-	s.dest = slices.Grow(s.dest, n)
-	s.prod = slices.Grow(s.prod, n)
-	s.prevStore = slices.Grow(s.prevStore, n)
-	s.critProd = slices.Grow(s.critProd, n)
-	s.critSrc = slices.Grow(s.critSrc, n)
-	s.freeAfter = slices.Grow(s.freeAfter, n)
-	s.free = slices.Grow(s.free, n)
-}
-
-// reset empties the store, keeping every slice's capacity. It must truncate
-// exactly the slices grow appends to (TestInfStoreResetTruncatesEverySlice
-// pins that), so the next grow numbers slots from 0 again and writes each
-// one's zero values over the old contents.
-func (s *infStore) reset() {
-	s.gen = s.gen[:0]
-	s.flags = s.flags[:0]
-	s.class = s.class[:0]
-	s.cluster = s.cluster[:0]
-	s.resultAt = s.resultAt[:0]
-	s.doneAt = s.doneAt[:0]
-	s.readyAt = s.readyAt[:0]
-	s.waitCount = s.waitCount[:0]
-	s.rsSlot = s.rsSlot[:0]
-	s.waiterHead = s.waiterHead[:0]
-	s.waiterNext = s.waiterNext[:0]
-	s.loadNext = s.loadNext[:0]
-	s.barrier = s.barrier[:0]
-	s.rec = s.rec[:0]
-	s.profile = s.profile[:0]
-	s.group = s.group[:0]
-	s.ctrl = s.ctrl[:0]
-	s.station = s.station[:0]
-	s.renameReady = s.renameReady[:0]
-	s.dispatchReady = s.dispatchReady[:0]
-	s.rfReady = s.rfReady[:0]
-	s.src = s.src[:0]
-	s.dest = s.dest[:0]
-	s.prod = s.prod[:0]
-	s.prevStore = s.prevStore[:0]
-	s.critProd = s.critProd[:0]
-	s.critSrc = s.critSrc[:0]
-	s.freeAfter = s.freeAfter[:0]
-	s.free = s.free[:0]
-}
-
-// release recycles a slot: the generation bump invalidates every outstanding
-// reference to the record that lived there.
-func (s *infStore) release(idx uint32) {
 	s.gen[idx]++
-	s.free = append(s.free, idx)
+	return idx
 }
 
-// live reports how many slots are currently allocated (tests).
-func (s *infStore) live() int { return len(s.gen) - len(s.free) }
+// size replaces the store with an empty ring of n slots.
+func (s *infStore) size(n int) {
+	*s = infStore{
+		gen:           make([]uint32, n),
+		flags:         make([]uint16, n),
+		class:         make([]isa.Class, n),
+		cluster:       make([]int32, n),
+		resultAt:      make([]int64, n),
+		doneAt:        make([]int64, n),
+		readyAt:       make([]int64, n),
+		waitCount:     make([]int32, n),
+		rsSlot:        make([]int32, n),
+		waiterHead:    make([]uint32, n),
+		waiterNext:    make([]uint32, 2*n),
+		loadNext:      make([]uint32, n),
+		barrier:       make([]uint64, n),
+		rec:           make([]emu.Committed, n),
+		profile:       make([]trace.Profile, n),
+		group:         make([]uint64, n),
+		ctrl:          make([]uint8, n),
+		station:       make([]int32, n),
+		renameReady:   make([]int64, n),
+		dispatchReady: make([]int64, n),
+		rfReady:       make([]int64, n),
+		src:           make([][2]isa.Reg, n),
+		dest:          make([]isa.Reg, n),
+		prod:          make([][2]infID, n),
+		prevStore:     make([]infID, n),
+		critProd:      make([]infID, n),
+		critSrc:       make([]uint8, n),
+	}
+}
+
+// reset empties the ring in place. It clears the generations, so the next
+// alloc hands out slot 0 under generation 1 as in a new ring, and the links
+// alloc expects to find zero, which a run abandoned mid-cycle can leave
+// set. Every other field is written before it is read (see alloc).
+func (s *infStore) reset() {
+	clear(s.gen)
+	clear(s.waiterHead)
+	clear(s.waiterNext)
+	clear(s.loadNext)
+	s.next = 0
+}

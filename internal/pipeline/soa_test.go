@@ -1,9 +1,10 @@
 package pipeline
 
-// Tests for the struct-of-arrays inflight store: generation-checked id
-// recycling, the incremental bitmask wakeup against the per-entry readiness
-// recompute the pooled build performed, and checkpoint-format compatibility
-// with a snapshot written by the pooled-record build.
+// Tests for the struct-of-arrays inflight store: generation-checked slot
+// reuse as the ring laps, the incremental bitmask wakeup against the
+// per-entry readiness recompute the pooled build performed, and
+// checkpoint-format compatibility with a snapshot written by the
+// pooled-record build.
 
 import (
 	"bytes"
@@ -20,14 +21,28 @@ import (
 	"ctcp/internal/workload"
 )
 
-// TestStaleInfIDPanicsInvariantError: releasing a slot bumps its generation,
-// so a reference created before the release must fail the generation check
-// with *core.InvariantError (not a silent read of the slot's next tenant).
+// lapRing makes the n-1 allocations that follow one in a ring of n slots,
+// so the next alloc comes back to that slot, and returns the id of the last
+// of them.
+func lapRing(st *infStore, n int) infID {
+	var last uint32
+	for i := 1; i < n; i++ {
+		last = st.alloc()
+	}
+	return st.id(last)
+}
+
+// TestStaleInfIDPanicsInvariantError: once the ring laps a slot, alloc has
+// bumped its generation, so a reference to the previous tenant must fail
+// the generation check with *core.InvariantError (not a silent read of the
+// slot's next tenant).
 func TestStaleInfIDPanicsInvariantError(t *testing.T) {
+	const n = 4
 	var st infStore
-	idx := st.alloc()
-	id := st.id(idx)
-	st.release(idx)
+	st.size(n)
+	id := st.id(st.alloc())
+	lapRing(&st, n)
+	st.alloc()
 
 	defer func() {
 		rec := recover()
@@ -45,29 +60,38 @@ func TestStaleInfIDPanicsInvariantError(t *testing.T) {
 	st.index(id)
 }
 
-// TestInfIDSlotReuse: the free list hands the same slot back, but under a
-// new generation — the old id is dead, the new one resolves.
+// TestInfIDSlotReuse: the ring hands a slot out again only after lapping
+// every other slot, and under a new generation — the old id is dead, the
+// new tenant's id and the ids of slots not yet lapped resolve.
 func TestInfIDSlotReuse(t *testing.T) {
+	const n = 4
 	var st infStore
+	st.size(n)
 	a := st.alloc()
 	idA := st.id(a)
-	st.release(a)
+	live := lapRing(&st, n)
+	if got := st.index(idA); got != a {
+		t.Fatalf("id resolved to slot %d before the ring lapped it, want %d", got, a)
+	}
 
 	b := st.alloc()
 	if b != a {
-		t.Fatalf("free list did not recycle the slot: got %d, want %d", b, a)
+		t.Fatalf("ring did not come round to slot %d after %d allocations: got %d", a, n, b)
 	}
 	idB := st.id(b)
 	if idA == idB {
-		t.Fatal("recycled slot produced an identical id (generation not bumped)")
+		t.Fatal("lapped slot produced an identical id (generation not bumped)")
 	}
 	if got := st.index(idB); got != b {
-		t.Fatalf("fresh id resolved to slot %d, want %d", got, b)
+		t.Fatalf("new tenant's id resolved to slot %d, want %d", got, b)
+	}
+	if got := st.index(live); got != uint32(live) {
+		t.Fatalf("live id resolved to slot %d, want %d", got, uint32(live))
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("stale id resolved after its slot was recycled")
+				t.Fatal("stale id resolved after the ring lapped its slot")
 			}
 		}()
 		st.index(idA)
@@ -190,7 +214,7 @@ func checkWakeup(t *testing.T, p *Pipeline) {
 		for id, ready := range pendingReady {
 			idx := uint32(id)
 			if idx >= uint32(len(st.gen)) || st.gen[idx] != uint32(id>>32) {
-				delete(pendingReady, id) // retired and recycled
+				delete(pendingReady, id) // retired, and its slot lapped
 				continue
 			}
 			if st.flags[idx]&fIssued != 0 {
@@ -220,7 +244,7 @@ func checkWakeup(t *testing.T, p *Pipeline) {
 					continue
 				}
 				// Newly resolved this cycle: the producers it waited on issued
-				// at the latest this cycle and cannot have been recycled yet,
+				// at the latest this cycle and cannot have been lapped yet,
 				// so the reference recompute sees exactly what resolve() saw.
 				if want := readinessRef(p, idx); want != st.readyAt[idx] {
 					t.Fatalf("cycle %d: slot %d readyAt %d, reference readiness %d",

@@ -43,11 +43,12 @@ type Slot struct {
 	Inst isa.Inst
 	// Taken records the embedded direction for conditional branches.
 	Taken bool
-	// SlotIndex is the physical issue-slot position (0..MaxLen-1) the fill
-	// unit placed this instruction in. Slots within a Trace are always kept
-	// in logical (program) order — retirement order never changes — and the
-	// fill unit's physical reordering is expressed by this field: the slot
-	// index determines which cluster the instruction issues to.
+	// SlotIndex is the physical issue-slot position (0..TotalWidth-1 of the
+	// cluster geometry) the fill unit placed this instruction in. Slots
+	// within a Trace are always kept in logical (program) order —
+	// retirement order never changes — and the fill unit's physical
+	// reordering is expressed by this field: the slot index determines
+	// which cluster the instruction issues to.
 	SlotIndex int
 	// Cluster is the execution cluster the slot index maps to; the fill
 	// unit records it when assigning.
@@ -101,18 +102,19 @@ func (t *Trace) condMask() (mask uint64, ok bool) {
 func (t *Trace) Len() int { return len(t.Slots) }
 
 // CheckSlotIndices panics if the physical placement is not an injective map
-// into the line's slot positions — a corrupted reorder would silently issue
-// two instructions to the same slot.
-func (t *Trace) CheckSlotIndices(maxLen int) {
-	// Lines are at most MaxLen slots, which is <= 64 in every supported
-	// configuration, so a bitmask covers the occupancy set; the map path
-	// remains for hypothetical wider lines. This check runs once per built
-	// trace, on the simulator's hot path.
-	if maxLen <= 64 {
+// into issue-slot positions 0..slots-1 — a corrupted reorder would
+// silently issue two instructions to the same slot. The fill unit passes
+// the geometry's total issue width: a line shorter than the machine is wide
+// still spreads its instructions over every cluster's slots.
+func (t *Trace) CheckSlotIndices(slots int) {
+	// Up to 64 slots a bitmask covers the occupancy set; the map path
+	// handles wider machines. This check runs once per built trace, on the
+	// simulator's hot path.
+	if slots <= 64 {
 		var seen uint64
 		for i := range t.Slots {
 			idx := t.Slots[i].SlotIndex
-			if idx < 0 || idx >= maxLen || seen&(1<<uint(idx)) != 0 {
+			if idx < 0 || idx >= slots || seen&(1<<uint(idx)) != 0 {
 				panic(fmt.Sprintf("trace: corrupt slot placement in line @%#x", t.StartPC))
 			}
 			seen |= 1 << uint(idx)
@@ -122,7 +124,7 @@ func (t *Trace) CheckSlotIndices(maxLen int) {
 	seen := make(map[int]bool, len(t.Slots))
 	for i := range t.Slots {
 		idx := t.Slots[i].SlotIndex
-		if idx < 0 || idx >= maxLen || seen[idx] {
+		if idx < 0 || idx >= slots || seen[idx] {
 			panic(fmt.Sprintf("trace: corrupt slot placement in line @%#x", t.StartPC))
 		}
 		seen[idx] = true
