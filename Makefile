@@ -84,8 +84,9 @@ fuzz-smoke:
 	$(GO) test ./internal/emu/ -run '^$$' -fuzz FuzzPredecodeMatchesReference -fuzztime 10s
 	$(GO) test ./internal/asm/ -run '^$$' -fuzz FuzzAssembleRoundtrip -fuzztime 10s
 
-# bench runs the emulator and cycle-model benchmarks, then the repository's
-# benchmark (cmd/ctcpperf, see its README) on the all-kernels FDRT workload.
+# bench runs the emulator, fill-unit (BenchmarkAssign, ns/trace) and
+# cycle-model benchmarks, then the repository's benchmark (cmd/ctcpperf, see
+# its README) on the all-kernels FDRT workload.
 bench:
-	$(GO) test ./internal/emu ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
+	$(GO) test ./internal/emu ./internal/core ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
 	bash cmd/ctcpperf/run.sh --workload kernels-fdrt --seed 1 --seconds 14 --trace 0

@@ -11,6 +11,7 @@ import (
 
 	"ctcp/internal/asm"
 	"ctcp/internal/core"
+	"ctcp/internal/emu"
 	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
 )
@@ -170,6 +171,34 @@ func TestCorpusPipelineAgreement(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorpusRetireOperands runs every corpus program under every assignment
+// strategy and checks that each record the pipeline retires carries the
+// operands its instruction word decodes to: the fill unit's dataflow pass
+// reads Src and Dest instead of decoding.
+func TestCorpusRetireOperands(t *testing.T) {
+	p := new(pipeline.Pipeline)
+	for _, prog := range mustCorpus(t) {
+		for _, k := range core.Strategies() {
+			retired, bad := 0, 0
+			cfg := pipeline.DefaultConfig().WithStrategy(k, false)
+			cfg.RetireHook = func(ri core.RetireInfo) {
+				retired++
+				s1, s2 := ri.Rec.Inst.Srcs()
+				if (ri.Src != [2]isa.Reg{s1, s2} || ri.Dest != ri.Rec.Inst.Dest()) && bad < 3 {
+					bad++
+					t.Errorf("%s/%v: retire %d (%v): Src %v Dest %v, instruction decodes to %v %v",
+						prog.Name, k, retired, ri.Rec.Inst, ri.Src, ri.Dest, [2]isa.Reg{s1, s2}, ri.Rec.Inst.Dest())
+				}
+			}
+			p.Reset(&emu.LimitStream{S: emu.New(prog.Prog), Budget: DefaultBudget}, cfg)
+			p.Run()
+			if retired == 0 {
+				t.Errorf("%s/%v: nothing retired", prog.Name, k)
+			}
+		}
 	}
 }
 

@@ -152,17 +152,73 @@ func TestAssignShrinkAfterLongTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkAssign measures the fill unit's per-trace cost under FDRT: one
-// full 16-instruction line retired and built per op, the Table 5 walk
+// BenchmarkAssign measures the fill unit's per-trace cost under FDRT as the
+// pipeline pays it: one full 16-instruction line retired and built per op
+// through RetireSlot/CommitRetire, with operands decoded once beforehand
+// (the pipeline copies them from its decode cache), the Table 5 walk
 // included.
 func BenchmarkAssign(b *testing.B) {
 	tc := trace.NewCache(trace.DefaultConfig())
 	f := NewFillUnit(testConfig(FDRT), tc)
-	var seq uint64
+	recs := make([]RetireInfo, 16)
+	for j := range recs {
+		recs[j].Rec = inst(uint64(j), 0x1000+uint64(j)*4, isa.ZeroReg, isa.ZeroReg, isa.R(1+(3+j)%20))
+		recs[j].decodeOperands()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feedBlock(f, &seq, 0x1000, 3)
+		for j := range recs {
+			*f.RetireSlot() = recs[j]
+			f.CommitRetire()
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/trace")
+}
+
+// retireLoop retires a loop body of lines 16-instruction lines once, each
+// instruction's critical input forwarded from another trace (the previous
+// pass), so every pass makes chain designations and consumes them.
+func retireLoop(f *FillUnit, seq *uint64, lines int) {
+	for l := 0; l < lines; l++ {
+		for j := 0; j < 16; j++ {
+			pc := 0x1000 + uint64(l*0x100+j*4)
+			f.Retire(&RetireInfo{
+				Rec:                 inst(*seq, pc, isa.R(1+j%8), isa.R(1+(j+3)%8), isa.R(1+(j+1)%8)),
+				Cluster:             j % 4,
+				CritSrc:             CritRS1,
+				CritForwarded:       true,
+				CritProducerPC:      pc ^ 4,
+				CritProducerSeq:     *seq - 16*uint64(lines),
+				CritProducerCluster: (j + l) % 4,
+				CritInterTrace:      true,
+			})
+			*seq++
+		}
+	}
+}
+
+// TestFillUnitSteadyStateAllocs: once a loop's lines are in the trace cache,
+// rebuilding them — retire, chain feedback, assignment, install and the
+// displaced line's recycling — allocates nothing, under every strategy.
+func TestFillUnitSteadyStateAllocs(t *testing.T) {
+	for _, k := range Strategies() {
+		f := NewFillUnit(testConfig(k), trace.NewCache(trace.DefaultConfig()))
+		seq := uint64(1 << 20)
+		for i := 0; i < 10; i++ {
+			retireLoop(f, &seq, 3)
+		}
+		// Many passes per measured run: AllocsPerRun divides by its run
+		// count in integer arithmetic.
+		if allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000; i++ {
+				retireLoop(f, &seq, 3)
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: 1000 steady-state passes over 3 lines allocated %.0f times, want 0", k, allocs)
+		}
+		if f.S.TracesBuilt == 0 || (k.UsesChains() && f.S.FollowersCreated == 0) {
+			t.Errorf("%v: the loop built %d traces and %d chain followers", k, f.S.TracesBuilt, f.S.FollowersCreated)
+		}
+	}
 }

@@ -95,7 +95,7 @@ type FillUnit struct {
 	// Per-trace scratch, reused across traces.
 	assigned  []int
 	capacity  []int
-	prods     [][2]int
+	prods     [][2]int32
 	consumers []bool
 	order     []int
 	nextSlot  []int
@@ -176,7 +176,7 @@ func (f *FillUnit) layout(g cluster.Geometry, maxLen int) {
 	f.capacity = make([]int, g.Clusters)
 	f.nextSlot = make([]int, g.Clusters)
 	f.assigned = make([]int, 0, maxLen)
-	f.prods = make([][2]int, 0, maxLen)
+	f.prods = make([][2]int32, 0, maxLen)
 	f.consumers = make([]bool, 0, maxLen)
 	f.order = make([]int, 0, g.Clusters+2)
 	f.pending = make([]RetireInfo, 0, maxLen)
@@ -193,12 +193,15 @@ func (f *FillUnit) Chains() *ChainProfile { return f.chains }
 func (f *FillUnit) MemoStats() (hits, misses uint64) { return 0, 0 }
 
 // Retire feeds one retired instruction to the fill unit. The record is
-// copied once (into the pending buffer); it is passed by pointer because
-// RetireInfo is ~200 bytes and this is called once per retired instruction.
-// Callers building the record field by field can skip even that copy with
-// the RetireSlot/CommitRetire pair.
+// copied once (into the pending buffer), and its Src and Dest are decoded
+// there from Rec.Inst, so the caller need not set them. It is passed by
+// pointer because RetireInfo is ~200 bytes. Callers building the record
+// field by field can skip the copy and the decode with the
+// RetireSlot/CommitRetire pair.
 func (f *FillUnit) Retire(info *RetireInfo) {
-	*f.RetireSlot() = *info
+	slot := f.RetireSlot()
+	*slot = *info
+	slot.decodeOperands()
 	f.CommitRetire()
 }
 
@@ -207,13 +210,11 @@ func (f *FillUnit) Retire(info *RetireInfo) {
 // pipeline composes the ~200-byte RetireInfo directly in the buffer slot it
 // will be consumed from instead of building it in scratch and copying it in.
 // The slot may hold a stale record from an earlier trace; the caller must
-// overwrite it completely, then call CommitRetire.
+// overwrite it completely, Src and Dest included, then call CommitRetire.
+// The buffer never outgrows the MaxLen capacity layout gives it: it holds
+// one record per slot of the trace under construction.
 func (f *FillUnit) RetireSlot() *RetireInfo {
-	if n := len(f.pending); n < cap(f.pending) {
-		f.pending = f.pending[:n+1]
-	} else {
-		f.pending = append(f.pending, RetireInfo{})
-	}
+	f.pending = f.pending[:len(f.pending)+1]
 	return &f.pending[len(f.pending)-1]
 }
 
@@ -280,7 +281,6 @@ func (f *FillUnit) updateChains(info *RetireInfo) {
 	// leader by this very event recruits followers only on later occurrences.
 	// This staged growth keeps chains short-lived and bounded, matching the
 	// option distribution of Figure 7.
-	pMemberBefore := pProf.IsMember()
 	if !pProf.IsMember() {
 		// The suggested destination cluster for a new leader is the cluster
 		// it just executed on: the rest of its dataflow context already
@@ -302,7 +302,6 @@ func (f *FillUnit) updateChains(info *RetireInfo) {
 	if pend, ok := f.chains.peek(cPC); ok {
 		cProf = pend
 	}
-	_ = pMemberBefore
 	if !cProf.IsMember() {
 		f.chains.Set(cPC, trace.Profile{Role: trace.RoleFollower, ChainCluster: pProf.ChainCluster})
 		f.S.FollowersCreated++
@@ -341,7 +340,8 @@ func (f *FillUnit) recordMigration(tr *trace.Trace) {
 }
 
 // assign sets SlotIndex/Cluster/Profile for every slot of tr: the Table 5
-// assignment pass.
+// assignment pass. infos[i] is the retired instance of tr.Slots[i]: the
+// pending buffer and the builder grow and empty together.
 func (f *FillUnit) assign(tr *trace.Trace, infos []RetireInfo) {
 	// The profile written into the new line is the one the retiring
 	// instance carried (its old line's bits), unless a pending designation
@@ -351,20 +351,18 @@ func (f *FillUnit) assign(tr *trace.Trace, infos []RetireInfo) {
 	for i := range tr.Slots {
 		if pend, ok := f.chains.Take(tr.Slots[i].PC); ok {
 			tr.Slots[i].Profile = pend
-		} else if len(infos) == len(tr.Slots) {
-			tr.Slots[i].Profile = infos[i].Profile
 		} else {
-			tr.Slots[i].Profile = trace.Profile{}
+			tr.Slots[i].Profile = infos[i].Profile
 		}
 	}
 	switch f.cfg.Strategy {
 	case Friendly:
 		f.resetAssign(len(tr.Slots))
-		f.friendlyAssign(tr, f.natOrder, f.intraProducers(tr))
+		f.friendlyAssign(tr, f.natOrder, f.dataflow(infos))
 		f.materialize(tr)
 	case FriendlyMiddle:
 		f.resetAssign(len(tr.Slots))
-		f.friendlyAssign(tr, f.midOrder, f.intraProducers(tr))
+		f.friendlyAssign(tr, f.midOrder, f.dataflow(infos))
 		f.materialize(tr)
 	case FDRT, FDRTNoPin:
 		f.fdrtAssign(tr, infos)
@@ -402,49 +400,41 @@ func (f *FillUnit) tryAssign(i int, clusters []int) bool {
 	return false
 }
 
-// intraProducers fills and returns, for each slot, the logical index of the
-// nearest earlier slot writing one of its source registers (-1 if none).
-// Index 0 is RS1's producer, index 1 is RS2's. The result aliases the fill
-// unit's scratch buffer and is valid until the next trace.
-func (f *FillUnit) intraProducers(tr *trace.Trace) [][2]int {
-	f.prods = f.prods[:0]
-	var lastDef [isa.NumRegs]int
-	for i := range lastDef {
-		lastDef[i] = -1
+// noDefs is the last-definer table of an empty trace. Its int32 entries
+// hold any slot index a trace can have (Config.Validate bounds a trace only
+// by the machine's issue slots, so an int8 would overflow past 127).
+var noDefs = func() (t [isa.NumRegs]int32) {
+	for r := range t {
+		t[r] = -1
 	}
-	for i := range tr.Slots {
-		s1, s2 := tr.Slots[i].Inst.Srcs()
-		p := [2]int{-1, -1}
-		if s1 != isa.NoReg {
-			p[0] = lastDef[s1]
-		}
-		if s2 != isa.NoReg {
-			p[1] = lastDef[s2]
-		}
-		f.prods = append(f.prods, p)
-		if d := tr.Slots[i].Inst.Dest(); d != isa.NoReg {
-			lastDef[d] = i
-		}
-	}
-	return f.prods
-}
+	return t
+}()
 
-// intraConsumers fills and returns, for each slot, whether a later slot
-// reads its destination before it is redefined; prods must be the matching
-// intraProducers result.
-func (f *FillUnit) intraConsumers(tr *trace.Trace, prods [][2]int) []bool {
-	f.consumers = f.consumers[:0]
-	for range tr.Slots {
-		f.consumers = append(f.consumers, false)
-	}
-	for i := range prods {
-		for _, p := range prods[i] {
-			if p >= 0 {
-				f.consumers[p] = true
+// dataflow is the static intra-trace dependence analysis: one pass over the
+// trace's retired records and their decoded operands. It fills and returns
+// f.prods, for each slot the index of the nearest earlier slot writing each
+// source (-1 if none; RS1's producer first), and fills f.consumers, whether
+// a later slot reads the slot's destination before it is redefined. Both
+// stay valid until the next trace.
+func (f *FillUnit) dataflow(infos []RetireInfo) [][2]int32 {
+	f.prods, f.consumers = f.prods[:len(infos)], f.consumers[:len(infos)]
+	prods, consumers := f.prods, f.consumers
+	clear(consumers)
+	lastDef := noDefs
+	for i := range infos {
+		p := [2]int32{-1, -1}
+		for k, r := range infos[i].Src {
+			if r != isa.NoReg && lastDef[r] >= 0 {
+				p[k] = lastDef[r]
+				consumers[p[k]] = true
 			}
 		}
+		prods[i] = p
+		if d := infos[i].Dest; d != isa.NoReg {
+			lastDef[d] = int32(i)
+		}
 	}
-	return f.consumers
+	return prods
 }
 
 // friendlyAssign implements the prior retire-time scheme: walk issue slots
@@ -453,7 +443,7 @@ func (f *FillUnit) intraConsumers(tr *trace.Trace, prods [][2]int) []bool {
 // that slot's cluster, else the oldest unplaced instruction. It operates on
 // the current f.assigned/f.capacity state, so clusters already fixed by FDRT
 // are respected and only unassigned instructions (-1) are placed.
-func (f *FillUnit) friendlyAssign(tr *trace.Trace, slotOrder []int, prods [][2]int) {
+func (f *FillUnit) friendlyAssign(tr *trace.Trace, slotOrder []int, prods [][2]int32) {
 	g := f.cfg.Geom
 	n := len(tr.Slots)
 	remaining := 0
@@ -512,13 +502,8 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 	// to logical indices. The infos are consecutive retired instructions, so
 	// their Seqs are contiguous and the index is a subtraction (the equality
 	// check below keeps this exact even if a stream ever produced gaps).
-	var seqBase uint64
-	if len(infos) == n && n > 0 {
-		seqBase = infos[0].Rec.Seq
-	}
-	statics := f.intraProducers(tr)
-	consumers := f.intraConsumers(tr, statics)
-	const useStaticFallback = true
+	seqBase := infos[0].Rec.Seq
+	statics := f.dataflow(infos)
 
 	for i := 0; i < n; i++ {
 		// Critical intra-trace producer: the instruction's last-arriving
@@ -528,18 +513,15 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 		// producer stands in (the fill unit always has the static analysis).
 		prodCl := -1
 		critIntra := false
-		if len(infos) == n {
-			inf := infos[i]
-			if inf.CritSrc != CritNone {
-				if seq := inf.CritProducerSeq; seq >= seqBase && seq < seqBase+uint64(n) {
-					if j := int(seq - seqBase); infos[j].Rec.Seq == seq && j < i && f.assigned[j] >= 0 {
-						prodCl = f.assigned[j]
-						critIntra = true
-					}
+		if inf := &infos[i]; inf.CritSrc != CritNone {
+			if seq := inf.CritProducerSeq; seq >= seqBase && seq < seqBase+uint64(n) {
+				if j := int(seq - seqBase); infos[j].Rec.Seq == seq && j < i && f.assigned[j] >= 0 {
+					prodCl = f.assigned[j]
+					critIntra = true
 				}
 			}
 		}
-		if prodCl < 0 && useStaticFallback {
+		if prodCl < 0 {
 			for _, j := range statics[i] {
 				if j >= 0 && f.assigned[j] >= 0 {
 					prodCl = f.assigned[j]
@@ -588,7 +570,7 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 			if f.assigned[i] != chainCl {
 				tr.Slots[i].Profile = trace.Profile{} // designation decays
 			}
-		case consumers[i]: // Option D
+		case f.consumers[i]: // Option D
 			f.S.OptionD++
 			// Only the true middle clusters are tried ("1. middle 2. skip"):
 			// producers that do not fit funnel back through the Friendly

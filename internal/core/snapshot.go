@@ -11,6 +11,9 @@ import (
 // section of its own).
 func (ri *RetireInfo) Snapshot(w *snap.Writer) {
 	ri.Rec.Snapshot(w)
+	// Decoded from Rec.Inst: not serialized, derived again by Restore.
+	_ = ri.Src
+	_ = ri.Dest
 	w.Bool(ri.FromTC)
 	w.U8(ri.Profile.Role)
 	w.U8(ri.Profile.ChainCluster)
@@ -29,6 +32,7 @@ func (ri *RetireInfo) Snapshot(w *snap.Writer) {
 // Restore rebuilds one retired-instruction record.
 func (ri *RetireInfo) Restore(r *snap.Reader) {
 	ri.Rec.Restore(r)
+	ri.decodeOperands()
 	ri.FromTC = r.Bool()
 	ri.Profile.Role = r.U8()
 	ri.Profile.ChainCluster = r.U8()
@@ -164,18 +168,15 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if n < 0 {
-		r.Failf("fill unit has negative pending count %d", n)
+	if n != f.builder.Pending() { // assign pairs records and slots by position
+		r.Failf("fill unit has %d pending records for %d trace builder slots", n, f.builder.Pending())
 		return
 	}
-	f.pending = f.pending[:0]
-	for i := 0; i < n; i++ {
-		var ri RetireInfo
-		ri.Restore(r)
-		if r.Err() != nil {
+	f.pending = f.pending[:n]
+	for i := range f.pending {
+		if f.pending[i].Restore(r); r.Err() != nil {
 			return
 		}
-		f.pending = append(f.pending, ri)
 	}
 	nc := r.Int()
 	if r.Err() != nil {

@@ -41,15 +41,13 @@ func (q *infQueue) reset() {
 	q.head = 0
 }
 
-func (q *infQueue) popFront() infID {
-	id := q.buf[q.head]
+func (q *infQueue) popFront() {
 	q.buf[q.head] = noID
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return id
 }
 
 // drop turns entry i into a hole for squeeze to remove.

@@ -50,8 +50,12 @@ type Pipeline struct {
 
 	st infStore // per-instruction state, indexed by infID
 
-	rob    infQueue // program order; front is oldest
-	fetchQ infQueue
+	// The ROB and the fetch queue are spans of the ring, which allocates in
+	// fetch order and retires in the same order: the ROB is the robLen
+	// slots from robHead, oldest first, and the fetch queue the fqLen after.
+	robHead uint32
+	robLen  int
+	fqLen   int
 
 	dispatchQ []infQueue // per-cluster in-order queues (slot-based)
 	steerQ    infQueue   // global in-order queue (issue-time steering)
@@ -123,18 +127,17 @@ type scratch struct {
 	// Per-cycle scratch, reused across cycles. writeUsed is the flattened
 	// [cluster][station] write-port usage, stale from an earlier cycle
 	// until dispatch clears it, which it does only when portsUsed says a
-	// port was taken since the last clear; fetchBuf collects one fetch
-	// group; clusterBudget is the per-cluster steering budget. open is
-	// issue-time steering's per-cluster mask of the stations that can still
-	// take an instruction this cycle (bit rs: not full, a write port left);
-	// a cluster whose steering budget is spent has none. Steering builds
-	// clusterBudget and open only in cycles where the head of the steering
-	// window is dispatch-ready.
+	// port was taken since the last clear; clusterBudget is the
+	// per-cluster steering budget. open is issue-time steering's
+	// per-cluster mask of the stations that can still take an instruction
+	// this cycle (bit rs: not full, a write port left); a cluster whose
+	// steering budget is spent has none. Steering builds clusterBudget and
+	// open only in cycles where the head of the steering window is
+	// dispatch-ready.
 	writeUsed     []int
 	portsUsed     bool
 	clusterBudget []int
 	open          []uint8
-	fetchBuf      []uint32
 }
 
 // New builds a pipeline reading committed instructions from stream. The
@@ -230,21 +233,19 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	// between records (prod, critProd, prevStore, the rename map,
 	// lastStore) is formed at rename, to a producer still in the ROB, so
 	// it points at most ROBSize-1 allocations back from an unretired
-	// instruction. Unretired instructions span at most the ROB, a fetch
-	// queue under 2·FetchWidth and one fetch group of at most
-	// max(FetchWidth, Trace.MaxLen), so no reference reaches n
-	// allocations back from the newest. pendingRedirect blocks fetch
-	// while it is set and clears in the cycle its instruction retires,
-	// before the next fetch. The ring is rebuilt when n changes and
-	// cleared in place otherwise.
-	group := max(cfg.FetchWidth, cfg.Trace.MaxLen)
-	if n := 2*cfg.ROBSize + 2*cfg.FetchWidth + group; len(p.st.gen) != n {
+	// instruction. Unretired instructions are the robLen + fqLen slots
+	// from robHead: robLen is at most ROBSize, and fetch adds a group of at
+	// most max(FetchWidth, Trace.MaxLen) only while fqLen is under
+	// 2·FetchWidth, so no reference reaches n allocations back from the
+	// newest. pendingRedirect blocks fetch while it is set and clears in
+	// the cycle its instruction retires, before the next fetch. The ring is
+	// rebuilt when n changes and cleared in place otherwise.
+	if n := 2*cfg.ROBSize + 2*cfg.FetchWidth + max(cfg.FetchWidth, cfg.Trace.MaxLen); len(p.st.gen) != n {
 		p.st.size(n)
 	} else {
 		p.st.reset()
 	}
-	p.rob.reset()
-	p.fetchQ.reset()
+	p.robHead, p.robLen, p.fqLen = 0, 0, 0
 	p.renameMap = [isa.NumRegs]infID{}
 	p.lastStore = noID
 	p.loadsInROB = 0
@@ -284,9 +285,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.scr.portsUsed = false
 	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
 	p.scr.open = zeroed(p.scr.open, n)
-	if cap(p.scr.fetchBuf) != group {
-		p.scr.fetchBuf = make([]uint32, 0, group)
-	}
 	p.S = Stats{}
 }
 
@@ -324,7 +322,7 @@ func (p *Pipeline) runLoop(stop func(*Pipeline) bool) {
 		if p.now-p.lastRetireCycle > 2_000_000 {
 			panic(&core.InvariantError{Msg: fmt.Sprintf(
 				"pipeline: no retirement progress near cycle %d (rob=%d fetchQ=%d)",
-				p.now, p.rob.len(), p.fetchQ.len())})
+				p.now, p.robLen, p.fqLen)})
 		}
 	}
 }
@@ -381,7 +379,7 @@ func (p *Pipeline) CurrentCycle() int64 { return p.now }
 func (p *Pipeline) Retired() uint64 { return p.S.Retired }
 
 func (p *Pipeline) done() bool {
-	return p.streamDone && p.rob.len() == 0 && p.fetchQ.len() == 0
+	return p.streamDone && p.robLen == 0 && p.fqLen == 0
 }
 
 // fetchPaused reports whether fetch is paused at a RunTo segment limit.
@@ -394,7 +392,7 @@ func (p *Pipeline) fetchPaused() bool {
 // and everything in flight has retired.
 func (p *Pipeline) drained() bool {
 	return (p.streamDone || p.fetchPaused()) && !p.havePeek &&
-		p.rob.len() == 0 && p.fetchQ.len() == 0
+		p.robLen == 0 && p.fqLen == 0
 }
 
 // cycle runs one machine cycle.
@@ -448,7 +446,7 @@ func (p *Pipeline) fetch() {
 	if p.pendingRedirect != noID || p.now < p.nextFetch {
 		return
 	}
-	if p.fetchQ.len() >= 2*p.cfg.FetchWidth {
+	if p.fqLen >= 2*p.cfg.FetchWidth {
 		return
 	}
 	first, ok := p.peek()
@@ -458,8 +456,8 @@ func (p *Pipeline) fetch() {
 	pc := first.PC
 	group := p.groupSeq
 	p.groupSeq++
-	fetchLat := int64(p.cfg.FetchStages)
-	consumed := p.scr.fetchBuf[:0]
+	ready := p.now + int64(p.cfg.FetchStages+p.cfg.DecodeStages) // renameReady
+	queued := p.fqLen
 
 	if tr := p.tc.Lookup(pc, p.predictCond); tr != nil {
 		p.S.TCGroups++
@@ -469,29 +467,26 @@ func (p *Pipeline) fetch() {
 			if !ok || r.PC != s.PC {
 				break // stream diverged (only possible after a redirect cut)
 			}
-			idx := p.newInflight(p.take(), true, group, s.Cluster, s.Profile)
-			consumed = append(consumed, idx)
+			idx := p.newInflight(p.take(), true, group, s.Cluster, s.Profile, ready)
 			if p.handleControl(idx, true) {
 				break
 			}
 		}
-		p.S.TCGroupInsts += uint64(len(consumed))
+		p.S.TCGroupInsts += uint64(p.fqLen - queued)
 	} else {
 		p.S.ICGroups++
 		if !p.icache.Access(pc) {
 			p.S.ICacheMisses++
-			fetchLat += int64(p.cfg.ICacheMissLat)
+			ready += int64(p.cfg.ICacheMissLat)
 		}
 		lineEnd := (pc | uint64(p.cfg.ICache.LineSize-1)) + 1
 		expect := pc
-		for len(consumed) < p.cfg.FetchWidth {
+		for slot := 0; slot < p.cfg.FetchWidth; slot++ {
 			r, ok := p.peek()
 			if !ok || r.PC != expect || r.PC >= lineEnd {
 				break
 			}
-			slot := len(consumed)
-			idx := p.newInflight(p.take(), false, group, p.geom.SlotCluster(slot), trace.Profile{})
-			consumed = append(consumed, idx)
+			idx := p.newInflight(p.take(), false, group, p.geom.SlotCluster(slot), trace.Profile{}, ready)
 			if p.handleControl(idx, false) {
 				break
 			}
@@ -500,26 +495,25 @@ func (p *Pipeline) fetch() {
 			}
 			expect = p.st.rec[idx].NextPC
 		}
-		p.S.ICGroupInsts += uint64(len(consumed))
+		p.S.ICGroupInsts += uint64(p.fqLen - queued)
 	}
-	p.scr.fetchBuf = consumed[:0]
-	if len(consumed) == 0 {
+	if p.fqLen == queued {
 		// Defensive: should not happen (the first record always matches).
 		p.nextFetch = p.now + 1
 		return
-	}
-	for _, idx := range consumed {
-		p.st.renameReady[idx] = p.now + fetchLat + int64(p.cfg.DecodeStages)
-		p.fetchQ.push(p.st.id(idx))
 	}
 	p.nextFetch = p.now + 1 + p.btbBubble
 	p.btbBubble = 0
 }
 
-func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl int, prof trace.Profile) uint32 {
+// newInflight allocates the ring's next slot for rec, which makes it the
+// fetch queue's newest entry, and fills in its fetch-time state.
+func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl int, prof trace.Profile, renameReady int64) uint32 {
 	st := &p.st
 	idx := st.alloc()
+	p.fqLen++
 	st.rec[idx] = *rec
+	st.renameReady[idx] = renameReady
 	// Whole-word flag store: reused slots are not zeroed (see alloc), so
 	// this is the write that retires the previous tenant's bits.
 	flags := uint16(0)
@@ -638,13 +632,12 @@ func (p *Pipeline) clearRedirect() {
 func (p *Pipeline) rename() {
 	st := &p.st
 	budget := p.cfg.FetchWidth
-	for budget > 0 && p.fetchQ.len() > 0 {
-		id := p.fetchQ.front()
-		idx := uint32(id) // queue membership implies liveness
+	for budget > 0 && p.fqLen > 0 {
+		idx := st.wrap(p.robHead + uint32(p.robLen)) // the fetch queue's front
 		if st.renameReady[idx] > p.now {
 			break
 		}
-		if p.rob.len() >= p.cfg.ROBSize {
+		if p.robLen >= p.cfg.ROBSize {
 			p.S.ROBFullStalls++
 			break
 		}
@@ -653,6 +646,7 @@ func (p *Pipeline) rename() {
 			p.S.LoadQFullStalls++
 			break
 		}
+		id := st.id(idx)
 		for k, r := range st.src[idx] { // src cached at newInflight (decode cache)
 			if r == isa.NoReg {
 				continue
@@ -688,8 +682,8 @@ func (p *Pipeline) rename() {
 		if isLoad {
 			p.loadsInROB++
 		}
-		p.fetchQ.popFront()
-		p.rob.push(id)
+		p.fqLen-- // the fetch queue's front becomes the ROB's tail
+		p.robLen++
 		p.renamed++
 		if p.cfg.Strategy.SteersAtIssue() {
 			p.steerQ.push(id)
@@ -1329,9 +1323,8 @@ func (p *Pipeline) sbOccupied() int {
 func (p *Pipeline) retire() {
 	st := &p.st
 	budget := p.cfg.RetireWidth
-	for budget > 0 && p.rob.len() > 0 {
-		id := p.rob.front()
-		idx := uint32(id) // ROB membership implies liveness
+	for budget > 0 && p.robLen > 0 {
+		idx := p.robHead
 		if st.flags[idx]&fIssued == 0 || st.doneAt[idx] > p.now {
 			break
 		}
@@ -1352,7 +1345,8 @@ func (p *Pipeline) retire() {
 		if st.flags[idx]&fIsLoad != 0 {
 			p.loadsInROB--
 		}
-		p.rob.popFront()
+		p.robHead = st.wrap(idx + 1)
+		p.robLen--
 		p.S.Retired++
 		if st.flags[idx]&fFromTC != 0 {
 			p.S.RetiredFromTC++
@@ -1369,6 +1363,7 @@ func (p *Pipeline) retire() {
 		// Fields of this slot stay valid for younger consumers still
 		// holding its id until the ring laps it. Rename-visible aliases are
 		// severed here so no new references can form after retirement.
+		id := st.id(idx)
 		if d := st.dest[idx]; d != isa.NoReg && p.renameMap[d] == id {
 			p.renameMap[d] = noID
 		}
@@ -1390,6 +1385,8 @@ func (p *Pipeline) retireInfo(idx uint32, info *core.RetireInfo) {
 	// literal temporary (and its second ~200-byte copy) a struct assignment
 	// compiles to.
 	info.Rec = st.rec[idx]
+	info.Src = st.src[idx]
+	info.Dest = st.dest[idx]
 	info.FromTC = st.flags[idx]&fFromTC != 0
 	info.Profile = st.profile[idx]
 	info.Cluster = int(st.cluster[idx])

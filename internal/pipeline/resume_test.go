@@ -266,7 +266,7 @@ func TestSnapshotRejectsUndrained(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		step(p)
 	}
-	if p.rob.len() == 0 {
+	if p.robLen == 0 {
 		t.Fatal("test setup: expected in-flight instructions after 300 cycles")
 	}
 	w := snap.NewWriter()

@@ -20,9 +20,9 @@ func (p *Pipeline) snapReady() string {
 		return "a committed record is buffered"
 	case p.pendingRedirect != noID:
 		return "a fetch redirect is pending"
-	case p.rob.len() != 0:
+	case p.robLen != 0:
 		return "the ROB is not empty"
-	case p.fetchQ.len() != 0:
+	case p.fqLen != 0:
 		return "the fetch queue is not empty"
 	case p.lastStore != noID:
 		return "a store is still tracked for forwarding"
@@ -141,6 +141,7 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	_ = p.predictCond
 	_ = p.scr
 	_ = p.st
+	_ = p.robHead // the ring position of the empty ROB, likewise unobservable
 	_ = p.storeRing
 	_ = p.storeRingMask
 	// The decode cache is a pure function of the immutable program text,

@@ -145,11 +145,10 @@ func (s *infStore) stale(id infID) {
 // laps the slot. The discipline, field by field:
 //
 //   - rec, class, dest, src, ctrl, cluster, group, profile, resultAt,
-//     doneAt, flags, prod: fully assigned in newInflight (flags as one
-//     whole-word store, never |= on a reused slot; prod as [noID, noID],
-//     which rename then fills in for in-flight producers only).
-//   - renameReady: written by fetch for every consumed slot before the id
-//     enters fetchQ.
+//     doneAt, renameReady, flags, prod: fully assigned in newInflight
+//     (flags as one whole-word store, never |= on a reused slot; prod as
+//     [noID, noID], which rename then fills in for in-flight producers
+//     only).
 //   - rfReady, dispatchReady, prevStore: fully assigned at rename.
 //   - barrier: assigned at rename for loads and stores, and only ever read
 //     under fIsLoad/fIsStore.
@@ -169,11 +168,18 @@ func (s *infStore) stale(id infID) {
 //     mid-cycle.
 func (s *infStore) alloc() uint32 {
 	idx := s.next
-	if s.next++; s.next == uint32(len(s.gen)) {
-		s.next = 0
-	}
+	s.next = s.wrap(idx + 1)
 	s.gen[idx]++
 	return idx
+}
+
+// wrap maps a slot position less than one lap past the ring's end back
+// into the ring: the slot i positions after slot 0, modulo the ring size.
+func (s *infStore) wrap(i uint32) uint32 {
+	if i >= uint32(len(s.gen)) {
+		i -= uint32(len(s.gen))
+	}
+	return i
 }
 
 // size replaces the store with an empty ring of n slots.

@@ -1,0 +1,66 @@
+package pipeline
+
+import (
+	"testing"
+
+	"ctcp/internal/core"
+	"ctcp/internal/emu"
+)
+
+// TestWideMachineRetiresExactStream runs a kernel on a machine wider than
+// any word-sized fast path: 4 clusters × 40 issue slots with traces of up to
+// 160 instructions. That takes every path above 64 slots — the trace
+// cache's conditional-branch scan for lines longer than a mask word,
+// CheckSlotIndices' map for more issue slots than a mask word, and
+// reservation-station ready masks of more than one word. Under each
+// strategy the run must halt without tripping the no-progress watchdog and
+// retire exactly the emulator's stream, and a Reset back to the default
+// configuration must then match a new pipeline.
+func TestWideMachineRetiresExactStream(t *testing.T) {
+	prog := resetProg(t, "vpr")
+	for _, k := range []core.StrategyKind{core.Base, core.IssueTime, core.Friendly, core.FDRT} {
+		cfg := DefaultConfig().WithStrategy(k, false)
+		cfg.Geom.Clusters, cfg.Geom.Width = 4, 40
+		cfg.Trace.MaxLen = 160
+		cfg.MaxInsts = resetInsts
+
+		ref := emu.New(prog)
+		var want emu.Committed
+		retired, diverged := 0, false
+		cfg.RetireHook = func(ri core.RetireInfo) {
+			if !ref.NextInto(&want) || ri.Rec != want {
+				diverged = true
+			}
+			retired++
+		}
+		p := New(emu.New(prog), cfg)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%v: the wide run failed: %v", k, r)
+				}
+			}()
+			p.Run()
+		}()
+		if diverged || retired != resetInsts {
+			t.Errorf("%v: retired %d of %d records, diverged from the emulator: %v", k, retired, resetInsts, diverged)
+		}
+		maskWords, longest := 0, 0
+		for c := range p.readyMask {
+			maskWords = max(maskWords, len(p.readyMask[c])) // never shrinks until Reset
+		}
+		for _, set := range p.tc.Dump() {
+			for _, line := range set {
+				if line != nil {
+					longest = max(longest, line.Len())
+				}
+			}
+		}
+		if longest <= 64 || maskWords <= 1 {
+			t.Errorf("%v: setup: longest trace line %d slots, widest ready mask %d words; want over 64 and over 1", k, longest, maskWords)
+		}
+
+		def := DefaultConfig().WithStrategy(k, false)
+		requireSameStats(t, k.String()+" after the wide run", freshStats(prog, def), reusedStats(p, prog, def))
+	}
+}
