@@ -43,9 +43,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# results regenerates results_full.txt, the checked-in full experiment sweep
-# (every table, figure, ablation and sweep at a 200k-instruction budget). The
-# simulator is deterministic, so on an unchanged tree every number must
+# results regenerates results_full.txt, every paper artifact (each table and
+# figure plus the §5.3 ablation) at a 200k-instruction budget. The design
+# sweeps are not paper artifacts and stay out (ctcpbench -exp sweeps runs
+# them). The simulator is deterministic, so on an unchanged tree every number must
 # reproduce exactly (only the wall-clock "[... regenerated in ...]" lines
 # vary); a numeric diff after a model change is the change's measured effect
 # on the paper-style results and belongs in the same commit.

@@ -2,8 +2,9 @@
 //
 // Usage:
 //
-//	ctcpbench                      # everything, default budget
+//	ctcpbench                      # every paper artifact, default budget
 //	ctcpbench -exp fig6,table8     # selected artifacts
+//	ctcpbench -exp all,sweeps      # the paper plus the opt-in design sweeps
 //	ctcpbench -insts 500000        # bigger per-run budget
 //	ctcpbench -v                   # per-simulation progress on stderr
 //	ctcpbench -cpuprofile cpu.out  # pprof capture of any of the above
@@ -33,31 +34,34 @@ import (
 	"ctcp/internal/workload"
 )
 
-// artifacts is the generation-order table of every paper artifact the tool
-// can regenerate. The -exp flag usage and name validation are derived from
-// it, so adding an entry here is the single step needed to expose it.
+// artifacts is the generation-order table of every artifact the tool can
+// regenerate. The -exp flag usage and name validation are derived from it,
+// so adding an entry here is the single step needed to expose it. An optIn
+// entry is not a paper artifact: 'all' leaves it out, so `make results`
+// simulates only what the paper prints.
 var artifacts = []struct {
-	name string
-	run  func(r *experiment.Runner) string
+	name  string
+	optIn bool
+	run   func(r *experiment.Runner) string
 }{
-	{"table1", func(r *experiment.Runner) string { return experiment.Table1(r).Render() }},
-	{"fig4", func(r *experiment.Runner) string { return experiment.Figure4(r).Render() }},
-	{"table2", func(r *experiment.Runner) string { return experiment.Table2(r).Render() }},
-	{"fig5", func(r *experiment.Runner) string { return experiment.Figure5(r).Render() }},
-	{"table3", func(r *experiment.Runner) string { return experiment.Table3(r).Render() }},
-	{"fig6", func(r *experiment.Runner) string { return experiment.Figure6(r).Render() }},
-	{"table8", func(r *experiment.Runner) string { return experiment.Table8(r).Render() }},
-	{"fig7", func(r *experiment.Runner) string { return experiment.Figure7(r).Render() }},
-	{"table9", func(r *experiment.Runner) string { return experiment.Table9(r).Render() }},
-	{"table10", func(r *experiment.Runner) string { return experiment.Table10(r).Render() }},
-	{"fig8", func(r *experiment.Runner) string { return experiment.Figure8(r).Render() }},
-	{"ablation", func(r *experiment.Runner) string { return experiment.Ablation(r).Render() }},
-	{"sweeps", func(r *experiment.Runner) string {
+	{"table1", false, func(r *experiment.Runner) string { return experiment.Table1(r).Render() }},
+	{"fig4", false, func(r *experiment.Runner) string { return experiment.Figure4(r).Render() }},
+	{"table2", false, func(r *experiment.Runner) string { return experiment.Table2(r).Render() }},
+	{"fig5", false, func(r *experiment.Runner) string { return experiment.Figure5(r).Render() }},
+	{"table3", false, func(r *experiment.Runner) string { return experiment.Table3(r).Render() }},
+	{"fig6", false, func(r *experiment.Runner) string { return experiment.Figure6(r).Render() }},
+	{"table8", false, func(r *experiment.Runner) string { return experiment.Table8(r).Render() }},
+	{"fig7", false, func(r *experiment.Runner) string { return experiment.Figure7(r).Render() }},
+	{"table9", false, func(r *experiment.Runner) string { return experiment.Table9(r).Render() }},
+	{"table10", false, func(r *experiment.Runner) string { return experiment.Table10(r).Render() }},
+	{"fig8", false, func(r *experiment.Runner) string { return experiment.Figure8(r).Render() }},
+	{"ablation", false, func(r *experiment.Runner) string { return experiment.Ablation(r).Render() }},
+	{"sweeps", true, func(r *experiment.Runner) string {
 		return experiment.SweepTraceCache(r).Render() + "\n" +
 			experiment.SweepROB(r).Render() + "\n" +
 			experiment.SweepHopLatency(r).Render()
 	}},
-	{"fig9", func(r *experiment.Runner) string { return experiment.Figure9(r).Render() }},
+	{"fig9", false, func(r *experiment.Runner) string { return experiment.Figure9(r).Render() }},
 }
 
 // artifactNames renders the artifact list for flag usage and error messages.
@@ -67,6 +71,26 @@ func artifactNames() string {
 		names = append(names, a.name)
 	}
 	return strings.Join(names, ",")
+}
+
+// selectArtifacts parses -exp: a comma-separated list of artifact names, in
+// which 'all' stands for every paper artifact (every entry not optIn).
+func selectArtifacts(exps string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(exps, ",") {
+		name = strings.TrimSpace(name)
+		found := false
+		for _, a := range artifacts {
+			if name == a.name || name == "all" && !a.optIn {
+				want[a.name] = true
+				found = true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("unknown experiment %q (one of: %s, or 'all')", name, artifactNames())
+		}
+	}
+	return want, nil
 }
 
 // cliOptions collects every parsed flag; run takes the struct instead of a
@@ -105,7 +129,7 @@ func (o *cliOptions) validate() error {
 // run so profile-teardown defers execute before os.Exit.
 func main() {
 	var o cliOptions
-	flag.StringVar(&o.exps, "exp", "all", "comma-separated list: "+artifactNames()+" or 'all'")
+	flag.StringVar(&o.exps, "exp", "all", "comma-separated list: "+artifactNames()+" or 'all' (every paper artifact; sweeps are opt-in)")
 	flag.Uint64Var(&o.insts, "insts", experiment.DefaultBudget, "committed instruction budget per run")
 	flag.IntVar(&o.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.verbose, "v", false, "log each simulation start/finish/failure to stderr")
@@ -194,26 +218,13 @@ func run(o *cliOptions) int {
 			r.RunErr(bm, "inject-fault", bad)
 		}
 	}
-	known := map[string]bool{}
-	for _, e := range artifacts {
-		known[e.name] = true
-	}
-	want := map[string]bool{}
-	if exps == "all" {
-		want = known
-	} else {
-		for _, name := range strings.Split(exps, ",") {
-			name = strings.TrimSpace(name)
-			if !known[name] {
-				fmt.Fprintf(os.Stderr, "ctcpbench: unknown experiment %q (one of: %s, or 'all')\n", name, artifactNames())
-				return 1
-			}
-			want[name] = true
-		}
+	want, err := selectArtifacts(exps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ctcpbench: %v\n", err)
+		return 1
 	}
 
 	fmt.Printf("ctcpbench: budget %d instructions per run\n\n", insts)
-	ran := 0
 	var failedArtifacts []string
 	for _, e := range artifacts {
 		if !want[e.name] {
@@ -224,16 +235,10 @@ func run(o *cliOptions) int {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ctcpbench: %s failed: %v\n\n", e.name, err)
 			failedArtifacts = append(failedArtifacts, e.name)
-			ran++
 			continue
 		}
 		fmt.Println(out)
 		fmt.Printf("[%s regenerated in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "ctcpbench: no matching experiments (see -exp)")
-		return 1
 	}
 
 	st := r.Stats()

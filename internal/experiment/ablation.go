@@ -22,31 +22,18 @@ func Ablation(r *Runner) *AblationResult {
 	base := BaseConfig()
 	intraOnly := base.WithStrategy(core.FDRT, false)
 	intraOnly.DisableChains = true
-	cfgs := map[string]pipeline.Config{
-		"base":         base,
-		"friendly":     base.WithStrategy(core.Friendly, false),
-		"friendly-mid": base.WithStrategy(core.FriendlyMiddle, false),
-		"fdrt-intra":   intraOnly,
-		"fdrt":         base.WithStrategy(core.FDRT, false),
-		"fdrt-nopin":   base.WithStrategy(core.FDRTNoPin, false),
+	cols := []column{
+		{"base", base},
+		{"friendly", base.WithStrategy(core.Friendly, false)},
+		{"friendly-mid", base.WithStrategy(core.FriendlyMiddle, false)},
+		{"fdrt-intra", intraOnly},
+		{"fdrt", base.WithStrategy(core.FDRT, false)},
+		{"fdrt-nopin", base.WithStrategy(core.FDRTNoPin, false)},
 	}
-	r.Prefetch(workload.Selected(), cfgs)
 	res := &AblationResult{}
-	for _, bm := range workload.Selected() {
-		b := r.Run(bm, "base", cfgs["base"])
-		fr := r.Run(bm, "friendly", cfgs["friendly"])
-		fm := r.Run(bm, "friendly-mid", cfgs["friendly-mid"])
-		fi := r.Run(bm, "fdrt-intra", cfgs["fdrt-intra"])
-		fd := r.Run(bm, "fdrt", cfgs["fdrt"])
-		fn := r.Run(bm, "fdrt-nopin", cfgs["fdrt-nopin"])
-		if !statsOK(b, fr, fm, fi, fd, fn) {
-			continue
-		}
-		res.Rows = append(res.Rows, BenchRow{bm.Name, []float64{
-			speedup(b, fr), speedup(b, fm), speedup(b, fi),
-			speedup(b, fd), speedup(b, fn),
-		}})
-	}
+	runRows(r, workload.Selected(), cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		res.Rows = append(res.Rows, BenchRow{bm.Name, speedups(ss)})
+	})
 	return res
 }
 

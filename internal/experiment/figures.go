@@ -17,22 +17,11 @@ type Figure6Result struct {
 
 // Figure6 compares the assignment strategies against the baseline.
 func Figure6(r *Runner) *Figure6Result {
-	cfgs := StrategyConfigs()
-	r.Prefetch(workload.Selected(), cfgs)
 	res := &Figure6Result{}
-	for _, bm := range workload.Selected() {
-		b := r.Run(bm, "base", cfgs["base"])
-		i0 := r.Run(bm, "issue0", cfgs["issue0"])
-		i4 := r.Run(bm, "issue4", cfgs["issue4"])
-		fd := r.Run(bm, "fdrt", cfgs["fdrt"])
-		fr := r.Run(bm, "friendly", cfgs["friendly"])
-		if !statsOK(b, i0, i4, fd, fr) {
-			continue
-		}
-		res.Rows = append(res.Rows, BenchRow{bm.Name, []float64{
-			speedup(b, i0), speedup(b, i4), speedup(b, fd), speedup(b, fr),
-		}})
-	}
+	cols := strategies("base", "issue0", "issue4", "fdrt", "friendly")
+	runRows(r, workload.Selected(), cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		res.Rows = append(res.Rows, BenchRow{bm.Name, speedups(ss)})
+	})
 	return res
 }
 
@@ -62,31 +51,21 @@ type Table8Result struct {
 
 // Table8 measures intra-cluster forwarding share and mean distance.
 func Table8(r *Runner) *Table8Result {
-	cfgs := StrategyConfigs()
-	r.Prefetch(workload.Selected(), cfgs)
 	res := &Table8Result{PaperIntra: map[string][3]float64{
 		"bzip2": {0.3978, 0.6084, 0.7954}, "eon": {0.3373, 0.5283, 0.5135},
 		"gzip": {0.3294, 0.5391, 0.5825}, "perlbmk": {0.4495, 0.5836, 0.6201},
 		"twolf": {0.4783, 0.5691, 0.5892}, "vpr": {0.3867, 0.5870, 0.5958},
 	}}
-	for _, bm := range workload.Selected() {
+	cols := strategies("base", "friendly", "fdrt")
+	runRows(r, workload.Selected(), cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
 		var intra, dist []float64
-		ok := true
-		for _, key := range []string{"base", "friendly", "fdrt"} {
-			s := r.Run(bm, key, cfgs[key])
-			if !statsOK(s) {
-				ok = false
-				break
-			}
+		for _, s := range ss {
 			intra = append(intra, s.IntraClusterFrac())
 			dist = append(dist, s.AvgFwdDistance())
 		}
-		if !ok {
-			continue
-		}
 		res.IntraRows = append(res.IntraRows, BenchRow{bm.Name, intra})
 		res.DistRows = append(res.DistRows, BenchRow{bm.Name, dist})
-	}
+	})
 	return res
 }
 
@@ -124,15 +103,9 @@ type Figure7Result struct {
 
 // Figure7 histograms the FDRT assignment options.
 func Figure7(r *Runner) *Figure7Result {
-	cfgs := StrategyConfigs()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{"fdrt": cfgs["fdrt"]})
 	res := &Figure7Result{}
-	for _, bm := range workload.Selected() {
-		s := r.Run(bm, "fdrt", cfgs["fdrt"])
-		if !statsOK(s) {
-			continue
-		}
-		f := s.Fill
+	runRows(r, workload.Selected(), strategies("fdrt"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		f := ss[0].Fill
 		// Guard the denominator while it is still an integer; comparing the
 		// float64 against zero exactly is a floateq trap.
 		n := f.OptionA + f.OptionB + f.OptionC + f.OptionD + f.OptionE
@@ -144,7 +117,7 @@ func Figure7(r *Runner) *Figure7Result {
 			float64(f.OptionA) / tot, float64(f.OptionB) / tot, float64(f.OptionC) / tot,
 			float64(f.OptionD) / tot, float64(f.OptionE) / tot, float64(f.Skipped) / tot,
 		}})
-	}
+	})
 	return res
 }
 
@@ -182,21 +155,12 @@ type Table9Result struct {
 
 // Table9 compares migration under FDRT and FDRT-NoPin.
 func Table9(r *Runner) *Table9Result {
-	cfgs := StrategyConfigs()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{
-		"fdrt": cfgs["fdrt"], "fdrt-nopin": cfgs["fdrt-nopin"],
-	})
 	res := &Table9Result{Paper: map[string][2]float64{
 		"bzip2": {0.0035, 0.0098}, "eon": {0.0594, 0.0827}, "gzip": {0.0597, 0.0826},
 		"perlbmk": {0.0377, 0.0359}, "twolf": {0.0508, 0.0892}, "vpr": {0.0436, 0.0477},
 	}}
-	for _, bm := range workload.Selected() {
-		pinS := r.Run(bm, "fdrt", cfgs["fdrt"])
-		nopS := r.Run(bm, "fdrt-nopin", cfgs["fdrt-nopin"])
-		if !statsOK(pinS, nopS) {
-			continue
-		}
-		pin, nop := pinS.Fill, nopS.Fill
+	runRows(r, workload.Selected(), strategies("fdrt", "fdrt-nopin"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		pin, nop := ss[0].Fill, ss[1].Fill
 		allRed, chainRed := 0.0, 0.0
 		if nop.MigrationRate() > 0 {
 			allRed = 1 - pin.MigrationRate()/nop.MigrationRate()
@@ -207,7 +171,7 @@ func Table9(r *Runner) *Table9Result {
 		res.Rows = append(res.Rows, BenchRow{bm.Name, []float64{
 			pin.MigrationRate(), nop.MigrationRate(), allRed, chainRed,
 		}})
-	}
+	})
 	return res
 }
 
@@ -238,23 +202,14 @@ type Table10Result struct {
 
 // Table10 compares forwarding locality under pinning.
 func Table10(r *Runner) *Table10Result {
-	cfgs := StrategyConfigs()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{
-		"fdrt": cfgs["fdrt"], "fdrt-nopin": cfgs["fdrt-nopin"],
-	})
 	res := &Table10Result{Paper: map[string][2]float64{
 		"bzip2": {0.7747, 0.6669}, "eon": {0.4972, 0.5088}, "gzip": {0.5603, 0.5503},
 		"perlbmk": {0.6532, 0.6536}, "twolf": {0.5751, 0.5713}, "vpr": {0.5701, 0.5634},
 	}}
-	for _, bm := range workload.Selected() {
-		pin := r.Run(bm, "fdrt", cfgs["fdrt"])
-		nop := r.Run(bm, "fdrt-nopin", cfgs["fdrt-nopin"])
-		if !statsOK(pin, nop) {
-			continue
-		}
+	runRows(r, workload.Selected(), strategies("fdrt", "fdrt-nopin"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
 		res.Rows = append(res.Rows, BenchRow{bm.Name,
-			[]float64{pin.IntraClusterFrac(), nop.IntraClusterFrac()}})
-	}
+			[]float64{ss[0].IntraClusterFrac(), ss[1].IntraClusterFrac()}})
+	})
 	return res
 }
 
@@ -305,25 +260,15 @@ func Figure8(r *Runner) *Figure8Result {
 	res := &Figure8Result{Configs: map[string][]BenchRow{}}
 	for _, name := range []string{"ring", "hop1", "2x4"} {
 		base := fig8Variant(name)
-		cfgs := map[string]pipeline.Config{
-			name + "/base":     base,
-			name + "/fdrt":     base.WithStrategy(core.FDRT, false),
-			name + "/friendly": base.WithStrategy(core.Friendly, false),
-			name + "/issue":    base.WithStrategy(core.IssueTime, false),
+		cols := []column{
+			{name + "/base", base},
+			{name + "/fdrt", base.WithStrategy(core.FDRT, false)},
+			{name + "/friendly", base.WithStrategy(core.Friendly, false)},
+			{name + "/issue", base.WithStrategy(core.IssueTime, false)},
 		}
-		r.Prefetch(workload.Selected(), cfgs)
-		for _, bm := range workload.Selected() {
-			b := r.Run(bm, name+"/base", cfgs[name+"/base"])
-			fd := r.Run(bm, name+"/fdrt", cfgs[name+"/fdrt"])
-			fr := r.Run(bm, name+"/friendly", cfgs[name+"/friendly"])
-			is := r.Run(bm, name+"/issue", cfgs[name+"/issue"])
-			if !statsOK(b, fd, fr, is) {
-				continue
-			}
-			res.Configs[name] = append(res.Configs[name], BenchRow{bm.Name, []float64{
-				speedup(b, fd), speedup(b, fr), speedup(b, is),
-			}})
-		}
+		runRows(r, workload.Selected(), cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
+			res.Configs[name] = append(res.Configs[name], BenchRow{bm.Name, speedups(ss)})
+		})
 	}
 	return res
 }
@@ -359,8 +304,8 @@ type Figure9Result struct {
 
 // Figure9 runs the full suites.
 func Figure9(r *Runner) *Figure9Result {
-	cfgs := StrategyConfigs()
 	res := &Figure9Result{Suites: map[string][]float64{}, Rows: map[string][]BenchRow{}}
+	cols := strategies("base", "issue0", "issue4", "fdrt", "friendly")
 	// Fixed iteration order: suite order decides run submission and row
 	// grouping, so it must not depend on map iteration.
 	suites := []struct {
@@ -371,21 +316,10 @@ func Figure9(r *Runner) *Figure9Result {
 		{"MediaBench", workload.MediaBench()},
 	}
 	for _, suite := range suites {
-		name, bms := suite.name, suite.bms
-		r.Prefetch(bms, cfgs)
-		for _, bm := range bms {
-			b := r.Run(bm, "base", cfgs["base"])
-			i0 := r.Run(bm, "issue0", cfgs["issue0"])
-			i4 := r.Run(bm, "issue4", cfgs["issue4"])
-			fd := r.Run(bm, "fdrt", cfgs["fdrt"])
-			fr := r.Run(bm, "friendly", cfgs["friendly"])
-			if !statsOK(b, i0, i4, fd, fr) {
-				continue
-			}
-			res.Rows[name] = append(res.Rows[name], BenchRow{bm.Name, []float64{
-				speedup(b, i0), speedup(b, i4), speedup(b, fd), speedup(b, fr),
-			}})
-		}
+		name := suite.name
+		runRows(r, suite.bms, cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
+			res.Rows[name] = append(res.Rows[name], BenchRow{bm.Name, speedups(ss)})
+		})
 		res.Suites[name] = columnHM(res.Rows[name], 4)
 	}
 	return res

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -112,11 +113,12 @@ type Options struct {
 	CheckpointDir   string
 	CheckpointEvery uint64
 
-	// RunFn executes full-detail (monolithic) runs (nil =
-	// pipeline.RunProgramErr). Replacing it exists for tests and
-	// fault-injection drills — a service can stand in a failing or blocking
-	// simulation without touching the model — and is excluded from
-	// RunFingerprint, so production servers must leave it nil.
+	// RunFn executes full-detail (monolithic) runs. Nil, the production
+	// setting, resets the simulation slot's reused pipeline for each run
+	// (runOn). Replacing it exists for tests and fault-injection drills — a
+	// service can stand in a failing or blocking simulation without touching
+	// the model — and is excluded from RunFingerprint, so production servers
+	// must leave it nil.
 	RunFn func(prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error)
 
 	// Interrupt, when non-nil, requests cooperative cancellation: a run that
@@ -155,6 +157,7 @@ func (s RunnerStats) String() string {
 // shares the result. Exactly one simulation runs per fingerprint.
 type runEntry struct {
 	key   string        // "benchmark/label" of the leader's request
+	read  bool          // requested through Run/RunErr, not only Prefetch
 	done  chan struct{} // closed when stats/err/wall are final
 	stats *pipeline.Stats
 	err   error
@@ -180,7 +183,10 @@ type Runner struct {
 
 	started, completed, failed, deduped, cacheHits uint64
 
-	sem chan struct{}
+	// sem holds one pipeline per simulation slot: a run takes a pipeline
+	// to simulate and gives it back, so Parallelism pipelines serve every
+	// run, each Reset for its next configuration.
+	sem chan *pipeline.Pipeline
 }
 
 // NewRunner builds a Runner.
@@ -191,14 +197,15 @@ func NewRunner(opts Options) *Runner {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if opts.RunFn == nil {
-		opts.RunFn = pipeline.RunProgramErr
-	}
-	return &Runner{
+	r := &Runner{
 		opts:  opts,
 		cache: make(map[uint64]*runEntry),
-		sem:   make(chan struct{}, opts.Parallelism),
+		sem:   make(chan *pipeline.Pipeline, opts.Parallelism),
 	}
+	for i := 0; i < opts.Parallelism; i++ {
+		r.sem <- new(pipeline.Pipeline)
+	}
+	return r
 }
 
 // Budget returns the per-run instruction budget.
@@ -297,9 +304,18 @@ func (r *Runner) Run(bm workload.Benchmark, label string, cfg pipeline.Config) *
 // underlying simulation (singleflight), whatever their labels; later
 // callers get cache hits.
 func (r *Runner) RunErr(bm workload.Benchmark, label string, cfg pipeline.Config) (*pipeline.Stats, error) {
+	return r.request(bm, label, cfg, true)
+}
+
+// request is RunErr for both kinds of caller: read is false for Prefetch,
+// whose runs an artifact must still read back (Unread).
+func (r *Runner) request(bm workload.Benchmark, label string, cfg pipeline.Config, read bool) (*pipeline.Stats, error) {
 	fp := r.Fingerprint(bm, cfg)
 	r.mu.Lock()
 	if e, ok := r.cache[fp]; ok {
+		if read {
+			e.read = true
+		}
 		// Someone already owns this run: either it is finished (cache hit)
 		// or in flight (join it instead of simulating a duplicate).
 		select {
@@ -313,7 +329,7 @@ func (r *Runner) RunErr(bm workload.Benchmark, label string, cfg pipeline.Config
 		return e.stats, e.err
 	}
 	key := bm.Name + "/" + label
-	e := &runEntry{key: key, done: make(chan struct{})}
+	e := &runEntry{key: key, read: read, done: make(chan struct{})}
 	r.cache[fp] = e
 	r.started++
 	r.mu.Unlock()
@@ -358,8 +374,8 @@ func (r *Runner) simulate(key string, fp uint64, bm workload.Benchmark, label st
 		return nil, fmt.Errorf("experiment: sampled and checkpointed modes are mutually exclusive")
 	}
 	prog := bm.ProgramFor(r.opts.Budget)
-	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
+	p := <-r.sem
+	defer func() { r.sem <- p }()
 	if r.interrupted() {
 		// Shutdown arrived while this run waited for a simulation slot;
 		// returning before any model work lets a drain finish promptly.
@@ -367,13 +383,30 @@ func (r *Runner) simulate(key string, fp uint64, bm workload.Benchmark, label st
 	}
 	switch {
 	case r.opts.CheckpointDir != "":
-		return r.runCheckpointed(key, fp, bm, label, prog, cfg)
+		return r.runCheckpointed(key, fp, bm, label, p, prog, cfg)
 	case r.opts.SampleInterval != 0:
 		return r.runSampled(key, prog, cfg)
-	default:
-		cfg.MaxInsts = r.opts.Budget
+	}
+	cfg.MaxInsts = r.opts.Budget
+	if r.opts.RunFn != nil {
 		return r.opts.RunFn(prog, cfg)
 	}
+	return runOn(p, prog, cfg)
+}
+
+// runOn simulates prog under cfg on p, which Reset makes indistinguishable
+// from a new pipeline whatever its previous run, so the stats equal
+// pipeline.RunProgramErr's. As there, a panic inside the model comes back
+// as a *pipeline.SimError; the next Reset recovers p from the abandoned
+// run.
+func runOn(p *pipeline.Pipeline, prog *isa.Program, cfg pipeline.Config) (s *pipeline.Stats, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec), Stack: string(debug.Stack())}
+		}
+	}()
+	p.Reset(emu.New(prog), cfg)
+	return p.Run(), nil
 }
 
 // runSampled estimates the run with region-parallel sampled simulation.
@@ -413,7 +446,7 @@ func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) 
 // fingerprint inside, so one renamed or copied onto another run's name is
 // discarded on load and the run restarts from scratch, exactly as a
 // checkpoint that fails to decode (truncated write, version skew) is.
-func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, label string, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
+func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, label string, p *pipeline.Pipeline, prog *isa.Program, cfg pipeline.Config) (*pipeline.Stats, error) {
 	st, err := OpenStore(r.opts.CheckpointDir)
 	if err != nil {
 		return nil, err
@@ -426,10 +459,10 @@ func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, l
 	budget := r.opts.Budget
 	every := effectiveEvery(budget, r.opts.CheckpointEvery)
 	cfg.MaxInsts = 0 // the budget lives in the (snapshotable) LimitStream
-	newPipe := func() *pipeline.Pipeline {
-		return pipeline.New(&emu.LimitStream{S: emu.New(prog), Budget: budget}, cfg)
+	reset := func() {
+		p.Reset(&emu.LimitStream{S: emu.New(prog), Budget: budget}, cfg)
 	}
-	p := newPipe()
+	reset()
 	if rd, err := snap.ReadFile(ckptPath); err == nil {
 		rd.Begin("run")
 		rd.Expect("run fingerprint", fp)
@@ -439,7 +472,7 @@ func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, l
 		}
 		if rd.Err() != nil || rd.Close() != nil {
 			// Renamed or copied from another run, or unusable: restart clean.
-			p = newPipe()
+			reset()
 		}
 	}
 	for {
@@ -477,8 +510,9 @@ func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, l
 }
 
 // Prefetch runs the given benchmark/config pairs concurrently so later
-// cache hits are instant. Experiments call it with their full matrix. The
-// fan-out is a fixed worker pool (Options.Parallelism workers over a job
+// cache hits are instant. An artifact prefetches exactly the pairs it then
+// reads with Run (runRows); a prefetched run nobody reads shows in Unread.
+// The fan-out is a fixed worker pool (Options.Parallelism workers over a job
 // channel), not one goroutine per pair, so arbitrarily large matrices run
 // with bounded concurrency.
 func (r *Runner) Prefetch(bms []workload.Benchmark, cfgs map[string]pipeline.Config) {
@@ -502,7 +536,7 @@ func (r *Runner) Prefetch(bms []workload.Benchmark, cfgs map[string]pipeline.Con
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				r.RunErr(j.bm, j.label, j.cfg)
+				r.request(j.bm, j.label, j.cfg, false)
 			}
 		}()
 	}
@@ -537,21 +571,44 @@ func (r *Runner) Stats() RunnerStats {
 	}
 }
 
+// Unread returns, sorted, the "benchmark/label" keys of the finished runs
+// that only Prefetch requested: simulations whose results no caller of Run
+// or RunErr ever read.
+func (r *Runner) Unread() []string {
+	var keys []string
+	for _, e := range r.finished() {
+		if !e.read {
+			keys = append(keys, e.key)
+		}
+	}
+	return keys
+}
+
 // Errors returns the recorded failures, keyed by the "benchmark/label" that
 // started each failed run. In-flight runs are not included.
 func (r *Runner) Errors() map[string]error {
+	out := make(map[string]error)
+	for _, e := range r.finished() {
+		if e.err != nil {
+			out[e.key] = e.err
+		}
+	}
+	return out
+}
+
+// finished returns a copy of every settled run's entry, sorted by key.
+func (r *Runner) finished() []runEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]error)
-	for _, e := range r.cache { //ctcp:lint-ok maporder -- map-to-map copy; result is order-insensitive
+	var out []runEntry
+	for _, e := range r.cache { //ctcp:lint-ok maporder -- entries are collected and sorted before use
 		select {
 		case <-e.done:
-			if e.err != nil {
-				out[e.key] = e.err
-			}
+			out = append(out, *e)
 		default:
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
@@ -575,16 +632,34 @@ func (r *Runner) FailureSummary() string {
 	return b.String()
 }
 
-// statsOK reports whether every run in ss succeeded. Artifact builders use
-// it to drop a benchmark's row instead of rendering garbage when one of its
-// runs failed (the failure itself stays recorded in the Runner).
-func statsOK(ss ...*pipeline.Stats) bool {
-	for _, s := range ss {
-		if s == nil {
-			return false
+// column is one configuration an artifact reads, under its run label.
+type column struct {
+	label string
+	cfg   pipeline.Config
+}
+
+// runRows is how an artifact simulates: one list of columns decides both
+// what it prefetches and what it reads, so it simulates exactly the runs it
+// prints. It prefetches every benchmark × column pair, then calls row with
+// each benchmark's stats in column order. A benchmark with a failed run has
+// no row; the failure stays recorded in the Runner.
+func runRows(r *Runner, bms []workload.Benchmark, cols []column, row func(bm workload.Benchmark, ss []*pipeline.Stats)) {
+	cfgs := make(map[string]pipeline.Config, len(cols))
+	for _, c := range cols {
+		cfgs[c.label] = c.cfg
+	}
+	r.Prefetch(bms, cfgs)
+	for _, bm := range bms {
+		ss := make([]*pipeline.Stats, len(cols))
+		ok := true
+		for i, c := range cols {
+			ss[i] = r.Run(bm, c.label, c.cfg)
+			ok = ok && ss[i] != nil
+		}
+		if ok {
+			row(bm, ss)
 		}
 	}
-	return true
 }
 
 // --- shared configurations ---
@@ -605,6 +680,25 @@ func StrategyConfigs() map[string]pipeline.Config {
 		"issue0":       base.WithStrategy(core.IssueTime, true),
 		"issue4":       base.WithStrategy(core.IssueTime, false),
 	}
+}
+
+// strategies returns the named StrategyConfigs entries as columns, in order.
+func strategies(labels ...string) []column {
+	cfgs := StrategyConfigs()
+	cols := make([]column, len(labels))
+	for i, label := range labels {
+		cols[i] = column{label, cfgs[label]}
+	}
+	return cols
+}
+
+// speedups returns each run's speedup over the row's first run, its base.
+func speedups(ss []*pipeline.Stats) []float64 {
+	out := make([]float64, len(ss)-1)
+	for i, s := range ss[1:] {
+		out[i] = speedup(ss[0], s)
+	}
+	return out
 }
 
 // speedup returns baseCycles/cycles; it reports 0 (which HarmonicMean

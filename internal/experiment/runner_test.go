@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -336,5 +337,85 @@ func TestRunRealPathologicalConfigDegrades(t *testing.T) {
 	}
 	if r.FailureSummary() == "" {
 		t.Error("failure not surfaced in summary")
+	}
+}
+
+// TestEveryPrefetchedRunIsRead renders each artifact on its own runner at a
+// tiny budget. An artifact must read back every run it prefetches: a
+// simulation only Prefetch requested is one no table prints.
+func TestEveryPrefetchedRunIsRead(t *testing.T) {
+	for _, a := range []struct {
+		name string
+		run  func(*Runner)
+	}{
+		{"table1", func(r *Runner) { Table1(r) }},
+		{"fig4", func(r *Runner) { Figure4(r) }},
+		{"table2", func(r *Runner) { Table2(r) }},
+		{"fig5", func(r *Runner) { Figure5(r) }},
+		{"table3", func(r *Runner) { Table3(r) }},
+		{"fig6", func(r *Runner) { Figure6(r) }},
+		{"table8", func(r *Runner) { Table8(r) }},
+		{"fig7", func(r *Runner) { Figure7(r) }},
+		{"table9", func(r *Runner) { Table9(r) }},
+		{"table10", func(r *Runner) { Table10(r) }},
+		{"fig8", func(r *Runner) { Figure8(r) }},
+		{"ablation", func(r *Runner) { Ablation(r) }},
+		{"fig9", func(r *Runner) { Figure9(r) }},
+		{"sweep-tc", func(r *Runner) { SweepTraceCache(r) }},
+		{"sweep-rob", func(r *Runner) { SweepROB(r) }},
+		{"sweep-hop", func(r *Runner) { SweepHopLatency(r) }},
+	} {
+		r := NewRunner(Options{Budget: 2_000, Parallelism: 2})
+		a.run(r)
+		if unread := r.Unread(); len(unread) != 0 {
+			t.Errorf("%s: %d of %d simulations never read: %v", a.name, len(unread), r.Stats().Started, unread)
+		}
+	}
+}
+
+// TestSlotReuseIsExact runs a sequence that changes geometry between runs
+// on one simulation slot, so every run Resets the pipeline the previous
+// one left: cluster count and widths, ROB size up and down, and a rejected
+// configuration followed by a good run. Each result must equal a fresh
+// pipeline's, and the rejected run must come back as a *SimError.
+func TestSlotReuseIsExact(t *testing.T) {
+	const budget = 5_000
+	r := NewRunner(Options{Budget: budget, Parallelism: 1})
+	bad := BaseConfig()
+	bad.Geom.Clusters = 0
+	steps := []struct {
+		bench string
+		label string
+		cfg   pipeline.Config
+	}{
+		{"gzip", "2x4/base", fig8Variant("2x4")},
+		{"gzip", "base", BaseConfig()},
+		{"bzip2", "rob256", robConfig(256)},
+		{"bzip2", "rob128", robConfig(128)},
+		{"gzip", "bad", bad},
+		{"vpr", "fdrt", StrategyConfigs()["fdrt"]},
+	}
+	for _, st := range steps {
+		bm, _ := workload.ByName(st.bench)
+		got, err := r.RunErr(bm, st.label, st.cfg)
+		cfg := st.cfg
+		cfg.MaxInsts = budget
+		want, wantErr := pipeline.RunProgramErr(bm.ProgramFor(budget), cfg)
+		if wantErr != nil {
+			var se *pipeline.SimError
+			if got != nil || !errors.As(err, &se) {
+				t.Errorf("%s/%s: got %v, %v; want a *pipeline.SimError like a fresh pipeline's %v", st.bench, st.label, got, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s/%s: %v", st.bench, st.label, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s: reused slot's stats differ from a fresh pipeline's:\n got %+v\nwant %+v", st.bench, st.label, *got, *want)
+		}
+	}
+	if s := r.Stats(); s.Started != uint64(len(steps)) || s.Failed != 1 {
+		t.Errorf("runner stats = %+v, want %d simulated and 1 failed", s, len(steps))
 	}
 }

@@ -34,19 +34,15 @@ func sweep(r *Runner, param string, points []struct {
 		base := BaseConfig()
 		pt.mod(&base)
 		fdrt := base.WithStrategy(core.FDRT, false)
-		keyB := fmt.Sprintf("sweep/%s/%s/base", param, pt.label)
-		keyF := fmt.Sprintf("sweep/%s/%s/fdrt", param, pt.label)
-		r.Prefetch(workload.Selected(), map[string]pipeline.Config{keyB: base, keyF: fdrt})
-		var ipcs, speeds []float64
-		for _, bm := range workload.Selected() {
-			b := r.Run(bm, keyB, base)
-			f := r.Run(bm, keyF, fdrt)
-			if !statsOK(b, f) {
-				continue
-			}
-			ipcs = append(ipcs, b.IPC())
-			speeds = append(speeds, speedup(b, f))
+		cols := []column{
+			{fmt.Sprintf("sweep/%s/%s/base", param, pt.label), base},
+			{fmt.Sprintf("sweep/%s/%s/fdrt", param, pt.label), fdrt},
 		}
+		var ipcs, speeds []float64
+		runRows(r, workload.Selected(), cols, func(_ workload.Benchmark, ss []*pipeline.Stats) {
+			ipcs = append(ipcs, ss[0].IPC())
+			speeds = append(speeds, speedup(ss[0], ss[1]))
+		})
 		res.Points = append(res.Points, SweepPoint{
 			Label:       pt.label,
 			BaseIPC:     stats.Mean(ipcs),

@@ -21,16 +21,11 @@ type Table1Result struct {
 // Table1 measures %TC-instructions and mean trace size on the six selected
 // benchmarks under the baseline configuration.
 func Table1(r *Runner) *Table1Result {
-	base := BaseConfig()
 	res := &Table1Result{}
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{"base": base})
-	for _, bm := range workload.Selected() {
-		s := r.Run(bm, "base", base)
-		if !statsOK(s) {
-			continue
-		}
+	runRows(r, workload.Selected(), strategies("base"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		s := ss[0]
 		res.Rows = append(res.Rows, BenchRow{bm.Name, []float64{s.PctFromTC(), s.AvgTraceSize()}})
-	}
+	})
 	return res
 }
 
@@ -59,14 +54,9 @@ type Figure4Result struct {
 
 // Figure4 measures the critical-input source breakdown.
 func Figure4(r *Runner) *Figure4Result {
-	base := BaseConfig()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{"base": base})
 	res := &Figure4Result{}
-	for _, bm := range workload.Selected() {
-		s := r.Run(bm, "base", base)
-		if !statsOK(s) {
-			continue
-		}
+	runRows(r, workload.Selected(), strategies("base"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		s := ss[0]
 		// Guard the denominator while it is still an integer; comparing the
 		// float64 against zero exactly is a floateq trap.
 		n := s.WithInputs
@@ -79,7 +69,7 @@ func Figure4(r *Runner) *Figure4Result {
 			float64(s.CritFromRS1) / wi,
 			float64(s.CritFromRS2) / wi,
 		}})
-	}
+	})
 	return res
 }
 
@@ -110,20 +100,15 @@ type Table2Result struct {
 // Table2 measures the share of critical inputs satisfied by forwarding and,
 // of those, the share whose producer was in another trace.
 func Table2(r *Runner) *Table2Result {
-	base := BaseConfig()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{"base": base})
 	res := &Table2Result{Paper: map[string][2]float64{
 		"bzip2": {0.8563, 0.2969}, "eon": {0.8658, 0.3540}, "gzip": {0.8094, 0.2438},
 		"perlbmk": {0.8611, 0.2776}, "twolf": {0.7858, 0.2395}, "vpr": {0.8232, 0.2584},
 	}}
-	for _, bm := range workload.Selected() {
-		s := r.Run(bm, "base", base)
-		if !statsOK(s) {
-			continue
-		}
+	runRows(r, workload.Selected(), strategies("base"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		s := ss[0]
 		res.Rows = append(res.Rows, BenchRow{bm.Name,
 			[]float64{s.CritFwdFrac(), s.CritInterTraceFrac()}})
-	}
+	})
 	return res
 }
 
@@ -152,23 +137,18 @@ type Table3Result struct {
 
 // Table3 measures producer repeatability.
 func Table3(r *Runner) *Table3Result {
-	base := BaseConfig()
-	r.Prefetch(workload.Selected(), map[string]pipeline.Config{"base": base})
 	res := &Table3Result{Paper: map[string][4]float64{
 		"bzip2": {0.9745, 0.9766, 0.8930, 0.9117}, "eon": {0.9383, 0.8984, 0.8579, 0.7334},
 		"gzip": {0.9814, 0.9902, 0.9293, 0.9604}, "perlbmk": {0.9778, 0.9379, 0.9083, 0.7927},
 		"twolf": {0.9669, 0.9078, 0.8709, 0.7640}, "vpr": {0.9853, 0.9606, 0.9564, 0.9167},
 	}}
-	for _, bm := range workload.Selected() {
-		s := r.Run(bm, "base", base)
-		if !statsOK(s) {
-			continue
-		}
+	runRows(r, workload.Selected(), strategies("base"), func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		s := ss[0]
 		res.Rows = append(res.Rows, BenchRow{bm.Name, []float64{
 			s.RepeatRateRS1(), s.RepeatRateRS2(),
 			s.RepeatRateCritRS1Inter(), s.RepeatRateCritRS2Inter(),
 		}})
-	}
+	})
 	return res
 }
 
@@ -202,30 +182,18 @@ func Figure5(r *Runner) *Figure5Result {
 		mod(&cfg)
 		return cfg
 	}
-	cfgs := map[string]pipeline.Config{
-		"base":    base,
-		"noFwd":   mk(func(c *pipeline.Config) { c.ZeroAllFwdLat = true }),
-		"noCrit":  mk(func(c *pipeline.Config) { c.ZeroCritFwdLat = true }),
-		"noIntra": mk(func(c *pipeline.Config) { c.ZeroIntraTrace = true }),
-		"noInter": mk(func(c *pipeline.Config) { c.ZeroInterTrace = true }),
-		"noRF":    mk(func(c *pipeline.Config) { c.RFLat = 0 }),
+	cols := []column{
+		{"base", base},
+		{"noFwd", mk(func(c *pipeline.Config) { c.ZeroAllFwdLat = true })},
+		{"noCrit", mk(func(c *pipeline.Config) { c.ZeroCritFwdLat = true })},
+		{"noIntra", mk(func(c *pipeline.Config) { c.ZeroIntraTrace = true })},
+		{"noInter", mk(func(c *pipeline.Config) { c.ZeroInterTrace = true })},
+		{"noRF", mk(func(c *pipeline.Config) { c.RFLat = 0 })},
 	}
-	r.Prefetch(workload.Selected(), cfgs)
 	res := &Figure5Result{}
-	for _, bm := range workload.Selected() {
-		b := r.Run(bm, "base", cfgs["base"])
-		ok := statsOK(b)
-		var vals []float64
-		for _, key := range []string{"noFwd", "noCrit", "noIntra", "noInter", "noRF"} {
-			s := r.Run(bm, key, cfgs[key])
-			ok = ok && statsOK(s)
-			vals = append(vals, speedup(b, s))
-		}
-		if !ok {
-			continue
-		}
-		res.Rows = append(res.Rows, BenchRow{bm.Name, vals})
-	}
+	runRows(r, workload.Selected(), cols, func(bm workload.Benchmark, ss []*pipeline.Stats) {
+		res.Rows = append(res.Rows, BenchRow{bm.Name, speedups(ss)})
+	})
 	return res
 }
 

@@ -525,7 +525,6 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 	st.profile[idx] = prof
 	st.prod[idx] = [2]infID{}
 	st.resultAt[idx] = unknown
-	st.doneAt[idx] = unknown
 	if p.cfg.Strategy.SteersAtIssue() {
 		st.cluster[idx] = -1
 	}
@@ -614,7 +613,7 @@ func (p *Pipeline) clearRedirect() {
 		return
 	}
 	idx := p.st.index(p.pendingRedirect)
-	if p.st.flags[idx]&fIssued != 0 && p.st.doneAt[idx] <= p.now {
+	if p.st.flags[idx]&fIssued != 0 && p.st.resultAt[idx] <= p.now {
 		p.pendingRedirect = noID
 		if next := p.now + 1; next > p.nextFetch {
 			p.nextFetch = next
@@ -1189,15 +1188,12 @@ func (p *Pipeline) doIssue(idx uint32, c int, fu cluster.FUKind) {
 			start := p.portTime(barrier)
 			st.resultAt[idx] = p.mem.Access(start, st.rec[idx].EA)
 		}
-		st.doneAt[idx] = st.resultAt[idx]
 	case st.flags[idx]&fIsStore != 0:
 		p.S.Stores++
 		st.resultAt[idx] = p.now + int64(lat.Exec)
-		st.doneAt[idx] = st.resultAt[idx]
 		p.storeIssued(st.barrier[idx])
 	default:
 		st.resultAt[idx] = p.now + int64(lat.Exec)
-		st.doneAt[idx] = st.resultAt[idx]
 	}
 	p.wakeWaiters(idx)
 }
@@ -1325,7 +1321,7 @@ func (p *Pipeline) retire() {
 	budget := p.cfg.RetireWidth
 	for budget > 0 && p.robLen > 0 {
 		idx := p.robHead
-		if st.flags[idx]&fIssued == 0 || st.doneAt[idx] > p.now {
+		if st.flags[idx]&fIssued == 0 || st.resultAt[idx] > p.now {
 			break
 		}
 		if st.flags[idx]&fIsStore != 0 {

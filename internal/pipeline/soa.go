@@ -75,7 +75,6 @@ type infStore struct {
 	class    []isa.Class // cached rec.Inst.Op.Class(); read per issue-scan hit
 	cluster  []int32
 	resultAt []int64
-	doneAt   []int64
 	readyAt  []int64 // final ready cycle once fResolved
 
 	// Wakeup bookkeeping.
@@ -145,10 +144,12 @@ func (s *infStore) stale(id infID) {
 // laps the slot. The discipline, field by field:
 //
 //   - rec, class, dest, src, ctrl, cluster, group, profile, resultAt,
-//     doneAt, renameReady, flags, prod: fully assigned in newInflight
-//     (flags as one whole-word store, never |= on a reused slot; prod as
-//     [noID, noID], which rename then fills in for in-flight producers
-//     only).
+//     renameReady, flags, prod: fully assigned in newInflight (flags as
+//     one whole-word store, never |= on a reused slot; prod as [noID,
+//     noID], which rename then fills in for in-flight producers only;
+//     resultAt as unknown, which issue replaces with the cycle the result
+//     is ready, and that cycle is also when retire and clearRedirect
+//     count the instruction complete).
 //   - rfReady, dispatchReady, prevStore: fully assigned at rename.
 //   - barrier: assigned at rename for loads and stores, and only ever read
 //     under fIsLoad/fIsStore.
@@ -190,7 +191,6 @@ func (s *infStore) size(n int) {
 		class:         make([]isa.Class, n),
 		cluster:       make([]int32, n),
 		resultAt:      make([]int64, n),
-		doneAt:        make([]int64, n),
 		readyAt:       make([]int64, n),
 		waitCount:     make([]int32, n),
 		rsSlot:        make([]int32, n),
