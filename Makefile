@@ -62,8 +62,10 @@ results:
 # (TestServeRefusesQueueJournal), failed-fingerprint retry, FIFO dispatch
 # order within and across restarts (TestServeFIFODispatch,
 # TestServeFIFOAcrossRestarts), the progress event stream, job retention,
-# stale-fingerprint resimulation, backpressure, the shutdown drain, and a
-# ctcpbench -resume directory served as the store.
+# stale-fingerprint resimulation, backpressure, the shutdown drain, a
+# ctcpbench -resume directory served as the store, and the
+# ctcpd_sim_counter_total family of summed pipeline.Stats counters
+# (TestServeSimCounterFamily).
 serve-check:
 	$(GO) test -race -count=1 ./internal/serve/
 

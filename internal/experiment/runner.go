@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -361,15 +360,11 @@ func (r *Runner) request(bm workload.Benchmark, label string, cfg pipeline.Confi
 
 // simulate executes one run, holding a semaphore slot only around the
 // cycle-level model: program generation is memoized and cheap, so it must
-// not occupy a simulation slot.
+// not occupy a simulation slot. A panic anywhere in the run, in the model
+// or in a RunFn hook, comes back as a *pipeline.SimError; the slot's next
+// Reset recovers its pipeline from the abandoned run.
 func (r *Runner) simulate(key string, fp uint64, bm workload.Benchmark, label string, cfg pipeline.Config) (s *pipeline.Stats, err error) {
-	defer func() {
-		// Safety net for panics escaping RunFn itself (RunProgramErr already
-		// recovers model panics; this catches hooked or future run paths).
-		if rec := recover(); rec != nil {
-			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec)}
-		}
-	}()
+	defer pipeline.Recover(&err)
 	if r.opts.CheckpointDir != "" && r.opts.SampleInterval != 0 {
 		return nil, fmt.Errorf("experiment: sampled and checkpointed modes are mutually exclusive")
 	}
@@ -391,20 +386,7 @@ func (r *Runner) simulate(key string, fp uint64, bm workload.Benchmark, label st
 	if r.opts.RunFn != nil {
 		return r.opts.RunFn(prog, cfg)
 	}
-	return runOn(p, prog, cfg)
-}
-
-// runOn simulates prog under cfg on p, which Reset makes indistinguishable
-// from a new pipeline whatever its previous run, so the stats equal
-// pipeline.RunProgramErr's. As there, a panic inside the model comes back
-// as a *pipeline.SimError; the next Reset recovers p from the abandoned
-// run.
-func runOn(p *pipeline.Pipeline, prog *isa.Program, cfg pipeline.Config) (s *pipeline.Stats, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec), Stack: string(debug.Stack())}
-		}
-	}()
+	// Reset leaves p as New builds it, so the stats equal RunProgramErr's.
 	p.Reset(emu.New(prog), cfg)
 	return p.Run(), nil
 }

@@ -139,6 +139,24 @@ func TestRunIdentityIsFingerprint(t *testing.T) {
 	}
 }
 
+// TestRunFnPanicKeepsStack: a panic escaping a RunFn hook comes back as a
+// *pipeline.SimError carrying the stack of the panicking goroutine, like a
+// panic inside the model does.
+func TestRunFnPanicKeepsStack(t *testing.T) {
+	r := hookRunner(Options{}, func(pipeline.Config) (*pipeline.Stats, error) {
+		panic("injected: hook fault")
+	})
+	bm, _ := workload.ByName("gzip")
+	_, err := r.RunErr(bm, "base", BaseConfig())
+	var se *pipeline.SimError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v (%T), want *pipeline.SimError", err, err)
+	}
+	if !strings.Contains(se.Stack, "TestRunFnPanicKeepsStack") {
+		t.Errorf("SimError.Stack does not reach the panicking hook:\n%s", se.Stack)
+	}
+}
+
 // TestRunErrRecordsFailureWithoutPoisoning injects a panicking config and
 // checks it yields a SimError for its own key while other keys keep working.
 func TestRunErrRecordsFailureWithoutPoisoning(t *testing.T) {

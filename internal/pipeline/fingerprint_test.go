@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -64,11 +65,16 @@ func TestFingerprintPinsModelRevision(t *testing.T) {
 	if got := c.Fingerprint(); got != want {
 		t.Errorf("DefaultConfig fingerprint %#016x, pinned %#016x (model revision %d)", got, want, modelRevision)
 	}
-	unrevised := fnvOffset
-	fingerprintValue(&unrevised, "Config", reflect.ValueOf(c))
-	if unrevised == c.Fingerprint() {
+	if hashStruct(struct{ Config Config }{c}) == c.Fingerprint() {
 		t.Error("the fingerprint ignores modelRevision")
 	}
+}
+
+// hashStruct is hashFields' hash of the struct v.
+func hashStruct(v any) uint64 {
+	h := fnv.New64a()
+	hashFields(h, reflect.ValueOf(v))
+	return h.Sum64()
 }
 
 // TestFingerprintIgnoresZeroFields: a field holding its zero value hashes
@@ -88,18 +94,13 @@ func TestFingerprintIgnoresZeroFields(t *testing.T) {
 			Scale float64
 		}
 	}
-	hash := func(v any) uint64 {
-		h := fnvOffset
-		fingerprintValue(&h, "Config", reflect.ValueOf(v))
-		return h
-	}
-	old := hash(before{Lat: 3, Name: "L1"})
+	old := hashStruct(before{Lat: 3, Name: "L1"})
 	grown := after{Lat: 3, Name: "L1"}
-	if got := hash(grown); got != old {
+	if got := hashStruct(grown); got != old {
 		t.Errorf("a zero-valued new field moved the fingerprint: %#016x vs %#016x", got, old)
 	}
 	grown.Extra.On = true
-	if hash(grown) == old {
+	if hashStruct(grown) == old {
 		t.Error("setting the new field left the fingerprint unchanged")
 	}
 }

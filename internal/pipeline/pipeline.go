@@ -76,7 +76,6 @@ type Pipeline struct {
 	renameMap  [isa.NumRegs]infID
 	lastStore  infID
 	loadsInROB int
-	renamed    uint64 // total instructions renamed; nothing reads it, but Snapshot writes it
 
 	// Store-disambiguation watermark: stores take a sequence number at
 	// rename; storeWatermark is the lowest seq not yet known-issued, so
@@ -249,7 +248,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.renameMap = [isa.NumRegs]infID{}
 	p.lastStore = noID
 	p.loadsInROB = 0
-	p.renamed = 0
 
 	// The watermark ring must cover every live store seq: outstanding
 	// (renamed, unissued) stores are bounded by ROB occupancy.
@@ -683,7 +681,6 @@ func (p *Pipeline) rename() {
 		}
 		p.fqLen-- // the fetch queue's front becomes the ROB's tail
 		p.robLen++
-		p.renamed++
 		if p.cfg.Strategy.SteersAtIssue() {
 			p.steerQ.push(id)
 		} else {

@@ -111,7 +111,7 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	w.U64(p.groupSeq)
 	w.U64(p.consumed)
 	w.U64(p.fetchLimit)
-	w.U64(p.renamed)
+	w.U64(p.S.Retired) // the renamed count's slot; Restore checks they agree
 	w.Bool(p.streamDone)
 
 	w.I64Slice(p.sbDrain)
@@ -190,7 +190,7 @@ func (p *Pipeline) Restore(r *snap.Reader) {
 	p.groupSeq = r.U64()
 	p.consumed = r.U64()
 	p.fetchLimit = r.U64()
-	p.renamed = r.U64()
+	renamed := r.U64()
 	p.streamDone = r.Bool()
 
 	p.sbDrain = r.I64Slice()
@@ -216,6 +216,9 @@ func (p *Pipeline) Restore(r *snap.Reader) {
 	p.ports.restore(r)
 	restorePCHist(r, &p.pcHist)
 	restoreStats(r, &p.S)
+	if r.Err() == nil && renamed != p.S.Retired {
+		r.Failf("pipeline snapshot renamed %d instructions but retired %d at a drained boundary", renamed, p.S.Retired)
+	}
 
 	p.havePeek = false
 	p.peekedRec = emu.Committed{}

@@ -8,10 +8,13 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ctcp/internal/core"
@@ -336,5 +339,35 @@ func TestSnapshotReencodesPooledFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("re-snapshot of pooled_v0.ckpt differs: %d bytes, fixture %d", len(got), len(data))
+	}
+}
+
+// TestRestoreRefusesRenamedMismatch: the pipeline section's renamed-count
+// slot, written as Stats.Retired since the counter itself was deleted,
+// must agree with the restored Retired. A checkpoint whose slot disagrees,
+// its checksum recomputed so only the check can catch it, is refused.
+func TestRestoreRefusesRenamedMismatch(t *testing.T) {
+	_, _, data := restorePooledFixture(t)
+	// Magic and version (10 bytes), the section marker, name length and
+	// "pipeline" (11), the payload length (4), then 13 words before the slot.
+	const payload, slot = 25, 25 + 13*8
+	data = bytes.Clone(data)
+	if got := binary.LittleEndian.Uint64(data[slot:]); got != 6000 {
+		t.Fatalf("renamed slot holds %d, want the fixture's 6000 retired", got)
+	}
+	binary.LittleEndian.PutUint64(data[slot:], 6001)
+	h := fnv.New64a()
+	h.Write(data[payload : len(data)-8])
+	binary.LittleEndian.PutUint64(data[len(data)-8:], h.Sum64())
+
+	bm, _ := workload.ByName("mcf")
+	p := New(&emu.LimitStream{S: emu.New(bm.ProgramFor(12_000)), Budget: 12_000}, DefaultConfig().WithStrategy(core.FDRT, false))
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Restore(r)
+	if err := r.Close(); err == nil || !strings.Contains(err.Error(), "renamed 6001") {
+		t.Fatalf("restoring a checkpoint whose renamed slot disagrees with Retired: err %v, want a refusal", err)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Stats aggregates everything the paper's tables and figures report. It is
-// integer counters only: snap.Counters checkpoints it and snap.AddCounters
-// sums it, both by walking the fields.
+// integer counters only: snap.Counters checkpoints it, snap.AddCounters sums
+// it and ctcpd's /metrics exports it, all through snap.Walk.
 type Stats struct {
 	Cycles  int64
 	Retired uint64

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -269,16 +268,11 @@ type worker struct {
 // runRegion restores one architectural checkpoint into the worker's
 // emulator and simulates up to detail instructions on a cold cycle model,
 // optionally excluding a warmup prefix from the measurement. A panic in the
-// model (the no-progress watchdog, a *core.InvariantError) becomes the
-// region's *pipeline.SimError, as RunProgramErr does for a whole run: it
-// would otherwise kill the process from a worker goroutine, where no
-// caller's recover reaches. The next Reset clears the abandoned pipeline.
+// model becomes the region's *pipeline.SimError: from a worker goroutine,
+// where no caller's recover reaches, it would kill the process. The next
+// Reset clears the abandoned pipeline.
 func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detail, warm uint64) (reg Region, s *pipeline.Stats, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s, err = nil, &pipeline.SimError{Reason: fmt.Sprint(rec), Stack: string(debug.Stack())}
-		}
-	}()
+	defer pipeline.Recover(&err)
 	reg = Region{StartInst: start, SpanInsts: span}
 	r, err := snap.NewReader(ckpt)
 	if err != nil {

@@ -3,7 +3,11 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
+
+	"ctcp/internal/pipeline"
+	"ctcp/internal/snap"
 )
 
 // latencyBounds are the histogram bucket upper bounds (seconds) shared by
@@ -51,6 +55,7 @@ type metricsSnapshot struct {
 	queueHist, simHist                                             histogram
 	storeRecords                                                   int
 	storeHitsDisk, storeMisses, storePuts                          uint64
+	simTotal                                                       pipeline.Stats
 }
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
@@ -69,6 +74,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		queueCap:     s.cfg.QueueDepth,
 		queueHist:    s.queueHist.snapshot(),
 		simHist:      s.simHist.snapshot(),
+		simTotal:     s.simTotal,
 	}
 	s.mu.Unlock()
 	m.storeRecords = s.store.Len()
@@ -117,6 +123,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ctcpd_store_reads_hit_total", "Store reads that returned a valid record.", m.storeHitsDisk)
 	counter("ctcpd_store_reads_miss_total", "Store reads that found no valid record.", m.storeMisses)
 	counter("ctcpd_store_writes_total", "Records the service persisted to the store (checkpointed runs write their own).", m.storePuts)
+	b.WriteString("# HELP ctcpd_sim_counter_total Each pipeline.Stats counter, by dotted field path, summed over the runner's completed simulations.\n# TYPE ctcpd_sim_counter_total counter\n")
+	snap.Walk(reflect.ValueOf(&m.simTotal).Elem(), func(f snap.Field) {
+		fmt.Fprintf(&b, "ctcpd_sim_counter_total{counter=\"%s\"} %v\n", f.Path(), f.Value)
+	})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := w.Write([]byte(b.String())); err != nil {
 		s.logf("metrics: client hung up mid-scrape: %v", err)

@@ -184,6 +184,7 @@ type Server struct {
 	submitted, completed, failed, interrupted, rejected, storeHits uint64
 	runStarted, runCompleted, runFailed                            uint64 // simulations, counted by runJob
 	queueHist, simHist                                             histogram
+	simTotal                                                       pipeline.Stats // summed over the runCompleted simulations
 }
 
 // New builds a Server, opens (or creates) its result store, replays the
@@ -593,6 +594,7 @@ func (s *Server) runJob(j *Job) {
 		j.stats = stats
 		s.completed++
 		s.runCompleted++
+		snap.AddCounters(&s.simTotal, stats)
 		s.logf("job %s: done in %v", j.ID, wall.Round(time.Millisecond))
 	case wasInterrupted:
 		j.status = StatusInterrupted

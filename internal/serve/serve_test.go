@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"ctcp/internal/experiment"
 	"ctcp/internal/isa"
 	"ctcp/internal/pipeline"
+	"ctcp/internal/snap"
 	"ctcp/internal/workload"
 )
 
@@ -338,7 +340,7 @@ func TestServeMetricsSeries(t *testing.T) {
 		"ctcpd_queue_latency_seconds", "ctcpd_sim_latency_seconds",
 		"ctcpd_runner_started_total", "ctcpd_runner_completed_total", "ctcpd_runner_failed_total",
 		"ctcpd_store_records", "ctcpd_store_reads_hit_total", "ctcpd_store_reads_miss_total",
-		"ctcpd_store_writes_total",
+		"ctcpd_store_writes_total", "ctcpd_sim_counter_total",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("/metrics series:\n got %v\nwant %v", got, want)
@@ -357,6 +359,77 @@ func TestServeMetricsSeries(t *testing.T) {
 		if got := metricValue(t, hs.URL, m.name); got != m.want {
 			t.Errorf("%s = %v, want %v", m.name, got, m.want)
 		}
+	}
+}
+
+// simCounters returns the ctcpd_sim_counter_total series of /metrics by
+// counter path.
+func simCounters(t *testing.T, base string) map[string]uint64 {
+	t.Helper()
+	series := map[string]uint64{}
+	for _, line := range strings.Split(metricsBody(t, base), "\n") {
+		rest, ok := strings.CutPrefix(line, `ctcpd_sim_counter_total{counter="`)
+		if !ok {
+			continue
+		}
+		path, val, ok := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseUint(val, 10, 64)
+		if !ok || err != nil {
+			t.Fatalf("malformed series %q", line)
+		}
+		series[path] = v
+	}
+	return series
+}
+
+// TestServeSimCounterFamily: /metrics carries one ctcpd_sim_counter_total
+// series per pipeline.Stats leaf, summed over completed simulations, and a
+// resubmission answered from the result store adds nothing.
+func TestServeSimCounterFamily(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, RetainJobs: 1})
+	run := func(cfg string) jobView {
+		v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: cfg, Budget: testBudget})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", cfg, code)
+		}
+		if v = waitJob(t, hs.URL, v.ID); v.Status != StatusDone || v.Stats == nil {
+			t.Fatalf("job %s: status %q error %q", cfg, v.Status, v.Error)
+		}
+		return v
+	}
+	fdrt := run("fdrt")
+	got := simCounters(t, hs.URL)
+	leaves := 0
+	snap.Walk(reflect.ValueOf(pipeline.Stats{}), func(snap.Field) { leaves++ })
+	if len(got) != leaves {
+		t.Errorf("%d ctcpd_sim_counter_total series, want one per pipeline.Stats leaf (%d)", len(got), leaves)
+	}
+	if fdrt.Stats.Fill.OptionA == 0 || fdrt.Stats.BP.CondBranches == 0 {
+		t.Fatalf("FDRT job counted no option-A placements or branches: %+v", fdrt.Stats)
+	}
+	for path, want := range map[string]uint64{
+		"FwdInputs":       fdrt.Stats.FwdInputs,
+		"Fill.OptionA":    fdrt.Stats.Fill.OptionA,
+		"BP.CondBranches": fdrt.Stats.BP.CondBranches,
+	} {
+		if got[path] != want {
+			t.Errorf("counter %q = %d, want the job's %d", path, got[path], want)
+		}
+	}
+
+	// With one job retained, the second evicts the first from the dedup
+	// index, so resubmitting the first is answered from the store.
+	base := run("base")
+	before := simCounters(t, hs.URL)
+	if want := fdrt.Stats.Retired + base.Stats.Retired; before["Retired"] != want {
+		t.Errorf("Retired = %d, want the two jobs' %d", before["Retired"], want)
+	}
+	v, code := submit[jobView](t, hs.URL, Request{Benchmark: "gzip", Config: "fdrt", Budget: testBudget})
+	if code != http.StatusOK || !v.Cached {
+		t.Fatalf("resubmission: status %d cached=%v, want 200 from the store", code, v.Cached)
+	}
+	if after := simCounters(t, hs.URL); !reflect.DeepEqual(after, before) {
+		t.Errorf("a store hit moved the counters:\n before %v\n after  %v", before, after)
 	}
 }
 

@@ -5,25 +5,97 @@ import (
 	"reflect"
 )
 
-// Counters appends every counter of the stats struct v points to, in field
-// declaration order. int and int64 fields are written as I64, uint and
-// uint64 fields as U64, so the bytes are exactly those of the equivalent
-// hand-written sequence of U64/I64 calls; adding, removing or reordering a
-// field changes the encoding as editing that sequence would. Nested structs
-// recurse; fields tagged `snap:"-"` are skipped (a component whose own
-// section already serializes that sub-struct). Any other field kind panics
-// naming Type.Field: a stats struct is counters only, and a field that is
-// not one is a programming error the first snapshot must surface.
-//
-// Counters is for stats records, encoded once per section. Leaf records
-// encoded once per slot (instructions, committed records, trace slots)
-// stay hand-coded, where a reflective walk is measurably slower.
-func (w *Writer) Counters(v any) {
-	walkCounters(reflect.ValueOf(v).Elem(), reflect.Value{}, false, func(f, _ reflect.Value) {
-		if f.CanInt() {
-			w.I64(f.Int())
+// Field is one leaf Walk visits: a field that is not itself a struct. It
+// carries the field's index path, not its name, so a visit costs no
+// allocation; AppendPath, Path and Name build names only when asked.
+type Field struct {
+	Value  reflect.Value // settable when the walked struct was reached through a pointer
+	Tagged bool          // the field, or a struct field enclosing it, is tagged `snap:"-"`
+
+	root, parent reflect.Type // the walked struct and the one declaring the field
+	depth        int
+	index        [8]uint16 // field indices from root; deeper nesting panics
+}
+
+// Walk calls visit on each non-struct field of the struct v, in declaration
+// order, recursing into nested structs. It is the module's one reflective
+// walk over struct fields and applies no policy to a field's kind: each
+// visitor decides which kinds it accepts.
+func Walk(v reflect.Value, visit func(Field)) {
+	walk(v, &Field{root: v.Type()}, 0, false, visit)
+}
+
+func walk(v reflect.Value, f *Field, d int, tagged bool, visit func(Field)) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f.index[d], f.depth, f.parent = uint16(i), d+1, t
+		f.Tagged = tagged || t.Field(i).Tag.Get("snap") == "-"
+		if f.Value = v.Field(i); f.Value.Kind() == reflect.Struct {
+			walk(f.Value, f, d+1, f.Tagged, visit)
 		} else {
-			w.U64(f.Uint())
+			visit(*f)
+		}
+	}
+}
+
+// AppendPath appends the field's dotted path from the walked struct, such
+// as "Fill.OptionA", to b.
+func (f Field) AppendPath(b []byte) []byte {
+	t := f.root
+	for n, i := range f.index[:f.depth] {
+		if n > 0 {
+			b = append(b, '.')
+		}
+		sf := t.Field(int(i))
+		b, t = append(b, sf.Name...), sf.Type
+	}
+	return b
+}
+
+// Path returns the field's dotted path from the walked struct.
+func (f Field) Path() string { return string(f.AppendPath(nil)) }
+
+// Name returns the field as Type.Field, such as "FillStats.OptionA".
+func (f Field) Name() string {
+	return f.parent.Name() + "." + f.parent.Field(int(f.index[f.depth-1])).Name
+}
+
+// In returns the same field of w, a struct of the walked struct's type.
+func (f Field) In(w reflect.Value) reflect.Value {
+	for _, i := range f.index[:f.depth] {
+		w = w.Field(int(i))
+	}
+	return w
+}
+
+// signed reports whether the counter f is an int or int64 rather than a
+// uint or uint64. Any other kind panics naming Type.Field: a stats struct is
+// counters only, so any other field is a bug the first use must surface.
+func signed(f Field) bool {
+	switch f.Value.Kind() {
+	case reflect.Int, reflect.Int64:
+		return true
+	case reflect.Uint, reflect.Uint64:
+		return false
+	}
+	panic(fmt.Sprintf("snap: field %s has kind %s, not an integer counter", f.Name(), f.Value.Kind()))
+}
+
+// Counters appends every counter of the stats struct v points to, in field
+// declaration order: int and int64 fields as I64, uint and uint64 fields as
+// U64, so the bytes are those of the equivalent hand-written sequence of
+// calls, and nested structs inline. Fields tagged `snap:"-"` are skipped (a
+// component's own section serializes that sub-struct); any other kind
+// panics naming Type.Field. Leaf records encoded once per slot stay
+// hand-coded (DESIGN §10).
+func (w *Writer) Counters(v any) {
+	Walk(reflect.ValueOf(v).Elem(), func(f Field) {
+		switch {
+		case f.Tagged:
+		case signed(f):
+			w.I64(f.Value.Int())
+		default:
+			w.U64(f.Value.Uint())
 		}
 	})
 }
@@ -32,58 +104,31 @@ func (w *Writer) Counters(v any) {
 // v points to. After an error every counter read is zero, like every other
 // getter.
 func (r *Reader) Counters(v any) {
-	walkCounters(reflect.ValueOf(v).Elem(), reflect.Value{}, false, func(f, _ reflect.Value) {
-		if f.CanInt() {
-			f.SetInt(r.I64())
-		} else {
-			f.SetUint(r.U64())
+	Walk(reflect.ValueOf(v).Elem(), func(f Field) {
+		switch {
+		case f.Tagged:
+		case signed(f):
+			f.Value.SetInt(r.I64())
+		default:
+			f.Value.SetUint(r.U64())
 		}
 	})
 }
 
 // AddCounters adds every counter of the stats struct src points to into
-// the same counter of dst, which must point to a struct of the same type.
-// It visits the fields Counters does and, unlike Counters, the sub-structs
-// tagged `snap:"-"` too: the tag moves a sub-struct's encoding into its
-// owner's section, but a merged total still sums it. Any field that is not
-// an integer counter panics, as in Counters.
+// the same counter of dst, a struct of the same type. Unlike Counters it
+// sums the sub-structs tagged `snap:"-"` too: the tag moves an encoding
+// into its owner's section, but a merged total still needs it.
 func AddCounters(dst, src any) {
 	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
 	if d.Type() != s.Type() {
 		panic(fmt.Sprintf("snap: AddCounters: adding a %s into a %s", s.Type(), d.Type()))
 	}
-	walkCounters(d, s, true, func(d, s reflect.Value) {
-		if d.CanInt() {
-			d.SetInt(d.Int() + s.Int())
+	Walk(d, func(f Field) {
+		if signed(f) {
+			f.Value.SetInt(f.Value.Int() + f.In(s).Int())
 		} else {
-			d.SetUint(d.Uint() + s.Uint())
+			f.Value.SetUint(f.Value.Uint() + f.In(s).Uint())
 		}
 	})
-}
-
-// walkCounters calls visit on each counter field of the struct v, in
-// declaration order, recursing into nested structs, together with the same
-// field of the struct w when w is valid (of v's type). Fields tagged
-// `snap:"-"` are skipped unless tagged is set. Any field that is neither an
-// integer counter (int, int64, uint, uint64) nor a struct panics.
-func walkCounters(v, w reflect.Value, tagged bool, visit func(f, g reflect.Value)) {
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if !tagged && sf.Tag.Get("snap") == "-" {
-			continue
-		}
-		var g reflect.Value
-		if w.IsValid() {
-			g = w.Field(i)
-		}
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64:
-			visit(f, g)
-		case reflect.Struct:
-			walkCounters(f, g, tagged, visit)
-		default:
-			panic(fmt.Sprintf("snap: field %s.%s has kind %s, not an integer counter", t.Name(), sf.Name, f.Kind()))
-		}
-	}
 }
