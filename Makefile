@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt vet lint test race bench results serve-check conformance fuzz-smoke
+.PHONY: check build fmt vet lint test race bench results pgo serve-check conformance fuzz-smoke
 
 # check is the CI gate: compile everything, require gofmt-clean sources, vet,
 # run the module's own static analysis suite (cmd/ctcplint), then the full
@@ -49,9 +49,32 @@ race:
 # them). The simulator is deterministic, so on an unchanged tree every number must
 # reproduce exactly (only the wall-clock "[... regenerated in ...]" lines
 # vary); a numeric diff after a model change is the change's measured effect
-# on the paper-style results and belongs in the same commit.
+# on the paper-style results and belongs in the same commit. The output goes
+# to a temporary file that replaces results_full.txt only when ctcpbench
+# exits 0, so a failed build or run leaves the checked-in file as it was.
+# `go run` builds ctcpbench with Go's default -pgo=auto, which picks up
+# cmd/ctcpbench/default.pgo: this is the profile-guided build.
 results:
-	$(GO) run ./cmd/ctcpbench -insts 200000 > results_full.txt
+	@if $(GO) run ./cmd/ctcpbench -insts 200000 > results_full.txt.tmp; \
+	then mv results_full.txt.tmp results_full.txt; \
+	else rm -f results_full.txt.tmp; exit 1; fi
+
+# pgo regenerates cmd/ctcpbench/default.pgo, the CPU profile every build of
+# ctcpbench (go run, go build, make results, cmd/ctcpperf/run.sh) is
+# optimized with: three profiled runs of make results' command at the two
+# workers CI's results-drift job and ctcpperf's artifacts workload use
+# (-par 2), merged. PGO matches code by function and line, so a profile
+# taken before hot code changed still builds but loses the gain. Regenerate
+# it last in a change that touches the simulator, from the final tree, and
+# commit it with the change. ctcpsim and ctcpd have no profile and build
+# plain.
+pgo:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for i in 1 2 3; do \
+		$(GO) run ./cmd/ctcpbench -insts 200000 -par 2 -cpuprofile $$tmp/cpu$$i.pprof > /dev/null || exit 1; \
+	done && \
+	$(GO) tool pprof -proto $$tmp/cpu1.pprof $$tmp/cpu2.pprof $$tmp/cpu3.pprof > $$tmp/default.pgo && \
+	mv $$tmp/default.pgo cmd/ctcpbench/default.pgo
 
 # serve-check runs the ctcpd service suite under the race detector: the
 # exactly-once dedup guarantee (asserted from the outside via /metrics),
@@ -89,7 +112,10 @@ fuzz-smoke:
 
 # bench runs the emulator, fill-unit (BenchmarkAssign, ns/trace) and
 # cycle-model benchmarks, then the repository's benchmark (cmd/ctcpperf, see
-# its README) on the all-kernels FDRT workload.
+# its README) on the all-kernels FDRT workload. Both are plain builds: the
+# test binaries of `go test -bench` and ctcpperf's in-process workloads are
+# not ctcpbench, so default.pgo does not apply to them (only the artifacts
+# workload runs the profile-guided ctcpbench).
 bench:
 	$(GO) test ./internal/emu ./internal/core ./internal/pipeline -run='^$$' -bench=. -benchmem -benchtime=1s
 	bash cmd/ctcpperf/run.sh --workload kernels-fdrt --seed 1 --seconds 14 --trace 0

@@ -3,7 +3,7 @@ package pipeline
 // Allocation-free hot-path substrate. The cycle loop used to allocate on
 // every instruction (fresh inflight records, filtered-append queue drains,
 // map-based producer/port bookkeeping, per-cycle scratch slices). The
-// in-flight store is a fixed ring sized once per geometry (soa.go), and the
+// in-flight store is a fixed ring sized once per geometry (ring.go), and the
 // types here replace the rest with in-place deques and dense epoch-checked
 // arrays, so steady-state simulation performs no heap allocation at all. Correctness against the original model is pinned by
 // the differential, determinism, and golden-stats tests.

@@ -17,8 +17,8 @@ import (
 const unknown = int64(-1)
 
 // Pipeline is the cycle-level CTCP model. Per-instruction in-flight state
-// lives in the struct-of-arrays store, a ring allocated in fetch order (see
-// soa.go); every reference between instructions — producer edges, the
+// lives in one record per slot of a ring allocated in fetch order (see
+// ring.go); every reference between instructions — producer edges, the
 // store-disambiguation chain, queues, the rename map — is a
 // generation-checked infID into that ring.
 type Pipeline struct {
@@ -239,7 +239,7 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	// newest. pendingRedirect blocks fetch while it is set and clears in
 	// the cycle its instruction retires, before the next fetch. The ring is
 	// rebuilt when n changes and cleared in place otherwise.
-	if n := 2*cfg.ROBSize + 2*cfg.FetchWidth + max(cfg.FetchWidth, cfg.Trace.MaxLen); len(p.st.gen) != n {
+	if n := 2*cfg.ROBSize + 2*cfg.FetchWidth + max(cfg.FetchWidth, cfg.Trace.MaxLen); len(p.st.e) != n {
 		p.st.size(n)
 	} else {
 		p.st.reset()
@@ -488,10 +488,11 @@ func (p *Pipeline) fetch() {
 			if p.handleControl(idx, false) {
 				break
 			}
-			if p.st.rec[idx].IsTakenControl() {
+			rec := &p.st.e[idx].rec
+			if rec.IsTakenControl() {
 				break // conventional fetch cannot pass a taken branch
 			}
-			expect = p.st.rec[idx].NextPC
+			expect = rec.NextPC
 		}
 		p.S.ICGroupInsts += uint64(p.fqLen - queued)
 	}
@@ -507,41 +508,41 @@ func (p *Pipeline) fetch() {
 // newInflight allocates the ring's next slot for rec, which makes it the
 // fetch queue's newest entry, and fills in its fetch-time state.
 func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl int, prof trace.Profile, renameReady int64) uint32 {
-	st := &p.st
-	idx := st.alloc()
+	idx := p.st.alloc()
+	e := &p.st.e[idx]
 	p.fqLen++
-	st.rec[idx] = *rec
-	st.renameReady[idx] = renameReady
+	e.rec = *rec
+	e.renameReady = renameReady
 	// Whole-word flag store: reused slots are not zeroed (see alloc), so
 	// this is the write that retires the previous tenant's bits.
 	flags := uint16(0)
 	if fromTC {
 		flags = fFromTC
 	}
-	st.group[idx] = group
-	st.cluster[idx] = int32(cl)
-	st.profile[idx] = prof
-	st.prod[idx] = [2]infID{}
-	st.resultAt[idx] = unknown
+	e.group = group
+	e.cluster = int32(cl)
+	e.profile = prof
+	e.prod = [2]infID{}
+	e.resultAt = unknown
 	if p.cfg.Strategy.SteersAtIssue() {
-		st.cluster[idx] = -1
+		e.cluster = -1
 	}
 	d := p.dec.Ensure(rec.PC)
 	if !d.valid {
 		*d = decodeInst(rec.Inst)
 	}
 	class := d.class
-	st.class[idx] = class
-	st.dest[idx] = d.dest
-	st.src[idx] = d.src
-	st.ctrl[idx] = d.ctrl
+	e.class = class
+	e.dest = d.dest
+	e.src = d.src
+	e.ctrl = d.ctrl
 	if class.IsLoad() {
 		flags |= fIsLoad
 	}
 	if class.IsStore() {
 		flags |= fIsStore
 	}
-	st.flags[idx] = flags
+	e.flags = flags
 	return idx
 }
 
@@ -551,19 +552,20 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 // decode cache (stamped by newInflight) instead of re-classifying the
 // instruction word per dynamic instance.
 func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
-	ctrl := p.st.ctrl[idx]
+	e := &p.st.e[idx]
+	ctrl := e.ctrl
 	if ctrl == ctrlNone {
 		return false
 	}
-	rec := &p.st.rec[idx]
+	rec := &e.rec
 	switch ctrl {
 	case ctrlCond:
 		p.S.CondBranches++
 		_, correct := p.bp.PredictAndTrainCond(rec.PC, rec.Taken)
 		if !correct {
 			p.S.Mispredicts++
-			p.st.flags[idx] |= fMispredict
-			p.pendingRedirect = p.st.id(idx)
+			e.flags |= fMispredict
+			p.pendingRedirect = e.id(idx)
 			return true
 		}
 		if rec.Taken && !fromTC {
@@ -590,16 +592,16 @@ func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 		}
 		if !hit || target != rec.NextPC {
 			p.S.IndirectMiss++
-			p.st.flags[idx] |= fMispredict
-			p.pendingRedirect = p.st.id(idx)
+			e.flags |= fMispredict
+			p.pendingRedirect = e.id(idx)
 			return true
 		}
 	case ctrlRET:
 		target, ok := p.bp.PredictReturn()
 		if !ok || target != rec.NextPC {
 			p.S.IndirectMiss++
-			p.st.flags[idx] |= fMispredict
-			p.pendingRedirect = p.st.id(idx)
+			e.flags |= fMispredict
+			p.pendingRedirect = e.id(idx)
 			return true
 		}
 	}
@@ -610,8 +612,8 @@ func (p *Pipeline) clearRedirect() {
 	if p.pendingRedirect == noID {
 		return
 	}
-	idx := p.st.index(p.pendingRedirect)
-	if p.st.flags[idx]&fIssued != 0 && p.st.resultAt[idx] <= p.now {
+	e := &p.st.e[p.st.index(p.pendingRedirect)]
+	if e.flags&fIssued != 0 && e.resultAt <= p.now {
 		p.pendingRedirect = noID
 		if next := p.now + 1; next > p.nextFetch {
 			p.nextFetch = next
@@ -631,20 +633,21 @@ func (p *Pipeline) rename() {
 	budget := p.cfg.FetchWidth
 	for budget > 0 && p.fqLen > 0 {
 		idx := st.wrap(p.robHead + uint32(p.robLen)) // the fetch queue's front
-		if st.renameReady[idx] > p.now {
+		e := &st.e[idx]
+		if e.renameReady > p.now {
 			break
 		}
 		if p.robLen >= p.cfg.ROBSize {
 			p.S.ROBFullStalls++
 			break
 		}
-		isLoad := st.flags[idx]&fIsLoad != 0
+		isLoad := e.flags&fIsLoad != 0
 		if isLoad && p.loadsInROB >= p.cfg.LoadQueue {
 			p.S.LoadQFullStalls++
 			break
 		}
-		id := st.id(idx)
-		for k, r := range st.src[idx] { // src cached at newInflight (decode cache)
+		id := e.id(idx)
+		for k, r := range e.src { // src cached at newInflight (decode cache)
 			if r == isa.NoReg {
 				continue
 			}
@@ -652,29 +655,29 @@ func (p *Pipeline) rename() {
 			// read from the register file; only still-in-flight results are
 			// caught from the bypass/forwarding network.
 			if pid := p.renameMap[r]; pid != noID {
-				pi := st.index(pid)
-				if st.flags[pi]&fRetired == 0 &&
-					(st.resultAt[pi] == unknown || st.resultAt[pi] > p.now) {
-					st.prod[idx][k] = pid
+				pe := &st.e[st.index(pid)]
+				if pe.flags&fRetired == 0 &&
+					(pe.resultAt == unknown || pe.resultAt > p.now) {
+					e.prod[k] = pid
 				}
 			}
 		}
-		st.rfReady[idx] = p.now + int64(p.cfg.RenameStages+p.cfg.RFLat)
-		st.dispatchReady[idx] = p.now + int64(p.cfg.RenameStages+p.cfg.SteerStages)
-		if d := st.dest[idx]; d != isa.NoReg {
+		e.rfReady = p.now + int64(p.cfg.RenameStages+p.cfg.RFLat)
+		e.dispatchReady = p.now + int64(p.cfg.RenameStages+p.cfg.SteerStages)
+		if d := e.dest; d != isa.NoReg {
 			p.renameMap[d] = id
 		}
-		st.prevStore[idx] = p.lastStore
-		if st.flags[idx]&fIsStore != 0 {
+		e.prevStore = p.lastStore
+		if e.flags&fIsStore != 0 {
 			p.lastStore = id
 			seq := p.storeSeqNext
 			p.storeSeqNext++
-			st.barrier[idx] = seq
+			e.barrier = seq
 			p.storeRing[seq&p.storeRingMask] = false
 		} else if isLoad {
 			// The newest older store's seq: every store younger than it has
 			// a larger seq, so the watermark compare covers the whole chain.
-			st.barrier[idx] = p.storeSeqNext - 1
+			e.barrier = p.storeSeqNext - 1
 		}
 		if isLoad {
 			p.loadsInROB++
@@ -684,7 +687,7 @@ func (p *Pipeline) rename() {
 		if p.cfg.Strategy.SteersAtIssue() {
 			p.steerQ.push(id)
 		} else {
-			p.dispatchQ[st.cluster[idx]].push(id)
+			p.dispatchQ[e.cluster].push(id)
 		}
 		budget--
 	}
@@ -712,7 +715,7 @@ func (p *Pipeline) dispatch() {
 		n := 0
 		for n < p.geom.Width && p.dispatchQ[c].len() > 0 {
 			idx := uint32(p.dispatchQ[c].front())
-			if st.dispatchReady[idx] > p.now {
+			if st.e[idx].dispatchReady > p.now {
 				break
 			}
 			if !p.insertRS(idx, c) {
@@ -745,7 +748,7 @@ const allStations = uint8(1)<<cluster.NumRSKinds - 1
 func (p *Pipeline) steer() {
 	st := &p.st
 	q := &p.steerQ
-	if q.len() == 0 || st.dispatchReady[uint32(q.front())] > p.now {
+	if q.len() == 0 || st.e[uint32(q.front())].dispatchReady > p.now {
 		return
 	}
 	// Write ports are all free at the top of the cycle, so a station is
@@ -767,27 +770,28 @@ func (p *Pipeline) steer() {
 	i := 0
 	for ; i < q.len() && i < limit && anyOpen != 0; i++ {
 		idx := uint32(q.at(i)) // queue membership implies liveness
-		if st.dispatchReady[idx] > p.now {
+		e := &st.e[idx]
+		if e.dispatchReady > p.now {
 			break
 		}
-		stations := classStations[st.class[idx]]
+		stations := classStations[e.class]
 		if anyOpen&stations == 0 {
 			continue // no cluster can take this class
 		}
-		c := p.steerTarget(idx, stations)
+		c := p.steerTarget(e, stations)
 		if c < 0 {
 			continue
 		}
-		st.cluster[idx] = int32(c)
+		e.cluster = int32(c)
 		if !p.insertRS(idx, c) {
-			st.cluster[idx] = -1
+			e.cluster = -1
 			continue
 		}
 		q.drop(i)
 		dispatched++
 		p.scr.clusterBudget[c]--
 		was := p.scr.open[c]
-		if rs := cluster.RSKind(st.station[idx]); p.scr.clusterBudget[c] <= 0 {
+		if rs := cluster.RSKind(e.station); p.scr.clusterBudget[c] <= 0 {
 			p.scr.open[c] = 0
 		} else if p.rsFull[c]&(1<<rs) != 0 || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
 			p.scr.open[c] &^= 1 << rs
@@ -820,7 +824,7 @@ var classStations = func() (t [isa.NumClasses]uint8) {
 // expected to arrive last), else balance load; at most Width instructions
 // per cluster per cycle. stations is classStations for the instruction's
 // class: a cluster is usable iff its open mask shares a bit with it.
-func (p *Pipeline) steerTarget(idx uint32, stations uint8) int {
+func (p *Pipeline) steerTarget(e *inflight, stations uint8) int {
 	st := &p.st
 	open := p.scr.open
 	// Prefer the producer whose value arrives later (the likely critical
@@ -829,21 +833,21 @@ func (p *Pipeline) steerTarget(idx uint32, stations uint8) int {
 	best := -1
 	var bestTime int64 = -1
 	for k := 0; k < 2; k++ {
-		pid := st.prod[idx][k]
+		pid := e.prod[k]
 		if pid == noID {
 			continue
 		}
-		pi := st.index(pid)
-		if st.flags[pi]&fRetired != 0 || st.cluster[pi] < 0 {
+		pe := &st.e[st.index(pid)]
+		if pe.flags&fRetired != 0 || pe.cluster < 0 {
 			continue
 		}
-		t := st.resultAt[pi]
+		t := pe.resultAt
 		if t == unknown {
 			t = 1 << 60 // not yet issued: latest of all
 		}
 		if t > bestTime {
 			bestTime = t
-			best = int(st.cluster[pi])
+			best = int(pe.cluster)
 		}
 	}
 	if best >= 0 && open[best]&stations != 0 {
@@ -861,8 +865,8 @@ func (p *Pipeline) steerTarget(idx uint32, stations uint8) int {
 }
 
 func (p *Pipeline) insertRS(idx uint32, c int) bool {
-	st := &p.st
-	stations := cluster.StationsFor(st.class[idx])
+	e := &p.st.e[idx]
+	stations := cluster.StationsFor(e.class)
 	best := cluster.RSKind(-1)
 	bestCount := 1 << 30
 	for _, rs := range stations {
@@ -877,8 +881,8 @@ func (p *Pipeline) insertRS(idx uint32, c int) bool {
 	if best < 0 {
 		return false
 	}
-	st.station[idx] = int32(best)
-	st.flags[idx] |= fInRS
+	e.station = int32(best)
+	e.flags |= fInRS
 	p.rsCount[c][best]++
 	if p.rsCount[c][best] == p.cfg.RS.Entries {
 		p.rsFull[c] |= 1 << best
@@ -886,13 +890,13 @@ func (p *Pipeline) insertRS(idx uint32, c int) bool {
 	*p.wu(c, best)++
 	p.scr.portsUsed = true
 	pos := len(p.rsEntries[c])
-	p.rsEntries[c] = append(p.rsEntries[c], st.id(idx))
-	st.rsSlot[idx] = int32(pos)
+	p.rsEntries[c] = append(p.rsEntries[c], e.id(idx))
+	e.rsSlot = int32(pos)
 	p.rsLive[c]++
 	if pos>>6 >= len(p.readyMask[c]) {
 		p.readyMask[c] = append(p.readyMask[c], 0)
 	}
-	p.linkDeps(idx)
+	p.linkDeps(idx, e)
 	return true
 }
 
@@ -903,33 +907,33 @@ func (p *Pipeline) insertRS(idx uint32, c int) bool {
 // When nothing is outstanding the entry resolves immediately.
 //
 //ctcp:hotpath
-func (p *Pipeline) linkDeps(idx uint32) {
+func (p *Pipeline) linkDeps(idx uint32, e *inflight) {
 	st := &p.st
 	wait := int32(0)
 	for k := 0; k < 2; k++ {
-		pid := st.prod[idx][k]
+		pid := e.prod[k]
 		if pid == noID {
 			continue
 		}
-		pi := st.index(pid)
-		if st.resultAt[pi] == unknown {
+		pe := &st.e[st.index(pid)]
+		if pe.resultAt == unknown {
 			node := idx*2 + uint32(k)
-			st.waiterNext[node] = st.waiterHead[pi]
-			st.waiterHead[pi] = node + 1
+			e.waiterNext[k] = pe.waiterHead
+			pe.waiterHead = node + 1
 			wait++
 		}
 	}
-	if st.flags[idx]&fIsLoad != 0 {
-		if b := st.barrier[idx]; b >= p.storeWatermark {
+	if e.flags&fIsLoad != 0 {
+		if b := e.barrier; b >= p.storeWatermark {
 			slot := b & p.storeRingMask
-			st.loadNext[idx] = p.loadWaitHead[slot]
+			e.loadNext = p.loadWaitHead[slot]
 			p.loadWaitHead[slot] = idx + 1
 			wait++
 		}
 	}
-	st.waitCount[idx] = wait
+	e.waitCount = wait
 	if wait == 0 {
-		p.resolve(idx)
+		p.resolve(e)
 	}
 }
 
@@ -937,18 +941,18 @@ func (p *Pipeline) linkDeps(idx uint32) {
 
 // effFwd returns the forwarding latency from producer to consumer with the
 // Figure 5 knobs applied.
-func (p *Pipeline) effFwd(prod, cons uint32) int64 {
+func (p *Pipeline) effFwd(prod, cons *inflight) int64 {
 	if p.cfg.ZeroAllFwdLat {
 		return 0
 	}
-	same := p.st.group[prod] == p.st.group[cons]
+	same := prod.group == cons.group
 	if p.cfg.ZeroIntraTrace && same {
 		return 0
 	}
 	if p.cfg.ZeroInterTrace && !same {
 		return 0
 	}
-	return p.fwdTab[int(p.st.cluster[prod])*p.geom.Clusters+int(p.st.cluster[cons])]
+	return p.fwdTab[int(prod.cluster)*p.geom.Clusters+int(cons.cluster)]
 }
 
 // resolve computes an RS entry's final ready cycle, critical source, and
@@ -959,24 +963,24 @@ func (p *Pipeline) effFwd(prod, cons uint32) int64 {
 // on at issue time, computed once instead of per cycle.
 //
 //ctcp:hotpath
-func (p *Pipeline) resolve(idx uint32) {
+func (p *Pipeline) resolve(e *inflight) {
 	st := &p.st
 	var t [2]int64
 	var fwd [2]bool
-	src := st.src[idx]
+	src := e.src
 	present := [2]bool{src[0] != isa.NoReg, src[1] != isa.NoReg}
 	for k := 0; k < 2; k++ {
 		if !present[k] {
 			t[k] = 0
 			continue
 		}
-		pid := st.prod[idx][k]
+		pid := e.prod[k]
 		if pid == noID {
-			t[k] = st.rfReady[idx]
+			t[k] = e.rfReady
 			continue
 		}
-		pi := st.index(pid)
-		t[k] = st.resultAt[pi] + p.effFwd(pi, idx)
+		pe := &st.e[st.index(pid)]
+		t[k] = pe.resultAt + p.effFwd(pe, e)
 		fwd[k] = true
 	}
 	// Identify the critical (last-arriving) input.
@@ -997,23 +1001,23 @@ func (p *Pipeline) resolve(idx uint32) {
 	if crit != core.CritNone {
 		k := int(crit) - 1
 		if fwd[k] {
-			st.flags[idx] |= fCritFwd
-			st.critProd[idx] = st.prod[idx][k]
+			e.flags |= fCritFwd
+			e.critProd = e.prod[k]
 			if p.cfg.ZeroCritFwdLat {
 				// Only the last-arriving forward becomes free.
 				other := t[1-k]
 				if !present[1-k] {
 					other = 0
 				}
-				ready = maxI64(other, st.resultAt[st.index(st.prod[idx][k])])
+				ready = maxI64(other, st.e[st.index(e.prod[k])].resultAt)
 			}
 		}
 	}
-	st.critSrc[idx] = uint8(crit)
-	st.readyAt[idx] = ready
-	st.flags[idx] |= fResolved
-	pos := int(st.rsSlot[idx])
-	p.readyMask[st.cluster[idx]][pos>>6] |= 1 << uint(pos&63)
+	e.critSrc = uint8(crit)
+	e.readyAt = ready
+	e.flags |= fResolved
+	pos := int(e.rsSlot)
+	p.readyMask[e.cluster][pos>>6] |= 1 << uint(pos&63)
 }
 
 // wakeWaiters delivers a just-issued producer's resultAt to every RS entry
@@ -1021,19 +1025,19 @@ func (p *Pipeline) resolve(idx uint32) {
 // so a consumer later in this cycle's issue scan can still issue this cycle.
 //
 //ctcp:hotpath
-func (p *Pipeline) wakeWaiters(idx uint32) {
+func (p *Pipeline) wakeWaiters(e *inflight) {
 	st := &p.st
-	for n := st.waiterHead[idx]; n != 0; {
+	for n := e.waiterHead; n != 0; {
 		node := n - 1
-		n = st.waiterNext[node]
-		st.waiterNext[node] = 0
-		ci := node >> 1
-		st.waitCount[ci]--
-		if st.waitCount[ci] == 0 {
-			p.resolve(ci)
+		w := &st.e[node>>1]
+		n = w.waiterNext[node&1]
+		w.waiterNext[node&1] = 0
+		w.waitCount--
+		if w.waitCount == 0 {
+			p.resolve(w)
 		}
 	}
-	st.waiterHead[idx] = 0
+	e.waiterHead = 0
 }
 
 // storeIssued marks seq issued and advances the disambiguation watermark,
@@ -1047,12 +1051,12 @@ func (p *Pipeline) storeIssued(seq uint64) {
 		slot := p.storeWatermark & p.storeRingMask
 		p.storeWatermark++
 		for n := p.loadWaitHead[slot]; n != 0; {
-			li := n - 1
-			n = st.loadNext[li]
-			st.loadNext[li] = 0
-			st.waitCount[li]--
-			if st.waitCount[li] == 0 {
-				p.resolve(li)
+			l := &st.e[n-1]
+			n = l.loadNext
+			l.loadNext = 0
+			l.waitCount--
+			if l.waitCount == 0 {
+				p.resolve(l)
 			}
 		}
 		p.loadWaitHead[slot] = 0
@@ -1092,11 +1096,11 @@ func (p *Pipeline) issue() {
 				m &= m - 1
 				// Mask membership implies liveness; the generation check
 				// stays on cross-record references, not ownership reads.
-				idx := uint32(entries[w<<6|b])
-				if st.readyAt[idx] > p.now {
+				e := &st.e[uint32(entries[w<<6|b])]
+				if e.readyAt > p.now {
 					continue
 				}
-				class := st.class[idx]
+				class := e.class
 				if noFU&(1<<class) != 0 {
 					continue
 				}
@@ -1105,7 +1109,7 @@ func (p *Pipeline) issue() {
 					noFU |= 1 << class
 					continue
 				}
-				p.doIssue(idx, c, fu)
+				p.doIssue(e, c, fu)
 				// Re-read the word above the issued bit: issuing may have
 				// resolved younger entries in it this very cycle (a store
 				// unblocking a load), exactly as the per-entry recompute
@@ -1123,7 +1127,7 @@ func (p *Pipeline) issue() {
 				if id == noID {
 					continue
 				}
-				st.rsSlot[uint32(id)] = int32(len(keep))
+				st.e[uint32(id)].rsSlot = int32(len(keep))
 				keep = append(keep, id)
 			}
 			for i := len(keep); i < len(entries); i++ {
@@ -1134,7 +1138,7 @@ func (p *Pipeline) issue() {
 				mask[i] = 0
 			}
 			for pos, id := range keep {
-				if st.flags[uint32(id)]&fResolved != 0 {
+				if st.e[uint32(id)].flags&fResolved != 0 {
 					mask[pos>>6] |= 1 << uint(pos&63)
 				}
 			}
@@ -1142,57 +1146,56 @@ func (p *Pipeline) issue() {
 	}
 }
 
-func (p *Pipeline) doIssue(idx uint32, c int, fu cluster.FUKind) {
+func (p *Pipeline) doIssue(e *inflight, c int, fu cluster.FUKind) {
 	st := &p.st
-	lat := cluster.LatencyFor(st.class[idx])
-	st.flags[idx] = (st.flags[idx] &^ fInRS) | fIssued
-	p.rsCount[c][st.station[idx]]--
-	p.rsFull[c] &^= 1 << st.station[idx]
+	lat := cluster.LatencyFor(e.class)
+	e.flags = (e.flags &^ fInRS) | fIssued
+	p.rsCount[c][e.station]--
+	p.rsFull[c] &^= 1 << e.station
 	// Leave a hole: clear the mask bit and detach the id so the slot skips
 	// for free until the next compaction.
-	pos := int(st.rsSlot[idx])
+	pos := int(e.rsSlot)
 	p.readyMask[c][pos>>6] &^= 1 << uint(pos&63)
 	p.rsEntries[c][pos] = noID
 	p.rsLive[c]--
 	p.fuFree[c][fu] = p.now + int64(lat.Issue)
 
-	p.recordInputStats(idx)
+	p.recordInputStats(e)
 
 	switch {
-	case st.flags[idx]&fIsLoad != 0:
+	case e.flags&fIsLoad != 0:
 		p.S.Loads++
 		addrDone := p.now + int64(lat.Exec)
 		barrier := addrDone
-		fwdStore := uint32(0)
-		haveFwd := false
-		for sid := st.prevStore[idx]; sid != noID; {
-			si := st.index(sid)
-			if st.flags[si]&fRetired != 0 {
+		var fwdStore *inflight
+		for sid := e.prevStore; sid != noID; {
+			s := &st.e[st.index(sid)]
+			if s.flags&fRetired != 0 {
 				break
 			}
-			if st.resultAt[si] > barrier {
-				barrier = st.resultAt[si]
+			if s.resultAt > barrier {
+				barrier = s.resultAt
 			}
-			if !haveFwd && overlaps(&st.rec[si], &st.rec[idx]) {
-				fwdStore, haveFwd = si, true
+			if fwdStore == nil && overlaps(&s.rec, &e.rec) {
+				fwdStore = s
 			}
-			sid = st.prevStore[si]
+			sid = s.prevStore
 		}
-		if haveFwd {
+		if fwdStore != nil {
 			p.S.StoreForwards++
-			st.resultAt[idx] = maxI64(barrier, st.resultAt[fwdStore]) + 1
+			e.resultAt = maxI64(barrier, fwdStore.resultAt) + 1
 		} else {
 			start := p.portTime(barrier)
-			st.resultAt[idx] = p.mem.Access(start, st.rec[idx].EA)
+			e.resultAt = p.mem.Access(start, e.rec.EA)
 		}
-	case st.flags[idx]&fIsStore != 0:
+	case e.flags&fIsStore != 0:
 		p.S.Stores++
-		st.resultAt[idx] = p.now + int64(lat.Exec)
-		p.storeIssued(st.barrier[idx])
+		e.resultAt = p.now + int64(lat.Exec)
+		p.storeIssued(e.barrier)
 	default:
-		st.resultAt[idx] = p.now + int64(lat.Exec)
+		e.resultAt = p.now + int64(lat.Exec)
 	}
-	p.wakeWaiters(idx)
+	p.wakeWaiters(e)
 }
 
 func overlaps(store, load *emu.Committed) bool {
@@ -1209,24 +1212,24 @@ func (p *Pipeline) portTime(t int64) int64 {
 	return p.ports.book(t, p.cfg.Mem.Ports)
 }
 
-func (p *Pipeline) recordInputStats(idx uint32) {
+func (p *Pipeline) recordInputStats(e *inflight) {
 	st := &p.st
-	critSrc := core.CritSrc(st.critSrc[idx])
+	critSrc := core.CritSrc(e.critSrc)
 	if critSrc == core.CritNone {
 		return
 	}
-	critFwd := st.flags[idx]&fCritFwd != 0
+	critFwd := e.flags&fCritFwd != 0
 	p.S.WithInputs++
 	interTrace := false
 	if critFwd {
 		p.S.CritForwarded++
-		pi := st.index(st.critProd[idx])
-		dist := int(p.distTab[int(st.cluster[pi])*p.geom.Clusters+int(st.cluster[idx])])
+		cp := &st.e[st.index(e.critProd)]
+		dist := int(p.distTab[int(cp.cluster)*p.geom.Clusters+int(e.cluster)])
 		p.S.CritDistSum += uint64(dist)
 		if dist == 0 {
 			p.S.CritIntraCluster++
 		}
-		if st.group[pi] != st.group[idx] {
+		if cp.group != e.group {
 			interTrace = true
 			p.S.CritInterTrace++
 		}
@@ -1241,58 +1244,57 @@ func (p *Pipeline) recordInputStats(idx uint32) {
 	}
 	// Producer repeatability (Table 3): all forwarded inputs...
 	var hist *pcStats
-	prod := st.prod[idx]
 	for k := 0; k < 2; k++ {
-		pid := prod[k]
-		if pid == noID || st.src[idx][k] == isa.NoReg {
+		pid := e.prod[k]
+		if pid == noID || e.src[k] == isa.NoReg {
 			continue
 		}
-		pi := st.index(pid)
+		pe := &st.e[st.index(pid)]
 		p.S.FwdInputs++
-		d := int(p.distTab[int(st.cluster[pi])*p.geom.Clusters+int(st.cluster[idx])])
+		d := int(p.distTab[int(pe.cluster)*p.geom.Clusters+int(e.cluster)])
 		p.S.FwdDistSum += uint64(d)
 		if d == 0 {
 			p.S.FwdIntraCluster++
 		}
 		if hist == nil {
-			hist = p.pcHist.Ensure(st.rec[idx].PC)
+			hist = p.pcHist.Ensure(e.rec.PC)
 		}
 		if hist.lastProd[k] != 0 {
 			if k == 0 {
 				p.S.RS1Seen++
-				if hist.lastProd[k] == st.rec[pi].PC {
+				if hist.lastProd[k] == pe.rec.PC {
 					p.S.RS1Repeat++
 				}
 			} else {
 				p.S.RS2Seen++
-				if hist.lastProd[k] == st.rec[pi].PC {
+				if hist.lastProd[k] == pe.rec.PC {
 					p.S.RS2Repeat++
 				}
 			}
 		}
-		hist.lastProd[k] = st.rec[pi].PC
+		hist.lastProd[k] = pe.rec.PC
 	}
 	// ...and critical inter-trace inputs only.
 	if critFwd && interTrace {
 		k := int(critSrc) - 1
-		cp := st.index(st.critProd[idx])
+		cp := &st.e[st.index(e.critProd)]
 		if hist == nil {
-			hist = p.pcHist.Ensure(st.rec[idx].PC)
+			hist = p.pcHist.Ensure(e.rec.PC)
 		}
 		if hist.lastCritInter[k] != 0 {
 			if k == 0 {
 				p.S.CritRS1InterSeen++
-				if hist.lastCritInter[k] == st.rec[cp].PC {
+				if hist.lastCritInter[k] == cp.rec.PC {
 					p.S.CritRS1InterRep++
 				}
 			} else {
 				p.S.CritRS2InterSeen++
-				if hist.lastCritInter[k] == st.rec[cp].PC {
+				if hist.lastCritInter[k] == cp.rec.PC {
 					p.S.CritRS2InterRep++
 				}
 			}
 		}
-		hist.lastCritInter[k] = st.rec[cp].PC
+		hist.lastCritInter[k] = cp.rec.PC
 	}
 }
 
@@ -1318,10 +1320,11 @@ func (p *Pipeline) retire() {
 	budget := p.cfg.RetireWidth
 	for budget > 0 && p.robLen > 0 {
 		idx := p.robHead
-		if st.flags[idx]&fIssued == 0 || st.resultAt[idx] > p.now {
+		e := &st.e[idx]
+		if e.flags&fIssued == 0 || e.resultAt > p.now {
 			break
 		}
-		if st.flags[idx]&fIsStore != 0 {
+		if e.flags&fIsStore != 0 {
 			if p.sbOccupied() >= p.cfg.StoreBuffer {
 				p.S.SBFullStalls++
 				break
@@ -1331,24 +1334,24 @@ func (p *Pipeline) retire() {
 				drain = p.now
 			}
 			p.lastDrain = drain
-			done := p.mem.Access(p.portTime(drain), st.rec[idx].EA)
+			done := p.mem.Access(p.portTime(drain), e.rec.EA)
 			p.sbDrain = append(p.sbDrain, done)
 		}
-		st.flags[idx] |= fRetired
-		if st.flags[idx]&fIsLoad != 0 {
+		e.flags |= fRetired
+		if e.flags&fIsLoad != 0 {
 			p.loadsInROB--
 		}
 		p.robHead = st.wrap(idx + 1)
 		p.robLen--
 		p.S.Retired++
-		if st.flags[idx]&fFromTC != 0 {
+		if e.flags&fFromTC != 0 {
 			p.S.RetiredFromTC++
 		}
 		// Compose the ~200-byte RetireInfo directly in the fill unit's
 		// pending slot (no scratch-then-copy). The slot stays readable after
 		// CommitRetire even when it completes a trace, so the hook sees it.
 		info := p.fill.RetireSlot()
-		p.retireInfo(idx, info)
+		p.retireInfo(e, info)
 		p.fill.CommitRetire()
 		if p.cfg.RetireHook != nil {
 			p.cfg.RetireHook(*info)
@@ -1356,8 +1359,8 @@ func (p *Pipeline) retire() {
 		// Fields of this slot stay valid for younger consumers still
 		// holding its id until the ring laps it. Rename-visible aliases are
 		// severed here so no new references can form after retirement.
-		id := st.id(idx)
-		if d := st.dest[idx]; d != isa.NoReg && p.renameMap[d] == id {
+		id := e.id(idx)
+		if d := e.dest; d != isa.NoReg && p.renameMap[d] == id {
 			p.renameMap[d] = noID
 		}
 		if p.lastStore == id {
@@ -1371,28 +1374,27 @@ func (p *Pipeline) retire() {
 // retireInfo fills *info (the retire scratch slot) for the fill unit; the
 // struct is ~200 bytes and built once per retired instruction, so it is
 // written in place instead of returned by value.
-func (p *Pipeline) retireInfo(idx uint32, info *core.RetireInfo) {
-	st := &p.st
+func (p *Pipeline) retireInfo(e *inflight, info *core.RetireInfo) {
 	// Field-by-field stores: *info may be a recycled pending slot holding a
 	// stale record, so every field is written, but without the composite-
 	// literal temporary (and its second ~200-byte copy) a struct assignment
 	// compiles to.
-	info.Rec = st.rec[idx]
-	info.Src = st.src[idx]
-	info.Dest = st.dest[idx]
-	info.FromTC = st.flags[idx]&fFromTC != 0
-	info.Profile = st.profile[idx]
-	info.Cluster = int(st.cluster[idx])
-	info.FetchGroup = st.group[idx]
-	info.CritSrc = core.CritSrc(st.critSrc[idx])
-	if st.flags[idx]&fCritFwd != 0 && st.critProd[idx] != noID {
-		cp := st.index(st.critProd[idx])
+	info.Rec = e.rec
+	info.Src = e.src
+	info.Dest = e.dest
+	info.FromTC = e.flags&fFromTC != 0
+	info.Profile = e.profile
+	info.Cluster = int(e.cluster)
+	info.FetchGroup = e.group
+	info.CritSrc = core.CritSrc(e.critSrc)
+	if e.flags&fCritFwd != 0 && e.critProd != noID {
+		cp := &p.st.e[p.st.index(e.critProd)]
 		info.CritForwarded = true
-		info.CritProducerPC = st.rec[cp].PC
-		info.CritProducerSeq = st.rec[cp].Seq
-		info.CritProducerCluster = int(st.cluster[cp])
-		info.CritInterTrace = st.group[cp] != st.group[idx]
-		info.CritProducerProfile = st.profile[cp]
+		info.CritProducerPC = cp.rec.PC
+		info.CritProducerSeq = cp.rec.Seq
+		info.CritProducerCluster = int(cp.cluster)
+		info.CritInterTrace = cp.group != e.group
+		info.CritProducerProfile = cp.profile
 	} else {
 		info.CritForwarded = false
 		info.CritProducerPC = 0

@@ -192,7 +192,7 @@ func geometryConfigs() []struct {
 func TestResetAcrossGeometry(t *testing.T) {
 	progs := []*isa.Program{resetProg(t, "gzip"), resetProg(t, "eon")}
 	sizes := func(p *Pipeline) []int {
-		return []int{len(p.distTab), len(p.rsEntries), len(p.storeRing), len(p.scr.writeUsed), len(p.tc.Dump()), len(p.st.gen)}
+		return []int{len(p.distTab), len(p.rsEntries), len(p.storeRing), len(p.scr.writeUsed), len(p.tc.Dump()), len(p.st.e)}
 	}
 	p := new(Pipeline)
 	for i, g := range geometryConfigs() {
@@ -270,30 +270,6 @@ func TestResetAllocatesNothing(t *testing.T) {
 		p.Run()
 		if allocs := testing.AllocsPerRun(10, func() { p.Reset(m, cfg) }); allocs != 0 {
 			t.Errorf("fetch width %d: same-geometry Reset allocated %.1f times, want 0", cfg.FetchWidth, allocs)
-		}
-	}
-}
-
-// TestInfStoreSizeCoversEverySlice pins infStore.size to the struct: after
-// size(n) every slice has one element per slot (waiterNext one per source
-// of each slot), so a slice field size forgot fails here instead of
-// panicking on its first index in a run.
-func TestInfStoreSizeCoversEverySlice(t *testing.T) {
-	const n = 8
-	var s infStore
-	s.size(n)
-	v := reflect.ValueOf(s)
-	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), v.Type().Field(i).Name
-		if f.Kind() != reflect.Slice {
-			continue
-		}
-		want := n
-		if name == "waiterNext" {
-			want = 2 * n
-		}
-		if f.Len() != want {
-			t.Errorf("size(%d) left infStore.%s with %d elements, want %d", n, name, f.Len(), want)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestSteerOpenMasksMatchStations(t *testing.T) {
 			for !p.done() {
 				// Only dispatch takes from the steering window, and no stage
 				// before it in the cycle changes the window's head.
-				built := p.steerQ.len() > 0 && p.st.dispatchReady[uint32(p.steerQ.front())] <= p.now
+				built := p.steerQ.len() > 0 && p.st.e[uint32(p.steerQ.front())].dispatchReady <= p.now
 				p.cycle()
 				for c := 0; c < p.geom.Clusters; c++ {
 					var wantFull, wantOpen uint8
