@@ -176,8 +176,8 @@ func TestCorpusPipelineAgreement(t *testing.T) {
 
 // TestCorpusRetireOperands runs every corpus program under every assignment
 // strategy and checks that each record the pipeline retires carries the
-// operands its instruction word decodes to: the fill unit's dataflow pass
-// reads Src and Dest instead of decoding.
+// operands its instruction word decodes to: the pipeline and the fill
+// unit's dataflow pass read Rec.Src and Rec.Dest instead of decoding.
 func TestCorpusRetireOperands(t *testing.T) {
 	p := new(pipeline.Pipeline)
 	for _, prog := range mustCorpus(t) {
@@ -187,10 +187,10 @@ func TestCorpusRetireOperands(t *testing.T) {
 			cfg.RetireHook = func(ri core.RetireInfo) {
 				retired++
 				s1, s2 := ri.Rec.Inst.Srcs()
-				if (ri.Src != [2]isa.Reg{s1, s2} || ri.Dest != ri.Rec.Inst.Dest()) && bad < 3 {
+				if (ri.Rec.Src != [2]isa.Reg{s1, s2} || ri.Rec.Dest != ri.Rec.Inst.Dest()) && bad < 3 {
 					bad++
 					t.Errorf("%s/%v: retire %d (%v): Src %v Dest %v, instruction decodes to %v %v",
-						prog.Name, k, retired, ri.Rec.Inst, ri.Src, ri.Dest, [2]isa.Reg{s1, s2}, ri.Rec.Inst.Dest())
+						prog.Name, k, retired, ri.Rec.Inst, ri.Rec.Src, ri.Rec.Dest, [2]isa.Reg{s1, s2}, ri.Rec.Inst.Dest())
 				}
 			}
 			p.Reset(&emu.LimitStream{S: emu.New(prog.Prog), Budget: DefaultBudget}, cfg)

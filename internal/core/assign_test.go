@@ -112,11 +112,11 @@ func TestAssignShrinkAfterLongTrace(t *testing.T) {
 			f.Retire(&RetireInfo{Rec: inst(*seq, 0x2000+uint64(j)*4, isa.ZeroReg, isa.ZeroReg, isa.R(1+j))})
 			*seq++
 		}
-		f.Retire(&RetireInfo{Rec: emu.Committed{
+		f.Retire(&RetireInfo{Rec: decoded(emu.Committed{
 			Seq: *seq, PC: 0x2000 + 5*4,
 			Inst:  isa.Inst{Op: isa.JMP, Ra: isa.R(7)},
 			Taken: true, NextPC: 0x2000,
-		}})
+		})})
 		*seq++
 	}
 	for _, k := range []StrategyKind{Base, IssueTime, Friendly, FriendlyMiddle, FDRT, FDRTNoPin} {
@@ -155,15 +155,13 @@ func TestAssignShrinkAfterLongTrace(t *testing.T) {
 // BenchmarkAssign measures the fill unit's per-trace cost under FDRT as the
 // pipeline pays it: one full 16-instruction line retired and built per op
 // through RetireSlot/CommitRetire, with operands decoded once beforehand
-// (the pipeline copies them from its decode cache), the Table 5 walk
-// included.
+// (the emulator's records carry them), the Table 5 walk included.
 func BenchmarkAssign(b *testing.B) {
 	tc := trace.NewCache(trace.DefaultConfig())
 	f := NewFillUnit(testConfig(FDRT), tc)
 	recs := make([]RetireInfo, 16)
 	for j := range recs {
 		recs[j].Rec = inst(uint64(j), 0x1000+uint64(j)*4, isa.ZeroReg, isa.ZeroReg, isa.R(1+(3+j)%20))
-		recs[j].decodeOperands()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

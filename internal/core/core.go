@@ -15,7 +15,6 @@ package core
 
 import (
 	"ctcp/internal/emu"
-	"ctcp/internal/isa"
 	"ctcp/internal/pcmap"
 	"ctcp/internal/trace"
 )
@@ -117,13 +116,9 @@ const (
 // FDRT scheme feeds on — where it executed, which input was critical, who
 // produced that input and from how far away.
 type RetireInfo struct {
-	Rec emu.Committed
-	// Src and Dest are Rec.Inst.Srcs() and Rec.Inst.Dest(): the register
-	// operands, decoded once by whoever fills the record (the pipeline
-	// copies them from its decode cache), so the fill unit's dataflow pass
-	// over every built trace never decodes an instruction.
-	Src    [2]isa.Reg
-	Dest   isa.Reg
+	// Rec carries the register operands decoded (Rec.Src, Rec.Dest), so
+	// the fill unit's dataflow pass never decodes an instruction.
+	Rec    emu.Committed
 	FromTC bool // fetched from the trace cache (false: instruction cache)
 	// Profile carries the chain fields the instruction was fetched with.
 	Profile trace.Profile
@@ -146,13 +141,6 @@ type RetireInfo struct {
 	// CritProducerProfile is the chain profile the producer instance was
 	// fetched with (its trace-line bits at forward time).
 	CritProducerProfile trace.Profile
-}
-
-// decodeOperands sets Src and Dest from Rec.Inst.
-func (ri *RetireInfo) decodeOperands() {
-	s1, s2 := ri.Rec.Inst.Srcs()
-	ri.Src = [2]isa.Reg{s1, s2}
-	ri.Dest = ri.Rec.Inst.Dest()
 }
 
 // ChainProfile holds the fill unit's *pending* chain designations: profile

@@ -20,10 +20,17 @@ func testConfig(k StrategyKind) Config {
 // inst builds a simple committed ALU instruction at pc writing rc and
 // reading ra/rb.
 func inst(seq, pc uint64, ra, rb, rc isa.Reg) emu.Committed {
-	return emu.Committed{
+	return decoded(emu.Committed{
 		Seq: seq, PC: pc,
 		Inst: isa.Inst{Op: isa.ADD, Ra: ra, Rb: rb, Rc: rc},
-	}
+	})
+}
+
+// decoded returns c with its operands decoded, as the emulator hands
+// records to the pipeline.
+func decoded(c emu.Committed) emu.Committed {
+	c.Decode()
+	return c
 }
 
 // retireN feeds n independent single-block instructions (full trace at 16).
@@ -320,7 +327,7 @@ func TestFDRTOptionEInstructionsFallBack(t *testing.T) {
 	tc := trace.NewCache(trace.DefaultConfig())
 	f := NewFillUnit(testConfig(FDRT), tc)
 	// Instruction with no deps, no consumers, no chain: option E.
-	f.Retire(&RetireInfo{Rec: emu.Committed{Seq: 0, PC: 0x6000, Inst: isa.Inst{Op: isa.OUT, Ra: isa.R(9)}}})
+	f.Retire(&RetireInfo{Rec: decoded(emu.Committed{Seq: 0, PC: 0x6000, Inst: isa.Inst{Op: isa.OUT, Ra: isa.R(9)}})})
 	f.Flush()
 	if f.S.OptionE != 1 {
 		t.Errorf("OptionE = %d", f.S.OptionE)

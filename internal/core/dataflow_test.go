@@ -118,7 +118,7 @@ func TestDataflowMatchesReference(t *testing.T) {
 			note(in)
 			tr.Slots[i].Inst = in
 			infos[i].Rec = emu.Committed{Seq: uint64(i), PC: uint64(4 * i), Inst: in}
-			infos[i].decodeOperands()
+			infos[i].Rec.Decode()
 		}
 		wantProds := refIntraProducers(tr)
 		wantCons := refIntraConsumers(tr, wantProds)

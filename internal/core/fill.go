@@ -193,15 +193,11 @@ func (f *FillUnit) Chains() *ChainProfile { return f.chains }
 func (f *FillUnit) MemoStats() (hits, misses uint64) { return 0, 0 }
 
 // Retire feeds one retired instruction to the fill unit. The record is
-// copied once (into the pending buffer), and its Src and Dest are decoded
-// there from Rec.Inst, so the caller need not set them. It is passed by
-// pointer because RetireInfo is ~200 bytes. Callers building the record
-// field by field can skip the copy and the decode with the
-// RetireSlot/CommitRetire pair.
+// copied once, into the pending buffer; it is passed by pointer because
+// RetireInfo is ~200 bytes. Callers building the record field by field can
+// skip the copy with the RetireSlot/CommitRetire pair.
 func (f *FillUnit) Retire(info *RetireInfo) {
-	slot := f.RetireSlot()
-	*slot = *info
-	slot.decodeOperands()
+	*f.RetireSlot() = *info
 	f.CommitRetire()
 }
 
@@ -210,7 +206,7 @@ func (f *FillUnit) Retire(info *RetireInfo) {
 // pipeline composes the ~200-byte RetireInfo directly in the buffer slot it
 // will be consumed from instead of building it in scratch and copying it in.
 // The slot may hold a stale record from an earlier trace; the caller must
-// overwrite it completely, Src and Dest included, then call CommitRetire.
+// overwrite it completely, then call CommitRetire.
 // The buffer never outgrows the MaxLen capacity layout gives it: it holds
 // one record per slot of the trace under construction.
 func (f *FillUnit) RetireSlot() *RetireInfo {
@@ -226,7 +222,7 @@ func (f *FillUnit) RetireSlot() *RetireInfo {
 func (f *FillUnit) CommitRetire() {
 	info := &f.pending[len(f.pending)-1]
 	f.updateChains(info)
-	if tr := f.builder.AddRec(&info.Rec); tr != nil {
+	if tr := f.builder.Add(&info.Rec); tr != nil {
 		f.finishTrace(tr)
 	}
 }
@@ -423,14 +419,14 @@ func (f *FillUnit) dataflow(infos []RetireInfo) [][2]int32 {
 	lastDef := noDefs
 	for i := range infos {
 		p := [2]int32{-1, -1}
-		for k, r := range infos[i].Src {
+		for k, r := range infos[i].Rec.Src {
 			if r != isa.NoReg && lastDef[r] >= 0 {
 				p[k] = lastDef[r]
 				consumers[p[k]] = true
 			}
 		}
 		prods[i] = p
-		if d := infos[i].Dest; d != isa.NoReg {
+		if d := infos[i].Rec.Dest; d != isa.NoReg {
 			lastDef[d] = int32(i)
 		}
 	}

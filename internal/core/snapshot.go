@@ -11,9 +11,6 @@ import (
 // section of its own).
 func (ri *RetireInfo) Snapshot(w *snap.Writer) {
 	ri.Rec.Snapshot(w)
-	// Decoded from Rec.Inst: not serialized, derived again by Restore.
-	_ = ri.Src
-	_ = ri.Dest
 	w.Bool(ri.FromTC)
 	w.U8(ri.Profile.Role)
 	w.U8(ri.Profile.ChainCluster)
@@ -32,7 +29,6 @@ func (ri *RetireInfo) Snapshot(w *snap.Writer) {
 // Restore rebuilds one retired-instruction record.
 func (ri *RetireInfo) Restore(r *snap.Reader) {
 	ri.Rec.Restore(r)
-	ri.decodeOperands()
 	ri.FromTC = r.Bool()
 	ri.Profile.Role = r.U8()
 	ri.Profile.ChainCluster = r.U8()

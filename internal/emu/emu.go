@@ -24,8 +24,21 @@ type Committed struct {
 	Inst   isa.Inst // decoded instruction
 	NextPC uint64   // address of the next committed instruction
 	Taken  bool     // control flow only: branch/jump taken
-	EA     uint64   // memory ops only: effective address
-	Size   uint8    // memory ops only: access size in bytes
+	// Src and Dest are Inst.Srcs() and Inst.Dest(), the register operands,
+	// decoded once per static instruction (see Decode) so that no consumer
+	// of the record decodes the instruction word again.
+	Src  [2]isa.Reg
+	Dest isa.Reg
+	EA   uint64 // memory ops only: effective address
+	Size uint8  // memory ops only: access size in bytes
+}
+
+// Decode sets Src and Dest from Inst. The interpreter's records inherit
+// them from the predecoded template; a record built any other way must call
+// Decode before it reaches a consumer.
+func (c *Committed) Decode() {
+	c.Src[0], c.Src[1] = c.Inst.Srcs()
+	c.Dest = c.Inst.Dest()
 }
 
 // IsTakenControl reports whether the record is a taken control transfer.
@@ -512,12 +525,14 @@ type SliceStream struct {
 	pos  int
 }
 
-// NextInto implements Stream.
+// NextInto implements Stream. It decodes the record it writes, so a test
+// record need only set Inst, not Src and Dest.
 func (s *SliceStream) NextInto(c *Committed) bool {
 	if s.pos >= len(s.Recs) {
 		return false
 	}
 	*c = s.Recs[s.pos]
+	c.Decode()
 	s.pos++
 	return true
 }

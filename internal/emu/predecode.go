@@ -132,10 +132,10 @@ const (
 
 // uop is one predecoded micro-op.
 type uop struct {
-	// tmpl is the invariant part of the instruction's Committed record: PC
-	// and decoded Inst always, NextPC preset to the fall-through address,
-	// Size preset for memory ops. The dispatch copies it wholesale and only
-	// touches the fields the op actually produces.
+	// tmpl is the invariant part of the instruction's Committed record: PC,
+	// decoded Inst and its operands always, NextPC preset to the
+	// fall-through address, Size preset for memory ops. The dispatch copies
+	// it wholesale and only touches the fields the op actually produces.
 	tmpl Committed
 	// imm is the operand-kind-resolved immediate: sign-extended for
 	// arithmetic, pre-masked for shifts, the absolute target for direct
@@ -185,6 +185,7 @@ func (m *Machine) predecode() {
 		pc := m.predBase + uint64(i)*isa.PCStride
 		u := &m.pred[i]
 		u.tmpl = Committed{PC: pc, Inst: inst, NextPC: pc + isa.PCStride}
+		u.tmpl.Decode()
 		u.ra = srcIdx(inst.Ra)
 		u.rb = srcIdx(inst.Rb)
 		u.rc = uint8(inst.Rc)

@@ -21,7 +21,8 @@ func (m *Machine) refStep(c *Committed) error {
 	if !ok {
 		return &Fault{m.PC, "pc outside text segment"}
 	}
-	*c = Committed{Seq: m.seq, PC: m.PC, Inst: inst}
+	*c = Committed{Seq: m.seq, PC: m.PC, Inst: inst, Dest: inst.Dest()}
+	c.Src[0], c.Src[1] = inst.Srcs()
 	next := m.PC + isa.PCStride
 
 	opB := func() uint64 { // second integer operand: register or immediate

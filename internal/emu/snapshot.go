@@ -212,6 +212,9 @@ func (c *Committed) Snapshot(w *snap.Writer) {
 	c.Inst.Snapshot(w)
 	w.U64(c.NextPC)
 	w.Bool(c.Taken)
+	// Decoded from Inst: not serialized, derived again by Restore.
+	_ = c.Src
+	_ = c.Dest
 	w.U64(c.EA)
 	w.U8(c.Size)
 }
@@ -225,4 +228,5 @@ func (c *Committed) Restore(r *snap.Reader) {
 	c.Taken = r.Bool()
 	c.EA = r.U64()
 	c.Size = r.U8()
+	c.Decode()
 }

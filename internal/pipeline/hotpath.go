@@ -3,12 +3,12 @@ package pipeline
 // Allocation-free hot-path substrate. The cycle loop used to allocate on
 // every instruction (fresh inflight records, filtered-append queue drains,
 // map-based producer/port bookkeeping, per-cycle scratch slices). The
-// in-flight store is a fixed ring sized once per geometry (ring.go), and the
-// types here replace the rest with in-place deques and dense epoch-checked
-// arrays, so steady-state simulation performs no heap allocation at all. Correctness against the original model is pinned by
-// the differential, determinism, and golden-stats tests.
-
-import "ctcp/internal/isa"
+// in-flight store is a fixed ring sized once per geometry (ring.go); the
+// types here replace the rest with an in-place deque (infQueue), a
+// cycle-keyed port ring (portSched) and the per-PC producer history entry
+// (pcStats), so steady-state simulation performs no heap allocation at all.
+// Correctness against the original model is pinned by the differential,
+// determinism, and golden-stats tests.
 
 // infQueue is an in-place FIFO of in-flight instruction ids. popFront
 // advances a head index instead of reslicing (the old `q = q[1:]` drains
@@ -127,55 +127,4 @@ func (ps *portSched) book(t int64, ports int) int64 {
 type pcStats struct {
 	lastProd      [2]uint64
 	lastCritInter [2]uint64
-}
-
-// decEntry is the cached static decode of one instruction: everything the
-// front end re-derived per dynamic instance (source/destination registers,
-// functional-unit class, control kind) even though it is a pure function of
-// the instruction word. Program text is immutable, so the first dynamic
-// instance of a PC fills its entry and every later instance reads 8 bytes.
-// The cache is a pcmap.Map keyed by PC whose zero entry (valid unset) is
-// absent. It is derived state: never serialized, refilled lazily after
-// restore.
-type decEntry struct {
-	src   [2]isa.Reg
-	dest  isa.Reg
-	class isa.Class
-	ctrl  uint8
-	valid bool
-}
-
-// Control kinds, the exact cases handleControl dispatches on.
-const (
-	ctrlNone uint8 = iota
-	ctrlCond
-	ctrlBR
-	ctrlJSR
-	ctrlJMP
-	ctrlRET
-)
-
-// decodeInst fills a decode-cache entry from the instruction word.
-//
-//ctcp:coldpath
-func decodeInst(in isa.Inst) decEntry {
-	var e decEntry
-	e.valid = true
-	s1, s2 := in.Srcs()
-	e.src = [2]isa.Reg{s1, s2}
-	e.dest = in.Dest()
-	e.class = in.Op.Class()
-	switch {
-	case in.IsCond():
-		e.ctrl = ctrlCond
-	case in.Op == isa.BR:
-		e.ctrl = ctrlBR
-	case in.Op == isa.JSR:
-		e.ctrl = ctrlJSR
-	case in.Op == isa.JMP:
-		e.ctrl = ctrlJMP
-	case in.Op == isa.RET:
-		e.ctrl = ctrlRET
-	}
-	return e
 }

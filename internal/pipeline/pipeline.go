@@ -98,8 +98,7 @@ type Pipeline struct {
 	btbBubble       int64
 	groupSeq        uint64
 
-	pcHist pcmap.Map[pcStats]  // per-static-PC producer history (Table 3)
-	dec    pcmap.Map[decEntry] // per-static-PC decode cache (derived, never serialized)
+	pcHist pcmap.Map[pcStats] // per-static-PC producer history (Table 3)
 
 	lastRetireCycle int64
 
@@ -274,7 +273,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.btbBubble = 0
 	p.groupSeq = 0
 	p.pcHist.Reset()
-	p.dec.Reset()
 	p.lastRetireCycle = 0
 	p.consumed = 0
 	p.fetchLimit = 0
@@ -527,15 +525,8 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 	if p.cfg.Strategy.SteersAtIssue() {
 		e.cluster = -1
 	}
-	d := p.dec.Ensure(rec.PC)
-	if !d.valid {
-		*d = decodeInst(rec.Inst)
-	}
-	class := d.class
+	class := rec.Inst.Op.Class()
 	e.class = class
-	e.dest = d.dest
-	e.src = d.src
-	e.ctrl = d.ctrl
 	if class.IsLoad() {
 		flags |= fIsLoad
 	}
@@ -548,18 +539,15 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 
 // handleControl performs fetch-time prediction bookkeeping for a just-
 // consumed control instruction and reports whether the fetch group must stop
-// (misprediction or unpredictable target). The control kind comes from the
-// decode cache (stamped by newInflight) instead of re-classifying the
-// instruction word per dynamic instance.
+// (misprediction or unpredictable target).
 func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 	e := &p.st.e[idx]
-	ctrl := e.ctrl
-	if ctrl == ctrlNone {
+	if !e.class.IsControl() {
 		return false
 	}
 	rec := &e.rec
-	switch ctrl {
-	case ctrlCond:
+	switch op := rec.Inst.Op; {
+	case rec.Inst.IsCond():
 		p.S.CondBranches++
 		_, correct := p.bp.PredictAndTrainCond(rec.PC, rec.Taken)
 		if !correct {
@@ -576,7 +564,7 @@ func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 			}
 			p.bp.BTBInsert(rec.PC, rec.NextPC)
 		}
-	case ctrlBR:
+	case op == isa.BR:
 		if !fromTC {
 			if _, hit := p.bp.BTBLookup(rec.PC); !hit {
 				p.S.BTBBubbles++
@@ -584,10 +572,10 @@ func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 			}
 			p.bp.BTBInsert(rec.PC, rec.NextPC)
 		}
-	case ctrlJSR, ctrlJMP:
+	case op == isa.JSR, op == isa.JMP:
 		target, hit := p.bp.BTBLookup(rec.PC)
 		p.bp.BTBInsert(rec.PC, rec.NextPC)
-		if ctrl == ctrlJSR {
+		if op == isa.JSR {
 			p.bp.PushReturn(rec.PC + isa.PCStride)
 		}
 		if !hit || target != rec.NextPC {
@@ -596,7 +584,7 @@ func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 			p.pendingRedirect = e.id(idx)
 			return true
 		}
-	case ctrlRET:
+	case op == isa.RET:
 		target, ok := p.bp.PredictReturn()
 		if !ok || target != rec.NextPC {
 			p.S.IndirectMiss++
@@ -647,7 +635,7 @@ func (p *Pipeline) rename() {
 			break
 		}
 		id := e.id(idx)
-		for k, r := range e.src { // src cached at newInflight (decode cache)
+		for k, r := range e.rec.Src {
 			if r == isa.NoReg {
 				continue
 			}
@@ -664,7 +652,7 @@ func (p *Pipeline) rename() {
 		}
 		e.rfReady = p.now + int64(p.cfg.RenameStages+p.cfg.RFLat)
 		e.dispatchReady = p.now + int64(p.cfg.RenameStages+p.cfg.SteerStages)
-		if d := e.dest; d != isa.NoReg {
+		if d := e.rec.Dest; d != isa.NoReg {
 			p.renameMap[d] = id
 		}
 		e.prevStore = p.lastStore
@@ -967,7 +955,7 @@ func (p *Pipeline) resolve(e *inflight) {
 	st := &p.st
 	var t [2]int64
 	var fwd [2]bool
-	src := e.src
+	src := e.rec.Src
 	present := [2]bool{src[0] != isa.NoReg, src[1] != isa.NoReg}
 	for k := 0; k < 2; k++ {
 		if !present[k] {
@@ -1246,7 +1234,7 @@ func (p *Pipeline) recordInputStats(e *inflight) {
 	var hist *pcStats
 	for k := 0; k < 2; k++ {
 		pid := e.prod[k]
-		if pid == noID || e.src[k] == isa.NoReg {
+		if pid == noID || e.rec.Src[k] == isa.NoReg {
 			continue
 		}
 		pe := &st.e[st.index(pid)]
@@ -1360,7 +1348,7 @@ func (p *Pipeline) retire() {
 		// holding its id until the ring laps it. Rename-visible aliases are
 		// severed here so no new references can form after retirement.
 		id := e.id(idx)
-		if d := e.dest; d != isa.NoReg && p.renameMap[d] == id {
+		if d := e.rec.Dest; d != isa.NoReg && p.renameMap[d] == id {
 			p.renameMap[d] = noID
 		}
 		if p.lastStore == id {
@@ -1380,8 +1368,6 @@ func (p *Pipeline) retireInfo(e *inflight, info *core.RetireInfo) {
 	// literal temporary (and its second ~200-byte copy) a struct assignment
 	// compiles to.
 	info.Rec = e.rec
-	info.Src = e.src
-	info.Dest = e.dest
 	info.FromTC = e.flags&fFromTC != 0
 	info.Profile = e.profile
 	info.Cluster = int(e.cluster)

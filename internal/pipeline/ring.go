@@ -66,12 +66,11 @@ const (
 // scanned record costs its first cache line. The rest is touched once per
 // pipeline stage per instruction.
 type inflight struct {
-	// Hot: scanned every cycle. ctrl and rsSlot fill what would otherwise
-	// be padding.
+	// Hot: scanned every cycle. rsSlot fills what would otherwise be
+	// padding.
 	gen      uint32 // current generation; bumped by alloc each lap
 	flags    uint16
-	class    isa.Class // cached rec.Inst.Op.Class(); read per issue-scan hit
-	ctrl     uint8     // cached decode-cache control kind; read at fetch
+	class    isa.Class // copy of rec.Inst.Op.Class(); read per issue-scan hit
 	cluster  int32
 	rsSlot   int32 // position in rsEntries[cluster] while in RS
 	resultAt int64
@@ -88,8 +87,6 @@ type inflight struct {
 	// Cold: touched at rename/dispatch/issue/retire only.
 	rec           emu.Committed
 	profile       trace.Profile
-	src           [2]isa.Reg
-	dest          isa.Reg // cached rec.Inst.Dest(); read at rename and retire
 	critSrc       uint8
 	group         uint64
 	renameReady   int64
@@ -147,13 +144,12 @@ func (s *infStore) stale(id infID) {
 // before its first read in the new tenancy, or provably zero when the ring
 // laps the slot. The discipline, field by field:
 //
-//   - rec, class, dest, src, ctrl, cluster, group, profile, resultAt,
-//     renameReady, flags, prod: fully assigned in newInflight (flags as
-//     one whole-word store, never |= on a reused slot; prod as [noID,
-//     noID], which rename then fills in for in-flight producers only;
-//     resultAt as unknown, which issue replaces with the cycle the result
-//     is ready, and that cycle is also when retire and clearRedirect
-//     count the instruction complete).
+//   - rec, class, cluster, group, profile, resultAt, renameReady, flags,
+//     prod: fully assigned in newInflight (flags as one whole-word store,
+//     never |= on a reused slot; prod as [noID, noID], which rename then
+//     fills in for in-flight producers only; resultAt as unknown, which
+//     issue replaces with the cycle the result is ready, and that cycle is
+//     also when retire and clearRedirect count the instruction complete).
 //   - rfReady, dispatchReady, prevStore: fully assigned at rename.
 //   - barrier: assigned at rename for loads and stores, and only ever read
 //     under fIsLoad/fIsStore.

@@ -141,7 +141,7 @@ func readinessRef(p *Pipeline, idx uint32) int64 {
 	e := &st.e[idx]
 	var t [2]int64
 	var fwd [2]bool
-	src := e.src
+	src := e.rec.Src
 	present := [2]bool{src[0] != isa.NoReg, src[1] != isa.NoReg}
 	for k := 0; k < 2; k++ {
 		if !present[k] {

@@ -144,9 +144,6 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	_ = p.robHead // the ring position of the empty ROB, likewise unobservable
 	_ = p.storeRing
 	_ = p.storeRingMask
-	// The decode cache is a pure function of the immutable program text,
-	// refilled lazily after restore.
-	_ = p.dec
 	// Derived from rsCount, which snapReady asserts is zero at every
 	// snapshot boundary, so it is zero there too.
 	_ = p.rsFull

@@ -356,14 +356,11 @@ func (b *Builder) Reset(cfg Config) {
 // Pending returns the number of buffered instructions.
 func (b *Builder) Pending() int { return len(b.slots) }
 
-// Add appends one retired instruction. When the instruction terminates the
-// trace (capacity, block limit, indirect control, or HALT) the completed
-// trace is returned with slots in logical order; otherwise Add returns nil.
-func (b *Builder) Add(rec emu.Committed) *Trace { return b.AddRec(&rec) }
-
-// AddRec is Add without the by-value record copy; the hot retire path calls
-// it once per retired instruction. The record is only read.
-func (b *Builder) AddRec(rec *emu.Committed) *Trace {
+// Add appends one retired instruction; the record is only read. When the
+// instruction terminates the trace (capacity, block limit, indirect
+// control, or HALT) the completed trace is returned with slots in logical
+// order; otherwise Add returns nil.
+func (b *Builder) Add(rec *emu.Committed) *Trace {
 	if len(b.slots) == 0 {
 		if n := len(b.free); n > 0 {
 			b.reuse = b.free[n-1]

@@ -9,15 +9,15 @@ import (
 	"ctcp/internal/isa"
 )
 
-func rec(pc uint64, inst isa.Inst, taken bool) emu.Committed {
-	return emu.Committed{PC: pc, Inst: inst, Taken: taken}
+func rec(pc uint64, inst isa.Inst, taken bool) *emu.Committed {
+	return &emu.Committed{PC: pc, Inst: inst, Taken: taken}
 }
 
-func addInst(pc uint64) emu.Committed {
+func addInst(pc uint64) *emu.Committed {
 	return rec(pc, isa.Inst{Op: isa.ADD, Ra: isa.R(1), Rb: isa.R(2), Rc: isa.R(3)}, false)
 }
 
-func brInst(pc uint64, taken bool) emu.Committed {
+func brInst(pc uint64, taken bool) *emu.Committed {
 	c := rec(pc, isa.Inst{Op: isa.BNE, Ra: isa.R(1), Imm: 0x900000, UseImm: true}, taken)
 	if taken {
 		c.NextPC = 0x900000 // forward target: does not trigger loop-closing termination
@@ -258,7 +258,7 @@ func TestBuilderInvariantsQuick(t *testing.T) {
 		var traces []*Trace
 		pc := uint64(0x1000)
 		for i := 0; i < 200; i++ {
-			var c emu.Committed
+			var c *emu.Committed
 			switch r.Intn(10) {
 			case 0:
 				c = brInst(pc, r.Intn(2) == 0)
