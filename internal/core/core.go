@@ -14,6 +14,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ctcp/internal/emu"
 	"ctcp/internal/pcmap"
 	"ctcp/internal/trace"
@@ -25,10 +27,22 @@ import (
 // (pipeline.RunProgramErr) recovers the panic into a typed error so a
 // pathological configuration degrades to one failed run instead of killing
 // the process.
-type InvariantError struct{ Msg string }
+//
+// Ref, when non-zero, is the value the broken invariant was checked on (a
+// stale in-flight id, for one). A hot check that must stay small can panic
+// with a constant Msg and the value in Ref, leaving the formatting to Error.
+type InvariantError struct {
+	Msg string
+	Ref uint64
+}
 
 // Error implements error.
-func (e *InvariantError) Error() string { return e.Msg }
+func (e *InvariantError) Error() string {
+	if e.Ref != 0 {
+		return fmt.Sprintf("%s %#x", e.Msg, e.Ref)
+	}
+	return e.Msg
+}
 
 // StrategyKind selects the cluster assignment strategy.
 type StrategyKind int

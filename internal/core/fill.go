@@ -256,11 +256,20 @@ func (f *FillUnit) finishTrace(tr *trace.Trace) {
 // (their trace-line bits), overlaid with any still-pending designations;
 // new designations go to the pending table until the fill unit next builds
 // a trace containing the instruction.
+//
+// Only a forwarded, inter-trace critical input can change a designation;
+// every other retiring instruction returns at the inline check.
+//
+//ctcp:inline
 func (f *FillUnit) updateChains(info *RetireInfo) {
-	if !f.cfg.Strategy.UsesChains() || f.cfg.DisableChains {
-		return
+	if info.CritForwarded && info.CritInterTrace && info.CritSrc != CritNone {
+		f.designate(info)
 	}
-	if info.CritSrc == CritNone || !info.CritForwarded || !info.CritInterTrace {
+}
+
+// designate is updateChains for a forwarded, inter-trace critical input.
+func (f *FillUnit) designate(info *RetireInfo) {
+	if !f.cfg.Strategy.UsesChains() || f.cfg.DisableChains {
 		return
 	}
 	pin := f.cfg.Strategy.Pins()

@@ -42,6 +42,8 @@ func (c *Committed) Decode() {
 }
 
 // IsTakenControl reports whether the record is a taken control transfer.
+//
+//ctcp:inline
 func (c Committed) IsTakenControl() bool { return c.Inst.IsControl() && c.Taken }
 
 // Stream is a source of committed instructions in program order. NextInto

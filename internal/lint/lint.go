@@ -26,6 +26,12 @@
 //     not descend into it.
 //   - //ctcp:lint-ok <rule>[,<rule>...] [reason] suppresses the named rules
 //     on the comment's own line and on the line immediately below it.
+//   - //ctcp:inline on a function declaration marks a per-instruction
+//     helper that must stay inside the compiler's inlining budget. No
+//     analyzer reads it: the compiler decides, so TestInlineDirectivesHold
+//     builds the annotated packages with -gcflags=-m=2 and fails, naming the
+//     function and the compiler's reported cost, for each one it does not
+//     inline.
 //
 // Suppressions are audited: Audit reports any that no longer exempt a
 // finding, so stale waivers cannot accumulate as the code under them

@@ -10,6 +10,12 @@ package pipeline
 // Correctness against the original model is pinned by the differential,
 // determinism, and golden-stats tests.
 
+import (
+	"fmt"
+
+	"ctcp/internal/core"
+)
+
 // infQueue is an in-place FIFO of in-flight instruction ids. popFront
 // advances a head index instead of reslicing (the old `q = q[1:]` drains
 // leaked the buffer's front and forced append to reallocate); the buffer is
@@ -19,10 +25,16 @@ type infQueue struct {
 	head int
 }
 
-func (q *infQueue) len() int       { return len(q.buf) - q.head }
-func (q *infQueue) at(i int) infID { return q.buf[q.head+i] }
-func (q *infQueue) front() infID   { return q.buf[q.head] }
+//ctcp:inline
+func (q *infQueue) len() int { return len(q.buf) - q.head }
 
+//ctcp:inline
+func (q *infQueue) at(i int) infID { return q.buf[q.head+i] }
+
+//ctcp:inline
+func (q *infQueue) front() infID { return q.buf[q.head] }
+
+//ctcp:inline
 func (q *infQueue) push(id infID) {
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
 		n := copy(q.buf, q.buf[q.head:])
@@ -41,6 +53,7 @@ func (q *infQueue) reset() {
 	q.head = 0
 }
 
+//ctcp:inline
 func (q *infQueue) popFront() {
 	q.buf[q.head] = noID
 	q.head++
@@ -51,6 +64,8 @@ func (q *infQueue) popFront() {
 }
 
 // drop turns entry i into a hole for squeeze to remove.
+//
+//ctcp:inline
 func (q *infQueue) drop(i int) { q.buf[q.head+i] = noID }
 
 // squeeze removes the holes among the first n entries, keeping order. The
@@ -78,7 +93,8 @@ func (q *infQueue) squeeze(n int) {
 // It only needs to exceed the farthest-future cycle a port can be booked at
 // relative to the current cycle (bounded by the memory hierarchy's worst
 // round trip plus store-buffer backlog, a few hundred cycles); 8K cycles
-// leaves two orders of magnitude of slack.
+// leaves two orders of magnitude of slack. book checks the bound: a booking
+// that would evict a live one a window away panics instead.
 const portWindow = 1 << 13
 
 // portSched books data-cache ports per absolute cycle on a ring keyed by
@@ -104,11 +120,17 @@ func (ps *portSched) reset() {
 }
 
 // book reserves one port at or after cycle t given ports per cycle, and
-// returns the cycle used.
-func (ps *portSched) book(t int64, ports int) int64 {
+// returns the cycle used. now is the current cycle: a slot holding another
+// cycle before now is a stale booking and is reclaimed, but one holding a
+// cycle at or after now is still live, and reclaiming it would silently
+// drop a booking, so book panics errLappedBooking instead (see portWindow).
+func (ps *portSched) book(t, now int64, ports int) int64 {
 	for {
 		idx := t & (portWindow - 1)
-		if ps.cycle[idx] != t {
+		if c := ps.cycle[idx]; c != t {
+			if c >= now {
+				panic(errLappedBooking)
+			}
 			ps.cycle[idx] = t
 			ps.used[idx] = 0
 		}
@@ -119,6 +141,12 @@ func (ps *portSched) book(t int64, ports int) int64 {
 		t++
 	}
 }
+
+// errLappedBooking is book's panic value. It is built once, so the check
+// neither allocates nor pushes book, and portTime with it, out of the
+// inlining budget; it is never modified.
+var errLappedBooking = &core.InvariantError{Msg: fmt.Sprintf(
+	"pipeline: data-cache port booking would evict a live booking a multiple of %d cycles away", portWindow)}
 
 // pcStats is the per-static-instruction producer history behind Table 3
 // (last forwarded producer per source, and last critical inter-trace

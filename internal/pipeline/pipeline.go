@@ -38,6 +38,9 @@ type Pipeline struct {
 	mem    *cachesim.Hierarchy
 
 	stream emu.Stream
+	// mach is stream when it is an *emu.Machine, else nil: refill calls the
+	// interpreter directly instead of through the interface.
+	mach *emu.Machine
 	// predictCond is p.bp.PredictCond, bound whenever Reset replaces bp;
 	// creating the method value at every trace cache lookup allocated a
 	// closure per fetch.
@@ -163,6 +166,7 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	g := cfg.Geom
 	p.cfg, p.geom = cfg, g
 	p.stream = stream
+	p.mach, _ = stream.(*emu.Machine)
 
 	// Components are reset in place while their configuration is unchanged.
 	if p.bp == nil || p.bp.Config() != cfg.BP {
@@ -297,12 +301,10 @@ func zeroed[T any](s []T, n int) []T {
 // FillUnit exposes the fill unit (tests and experiments read its stats).
 func (p *Pipeline) FillUnit() *core.FillUnit { return p.fill }
 
-// Run drives the model until the stream is exhausted and the machine drains,
-// then returns the collected statistics.
+// Run drives the model until the stream is exhausted (or Config.MaxInsts
+// records are consumed) and the machine drains, then returns the collected
+// statistics.
 func (p *Pipeline) Run() *Stats {
-	if p.cfg.MaxInsts != 0 {
-		p.stream = &emu.LimitStream{S: p.stream, Budget: p.cfg.MaxInsts}
-	}
 	p.runLoop((*Pipeline).done)
 	return p.Finish()
 }
@@ -327,9 +329,10 @@ func (p *Pipeline) runLoop(stop func(*Pipeline) bool) {
 // consumed from the stream reaches limit and the in-flight instructions
 // drain (limit 0 removes the pause and runs to stream exhaustion, like
 // Run but without flushing the fill unit). It reports whether the stream
-// is exhausted. Between RunTo calls the pipeline sits at a drained trace
-// boundary — ROB, fetch and dispatch queues empty — which is the only
-// kind of point Snapshot accepts. Limits are cumulative across calls:
+// is exhausted; a non-zero Config.MaxInsts exhausts it after that many
+// records, whatever the limit. Between RunTo calls the pipeline sits at a
+// drained trace boundary — ROB, fetch and dispatch queues empty — which is
+// the only kind of point Snapshot accepts. Limits are cumulative across calls:
 // RunTo(k) then RunTo(2k) simulates 2k records in two segments. A
 // segmented run is deterministic for a given segment schedule, and
 // continuing after a pause is bit-identical whether the same Pipeline
@@ -379,6 +382,8 @@ func (p *Pipeline) done() bool {
 }
 
 // fetchPaused reports whether fetch is paused at a RunTo segment limit.
+//
+//ctcp:inline
 func (p *Pipeline) fetchPaused() bool {
 	return p.fetchLimit != 0 && p.consumed >= p.fetchLimit
 }
@@ -407,17 +412,36 @@ func (p *Pipeline) cycle() {
 
 // peek returns the next committed record without consuming it; ok is false
 // once the stream is exhausted. The record is buffered by value (the old
-// implementation heap-allocated a copy per instruction).
+// implementation heap-allocated a copy per instruction). A fetch group
+// peeks once per slot and finds the record buffered on all but the first
+// peek after each take, so only refill is out of line.
+//
+//ctcp:inline
 func (p *Pipeline) peek() (*emu.Committed, bool) {
 	if p.havePeek {
 		return &p.peekedRec, true
 	}
+	return p.refill()
+}
+
+// refill pulls the next record from the stream into the peek buffer.
+// Config.MaxInsts is enforced here, on the consumed counter: reaching it
+// exhausts the stream.
+func (p *Pipeline) refill() (*emu.Committed, bool) {
 	if p.streamDone || p.fetchPaused() {
 		// A paused fetch is not stream exhaustion: the next RunTo segment
 		// resumes pulling records exactly where this one stopped.
 		return nil, false
 	}
-	if !p.stream.NextInto(&p.peekedRec) {
+	ok := false
+	if p.cfg.MaxInsts == 0 || p.consumed < p.cfg.MaxInsts {
+		if p.mach != nil {
+			ok = p.mach.NextInto(&p.peekedRec)
+		} else {
+			ok = p.stream.NextInto(&p.peekedRec)
+		}
+	}
+	if !ok {
 		p.streamDone = true
 		return nil, false
 	}
@@ -428,6 +452,8 @@ func (p *Pipeline) peek() (*emu.Committed, bool) {
 
 // take consumes the peeked record; the pointer stays valid until the next
 // peek, and newInflight copies it into the store before then.
+//
+//ctcp:inline
 func (p *Pipeline) take() *emu.Committed {
 	p.havePeek = false
 	return &p.peekedRec
@@ -538,13 +564,18 @@ func (p *Pipeline) newInflight(rec *emu.Committed, fromTC bool, group uint64, cl
 }
 
 // handleControl performs fetch-time prediction bookkeeping for a just-
-// consumed control instruction and reports whether the fetch group must stop
-// (misprediction or unpredictable target).
+// consumed instruction and reports whether the fetch group must stop
+// (misprediction or unpredictable target). Only control instructions have
+// any: the rest return at the inline class check.
+//
+//ctcp:inline
 func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
+	return p.st.e[idx].class.IsControl() && p.predictControl(idx, fromTC)
+}
+
+// predictControl is handleControl for a control instruction.
+func (p *Pipeline) predictControl(idx uint32, fromTC bool) bool {
 	e := &p.st.e[idx]
-	if !e.class.IsControl() {
-		return false
-	}
 	rec := &e.rec
 	switch op := rec.Inst.Op; {
 	case rec.Inst.IsCond():
@@ -596,10 +627,18 @@ func (p *Pipeline) handleControl(idx uint32, fromTC bool) bool {
 	return false
 }
 
+// clearRedirect lifts the pending fetch redirect, if any, once its
+// instruction has completed.
+//
+//ctcp:inline
 func (p *Pipeline) clearRedirect() {
-	if p.pendingRedirect == noID {
-		return
+	if p.pendingRedirect != noID {
+		p.endRedirect()
 	}
+}
+
+// endRedirect is clearRedirect with a redirect pending.
+func (p *Pipeline) endRedirect() {
 	e := &p.st.e[p.st.index(p.pendingRedirect)]
 	if e.flags&fIssued != 0 && e.resultAt <= p.now {
 		p.pendingRedirect = noID
@@ -684,6 +723,8 @@ func (p *Pipeline) rename() {
 // --- dispatch (into reservation stations) ---
 
 // wu indexes the flattened per-cycle [cluster][station] write-port scratch.
+//
+//ctcp:inline
 func (p *Pipeline) wu(c int, st cluster.RSKind) *int {
 	return &p.scr.writeUsed[c*int(cluster.NumRSKinds)+int(st)]
 }
@@ -929,6 +970,8 @@ func (p *Pipeline) linkDeps(idx uint32, e *inflight) {
 
 // effFwd returns the forwarding latency from producer to consumer with the
 // Figure 5 knobs applied.
+//
+//ctcp:inline
 func (p *Pipeline) effFwd(prod, cons *inflight) int64 {
 	if p.cfg.ZeroAllFwdLat {
 		return 0
@@ -1011,9 +1054,19 @@ func (p *Pipeline) resolve(e *inflight) {
 // wakeWaiters delivers a just-issued producer's resultAt to every RS entry
 // waiting on it; entries whose last dependency this was resolve immediately,
 // so a consumer later in this cycle's issue scan can still issue this cycle.
+// A producer without waiters returns at the inline check.
+//
+//ctcp:inline
+func (p *Pipeline) wakeWaiters(e *inflight) {
+	if e.waiterHead != 0 {
+		p.wakeList(e)
+	}
+}
+
+// wakeList is wakeWaiters for a producer with waiters.
 //
 //ctcp:hotpath
-func (p *Pipeline) wakeWaiters(e *inflight) {
+func (p *Pipeline) wakeList(e *inflight) {
 	st := &p.st
 	for n := e.waiterHead; n != 0; {
 		node := n - 1
@@ -1051,6 +1104,10 @@ func (p *Pipeline) storeIssued(seq uint64) {
 	}
 }
 
+// freeFU returns a functional unit of cluster c that can take class this
+// cycle, or -1 when all are busy.
+//
+//ctcp:inline
 func (p *Pipeline) freeFU(c int, class isa.Class) cluster.FUKind {
 	for _, fu := range cluster.UnitsFor(class) {
 		if p.fuFree[c][fu] <= p.now {
@@ -1197,7 +1254,7 @@ func (p *Pipeline) portTime(t int64) int64 {
 	if t <= p.now {
 		t = p.now
 	}
-	return p.ports.book(t, p.cfg.Mem.Ports)
+	return p.ports.book(t, p.now, p.cfg.Mem.Ports)
 }
 
 func (p *Pipeline) recordInputStats(e *inflight) {

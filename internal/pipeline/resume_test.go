@@ -29,8 +29,7 @@ const resumeInsts = 12_000
 
 // newSegPipe builds a machine + budget-limited stream + pipeline for
 // segmented execution. The budget lives in an explicit LimitStream (not
-// Config.MaxInsts, which Run would wrap internally) so the stream is
-// snapshotable alongside the pipeline.
+// Config.MaxInsts) so that it is snapshotted with the stream.
 func newSegPipe(t *testing.T, bench string, k core.StrategyKind, budget uint64) (*emu.Machine, *Pipeline) {
 	t.Helper()
 	bm, ok := workload.ByName(bench)

@@ -31,8 +31,6 @@ package pipeline
 // cycle, exactly as the per-entry recompute allowed.
 
 import (
-	"fmt"
-
 	"ctcp/internal/core"
 	"ctcp/internal/emu"
 	"ctcp/internal/isa"
@@ -106,33 +104,26 @@ type infStore struct {
 }
 
 // id returns the current reference to e, the record in slot idx.
+//
+//ctcp:inline
 func (e *inflight) id(idx uint32) infID {
 	return infID(uint64(e.gen)<<32 | uint64(idx))
 }
 
 // index resolves id to its slot, panicking *core.InvariantError when the
 // ring has lapped the slot since id was created (use-after-free detection).
+// The error's Ref is the stale id itself (slot in the low 32 bits,
+// generation in the high 32): a constant message keeps the check inside the
+// inlining budget.
+//
+//ctcp:inline
 func (s *infStore) index(id infID) uint32 {
 	idx := uint32(id)
 	if idx >= uint32(len(s.e)) || uint32(id>>32) != s.e[idx].gen {
-		s.stale(id)
+		//ctcp:lint-ok hotalloc -- allocates only on the way to a panic
+		panic(&core.InvariantError{Msg: "pipeline: stale inflight id", Ref: uint64(id)})
 	}
 	return idx
-}
-
-// stale reports a generation-check failure out of line so the check itself
-// stays allocation-free on the hot path.
-//
-//ctcp:coldpath
-func (s *infStore) stale(id infID) {
-	idx := uint32(id)
-	gen := uint32(0)
-	if idx < uint32(len(s.e)) {
-		gen = s.e[idx].gen
-	}
-	panic(&core.InvariantError{Msg: fmt.Sprintf(
-		"pipeline: stale inflight id %#x (slot %d, generation %d, store generation %d)",
-		uint64(id), idx, uint32(id>>32), gen)})
 }
 
 // alloc hands out the next slot in ring order under a new generation. The
@@ -176,6 +167,8 @@ func (s *infStore) alloc() uint32 {
 
 // wrap maps a slot position less than one lap past the ring's end back
 // into the ring: the slot i positions after slot 0, modulo the ring size.
+//
+//ctcp:inline
 func (s *infStore) wrap(i uint32) uint32 {
 	if i >= uint32(len(s.e)) {
 		i -= uint32(len(s.e))

@@ -138,6 +138,7 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	// comparisons, so a restored pipeline restarting them at 1 schedules
 	// identically).
 	_ = p.peekedRec
+	_ = p.mach // p.stream as an *emu.Machine, derived by Reset
 	_ = p.predictCond
 	_ = p.scr
 	_ = p.st

@@ -132,7 +132,7 @@ func Run(prog *isa.Program, cfg pipeline.Config, opts Options) (*Result, error) 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, planned)
-	cfg.MaxInsts = 0     // budgets are per-region LimitStreams, not global
+	cfg.MaxInsts = 0     // budgets are per region (runRegion sets each), not global
 	cfg.RetireHook = nil // per-region pipelines must not feed shared observers
 
 	// Detailed windows run while the forward pass produces them. The buffer
@@ -259,10 +259,9 @@ func forward(prog *isa.Program, opts Options, jobs chan<- job, free <-chan []byt
 // the cold state New builds, so a region's result does not depend on which
 // worker ran it or what that worker ran before.
 type worker struct {
-	m      *emu.Machine
-	stream emu.LimitStream
-	p      *pipeline.Pipeline
-	free   chan<- []byte // where restored checkpoints go back (nil: dropped)
+	m    *emu.Machine
+	p    *pipeline.Pipeline
+	free chan<- []byte // where restored checkpoints go back (nil: dropped)
 }
 
 // runRegion restores one architectural checkpoint into the worker's
@@ -297,9 +296,10 @@ func (wk *worker) runRegion(cfg pipeline.Config, ckpt []byte, start, span, detai
 	if warm >= budget {
 		warm = budget / 2
 	}
-	wk.stream = emu.LimitStream{S: wk.m, Budget: budget}
+	// The pipeline reads the emulator directly and stops it at the budget.
+	cfg.MaxInsts = budget
 	p := wk.p
-	p.Reset(&wk.stream, cfg)
+	p.Reset(wk.m, cfg)
 	if warm > 0 {
 		p.RunTo(warm)
 		reg.WarmCycles = p.CurrentCycle()

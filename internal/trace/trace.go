@@ -81,6 +81,8 @@ type Trace struct {
 
 // condMask returns the conditional-branch slot mask, deriving it on first
 // use. Lines longer than 64 slots report ok=false and must scan.
+//
+//ctcp:inline
 func (t *Trace) condMask() (mask uint64, ok bool) {
 	if t.condKnown {
 		return t.condBits, true
@@ -129,21 +131,6 @@ func (t *Trace) CheckSlotIndices(slots int) {
 		}
 		seen[idx] = true
 	}
-}
-
-// CondBranchPCs returns the PCs and directions of the embedded conditional
-// branches in logical order.
-func (t *Trace) CondBranchPCs() ([]uint64, []bool) {
-	var pcs []uint64
-	var dirs []bool
-	for i := range t.Slots {
-		s := &t.Slots[i]
-		if s.Inst.IsCond() {
-			pcs = append(pcs, s.PC)
-			dirs = append(dirs, s.Taken)
-		}
-	}
-	return pcs, dirs
 }
 
 // Config sizes the trace cache and construction rules (Table 7: 2-way,

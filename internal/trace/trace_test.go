@@ -90,9 +90,16 @@ func TestBuilderThreeBlockTermination(t *testing.T) {
 	if tr.Blocks != 3 || tr.Len() != 6 {
 		t.Errorf("blocks=%d len=%d", tr.Blocks, tr.Len())
 	}
-	pcs, dirs := tr.CondBranchPCs()
-	if len(pcs) != 3 || dirs[0] != true || dirs[1] != false || dirs[2] != true {
-		t.Errorf("branch flags: %v %v", pcs, dirs)
+	// The branches sit in slots 1, 3 and 5, the mask Lookup checks
+	// against the predictor, with their embedded directions.
+	const wantMask = 1<<1 | 1<<3 | 1<<5
+	if mask, ok := tr.condMask(); !ok || mask != wantMask {
+		t.Errorf("conditional-branch mask %#b (ok %v), want %#b", mask, ok, wantMask)
+	}
+	for i, want := range []bool{true, false, true} {
+		if s := &tr.Slots[2*i+1]; s.Taken != want {
+			t.Errorf("branch %d at slot %d: taken %v, want %v", i, 2*i+1, s.Taken, want)
+		}
 	}
 }
 
