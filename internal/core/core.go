@@ -211,12 +211,15 @@ func NewChainProfile(capLimit int) *ChainProfile {
 	return &ChainProfile{capLimit: capLimit}
 }
 
-// peek returns the pending designation for pc without consuming it.
-func (c *ChainProfile) peek(pc uint64) (trace.Profile, bool) {
-	if e := c.tab.Lookup(pc); e != nil && e.stamp != 0 {
-		return e.prof, true
+// peek returns a copy of pc's slot, the zero slot when pc has none,
+// without consuming it: a designation is pending iff its stamp is non-zero.
+//
+//ctcp:inline
+func (c *ChainProfile) peek(pc uint64) chainSlot {
+	if e := c.tab.Lookup(pc); e != nil {
+		return *e
 	}
-	return trace.Profile{}, false
+	return chainSlot{}
 }
 
 // slotFor returns ref's slot while ref is its current designation, else nil.
@@ -229,8 +232,10 @@ func (c *ChainProfile) slotFor(ref chainRef) *chainSlot {
 
 // Get returns the profile recorded for pc (zero Profile when absent).
 func (c *ChainProfile) Get(pc uint64) trace.Profile {
-	p, _ := c.peek(pc)
-	return p
+	if s := c.peek(pc); s.stamp != 0 {
+		return s.prof
+	}
+	return trace.Profile{}
 }
 
 // Set records the profile for pc, evicting the oldest entry when full.
@@ -281,8 +286,7 @@ func (c *ChainProfile) compact() {
 
 // Has reports whether pc has a pending designation.
 func (c *ChainProfile) Has(pc uint64) bool {
-	_, ok := c.peek(pc)
-	return ok
+	return c.peek(pc).stamp != 0
 }
 
 // Take removes and returns the pending designation for pc, if any.

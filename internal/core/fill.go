@@ -278,8 +278,8 @@ func (f *FillUnit) designate(info *RetireInfo) {
 	// not) to the cluster it executed on.
 	pPC := info.CritProducerPC
 	pProf := info.CritProducerProfile
-	if pend, ok := f.chains.peek(pPC); ok {
-		pProf = pend
+	if pend := f.chains.peek(pPC); pend.stamp != 0 {
+		pProf = pend.prof
 	}
 	// Table 4 condition 2 for followers requires the producer to already be
 	// a member when the dependence is observed; a producer designated a
@@ -304,8 +304,8 @@ func (f *FillUnit) designate(info *RetireInfo) {
 	// and the producer supplied its last-arriving input from another trace.
 	cPC := info.Rec.PC
 	cProf := info.Profile
-	if pend, ok := f.chains.peek(cPC); ok {
-		cProf = pend
+	if pend := f.chains.peek(cPC); pend.stamp != 0 {
+		cProf = pend.prof
 	}
 	if !cProf.IsMember() {
 		f.chains.Set(cPC, trace.Profile{Role: trace.RoleFollower, ChainCluster: pProf.ChainCluster})

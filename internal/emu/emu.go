@@ -156,16 +156,16 @@ func (m *Machine) Next() (Committed, bool) {
 // NextInto implements Stream: it executes one instruction and writes its
 // committed record into *c. It returns false after HALT or a fault, which
 // Err then reports.
+//
+//ctcp:inline
 func (m *Machine) NextInto(c *Committed) bool {
-	if m.halted {
-		return false
-	}
-	if err := m.StepInto(c); err != nil {
+	if !m.halted {
+		if m.fault = m.StepInto(c); m.fault == nil {
+			return true
+		}
 		m.halted = true
-		m.fault = err
-		return false
 	}
-	return true
+	return false
 }
 
 // Step executes exactly one instruction.

@@ -60,21 +60,17 @@ type Pipeline struct {
 	robLen  int
 	fqLen   int
 
-	dispatchQ []infQueue // per-cluster in-order queues (slot-based)
-	steerQ    infQueue   // global in-order queue (issue-time steering)
+	cl     []clusterState // one scheduler record per cluster
+	steerQ infQueue       // global in-order queue (issue-time steering)
+	// portsUsed reports that a write port was taken since dispatch last
+	// cleared every cluster's writeUsed (per-cycle scratch, like it).
+	portsUsed bool
 
-	// rsEntries is each cluster's reservation-station window in age order;
-	// issued entries become noID holes (their mask bits are clear, so the
-	// scan skips whole words of them for free) and the array is compacted
-	// only when it is mostly holes, keeping compaction cost amortized O(1)
-	// per dispatch. readyMask bit i set means rsEntries[c][i] is resolved
-	// and unissued; rsLive counts the non-hole entries.
-	rsEntries [][]infID
-	readyMask [][]uint64
-	rsLive    []int
-	rsCount   [][]int   // per-cluster per-station occupancy
-	rsFull    []uint8   // per-cluster mask of the stations rsCount has filled (bit rs)
-	fuFree    [][]int64 // per-cluster per-FU next-free cycle
+	// due holds the heads of the due lists: an entry resolved ahead of its
+	// ready cycle waits on the list of that cycle, slot due[cycle%dueRing],
+	// until issue sets its ready-mask bit in that cycle (slot+1 links through
+	// inflight.waitNext; 0 = empty).
+	due [dueRing]uint32
 
 	renameMap  [isa.NumRegs]infID
 	lastStore  infID
@@ -112,33 +108,51 @@ type Pipeline struct {
 	consumed   uint64
 	fetchLimit uint64
 
-	// scr groups the per-cycle scratch buffers that checkpointing
-	// deliberately excludes: a snapshot never serializes them, and a
-	// restored pipeline starts with the empty scratch Reset left.
-	scr scratch
-
 	S Stats
 }
 
-// scratch holds the pipeline's per-cycle transient state, segregated from
-// the architectural and profile state that Snapshot must capture. At a
-// drained boundary the per-cycle buffers are stale, so none of it carries
-// information forward.
-type scratch struct {
-	// Per-cycle scratch, reused across cycles. writeUsed is the flattened
-	// [cluster][station] write-port usage, stale from an earlier cycle
-	// until dispatch clears it, which it does only when portsUsed says a
-	// port was taken since the last clear; clusterBudget is the
-	// per-cluster steering budget. open is issue-time steering's
-	// per-cluster mask of the stations that can still take an instruction
-	// this cycle (bit rs: not full, a write port left); a cluster whose
-	// steering budget is spent has none. Steering builds clusterBudget and
-	// open only in cycles where the head of the steering window is
-	// dispatch-ready.
-	writeUsed     []int
-	portsUsed     bool
-	clusterBudget []int
-	open          []uint8
+// dueRing is the number of due lists, a power of two: an entry due within
+// dueRing-1 cycles waits on its own cycle's list, one due later on the
+// farthest list, which files it again when it drains.
+const dueRing = 64
+
+// clusterState is one cluster's scheduler record: its dispatch queue, its
+// reservation-station window and stations, and its functional units. Each
+// stage takes a cluster's record once. The leading fields are what
+// steering reads of every cluster, so that costs one cache line a cluster.
+type clusterState struct {
+	live int // non-hole entries of ids: the cluster's station occupancy
+	// budget and open are issue-time steering's per-cycle scratch, built
+	// only in cycles where the head of the steering window is
+	// dispatch-ready: the instructions steering may still send here this
+	// cycle, and the stations that can still take one (bit rs: not full,
+	// a write port left; none once budget is spent).
+	budget int
+	open   uint8
+	full   uint8 // stations count has filled (bit rs)
+
+	nReady    int                       // set bits in ready
+	count     [cluster.NumRSKinds]int   // per-station occupancy
+	writeUsed [cluster.NumRSKinds]int   // per-cycle scratch: write ports taken (see portsUsed)
+	fuFree    [cluster.NumFUKinds]int64 // per-FU next-free cycle
+
+	// ids is the reservation-station window in age order; issued entries
+	// become noID holes (their mask bits are clear, so the scan skips
+	// whole words of them for free) and the window is compacted only when
+	// it is mostly holes, keeping compaction cost amortized O(1) per
+	// dispatch. ready bit i set means ids[i] is resolved, unissued and due
+	// (its ready cycle has come).
+	ids   []infID
+	ready []uint64
+	queue infQueue // in-order dispatch queue (slot-based)
+}
+
+// reset empties the record in place, keeping the window, mask and queue
+// buffers.
+func (cs *clusterState) reset() {
+	q := cs.queue
+	q.reset()
+	*cs = clusterState{ids: cs.ids[:0], ready: cs.ready[:0], queue: q}
 }
 
 // New builds a pipeline reading committed instructions from stream. The
@@ -208,26 +222,14 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 			p.fwdTab[a*n+b] = int64(g.ForwardLat(a, b))
 		}
 	}
-	if len(p.rsEntries) != n {
-		p.dispatchQ = make([]infQueue, n)
-		p.rsEntries = make([][]infID, n)
-		p.readyMask = make([][]uint64, n)
-		p.rsCount = make([][]int, n)
-		p.fuFree = make([][]int64, n)
-		for c := 0; c < n; c++ {
-			p.rsCount[c] = make([]int, cluster.NumRSKinds)
-			p.fuFree[c] = make([]int64, cluster.NumFUKinds)
-		}
+	if len(p.cl) != n {
+		p.cl = make([]clusterState, n)
 	}
-	for c := 0; c < n; c++ {
-		p.dispatchQ[c].reset()
-		p.rsEntries[c] = p.rsEntries[c][:0]
-		p.readyMask[c] = p.readyMask[c][:0]
-		clear(p.rsCount[c])
-		clear(p.fuFree[c])
+	for c := range p.cl {
+		p.cl[c].reset()
 	}
-	p.rsLive = zeroed(p.rsLive, n)
-	p.rsFull = zeroed(p.rsFull, n)
+	p.portsUsed = false
+	p.due = [dueRing]uint32{}
 	p.steerQ.reset()
 
 	// The in-flight store is a ring that reuses a slot only when it laps
@@ -280,11 +282,6 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	p.lastRetireCycle = 0
 	p.consumed = 0
 	p.fetchLimit = 0
-
-	p.scr.writeUsed = zeroed(p.scr.writeUsed, n*int(cluster.NumRSKinds))
-	p.scr.portsUsed = false
-	p.scr.clusterBudget = zeroed(p.scr.clusterBudget, n)
-	p.scr.open = zeroed(p.scr.open, n)
 	p.S = Stats{}
 }
 
@@ -714,20 +711,13 @@ func (p *Pipeline) rename() {
 		if p.cfg.Strategy.SteersAtIssue() {
 			p.steerQ.push(id)
 		} else {
-			p.dispatchQ[e.cluster].push(id)
+			p.cl[e.cluster].queue.push(id)
 		}
 		budget--
 	}
 }
 
 // --- dispatch (into reservation stations) ---
-
-// wu indexes the flattened per-cycle [cluster][station] write-port scratch.
-//
-//ctcp:inline
-func (p *Pipeline) wu(c int, st cluster.RSKind) *int {
-	return &p.scr.writeUsed[c*int(cluster.NumRSKinds)+int(st)]
-}
 
 // dispatch moves renamed instructions into reservation stations, applying
 // the configured steering strategy and write-port limits.
@@ -740,17 +730,18 @@ func (p *Pipeline) dispatch() {
 	}
 	st := &p.st
 	p.freePorts()
-	for c := 0; c < p.geom.Clusters; c++ {
+	for c := range p.cl {
+		cs := &p.cl[c]
 		n := 0
-		for n < p.geom.Width && p.dispatchQ[c].len() > 0 {
-			idx := uint32(p.dispatchQ[c].front())
+		for n < p.geom.Width && cs.queue.len() > 0 {
+			idx := uint32(cs.queue.front())
 			if st.e[idx].dispatchReady > p.now {
 				break
 			}
-			if !p.insertRS(idx, c) {
+			if !p.insertRS(idx, cs) {
 				break
 			}
-			p.dispatchQ[c].popFront()
+			cs.queue.popFront()
 			n++
 		}
 	}
@@ -759,19 +750,32 @@ func (p *Pipeline) dispatch() {
 // freePorts frees every write port for this cycle's dispatch, clearing the
 // counts only when a port was taken since they were last cleared.
 func (p *Pipeline) freePorts() {
-	if p.scr.portsUsed {
-		clear(p.scr.writeUsed)
-		p.scr.portsUsed = false
+	if p.portsUsed {
+		for c := range p.cl {
+			p.cl[c].writeUsed = [cluster.NumRSKinds]int{}
+		}
+		p.portsUsed = false
 	}
 }
 
 // allStations is the open mask of a cluster with every station open.
 const allStations = uint8(1)<<cluster.NumRSKinds - 1
 
+// Invariant panics of steering and issue, built once like errLappedBooking.
+// DESIGN.md §9 proves that none of them can fire.
+var (
+	errNoSteerTarget   = &core.InvariantError{Msg: "pipeline: issue-time steering found no cluster with an open station for the class"}
+	errOpenStationFull = &core.InvariantError{Msg: "pipeline: issue-time steering found a station full or out of write ports under an open bit"}
+	errLateOlderStore  = &core.InvariantError{Msg: "pipeline: a load issued before an older store's result was ready at its address"}
+)
+
 // steer is dispatch under issue-time steering. It builds its steering
-// state only in cycles where the head of the steering window is
-// dispatch-ready: dispatchReady grows along the window, so otherwise
-// nothing in it is.
+// state, each cluster's budget and open mask, only in cycles where the head
+// of the steering window is dispatch-ready: dispatchReady grows along the
+// window, so otherwise nothing in it is. A class goes only to a cluster
+// whose open mask shares a bit with the class's stations, so steerTarget
+// always finds one and insertRS always succeeds; either failing is an
+// invariant panic.
 //
 //ctcp:hotpath
 func (p *Pipeline) steer() {
@@ -785,10 +789,11 @@ func (p *Pipeline) steer() {
 	// is empty nothing more can dispatch this cycle.
 	p.freePorts()
 	var anyOpen uint8
-	for c := range p.scr.open {
-		p.scr.clusterBudget[c] = p.geom.Width
-		p.scr.open[c] = allStations &^ p.rsFull[c]
-		anyOpen |= p.scr.open[c]
+	for c := range p.cl {
+		cs := &p.cl[c]
+		cs.budget = p.geom.Width
+		cs.open = allStations &^ cs.full
+		anyOpen |= cs.open
 	}
 	// Scan the steering window in age order; an instruction whose target
 	// cluster is saturated does not block younger instructions bound for
@@ -809,26 +814,26 @@ func (p *Pipeline) steer() {
 		}
 		c := p.steerTarget(e, stations)
 		if c < 0 {
-			continue
+			panic(errNoSteerTarget)
 		}
+		cs := &p.cl[c]
 		e.cluster = int32(c)
-		if !p.insertRS(idx, c) {
-			e.cluster = -1
-			continue
+		if !p.insertRS(idx, cs) {
+			panic(errOpenStationFull)
 		}
 		q.drop(i)
 		dispatched++
-		p.scr.clusterBudget[c]--
-		was := p.scr.open[c]
-		if rs := cluster.RSKind(e.station); p.scr.clusterBudget[c] <= 0 {
-			p.scr.open[c] = 0
-		} else if p.rsFull[c]&(1<<rs) != 0 || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
-			p.scr.open[c] &^= 1 << rs
+		cs.budget--
+		was := cs.open
+		if rs := e.station; cs.budget <= 0 {
+			cs.open = 0
+		} else if cs.full&(1<<rs) != 0 || cs.writeUsed[rs] >= p.cfg.RS.WritePorts {
+			cs.open &^= 1 << rs
 		}
-		if p.scr.open[c] != was {
+		if cs.open != was {
 			anyOpen = 0
-			for _, m := range p.scr.open {
-				anyOpen |= m
+			for k := range p.cl {
+				anyOpen |= p.cl[k].open
 			}
 		}
 	}
@@ -838,7 +843,8 @@ func (p *Pipeline) steer() {
 }
 
 // classStations is cluster.StationsFor as a station bit mask per class,
-// matched against the per-cycle open masks of issue-time steering.
+// matched against the per-cycle open masks of issue-time steering. Its bits
+// in ascending order are StationsFor's order.
 var classStations = func() (t [isa.NumClasses]uint8) {
 	for class := range t {
 		for _, rs := range cluster.StationsFor(isa.Class(class)) {
@@ -852,10 +858,10 @@ var classStations = func() (t [isa.NumClasses]uint8) {
 // cluster generating one of its in-flight inputs (preferring the input
 // expected to arrive last), else balance load; at most Width instructions
 // per cluster per cycle. stations is classStations for the instruction's
-// class: a cluster is usable iff its open mask shares a bit with it.
+// class: a cluster is usable iff its open mask shares a bit with it. It
+// returns -1 only when no cluster is usable.
 func (p *Pipeline) steerTarget(e *inflight, stations uint8) int {
 	st := &p.st
-	open := p.scr.open
 	// Prefer the producer whose value arrives later (the likely critical
 	// input); both producers' clusters are known because dispatch is
 	// in order.
@@ -879,32 +885,31 @@ func (p *Pipeline) steerTarget(e *inflight, stations uint8) int {
 			best = int(pe.cluster)
 		}
 	}
-	if best >= 0 && open[best]&stations != 0 {
+	if best >= 0 && p.cl[best].open&stations != 0 {
 		return best
 	}
-	// Fall back: least-occupied usable cluster (rsLive is the cluster's
+	// Fall back: least-occupied usable cluster (live is the cluster's
 	// total station occupancy).
 	target, bestOcc := -1, 1<<30
-	for c, m := range open {
-		if m&stations != 0 && p.rsLive[c] < bestOcc {
-			bestOcc, target = p.rsLive[c], c
+	for c := range p.cl {
+		if cs := &p.cl[c]; cs.open&stations != 0 && cs.live < bestOcc {
+			bestOcc, target = cs.live, c
 		}
 	}
 	return target
 }
 
-func (p *Pipeline) insertRS(idx uint32, c int) bool {
+// insertRS places the instruction in slot idx in the least-occupied station
+// of cs that can hold its class and has an entry and a write port free,
+// ties going to the lowest station, and reports whether one had.
+func (p *Pipeline) insertRS(idx uint32, cs *clusterState) bool {
 	e := &p.st.e[idx]
-	stations := cluster.StationsFor(e.class)
-	best := cluster.RSKind(-1)
-	bestCount := 1 << 30
-	for _, rs := range stations {
-		if p.rsCount[c][rs] >= p.cfg.RS.Entries || *p.wu(c, rs) >= p.cfg.RS.WritePorts {
-			continue
-		}
-		if p.rsCount[c][rs] < bestCount {
-			bestCount = p.rsCount[c][rs]
-			best = rs
+	best := -1
+	bestCount := p.cfg.RS.Entries // a station holding Entries is full
+	for m := classStations[e.class]; m != 0; m &= m - 1 {
+		rs := bits.TrailingZeros8(m)
+		if cs.count[rs] < bestCount && cs.writeUsed[rs] < p.cfg.RS.WritePorts {
+			bestCount, best = cs.count[rs], rs
 		}
 	}
 	if best < 0 {
@@ -912,18 +917,18 @@ func (p *Pipeline) insertRS(idx uint32, c int) bool {
 	}
 	e.station = int32(best)
 	e.flags |= fInRS
-	p.rsCount[c][best]++
-	if p.rsCount[c][best] == p.cfg.RS.Entries {
-		p.rsFull[c] |= 1 << best
+	cs.count[best]++
+	if cs.count[best] == p.cfg.RS.Entries {
+		cs.full |= 1 << best
 	}
-	*p.wu(c, best)++
-	p.scr.portsUsed = true
-	pos := len(p.rsEntries[c])
-	p.rsEntries[c] = append(p.rsEntries[c], e.id(idx))
+	cs.writeUsed[best]++
+	p.portsUsed = true
+	pos := len(cs.ids)
+	cs.ids = append(cs.ids, e.id(idx))
 	e.rsSlot = int32(pos)
-	p.rsLive[c]++
-	if pos>>6 >= len(p.readyMask[c]) {
-		p.readyMask[c] = append(p.readyMask[c], 0)
+	cs.live++
+	if pos>>6 >= len(cs.ready) {
+		cs.ready = append(cs.ready, 0)
 	}
 	p.linkDeps(idx, e)
 	return true
@@ -955,14 +960,14 @@ func (p *Pipeline) linkDeps(idx uint32, e *inflight) {
 	if e.flags&fIsLoad != 0 {
 		if b := e.barrier; b >= p.storeWatermark {
 			slot := b & p.storeRingMask
-			e.loadNext = p.loadWaitHead[slot]
+			e.waitNext = p.loadWaitHead[slot]
 			p.loadWaitHead[slot] = idx + 1
 			wait++
 		}
 	}
 	e.waitCount = wait
 	if wait == 0 {
-		p.resolve(e)
+		p.resolve(idx, e)
 	}
 }
 
@@ -986,15 +991,17 @@ func (p *Pipeline) effFwd(prod, cons *inflight) int64 {
 	return p.fwdTab[int(prod.cluster)*p.geom.Clusters+int(cons.cluster)]
 }
 
-// resolve computes an RS entry's final ready cycle, critical source, and
-// critical producer once every dependency is known, then sets the entry's
-// ready-mask bit. Every term is fixed by now — producer resultAt and
-// cluster are set at the producer's issue, rfReady at rename — so this is
-// exactly the value the per-entry readiness() recompute used to converge
-// on at issue time, computed once instead of per cycle.
+// resolve computes the final ready cycle, critical source, and critical
+// producer of the RS entry e in slot idx once every dependency is known.
+// Every term is fixed by now — producer resultAt and cluster are set at the
+// producer's issue, rfReady at rename — so this is exactly the value the
+// per-entry readiness() recompute used to converge on at issue time,
+// computed once instead of per cycle. An entry already due gets its
+// ready-mask bit at once; one due later waits on the due list of its ready
+// cycle, and issue sets its bit when that cycle comes.
 //
 //ctcp:hotpath
-func (p *Pipeline) resolve(e *inflight) {
+func (p *Pipeline) resolve(idx uint32, e *inflight) {
 	st := &p.st
 	var t [2]int64
 	var fwd [2]bool
@@ -1047,8 +1054,55 @@ func (p *Pipeline) resolve(e *inflight) {
 	e.critSrc = uint8(crit)
 	e.readyAt = ready
 	e.flags |= fResolved
+	if ready <= p.now {
+		p.markReady(e)
+	} else {
+		p.fileDue(idx, e)
+	}
+}
+
+// markReady sets the ready-mask bit of e, a resolved entry that is due.
+//
+//ctcp:inline
+func (p *Pipeline) markReady(e *inflight) {
+	cs := &p.cl[e.cluster]
 	pos := int(e.rsSlot)
-	p.readyMask[e.cluster][pos>>6] |= 1 << uint(pos&63)
+	cs.ready[pos>>6] |= 1 << uint(pos&63)
+	cs.nReady++
+}
+
+// fileDue links e, the resolved entry in slot idx, onto the due list of its
+// ready cycle, which is after now. Validate bounds no latency, so an entry
+// due dueRing or more cycles ahead is parked on the farthest list, that of
+// cycle now+dueRing-1, and filed again when that list drains.
+//
+//ctcp:inline
+func (p *Pipeline) fileDue(idx uint32, e *inflight) {
+	at := min(e.readyAt, p.now+dueRing-1)
+	head := &p.due[at&(dueRing-1)]
+	e.waitNext = *head
+	*head = idx + 1
+}
+
+// drainDue empties the due list of the current cycle: each entry on it is
+// due now and gets its ready-mask bit, at its current window position,
+// except a parked one not yet due, which is filed again.
+func (p *Pipeline) drainDue() {
+	st := &p.st
+	head := &p.due[p.now&(dueRing-1)]
+	n := *head
+	*head = 0
+	for n != 0 {
+		idx := n - 1
+		e := &st.e[idx]
+		n = e.waitNext
+		if e.readyAt > p.now {
+			p.fileDue(idx, e)
+			continue
+		}
+		e.waitNext = 0
+		p.markReady(e)
+	}
 }
 
 // wakeWaiters delivers a just-issued producer's resultAt to every RS entry
@@ -1075,7 +1129,7 @@ func (p *Pipeline) wakeList(e *inflight) {
 		w.waiterNext[node&1] = 0
 		w.waitCount--
 		if w.waitCount == 0 {
-			p.resolve(w)
+			p.resolve(node>>1, w)
 		}
 	}
 	e.waiterHead = 0
@@ -1092,25 +1146,26 @@ func (p *Pipeline) storeIssued(seq uint64) {
 		slot := p.storeWatermark & p.storeRingMask
 		p.storeWatermark++
 		for n := p.loadWaitHead[slot]; n != 0; {
-			l := &st.e[n-1]
-			n = l.loadNext
-			l.loadNext = 0
+			idx := n - 1
+			l := &st.e[idx]
+			n = l.waitNext
+			l.waitNext = 0
 			l.waitCount--
 			if l.waitCount == 0 {
-				p.resolve(l)
+				p.resolve(idx, l)
 			}
 		}
 		p.loadWaitHead[slot] = 0
 	}
 }
 
-// freeFU returns a functional unit of cluster c that can take class this
-// cycle, or -1 when all are busy.
+// freeFU returns a functional unit of cs that can take class this cycle, or
+// -1 when all are busy.
 //
 //ctcp:inline
-func (p *Pipeline) freeFU(c int, class isa.Class) cluster.FUKind {
+func (p *Pipeline) freeFU(cs *clusterState, class isa.Class) cluster.FUKind {
 	for _, fu := range cluster.UnitsFor(class) {
-		if p.fuFree[c][fu] <= p.now {
+		if cs.fuFree[fu] <= p.now {
 			return fu
 		}
 	}
@@ -1118,92 +1173,99 @@ func (p *Pipeline) freeFU(c int, class isa.Class) cluster.FUKind {
 }
 
 // issue dispatches due reservation-station entries to free functional
-// units. The scan walks each cluster's ready bitmask in age order (bit
-// order == age order): unresolved entries cost nothing, since whole 64-entry
-// words of them are skipped with one load, and a resolved entry that is not
-// yet due costs one readyAt load per cycle.
+// units. It first sets the ready-mask bits of the entries due this cycle
+// (drainDue), so a mask holds exactly the resolved, unissued entries whose
+// ready cycle has come: unresolved entries and entries not yet due cost the
+// scan nothing, since whole 64-entry words of them are skipped with one
+// load, and a cluster with no set bit is not scanned at all. The scan walks
+// each cluster's mask in age order (bit order == age order).
 //
 //ctcp:hotpath
 func (p *Pipeline) issue() {
+	if p.due[p.now&(dueRing-1)] != 0 {
+		p.drainDue()
+	}
 	st := &p.st
-	for c := 0; c < p.geom.Clusters; c++ {
-		entries := p.rsEntries[c]
-		mask := p.readyMask[c]
+	for c := range p.cl {
+		cs := &p.cl[c]
 		// Classes that already failed to find a free unit this cycle: FUs
 		// only get busier within a cycle (issuing books one, nothing frees
 		// one until the cycle advances), so a miss stays a miss and younger
 		// same-class entries can skip the unit scan.
 		var noFU uint32
-		for w := 0; w < len(mask); w++ {
-			m := mask[w]
+		for w := 0; cs.nReady != 0 && w < len(cs.ready); w++ {
+			m := cs.ready[w]
 			for m != 0 {
 				b := bits.TrailingZeros64(m)
 				m &= m - 1
 				// Mask membership implies liveness; the generation check
 				// stays on cross-record references, not ownership reads.
-				e := &st.e[uint32(entries[w<<6|b])]
-				if e.readyAt > p.now {
-					continue
-				}
+				e := &st.e[uint32(cs.ids[w<<6|b])]
 				class := e.class
 				if noFU&(1<<class) != 0 {
 					continue
 				}
-				fu := p.freeFU(c, class)
+				fu := p.freeFU(cs, class)
 				if fu < 0 {
 					noFU |= 1 << class
 					continue
 				}
-				p.doIssue(e, c, fu)
+				p.doIssue(e, cs, fu)
 				// Re-read the word above the issued bit: issuing may have
 				// resolved younger entries in it this very cycle (a store
 				// unblocking a load), exactly as the per-entry recompute
 				// would have observed on its way down the age order.
-				m = mask[w] &^ (1<<(uint(b)+1) - 1)
+				m = cs.ready[w] &^ (1<<(uint(b)+1) - 1)
 			}
 		}
 		// Compact only when the window is mostly holes (compaction preserves
 		// age order, so the mask scan's issue order is unaffected by when it
 		// happens). The length guard keeps small windows untouched; the 2×
 		// guard amortizes the O(len) rebuild to O(1) per dispatch.
-		if len(entries) >= 64 && 2*p.rsLive[c] < len(entries) {
-			keep := entries[:0]
-			for _, id := range entries {
-				if id == noID {
-					continue
-				}
-				st.e[uint32(id)].rsSlot = int32(len(keep))
-				keep = append(keep, id)
-			}
-			for i := len(keep); i < len(entries); i++ {
-				entries[i] = noID
-			}
-			p.rsEntries[c] = keep
-			for i := range mask {
-				mask[i] = 0
-			}
-			for pos, id := range keep {
-				if st.e[uint32(id)].flags&fResolved != 0 {
-					mask[pos>>6] |= 1 << uint(pos&63)
-				}
-			}
+		if len(cs.ids) >= 64 && 2*cs.live < len(cs.ids) {
+			p.compact(cs)
 		}
 	}
 }
 
-func (p *Pipeline) doIssue(e *inflight, c int, fu cluster.FUKind) {
+// compact squeezes the holes out of cs's window, keeping age order, and
+// rebuilds its ready mask: a bit for each resolved entry that is due, which
+// is the set of bits the mask held. Entries on due lists are linked by slot,
+// not window position, so the lists need no change.
+func (p *Pipeline) compact(cs *clusterState) {
+	st := &p.st
+	keep := cs.ids[:0]
+	for _, id := range cs.ids {
+		if id == noID {
+			continue
+		}
+		st.e[uint32(id)].rsSlot = int32(len(keep))
+		keep = append(keep, id)
+	}
+	clear(cs.ids[len(keep):])
+	cs.ids = keep
+	clear(cs.ready)
+	for pos, id := range keep {
+		if e := &st.e[uint32(id)]; e.flags&fResolved != 0 && e.readyAt <= p.now {
+			cs.ready[pos>>6] |= 1 << uint(pos&63)
+		}
+	}
+}
+
+func (p *Pipeline) doIssue(e *inflight, cs *clusterState, fu cluster.FUKind) {
 	st := &p.st
 	lat := cluster.LatencyFor(e.class)
 	e.flags = (e.flags &^ fInRS) | fIssued
-	p.rsCount[c][e.station]--
-	p.rsFull[c] &^= 1 << e.station
+	cs.count[e.station]--
+	cs.full &^= 1 << e.station
 	// Leave a hole: clear the mask bit and detach the id so the slot skips
 	// for free until the next compaction.
 	pos := int(e.rsSlot)
-	p.readyMask[c][pos>>6] &^= 1 << uint(pos&63)
-	p.rsEntries[c][pos] = noID
-	p.rsLive[c]--
-	p.fuFree[c][fu] = p.now + int64(lat.Issue)
+	cs.ready[pos>>6] &^= 1 << uint(pos&63)
+	cs.nReady--
+	cs.ids[pos] = noID
+	cs.live--
+	cs.fuFree[fu] = p.now + int64(lat.Issue)
 
 	p.recordInputStats(e)
 
@@ -1211,27 +1273,28 @@ func (p *Pipeline) doIssue(e *inflight, c int, fu cluster.FUKind) {
 	case e.flags&fIsLoad != 0:
 		p.S.Loads++
 		addrDone := p.now + int64(lat.Exec)
-		barrier := addrDone
-		var fwdStore *inflight
+		// Every older store has issued (the watermark let this load
+		// resolve), and loads and stores share a one-cycle address stage,
+		// so no older store's result is later than this load's address.
+		forwarded := false
 		for sid := e.prevStore; sid != noID; {
 			s := &st.e[st.index(sid)]
 			if s.flags&fRetired != 0 {
 				break
 			}
-			if s.resultAt > barrier {
-				barrier = s.resultAt
+			if s.resultAt > addrDone {
+				panic(errLateOlderStore)
 			}
-			if fwdStore == nil && overlaps(&s.rec, &e.rec) {
-				fwdStore = s
+			if !forwarded && overlaps(&s.rec, &e.rec) {
+				forwarded = true
 			}
 			sid = s.prevStore
 		}
-		if fwdStore != nil {
+		if forwarded {
 			p.S.StoreForwards++
-			e.resultAt = maxI64(barrier, fwdStore.resultAt) + 1
+			e.resultAt = addrDone + 1
 		} else {
-			start := p.portTime(barrier)
-			e.resultAt = p.mem.Access(start, e.rec.EA)
+			e.resultAt = p.mem.Access(p.portTime(addrDone), e.rec.EA)
 		}
 	case e.flags&fIsStore != 0:
 		p.S.Stores++

@@ -192,7 +192,7 @@ func geometryConfigs() []struct {
 func TestResetAcrossGeometry(t *testing.T) {
 	progs := []*isa.Program{resetProg(t, "gzip"), resetProg(t, "eon")}
 	sizes := func(p *Pipeline) []int {
-		return []int{len(p.distTab), len(p.rsEntries), len(p.storeRing), len(p.scr.writeUsed), len(p.tc.Dump()), len(p.st.e)}
+		return []int{len(p.distTab), len(p.cl), len(p.storeRing), len(p.tc.Dump()), len(p.st.e)}
 	}
 	p := new(Pipeline)
 	for i, g := range geometryConfigs() {

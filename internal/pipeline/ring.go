@@ -24,10 +24,11 @@ package pipeline
 // ring. When the last dependency resolves, the entry's ready cycle —
 // identical to what the old readiness() would have computed at issue time,
 // because every term is fixed once the producers have issued — is computed
-// once and the entry's bit is set in its cluster's ready mask. Issue scans
-// the mask with bits.TrailingZeros64 in age order (mask bit order == age
-// order within a cluster) and re-reads the scanned word after every issue so
-// a store issuing earlier in the scan can unblock a younger load in the same
+// once. From that cycle on the entry's bit is set in its cluster's ready
+// mask; until then it waits on the due list of that cycle. Issue scans the
+// mask with bits.TrailingZeros64 in age order (mask bit order == age order
+// within a cluster) and re-reads the scanned word after every issue so a
+// store issuing earlier in the scan can unblock a younger load in the same
 // cycle, exactly as the per-entry recompute allowed.
 
 import (
@@ -54,8 +55,8 @@ const (
 	fMispredict
 	fCritFwd
 	// fResolved marks an RS entry whose dependencies are all known: its
-	// readyAt/critSrc fields are final and its ready-mask bit is set. The
-	// issue scan skips it until readyAt arrives.
+	// readyAt/critSrc fields are final, and its ready-mask bit is set from
+	// cycle readyAt on (it waits on a due list before that).
 	fResolved
 )
 
@@ -70,7 +71,7 @@ type inflight struct {
 	flags    uint16
 	class    isa.Class // copy of rec.Inst.Op.Class(); read per issue-scan hit
 	cluster  int32
-	rsSlot   int32 // position in rsEntries[cluster] while in RS
+	rsSlot   int32 // position in the window cl[cluster].ids while in RS
 	resultAt int64
 	readyAt  int64 // final ready cycle once fResolved
 
@@ -78,9 +79,14 @@ type inflight struct {
 	waitCount  int32     // unresolved dependencies while in RS
 	waiterHead uint32    // head of this producer's waiter list (node+1; 0 = none)
 	waiterNext [2]uint32 // per source k, node slot*2+k: next node+1
-	loadNext   uint32    // store-barrier wait list link (slot+1; 0 = none)
-	station    int32
-	barrier    uint64 // stores: own disambiguation seq; loads: newest older store seq
+	// waitNext is the record's one wait link (slot+1; 0 = none): on a
+	// store-watermark list while a load waits for older stores, then on a
+	// due list while a resolved entry waits for its ready cycle. A load
+	// leaves the watermark list before it resolves, so the two never
+	// overlap.
+	waitNext uint32
+	station  int32
+	barrier  uint64 // stores: own disambiguation seq; loads: newest older store seq
 
 	// Cold: touched at rename/dispatch/issue/retire only.
 	rec           emu.Committed
@@ -147,17 +153,17 @@ func (s *infStore) index(id infID) uint32 {
 //   - station, rsSlot: assigned at insertRS before any read.
 //   - waitCount: assigned (not accumulated) in linkDeps.
 //   - readyAt, critSrc: assigned in resolve, which every instruction passes
-//     through before its ready-mask bit (the only gate to reading them) is
-//     set.
+//     through before it joins a due list or gets its ready-mask bit, and
+//     read only under fResolved or from those.
 //   - critProd: assigned in resolve when fCritFwd is set, and read only
 //     under fCritFwd.
-//   - waiterHead/waiterNext/loadNext: self-cleaning. This model fetches the
+//   - waiterHead/waiterNext/waitNext: self-cleaning. This model fetches the
 //     committed stream only (no wrong-path work is ever discarded), so every
 //     instruction issues before it retires: wakeWaiters drains and zeroes the
-//     producer's waiter list at issue, and the store watermark drains and
-//     zeroes every registered load link. The ring laps only retired tenants,
-//     hence with all three at zero; reset clears them after a run abandoned
-//     mid-cycle.
+//     producer's waiter list at issue, and the store watermark and the due
+//     lists drain and zero every link they hold before the entry can issue.
+//     The ring laps only retired tenants, hence with all three at zero;
+//     reset clears them after a run abandoned mid-cycle.
 func (s *infStore) alloc() uint32 {
 	idx := s.next
 	s.next = s.wrap(idx + 1)
@@ -191,7 +197,7 @@ func (s *infStore) reset() {
 		e.gen = 0
 		e.waiterHead = 0
 		e.waiterNext = [2]uint32{}
-		e.loadNext = 0
+		e.waitNext = 0
 	}
 	s.next = 0
 }

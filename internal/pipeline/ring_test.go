@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/fnv"
+	"math/bits"
 	"os"
 	"reflect"
 	"strings"
@@ -183,10 +184,14 @@ func readinessRef(p *Pipeline, idx uint32) int64 {
 }
 
 // TestWakeupMatchesReadinessRecompute steps gzip cycle by cycle under every
-// allocCases configuration and cross-checks the incremental wakeup machinery
-// against the per-entry recompute on the recorded scheduling trace:
+// allocCases configuration, and under a 20,000-cycle memory latency whose
+// waiting consumers outrun the due-list ring and are filed again, and
+// cross-checks the incremental wakeup machinery against the per-entry
+// recompute on the recorded scheduling trace:
 //
-//	(a) a live RS entry's ready-mask bit is set iff the entry is resolved,
+//	(a) at the end of each cycle, a live RS entry's ready-mask bit is set iff
+//	    the entry is resolved and its ready cycle has come, no hole has a
+//	    bit, and each cluster's ready count is its mask's popcount,
 //	(b) the moment an entry resolves, its readyAt equals the reference
 //	    recomputation from its producers' resultAt and the RF time,
 //	(c) nothing issues before the cycle it was declared ready for.
@@ -197,16 +202,24 @@ func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 	}
 	const insts = 8_000
 	prog := bm.ProgramFor(insts)
-	for _, c := range allocCases() {
+	farMem := DefaultConfig().WithStrategy(core.FDRT, false)
+	farMem.Mem.MemLat = 20_000
+	for _, c := range append(allocCases(), allocCase{name: "fdrt-far-mem", cfg: farMem}) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
 			cfg.MaxInsts = insts
-			checkWakeup(t, New(&emu.LimitStream{S: emu.New(prog), Budget: insts}, cfg))
+			parked := checkWakeup(t, New(&emu.LimitStream{S: emu.New(prog), Budget: insts}, cfg))
+			if cfg.Mem.MemLat == farMem.Mem.MemLat && parked == 0 {
+				t.Errorf("no entry was ever due %d or more cycles ahead; the far-latency case parked nothing", dueRing)
+			}
 		})
 	}
 }
 
-func checkWakeup(t *testing.T, p *Pipeline) {
+// checkWakeup runs p to the end under the checks above and returns the
+// number of times it saw an entry parked on the farthest due list, due
+// dueRing or more cycles after the cycle that just ended.
+func checkWakeup(t *testing.T, p *Pipeline) (parked int) {
 	st := &p.st
 	pendingReady := map[infID]int64{} // resolved but not yet issued
 	checked := 0
@@ -230,20 +243,37 @@ func checkWakeup(t *testing.T, p *Pipeline) {
 			}
 		}
 
-		for c := range p.rsEntries {
-			for pos, id := range p.rsEntries[c] {
+		for c := range p.cl {
+			cs := &p.cl[c]
+			set := 0
+			for _, w := range cs.ready {
+				set += bits.OnesCount64(w)
+			}
+			if set != cs.nReady {
+				t.Fatalf("cycle %d: cluster %d ready count %d, mask has %d bits set", cyc, c, cs.nReady, set)
+			}
+			for pos, id := range cs.ids {
+				bit := cs.ready[pos>>6]&(1<<uint(pos&63)) != 0
 				if id == noID {
+					if bit {
+						t.Fatalf("cycle %d: cluster %d hole %d has a mask bit", cyc, c, pos)
+					}
 					continue
 				}
 				idx := uint32(id)
-				bit := p.readyMask[c][pos>>6]&(1<<uint(pos&63)) != 0
 				resolved := st.e[idx].flags&fResolved != 0
-				if bit != resolved {
-					t.Fatalf("cycle %d: cluster %d slot %d mask bit %v but fResolved %v",
-						cyc, c, idx, bit, resolved)
+				if due := resolved && st.e[idx].readyAt <= cyc; bit != due {
+					t.Fatalf("cycle %d: cluster %d slot %d mask bit %v but resolved %v, readyAt %d",
+						cyc, c, idx, bit, resolved, st.e[idx].readyAt)
+				}
+				if bit {
+					set--
 				}
 				if !resolved {
 					continue
+				}
+				if st.e[idx].readyAt-cyc >= dueRing {
+					parked++
 				}
 				if _, seen := pendingReady[id]; seen {
 					continue
@@ -258,6 +288,9 @@ func checkWakeup(t *testing.T, p *Pipeline) {
 				pendingReady[id] = st.e[idx].readyAt
 				checked++
 			}
+			if set != 0 {
+				t.Fatalf("cycle %d: cluster %d has %d mask bits past its window", cyc, c, set)
+			}
 		}
 
 		p.now++
@@ -265,6 +298,7 @@ func checkWakeup(t *testing.T, p *Pipeline) {
 	if checked < 1_000 {
 		t.Fatalf("cross-checked only %d resolutions; trace too short to be meaningful", checked)
 	}
+	return parked
 }
 
 // TestPooledCheckpointCompat restores a checkpoint written by the

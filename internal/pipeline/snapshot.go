@@ -34,35 +34,32 @@ func (p *Pipeline) snapReady() string {
 	if p.steerQ.len() != 0 {
 		return "the steering queue is not empty"
 	}
-	for c := range p.dispatchQ {
-		if p.dispatchQ[c].len() != 0 {
+	for c := range p.cl {
+		cs := &p.cl[c]
+		switch {
+		case cs.queue.len() != 0:
 			return "a dispatch queue is not empty"
-		}
-	}
-	for c := range p.rsCount {
-		for s := range p.rsCount[c] {
-			if p.rsCount[c][s] != 0 {
-				return "a reservation station is not empty"
-			}
-		}
-	}
-	for c := range p.rsLive {
-		if p.rsLive[c] != 0 {
+		case cs.count != [len(cs.count)]int{} || cs.full != 0:
+			return "a reservation station is not empty"
+		case cs.live != 0:
 			return "a reservation station window has live entries"
+		case cs.nReady != 0:
+			return "a ready count is not zero"
 		}
-	}
-	for c := range p.rsEntries {
-		for s := range p.rsEntries[c] {
-			if p.rsEntries[c][s] != noID {
+		for _, id := range cs.ids {
+			if id != noID {
 				return "a reservation station entry is live"
 			}
 		}
-	}
-	for c := range p.readyMask {
-		for _, w := range p.readyMask[c] {
+		for _, w := range cs.ready {
 			if w != 0 {
 				return "a ready-mask bit is set"
 			}
+		}
+	}
+	for _, n := range p.due {
+		if n != 0 {
+			return "an entry is waiting on a due list"
 		}
 	}
 	for _, n := range p.loadWaitHead {
@@ -115,17 +112,23 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	w.Bool(p.streamDone)
 
 	w.I64Slice(p.sbDrain)
-	w.Int(len(p.fuFree))
-	for c := range p.fuFree {
-		w.I64Slice(p.fuFree[c])
+	// Of each cluster's record only the FU free cycles carry state across
+	// a drained boundary: the queue, window, mask, station counts and
+	// masks are empty there (snapReady), and writeUsed, budget and open
+	// are per-cycle scratch, rebuilt before they are read, never
+	// serialized.
+	w.Int(len(p.cl))
+	for c := range p.cl {
+		w.I64Slice(p.cl[c].fuFree[:])
 	}
 	p.ports.snapshot(w, p.now)
 	snapshotPCHist(w, &p.pcHist)
 	snapshotStats(w, &p.S)
 
 	// The buffered peek is empty at a drained boundary (asserted above);
-	// predictCond is p.bp.PredictCond bound by Reset; scr is per-cycle
-	// scratch that a restored pipeline rebuilds empty. The inflight
+	// predictCond is p.bp.PredictCond bound by Reset; portsUsed is
+	// per-cycle scratch like the writeUsed counts it guards, and the due
+	// lists are empty at a drained boundary (asserted above). The inflight
 	// store holds no live slot at a drained boundary (snapReady checks every
 	// structure that could reference one), so it is equivalent to the fresh
 	// ring a restored pipeline starts with: residual slot contents are
@@ -140,14 +143,12 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 	_ = p.peekedRec
 	_ = p.mach // p.stream as an *emu.Machine, derived by Reset
 	_ = p.predictCond
-	_ = p.scr
+	_ = p.portsUsed
+	_ = p.due
 	_ = p.st
 	_ = p.robHead // the ring position of the empty ROB, likewise unobservable
 	_ = p.storeRing
 	_ = p.storeRingMask
-	// Derived from rsCount, which snapReady asserts is zero at every
-	// snapshot boundary, so it is zero there too.
-	_ = p.rsFull
 
 	if cs, ok := p.stream.(snap.Checkpointable); ok {
 		cs.Snapshot(w)
@@ -196,20 +197,21 @@ func (p *Pipeline) Restore(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if nc != len(p.fuFree) {
-		r.Failf("pipeline snapshot has %d clusters of FUs, this configuration has %d", nc, len(p.fuFree))
+	if nc != len(p.cl) {
+		r.Failf("pipeline snapshot has %d clusters of FUs, this configuration has %d", nc, len(p.cl))
 		return
 	}
-	for c := range p.fuFree {
+	for c := range p.cl {
+		fuFree := &p.cl[c].fuFree
 		row := r.I64Slice()
 		if r.Err() != nil {
 			return
 		}
-		if len(row) != len(p.fuFree[c]) {
-			r.Failf("pipeline cluster %d has %d FUs in the snapshot, %d in this configuration", c, len(row), len(p.fuFree[c]))
+		if len(row) != len(fuFree) {
+			r.Failf("pipeline cluster %d has %d FUs in the snapshot, %d in this configuration", c, len(row), len(fuFree))
 			return
 		}
-		copy(p.fuFree[c], row)
+		copy(fuFree[:], row)
 	}
 	p.ports.restore(r)
 	restorePCHist(r, &p.pcHist)

@@ -46,8 +46,8 @@ func TestWideMachineRetiresExactStream(t *testing.T) {
 			t.Errorf("%v: retired %d of %d records, diverged from the emulator: %v", k, retired, resetInsts, diverged)
 		}
 		maskWords, longest := 0, 0
-		for c := range p.readyMask {
-			maskWords = max(maskWords, len(p.readyMask[c])) // never shrinks until Reset
+		for c := range p.cl {
+			maskWords = max(maskWords, len(p.cl[c].ready)) // never shrinks until Reset
 		}
 		for _, set := range p.tc.Dump() {
 			for _, line := range set {

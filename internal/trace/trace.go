@@ -364,18 +364,19 @@ func (b *Builder) Add(rec *emu.Committed) *Trace {
 		b.blocks = 1
 		b.indirect = false
 	}
-	// One opTable lookup covers the conditional/control/indirect tests below.
-	opInfo := rec.Inst.Op.Info()
+	// Class and IsCond read the opcode's static table entry without
+	// copying its OpInfo.
+	class := rec.Inst.Op.Class()
 	b.slots = append(b.slots, Slot{
 		PC:        rec.PC,
 		Inst:      rec.Inst,
-		Taken:     opInfo.Conditional && rec.Taken,
+		Taken:     rec.Inst.IsCond() && rec.Taken,
 		SlotIndex: len(b.slots),
 	})
 	terminate := false
-	if opInfo.Class.IsControl() {
+	if class.IsControl() {
 		switch {
-		case opInfo.Class == isa.ClassJump:
+		case class == isa.ClassJump:
 			b.indirect = true
 			terminate = true
 		case rec.Taken && rec.NextPC <= rec.PC:
