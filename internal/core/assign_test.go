@@ -220,3 +220,30 @@ func TestFillUnitSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFillUnitRecyclesFullSizeLines: Reset moves the cache's lines into the
+// recycled-line pool, except a line whose slot array is smaller than
+// MaxLen, and drops the pool when the trace configuration changes; a build
+// takes its line from the pool.
+func TestFillUnitRecyclesFullSizeLines(t *testing.T) {
+	tc := trace.NewCache(trace.DefaultConfig())
+	f := NewFillUnit(testConfig(FDRT), tc)
+	retireN(f, 16, 0x1000)
+	full := lookup(tc, 0x1000)
+	tc.Install(&trace.Trace{StartPC: 0x2000, Slots: make([]trace.Slot, 1, 8)})
+	f.Reset(testConfig(FDRT), tc)
+	if len(f.free) != 1 || f.free[0] != full {
+		t.Fatalf("pool after Reset holds %d lines, want only the full-size line", len(f.free))
+	}
+	retireN(f, 16, 0x1000)
+	if lookup(tc, 0x1000) != full || len(f.free) != 0 {
+		t.Error("the build did not take its line from the pool")
+	}
+	f.Reset(testConfig(FDRT), tc)
+	cfg := testConfig(FDRT)
+	cfg.Trace.MaxBlocks = 2
+	f.Reset(cfg, tc)
+	if f.free != nil {
+		t.Errorf("pool holds %d lines after the trace configuration changed", len(f.free))
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +368,102 @@ func TestFDRTCapacityRespected(t *testing.T) {
 	}
 	if f.S.Skipped == 0 {
 		t.Error("expected some skipped assignments")
+	}
+}
+
+// TestFillUnitFlush: a line's header comes from its records and the rules'
+// block count — a full line of 16 ALU instructions, a line ended by an
+// indirect jump — and Flush installs the partial trace, empties the
+// pending buffer, and builds nothing more when called again.
+func TestFillUnitFlush(t *testing.T) {
+	tc := trace.NewCache(trace.DefaultConfig())
+	f := NewFillUnit(testConfig(Base), tc)
+	retireN(f, 16, 0x1000)
+	if tr := lookup(tc, 0x1000); tr == nil || tr.StartPC != 0x1000 || tr.Len() != 16 || tr.Blocks != 1 || tr.EndsIndirect {
+		t.Fatalf("full line: %+v", tr)
+	}
+	f.Retire(&RetireInfo{Rec: inst(16, 0x3000, isa.ZeroReg, isa.ZeroReg, isa.R(1))})
+	f.Retire(&RetireInfo{Rec: decoded(emu.Committed{Seq: 17, PC: 0x3004, Inst: isa.Inst{Op: isa.JMP, Ra: isa.R(7)}, Taken: true, NextPC: 0x1000})})
+	if tr := lookup(tc, 0x3000); tr == nil || tr.Len() != 2 || tr.Blocks != 1 || !tr.EndsIndirect {
+		t.Fatalf("line ended by an indirect jump: %+v", tr)
+	}
+	f.Retire(&RetireInfo{Rec: inst(18, 0x4000, isa.ZeroReg, isa.ZeroReg, isa.R(1))})
+	f.Retire(&RetireInfo{Rec: inst(19, 0x4004, isa.ZeroReg, isa.ZeroReg, isa.R(2))})
+	if lookup(tc, 0x4000) != nil {
+		t.Fatal("a partial trace was installed before Flush")
+	}
+	f.Flush()
+	if tr := lookup(tc, 0x4000); tr == nil || tr.Len() != 2 || tr.Blocks != 1 || tr.EndsIndirect {
+		t.Fatalf("Flush did not install the partial trace: %+v", tr)
+	}
+	if len(f.pending) != 0 || f.builder.Blocks() != 0 {
+		t.Errorf("fill unit holds %d records and %d blocks after Flush", len(f.pending), f.builder.Blocks())
+	}
+	built := f.S.TracesBuilt
+	if f.Flush(); f.S.TracesBuilt != built {
+		t.Error("an empty Flush built a trace")
+	}
+}
+
+// Property: for random instruction streams under every strategy, the lines
+// the fill unit installs never exceed MaxLen instructions or MaxBlocks
+// blocks, place their slots injectively, and, concatenated in order,
+// reproduce the retired stream.
+func TestFillUnitLinesReplayStreamQuick(t *testing.T) {
+	cfg := trace.DefaultConfig()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		for _, k := range Strategies() {
+			// Start PCs rise by at least 4 over 200 instructions, so every
+			// line keeps its own set of the 512 and none is displaced.
+			tc := trace.NewCache(cfg)
+			fu := NewFillUnit(testConfig(k), tc)
+			var stream []uint64
+			pc := uint64(0x1000)
+			for i := 0; i < 200; i++ {
+				c := inst(uint64(i), pc, isa.ZeroReg, isa.ZeroReg, isa.R(1+i%8))
+				switch r.Intn(10) {
+				case 0:
+					taken := r.Intn(2) == 0
+					c = decoded(emu.Committed{Seq: uint64(i), PC: pc, Inst: isa.Inst{Op: isa.BNE, Ra: isa.R(1), Imm: 0x900000, UseImm: true}, Taken: taken, NextPC: pc + 4})
+					if taken {
+						c.NextPC = 0x900000
+					}
+				case 1:
+					c = decoded(emu.Committed{Seq: uint64(i), PC: pc, Inst: isa.Inst{Op: isa.JMP, Ra: isa.R(5)}, Taken: true, NextPC: pc + 4})
+				}
+				stream = append(stream, pc)
+				pc += 4
+				fu.Retire(&RetireInfo{Rec: c})
+			}
+			fu.Flush()
+			var lines []*trace.Trace
+			for _, set := range tc.Dump() {
+				for _, tr := range set {
+					if tr != nil {
+						lines = append(lines, tr)
+					}
+				}
+			}
+			sort.Slice(lines, func(i, j int) bool { return lines[i].StartPC < lines[j].StartPC })
+			var replay []uint64
+			for _, tr := range lines {
+				if tr.Len() > cfg.MaxLen || tr.Blocks < 1 || tr.Blocks > cfg.MaxBlocks {
+					return false
+				}
+				tr.CheckSlotIndices(testConfig(k).Geom.TotalWidth())
+				for _, s := range tr.Slots {
+					replay = append(replay, s.PC)
+				}
+			}
+			if !slices.Equal(replay, stream) || uint64(len(lines)) != fu.S.TracesBuilt {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -2,10 +2,11 @@ package core
 
 // Tests for the fill unit's one-pass dataflow analysis and for the records
 // it reads: the fused pass matches the two-pass decoding reference it
-// replaced, and a checkpoint whose pending records do not pair with the
-// trace builder's slots is refused.
+// replaced, and a checkpoint whose trace builder section is not the one its
+// pending records derive is refused.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -142,21 +143,66 @@ func TestDataflowMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsUnpairedPending: a checkpoint whose fill unit holds one
-// pending record fewer than its trace builder holds slots is refused, while
-// the same checkpoint with every record restores.
+// encodeFill writes f's checkpoint in FillUnit.Snapshot's layout, except
+// that the trace builder section holds slots, blocks and indirect as given
+// and only the first records pending records follow it.
+func encodeFill(t *testing.T, f *FillUnit, slots []trace.Slot, blocks int, indirect bool, records int) []byte {
+	t.Helper()
+	w := snap.NewWriter()
+	w.Begin("fill")
+	w.Int(int(f.cfg.Strategy))
+	w.Int(f.cfg.Geom.Clusters)
+	w.Int(f.cfg.Geom.Width)
+	w.Int(f.cfg.Trace.MaxLen)
+	w.Bool(f.cfg.DisableChains)
+	f.chains.Snapshot(w)
+	w.Begin("tracebuilder")
+	w.Int(f.cfg.Trace.MaxLen)
+	w.Int(f.cfg.Trace.MaxBlocks)
+	w.Int(len(slots))
+	for _, s := range slots {
+		w.U64(s.PC)
+		s.Inst.Snapshot(w)
+		w.Bool(s.Taken)
+		w.Int(s.SlotIndex)
+		w.Int(s.Cluster)
+		w.U8(s.Profile.Role)
+		w.U8(s.Profile.ChainCluster)
+	}
+	w.Int(blocks)
+	w.Bool(indirect)
+	w.End()
+	w.Int(records)
+	for i := 0; i < records; i++ {
+		f.pending[i].Snapshot(w)
+	}
+	w.Int(0) // no migration history: no trace was built
+	w.Counters(&f.S)
+	w.End()
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRestoreRejectsUnpairedPending: the trace builder section of a
+// checkpoint is derived from the pending records that follow it, so a
+// checkpoint is refused unless every slot equals what its record derives
+// (PC, instruction and direction from the record, SlotIndex i, no cluster,
+// no profile), the block count is the rules' and the trace does not end
+// indirect, with one record per slot. The intact checkpoint, which is
+// FillUnit.Snapshot's encoding byte for byte, restores.
 func TestRestoreRejectsUnpairedPending(t *testing.T) {
-	encode := func(drop int) []byte {
-		f := NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig()))
-		retireN(f, 5, 0x1000)
-		f.pending = f.pending[:len(f.pending)-drop]
-		w := snap.NewWriter()
-		f.Snapshot(w)
-		data, err := w.Finish()
-		if err != nil {
-			t.Fatal(err)
+	f := NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig()))
+	retireN(f, 5, 0x1000)
+	derived := func() []trace.Slot {
+		var slots []trace.Slot
+		for i := range f.pending {
+			rec := &f.pending[i].Rec
+			slots = append(slots, trace.Slot{PC: rec.PC, Inst: rec.Inst, SlotIndex: i})
 		}
-		return data
+		return slots
 	}
 	restore := func(data []byte) error {
 		r, err := snap.NewReader(data)
@@ -166,10 +212,52 @@ func TestRestoreRejectsUnpairedPending(t *testing.T) {
 		NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig())).Restore(r)
 		return r.Close()
 	}
-	if err := restore(encode(0)); err != nil {
+
+	w := snap.NewWriter()
+	f.Snapshot(w)
+	want, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeFill(t, f, derived(), 1, false, 5); !bytes.Equal(got, want) {
+		t.Fatal("the derived builder section is not FillUnit.Snapshot's encoding")
+	}
+	if err := restore(want); err != nil {
 		t.Fatalf("intact checkpoint refused: %v", err)
 	}
-	if err := restore(encode(1)); err == nil {
-		t.Fatal("checkpoint with a pending record removed was accepted")
+
+	for _, tc := range []struct {
+		name     string
+		edit     func(s []trace.Slot)
+		blocks   int
+		indirect bool
+		records  int
+	}{
+		{name: "one record fewer", records: 4},
+		{name: "PC", edit: func(s []trace.Slot) { s[2].PC += 4 }},
+		{name: "Inst", edit: func(s []trace.Slot) { s[2].Inst.Rc = isa.R(9) }},
+		{name: "Taken", edit: func(s []trace.Slot) { s[2].Taken = true }},
+		{name: "SlotIndex", edit: func(s []trace.Slot) { s[0].SlotIndex, s[1].SlotIndex = 1, 0 }},
+		{name: "Cluster", edit: func(s []trace.Slot) { s[3].Cluster = 1 }},
+		{name: "Profile", edit: func(s []trace.Slot) { s[4].Profile = trace.Profile{Role: trace.RoleLeader, ChainCluster: 2} }},
+		{name: "indirect", indirect: true},
+		{name: "blocks", blocks: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slots := derived()
+			if tc.edit != nil {
+				tc.edit(slots)
+			}
+			blocks, records := 1, 5
+			if tc.blocks != 0 {
+				blocks = tc.blocks
+			}
+			if tc.records != 0 {
+				records = tc.records
+			}
+			if err := restore(encodeFill(t, f, slots, blocks, tc.indirect, records)); err == nil {
+				t.Fatal("checkpoint accepted")
+			}
+		})
 	}
 }

@@ -18,9 +18,6 @@ type Config struct {
 	// intra-trace dynamic-criticality heuristics (the paper's "isolating the
 	// intra-trace heuristics" ablation, §5.3).
 	DisableChains bool
-	// ChainTableCap bounds the chain profile table; 0 selects the default of
-	// 4x the trace cache's instruction capacity.
-	ChainTableCap int
 }
 
 // FillStats counts fill-unit and assignment activity.
@@ -74,10 +71,17 @@ func (s FillStats) ChainMigrationRate() float64 {
 // allocations.
 type FillUnit struct {
 	cfg     Config
-	builder *trace.Builder
+	builder trace.Builder
 	tc      *trace.Cache
 	chains  *ChainProfile
+	// pending holds the retired records of the trace under construction,
+	// one per slot: the only copy of that trace until finishTrace writes
+	// its line.
 	pending []RetireInfo
+	// free holds lines displaced from the cache, whose storage backs later
+	// builds: once the cache is full, every Install displaces one line, so
+	// steady-state trace construction allocates nothing.
+	free []*trace.Trace
 
 	// lastCluster tracks each static instruction's most recent assignment
 	// for the migration statistics of Table 9. It is updated for every slot
@@ -93,6 +97,7 @@ type FillUnit struct {
 	midOrder  []int   // slot indices grouped by cluster, middle-most first
 
 	// Per-trace scratch, reused across traces.
+	profiles  []trace.Profile // the profile each slot's line will carry
 	assigned  []int
 	capacity  []int
 	prods     [][2]int32
@@ -111,40 +116,39 @@ func NewFillUnit(cfg Config, tc *trace.Cache) *FillUnit {
 }
 
 // Reset returns the fill unit, in any state, to the state NewFillUnit(cfg,
-// tc) builds, and empties tc. Storage survives where its shape does: when tc
-// is the cache the unit already fills, its installed lines join the
-// builder's recycled pool before the cache is cleared; the chain table, the
-// per-PC tables and the pending buffer are emptied in place; and the
-// geometry-derived cluster orders and per-trace scratch are kept unless
-// the geometry or the trace length changed.
+// tc) builds, and empties tc. Storage survives where its shape does: the
+// recycled-line pool is kept unless the trace configuration changed, and
+// when tc is the cache the unit already fills, its installed lines join the
+// pool before the cache is cleared; the chain table, the per-PC tables and
+// the pending buffer are emptied in place; and the geometry-derived cluster
+// orders and per-trace scratch are kept unless the geometry or the trace
+// length changed.
 func (f *FillUnit) Reset(cfg Config, tc *trace.Cache) {
-	capLimit := cfg.ChainTableCap
-	if capLimit == 0 {
-		capLimit = 4 * cfg.Trace.Lines * cfg.Trace.MaxLen
-	}
+	old := f.cfg
+	f.cfg = cfg
+	// The chain table holds up to 4x the trace cache's instruction capacity.
+	capLimit := 4 * cfg.Trace.Lines * cfg.Trace.MaxLen
 	if f.chains == nil || f.chains.capLimit != capLimit {
 		f.chains = NewChainProfile(capLimit)
 	} else {
 		f.chains.Reset()
 	}
-	if f.builder == nil {
-		f.builder = trace.NewBuilder(cfg.Trace)
-	} else {
-		f.builder.Reset(cfg.Trace)
+	f.builder = trace.NewBuilder(cfg.Trace)
+	if cfg.Trace != old.Trace {
+		f.free = nil
 	}
 	if tc == f.tc {
 		for _, set := range tc.Dump() {
 			for _, line := range set {
-				f.builder.Recycle(line)
+				f.recycle(line)
 			}
 		}
 	}
 	tc.Reset()
 	f.tc = tc
-	if f.capacity == nil || cfg.Geom != f.cfg.Geom || cfg.Trace.MaxLen != f.cfg.Trace.MaxLen {
+	if f.capacity == nil || cfg.Geom != old.Geom || cfg.Trace.MaxLen != old.Trace.MaxLen {
 		f.layout(cfg.Geom, cfg.Trace.MaxLen)
 	}
-	f.cfg = cfg
 	f.pending = f.pending[:0]
 	f.lastCluster.Reset()
 	f.S = FillStats{}
@@ -174,6 +178,7 @@ func (f *FillUnit) layout(g cluster.Geometry, maxLen int) {
 		}
 	}
 	f.capacity = make([]int, g.Clusters)
+	f.profiles = make([]trace.Profile, 0, maxLen)
 	f.nextSlot = make([]int, g.Clusters)
 	f.assigned = make([]int, 0, maxLen)
 	f.prods = make([][2]int32, 0, maxLen)
@@ -222,32 +227,57 @@ func (f *FillUnit) RetireSlot() *RetireInfo {
 func (f *FillUnit) CommitRetire() {
 	info := &f.pending[len(f.pending)-1]
 	f.updateChains(info)
-	if tr := f.builder.Add(&info.Rec); tr != nil {
-		f.finishTrace(tr)
+	if blocks := f.builder.Add(&info.Rec); blocks != 0 {
+		f.finishTrace(blocks)
 	}
 }
 
 // Flush completes any partial trace (end of simulation).
 func (f *FillUnit) Flush() {
-	if tr := f.builder.Flush(); tr != nil {
-		f.finishTrace(tr)
+	if len(f.pending) > 0 {
+		f.finishTrace(f.builder.Blocks())
+		f.builder = trace.NewBuilder(f.cfg.Trace)
 	}
 }
 
-func (f *FillUnit) finishTrace(tr *trace.Trace) {
+// finishTrace builds the line for the pending records, a trace of blocks
+// basic blocks, and installs it.
+func (f *FillUnit) finishTrace(blocks int) {
 	infos := f.pending
+	n := len(infos)
+	var tr *trace.Trace
+	if k := len(f.free); k > 0 {
+		tr, f.free = f.free[k-1], f.free[:k-1]
+	} else {
+		// The cache keeps the slot array, so size it for the worst case.
+		tr = &trace.Trace{Slots: make([]trace.Slot, 0, f.cfg.Trace.MaxLen)}
+	}
+	*tr = trace.Trace{
+		StartPC:      infos[0].Rec.PC,
+		Slots:        tr.Slots[:n],
+		Blocks:       blocks,
+		EndsIndirect: infos[n-1].Rec.Inst.Op.Class() == isa.ClassJump,
+	}
 	f.S.TracesBuilt++
-	f.S.InstsBuilt += uint64(len(tr.Slots))
+	f.S.InstsBuilt += uint64(n)
 	f.assign(tr, infos)
 	tr.CheckSlotIndices(f.cfg.Geom.TotalWidth())
 	f.recordMigration(tr)
 	// Recycle the displaced line: Install guarantees nothing references it
 	// once it returns (the pipeline copies everything out of a trace during
 	// the synchronous fetch), so its storage can back a future build.
-	if displaced := f.tc.Install(tr); displaced != nil {
-		f.builder.Recycle(displaced)
-	}
+	f.recycle(f.tc.Install(tr))
 	f.pending = f.pending[:0]
+}
+
+// recycle adds a line no longer in the cache to the pool. The caller must
+// guarantee nothing still references t: a later build overwrites its struct
+// and slots wholesale. A line whose slot array is smaller than MaxLen (built
+// under another configuration) is dropped rather than reused.
+func (f *FillUnit) recycle(t *trace.Trace) {
+	if t != nil && cap(t.Slots) >= f.cfg.Trace.MaxLen {
+		f.free = append(f.free, t)
+	}
 }
 
 // updateChains applies the leader/follower criteria of Table 4 using the
@@ -344,40 +374,39 @@ func (f *FillUnit) recordMigration(tr *trace.Trace) {
 	}
 }
 
-// assign sets SlotIndex/Cluster/Profile for every slot of tr: the Table 5
-// assignment pass. infos[i] is the retired instance of tr.Slots[i]: the
-// pending buffer and the builder grow and empty together.
+// assign is the Table 5 assignment pass: it places each pending record in
+// a cluster and writes tr's slots, each once, in the pass that places it.
+// infos[i] is the retired instance of slot i.
 func (f *FillUnit) assign(tr *trace.Trace, infos []RetireInfo) {
 	// The profile written into the new line is the one the retiring
 	// instance carried (its old line's bits), unless a pending designation
 	// exists, which is consumed here. Instances fetched from the icache
 	// carry no bits: designations not refreshed by a pending entry are lost,
 	// exactly as when a trace line is evicted.
-	for i := range tr.Slots {
-		if pend, ok := f.chains.Take(tr.Slots[i].PC); ok {
-			tr.Slots[i].Profile = pend
+	f.profiles = f.profiles[:len(infos)]
+	for i := range infos {
+		if pend, ok := f.chains.Take(infos[i].Rec.PC); ok {
+			f.profiles[i] = pend
 		} else {
-			tr.Slots[i].Profile = infos[i].Profile
+			f.profiles[i] = infos[i].Profile
 		}
 	}
 	switch f.cfg.Strategy {
 	case Friendly:
-		f.resetAssign(len(tr.Slots))
-		f.friendlyAssign(tr, f.natOrder, f.dataflow(infos))
-		f.materialize(tr)
+		f.resetAssign(len(infos))
+		f.friendlyAssign(f.natOrder, f.dataflow(infos))
 	case FriendlyMiddle:
-		f.resetAssign(len(tr.Slots))
-		f.friendlyAssign(tr, f.midOrder, f.dataflow(infos))
-		f.materialize(tr)
+		f.resetAssign(len(infos))
+		f.friendlyAssign(f.midOrder, f.dataflow(infos))
 	case FDRT, FDRTNoPin:
-		f.fdrtAssign(tr, infos)
-		f.materialize(tr)
+		f.fdrtAssign(infos)
 	default: // Base, IssueTime: identity placement
-		for i := range tr.Slots {
-			tr.Slots[i].SlotIndex = i
-			tr.Slots[i].Cluster = f.cfg.Geom.SlotCluster(i)
+		for i := range infos {
+			tr.Slots[i] = trace.NewSlot(&infos[i].Rec, i, f.cfg.Geom.SlotCluster(i), f.profiles[i])
 		}
+		return
 	}
+	f.materialize(tr, infos)
 }
 
 // resetAssign clears the per-trace assignment scratch: no instruction
@@ -448,9 +477,9 @@ func (f *FillUnit) dataflow(infos []RetireInfo) [][2]int32 {
 // that slot's cluster, else the oldest unplaced instruction. It operates on
 // the current f.assigned/f.capacity state, so clusters already fixed by FDRT
 // are respected and only unassigned instructions (-1) are placed.
-func (f *FillUnit) friendlyAssign(tr *trace.Trace, slotOrder []int, prods [][2]int32) {
+func (f *FillUnit) friendlyAssign(slotOrder []int, prods [][2]int32) {
 	g := f.cfg.Geom
-	n := len(tr.Slots)
+	n := len(f.assigned)
 	remaining := 0
 	for _, c := range f.assigned {
 		if c < 0 {
@@ -499,9 +528,9 @@ func (f *FillUnit) friendlyAssign(tr *trace.Trace, slotOrder []int, prods [][2]i
 // intra-trace consumer), and tries the published cluster priority lists.
 // Instructions that cannot be placed are assigned afterwards with Friendly's
 // slot scan over the remaining capacity.
-func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
+func (f *FillUnit) fdrtAssign(infos []RetireInfo) {
 	g := f.cfg.Geom
-	n := len(tr.Slots)
+	n := len(infos)
 	f.resetAssign(n)
 	// Dynamic critical-producer identification maps commit sequence numbers
 	// to logical indices. The infos are consecutive retired instructions, so
@@ -533,7 +562,7 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 				}
 			}
 		}
-		prof := tr.Slots[i].Profile
+		prof := f.profiles[i]
 		chainCl := -1
 		if prof.IsMember() && int(prof.ChainCluster) < g.Clusters {
 			chainCl = int(prof.ChainCluster)
@@ -554,7 +583,7 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 				// profile bits are not rewritten into the new line (the
 				// designation decays), so the chain re-forms around current
 				// placements instead of chasing a stale pin.
-				tr.Slots[i].Profile = trace.Profile{}
+				f.profiles[i] = trace.Profile{}
 			}
 		case prodCl >= 0 && chainCl >= 0: // Option C
 			f.S.OptionC++
@@ -573,7 +602,7 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 				f.S.Skipped++
 			}
 			if f.assigned[i] != chainCl {
-				tr.Slots[i].Profile = trace.Profile{} // designation decays
+				f.profiles[i] = trace.Profile{} // designation decays
 			}
 		case f.consumers[i]: // Option D
 			f.S.OptionD++
@@ -588,27 +617,25 @@ func (f *FillUnit) fdrtAssign(tr *trace.Trace, infos []RetireInfo) {
 		}
 	}
 	// Friendly fallback for everything unassigned.
-	f.friendlyAssign(tr, f.natOrder, statics)
+	f.friendlyAssign(f.natOrder, statics)
 }
 
-// materialize turns the per-instruction cluster assignment into physical
-// slot indices: instructions assigned to cluster c occupy slots c*W, c*W+1,
-// ... in logical order, which preserves oldest-first selection within a
+// materialize writes tr's slots, each once: its record's PC, instruction
+// and direction, its profile, and the physical slot index of its assigned
+// cluster. Instructions assigned to cluster c occupy slots c*W, c*W+1, ...
+// in logical order, which preserves oldest-first selection within a
 // cluster.
-func (f *FillUnit) materialize(tr *trace.Trace) {
+func (f *FillUnit) materialize(tr *trace.Trace, infos []RetireInfo) {
 	g := f.cfg.Geom
-	for c := range f.nextSlot {
-		f.nextSlot[c] = 0
-	}
-	for i := range tr.Slots {
+	clear(f.nextSlot)
+	for i := range infos {
 		c := f.assigned[i]
 		if c < 0 || c >= g.Clusters {
 			panic(&InvariantError{Msg: fmt.Sprintf(
 				"core: materialize called with incomplete assignment (slot %d -> cluster %d of %d)",
 				i, c, g.Clusters)})
 		}
-		tr.Slots[i].Cluster = c
-		tr.Slots[i].SlotIndex = c*g.Width + f.nextSlot[c]
+		tr.Slots[i] = trace.NewSlot(&infos[i].Rec, c*g.Width+f.nextSlot[c], c, f.profiles[i])
 		f.nextSlot[c]++
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"ctcp/internal/emu"
 	"ctcp/internal/snap"
 	"ctcp/internal/trace"
 )
@@ -98,12 +99,16 @@ func (c *ChainProfile) Restore(r *snap.Reader) {
 	r.End()
 }
 
+// pendingRec returns the record of slot i of the trace under construction.
+func (f *FillUnit) pendingRec(i int) *emu.Committed { return &f.pending[i].Rec }
+
 // Snapshot serializes the fill unit's persistent state: the chain table,
-// the trace under construction, retired instructions pending assignment,
-// the per-PC migration history, and the fill statistics. The trace cache
-// the unit installs into is owned (and snapshotted) by the pipeline; the
-// geometry-derived cluster orders and all per-trace scratch buffers are
-// excluded and remain valid/rebuilt on restore.
+// the trace under construction (a builder section derived from the pending
+// records, then the records), the per-PC migration history, and the fill
+// statistics. The trace cache the unit installs into is owned (and
+// snapshotted) by the pipeline; the geometry-derived cluster orders, the
+// recycled lines and all per-trace scratch buffers are excluded and remain
+// valid/rebuilt on restore.
 func (f *FillUnit) Snapshot(w *snap.Writer) {
 	w.Begin("fill")
 	w.Int(int(f.cfg.Strategy))
@@ -113,7 +118,7 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 	w.Bool(f.cfg.DisableChains)
 	_ = f.tc // wired at construction; serialized by the pipeline section
 	f.chains.Snapshot(w)
-	f.builder.Snapshot(w)
+	f.builder.Snapshot(w, f.pendingRec)
 	w.Int(len(f.pending))
 	for i := range f.pending {
 		f.pending[i].Snapshot(w)
@@ -136,7 +141,11 @@ func (f *FillUnit) Snapshot(w *snap.Writer) {
 	_ = f.midsTrunc
 	_ = f.natOrder
 	_ = f.midOrder
+	// Recycled line storage, which the pool keeps across a restore: not
+	// serialized.
+	_ = f.free
 	// Per-trace scratch, reused across traces: not serialized.
+	_ = f.profiles
 	_ = f.assigned
 	_ = f.capacity
 	_ = f.prods
@@ -159,13 +168,13 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 		r.Failf("fill DisableChains mismatch: snapshot has %v, this configuration has %v", got, f.cfg.DisableChains)
 	}
 	f.chains.Restore(r)
-	f.builder.Restore(r)
+	part := f.builder.ReadSnapshot(r)
 	n := r.Int()
 	if r.Err() != nil {
 		return
 	}
-	if n != f.builder.Pending() { // assign pairs records and slots by position
-		r.Failf("fill unit has %d pending records for %d trace builder slots", n, f.builder.Pending())
+	if n != len(part.Slots) { // the records are the trace's slots
+		r.Failf("fill unit has %d pending records for %d trace builder slots", n, len(part.Slots))
 		return
 	}
 	f.pending = f.pending[:n]
@@ -173,6 +182,9 @@ func (f *FillUnit) Restore(r *snap.Reader) {
 		if f.pending[i].Restore(r); r.Err() != nil {
 			return
 		}
+	}
+	if f.builder.Replay(r, part, f.pendingRec); r.Err() != nil {
+		return
 	}
 	nc := r.Int()
 	if r.Err() != nil {

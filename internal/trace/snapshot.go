@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"ctcp/internal/emu"
 	"ctcp/internal/snap"
 )
 
@@ -39,22 +40,28 @@ func snapshotTrace(w *snap.Writer, t *Trace) {
 	w.U64(t.Fetches)
 }
 
-// restoreTrace decodes one trace cache line into a fresh Trace whose slot
-// array is sized maxLen, matching what Builder.finish would have produced.
+// restoreSlots decodes a slot count and that many slots into a fresh array
+// of capacity maxLen, the size of the lines the fill unit builds; what names
+// the slots' owner in the error for a count past maxLen.
+func restoreSlots(r *snap.Reader, what string, maxLen int) []Slot {
+	n := r.Int()
+	if r.Err() == nil && (n < 0 || n > maxLen) {
+		r.Failf("%s has %d slots (max %d)", what, n, maxLen)
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	slots := make([]Slot, n, maxLen)
+	for i := range slots {
+		restoreSlot(r, &slots[i])
+	}
+	return slots
+}
+
+// restoreTrace decodes one trace cache line into a fresh Trace.
 func restoreTrace(r *snap.Reader, maxLen int) *Trace {
 	t := &Trace{StartPC: r.U64()}
-	n := r.Int()
-	if r.Err() != nil {
-		return t
-	}
-	if n < 0 || n > maxLen {
-		r.Failf("trace line has %d slots (max %d)", n, maxLen)
-		return t
-	}
-	t.Slots = make([]Slot, n, maxLen)
-	for i := range t.Slots {
-		restoreSlot(r, &t.Slots[i])
-	}
+	t.Slots = restoreSlots(r, "trace line", maxLen)
 	t.Blocks = r.Int()
 	t.EndsIndirect = r.Bool()
 	t.Fetches = r.U64()
@@ -88,8 +95,8 @@ func (c *Cache) Snapshot(w *snap.Writer) {
 
 // Restore rebuilds the trace cache contents from r into a cache
 // constructed with the same configuration. Restored lines are fresh
-// allocations; the builder's recycling pools start empty after a restore
-// and refill as lines are displaced.
+// allocations; the fill unit's recycled-line pool refills as they are
+// displaced.
 func (c *Cache) Restore(r *snap.Reader) {
 	r.Begin("tracecache")
 	r.ExpectInt("trace cache lines", c.cfg.Lines)
@@ -118,48 +125,61 @@ func (c *Cache) Restore(r *snap.Reader) {
 	r.End()
 }
 
-// Snapshot serializes the trace under construction: the pending slots and
-// block/terminator state. The recycled-line pools (reuse, free) are scratch
-// and are excluded — after a restore they start empty and refill from
-// Install displacements.
-func (b *Builder) Snapshot(w *snap.Writer) {
+// Snapshot serializes the trace under construction: its slots, block count
+// and indirect flag, in the encoding of a builder that stored its slots.
+// This builder stores none, so each slot is derived from its retired record,
+// rec(i) for slot i: PC, instruction and embedded direction from the
+// record, identity SlotIndex, no cluster and no profile (the fill unit sets
+// those only when the trace ends). The builder's own state is derived from
+// the same records on restore (ReadSnapshot, then Replay).
+func (b *Builder) Snapshot(w *snap.Writer, rec func(i int) *emu.Committed) {
 	w.Begin("tracebuilder")
 	w.Int(b.cfg.MaxLen)
 	w.Int(b.cfg.MaxBlocks)
-	w.Int(len(b.slots))
-	for i := range b.slots {
-		snapshotSlot(w, &b.slots[i])
+	w.Int(b.n)
+	for i := 0; i < b.n; i++ {
+		s := NewSlot(rec(i), i, 0, Profile{})
+		snapshotSlot(w, &s)
 	}
 	w.Int(b.blocks)
-	w.Bool(b.indirect)
-	_ = b.reuse // scratch: recycled line storage, rebuilt empty on restore
-	_ = b.free  // scratch: recycled line pool, rebuilt empty on restore
+	w.Bool(false) // indirect control ends its trace, so a partial one never ends indirect
 	w.End()
 }
 
-// Restore rebuilds the in-progress trace from r.
-func (b *Builder) Restore(r *snap.Reader) {
+// ReadSnapshot reads the section Snapshot writes and returns the partial
+// trace it records (Slots, Blocks, EndsIndirect). The section precedes the
+// trace's records in a checkpoint, so the builder's state is rebuilt from
+// them afterwards, by Replay.
+func (b *Builder) ReadSnapshot(r *snap.Reader) *Trace {
 	r.Begin("tracebuilder")
 	r.ExpectInt("trace builder max length", b.cfg.MaxLen)
 	r.ExpectInt("trace builder max blocks", b.cfg.MaxBlocks)
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > b.cfg.MaxLen {
-		r.Failf("trace builder has %d pending slots (max %d)", n, b.cfg.MaxLen)
-		return
-	}
-	if cap(b.slots) < b.cfg.MaxLen {
-		b.slots = make([]Slot, 0, b.cfg.MaxLen)
-	}
-	b.slots = b.slots[:n]
-	for i := range b.slots {
-		restoreSlot(r, &b.slots[i])
-	}
-	b.blocks = r.Int()
-	b.indirect = r.Bool()
-	b.reuse = nil
-	b.free = nil
+	part := &Trace{Slots: restoreSlots(r, "trace builder", b.cfg.MaxLen)}
+	part.Blocks = r.Int()
+	part.EndsIndirect = r.Bool()
 	r.End()
+	return part
+}
+
+// Replay rebuilds the builder's state by adding the records of a restored
+// partial trace, rec(i) for each of part's slots, and fails r unless part,
+// as ReadSnapshot read it, is what Snapshot writes from those records: each
+// slot derived from its record, the rules' block count, no indirect end,
+// and no record that ends the trace.
+func (b *Builder) Replay(r *snap.Reader, part *Trace, rec func(i int) *emu.Committed) {
+	*b = NewBuilder(b.cfg)
+	for i := range part.Slots {
+		if want := NewSlot(rec(i), i, 0, Profile{}); part.Slots[i] != want {
+			r.Failf("trace builder slot %d is %+v, but its record derives %+v", i, part.Slots[i], want)
+			return
+		}
+		if b.Add(rec(i)) != 0 {
+			r.Failf("pending record %d ends the trace under construction", i)
+			return
+		}
+	}
+	if part.Blocks != b.blocks || part.EndsIndirect {
+		r.Failf("trace builder records %d blocks (indirect end %v); its records derive %d blocks and no indirect end",
+			part.Blocks, part.EndsIndirect, b.blocks)
+	}
 }

@@ -1,6 +1,6 @@
-// Package trace implements the trace cache substrate of the CTCP: trace
-// construction from the retiring instruction stream (the fill unit's input
-// side), the path-associative trace cache array, and the per-instruction
+// Package trace implements the trace cache substrate of the CTCP: the trace
+// construction rules the fill unit applies to the retiring instruction
+// stream, the path-associative trace cache array, and the per-instruction
 // profile fields that the FDRT assignment scheme stores in trace lines.
 //
 // A trace is up to MaxLen instructions spanning up to MaxBlocks basic blocks.
@@ -242,8 +242,8 @@ func (c *Cache) Lookup(pc uint64, pred func(branchPC uint64) bool) *Trace {
 // start PC and the same embedded path is replaced in place (the fill unit
 // refreshing profile fields and slot order); otherwise the LRU way of the
 // set is evicted. The displaced line, if any, is returned so the caller can
-// recycle its storage (see Builder.Recycle); nothing else may hold a
-// reference to it once Install returns.
+// recycle its storage; nothing else may hold a reference to it once Install
+// returns.
 func (c *Cache) Install(t *Trace) *Trace {
 	c.S.Installs++
 	set := c.set(t.StartPC)
@@ -302,143 +302,77 @@ func samePath(a, b *Trace) bool {
 	return true
 }
 
-// Builder accumulates retiring instructions into traces per the construction
-// rules. Add returns a completed trace when the current one terminates.
-type Builder struct {
-	cfg      Config
-	slots    []Slot
-	blocks   int
-	indirect bool
-	// reuse is the recycled line whose storage backs the trace currently
-	// under construction; free holds further recycled lines. Together they
-	// make steady-state trace construction allocation-free: once the cache
-	// is full, every Install displaces one line, which comes back here and
-	// supplies the Trace struct and Slots array for a later build.
-	reuse *Trace
-	free  []*Trace
-}
-
-// NewBuilder returns a trace builder.
-func NewBuilder(cfg Config) *Builder {
-	return &Builder{cfg: cfg}
-}
-
-// Reset discards the trace under construction and adopts cfg. The recycled
-// line pool is kept, and the line under construction rejoins it, unless cfg
-// differs from the builder's configuration: then the pool is dropped, so the
-// builder never holds more storage than the new configuration uses.
-func (b *Builder) Reset(cfg Config) {
-	if cfg != b.cfg {
-		b.free = nil
-	} else if b.reuse != nil {
-		b.free = append(b.free, b.reuse)
-	}
-	b.cfg = cfg
-	b.reuse = nil
-	b.slots = nil
-	b.blocks = 0
-	b.indirect = false
-}
-
-// Pending returns the number of buffered instructions.
-func (b *Builder) Pending() int { return len(b.slots) }
-
-// Add appends one retired instruction; the record is only read. When the
-// instruction terminates the trace (capacity, block limit, indirect
-// control, or HALT) the completed trace is returned with slots in logical
-// order; otherwise Add returns nil.
-func (b *Builder) Add(rec *emu.Committed) *Trace {
-	if len(b.slots) == 0 {
-		if n := len(b.free); n > 0 {
-			b.reuse = b.free[n-1]
-			b.free[n-1] = nil
-			b.free = b.free[:n-1]
-			b.slots = b.reuse.Slots[:0]
-		} else {
-			// One allocation per trace until recycling kicks in: the
-			// finished line keeps this backing array (the cache retains
-			// it), so size it for the worst case up front instead of
-			// growing through append's doubling schedule.
-			b.slots = make([]Slot, 0, b.cfg.MaxLen)
-		}
-		b.blocks = 1
-		b.indirect = false
-	}
-	// Class and IsCond read the opcode's static table entry without
-	// copying its OpInfo.
-	class := rec.Inst.Op.Class()
-	b.slots = append(b.slots, Slot{
+// NewSlot returns the slot the retired instruction rec fills at physical
+// issue slot slotIndex of cluster, carrying profile prof. A conditional
+// branch embeds its direction; other instructions embed none.
+//
+//ctcp:inline
+func NewSlot(rec *emu.Committed, slotIndex, cluster int, prof Profile) Slot {
+	return Slot{
 		PC:        rec.PC,
 		Inst:      rec.Inst,
 		Taken:     rec.Inst.IsCond() && rec.Taken,
-		SlotIndex: len(b.slots),
-	})
-	terminate := false
+		SlotIndex: slotIndex,
+		Cluster:   cluster,
+		Profile:   prof,
+	}
+}
+
+// Builder applies the trace construction rules to the retiring instruction
+// stream. It keeps only the state the rules need, the length and block
+// count of the trace under construction; the caller keeps that trace's
+// records and builds the line when Add reports its end.
+type Builder struct {
+	cfg    Config
+	n      int
+	blocks int
+}
+
+// NewBuilder returns a builder with no trace under construction.
+func NewBuilder(cfg Config) Builder {
+	return Builder{cfg: cfg}
+}
+
+// Blocks returns the number of basic blocks in the trace under
+// construction (0 when it is empty).
+func (b *Builder) Blocks() int { return b.blocks }
+
+// Add appends one retired instruction to the trace under construction; the
+// record is only read. When the instruction ends the trace (capacity, block
+// limit, a taken backward branch, indirect control, or HALT), Add returns
+// the ended trace's block count, at least 1, and the builder starts the
+// next trace empty; otherwise Add returns 0.
+func (b *Builder) Add(rec *emu.Committed) int {
+	if b.n == 0 {
+		b.blocks = 1
+	}
+	b.n++
+	// Class reads the opcode's static table entry without copying its
+	// OpInfo.
+	class := rec.Inst.Op.Class()
+	end := rec.Inst.Op == isa.HALT || b.n >= b.cfg.MaxLen
 	if class.IsControl() {
 		switch {
 		case class == isa.ClassJump:
-			b.indirect = true
-			terminate = true
+			end = true
 		case rec.Taken && rec.NextPC <= rec.PC:
 			// Trace selection: a taken backward branch (loop closing)
 			// terminates the trace so the next trace starts at the loop
 			// head, keeping trace starts aligned with fetch targets.
-			terminate = true
+			end = true
 		case b.blocks >= b.cfg.MaxBlocks:
 			// The branch ending the MaxBlocks'th block terminates the trace.
-			terminate = true
+			end = true
 		default:
 			b.blocks++
 		}
 	}
-	if rec.Inst.Op == isa.HALT {
-		terminate = true
+	if !end {
+		return 0
 	}
-	if len(b.slots) >= b.cfg.MaxLen {
-		terminate = true
-	}
-	if !terminate {
-		return nil
-	}
-	return b.finish()
-}
-
-// Flush completes and returns the partial trace, if any.
-func (b *Builder) Flush() *Trace {
-	if len(b.slots) == 0 {
-		return nil
-	}
-	return b.finish()
-}
-
-func (b *Builder) finish() *Trace {
-	t := b.reuse
-	if t == nil {
-		t = new(Trace)
-	}
-	b.reuse = nil
-	*t = Trace{
-		StartPC:      b.slots[0].PC,
-		Slots:        b.slots,
-		Blocks:       b.blocks,
-		EndsIndirect: b.indirect,
-	}
-	b.slots = nil
-	b.blocks = 0
-	b.indirect = false
-	return t
-}
-
-// Recycle returns a line displaced by Cache.Install to the builder's free
-// pool. The caller must guarantee nothing still references t: the builder
-// will overwrite its struct and slot storage wholesale. Lines whose backing
-// array is smaller than the configured MaxLen (e.g. built under a different
-// configuration) are dropped rather than reused.
-func (b *Builder) Recycle(t *Trace) {
-	if t == nil || cap(t.Slots) < b.cfg.MaxLen {
-		return
-	}
-	b.free = append(b.free, t)
+	blocks := b.blocks
+	b.n, b.blocks = 0, 0
+	return blocks
 }
 
 // Dump exposes the raw line array for diagnostics and tests, and to the fill

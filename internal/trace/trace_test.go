@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"ctcp/internal/emu"
 	"ctcp/internal/isa"
+	"ctcp/internal/snap"
 )
 
 func rec(pc uint64, inst isa.Inst, taken bool) *emu.Committed {
@@ -27,71 +29,85 @@ func brInst(pc uint64, taken bool) *emu.Committed {
 	return c
 }
 
-func TestBuilderBackwardTakenTermination(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x2000))
-	back := rec(0x2004, isa.Inst{Op: isa.BNE, Ra: isa.R(1), Imm: 0x2000, UseImm: true}, true)
-	back.NextPC = 0x2000
-	tr := b.Add(back)
-	if tr == nil {
-		t.Fatal("taken backward branch did not terminate the trace")
+// line builds the trace cache line holding recs in identity placement.
+func line(recs ...*emu.Committed) *Trace {
+	t := &Trace{StartPC: recs[0].PC}
+	for i, r := range recs {
+		t.Slots = append(t.Slots, NewSlot(r, i, 0, Profile{}))
 	}
-	if tr.Len() != 2 {
-		t.Errorf("trace length %d", tr.Len())
-	}
-	// A not-taken backward branch does not terminate.
-	b2 := NewBuilder(DefaultConfig())
-	nt := rec(0x2004, isa.Inst{Op: isa.BNE, Ra: isa.R(1), Imm: 0x2000, UseImm: true}, false)
-	nt.NextPC = 0x2008
-	if b2.Add(nt) != nil {
-		t.Error("not-taken backward branch terminated the trace")
-	}
+	return t
 }
 
-func TestBuilderCapacityTermination(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	var tr *Trace
+// backBr is a conditional branch at pc back to 0x2000.
+func backBr(pc uint64, taken bool) *emu.Committed {
+	c := rec(pc, isa.Inst{Op: isa.BNE, Ra: isa.R(1), Imm: 0x2000, UseImm: true}, taken)
+	c.NextPC = pc + 4
+	if taken {
+		c.NextPC = 0x2000
+	}
+	return c
+}
+
+// TestBuilderTermination feeds each stream to a fresh builder: Add returns
+// 0 until the record at index end, which ends the trace with blocks basic
+// blocks (end -1: no record ends it, and blocks is the partial trace's).
+func TestBuilderTermination(t *testing.T) {
+	var capacity []*emu.Committed
 	for i := 0; i < 16; i++ {
-		if tr = b.Add(addInst(0x1000 + uint64(i*4))); tr != nil && i != 15 {
-			t.Fatalf("trace terminated early at %d", i)
-		}
+		capacity = append(capacity, addInst(0x1000+uint64(i*4)))
 	}
-	if tr == nil {
-		t.Fatal("trace did not terminate at MaxLen")
-	}
-	if tr.Len() != 16 || tr.Blocks != 1 || tr.EndsIndirect {
-		t.Errorf("trace: len=%d blocks=%d indirect=%v", tr.Len(), tr.Blocks, tr.EndsIndirect)
-	}
-	if tr.StartPC != 0x1000 {
-		t.Errorf("StartPC = %#x", tr.StartPC)
+	for _, tc := range []struct {
+		name        string
+		recs        []*emu.Committed
+		end, blocks int
+	}{
+		{"backward-taken", []*emu.Committed{addInst(0x2000), backBr(0x2004, true)}, 1, 1},
+		{"backward-not-taken", []*emu.Committed{backBr(0x2004, false)}, -1, 2},
+		{"capacity", capacity, 15, 1},
+		{"indirect", []*emu.Committed{addInst(0x1000), rec(0x1004, isa.Inst{Op: isa.RET, Rb: isa.RA}, true)}, 1, 1},
+		{"halt", []*emu.Committed{rec(0x1000, isa.Inst{Op: isa.HALT}, false)}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(DefaultConfig())
+			for i, r := range tc.recs {
+				got, want := b.Add(r), 0
+				if i == tc.end {
+					want = tc.blocks
+				}
+				if got != want {
+					t.Fatalf("Add of record %d returned %d, want %d", i, got, want)
+				}
+			}
+			if tc.end < 0 && b.Blocks() != tc.blocks {
+				t.Errorf("partial trace has %d blocks, want %d", b.Blocks(), tc.blocks)
+			}
+			if tc.end >= 0 && b.Blocks() != 0 {
+				t.Errorf("the builder holds %d blocks after the trace ended, want 0", b.Blocks())
+			}
+		})
 	}
 }
 
 func TestBuilderThreeBlockTermination(t *testing.T) {
 	b := NewBuilder(DefaultConfig())
 	pc := uint64(0x1000)
-	var tr *Trace
-	adds := 0
+	var recs []*emu.Committed
 	for i := 0; i < 3; i++ { // three blocks: add, add, branch
-		if tr = b.Add(addInst(pc)); tr != nil {
-			t.Fatal("premature termination")
+		recs = append(recs, addInst(pc), brInst(pc+4, i%2 == 0))
+		pc += 8
+	}
+	for i, r := range recs {
+		blocks := b.Add(r)
+		if i < 5 && blocks != 0 {
+			t.Fatalf("record %d ended the trace", i)
 		}
-		pc += 4
-		adds++
-		tr = b.Add(brInst(pc, i%2 == 0))
-		pc += 4
-		if i < 2 && tr != nil {
-			t.Fatalf("terminated after branch %d", i+1)
+		if i == 5 && blocks != 3 {
+			t.Fatalf("third branch returned %d, want the trace's 3 blocks", blocks)
 		}
 	}
-	if tr == nil {
-		t.Fatal("third branch did not terminate the trace")
-	}
-	if tr.Blocks != 3 || tr.Len() != 6 {
-		t.Errorf("blocks=%d len=%d", tr.Blocks, tr.Len())
-	}
-	// The branches sit in slots 1, 3 and 5, the mask Lookup checks
-	// against the predictor, with their embedded directions.
+	// In the line, the branches sit in slots 1, 3 and 5, the mask Lookup
+	// checks against the predictor, with their embedded directions.
+	tr := line(recs...)
 	const wantMask = 1<<1 | 1<<3 | 1<<5
 	if mask, ok := tr.condMask(); !ok || mask != wantMask {
 		t.Errorf("conditional-branch mask %#b (ok %v), want %#b", mask, ok, wantMask)
@@ -101,49 +117,16 @@ func TestBuilderThreeBlockTermination(t *testing.T) {
 			t.Errorf("branch %d at slot %d: taken %v, want %v", i, 2*i+1, s.Taken, want)
 		}
 	}
-}
-
-func TestBuilderIndirectTermination(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x1000))
-	tr := b.Add(rec(0x1004, isa.Inst{Op: isa.RET, Rb: isa.RA}, true))
-	if tr == nil || !tr.EndsIndirect {
-		t.Fatal("indirect control did not terminate trace")
-	}
-}
-
-func TestBuilderHaltTermination(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	tr := b.Add(rec(0x1000, isa.Inst{Op: isa.HALT}, false))
-	if tr == nil {
-		t.Fatal("HALT did not terminate trace")
-	}
-}
-
-func TestBuilderFlush(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x1000))
-	b.Add(addInst(0x1004))
-	tr := b.Flush()
-	if tr == nil || tr.Len() != 2 {
-		t.Fatal("Flush did not return partial trace")
-	}
-	if b.Pending() != 0 {
-		t.Error("builder not empty after Flush")
-	}
-	if b.Flush() != nil {
-		t.Error("empty Flush returned a trace")
+	// Only conditional branches embed a direction.
+	if s := NewSlot(rec(0x1000, isa.Inst{Op: isa.RET, Rb: isa.RA}, true), 0, 0, Profile{}); s.Taken {
+		t.Error("a taken return embeds a direction")
 	}
 }
 
 func TestCacheLookupPathAssociativity(t *testing.T) {
 	c := NewCache(DefaultConfig())
 	mk := func(taken bool) *Trace {
-		b := NewBuilder(DefaultConfig())
-		b.Add(addInst(0x1000))
-		b.Add(brInst(0x1004, taken))
-		b.Add(addInst(0x1008))
-		return b.Flush()
+		return line(addInst(0x1000), brInst(0x1004, taken), addInst(0x1008))
 	}
 	c.Install(mk(true))
 	c.Install(mk(false))
@@ -162,9 +145,7 @@ func TestCacheLookupPathAssociativity(t *testing.T) {
 
 func TestCacheMissOnWrongPath(t *testing.T) {
 	c := NewCache(DefaultConfig())
-	b := NewBuilder(DefaultConfig())
-	b.Add(brInst(0x2000, true))
-	c.Install(b.Flush())
+	c.Install(line(brInst(0x2000, true)))
 	if c.Lookup(0x2000, func(uint64) bool { return false }) != nil {
 		t.Error("hit despite prediction mismatch")
 	}
@@ -175,12 +156,7 @@ func TestCacheMissOnWrongPath(t *testing.T) {
 
 func TestCacheSamePathUpdateKeepsFetchCount(t *testing.T) {
 	c := NewCache(DefaultConfig())
-	mk := func() *Trace {
-		b := NewBuilder(DefaultConfig())
-		b.Add(addInst(0x4000))
-		b.Add(addInst(0x4004))
-		return b.Flush()
-	}
+	mk := func() *Trace { return line(addInst(0x4000), addInst(0x4004)) }
 	c.Install(mk())
 	tr := c.Lookup(0x4000, func(uint64) bool { return true })
 	if tr == nil || tr.Fetches != 1 {
@@ -201,11 +177,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 	cfg.Lines = 2 // 1 set x 2 ways
 	cfg.Ways = 2
 	c := NewCache(cfg)
-	mk := func(pc uint64) *Trace {
-		b := NewBuilder(cfg)
-		b.Add(addInst(pc))
-		return b.Flush()
-	}
+	mk := func(pc uint64) *Trace { return line(addInst(pc)) }
 	// Same set requires (pc>>2) & 0 == 0: all PCs map to set 0.
 	c.Install(mk(0x1000))
 	c.Install(mk(0x2000))
@@ -222,28 +194,27 @@ func TestCacheEvictionLRU(t *testing.T) {
 	}
 }
 
+// TestSlotIndexIdentityAfterBuild: the slots of a trace under construction,
+// as the builder's checkpoint section records them, sit in identity
+// placement; a physical reorder that keeps injectivity is accepted.
 func TestSlotIndexIdentityAfterBuild(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
+	var recs []*emu.Committed
 	for i := 0; i < 4; i++ {
-		b.Add(addInst(0x1000 + uint64(i*4)))
+		recs = append(recs, addInst(0x1000+uint64(i*4)))
 	}
-	tr := b.Flush()
+	tr, _ := roundTrip(t, recs)
 	tr.CheckSlotIndices(DefaultConfig().MaxLen)
 	for i, s := range tr.Slots {
 		if s.SlotIndex != i {
 			t.Fatalf("slot %d has index %d, want identity", i, s.SlotIndex)
 		}
 	}
-	// A physical reorder that keeps injectivity is accepted.
 	tr.Slots[0].SlotIndex, tr.Slots[3].SlotIndex = 3, 0
 	tr.CheckSlotIndices(DefaultConfig().MaxLen)
 }
 
 func TestCheckSlotIndicesPanicsOnCorruption(t *testing.T) {
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x1000))
-	b.Add(addInst(0x1004))
-	tr := b.Flush()
+	tr := line(addInst(0x1000), addInst(0x1004))
 	tr.Slots[1].SlotIndex = 0 // duplicate slot position
 	defer func() {
 		if recover() == nil {
@@ -253,16 +224,23 @@ func TestCheckSlotIndicesPanicsOnCorruption(t *testing.T) {
 	tr.CheckSlotIndices(DefaultConfig().MaxLen)
 }
 
+// endsByRule reports whether a record ends its trace by a rule other than
+// the block limit and the length limit.
+func endsByRule(c *emu.Committed) bool {
+	return c.Inst.Op.Class() == isa.ClassJump || c.Inst.Op == isa.HALT ||
+		(c.Inst.Op.Class().IsControl() && c.Taken && c.NextPC <= c.PC)
+}
+
 // Property: for random instruction streams, traces never exceed MaxLen
-// instructions or MaxBlocks blocks, and concatenating the produced traces
-// reproduces the input stream in order.
+// instructions or MaxBlocks blocks, and each ends at the first record a
+// rule ends it at: indirect control, a taken backward branch, the branch
+// ending its MaxBlocks'th block, or its MaxLen'th instruction.
 func TestBuilderInvariantsQuick(t *testing.T) {
 	cfg := DefaultConfig()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := NewBuilder(cfg)
-		var stream []uint64
-		var traces []*Trace
+		n, branches := 0, 0
 		pc := uint64(0x1000)
 		for i := 0; i < 200; i++ {
 			var c *emu.Committed
@@ -270,49 +248,139 @@ func TestBuilderInvariantsQuick(t *testing.T) {
 			case 0:
 				c = brInst(pc, r.Intn(2) == 0)
 			case 1:
+				c = backBr(pc, r.Intn(2) == 0)
+			case 2:
 				c = rec(pc, isa.Inst{Op: isa.JMP, Rb: isa.R(5)}, true)
 			default:
 				c = addInst(pc)
 			}
-			stream = append(stream, pc)
 			pc += 4
-			if tr := b.Add(c); tr != nil {
-				traces = append(traces, tr)
+			n++
+			if c.Inst.Op.Class().IsControl() {
+				branches++
 			}
-		}
-		if tr := b.Flush(); tr != nil {
-			traces = append(traces, tr)
-		}
-		var replay []uint64
-		for _, tr := range traces {
-			if tr.Len() > cfg.MaxLen || tr.Blocks > cfg.MaxBlocks {
+			wantEnd := endsByRule(c) || n == cfg.MaxLen ||
+				(c.Inst.Op.Class().IsControl() && branches == cfg.MaxBlocks)
+			blocks := b.Add(c)
+			if (blocks != 0) != wantEnd || blocks > cfg.MaxBlocks || n > cfg.MaxLen {
 				return false
 			}
-			tr.CheckSlotIndices(cfg.MaxLen)
-			for _, s := range tr.Slots {
-				replay = append(replay, s.PC)
+			if wantEnd {
+				n, branches = 0, 0
 			}
 		}
-		if len(replay) != len(stream) {
-			return false
-		}
-		for i := range replay {
-			if replay[i] != stream[i] {
-				return false
-			}
-		}
-		return true
+		return b.Blocks() <= cfg.MaxBlocks
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
+// roundTrip snapshots a builder holding the partial trace recs and restores
+// the section, returning the partial trace it records and the reader.
+func roundTrip(t *testing.T, recs []*emu.Committed) (*Trace, *snap.Reader) {
+	t.Helper()
+	b := NewBuilder(DefaultConfig())
+	for _, c := range recs {
+		if b.Add(c) != 0 {
+			t.Fatalf("record @%#x ended the trace", c.PC)
+		}
+	}
+	w := snap.NewWriter()
+	b.Snapshot(w, func(i int) *emu.Committed { return recs[i] })
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := NewBuilder(DefaultConfig())
+	part := rb.ReadSnapshot(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return part, r
+}
+
+// TestBuilderSnapshotRestore: a partial trace's section restores to the
+// slots its records derive, and Replay over the same records rebuilds the
+// builder's state; records that derive other slots are refused.
+func TestBuilderSnapshotRestore(t *testing.T) {
+	recs := []*emu.Committed{addInst(0x1000), brInst(0x1004, true), addInst(0x1008)}
+	part, r := roundTrip(t, recs)
+	if len(part.Slots) != 3 || part.Blocks != 2 || part.EndsIndirect {
+		t.Fatalf("restored %d slots, %d blocks, indirect %v; want 3, 2, false", len(part.Slots), part.Blocks, part.EndsIndirect)
+	}
+	for i, c := range recs {
+		if want := NewSlot(c, i, 0, Profile{}); part.Slots[i] != want {
+			t.Errorf("slot %d restored as %+v, want %+v", i, part.Slots[i], want)
+		}
+	}
+	b := NewBuilder(DefaultConfig())
+	b.Replay(r, part, func(i int) *emu.Committed { return recs[i] })
+	if err := r.Close(); err != nil {
+		t.Fatalf("intact section refused: %v", err)
+	}
+	if b.Blocks() != 2 {
+		t.Errorf("replayed builder holds %d blocks, want 2", b.Blocks())
+	}
+	// 13 more instructions fill the 16-slot trace, as they would the
+	// uninterrupted builder's.
+	for i := 0; i < 13; i++ {
+		if got := b.Add(addInst(0x100c + uint64(4*i))); (got != 0) != (i == 12) {
+			t.Fatalf("replayed builder: Add of instruction %d returned %d", 3+i, got)
+		}
+	}
+
+	other := append([]*emu.Committed(nil), recs...)
+	other[1] = brInst(0x1004, false)
+	part, r = roundTrip(t, recs)
+	b = NewBuilder(DefaultConfig())
+	b.Replay(r, part, func(i int) *emu.Committed { return other[i] })
+	if r.Err() == nil {
+		t.Error("a section whose slot disagrees with its record was accepted")
+	}
+}
+
+// TestCacheSnapshotRestore: a restored cache holds the same lines, LRU
+// stamps and counters, and re-encodes to the same bytes.
+func TestCacheSnapshotRestore(t *testing.T) {
+	c := NewCache(DefaultConfig())
+	c.Install(line(addInst(0x1000), brInst(0x1004, true)))
+	c.Install(line(addInst(0x2000)))
+	c.Lookup(0x1000, func(uint64) bool { return true })
+	encode := func(c *Cache) []byte {
+		w := snap.NewWriter()
+		c.Snapshot(w)
+		data, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	data := encode(c)
+	r, err := snap.NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewCache(DefaultConfig())
+	got.Restore(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.S != c.S || !bytes.Equal(encode(got), data) {
+		t.Errorf("restored cache differs: stats %+v, want %+v", got.S, c.S)
+	}
+	if tr := got.Lookup(0x1000, func(uint64) bool { return true }); tr == nil || tr.Len() != 2 || !tr.Slots[1].Taken {
+		t.Errorf("restored line @0x1000: %+v", tr)
+	}
+}
+
 func TestCacheReset(t *testing.T) {
 	c := NewCache(DefaultConfig())
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x1000))
-	c.Install(b.Flush())
+	c.Install(line(addInst(0x1000)))
 	c.Reset()
 	if c.Lookup(0x1000, func(uint64) bool { return true }) != nil {
 		t.Error("line survived Reset")
@@ -352,9 +420,7 @@ func TestProfileIsMember(t *testing.T) {
 
 func TestDumpExposesLines(t *testing.T) {
 	c := NewCache(DefaultConfig())
-	b := NewBuilder(DefaultConfig())
-	b.Add(addInst(0x1000))
-	c.Install(b.Flush())
+	c.Install(line(addInst(0x1000)))
 	found := 0
 	for _, set := range c.Dump() {
 		for _, tr := range set {
