@@ -26,15 +26,14 @@ vet:
 	$(GO) vet ./...
 
 # lint runs ctcplint, the stdlib-only analyzer suite in internal/lint that
-# enforces the simulator's determinism and hot-path invariants (map iteration
-# order, //ctcp:hotpath allocations, wall clock/ambient randomness, float
-# equality, Config.Validate coverage, snapshot completeness, unchecked
-# artifact/response writes) and the service tier's lock invariant on a
+# enforces the simulator's determinism and model invariants (map iteration
+# order, wall clock/ambient randomness, float equality, Config.Validate
+# coverage, snapshot completeness, unchecked artifact/response writes) and the service tier's lock invariant on a
 # CFG/call-graph layer: lockheld (no blocking I/O and no second lock while a
 # mutex is held). A suppression audit rides along: stale //ctcp:lint-ok
 # waivers fail the lint like real findings. Goroutine leaks are a test-time
-# check (internal/leakcheck), not a lint rule; cycle-loop allocations are
-# checked at test time too (TestCycleLoopZeroAlloc, TestCycleLoopBytesWindow).
+# check (internal/leakcheck), not a lint rule, and so are cycle-loop
+# allocations (TestCycleLoopZeroAlloc, TestCycleLoopBytesWindow).
 lint:
 	$(GO) run ./cmd/ctcplint ./...
 

@@ -65,7 +65,6 @@ func (g Geometry) Distance(a, b int) int {
 	return d
 }
 
-//ctcp:coldpath
 //go:noinline
 func badDistance(a, b int) {
 	panic(fmt.Sprintf("cluster: distance between invalid clusters %d,%d", a, b))

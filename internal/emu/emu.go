@@ -448,8 +448,6 @@ func (m *Machine) StepInto(c *Committed) error {
 // misaligned conditional branch that is not taken, which commits as a plain
 // fall-through. A misaligned BR writes its link register before faulting,
 // as a misaligned JSR does.
-//
-//ctcp:coldpath
 func (m *Machine) faultUop(u *uop) error {
 	inst := u.tmpl.Inst
 	v := m.Regs[u.ra]

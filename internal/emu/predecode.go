@@ -174,8 +174,6 @@ func aligned(target uint64) bool { return target%isa.PCStride == 0 }
 // predecode builds the dense uop table for the loaded program. It runs once
 // per Machine construction (the program image is immutable), so its cost and
 // allocations are amortized over the whole run.
-//
-//ctcp:coldpath
 func (m *Machine) predecode() {
 	text := m.prog.Text
 	m.predBase = m.prog.TextBase
@@ -245,8 +243,6 @@ var fpKind = map[isa.Op]uopKind{
 
 // lowerKind classifies one instruction, refining u's resolved operands where
 // the kind calls for it (shift masking, access sizes).
-//
-//ctcp:coldpath
 func lowerKind(inst isa.Inst, u *uop) uopKind {
 	switch inst.Op {
 	case isa.NOP:

@@ -10,7 +10,7 @@ package lint
 // type-check to a concrete *types.Func. Calls through function values and
 // through module-defined interfaces are not resolved and are treated as
 // non-blocking — a documented soundness gap that matches the existing
-// analyzers' static-call discipline (hotalloc, snapcomplete). Stdlib
+// analyzers' static-call discipline (configvalidate, snapcomplete). Stdlib
 // interface methods (e.g. net/http.ResponseWriter.Write) do resolve to a
 // *types.Func and are classified by their package's blocking table.
 

@@ -36,7 +36,7 @@ func runConfigValidate(p *Pass) {
 		return
 	}
 
-	decls, _ := packageFuncs(p)
+	decls := packageFuncs(p)
 	var validate *ast.FuncDecl
 	for fn, d := range decls {
 		sig := fn.Type().(*types.Signature)
@@ -100,20 +100,18 @@ func recvNamed(t types.Type) *types.Named {
 
 // packageFuncs maps every function/method declared in the package to its
 // declaration.
-func packageFuncs(p *Pass) (map[*types.Func]*ast.FuncDecl, []*ast.FuncDecl) {
+func packageFuncs(p *Pass) map[*types.Func]*ast.FuncDecl {
 	decls := map[*types.Func]*ast.FuncDecl{}
-	var order []*ast.FuncDecl
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
 				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					decls[fn] = fd
-					order = append(order, fd)
 				}
 			}
 		}
 	}
-	return decls, order
+	return decls
 }
 
 // calleeDecls resolves the static intra-package calls made inside d.

@@ -2,11 +2,12 @@
 // built only on the standard library's go/parser, go/ast and go/types (the
 // repo is stdlib-only, so x/tools is off limits). It exists to turn the
 // simulator's load-bearing but otherwise unenforced properties — determinism
-// of every rendered artifact, the allocation-free cycle-model hot path, the
-// absence of wall-clock and unseeded randomness in the timing model, and the
-// service tier's lock-region contract — into machine-checked rules, the way
-// the differential and golden-stats tests pin cycle-exactness. (Goroutine
-// lifecycle is checked at run time, by internal/leakcheck.)
+// of every rendered artifact, the absence of wall-clock and unseeded
+// randomness in the timing model, and the service tier's lock-region
+// contract — into machine-checked rules, the way the differential and
+// golden-stats tests pin cycle-exactness. (Goroutine lifecycle is checked at
+// run time, by internal/leakcheck, and the allocation-free cycle loop by
+// internal/pipeline's allocation tests.)
 //
 // Analyzers come in two shapes. Expression-level analyzers implement Run and
 // are invoked once per matched package. The flow-aware analyzer (lockheld)
@@ -17,13 +18,6 @@
 //
 // Conventions understood by the framework and its analyzers:
 //
-//   - //ctcp:hotpath on a function declaration marks it as part of the
-//     steady-state cycle loop; the hotalloc analyzer checks it and every
-//     intra-package function it (transitively) calls for allocating
-//     constructs.
-//   - //ctcp:coldpath on a function declaration marks a deliberate amortized
-//     or warm-up allocation site (pool refill, table growth); hotalloc does
-//     not descend into it.
 //   - //ctcp:lint-ok <rule>[,<rule>...] [reason] suppresses the named rules
 //     on the comment's own line and on the line immediately below it.
 //   - //ctcp:inline on a function declaration marks a per-instruction
@@ -194,7 +188,6 @@ func (pkg *Package) suppressed(pos token.Position, rule string) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder,
-		HotAlloc,
 		NonDet,
 		FloatEq,
 		ConfigValidate,

@@ -51,7 +51,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		analyzer   *Analyzer
 	}{
 		{"maporder", "ctcp/internal/experiment", MapOrder},
-		{"hotalloc", "ctcp/internal/fixture", HotAlloc},
 		{"nondet", "ctcp/internal/emu", NonDet},
 		{"floateq", "ctcp/internal/stats", FloatEq},
 		{"configvalidate", "ctcp/internal/pipeline", ConfigValidate},
@@ -159,12 +158,9 @@ func itoa(n int) string {
 
 // TestModuleLintsClean is the acceptance gate for the annotations and
 // suppressions in the tree itself: the full registry over every package in
-// the module must produce zero diagnostics. The hot path passes hotalloc on
-// its own merits, save one waiver for an error built on the way to a panic,
-// so any new allocating construct reached from a //ctcp:hotpath root fails
-// this test with a file:line finding. The
-// same cold run is also the suite's cost tripwire: it must finish inside
-// lintBudget.
+// the module must produce zero diagnostics, so any new finding fails this
+// test with a file:line diagnostic. The same cold run is also the suite's
+// cost tripwire: it must finish inside lintBudget.
 func TestModuleLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module (plus stdlib sources)")

@@ -46,7 +46,7 @@ func isSnapPtrParam(t types.Type, want string) bool {
 }
 
 func runSnapComplete(p *Pass) {
-	decls, _ := packageFuncs(p)
+	decls := packageFuncs(p)
 
 	// Collect Snapshot/Restore methods keyed by receiver type.
 	type snapMethods struct {

@@ -3,12 +3,10 @@ package pipeline
 // Allocation regression tests for the cycle loop: after warm-up, whole
 // simulated cycles must perform no heap allocation, in this package or in
 // any package it calls into (caches, predictor, fill unit, per-PC tables).
-// The hotalloc analyzer checks the same property statically, but only in
-// this package; these tests are the only gate on the packages it calls.
-// Their programs and configurations are chosen by coverage: together they
-// execute every statement cycle() reaches in this package except the arms
-// DESIGN.md §9 lists (panics, and arms the model's invariants make
-// unreachable).
+// They are the only gate on that rule. Their programs and configurations
+// are chosen by coverage: together they execute every statement cycle()
+// reaches in this package except the five invariant panics DESIGN.md §9
+// lists, whose conditions the model's invariants rule out.
 
 import (
 	"runtime"

@@ -141,18 +141,40 @@ type clusterState struct {
 	// whole words of them for free) and the window is compacted only when
 	// it is mostly holes, keeping compaction cost amortized O(1) per
 	// dispatch. ready bit i set means ids[i] is resolved, unissued and due
-	// (its ready cycle has come).
+	// (its ready cycle has come). Both are sized once by Reset to the
+	// window's bound (windowCap) and never grow.
 	ids   []infID
 	ready []uint64
 	queue infQueue // in-order dispatch queue (slot-based)
 }
 
-// reset empties the record in place, keeping the window, mask and queue
-// buffers.
-func (cs *clusterState) reset() {
+// compactMin is the shortest window issue compacts.
+const compactMin = 64
+
+// windowCap bounds a cluster's reservation-station window. After issue
+// the window is at most max(compactMin-1, 2·live) long: issue compacts a
+// window of compactMin or more entries that is mostly holes. live is at
+// most NumRSKinds·Entries, the stations' capacity, and at most ROBSize,
+// because every station entry is in the ROB. Dispatch then adds at most
+// Width entries, and no more than the stations can take.
+func windowCap(cfg Config) int {
+	live := min(int(cluster.NumRSKinds)*min(cfg.RS.Entries, cfg.ROBSize), cfg.ROBSize)
+	return max(compactMin-1, 2*live) + min(cfg.Geom.Width, live)
+}
+
+// reset empties the record in place, keeping the queue buffer, and gives
+// it a window of capacity window with a ready mask to match: the old ones,
+// cleared, when they have that size, else new ones.
+func (cs *clusterState) reset(window int) {
+	ids, ready := cs.ids[:0], cs.ready
+	if cap(ids) == window {
+		clear(ready)
+	} else {
+		ids, ready = make([]infID, 0, window), make([]uint64, (window+63)/64)
+	}
 	q := cs.queue
 	q.reset()
-	*cs = clusterState{ids: cs.ids[:0], ready: cs.ready[:0], queue: q}
+	*cs = clusterState{ids: ids, ready: ready, queue: q}
 }
 
 // New builds a pipeline reading committed instructions from stream. The
@@ -225,8 +247,9 @@ func (p *Pipeline) Reset(stream emu.Stream, cfg Config) {
 	if len(p.cl) != n {
 		p.cl = make([]clusterState, n)
 	}
+	window := windowCap(cfg)
 	for c := range p.cl {
-		p.cl[c].reset()
+		p.cl[c].reset(window)
 	}
 	p.portsUsed = false
 	p.due = [dueRing]uint32{}
@@ -394,8 +417,6 @@ func (p *Pipeline) drained() bool {
 }
 
 // cycle runs one machine cycle.
-//
-//ctcp:hotpath
 func (p *Pipeline) cycle() {
 	p.retire()
 	p.clearRedirect()
@@ -459,8 +480,6 @@ func (p *Pipeline) take() *emu.Committed {
 // --- fetch ---
 
 // fetch pulls one fetch group per cycle from the trace cache or icache path.
-//
-//ctcp:hotpath
 func (p *Pipeline) fetch() {
 	if p.pendingRedirect != noID || p.now < p.nextFetch {
 		return
@@ -517,11 +536,8 @@ func (p *Pipeline) fetch() {
 		}
 		p.S.ICGroupInsts += uint64(p.fqLen - queued)
 	}
-	if p.fqLen == queued {
-		// Defensive: should not happen (the first record always matches).
-		p.nextFetch = p.now + 1
-		return
-	}
+	// btbBubble is set only by a fetched instruction's predictControl, so
+	// a group that fetched nothing waits the plain one cycle.
 	p.nextFetch = p.now + 1 + p.btbBubble
 	p.btbBubble = 0
 }
@@ -650,8 +666,6 @@ func (p *Pipeline) endRedirect() {
 
 // rename maps architectural sources to in-flight producers and admits
 // instructions into the ROB.
-//
-//ctcp:hotpath
 func (p *Pipeline) rename() {
 	st := &p.st
 	budget := p.cfg.FetchWidth
@@ -721,8 +735,6 @@ func (p *Pipeline) rename() {
 
 // dispatch moves renamed instructions into reservation stations, applying
 // the configured steering strategy and write-port limits.
-//
-//ctcp:hotpath
 func (p *Pipeline) dispatch() {
 	if p.cfg.Strategy.SteersAtIssue() {
 		p.steer()
@@ -776,8 +788,6 @@ var (
 // whose open mask shares a bit with the class's stations, so steerTarget
 // always finds one and insertRS always succeeds; either failing is an
 // invariant panic.
-//
-//ctcp:hotpath
 func (p *Pipeline) steer() {
 	st := &p.st
 	q := &p.steerQ
@@ -924,12 +934,10 @@ func (p *Pipeline) insertRS(idx uint32, cs *clusterState) bool {
 	cs.writeUsed[best]++
 	p.portsUsed = true
 	pos := len(cs.ids)
-	cs.ids = append(cs.ids, e.id(idx))
+	cs.ids = cs.ids[:pos+1] // within windowCap, so never past cap
+	cs.ids[pos] = e.id(idx)
 	e.rsSlot = int32(pos)
 	cs.live++
-	if pos>>6 >= len(cs.ready) {
-		cs.ready = append(cs.ready, 0)
-	}
 	p.linkDeps(idx, e)
 	return true
 }
@@ -939,8 +947,6 @@ func (p *Pipeline) insertRS(idx uint32, cs *clusterState) bool {
 // (an intrusive waiter list on the producer), and — for loads — the
 // store-disambiguation watermark if any older store is still unissued.
 // When nothing is outstanding the entry resolves immediately.
-//
-//ctcp:hotpath
 func (p *Pipeline) linkDeps(idx uint32, e *inflight) {
 	st := &p.st
 	wait := int32(0)
@@ -999,8 +1005,6 @@ func (p *Pipeline) effFwd(prod, cons *inflight) int64 {
 // computed once instead of per cycle. An entry already due gets its
 // ready-mask bit at once; one due later waits on the due list of its ready
 // cycle, and issue sets its bit when that cycle comes.
-//
-//ctcp:hotpath
 func (p *Pipeline) resolve(idx uint32, e *inflight) {
 	st := &p.st
 	var t [2]int64
@@ -1118,8 +1122,6 @@ func (p *Pipeline) wakeWaiters(e *inflight) {
 }
 
 // wakeList is wakeWaiters for a producer with waiters.
-//
-//ctcp:hotpath
 func (p *Pipeline) wakeList(e *inflight) {
 	st := &p.st
 	for n := e.waiterHead; n != 0; {
@@ -1137,8 +1139,6 @@ func (p *Pipeline) wakeList(e *inflight) {
 
 // storeIssued marks seq issued and advances the disambiguation watermark,
 // waking loads whose barrier the watermark passes.
-//
-//ctcp:hotpath
 func (p *Pipeline) storeIssued(seq uint64) {
 	st := &p.st
 	p.storeRing[seq&p.storeRingMask] = true
@@ -1179,8 +1179,6 @@ func (p *Pipeline) freeFU(cs *clusterState, class isa.Class) cluster.FUKind {
 // scan nothing, since whole 64-entry words of them are skipped with one
 // load, and a cluster with no set bit is not scanned at all. The scan walks
 // each cluster's mask in age order (bit order == age order).
-//
-//ctcp:hotpath
 func (p *Pipeline) issue() {
 	if p.due[p.now&(dueRing-1)] != 0 {
 		p.drainDue()
@@ -1222,7 +1220,7 @@ func (p *Pipeline) issue() {
 		// age order, so the mask scan's issue order is unaffected by when it
 		// happens). The length guard keeps small windows untouched; the 2×
 		// guard amortizes the O(len) rebuild to O(1) per dispatch.
-		if len(cs.ids) >= 64 && 2*cs.live < len(cs.ids) {
+		if len(cs.ids) >= compactMin && 2*cs.live < len(cs.ids) {
 			p.compact(cs)
 		}
 	}
@@ -1382,13 +1380,12 @@ func (p *Pipeline) recordInputStats(e *inflight) {
 		}
 		hist.lastProd[k] = pe.rec.PC
 	}
-	// ...and critical inter-trace inputs only.
+	// ...and critical inter-trace inputs only. fCritFwd means the critical
+	// source is a register with an in-flight producer, so the loop above
+	// has looked hist up.
 	if critFwd && interTrace {
 		k := int(critSrc) - 1
 		cp := &st.e[st.index(e.critProd)]
-		if hist == nil {
-			hist = p.pcHist.Ensure(e.rec.PC)
-		}
 		if hist.lastCritInter[k] != 0 {
 			if k == 0 {
 				p.S.CritRS1InterSeen++
@@ -1421,8 +1418,6 @@ func (p *Pipeline) sbOccupied() int {
 
 // retire drains completed instructions from the ROB head in program order,
 // feeding the fill unit and the store buffer.
-//
-//ctcp:hotpath
 func (p *Pipeline) retire() {
 	st := &p.st
 	budget := p.cfg.RetireWidth
@@ -1493,7 +1488,7 @@ func (p *Pipeline) retireInfo(e *inflight, info *core.RetireInfo) {
 	info.Cluster = int(e.cluster)
 	info.FetchGroup = e.group
 	info.CritSrc = core.CritSrc(e.critSrc)
-	if e.flags&fCritFwd != 0 && e.critProd != noID {
+	if e.flags&fCritFwd != 0 { // resolve sets it only with critProd
 		cp := &p.st.e[p.st.index(e.critProd)]
 		info.CritForwarded = true
 		info.CritProducerPC = cp.rec.PC

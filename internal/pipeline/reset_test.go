@@ -167,6 +167,8 @@ func geometryConfigs() []struct {
 	twoClusters.Geom.Clusters, twoClusters.Geom.Width = 2, 8
 	bigROB := base
 	bigROB.ROBSize = 256
+	bigRS := base
+	bigRS.RS.Entries = 16
 	smallTC := base
 	smallTC.Trace.Lines = 256
 	issue8 := DefaultConfig().WithStrategy(core.IssueTime, false)
@@ -179,20 +181,27 @@ func geometryConfigs() []struct {
 		{"fetch width 8, 8-long traces", fetch8},
 		{"2 clusters", twoClusters},
 		{"ROB 256", bigROB},
+		{"16-entry stations", bigRS},
 		{"256 trace lines", smallTC},
 		{"8 clusters, issue-time", issue8},
 		{"default again", base},
 	}
 }
 
-// TestResetAcrossGeometry: a Reset that changes clusters, ROB size, fetch
-// width, trace length or trace cache lines matches New, and the rebuilt
-// buffers take the new geometry's size rather than keeping the larger of
-// the two.
+// TestResetAcrossGeometry: a Reset that changes clusters, cluster width,
+// ROB size, station size, fetch width, trace length or trace cache lines
+// matches New, and the rebuilt buffers take the new geometry's size rather
+// than keeping the larger of the two. That includes each cluster's window
+// and ready mask, which grow with the station size and the cluster width
+// and shrink back with them.
 func TestResetAcrossGeometry(t *testing.T) {
 	progs := []*isa.Program{resetProg(t, "gzip"), resetProg(t, "eon")}
 	sizes := func(p *Pipeline) []int {
-		return []int{len(p.distTab), len(p.cl), len(p.storeRing), len(p.tc.Dump()), len(p.st.e)}
+		s := []int{len(p.distTab), len(p.cl), len(p.storeRing), len(p.tc.Dump()), len(p.st.e)}
+		for c := range p.cl {
+			s = append(s, cap(p.cl[c].ids), len(p.cl[c].ready))
+		}
+		return s
 	}
 	p := new(Pipeline)
 	for i, g := range geometryConfigs() {

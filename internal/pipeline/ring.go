@@ -126,7 +126,6 @@ func (e *inflight) id(idx uint32) infID {
 func (s *infStore) index(id infID) uint32 {
 	idx := uint32(id)
 	if idx >= uint32(len(s.e)) || uint32(id>>32) != s.e[idx].gen {
-		//ctcp:lint-ok hotalloc -- allocates only on the way to a panic
 		panic(&core.InvariantError{Msg: "pipeline: stale inflight id", Ref: uint64(id)})
 	}
 	return idx

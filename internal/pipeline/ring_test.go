@@ -194,7 +194,10 @@ func readinessRef(p *Pipeline, idx uint32) int64 {
 //	    bit, and each cluster's ready count is its mask's popcount,
 //	(b) the moment an entry resolves, its readyAt equals the reference
 //	    recomputation from its producers' resultAt and the RF time,
-//	(c) nothing issues before the cycle it was declared ready for.
+//	(c) nothing issues before the cycle it was declared ready for,
+//	(d) every cluster keeps the window and ready mask Reset sized for it
+//	    (windowCap entries, a mask word per 64), and no window outgrows
+//	    windowCap.
 func TestWakeupMatchesReadinessRecompute(t *testing.T) {
 	bm, ok := workload.ByName("gzip")
 	if !ok {
@@ -223,6 +226,21 @@ func checkWakeup(t *testing.T, p *Pipeline) (parked int) {
 	st := &p.st
 	pendingReady := map[infID]int64{} // resolved but not yet issued
 	checked := 0
+	limit := windowCap(p.cfg)
+	type window struct {
+		ids   *infID
+		ready *uint64
+	}
+	given := make([]window, len(p.cl))
+	for c := range p.cl {
+		cs := &p.cl[c]
+		if cap(cs.ids) != limit || len(cs.ready) != (limit+63)/64 {
+			t.Fatalf("cluster %d: Reset gave a %d-entry window and a %d-word mask; windowCap is %d",
+				c, cap(cs.ids), len(cs.ready), limit)
+		}
+		given[c] = window{&cs.ids[:1][0], &cs.ready[0]}
+	}
+	peak := 0
 	for !p.done() {
 		cyc := p.now
 		p.cycle()
@@ -245,6 +263,15 @@ func checkWakeup(t *testing.T, p *Pipeline) (parked int) {
 
 		for c := range p.cl {
 			cs := &p.cl[c]
+			// (d) the buffers are Reset's, and the window within its bound.
+			if len(cs.ids) > limit {
+				t.Fatalf("cycle %d: cluster %d window holds %d entries, over windowCap %d", cyc, c, len(cs.ids), limit)
+			}
+			if cap(cs.ids) != limit || &cs.ids[:1][0] != given[c].ids ||
+				len(cs.ready) != (limit+63)/64 || &cs.ready[0] != given[c].ready {
+				t.Fatalf("cycle %d: cluster %d window or ready mask is not the one Reset sized", cyc, c)
+			}
+			peak = max(peak, len(cs.ids))
 			set := 0
 			for _, w := range cs.ready {
 				set += bits.OnesCount64(w)
@@ -298,6 +325,7 @@ func checkWakeup(t *testing.T, p *Pipeline) (parked int) {
 	if checked < 1_000 {
 		t.Fatalf("cross-checked only %d resolutions; trace too short to be meaningful", checked)
 	}
+	t.Logf("longest window %d of windowCap %d", peak, limit)
 	return parked
 }
 

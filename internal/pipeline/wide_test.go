@@ -12,7 +12,7 @@ import (
 // 160 instructions. That takes every path above 64 slots — the trace
 // cache's conditional-branch scan for lines longer than a mask word,
 // CheckSlotIndices' map for more issue slots than a mask word, and
-// reservation-station ready masks of more than one word. Under each
+// reservation-station windows longer than a ready-mask word. Under each
 // strategy the run must halt without tripping the no-progress watchdog and
 // retire exactly the emulator's stream, and a Reset back to the default
 // configuration must then match a new pipeline.
@@ -26,14 +26,18 @@ func TestWideMachineRetiresExactStream(t *testing.T) {
 
 		ref := emu.New(prog)
 		var want emu.Committed
-		retired, diverged := 0, false
+		var p *Pipeline
+		retired, diverged, window := 0, false, 0
 		cfg.RetireHook = func(ri core.RetireInfo) {
 			if !ref.NextInto(&want) || ri.Rec != want {
 				diverged = true
 			}
 			retired++
+			for c := range p.cl {
+				window = max(window, len(p.cl[c].ids))
+			}
 		}
-		p := New(emu.New(prog), cfg)
+		p = New(emu.New(prog), cfg)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -45,10 +49,7 @@ func TestWideMachineRetiresExactStream(t *testing.T) {
 		if diverged || retired != resetInsts {
 			t.Errorf("%v: retired %d of %d records, diverged from the emulator: %v", k, retired, resetInsts, diverged)
 		}
-		maskWords, longest := 0, 0
-		for c := range p.cl {
-			maskWords = max(maskWords, len(p.cl[c].ready)) // never shrinks until Reset
-		}
+		longest := 0
 		for _, set := range p.tc.Dump() {
 			for _, line := range set {
 				if line != nil {
@@ -56,8 +57,8 @@ func TestWideMachineRetiresExactStream(t *testing.T) {
 				}
 			}
 		}
-		if longest <= 64 || maskWords <= 1 {
-			t.Errorf("%v: setup: longest trace line %d slots, widest ready mask %d words; want over 64 and over 1", k, longest, maskWords)
+		if longest <= 64 || window <= 64 {
+			t.Errorf("%v: setup: longest trace line %d slots, longest window %d entries; want both over 64", k, longest, window)
 		}
 
 		def := DefaultConfig().WithStrategy(k, false)
