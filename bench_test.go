@@ -1,10 +1,10 @@
 package ctcp
 
-// One testing.B benchmark per paper artifact: each regenerates the table or
-// figure end to end (workload generation, full-matrix simulation, baseline
-// comparison, rendering). Budgets are reduced relative to cmd/ctcpbench so
-// `go test -bench=.` completes in minutes; pass -benchtime=1x for a single
-// regeneration per artifact.
+// One testing.B sub-benchmark per registry entry: each regenerates the table
+// or figure end to end (workload generation, full-matrix simulation,
+// baseline comparison, rendering). Budgets are reduced relative to
+// cmd/ctcpbench so `go test -bench=.` completes in minutes; pass
+// -benchtime=1x for a single regeneration per artifact.
 
 import (
 	"testing"
@@ -14,126 +14,22 @@ import (
 
 const benchBudget = 25_000
 
-// newBenchRunner returns a fresh (uncached) harness per benchmark so each
-// iteration measures full regeneration work.
-func newBenchRunner() *experiment.Runner {
-	return experiment.NewRunner(experiment.Options{Budget: benchBudget})
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table1(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Figure4(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table2(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table3(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if hm := experiment.Figure5(r).HM(); hm[0] <= 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if hm := experiment.Figure6(r).HM(); hm[2] <= 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Figure7(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table8(r).IntraRows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table9(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkTable10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Table10(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Figure8(r).Configs) != 3 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Options{Budget: 15_000})
-		if len(experiment.Figure9(r).Suites) != 2 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.Ablation(r).Rows) != 6 {
-			b.Fatal("bad result")
-		}
+// BenchmarkArtifacts regenerates each entry of experiment.Artifacts
+// (BenchmarkArtifacts/<name>) on a fresh, uncached runner per iteration, so
+// each measures full regeneration work.
+func BenchmarkArtifacts(b *testing.B) {
+	for _, a := range experiment.Artifacts {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := experiment.NewRunner(experiment.Options{Budget: benchBudget})
+				for _, s := range a.Build(r) {
+					if len(s.Rows) == 0 {
+						b.Fatalf("%s: no rows", s.Title)
+					}
+					_ = s.Render()
+				}
+			}
+		})
 	}
 }
 
@@ -151,13 +47,4 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		total += int64(s.Retired)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
-}
-
-func BenchmarkSweeps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if len(experiment.SweepHopLatency(r).Points) != 3 {
-			b.Fatal("bad result")
-		}
-	}
 }

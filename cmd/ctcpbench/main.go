@@ -14,6 +14,10 @@
 //	                               # resumable runs: rerun continues a killed sweep;
 //	                               # the directory is a result store ctcpd can serve
 //
+// The artifacts, their names and their order are experiment.Artifacts: -exp
+// names entries of that registry, and 'all' is every entry that is not
+// OptIn.
+//
 // A simulation that aborts (pathological configuration) no longer crashes
 // the process: the failing key is recorded, every artifact that did
 // complete is still printed, a failure summary goes to stderr, and the
@@ -34,60 +38,22 @@ import (
 	"ctcp/internal/workload"
 )
 
-// artifacts is the generation-order table of every artifact the tool can
-// regenerate. The -exp flag usage and name validation are derived from it,
-// so adding an entry here is the single step needed to expose it. An optIn
-// entry is not a paper artifact: 'all' leaves it out, so `make results`
-// simulates only what the paper prints.
-var artifacts = []struct {
-	name  string
-	optIn bool
-	run   func(r *experiment.Runner) string
-}{
-	{"table1", false, func(r *experiment.Runner) string { return experiment.Table1(r).Render() }},
-	{"fig4", false, func(r *experiment.Runner) string { return experiment.Figure4(r).Render() }},
-	{"table2", false, func(r *experiment.Runner) string { return experiment.Table2(r).Render() }},
-	{"fig5", false, func(r *experiment.Runner) string { return experiment.Figure5(r).Render() }},
-	{"table3", false, func(r *experiment.Runner) string { return experiment.Table3(r).Render() }},
-	{"fig6", false, func(r *experiment.Runner) string { return experiment.Figure6(r).Render() }},
-	{"table8", false, func(r *experiment.Runner) string { return experiment.Table8(r).Render() }},
-	{"fig7", false, func(r *experiment.Runner) string { return experiment.Figure7(r).Render() }},
-	{"table9", false, func(r *experiment.Runner) string { return experiment.Table9(r).Render() }},
-	{"table10", false, func(r *experiment.Runner) string { return experiment.Table10(r).Render() }},
-	{"fig8", false, func(r *experiment.Runner) string { return experiment.Figure8(r).Render() }},
-	{"ablation", false, func(r *experiment.Runner) string { return experiment.Ablation(r).Render() }},
-	{"sweeps", true, func(r *experiment.Runner) string {
-		return experiment.SweepTraceCache(r).Render() + "\n" +
-			experiment.SweepROB(r).Render() + "\n" +
-			experiment.SweepHopLatency(r).Render()
-	}},
-	{"fig9", false, func(r *experiment.Runner) string { return experiment.Figure9(r).Render() }},
-}
-
-// artifactNames renders the artifact list for flag usage and error messages.
-func artifactNames() string {
-	names := make([]string, 0, len(artifacts))
-	for _, a := range artifacts {
-		names = append(names, a.name)
-	}
-	return strings.Join(names, ",")
-}
-
-// selectArtifacts parses -exp: a comma-separated list of artifact names, in
-// which 'all' stands for every paper artifact (every entry not optIn).
+// selectArtifacts parses -exp: a comma-separated list of experiment.Artifacts
+// names, in which 'all' stands for every paper artifact (every entry not
+// OptIn).
 func selectArtifacts(exps string) (map[string]bool, error) {
 	want := map[string]bool{}
 	for _, name := range strings.Split(exps, ",") {
 		name = strings.TrimSpace(name)
 		found := false
-		for _, a := range artifacts {
-			if name == a.name || name == "all" && !a.optIn {
-				want[a.name] = true
+		for _, a := range experiment.Artifacts {
+			if name == a.Name || name == "all" && !a.OptIn {
+				want[a.Name] = true
 				found = true
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("unknown experiment %q (one of: %s, or 'all')", name, artifactNames())
+			return nil, fmt.Errorf("unknown experiment %q (one of: %s, or 'all')", name, experiment.ArtifactNames())
 		}
 	}
 	return want, nil
@@ -129,7 +95,7 @@ func (o *cliOptions) validate() error {
 // run so profile-teardown defers execute before os.Exit.
 func main() {
 	var o cliOptions
-	flag.StringVar(&o.exps, "exp", "all", "comma-separated list: "+artifactNames()+" or 'all' (every paper artifact; sweeps are opt-in)")
+	flag.StringVar(&o.exps, "exp", "all", "comma-separated list: "+experiment.ArtifactNames()+" or 'all' (every paper artifact; sweeps are opt-in)")
 	flag.Uint64Var(&o.insts, "insts", experiment.DefaultBudget, "committed instruction budget per run")
 	flag.IntVar(&o.par, "par", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.verbose, "v", false, "log each simulation start/finish/failure to stderr")
@@ -226,19 +192,19 @@ func run(o *cliOptions) int {
 
 	fmt.Printf("ctcpbench: budget %d instructions per run\n\n", insts)
 	var failedArtifacts []string
-	for _, e := range artifacts {
-		if !want[e.name] {
+	for _, a := range experiment.Artifacts {
+		if !want[a.Name] {
 			continue
 		}
 		start := time.Now()
-		out, err := renderArtifact(func() string { return e.run(r) })
+		out, err := renderArtifact(a, r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ctcpbench: %s failed: %v\n\n", e.name, err)
-			failedArtifacts = append(failedArtifacts, e.name)
+			fmt.Fprintf(os.Stderr, "ctcpbench: %s failed: %v\n\n", a.Name, err)
+			failedArtifacts = append(failedArtifacts, a.Name)
 			continue
 		}
 		fmt.Println(out)
-		fmt.Printf("[%s regenerated in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s regenerated in %v]\n\n", a.Name, time.Since(start).Round(time.Millisecond))
 	}
 
 	st := r.Stats()
@@ -256,13 +222,14 @@ func run(o *cliOptions) int {
 	return exit
 }
 
-// renderArtifact runs one artifact builder, converting a panic anywhere in
-// the build/render path into an error so the remaining artifacts still run.
-func renderArtifact(run func() string) (out string, err error) {
+// renderArtifact builds and renders one artifact on r, converting a panic
+// anywhere in the build/render path into an error so the remaining
+// artifacts still run.
+func renderArtifact(a experiment.Artifact, r *experiment.Runner) (out string, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("panic: %v", rec)
 		}
 	}()
-	return run(), nil
+	return a.Render(r), nil
 }

@@ -1,44 +1,59 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"ctcp/internal/experiment"
 )
 
-// TestAllIsThePaper: 'all' selects every artifact except the opt-in design
-// sweeps.
+// TestAllIsThePaper: 'all' selects every registry entry except the opt-in
+// ones.
 func TestAllIsThePaper(t *testing.T) {
 	want, err := selectArtifacts("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range artifacts {
-		if got := want[a.name]; got != (a.name != "sweeps") {
-			t.Errorf("all selects %s = %v", a.name, got)
+	paper := 0
+	for _, a := range experiment.Artifacts {
+		if got := want[a.Name]; got == a.OptIn {
+			t.Errorf("all selects %s = %v", a.Name, got)
+		}
+		if !a.OptIn {
+			paper++
 		}
 	}
-	if len(want) != len(artifacts)-1 {
-		t.Errorf("all selects %d artifacts, want %d", len(want), len(artifacts)-1)
+	if len(want) != paper {
+		t.Errorf("all selects %d artifacts, want %d", len(want), paper)
 	}
 }
 
-// TestSweepsAreOptIn: the sweeps run when named, alone or next to 'all'.
+// TestSweepsAreOptIn: the sweeps are opt-in, and every opt-in entry runs
+// when named, alone or next to 'all'.
 func TestSweepsAreOptIn(t *testing.T) {
-	only, err := selectArtifacts("sweeps")
-	if err != nil {
-		t.Fatal(err)
+	if all, _ := selectArtifacts("all"); all["sweeps"] {
+		t.Error("all selects the sweeps")
 	}
-	if len(only) != 1 || !only["sweeps"] {
-		t.Errorf("sweeps selects %v", only)
-	}
-	both, err := selectArtifacts("all, sweeps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(both) != len(artifacts) {
-		t.Errorf("all,sweeps selects %d artifacts, want every one of %d", len(both), len(artifacts))
+	for _, a := range experiment.Artifacts {
+		if !a.OptIn {
+			continue
+		}
+		only, err := selectArtifacts(a.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(only) != 1 || !only[a.Name] {
+			t.Errorf("%s selects %v", a.Name, only)
+		}
+		both, err := selectArtifacts("all, " + a.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all, _ := selectArtifacts("all"); len(both) != len(all)+1 || !both[a.Name] {
+			t.Errorf("all,%s selects %v", a.Name, both)
+		}
 	}
 }
 
@@ -54,25 +69,25 @@ func TestUnknownArtifactRejected(t *testing.T) {
 	}
 }
 
-// TestAllReadsEveryPrefetchedRun renders every artifact of 'all' on one
-// runner, as `make results` does, at a tiny budget: each simulation it
-// starts must be one an artifact reads back, so the default run simulates
-// exactly what it prints.
-func TestAllReadsEveryPrefetchedRun(t *testing.T) {
-	want, err := selectArtifacts("all")
+// TestResultsFollowTheRegistry reads the checked-in results_full.txt, the
+// output of `make results`: its "[<name> regenerated in ...]" lines must
+// name exactly the registry's paper artifacts, in registry order. A new or
+// reordered entry fails here until the results are regenerated.
+func TestResultsFollowTheRegistry(t *testing.T) {
+	data, err := os.ReadFile("../../results_full.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := experiment.NewRunner(experiment.Options{Budget: 2_000, Parallelism: 2})
-	for _, a := range artifacts {
-		if want[a.name] {
-			a.run(r)
+	var got, want []string
+	for _, m := range regexp.MustCompile(`(?m)^\[(\S+) regenerated in .*\]$`).FindAllStringSubmatch(string(data), -1) {
+		got = append(got, m[1])
+	}
+	for _, a := range experiment.Artifacts {
+		if !a.OptIn {
+			want = append(want, a.Name)
 		}
 	}
-	if unread := r.Unread(); len(unread) != 0 {
-		t.Errorf("%d of %d simulations are never read, e.g. %v", len(unread), r.Stats().Started, unread[:min(len(unread), 5)])
-	}
-	if sum := r.FailureSummary(); sum != "" {
-		t.Errorf("runs failed: %s", sum)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("results_full.txt regenerates %v, registry's paper artifacts are %v", got, want)
 	}
 }

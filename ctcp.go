@@ -12,7 +12,7 @@
 //   - the benchmark suite of SPECint2000 and MediaBench analogs
 //     (SPECint, MediaBench, SelectedBenchmarks), and
 //   - the experiment harness that regenerates every table and figure of the
-//     paper's evaluation (NewExperiments and the methods of Experiments).
+//     paper's evaluation by name (NewExperiments, Experiments.Render).
 //
 // A minimal session:
 //
@@ -24,6 +24,8 @@
 package ctcp
 
 import (
+	"fmt"
+
 	"ctcp/internal/asm"
 	"ctcp/internal/core"
 	"ctcp/internal/emu"
@@ -144,45 +146,17 @@ func NewExperiments(budget uint64) *Experiments {
 	return &Experiments{r: experiment.NewRunner(experiment.Options{Budget: budget})}
 }
 
-// Table1 regenerates Table 1 (trace cache characteristics).
-func (e *Experiments) Table1() *experiment.Table1Result { return experiment.Table1(e.r) }
-
-// Table2 regenerates Table 2 (critical forwarding dependencies).
-func (e *Experiments) Table2() *experiment.Table2Result { return experiment.Table2(e.r) }
-
-// Table3 regenerates Table 3 (repeated forwarding producers).
-func (e *Experiments) Table3() *experiment.Table3Result { return experiment.Table3(e.r) }
-
-// Figure4 regenerates Figure 4 (critical input sources).
-func (e *Experiments) Figure4() *experiment.Figure4Result { return experiment.Figure4(e.r) }
-
-// Figure5 regenerates Figure 5 (latency-removal speedups).
-func (e *Experiments) Figure5() *experiment.Figure5Result { return experiment.Figure5(e.r) }
-
-// Figure6 regenerates Figure 6 (strategy speedups, six benchmarks).
-func (e *Experiments) Figure6() *experiment.Figure6Result { return experiment.Figure6(e.r) }
-
-// Figure7 regenerates Figure 7 (FDRT option distribution).
-func (e *Experiments) Figure7() *experiment.Figure7Result { return experiment.Figure7(e.r) }
-
-// Table8 regenerates Table 8 (forwarding locality by strategy).
-func (e *Experiments) Table8() *experiment.Table8Result { return experiment.Table8(e.r) }
-
-// Table9 regenerates Table 9 (cluster migration vs. pinning).
-func (e *Experiments) Table9() *experiment.Table9Result { return experiment.Table9(e.r) }
-
-// Table10 regenerates Table 10 (forwarding locality vs. pinning).
-func (e *Experiments) Table10() *experiment.Table10Result { return experiment.Table10(e.r) }
-
-// Figure8 regenerates Figure 8 (alternate cluster configurations).
-func (e *Experiments) Figure8() *experiment.Figure8Result { return experiment.Figure8(e.r) }
-
-// Figure9 regenerates Figure 9 (full-suite speedups).
-func (e *Experiments) Figure9() *experiment.Figure9Result { return experiment.Figure9(e.r) }
-
-// Ablation regenerates the §5.3 strategy decomposition (Friendly-middle,
-// intra-only FDRT, pinning).
-func (e *Experiments) Ablation() *experiment.AblationResult { return experiment.Ablation(e.r) }
+// Render regenerates the named artifact of experiment.Artifacts, such as
+// "table1", as plain text. An unknown name is an error that lists the valid
+// ones.
+func (e *Experiments) Render(name string) (string, error) {
+	for _, a := range experiment.Artifacts {
+		if a.Name == name {
+			return a.Render(e.r), nil
+		}
+	}
+	return "", fmt.Errorf("ctcp: unknown artifact %q (one of: %s)", name, experiment.ArtifactNames())
+}
 
 // RunnerStats snapshots the harness's execution counters: simulations
 // started/completed/failed, duplicate requests deduplicated, and cache hits.

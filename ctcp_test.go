@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"ctcp/internal/experiment"
 )
 
 func TestFacadeAssembleAndRun(t *testing.T) {
@@ -71,9 +73,15 @@ func TestFacadeProgramBuilder(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	e := NewExperiments(15_000)
-	out := e.Table1().Render()
+	out, err := e.Render("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out, "Trace Cache Characteristics") {
 		t.Error("experiment render missing title")
+	}
+	if _, err := e.Render("table4"); err == nil || !strings.Contains(err.Error(), experiment.ArtifactNames()) {
+		t.Errorf("unknown artifact: err = %v, want one listing the valid names", err)
 	}
 }
 
@@ -105,7 +113,9 @@ func TestFacadeRunErr(t *testing.T) {
 
 func TestFacadeExperimentsObservability(t *testing.T) {
 	e := NewExperiments(15_000)
-	_ = e.Table1().Render()
+	if _, err := e.Render("table1"); err != nil {
+		t.Fatal(err)
+	}
 	st := e.RunnerStats()
 	if st.Started == 0 || st.Completed == 0 {
 		t.Errorf("runner stats empty after an experiment: %+v", st)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ctcp/internal/pipeline"
 	"ctcp/internal/workload"
 )
 
@@ -32,7 +31,7 @@ func TestRunnerBudgetRespected(t *testing.T) {
 
 func TestTable1ShapesAndRender(t *testing.T) {
 	r := testRunner()
-	res := Table1(r)
+	res := table1(r)[0]
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -54,7 +53,7 @@ func TestTable1ShapesAndRender(t *testing.T) {
 
 func TestFigure4SumsToOne(t *testing.T) {
 	r := testRunner()
-	res := Figure4(r)
+	res := figure4(r)[0]
 	for _, row := range res.Rows {
 		sum := row.Values[0] + row.Values[1] + row.Values[2]
 		if sum < 0.999 || sum > 1.001 {
@@ -65,20 +64,24 @@ func TestFigure4SumsToOne(t *testing.T) {
 
 func TestTable2Shapes(t *testing.T) {
 	r := testRunner()
-	res := Table2(r)
+	res := table2(r)[0]
+	// Values alternate measured and paper: crit fwd, paper, inter-trace, paper.
 	for _, row := range res.Rows {
-		if row.Values[0] <= 0 || row.Values[0] > 1 || row.Values[1] <= 0 || row.Values[1] > 1 {
+		if row.Values[0] <= 0 || row.Values[0] > 1 || row.Values[2] <= 0 || row.Values[2] > 1 {
 			t.Errorf("%s: fractions out of range: %v", row.Bench, row.Values)
 		}
+		if row.Values[1] <= 0 || row.Values[3] <= 0 {
+			t.Errorf("%s: paper reference values missing: %v", row.Bench, row.Values)
+		}
 	}
-	if len(res.Paper) != 6 {
-		t.Error("paper reference values missing")
+	if len(res.Rows) != 6 {
+		t.Errorf("rows = %d", len(res.Rows))
 	}
 }
 
 func TestTable3HighRepeatRates(t *testing.T) {
 	r := testRunner()
-	res := Table3(r)
+	res := table3(r)[0]
 	for _, row := range res.Rows {
 		// The paper's key observation: producers repeat for the overwhelming
 		// majority of forwarded inputs (this justifies chain prediction).
@@ -90,8 +93,8 @@ func TestTable3HighRepeatRates(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	r := testRunner()
-	res := Figure5(r)
-	hm := res.HM()
+	res := figure5(r)[0]
+	hm := res.Totals()
 	noFwd, noCrit, noIntra, noInter, noRF := hm[0], hm[1], hm[2], hm[3], hm[4]
 	if noFwd < 1.05 {
 		t.Errorf("removing all forwarding latency speeds up only %.3f", noFwd)
@@ -116,8 +119,8 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestFigure6Shape(t *testing.T) {
 	r := testRunner()
-	res := Figure6(r)
-	hm := res.HM()
+	res := figure6(r)[0]
+	hm := res.Totals()
 	for i, v := range hm {
 		if v < 0.85 || v > 1.6 {
 			t.Errorf("strategy column %d HM %.3f implausible", i, v)
@@ -132,32 +135,26 @@ func TestFigure6Shape(t *testing.T) {
 
 func TestTable8RetireTimeImprovesLocality(t *testing.T) {
 	r := testRunner()
-	res := Table8(r)
-	var base, friendly, fdrt []float64
-	for _, row := range res.IntraRows {
-		base = append(base, row.Values[0])
-		friendly = append(friendly, row.Values[1])
-		fdrt = append(fdrt, row.Values[2])
+	secs := table8(r)
+	if len(secs) != 2 {
+		t.Fatalf("sections = %d, want 8a and 8b", len(secs))
 	}
-	mean := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
+	avg := secs[0].Totals()
+	base, friendly, fdrt := avg[0], avg[1], avg[2]
+	if friendly <= base {
+		t.Errorf("Friendly intra-cluster %.3f not above base %.3f", friendly, base)
 	}
-	if mean(friendly) <= mean(base) {
-		t.Errorf("Friendly intra-cluster %.3f not above base %.3f", mean(friendly), mean(base))
+	if fdrt <= base {
+		t.Errorf("FDRT intra-cluster %.3f not above base %.3f", fdrt, base)
 	}
-	if mean(fdrt) <= mean(base) {
-		t.Errorf("FDRT intra-cluster %.3f not above base %.3f", mean(fdrt), mean(base))
+	for _, s := range secs {
+		_ = s.Render()
 	}
-	_ = res.Render()
 }
 
 func TestFigure7OptionsSumToOne(t *testing.T) {
 	r := testRunner()
-	res := Figure7(r)
+	res := figure7(r)[0]
 	for _, row := range res.Rows {
 		sum := 0.0
 		for k := 0; k < 5; k++ { // A..E (skipped overlaps A-D)
@@ -172,7 +169,7 @@ func TestFigure7OptionsSumToOne(t *testing.T) {
 
 func TestTable9PinningReducesChainMigration(t *testing.T) {
 	r := testRunner()
-	res := Table9(r)
+	res := table9(r)[0]
 	reduced := 0
 	for _, row := range res.Rows {
 		if row.Values[3] > 0 {
@@ -189,7 +186,7 @@ func TestTable9PinningReducesChainMigration(t *testing.T) {
 
 func TestTable10Render(t *testing.T) {
 	r := testRunner()
-	res := Table10(r)
+	res := table10(r)[0]
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -204,18 +201,19 @@ func TestFigure8VariantsRun(t *testing.T) {
 		t.Skip("figure 8 sweeps 3 architectures")
 	}
 	r := testRunner()
-	res := Figure8(r)
-	for _, name := range []string{"ring", "hop1", "2x4"} {
-		rows := res.Configs[name]
-		if len(rows) != 6 {
-			t.Fatalf("%s: rows = %d", name, len(rows))
-		}
-		hm := res.HM(name)
-		if hm[0] < 0.8 || hm[0] > 1.6 {
-			t.Errorf("%s: FDRT HM %.3f implausible", name, hm[0])
-		}
+	secs := figure8(r)
+	if len(secs) != 3 {
+		t.Fatalf("sections = %d, want ring, hop1 and 2x4", len(secs))
 	}
-	_ = res.Render()
+	for _, s := range secs {
+		if len(s.Rows) != 6 {
+			t.Fatalf("%s: rows = %d", s.Title, len(s.Rows))
+		}
+		if hm := s.Totals(); hm[0] < 0.8 || hm[0] > 1.6 {
+			t.Errorf("%s: FDRT HM %.3f implausible", s.Title, hm[0])
+		}
+		_ = s.Render()
+	}
 }
 
 func TestFigure9SuitesRun(t *testing.T) {
@@ -223,16 +221,19 @@ func TestFigure9SuitesRun(t *testing.T) {
 		t.Skip("figure 9 sweeps all 26 benchmarks")
 	}
 	r := NewRunner(Options{Budget: 20_000})
-	res := Figure9(r)
-	for _, suite := range []string{"SPECint2000", "MediaBench"} {
-		if len(res.Suites[suite]) != 4 {
-			t.Fatalf("%s: missing strategy means", suite)
-		}
-		if n := len(res.Rows[suite]); n != 12 && n != 14 {
-			t.Errorf("%s: %d rows", suite, n)
-		}
+	secs := figure9(r)
+	if len(secs) != 2 {
+		t.Fatalf("sections = %d, want SPECint2000 and MediaBench", len(secs))
 	}
-	_ = res.Render()
+	for _, s := range secs {
+		if len(s.Totals()) != 4 {
+			t.Fatalf("%s: missing strategy means", s.Title)
+		}
+		if n := len(s.Rows); n != 12 && n != 14 {
+			t.Errorf("%s: %d rows", s.Title, n)
+		}
+		_ = s.Render()
+	}
 }
 
 func TestFig8VariantConfigs(t *testing.T) {
@@ -269,15 +270,13 @@ func TestStrategyConfigsComplete(t *testing.T) {
 	}
 }
 
-var _ = pipeline.Config{} // keep the import when shapes change
-
 func TestAblationRuns(t *testing.T) {
 	r := testRunner()
-	res := Ablation(r)
+	res := ablation(r)[0]
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	hm := res.HM()
+	hm := res.Totals()
 	if len(hm) != 5 {
 		t.Fatalf("hm = %v", hm)
 	}
@@ -296,21 +295,24 @@ func TestSweepsRun(t *testing.T) {
 		t.Skip("sweeps run many configurations")
 	}
 	r := NewRunner(Options{Budget: 20_000})
-	hop := SweepHopLatency(r)
-	if len(hop.Points) != 3 {
-		t.Fatalf("hop sweep points = %d", len(hop.Points))
+	secs := sweeps(r)
+	if len(secs) != 3 {
+		t.Fatalf("sections = %d, want trace cache, ROB and hop latency", len(secs))
+	}
+	// Each row is one parameter point: base IPC, then FDRT speedup.
+	tc, rob, hop := secs[0], secs[1].Rows, secs[2].Rows
+	if len(hop) != 3 {
+		t.Fatalf("hop sweep points = %d", len(hop))
 	}
 	// FDRT's value grows with hop cost: the speedup at 4-cycle hops must be
 	// at least that at 1-cycle hops.
-	if hop.Points[2].FDRTSpeedup < hop.Points[0].FDRTSpeedup-0.02 {
-		t.Errorf("FDRT speedup not increasing with hop latency: %v", hop.Points)
+	if hop[2].Values[1] < hop[0].Values[1]-0.02 {
+		t.Errorf("FDRT speedup not increasing with hop latency: %v", hop)
 	}
-	rob := SweepROB(r)
 	// A bigger window never reduces base IPC.
-	if rob.Points[2].BaseIPC < rob.Points[0].BaseIPC-0.05 {
-		t.Errorf("base IPC fell with larger ROB: %v", rob.Points)
+	if rob[2].Values[0] < rob[0].Values[0]-0.05 {
+		t.Errorf("base IPC fell with larger ROB: %v", rob)
 	}
-	tc := SweepTraceCache(r)
 	if !strings.Contains(tc.Render(), "trace-cache-lines") {
 		t.Error("render missing param name")
 	}

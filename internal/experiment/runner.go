@@ -1,7 +1,8 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §2 for the index). Each experiment function
-// returns a typed result with the measured values plus the paper's reported
-// numbers for side-by-side comparison, and renders to a plain-text table.
+// evaluation (see DESIGN.md §2 for the index). Each one is an entry of the
+// Artifacts registry whose Build returns Sections: the measured values, the
+// paper's reported numbers for side-by-side comparison where the table
+// prints them, and one plain-text rendering shared by every table.
 package experiment
 
 import (
@@ -692,5 +693,3 @@ func speedup(base, s *pipeline.Stats) float64 {
 	}
 	return float64(base.Cycles) / float64(s.Cycles)
 }
-
-func fmtBench(name string) string { return fmt.Sprintf("%-9s", name) }

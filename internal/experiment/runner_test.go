@@ -358,35 +358,20 @@ func TestRunRealPathologicalConfigDegrades(t *testing.T) {
 	}
 }
 
-// TestEveryPrefetchedRunIsRead renders each artifact on its own runner at a
-// tiny budget. An artifact must read back every run it prefetches: a
-// simulation only Prefetch requested is one no table prints.
+// TestEveryPrefetchedRunIsRead builds each registry entry, opt-in ones
+// included, on its own runner at a tiny budget. An artifact must read back
+// every run it prefetches: a simulation only Prefetch requested is one no
+// table prints. If each artifact alone reads every run it starts, so does
+// any set of them on one runner, as `make results` shares one.
 func TestEveryPrefetchedRunIsRead(t *testing.T) {
-	for _, a := range []struct {
-		name string
-		run  func(*Runner)
-	}{
-		{"table1", func(r *Runner) { Table1(r) }},
-		{"fig4", func(r *Runner) { Figure4(r) }},
-		{"table2", func(r *Runner) { Table2(r) }},
-		{"fig5", func(r *Runner) { Figure5(r) }},
-		{"table3", func(r *Runner) { Table3(r) }},
-		{"fig6", func(r *Runner) { Figure6(r) }},
-		{"table8", func(r *Runner) { Table8(r) }},
-		{"fig7", func(r *Runner) { Figure7(r) }},
-		{"table9", func(r *Runner) { Table9(r) }},
-		{"table10", func(r *Runner) { Table10(r) }},
-		{"fig8", func(r *Runner) { Figure8(r) }},
-		{"ablation", func(r *Runner) { Ablation(r) }},
-		{"fig9", func(r *Runner) { Figure9(r) }},
-		{"sweep-tc", func(r *Runner) { SweepTraceCache(r) }},
-		{"sweep-rob", func(r *Runner) { SweepROB(r) }},
-		{"sweep-hop", func(r *Runner) { SweepHopLatency(r) }},
-	} {
+	for _, a := range Artifacts {
 		r := NewRunner(Options{Budget: 2_000, Parallelism: 2})
-		a.run(r)
+		a.Build(r)
 		if unread := r.Unread(); len(unread) != 0 {
-			t.Errorf("%s: %d of %d simulations never read: %v", a.name, len(unread), r.Stats().Started, unread)
+			t.Errorf("%s: %d of %d simulations never read: %v", a.Name, len(unread), r.Stats().Started, unread)
+		}
+		if sum := r.FailureSummary(); sum != "" {
+			t.Errorf("%s: runs failed: %s", a.Name, sum)
 		}
 	}
 }
