@@ -1,96 +1,79 @@
-// Command ctcpasm assembles, disassembles and functionally runs TRISC-64
-// programs.
+// Command ctcpasm assembles, lists and functionally runs TRISC-64 assembly
+// source.
 //
 // Usage:
 //
 //	ctcpasm prog.s                 # assemble, report sizes
-//	ctcpasm -o prog.tro prog.s     # assemble to an object file
-//	ctcpasm -d prog.tro            # disassemble an object file
+//	ctcpasm -d prog.s              # assemble and print the listing
 //	ctcpasm -run prog.s            # assemble and execute functionally
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"ctcp/internal/asm"
 	"ctcp/internal/emu"
-	"ctcp/internal/isa"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes to stdout and stderr,
+// and returns the exit code (2 for a usage error, 1 for a failure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ctcpasm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out    = flag.String("o", "", "write the assembled object to this file")
-		dis    = flag.Bool("d", false, "disassemble an object file instead of assembling")
-		run    = flag.Bool("run", false, "execute the program functionally after assembling")
-		budget = flag.Uint64("insts", 10_000_000, "instruction budget for -run")
+		dis    = fs.Bool("d", false, "print the listing of the assembled program instead of its sizes")
+		exec   = fs.Bool("run", false, "execute the program functionally after assembling")
+		budget = fs.Uint64("insts", 10_000_000, "instruction budget for -run")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ctcpasm [-o out.tro] [-d] [-run] file")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	path := flag.Arg(0)
+	// complain reports on stderr, best effort: the exit code it returns
+	// already says what happened.
+	complain := func(code int, a ...any) int {
+		fmt.Fprintln(stderr, a...) //ctcp:lint-ok writecheck -- best-effort diagnostic; the exit code carries the failure
+		return code
+	}
+	if fs.NArg() != 1 {
+		return complain(2, "usage: ctcpasm [-d] [-run] [-insts N] file.s")
+	}
 
-	var p *isa.Program
-	if *dis || strings.HasSuffix(path, ".tro") {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		p, err = isa.LoadProgram(f)
-		if err != nil {
-			fatal(err)
-		}
-		if *dis {
-			fmt.Print(asm.Disassemble(p))
-			return
-		}
+	src, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return complain(1, "ctcpasm:", err)
+	}
+	p, err := asm.Assemble(string(src))
+	if err != nil {
+		return complain(1, "ctcpasm:", err)
+	}
+	var out strings.Builder
+	if *dis {
+		out.WriteString(asm.Disassemble(p))
 	} else {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			fatal(err)
-		}
-		p, err = asm.Assemble(string(src))
-		if err != nil {
-			fatal(err)
-		}
+		fmt.Fprintf(&out, "text %d instructions, data %d bytes, entry %#x\n",
+			len(p.Text), len(p.Data), p.Entry)
 	}
-
-	fmt.Printf("text %d instructions, data %d bytes, entry %#x\n",
-		len(p.Text), len(p.Data), p.Entry)
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := p.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-
-	if *run {
+	if *exec {
 		m := emu.New(p)
 		n, err := m.Run(*budget)
 		if err != nil {
-			fatal(err)
+			return complain(1, "ctcpasm:", err)
 		}
-		fmt.Printf("executed %d instructions, halted=%v\n", n, m.Halted())
+		fmt.Fprintf(&out, "executed %d instructions, halted=%v\n", n, m.Halted())
 		if len(m.OutValues) > 0 {
-			fmt.Printf("out values: %v (checksum %#x)\n", m.OutValues, m.OutHash)
+			fmt.Fprintf(&out, "out values: %v (checksum %#x)\n", m.OutValues, m.OutHash)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ctcpasm:", err)
-	os.Exit(1)
+	if _, err := io.WriteString(stdout, out.String()); err != nil {
+		return complain(1, "ctcpasm:", err)
+	}
+	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"regexp"
 	"strings"
@@ -89,5 +90,53 @@ func TestResultsFollowTheRegistry(t *testing.T) {
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("results_full.txt regenerates %v, registry's paper artifacts are %v", got, want)
+	}
+}
+
+// captureRun calls run with os.Stdout and os.Stderr swapped for pipes and
+// returns the exit code and what each stream received.
+func captureRun(t *testing.T, o *cliOptions) (code int, stdout, stderr string) {
+	t.Helper()
+	// capture points *f at a pipe; the function it returns puts *f back
+	// and returns everything written to the pipe.
+	capture := func(f **os.File) func() string {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := *f
+		*f = w
+		got := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			r.Close()
+			got <- string(b)
+		}()
+		return func() string {
+			*f = old
+			w.Close()
+			return <-got
+		}
+	}
+	stdoutOf, stderrOf := capture(&os.Stdout), capture(&os.Stderr)
+	code = run(o)
+	return code, stdoutOf(), stderrOf()
+}
+
+// TestInjectFault: -inject-fault records one deliberately invalid run. The
+// requested artifact still renders, the failure summary names the run, and
+// the exit code is 1; the same run without it exits 0 and stays quiet.
+func TestInjectFault(t *testing.T) {
+	for _, inject := range []bool{false, true} {
+		code, out, errs := captureRun(t, &cliOptions{exps: "table1", insts: 2000, par: 1, inject: inject})
+		if !strings.Contains(out, "[table1 regenerated in") {
+			t.Errorf("inject=%v: table1 not rendered:\n%s", inject, out)
+		}
+		switch {
+		case inject && (code != 1 || !strings.Contains(errs, "gzip/inject-fault")):
+			t.Errorf("inject=true: exit %d, stderr %q; want 1 naming gzip/inject-fault", code, errs)
+		case !inject && (code != 0 || errs != ""):
+			t.Errorf("inject=false: exit %d, stderr %q; want 0 and nothing", code, errs)
+		}
 	}
 }

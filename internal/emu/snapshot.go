@@ -8,12 +8,12 @@ import (
 )
 
 // This file implements the snap.Checkpointable contract for the functional
-// simulator: Memory, Machine, and the Stream wrappers. Everything here is
-// architectural state — the emulator has almost no scratch state; the
-// excluded fields are Memory's one-entry page-translation cache
-// (lastIdx/lastPage), rebuilt lazily after restore, and Machine's predecoded
-// uop table (pred/predBase), derived from the immutable program at
-// construction (see predecode.go).
+// simulator: Memory, Machine and the budgeted LimitStream over it, plus the
+// Committed record they carry. Everything here is architectural state — the
+// emulator has almost no scratch state; the excluded fields are Memory's
+// one-entry page-translation cache (lastIdx/lastPage), rebuilt lazily after
+// restore, and Machine's predecoded uop table (pred/predBase), derived from
+// the immutable program at construction (see predecode.go).
 
 // Snapshot serializes the memory contents: every non-zero page, in
 // ascending page-index order. All-zero pages are skipped (reads of
@@ -183,24 +183,6 @@ func (l *LimitStream) Restore(r *snap.Reader) {
 		return
 	}
 	cp.Restore(r)
-	r.End()
-}
-
-// Snapshot serializes the replay cursor. The records themselves are not
-// serialized — the restoring side must provide an identical Recs slice,
-// which is enforced by length fingerprinting (tests own the contents).
-func (s *SliceStream) Snapshot(w *snap.Writer) {
-	w.Begin("slicestream")
-	w.Int(len(s.Recs))
-	w.Int(s.pos)
-	w.End()
-}
-
-// Restore rebuilds the replay cursor.
-func (s *SliceStream) Restore(r *snap.Reader) {
-	r.Begin("slicestream")
-	r.ExpectInt("slicestream record count", len(s.Recs))
-	s.pos = r.Int()
 	r.End()
 }
 

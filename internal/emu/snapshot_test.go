@@ -271,46 +271,3 @@ func TestLimitStreamSnapshot(t *testing.T) {
 		t.Errorf("continued stream yielded %d records, want %d", n, 700-250)
 	}
 }
-
-// TestSliceStreamSnapshot round-trips the replay cursor.
-func TestSliceStreamSnapshot(t *testing.T) {
-	recs := make([]Committed, 10)
-	for i := range recs {
-		recs[i] = Committed{Seq: uint64(i), PC: uint64(0x1000 + 4*i)}
-	}
-	s := &SliceStream{Recs: recs}
-	var c Committed
-	s.NextInto(&c)
-	s.NextInto(&c)
-	s.NextInto(&c)
-
-	w := snap.NewWriter()
-	s.Snapshot(w)
-	data, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := &SliceStream{Recs: recs}
-	r, err := snap.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Restore(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.NextInto(&c) || c.Seq != 3 {
-		t.Errorf("restored cursor at seq %d, want 3", c.Seq)
-	}
-
-	// Length fingerprint rejects a different record slice.
-	s3 := &SliceStream{Recs: recs[:5]}
-	r2, err := snap.NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3.Restore(r2)
-	if r2.Err() == nil {
-		t.Error("restore into a stream with different record count succeeded")
-	}
-}

@@ -6,8 +6,9 @@
 // branches.
 //
 // The package is pure data definition: opcodes, operand roles, functional-unit
-// classes, register naming, and a binary encoding (see encoding.go). Execution
-// semantics live in internal/emu; timing lives in internal/pipeline.
+// classes, register naming, and the canonical instruction form (see
+// canon.go). Execution semantics live in internal/emu; timing lives in
+// internal/pipeline.
 package isa
 
 import "fmt"

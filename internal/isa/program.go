@@ -1,11 +1,6 @@
 package isa
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Default segment bases. Text is low, data sits above it, and the stack grows
 // down from StackTop. Nothing in the simulator depends on these exact values;
@@ -17,9 +12,8 @@ const (
 	StackTop        uint64 = 0x7FFF_F000
 )
 
-// Program is a loadable TRISC-64 image: a text segment of decoded
-// instructions, an initialized data segment, an entry point, and an optional
-// symbol table for diagnostics.
+// Program is a TRISC-64 image: a text segment of instructions, an initialized
+// data segment, an entry point, and an optional symbol table for diagnostics.
 type Program struct {
 	TextBase uint64
 	Text     []Inst
@@ -72,80 +66,4 @@ func (p *Program) SortedSymbols() []string {
 		return names[i] < names[j]
 	})
 	return names
-}
-
-// Object file format: a fixed little-endian header followed by text words and
-// raw data bytes. Symbols are not serialized; they are a build-time aid.
-const objMagic uint64 = 0x545249534336344F // "TRISC64O" truncated into 8 bytes
-
-type objHeader struct {
-	Magic    uint64
-	Entry    uint64
-	TextBase uint64
-	TextLen  uint64
-	DataBase uint64
-	DataLen  uint64
-}
-
-// Save serializes the program to w in the TRISC-64 object format.
-func (p *Program) Save(w io.Writer) error {
-	h := objHeader{
-		Magic:    objMagic,
-		Entry:    p.Entry,
-		TextBase: p.TextBase,
-		TextLen:  uint64(len(p.Text)),
-		DataBase: p.DataBase,
-		DataLen:  uint64(len(p.Data)),
-	}
-	if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-		return fmt.Errorf("isa: writing object header: %w", err)
-	}
-	words := make([]uint64, len(p.Text))
-	for i, inst := range p.Text {
-		words[i] = inst.Encode()
-	}
-	if err := binary.Write(w, binary.LittleEndian, words); err != nil {
-		return fmt.Errorf("isa: writing text: %w", err)
-	}
-	if _, err := w.Write(p.Data); err != nil {
-		return fmt.Errorf("isa: writing data: %w", err)
-	}
-	return nil
-}
-
-// LoadProgram deserializes a program written by Save.
-func LoadProgram(r io.Reader) (*Program, error) {
-	var h objHeader
-	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
-		return nil, fmt.Errorf("isa: reading object header: %w", err)
-	}
-	if h.Magic != objMagic {
-		return nil, fmt.Errorf("isa: bad object magic %#x", h.Magic)
-	}
-	const maxSeg = 1 << 28
-	if h.TextLen > maxSeg || h.DataLen > maxSeg {
-		return nil, fmt.Errorf("isa: unreasonable segment size (text=%d data=%d)", h.TextLen, h.DataLen)
-	}
-	words := make([]uint64, h.TextLen)
-	if err := binary.Read(r, binary.LittleEndian, &words); err != nil {
-		return nil, fmt.Errorf("isa: reading text: %w", err)
-	}
-	p := &Program{
-		TextBase: h.TextBase,
-		DataBase: h.DataBase,
-		Entry:    h.Entry,
-		Text:     make([]Inst, h.TextLen),
-		Data:     make([]byte, h.DataLen),
-	}
-	for i, w := range words {
-		inst, err := Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("isa: text word %d: %w", i, err)
-		}
-		p.Text[i] = inst
-	}
-	if _, err := io.ReadFull(r, p.Data); err != nil {
-		return nil, fmt.Errorf("isa: reading data: %w", err)
-	}
-	return p, nil
 }
