@@ -317,6 +317,15 @@ func parseReg(s string) (isa.Reg, bool) {
 	return 0, false
 }
 
+// reg parses a register operand.
+func reg(s string, lineNo int) (isa.Reg, error) {
+	r, ok := parseReg(s)
+	if !ok {
+		return 0, &Error{lineNo, fmt.Sprintf("bad register %q", s)}
+	}
+	return r, nil
+}
+
 // immediate evaluates a numeric/symbolic operand. During pass 1 undefined
 // symbols evaluate to zero (their sizes do not depend on values); pass 2
 // requires every symbol to be defined.
@@ -390,199 +399,73 @@ func (a *assembler) emit(i isa.Inst) {
 	a.textLen++
 }
 
-func (a *assembler) instruction(mnemonic, args string, lineNo int) error {
-	op, ok := isa.OpByName(mnemonic)
-	if !ok {
-		// mov rc, ra pseudo-instruction.
-		if mnemonic == "mov" {
-			ops := splitOperands(args)
-			if len(ops) != 2 {
-				return &Error{lineNo, "mov needs 2 operands"}
-			}
-			rc, ok1 := parseReg(ops[0])
-			ra, ok2 := parseReg(ops[1])
-			if !ok1 || !ok2 {
-				return &Error{lineNo, "bad mov operands"}
-			}
-			a.emit(isa.Inst{Op: isa.OR, Ra: ra, Rb: isa.ZeroReg, Rc: rc})
-			return nil
-		}
-		return &Error{lineNo, fmt.Sprintf("unknown mnemonic %q", mnemonic)}
-	}
-	ops := splitOperands(args)
-	fail := func(msg string) error { return &Error{lineNo, msg + " for " + mnemonic} }
-
-	switch op.Class() {
-	case isa.ClassNop:
-		a.emit(isa.Inst{Op: op})
-	case isa.ClassHalt:
-		if op == isa.OUT {
-			if len(ops) != 1 {
-				return fail("need 1 operand")
-			}
-			r, ok := parseReg(ops[0])
-			if !ok {
-				return fail("bad register")
-			}
-			a.emit(isa.Inst{Op: op, Ra: r})
-			break
-		}
-		a.emit(isa.Inst{Op: op})
-	case isa.ClassLoad, isa.ClassFPLoad:
-		if len(ops) != 2 {
-			return fail("need rc, disp(ra)")
-		}
-		rc, ok := parseReg(ops[0])
-		if !ok {
-			return fail("bad destination register")
-		}
-		ra, disp, err := a.parseMem(ops[1], lineNo)
-		if err != nil {
-			return err
-		}
-		a.emit(isa.Inst{Op: op, Ra: ra, Rc: rc, Imm: disp, UseImm: true})
-	case isa.ClassStore, isa.ClassFPStore:
-		if len(ops) != 2 {
-			return fail("need rb, disp(ra)")
-		}
-		rb, ok := parseReg(ops[0])
-		if !ok {
-			return fail("bad source register")
-		}
-		ra, disp, err := a.parseMem(ops[1], lineNo)
-		if err != nil {
-			return err
-		}
-		a.emit(isa.Inst{Op: op, Ra: ra, Rb: rb, Imm: disp, UseImm: true})
-	case isa.ClassBranch, isa.ClassFPBranch:
-		if op == isa.BR {
-			switch len(ops) {
-			case 1:
-				target, err := a.immediate(ops[0], lineNo)
-				if err != nil {
-					return err
-				}
-				a.emit(isa.Inst{Op: op, Rc: isa.ZeroReg, Imm: target, UseImm: true})
-			case 2:
-				rc, ok := parseReg(ops[0])
-				if !ok {
-					return fail("bad link register")
-				}
-				target, err := a.immediate(ops[1], lineNo)
-				if err != nil {
-					return err
-				}
-				a.emit(isa.Inst{Op: op, Rc: rc, Imm: target, UseImm: true})
-			default:
-				return fail("need [rc,] target")
-			}
-			break
-		}
-		if len(ops) != 2 {
-			return fail("need ra, target")
-		}
-		ra, ok := parseReg(ops[0])
-		if !ok {
-			return fail("bad condition register")
-		}
-		target, err := a.immediate(ops[1], lineNo)
-		if err != nil {
-			return err
-		}
-		a.emit(isa.Inst{Op: op, Ra: ra, Imm: target, UseImm: true})
-	case isa.ClassJump:
-		switch op {
-		case isa.JSR:
-			if len(ops) != 2 {
-				return fail("need rc, (rb)")
-			}
-			rc, ok := parseReg(ops[0])
-			if !ok {
-				return fail("bad link register")
-			}
-			rb, _, err := a.parseMem(ops[1], lineNo)
-			if err != nil {
-				return err
-			}
-			a.emit(isa.Inst{Op: op, Rb: rb, Rc: rc})
-		case isa.JMP:
-			if len(ops) != 1 {
-				return fail("need (rb)")
-			}
-			rb, _, err := a.parseMem(ops[0], lineNo)
-			if err != nil {
-				return err
-			}
-			a.emit(isa.Inst{Op: op, Rb: rb})
-		case isa.RET:
-			rb := isa.RA
-			if len(ops) == 1 && ops[0] != "" {
-				var err error
-				rb, _, err = a.parseMem(ops[0], lineNo)
-				if err != nil {
-					return err
-				}
-			}
-			a.emit(isa.Inst{Op: op, Rb: rb})
-		}
-	default: // operate formats
-		if op == isa.MOVI {
-			if len(ops) != 2 {
-				return fail("need rc, imm")
-			}
-			rc, ok := parseReg(ops[0])
-			if !ok {
-				return fail("bad destination register")
-			}
-			imm, err := a.immediate(ops[1], lineNo)
-			if err != nil {
-				return err
-			}
-			a.emit(isa.Inst{Op: op, Rc: rc, Imm: imm, UseImm: true})
-			break
-		}
-		if isUnaryMnemonic(op) {
-			if len(ops) != 2 {
-				return fail("need ra, rc")
-			}
-			ra, ok1 := parseReg(ops[0])
-			rc, ok2 := parseReg(ops[1])
-			if !ok1 || !ok2 {
-				return fail("bad registers")
-			}
-			a.emit(isa.Inst{Op: op, Ra: ra, Rc: rc})
-			break
-		}
-		if len(ops) != 3 {
-			return fail("need ra, rb|imm, rc")
-		}
-		ra, ok := parseReg(ops[0])
-		if !ok {
-			return fail("bad first source register")
-		}
-		rc, ok := parseReg(ops[2])
-		if !ok {
-			return fail("bad destination register")
-		}
-		if rb, isReg := parseReg(ops[1]); isReg {
-			a.emit(isa.Inst{Op: op, Ra: ra, Rb: rb, Rc: rc})
-		} else {
-			imm, err := a.immediate(ops[1], lineNo)
-			if err != nil {
-				return err
-			}
-			a.emit(isa.Inst{Op: op, Ra: ra, Imm: imm, UseImm: true, Rc: rc})
-		}
-	}
-	return nil
+// syntax lists each format's operands in source order, named by their
+// assembly syntax.
+var syntax = [...][]string{
+	isa.FormatNone:       nil,
+	isa.FormatOut:        {"ra"},
+	isa.FormatOperate:    {"ra", "rb|imm", "rc"},
+	isa.FormatUnary:      {"ra", "rc"},
+	isa.FormatMovi:       {"rc", "imm"},
+	isa.FormatLoad:       {"rc", "disp(ra)"},
+	isa.FormatStore:      {"rb", "disp(ra)"},
+	isa.FormatCondBranch: {"ra", "target"},
+	isa.FormatBr:         {"rc", "target"},
+	isa.FormatJsr:        {"rc", "(rb)"},
+	isa.FormatJump:       {"(rb)"},
 }
 
-func isUnaryMnemonic(op isa.Op) bool {
-	switch op {
-	case isa.SEXTB, isa.SEXTW, isa.ITOF, isa.FTOI, isa.CVTQT, isa.CVTTQ, isa.SQRTT:
-		return true
+func (a *assembler) instruction(mnemonic, args string, lineNo int) error {
+	ops := splitOperands(args)
+	if mnemonic == "mov" { // mov rc, ra is or ra, zero, rc
+		if len(ops) != 2 {
+			return &Error{lineNo, "usage: mov rc, ra"}
+		}
+		mnemonic, ops = "or", []string{ops[1], "zero", ops[0]}
 	}
-	return false
+	op, ok := isa.OpByName(mnemonic)
+	if !ok {
+		return &Error{lineNo, fmt.Sprintf("unknown mnemonic %q", mnemonic)}
+	}
+	// br's link register and ret's (rb) may be left out.
+	switch {
+	case op == isa.BR && len(ops) == 1:
+		ops = []string{"zero", ops[0]}
+	case op == isa.RET && len(ops) == 0:
+		ops = []string{"(ra)"}
+	}
+	want := syntax[op.Info().Format]
+	if len(ops) != len(want) {
+		return &Error{lineNo, "usage: " + strings.TrimSpace(mnemonic+" "+strings.Join(want, ", "))}
+	}
+	in := isa.Inst{Op: op}
+	for k, s := range ops {
+		var err error
+		switch want[k] {
+		case "ra":
+			in.Ra, err = reg(s, lineNo)
+		case "rb":
+			in.Rb, err = reg(s, lineNo)
+		case "rc":
+			in.Rc, err = reg(s, lineNo)
+		case "rb|imm":
+			if in.Rb, ok = parseReg(s); !ok {
+				in.Imm, err = a.immediate(s, lineNo)
+				in.UseImm = true
+			}
+		case "imm", "target":
+			in.Imm, err = a.immediate(s, lineNo)
+		case "disp(ra)":
+			in.Ra, in.Imm, err = a.parseMem(s, lineNo)
+		case "(rb)": // a displacement is evaluated and ignored
+			in.Rb, _, err = a.parseMem(s, lineNo)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	a.emit(in)
+	return nil
 }
 
 // Disassemble renders a program listing with addresses and symbols.

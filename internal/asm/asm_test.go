@@ -157,6 +157,9 @@ func TestAssembleErrors(t *testing.T) {
 		"unknown directive":   ".bogus 3\n",
 		"bad align":           ".data\n.align 3\n",
 		"undefined entry":     ".entry missing\nhalt\n",
+		"nop with operand":    "nop r1\n",
+		"halt with operand":   "halt r1\n",
+		"ret with two":        "ret r1, r2\n",
 	}
 	for name, src := range cases {
 		if _, err := Assemble(src); err == nil {

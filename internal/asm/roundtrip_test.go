@@ -27,7 +27,7 @@ func TestDisassemblyReassembles(t *testing.T) {
 			in = in.Canon()
 			// Branch targets must stay PC-aligned to be printable/parseable
 			// as plain numbers.
-			if in.Op.Class().IsControl() && !in.IsIndirect() {
+			if in.Op.Class().IsControl() && in.Op.Class() != isa.ClassJump {
 				in.Imm &^= 3
 			}
 			return in

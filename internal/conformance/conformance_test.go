@@ -285,6 +285,21 @@ func TestMutationsDeterministic(t *testing.T) {
 	}
 }
 
+// TestOpGroupsShareFormat checks opGroups' claim: a substitution keeps the
+// operand format and register files, so every op in a group has the same
+// Format and FP columns.
+func TestOpGroupsShareFormat(t *testing.T) {
+	for _, g := range opGroups {
+		first := g[0].Info()
+		for _, op := range g[1:] {
+			if info := op.Info(); info.Format != first.Format || info.FP != first.FP {
+				t.Errorf("group %v: %s has format %d fp %03b, %s has %d %03b",
+					g, op, info.Format, info.FP, g[0], first.Format, first.FP)
+			}
+		}
+	}
+}
+
 // TestMutantsStillCheckable runs a spread of mutants through the full
 // differential check: most should either be rejected (no halt / fault) or
 // agree; any divergence here is a real model bug.

@@ -169,24 +169,12 @@ func pickSwapOperands(prog *isa.Program, r *prng) (Mutation, bool) {
 	for off := 0; off < n; off++ {
 		i := (start + off) % n
 		in := prog.Text[i]
-		cl := in.Op.Class()
-		binaryOperate := (cl == isa.ClassIntALU || cl == isa.ClassIntMul || cl == isa.ClassIntDiv ||
-			cl == isa.ClassFPAdd || cl == isa.ClassFPMul || cl == isa.ClassFPDiv) &&
-			!in.UseImm && in.Op != isa.MOVI && !isUnary(in.Op)
-		if !binaryOperate || in.Ra == in.Rb {
+		if in.Op.Info().Format != isa.FormatOperate || in.UseImm || in.Ra == in.Rb {
 			continue
 		}
 		return Mutation{Kind: MutSwapOperands, A: i}, true
 	}
 	return Mutation{}, false
-}
-
-func isUnary(op isa.Op) bool {
-	switch op {
-	case isa.SEXTB, isa.SEXTW, isa.ITOF, isa.FTOI, isa.CVTQT, isa.CVTTQ, isa.SQRTT:
-		return true
-	}
-	return false
 }
 
 // pickBlockSwap finds two adjacent movable basic blocks. A block is movable

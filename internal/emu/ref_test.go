@@ -17,10 +17,11 @@ func (m *Machine) refStep(c *Committed) error {
 	if m.halted {
 		return &Fault{m.PC, "machine is halted"}
 	}
-	inst, ok := m.prog.InstAt(m.PC)
-	if !ok {
+	off := m.PC - m.prog.TextBase
+	if m.PC < m.prog.TextBase || off%isa.PCStride != 0 || off/isa.PCStride >= uint64(len(m.prog.Text)) {
 		return &Fault{m.PC, "pc outside text segment"}
 	}
+	inst := m.prog.Text[off/isa.PCStride]
 	*c = Committed{Seq: m.seq, PC: m.PC, Inst: inst, Dest: inst.Dest()}
 	c.Src[0], c.Src[1] = inst.Srcs()
 	next := m.PC + isa.PCStride

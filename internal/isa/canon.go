@@ -1,126 +1,66 @@
 package isa
 
 // Canon returns the canonical form of the instruction, the assembler's
-// normal form for everything it emits: operand fields that the opcode does
-// not use are forced to the integer zero register, register operands land in
-// the correct file (FP ops read/write F-space), and UseImm is cleared for
-// formats that carry no register-vs-immediate distinction. Canon is
-// idempotent: a canonical instruction is its own canonical form.
+// normal form for everything it emits. It fills only the fields the opcode's
+// Format uses, each register in the file its FP column names; every other
+// field is the integer zero register, except that a unary op's unused Rb is
+// the zero register of Ra's file. An integer operate keeps its
+// register-or-immediate choice (Imm only with UseImm); movi, loads, stores
+// and branches keep Imm, their constant, displacement or target, with UseImm
+// set; every other format clears both. Canon is idempotent: a canonical
+// instruction is its own canonical form.
 func (i Inst) Canon() Inst {
-	c := i
-	norm := func(r Reg, want bool) Reg { // want=true → FP file
-		if r == NoReg || r.IsZero() {
-			if want {
-				return FZeroReg
-			}
-			return ZeroReg
+	info := i.Op.Info()
+	reg := func(r Reg, f FPRegs) Reg { return canonReg(r, info.FP&f != 0) }
+	c := Inst{Op: i.Op, Ra: ZeroReg, Rb: ZeroReg, Rc: ZeroReg}
+	switch info.Format {
+	case FormatOut:
+		c.Ra = reg(i.Ra, FPa)
+	case FormatOperate:
+		c.Ra, c.Rc = reg(i.Ra, FPa), reg(i.Rc, FPc)
+		if i.UseImm && info.FP == 0 {
+			c.Imm, c.UseImm = i.Imm, true
+		} else {
+			c.Rb = reg(i.Rb, FPb)
 		}
-		if want && !r.IsFP() {
-			return Reg(uint8(r)%NumIntRegs) + NumIntRegs
-		}
-		if !want && r.IsFP() {
-			return Reg(uint8(r) % NumIntRegs)
-		}
-		if r >= NumRegs {
-			return Reg(uint8(r) % NumRegs)
-		}
-		return r
+	case FormatUnary:
+		c.Ra, c.Rc = reg(i.Ra, FPa), reg(i.Rc, FPc)
+		c.Rb = reg(ZeroReg, FPa)
+	case FormatMovi, FormatBr:
+		c.Rc = reg(i.Rc, FPc)
+	case FormatLoad:
+		c.Ra, c.Rc = reg(i.Ra, FPa), reg(i.Rc, FPc)
+	case FormatStore:
+		c.Ra, c.Rb = reg(i.Ra, FPa), reg(i.Rb, FPb)
+	case FormatCondBranch:
+		c.Ra = reg(i.Ra, FPa)
+	case FormatJsr:
+		c.Rb, c.Rc = reg(i.Rb, FPb), reg(i.Rc, FPc)
+	case FormatJump:
+		c.Rb = reg(i.Rb, FPb)
 	}
-	zero := func() Reg { return ZeroReg }
-	switch c.Op.Class() {
-	case ClassNop, ClassHalt:
-		c.Rb, c.Rc = zero(), zero()
-		if c.Op == OUT {
-			c.Ra = norm(c.Ra, false)
-		} else {
-			c.Ra = zero()
-			c.Imm = 0
-		}
-		c.UseImm = false
-		if c.Op != OUT {
-			break
-		}
-		c.Imm = 0
-	case ClassLoad:
-		c.Ra, c.Rb, c.Rc = norm(c.Ra, false), zero(), norm(c.Rc, false)
-		c.UseImm = true
-	case ClassFPLoad:
-		c.Ra, c.Rb, c.Rc = norm(c.Ra, false), zero(), norm(c.Rc, true)
-		c.UseImm = true
-	case ClassStore:
-		c.Ra, c.Rb, c.Rc = norm(c.Ra, false), norm(c.Rb, false), zero()
-		c.UseImm = true
-	case ClassFPStore:
-		c.Ra, c.Rb, c.Rc = norm(c.Ra, false), norm(c.Rb, true), zero()
-		c.UseImm = true
-	case ClassBranch:
-		if c.Op == BR {
-			c.Ra, c.Rb = zero(), zero()
-			c.Rc = norm(c.Rc, false)
-		} else {
-			c.Ra, c.Rb, c.Rc = norm(c.Ra, false), zero(), zero()
-		}
-		c.UseImm = true
-	case ClassFPBranch:
-		c.Ra, c.Rb, c.Rc = norm(c.Ra, true), zero(), zero()
-		c.UseImm = true
-	case ClassJump:
-		c.Ra = zero()
-		c.Rb = norm(c.Rb, false)
-		if c.Op == JSR {
-			c.Rc = norm(c.Rc, false)
-		} else {
-			c.Rc = zero()
-		}
-		c.UseImm = false
-		c.Imm = 0
-	case ClassFPAdd, ClassFPMul, ClassFPDiv, ClassFPSqrt:
-		fpA, fpC := true, true
-		switch c.Op {
-		case ITOF, CVTQT:
-			fpA = false
-		case FTOI, CVTTQ:
-			fpC = false
-		}
-		c.Ra = norm(c.Ra, fpA)
-		c.Rc = norm(c.Rc, fpC)
-		if isUnary(c.Op) {
-			c.Rb = Reg(FZeroReg)
-			if !fpA {
-				c.Rb = zero()
-			}
-		} else {
-			c.Rb = norm(c.Rb, true)
-		}
-		c.UseImm = false
-		c.Imm = 0
-	default: // integer operate
-		if c.Op == MOVI {
-			c.Ra, c.Rb = zero(), zero()
-			c.Rc = norm(c.Rc, false)
-			c.UseImm = true
-			break
-		}
-		c.Ra = norm(c.Ra, false)
-		c.Rc = norm(c.Rc, false)
-		if isUnary(c.Op) {
-			c.Rb = zero()
-			c.UseImm = false
-			c.Imm = 0
-		} else if c.UseImm {
-			c.Rb = zero()
-		} else {
-			c.Rb = norm(c.Rb, false)
-			c.Imm = 0
-		}
+	switch info.Format {
+	case FormatMovi, FormatLoad, FormatStore, FormatCondBranch, FormatBr:
+		c.Imm, c.UseImm = i.Imm, true
 	}
 	return c
 }
 
-func isUnary(op Op) bool {
-	switch op {
-	case SEXTB, SEXTW, ITOF, FTOI, CVTQT, CVTTQ, SQRTT:
-		return true
+// canonReg maps r into the FP file when fp is set and into the integer file
+// otherwise. Absent and zero registers become that file's zero register.
+func canonReg(r Reg, fp bool) Reg {
+	switch {
+	case r == NoReg || r.IsZero():
+		if fp {
+			return FZeroReg
+		}
+		return ZeroReg
+	case fp && !r.IsFP():
+		return Reg(uint8(r)%NumIntRegs) + NumIntRegs
+	case !fp && r.IsFP():
+		return Reg(uint8(r) % NumIntRegs)
+	case r >= NumRegs:
+		return Reg(uint8(r) % NumRegs)
 	}
-	return false
+	return r
 }

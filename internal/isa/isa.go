@@ -220,74 +220,114 @@ func (c Class) IsControl() bool {
 	return uint32(1)<<c&(1<<ClassBranch|1<<ClassJump|1<<ClassFPBranch) != 0
 }
 
+// Format is an opcode's operand layout: which of Ra, Rb, Rc and Imm it
+// reads, writes, prints and parses. Each constant's comment gives the
+// assembly syntax and the operand roles.
+type Format uint8
+
+const (
+	// FormatNone: no operands (nop, halt).
+	FormatNone Format = iota
+	// FormatOut: out ra. Emits Ra to the output channel (debug/checksum sink).
+	FormatOut
+	// FormatOperate: op ra, rb|imm, rc. Rc = Ra op Rb (UseImm: Rc = Ra op Imm).
+	FormatOperate
+	// FormatUnary: op ra, rc. Rc = op(Ra); Rb is unused.
+	FormatUnary
+	// FormatMovi: movi rc, imm. Rc = Imm.
+	FormatMovi
+	// FormatLoad: op rc, disp(ra). Rc = MEM[Ra + Imm].
+	FormatLoad
+	// FormatStore: op rb, disp(ra). MEM[Ra + Imm] = Rb.
+	FormatStore
+	// FormatCondBranch: op ra, target. If cond(Ra) goto Imm (Imm holds the
+	// absolute target address).
+	FormatCondBranch
+	// FormatBr: br [rc,] target. Goto Imm; Rc = return address if Rc is
+	// not a zero register.
+	FormatBr
+	// FormatJsr: jsr rc, (rb). Rc = return address; goto [Rb].
+	FormatJsr
+	// FormatJump: op (rb). Goto [Rb] (jmp, ret).
+	FormatJump
+)
+
+// FPRegs names which of an instruction's register fields live in the FP
+// register file; the others are integer registers.
+type FPRegs uint8
+
+const (
+	FPa FPRegs = 1 << iota
+	FPb
+	FPc
+)
+
 // OpInfo is the static description of one opcode.
 type OpInfo struct {
-	Name  string
-	Class Class
-	// HasDest reports whether the op writes a destination register (Rc).
-	HasDest bool
-	// Conditional marks conditional control flow.
-	Conditional bool
+	Name   string
+	Class  Class
+	Format Format
+	FP     FPRegs
 }
 
 var opTable = [NumOps]OpInfo{
-	NOP:    {"nop", ClassNop, false, false},
-	ADD:    {"add", ClassIntALU, true, false},
-	SUB:    {"sub", ClassIntALU, true, false},
-	AND:    {"and", ClassIntALU, true, false},
-	OR:     {"or", ClassIntALU, true, false},
-	XOR:    {"xor", ClassIntALU, true, false},
-	ANDNOT: {"andnot", ClassIntALU, true, false},
-	SLL:    {"sll", ClassIntALU, true, false},
-	SRL:    {"srl", ClassIntALU, true, false},
-	SRA:    {"sra", ClassIntALU, true, false},
-	CMPEQ:  {"cmpeq", ClassIntALU, true, false},
-	CMPLT:  {"cmplt", ClassIntALU, true, false},
-	CMPLE:  {"cmple", ClassIntALU, true, false},
-	CMPULT: {"cmpult", ClassIntALU, true, false},
-	CMPULE: {"cmpule", ClassIntALU, true, false},
-	SEXTB:  {"sextb", ClassIntALU, true, false},
-	SEXTW:  {"sextw", ClassIntALU, true, false},
-	MOVI:   {"movi", ClassIntALU, true, false},
-	MUL:    {"mul", ClassIntMul, true, false},
-	DIV:    {"div", ClassIntDiv, true, false},
-	REM:    {"rem", ClassIntDiv, true, false},
-	LDQ:    {"ldq", ClassLoad, true, false},
-	LDL:    {"ldl", ClassLoad, true, false},
-	LDW:    {"ldw", ClassLoad, true, false},
-	LDBU:   {"ldbu", ClassLoad, true, false},
-	STQ:    {"stq", ClassStore, false, false},
-	STL:    {"stl", ClassStore, false, false},
-	STW:    {"stw", ClassStore, false, false},
-	STB:    {"stb", ClassStore, false, false},
-	BEQ:    {"beq", ClassBranch, false, true},
-	BNE:    {"bne", ClassBranch, false, true},
-	BLT:    {"blt", ClassBranch, false, true},
-	BLE:    {"ble", ClassBranch, false, true},
-	BGT:    {"bgt", ClassBranch, false, true},
-	BGE:    {"bge", ClassBranch, false, true},
-	BR:     {"br", ClassBranch, true, false},
-	JSR:    {"jsr", ClassJump, true, false},
-	JMP:    {"jmp", ClassJump, false, false},
-	RET:    {"ret", ClassJump, false, false},
-	ADDT:   {"addt", ClassFPAdd, true, false},
-	SUBT:   {"subt", ClassFPAdd, true, false},
-	CMPTEQ: {"cmpteq", ClassFPAdd, true, false},
-	CMPTLT: {"cmptlt", ClassFPAdd, true, false},
-	CMPTLE: {"cmptle", ClassFPAdd, true, false},
-	CVTQT:  {"cvtqt", ClassFPAdd, true, false},
-	CVTTQ:  {"cvttq", ClassFPAdd, true, false},
-	ITOF:   {"itof", ClassFPAdd, true, false},
-	FTOI:   {"ftoi", ClassFPAdd, true, false},
-	MULT:   {"mult", ClassFPMul, true, false},
-	DIVT:   {"divt", ClassFPDiv, true, false},
-	SQRTT:  {"sqrtt", ClassFPSqrt, true, false},
-	LDT:    {"ldt", ClassFPLoad, true, false},
-	STT:    {"stt", ClassFPStore, false, false},
-	FBEQ:   {"fbeq", ClassFPBranch, false, true},
-	FBNE:   {"fbne", ClassFPBranch, false, true},
-	HALT:   {"halt", ClassHalt, false, false},
-	OUT:    {"out", ClassHalt, false, false},
+	NOP:    {"nop", ClassNop, FormatNone, 0},
+	ADD:    {"add", ClassIntALU, FormatOperate, 0},
+	SUB:    {"sub", ClassIntALU, FormatOperate, 0},
+	AND:    {"and", ClassIntALU, FormatOperate, 0},
+	OR:     {"or", ClassIntALU, FormatOperate, 0},
+	XOR:    {"xor", ClassIntALU, FormatOperate, 0},
+	ANDNOT: {"andnot", ClassIntALU, FormatOperate, 0},
+	SLL:    {"sll", ClassIntALU, FormatOperate, 0},
+	SRL:    {"srl", ClassIntALU, FormatOperate, 0},
+	SRA:    {"sra", ClassIntALU, FormatOperate, 0},
+	CMPEQ:  {"cmpeq", ClassIntALU, FormatOperate, 0},
+	CMPLT:  {"cmplt", ClassIntALU, FormatOperate, 0},
+	CMPLE:  {"cmple", ClassIntALU, FormatOperate, 0},
+	CMPULT: {"cmpult", ClassIntALU, FormatOperate, 0},
+	CMPULE: {"cmpule", ClassIntALU, FormatOperate, 0},
+	SEXTB:  {"sextb", ClassIntALU, FormatUnary, 0},
+	SEXTW:  {"sextw", ClassIntALU, FormatUnary, 0},
+	MOVI:   {"movi", ClassIntALU, FormatMovi, 0},
+	MUL:    {"mul", ClassIntMul, FormatOperate, 0},
+	DIV:    {"div", ClassIntDiv, FormatOperate, 0},
+	REM:    {"rem", ClassIntDiv, FormatOperate, 0},
+	LDQ:    {"ldq", ClassLoad, FormatLoad, 0},
+	LDL:    {"ldl", ClassLoad, FormatLoad, 0},
+	LDW:    {"ldw", ClassLoad, FormatLoad, 0},
+	LDBU:   {"ldbu", ClassLoad, FormatLoad, 0},
+	STQ:    {"stq", ClassStore, FormatStore, 0},
+	STL:    {"stl", ClassStore, FormatStore, 0},
+	STW:    {"stw", ClassStore, FormatStore, 0},
+	STB:    {"stb", ClassStore, FormatStore, 0},
+	BEQ:    {"beq", ClassBranch, FormatCondBranch, 0},
+	BNE:    {"bne", ClassBranch, FormatCondBranch, 0},
+	BLT:    {"blt", ClassBranch, FormatCondBranch, 0},
+	BLE:    {"ble", ClassBranch, FormatCondBranch, 0},
+	BGT:    {"bgt", ClassBranch, FormatCondBranch, 0},
+	BGE:    {"bge", ClassBranch, FormatCondBranch, 0},
+	BR:     {"br", ClassBranch, FormatBr, 0},
+	JSR:    {"jsr", ClassJump, FormatJsr, 0},
+	JMP:    {"jmp", ClassJump, FormatJump, 0},
+	RET:    {"ret", ClassJump, FormatJump, 0},
+	ADDT:   {"addt", ClassFPAdd, FormatOperate, FPa | FPb | FPc},
+	SUBT:   {"subt", ClassFPAdd, FormatOperate, FPa | FPb | FPc},
+	CMPTEQ: {"cmpteq", ClassFPAdd, FormatOperate, FPa | FPb | FPc},
+	CMPTLT: {"cmptlt", ClassFPAdd, FormatOperate, FPa | FPb | FPc},
+	CMPTLE: {"cmptle", ClassFPAdd, FormatOperate, FPa | FPb | FPc},
+	CVTQT:  {"cvtqt", ClassFPAdd, FormatUnary, FPc},
+	CVTTQ:  {"cvttq", ClassFPAdd, FormatUnary, FPa},
+	ITOF:   {"itof", ClassFPAdd, FormatUnary, FPc},
+	FTOI:   {"ftoi", ClassFPAdd, FormatUnary, FPa},
+	MULT:   {"mult", ClassFPMul, FormatOperate, FPa | FPb | FPc},
+	DIVT:   {"divt", ClassFPDiv, FormatOperate, FPa | FPb | FPc},
+	SQRTT:  {"sqrtt", ClassFPSqrt, FormatUnary, FPa | FPc},
+	LDT:    {"ldt", ClassFPLoad, FormatLoad, FPc},
+	STT:    {"stt", ClassFPStore, FormatStore, FPb},
+	FBEQ:   {"fbeq", ClassFPBranch, FormatCondBranch, FPa},
+	FBNE:   {"fbne", ClassFPBranch, FormatCondBranch, FPa},
+	HALT:   {"halt", ClassHalt, FormatNone, 0},
+	OUT:    {"out", ClassHalt, FormatOut, 0},
 }
 
 // Info returns the static description of op.
@@ -309,7 +349,7 @@ var opStatic = func() (t [256]struct {
 }) {
 	for op := range opTable {
 		t[op].class = opTable[op].Class
-		t[op].cond = opTable[op].Conditional
+		t[op].cond = opTable[op].Format == FormatCondBranch
 	}
 	return t
 }()
@@ -336,19 +376,8 @@ var nameToOp = func() map[string]Op {
 	return m
 }()
 
-// Inst is one decoded TRISC-64 instruction.
-//
-// Operand roles by format:
-//
-//	operate:   Rc = Ra op Rb        (UseImm: Rc = Ra op Imm)
-//	movi:      Rc = Imm
-//	load:      Rc = MEM[Ra + Imm]
-//	store:     MEM[Ra + Imm] = Rb
-//	branch:    if cond(Ra) goto Imm (Imm holds the absolute target address)
-//	br:        goto Imm, Rc = return address if Rc != zero
-//	jsr:       Rc = return address; goto [Rb]
-//	jmp/ret:   goto [Rb]
-//	out:       emit Ra to the output channel (debug/checksum sink)
+// Inst is one decoded TRISC-64 instruction. Its opcode's Format says which
+// fields it uses and in which role.
 type Inst struct {
 	Op     Op
 	Ra     Reg
@@ -362,11 +391,13 @@ type Inst struct {
 // write one (stores, branches without link, halt). Writes to the zero
 // registers are reported as NoReg: they create no dependence.
 func (i Inst) Dest() Reg {
-	info := i.Op.Info()
-	if !info.HasDest || i.Rc.IsZero() || i.Rc == NoReg {
-		return NoReg
+	switch i.Op.Info().Format {
+	case FormatOperate, FormatUnary, FormatMovi, FormatLoad, FormatBr, FormatJsr:
+		if i.Rc != NoReg && !i.Rc.IsZero() {
+			return i.Rc
+		}
 	}
-	return i.Rc
+	return NoReg
 }
 
 // Srcs returns the register sources in (RS1, RS2) order, using NoReg for
@@ -375,29 +406,18 @@ func (i Inst) Dest() Reg {
 // RS1 is the first (address/left) operand, RS2 the second (data/right).
 func (i Inst) Srcs() (s1, s2 Reg) {
 	s1, s2 = NoReg, NoReg
-	switch i.Op.Class() {
-	case ClassNop, ClassHalt:
-		if i.Op == OUT {
-			s1 = i.Ra
-		}
-	case ClassLoad, ClassFPLoad:
+	switch i.Op.Info().Format {
+	case FormatOut, FormatUnary, FormatLoad, FormatCondBranch:
 		s1 = i.Ra
-	case ClassStore, ClassFPStore:
-		s1, s2 = i.Ra, i.Rb
-	case ClassBranch, ClassFPBranch:
-		if i.Op != BR {
-			s1 = i.Ra
-		}
-	case ClassJump:
-		s1 = i.Rb
-	default: // operate formats
-		if i.Op == MOVI {
-			break
-		}
+	case FormatOperate:
 		s1 = i.Ra
-		if !i.UseImm && !isUnary(i.Op) {
+		if !i.UseImm {
 			s2 = i.Rb
 		}
+	case FormatStore:
+		s1, s2 = i.Ra, i.Rb
+	case FormatJsr, FormatJump:
+		s1 = i.Rb
 	}
 	if s1 != NoReg && s1.IsZero() {
 		s1 = NoReg
@@ -406,19 +426,6 @@ func (i Inst) Srcs() (s1, s2 Reg) {
 		s2 = NoReg
 	}
 	return s1, s2
-}
-
-// NumSrcs returns how many register sources the instruction has.
-func (i Inst) NumSrcs() int {
-	s1, s2 := i.Srcs()
-	n := 0
-	if s1 != NoReg {
-		n++
-	}
-	if s2 != NoReg {
-		n++
-	}
-	return n
 }
 
 // IsCond reports whether the instruction is a conditional branch.
@@ -431,54 +438,38 @@ func (i Inst) IsCond() bool { return opStatic[i.Op].cond }
 //ctcp:inline
 func (i Inst) IsControl() bool { return i.Op.Class().IsControl() }
 
-// IsIndirect reports whether the control target comes from a register.
-func (i Inst) IsIndirect() bool { return i.Op.Class() == ClassJump }
-
-// String disassembles the instruction.
+// String disassembles the instruction in its format's assembly syntax.
 func (i Inst) String() string {
 	name := i.Op.String()
-	switch i.Op.Class() {
-	case ClassNop:
-		return name
-	case ClassHalt:
-		if i.Op == OUT {
-			return fmt.Sprintf("%s %s", name, i.Ra)
-		}
-		return name
-	case ClassLoad, ClassFPLoad:
-		return fmt.Sprintf("%s %s, %d(%s)", name, i.Rc, i.Imm, i.Ra)
-	case ClassStore, ClassFPStore:
-		return fmt.Sprintf("%s %s, %d(%s)", name, i.Rb, i.Imm, i.Ra)
-	case ClassBranch:
-		if i.Op == BR {
-			if i.Rc != NoReg && !i.Rc.IsZero() {
-				return fmt.Sprintf("%s %s, 0x%x", name, i.Rc, uint64(i.Imm))
-			}
-			return fmt.Sprintf("%s 0x%x", name, uint64(i.Imm))
-		}
-		return fmt.Sprintf("%s %s, 0x%x", name, i.Ra, uint64(i.Imm))
-	case ClassFPBranch:
-		return fmt.Sprintf("%s %s, 0x%x", name, i.Ra, uint64(i.Imm))
-	case ClassJump:
-		switch i.Op {
-		case JSR:
-			return fmt.Sprintf("%s %s, (%s)", name, i.Rc, i.Rb)
-		default:
-			return fmt.Sprintf("%s (%s)", name, i.Rb)
-		}
-	default:
-		if i.Op == MOVI {
-			return fmt.Sprintf("%s %s, %d", name, i.Rc, i.Imm)
-		}
-		if i.Op == SEXTB || i.Op == SEXTW || i.Op == ITOF || i.Op == FTOI ||
-			i.Op == CVTQT || i.Op == CVTTQ || i.Op == SQRTT {
-			return fmt.Sprintf("%s %s, %s", name, i.Ra, i.Rc)
-		}
+	switch i.Op.Info().Format {
+	case FormatOut:
+		return fmt.Sprintf("%s %s", name, i.Ra)
+	case FormatOperate:
 		if i.UseImm {
 			return fmt.Sprintf("%s %s, %d, %s", name, i.Ra, i.Imm, i.Rc)
 		}
 		return fmt.Sprintf("%s %s, %s, %s", name, i.Ra, i.Rb, i.Rc)
+	case FormatUnary:
+		return fmt.Sprintf("%s %s, %s", name, i.Ra, i.Rc)
+	case FormatMovi:
+		return fmt.Sprintf("%s %s, %d", name, i.Rc, i.Imm)
+	case FormatLoad:
+		return fmt.Sprintf("%s %s, %d(%s)", name, i.Rc, i.Imm, i.Ra)
+	case FormatStore:
+		return fmt.Sprintf("%s %s, %d(%s)", name, i.Rb, i.Imm, i.Ra)
+	case FormatCondBranch:
+		return fmt.Sprintf("%s %s, 0x%x", name, i.Ra, uint64(i.Imm))
+	case FormatBr:
+		if i.Rc != NoReg && !i.Rc.IsZero() {
+			return fmt.Sprintf("%s %s, 0x%x", name, i.Rc, uint64(i.Imm))
+		}
+		return fmt.Sprintf("%s 0x%x", name, uint64(i.Imm))
+	case FormatJsr:
+		return fmt.Sprintf("%s %s, (%s)", name, i.Rc, i.Rb)
+	case FormatJump:
+		return fmt.Sprintf("%s (%s)", name, i.Rb)
 	}
+	return name
 }
 
 // PCStride is the architectural distance between consecutive instructions.

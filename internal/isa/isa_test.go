@@ -84,15 +84,6 @@ func TestSrcsAndDest(t *testing.T) {
 	}
 }
 
-func TestNumSrcs(t *testing.T) {
-	if n := (Inst{Op: ADD, Ra: R(1), Rb: R(2), Rc: R(3)}).NumSrcs(); n != 2 {
-		t.Errorf("NumSrcs = %d, want 2", n)
-	}
-	if n := (Inst{Op: MOVI, Rc: R(1)}).NumSrcs(); n != 0 {
-		t.Errorf("NumSrcs = %d, want 0", n)
-	}
-}
-
 func TestClassPredicates(t *testing.T) {
 	if !LDQ.Class().IsLoad() || !LDQ.Class().IsMem() || LDQ.Class().IsStore() {
 		t.Error("LDQ class predicates wrong")
@@ -102,9 +93,6 @@ func TestClassPredicates(t *testing.T) {
 	}
 	if !BEQ.Class().IsControl() || !RET.Class().IsControl() || ADD.Class().IsControl() {
 		t.Error("control predicates wrong")
-	}
-	if !(Inst{Op: JMP, Rb: R(1)}).IsIndirect() || (Inst{Op: BR}).IsIndirect() {
-		t.Error("IsIndirect wrong")
 	}
 	if !(Inst{Op: BNE, Ra: R(1)}).IsCond() || (Inst{Op: BR}).IsCond() {
 		t.Error("IsCond wrong")
@@ -145,20 +133,93 @@ func TestCanonIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestCanonPerFormat pins Canon's output for one non-canonical input per
+// operand format: fields the format does not use become the integer zero
+// register (a unary op's Rb the zero register of Ra's file), registers move
+// into the file the opcode names, and only an integer operate keeps the
+// register-or-immediate choice.
+func TestCanonPerFormat(t *testing.T) {
+	z, fz := ZeroReg, FZeroReg
+	cases := []struct{ in, want Inst }{
+		{Inst{Op: NOP, Ra: R(1), Rb: R(2), Rc: R(3), Imm: 9, UseImm: true},
+			Inst{Op: NOP, Ra: z, Rb: z, Rc: z}},
+		{Inst{Op: HALT, Ra: F(1), Rb: NoReg, Rc: R(3), Imm: 9},
+			Inst{Op: HALT, Ra: z, Rb: z, Rc: z}},
+		{Inst{Op: OUT, Ra: F(2), Rb: R(1), Rc: R(3), Imm: 5, UseImm: true},
+			Inst{Op: OUT, Ra: R(2), Rb: z, Rc: z}},
+		{Inst{Op: ADD, Ra: F(1), Rb: F(2), Rc: F(3), Imm: 7},
+			Inst{Op: ADD, Ra: R(1), Rb: R(2), Rc: R(3)}},
+		{Inst{Op: SUB, Ra: R(1), Rb: R(2), Rc: R(3), Imm: 7, UseImm: true},
+			Inst{Op: SUB, Ra: R(1), Rb: z, Rc: R(3), Imm: 7, UseImm: true}},
+		{Inst{Op: MUL, Ra: NoReg, Rb: FZeroReg, Rc: R(3)},
+			Inst{Op: MUL, Ra: z, Rb: z, Rc: R(3)}},
+		// An FP operate given an immediate drops it and reads Fb.
+		{Inst{Op: ADDT, Ra: R(1), Rb: R(2), Rc: R(3), Imm: 7, UseImm: true},
+			Inst{Op: ADDT, Ra: F(1), Rb: F(2), Rc: F(3)}},
+		{Inst{Op: CMPTLT, Ra: F(1), Rb: ZeroReg, Rc: F(3)},
+			Inst{Op: CMPTLT, Ra: F(1), Rb: fz, Rc: F(3)}},
+		{Inst{Op: SEXTB, Ra: F(1), Rb: R(2), Rc: R(3), Imm: 4, UseImm: true},
+			Inst{Op: SEXTB, Ra: R(1), Rb: z, Rc: R(3)}},
+		{Inst{Op: SQRTT, Ra: R(1), Rb: R(2), Rc: R(3), Imm: 4, UseImm: true},
+			Inst{Op: SQRTT, Ra: F(1), Rb: fz, Rc: F(3)}},
+		// Cross-file ops: Rb is the zero register of Ra's file.
+		{Inst{Op: ITOF, Ra: F(1), Rb: F(2), Rc: R(3)},
+			Inst{Op: ITOF, Ra: R(1), Rb: z, Rc: F(3)}},
+		{Inst{Op: FTOI, Ra: R(1), Rb: R(2), Rc: F(3)},
+			Inst{Op: FTOI, Ra: F(1), Rb: fz, Rc: R(3)}},
+		{Inst{Op: CVTQT, Ra: F(1), Rb: F(2), Rc: R(3)},
+			Inst{Op: CVTQT, Ra: R(1), Rb: z, Rc: F(3)}},
+		{Inst{Op: CVTTQ, Ra: R(1), Rb: R(2), Rc: F(3)},
+			Inst{Op: CVTTQ, Ra: F(1), Rb: fz, Rc: R(3)}},
+		{Inst{Op: MOVI, Ra: R(1), Rb: R(2), Rc: F(3), Imm: 42},
+			Inst{Op: MOVI, Ra: z, Rb: z, Rc: R(3), Imm: 42, UseImm: true}},
+		{Inst{Op: LDQ, Ra: F(4), Rb: R(2), Rc: F(5), Imm: 16},
+			Inst{Op: LDQ, Ra: R(4), Rb: z, Rc: R(5), Imm: 16, UseImm: true}},
+		{Inst{Op: LDT, Ra: F(4), Rb: R(2), Rc: R(5), Imm: 16},
+			Inst{Op: LDT, Ra: R(4), Rb: z, Rc: F(5), Imm: 16, UseImm: true}},
+		{Inst{Op: STQ, Ra: R(4), Rb: F(6), Rc: R(7), Imm: 8},
+			Inst{Op: STQ, Ra: R(4), Rb: R(6), Rc: z, Imm: 8, UseImm: true}},
+		{Inst{Op: STT, Ra: F(4), Rb: R(6), Rc: R(7), Imm: 8},
+			Inst{Op: STT, Ra: R(4), Rb: F(6), Rc: z, Imm: 8, UseImm: true}},
+		{Inst{Op: BEQ, Ra: F(7), Rb: R(1), Rc: R(2), Imm: 0x1000},
+			Inst{Op: BEQ, Ra: R(7), Rb: z, Rc: z, Imm: 0x1000, UseImm: true}},
+		{Inst{Op: FBEQ, Ra: R(2), Rb: R(1), Rc: R(3), Imm: 0x2000},
+			Inst{Op: FBEQ, Ra: F(2), Rb: z, Rc: z, Imm: 0x2000, UseImm: true}},
+		{Inst{Op: BR, Ra: R(1), Rb: R(2), Rc: NoReg, Imm: 0x1000},
+			Inst{Op: BR, Ra: z, Rb: z, Rc: z, Imm: 0x1000, UseImm: true}},
+		{Inst{Op: BR, Ra: R(1), Rb: R(2), Rc: F(26), Imm: 0x1000},
+			Inst{Op: BR, Ra: z, Rb: z, Rc: RA, Imm: 0x1000, UseImm: true}},
+		{Inst{Op: JSR, Ra: R(1), Rb: F(8), Rc: RA, Imm: 12, UseImm: true},
+			Inst{Op: JSR, Ra: z, Rb: R(8), Rc: RA}},
+		{Inst{Op: JMP, Ra: R(1), Rb: R(8), Rc: R(3), Imm: 12, UseImm: true},
+			Inst{Op: JMP, Ra: z, Rb: R(8), Rc: z}},
+		{Inst{Op: RET, Ra: R(1), Rb: RA, Rc: R(3), Imm: 4},
+			Inst{Op: RET, Ra: z, Rb: RA, Rc: z}},
+	}
+	for _, c := range cases {
+		if got := c.in.Canon(); got != c.want {
+			t.Errorf("%s: Canon(%+v) = %+v, want %+v", c.in.Op, c.in, got, c.want)
+		}
+	}
+}
+
 func TestInstString(t *testing.T) {
 	cases := map[string]Inst{
-		"add r1, r2, r3": {Op: ADD, Ra: R(1), Rb: R(2), Rc: R(3)},
-		"add r1, 5, r3":  {Op: ADD, Ra: R(1), Imm: 5, UseImm: true, Rc: R(3)},
-		"movi r9, 42":    {Op: MOVI, Rc: R(9), Imm: 42},
-		"ldq r5, 16(r4)": {Op: LDQ, Ra: R(4), Rc: R(5), Imm: 16},
-		"stq r6, 16(r4)": {Op: STQ, Ra: R(4), Rb: R(6), Imm: 16},
-		"beq r7, 0x1000": {Op: BEQ, Ra: R(7), Imm: 0x1000},
-		"jsr r26, (r8)":  {Op: JSR, Rb: R(8), Rc: RA},
-		"ret (r26)":      {Op: RET, Rb: RA},
-		"sqrtt f1, f3":   {Op: SQRTT, Ra: F(1), Rc: F(3)},
-		"stt f6, 8(r4)":  {Op: STT, Ra: R(4), Rb: F(6), Imm: 8},
-		"halt":           {Op: HALT},
-		"out r2":         {Op: OUT, Ra: R(2)},
+		"add r1, r2, r3":  {Op: ADD, Ra: R(1), Rb: R(2), Rc: R(3)},
+		"add r1, 5, r3":   {Op: ADD, Ra: R(1), Imm: 5, UseImm: true, Rc: R(3)},
+		"addt f1, f2, f3": {Op: ADDT, Ra: F(1), Rb: F(2), Rc: F(3)},
+		"movi r9, 42":     {Op: MOVI, Rc: R(9), Imm: 42},
+		"ldq r5, 16(r4)":  {Op: LDQ, Ra: R(4), Rc: R(5), Imm: 16},
+		"stq r6, 16(r4)":  {Op: STQ, Ra: R(4), Rb: R(6), Imm: 16},
+		"beq r7, 0x1000":  {Op: BEQ, Ra: R(7), Imm: 0x1000},
+		"br 0x1000":       {Op: BR, Rc: ZeroReg, Imm: 0x1000},
+		"br r26, 0x1000":  {Op: BR, Rc: RA, Imm: 0x1000},
+		"jsr r26, (r8)":   {Op: JSR, Rb: R(8), Rc: RA},
+		"ret (r26)":       {Op: RET, Rb: RA},
+		"sqrtt f1, f3":    {Op: SQRTT, Ra: F(1), Rc: F(3)},
+		"stt f6, 8(r4)":   {Op: STT, Ra: R(4), Rb: F(6), Imm: 8},
+		"halt":            {Op: HALT},
+		"out r2":          {Op: OUT, Ra: R(2)},
 	}
 	for want, in := range cases {
 		if got := in.String(); got != want {
@@ -167,28 +228,13 @@ func TestInstString(t *testing.T) {
 	}
 }
 
-func TestProgramInstAt(t *testing.T) {
+func TestProgramTextEnd(t *testing.T) {
 	p := &Program{
 		TextBase: DefaultTextBase,
 		Text: []Inst{
 			{Op: MOVI, Rc: R(1), Imm: 1},
 			{Op: HALT},
 		},
-	}
-	if in, ok := p.InstAt(DefaultTextBase); !ok || in.Op != MOVI {
-		t.Errorf("InstAt(base) = %v,%v", in, ok)
-	}
-	if in, ok := p.InstAt(DefaultTextBase + 4); !ok || in.Op != HALT {
-		t.Errorf("InstAt(base+4) = %v,%v", in, ok)
-	}
-	if _, ok := p.InstAt(DefaultTextBase + 8); ok {
-		t.Error("InstAt past end succeeded")
-	}
-	if _, ok := p.InstAt(DefaultTextBase + 2); ok {
-		t.Error("InstAt misaligned succeeded")
-	}
-	if _, ok := p.InstAt(DefaultTextBase - 4); ok {
-		t.Error("InstAt below base succeeded")
 	}
 	if got := p.TextEnd(); got != DefaultTextBase+8 {
 		t.Errorf("TextEnd = %#x", got)
@@ -203,8 +249,5 @@ func TestSortedSymbols(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("SortedSymbols = %v, want %v", got, want)
 		}
-	}
-	if name, ok := p.SymbolFor(8); !ok || name != "b" {
-		t.Errorf("SymbolFor(8) = %q,%v", name, ok)
 	}
 }

@@ -8,7 +8,6 @@ import "sort"
 const (
 	DefaultTextBase uint64 = 0x0000_1000
 	DefaultDataBase uint64 = 0x0010_0000
-	DefaultHeapBase uint64 = 0x0100_0000
 	StackTop        uint64 = 0x7FFF_F000
 )
 
@@ -23,32 +22,9 @@ type Program struct {
 	Symbols  map[string]uint64
 }
 
-// InstAt returns the instruction at address pc, or ok=false if pc lies
-// outside the text segment or is misaligned.
-func (p *Program) InstAt(pc uint64) (Inst, bool) {
-	if pc < p.TextBase || (pc-p.TextBase)%PCStride != 0 {
-		return Inst{}, false
-	}
-	idx := (pc - p.TextBase) / PCStride
-	if idx >= uint64(len(p.Text)) {
-		return Inst{}, false
-	}
-	return p.Text[idx], true
-}
-
 // TextEnd returns the first address past the text segment.
 func (p *Program) TextEnd() uint64 {
 	return p.TextBase + uint64(len(p.Text))*PCStride
-}
-
-// SymbolFor returns the name of the symbol at addr, if any.
-func (p *Program) SymbolFor(addr uint64) (string, bool) {
-	for name, a := range p.Symbols {
-		if a == addr {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // SortedSymbols returns symbol names ordered by address (then name), which

@@ -198,9 +198,6 @@ func (b *Builder) Jmp(rb isa.Reg) { b.emit(isa.Inst{Op: isa.JMP, Rb: rb}) }
 // Ret returns through the conventional link register.
 func (b *Builder) Ret() { b.emit(isa.Inst{Op: isa.RET, Rb: isa.RA}) }
 
-// RetVia returns through rb.
-func (b *Builder) RetVia(rb isa.Reg) { b.emit(isa.Inst{Op: isa.RET, Rb: rb}) }
-
 // Out emits the debug/checksum output of ra.
 func (b *Builder) Out(ra isa.Reg) { b.emit(isa.Inst{Op: isa.OUT, Ra: ra}) }
 
