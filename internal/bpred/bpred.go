@@ -225,7 +225,7 @@ func (p *Predictor) PredictReturn() (uint64, bool) {
 // Reset returns the predictor to the state New builds: weakly-taken
 // counters, empty BTB and return stack, zero history and statistics. The
 // tables are rewritten in place; one is only reallocated when a failed
-// Restore left it at the wrong size.
+// decode left it at the wrong size.
 func (p *Predictor) Reset() {
 	// Weakly taken start state keeps cold loops from mispredicting twice.
 	p.bimodal = filled(p.bimodal, p.cfg.BimodalEntries, 2)

@@ -139,8 +139,8 @@ func (c *Cache) Invalidate(addr uint64) {
 
 // Reset clears contents and statistics, returning the cache to the state New
 // builds. The arrays are cleared in place; they are only reallocated when a
-// failed Restore left them at the wrong size. The tags are cleared too, even
-// though an absent way's tag is never read, because Snapshot encodes them:
+// failed decode left them at the wrong size. The tags are cleared too, even
+// though an absent way's tag is never read, because Checkpoint encodes them:
 // a reset cache must encode the same bytes as a new one.
 func (c *Cache) Reset() {
 	n := c.cfg.Sets * c.cfg.Ways

@@ -184,13 +184,13 @@ func TestHierarchyReset(t *testing.T) {
 }
 
 // TestResetEncodesLikeNew: a used-then-Reset hierarchy snapshots to the
-// same bytes as a new one. Snapshot serializes the raw tag arrays, so
+// same bytes as a new one. Checkpoint encodes the raw tag arrays, so
 // behaving like a new cache is not enough; Reset must clear the tags too.
 func TestResetEncodesLikeNew(t *testing.T) {
 	encode := func(h *Hierarchy) []byte {
 		t.Helper()
 		w := snap.NewWriter()
-		h.Snapshot(w)
+		h.Checkpoint(&w.Codec)
 		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)

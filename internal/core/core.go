@@ -165,8 +165,8 @@ type RetireInfo struct {
 // only bridges the gap between a designation being made at retirement and
 // the designated instruction next passing through the fill unit. It is
 // bounded and evicts in FIFO order of designation: the victim is the live
-// entry whose current designation is oldest, the same order Snapshot
-// writes, so a restored table evicts exactly as the uninterrupted one. See
+// entry whose current designation is oldest, the same order Checkpoint
+// encodes, so a decoded table evicts exactly as the uninterrupted one. See
 // DESIGN.md substitution #3 and §7.
 //
 // The table is consulted for every retired instruction (updateChains) and

@@ -504,7 +504,7 @@ func TestChainProfileEvictionBound(t *testing.T) {
 }
 
 // TestChainProfileEvictionMatchesRestore: eviction order is the order of
-// current designations, the order Snapshot writes, so a table restored
+// current designations, the order Checkpoint encodes, so a table decoded
 // mid-run evicts exactly what the uninterrupted one does. A's first
 // designation was taken; its second is younger than B's.
 func TestChainProfileEvictionMatchesRestore(t *testing.T) {
@@ -517,7 +517,7 @@ func TestChainProfileEvictionMatchesRestore(t *testing.T) {
 	live.Set(a, leader)
 
 	w := snap.NewWriter()
-	live.Snapshot(w)
+	live.Checkpoint(&w.Codec)
 	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +527,7 @@ func TestChainProfileEvictionMatchesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewChainProfile(2)
-	restored.Restore(r)
+	restored.Checkpoint(&r.Codec)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -143,40 +143,42 @@ func TestDataflowMatchesReference(t *testing.T) {
 	}
 }
 
-// encodeFill writes f's checkpoint in FillUnit.Snapshot's layout, except
+// encodeFill writes f's checkpoint in FillUnit.Checkpoint's layout, except
 // that the trace builder section holds slots, blocks and indirect as given
 // and only the first records pending records follow it.
 func encodeFill(t *testing.T, f *FillUnit, slots []trace.Slot, blocks int, indirect bool, records int) []byte {
 	t.Helper()
 	w := snap.NewWriter()
+	strategy, n, migrations := int(f.cfg.Strategy), len(slots), 0
 	w.Begin("fill")
-	w.Int(int(f.cfg.Strategy))
-	w.Int(f.cfg.Geom.Clusters)
-	w.Int(f.cfg.Geom.Width)
-	w.Int(f.cfg.Trace.MaxLen)
-	w.Bool(f.cfg.DisableChains)
-	f.chains.Snapshot(w)
+	w.Int(&strategy)
+	w.Int(&f.cfg.Geom.Clusters)
+	w.Int(&f.cfg.Geom.Width)
+	w.Int(&f.cfg.Trace.MaxLen)
+	w.Bool(&f.cfg.DisableChains)
+	f.chains.Checkpoint(&w.Codec)
 	w.Begin("tracebuilder")
-	w.Int(f.cfg.Trace.MaxLen)
-	w.Int(f.cfg.Trace.MaxBlocks)
-	w.Int(len(slots))
-	for _, s := range slots {
-		w.U64(s.PC)
-		s.Inst.Snapshot(w)
-		w.Bool(s.Taken)
-		w.Int(s.SlotIndex)
-		w.Int(s.Cluster)
-		w.U8(s.Profile.Role)
-		w.U8(s.Profile.ChainCluster)
+	w.Int(&f.cfg.Trace.MaxLen)
+	w.Int(&f.cfg.Trace.MaxBlocks)
+	w.Int(&n)
+	for i := range slots {
+		s := &slots[i]
+		w.U64(&s.PC)
+		s.Inst.Checkpoint(&w.Codec)
+		w.Bool(&s.Taken)
+		w.Int(&s.SlotIndex)
+		w.Int(&s.Cluster)
+		w.U8(&s.Profile.Role)
+		w.U8(&s.Profile.ChainCluster)
 	}
-	w.Int(blocks)
-	w.Bool(indirect)
+	w.Int(&blocks)
+	w.Bool(&indirect)
 	w.End()
-	w.Int(records)
+	w.Int(&records)
 	for i := 0; i < records; i++ {
-		f.pending[i].Snapshot(w)
+		f.pending[i].Checkpoint(&w.Codec)
 	}
-	w.Int(0) // no migration history: no trace was built
+	w.Int(&migrations) // no migration history: no trace was built
 	w.Counters(&f.S)
 	w.End()
 	data, err := w.Finish()
@@ -192,7 +194,7 @@ func encodeFill(t *testing.T, f *FillUnit, slots []trace.Slot, blocks int, indir
 // (PC, instruction and direction from the record, SlotIndex i, no cluster,
 // no profile), the block count is the rules' and the trace does not end
 // indirect, with one record per slot. The intact checkpoint, which is
-// FillUnit.Snapshot's encoding byte for byte, restores.
+// FillUnit.Checkpoint's encoding byte for byte, decodes.
 func TestRestoreRejectsUnpairedPending(t *testing.T) {
 	f := NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig()))
 	retireN(f, 5, 0x1000)
@@ -209,18 +211,18 @@ func TestRestoreRejectsUnpairedPending(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig())).Restore(r)
+		NewFillUnit(testConfig(FDRT), trace.NewCache(trace.DefaultConfig())).Checkpoint(&r.Codec)
 		return r.Close()
 	}
 
 	w := snap.NewWriter()
-	f.Snapshot(w)
+	f.Checkpoint(&w.Codec)
 	want, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := encodeFill(t, f, derived(), 1, false, 5); !bytes.Equal(got, want) {
-		t.Fatal("the derived builder section is not FillUnit.Snapshot's encoding")
+		t.Fatal("the derived builder section is not FillUnit.Checkpoint's encoding")
 	}
 	if err := restore(want); err != nil {
 		t.Fatalf("intact checkpoint refused: %v", err)

@@ -10,9 +10,10 @@ import (
 )
 
 // TestTemplateRestoreKeepsDecode round-trips the predecoded template record
-// of every static instruction of a kernel through Committed.Snapshot and
-// Restore into a zero record. Src and Dest are not serialized, so the
-// restored record equals the template only if Restore decodes them again.
+// of every static instruction of a kernel through Committed.Checkpoint,
+// encoding and then decoding into a zero record. Src and Dest are not coded,
+// so the decoded record equals the template only if decoding derives them
+// again.
 func TestTemplateRestoreKeepsDecode(t *testing.T) {
 	bm, ok := workload.ByName("gzip")
 	if !ok {
@@ -21,7 +22,7 @@ func TestTemplateRestoreKeepsDecode(t *testing.T) {
 	tmpls := emu.New(bm.Build(1)).Templates()
 	w := snap.NewWriter()
 	for i := range tmpls {
-		tmpls[i].Snapshot(w)
+		tmpls[i].Checkpoint(&w.Codec)
 	}
 	data, err := w.Finish()
 	if err != nil {
@@ -33,7 +34,7 @@ func TestTemplateRestoreKeepsDecode(t *testing.T) {
 	}
 	for i, want := range tmpls {
 		var got emu.Committed
-		got.Restore(r)
+		got.Checkpoint(&r.Codec)
 		if got != want {
 			t.Fatalf("static instruction %d (%v): restored %+v, want %+v", i, want.Inst, got, want)
 		}

@@ -14,9 +14,9 @@ import "ctcp/internal/isa"
 // copy, one switch on a small dense tag.
 //
 // The table is derived state. It is a pure function of the immutable program
-// image, so Reset keeps it, Snapshot never serializes it, and Restore never
-// rebuilds it — checkpoints stay bit-compatible with the pre-predecode
-// encoding (DESIGN.md §14).
+// image, so Reset keeps it and Checkpoint neither encodes nor rebuilds it —
+// checkpoints stay bit-compatible with the pre-predecode encoding
+// (DESIGN.md §14).
 //
 // Every instruction lowers to a uop, so StepInto is the only interpreter.
 // The shapes that can fault statically (undefined opcodes, direct control

@@ -15,64 +15,53 @@ import (
 // restore, and Machine's predecoded uop table (pred/predBase), derived from
 // the immutable program at construction (see predecode.go).
 
-// Snapshot serializes the memory contents: every non-zero page, in
-// ascending page-index order. All-zero pages are skipped (reads of
-// untouched memory return zero anyway), so the encoding — like Checksum —
-// depends only on the byte contents, not on which zero pages were touched.
-func (m *Memory) Snapshot(w *snap.Writer) {
-	w.Begin("memory")
-	idxs := make([]uint64, 0, len(m.pages))
-	for idx, p := range m.pages { //ctcp:lint-ok maporder -- keys are collected and sorted before use
-		if !p.isZero() {
-			idxs = append(idxs, idx)
+// Checkpoint codes the memory contents: every non-zero page, in ascending
+// page-index order. All-zero pages are skipped (reads of untouched memory
+// return zero anyway), so the encoding — like Checksum — depends only on the
+// byte contents, not on which zero pages were touched. Decoding copies each
+// snapshot page into the page already at its index, so a machine restored
+// again and again (a sampling worker's) allocates only for indices it has
+// never touched. Pages the snapshot lacks are zeroed, not dropped: the
+// snapshot omits exactly the all-zero pages. The page-translation cache is
+// scratch and is reset, not decoded.
+func (m *Memory) Checkpoint(c *snap.Codec) {
+	c.Begin("memory")
+	var idxs []uint64
+	if !c.Decoding() {
+		idxs = make([]uint64, 0, len(m.pages))
+		for idx, p := range m.pages { //ctcp:lint-ok maporder -- keys are collected and sorted before use
+			if !p.isZero() {
+				idxs = append(idxs, idx)
+			}
 		}
+		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	w.Int(len(idxs))
-	for _, idx := range idxs {
-		w.U64(idx)
-		w.Bytes(m.pages[idx][:])
+	n := len(idxs)
+	if c.Len(&n, 8+8+pageSize); c.Decoding() {
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page, n)
+		}
+		for _, p := range m.pages { //ctcp:lint-ok maporder -- every page is cleared; the visit order is unobservable
+			clear(p[:])
+		}
+		m.lastIdx, m.lastPage = 0, nil
 	}
-	w.End()
-}
-
-// Restore replaces the memory contents with the snapshot's pages. Each
-// snapshot page is copied into the page already at its index, so a machine
-// restored again and again (a sampling worker's) allocates only for indices
-// it has never touched. Pages the snapshot lacks are zeroed, not dropped:
-// the snapshot omits exactly the all-zero pages. The page-translation cache
-// is scratch and is reset, not restored.
-func (m *Memory) Restore(r *snap.Reader) {
-	r.Begin("memory")
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if m.pages == nil {
-		m.pages = make(map[uint64]*page, n)
-	}
-	for _, p := range m.pages { //ctcp:lint-ok maporder -- every page is cleared; the visit order is unobservable
-		clear(p[:])
-	}
-	m.lastIdx, m.lastPage = 0, nil
 	for i := 0; i < n; i++ {
-		idx := r.U64()
-		b := r.BytesView()
-		if r.Err() != nil {
-			return
+		var idx uint64
+		if !c.Decoding() {
+			idx = idxs[i]
 		}
-		if len(b) != pageSize {
-			r.Failf("memory page %#x has %d bytes (want %d)", idx, len(b), pageSize)
+		if c.U64(&idx); c.Err() != nil {
 			return
 		}
 		p := m.pages[idx]
-		if p == nil {
+		if p == nil { // decoding only: every encoded index holds a page
 			p = new(page)
 			m.pages[idx] = p
 		}
-		copy(p[:], b)
+		c.Fill(p[:])
 	}
-	r.End()
+	c.End()
 }
 
 func (p *page) isZero() bool {
@@ -84,131 +73,96 @@ func (p *page) isZero() bool {
 	return true
 }
 
-// Snapshot serializes the machine: register file, PC, commit count, halt
-// and fault state, OUT checksum, and the full memory image. The program
-// itself is not serialized — a snapshot can only be restored into a machine
-// constructed over the same program, which is enforced by fingerprinting
-// the program layout.
-func (m *Machine) Snapshot(w *snap.Writer) {
-	w.Begin("machine")
+// Checkpoint codes the machine: register file, PC, commit count, halt and
+// fault state, OUT checksum, and the full memory image. The program itself
+// is not coded — a snapshot can only be decoded into a machine constructed
+// with New over the same program, which is enforced by fingerprinting the
+// program layout.
+func (m *Machine) Checkpoint(c *snap.Codec) {
+	c.Begin("machine")
 	// The predecoded uop table is derived state: a pure function of the
 	// immutable program image, built once in New and valid for the machine's
-	// whole lifetime, so it is neither serialized nor rebuilt on restore.
+	// whole lifetime, so it is neither coded nor rebuilt on decode.
 	_ = m.pred
 	_ = m.predBase
-	w.U64(m.prog.Entry)
-	w.U64(m.prog.TextBase)
-	w.U64(m.prog.TextEnd())
-	w.U64(m.prog.DataBase)
-	w.Int(len(m.prog.Data))
-	w.U64Slice(m.Regs[:])
-	w.U64(m.PC)
-	w.Bool(m.halted)
-	w.U64(m.seq)
-	if m.fault != nil {
-		w.Bool(true)
-		if f, ok := m.fault.(*Fault); ok {
-			w.U64(f.PC)
-			w.String(f.Reason)
+	c.Check("program entry", m.prog.Entry)
+	c.Check("program text base", m.prog.TextBase)
+	c.Check("program text end", m.prog.TextEnd())
+	c.Check("program data base", m.prog.DataBase)
+	c.CheckInt("program data size", len(m.prog.Data))
+	n := len(m.Regs)
+	if c.Len(&n, 8); c.Err() == nil && n != len(m.Regs) {
+		c.Failf("register file has %d entries (want %d)", n, isa.NumRegs)
+	}
+	for i := range m.Regs {
+		c.U64(&m.Regs[i])
+	}
+	c.U64(&m.PC)
+	c.Bool(&m.halted)
+	c.U64(&m.seq)
+	// The fault is coded as its PC and reason and decodes as a *Fault.
+	faulted := m.fault != nil
+	var f Fault
+	if !c.Decoding() && faulted {
+		if e, ok := m.fault.(*Fault); ok {
+			f = *e
 		} else {
-			w.U64(m.PC)
-			w.String(m.fault.Error())
+			f = Fault{PC: m.PC, Reason: m.fault.Error()}
 		}
-	} else {
-		w.Bool(false)
 	}
-	w.U64(m.OutHash)
-	w.U64Slice(m.OutValues)
-	m.Mem.Snapshot(w)
-	w.End()
-}
-
-// Restore rebuilds the machine state from r. The receiver must have been
-// constructed with New over the same program the snapshot was taken from.
-func (m *Machine) Restore(r *snap.Reader) {
-	r.Begin("machine")
-	r.Expect("program entry", m.prog.Entry)
-	r.Expect("program text base", m.prog.TextBase)
-	r.Expect("program text end", m.prog.TextEnd())
-	r.Expect("program data base", m.prog.DataBase)
-	r.ExpectInt("program data size", len(m.prog.Data))
-	regs := r.U64Slice()
-	if r.Err() == nil && len(regs) != isa.NumRegs {
-		r.Failf("register file has %d entries (want %d)", len(regs), isa.NumRegs)
+	if c.Bool(&faulted); faulted {
+		c.U64(&f.PC)
+		c.String(&f.Reason)
 	}
-	if r.Err() != nil {
-		return
-	}
-	copy(m.Regs[:], regs)
-	m.PC = r.U64()
-	m.halted = r.Bool()
-	m.seq = r.U64()
-	if r.Bool() {
-		pc := r.U64()
-		reason := r.String()
-		m.fault = &Fault{PC: pc, Reason: reason}
-	} else {
+	if c.Decoding() {
 		m.fault = nil
+		if faulted {
+			m.fault = &Fault{PC: f.PC, Reason: f.Reason}
+		}
 	}
-	m.OutHash = r.U64()
-	m.OutValues = r.U64Slice()
-	m.Mem.Restore(r)
-	r.End()
+	c.U64(&m.OutHash)
+	c.U64s(&m.OutValues)
+	m.Mem.Checkpoint(c)
+	c.End()
 }
 
-// Snapshot serializes the budget wrapper and delegates to the underlying
+// Snapshot encodes the machine into w; it is Checkpoint for callers that
+// hold a Writer.
+func (m *Machine) Snapshot(w *snap.Writer) { m.Checkpoint(&w.Codec) }
+
+// Restore decodes the machine from r; it is Checkpoint for callers that
+// hold a Reader.
+func (m *Machine) Restore(r *snap.Reader) { m.Checkpoint(&r.Codec) }
+
+// Checkpoint codes the budget wrapper and delegates to the underlying
 // stream, which must itself be checkpointable.
-func (l *LimitStream) Snapshot(w *snap.Writer) {
-	w.Begin("limitstream")
-	w.U64(l.Budget)
-	w.U64(l.used)
+func (l *LimitStream) Checkpoint(c *snap.Codec) {
+	c.Begin("limitstream")
+	c.U64(&l.Budget)
+	c.U64(&l.used)
 	cp, ok := l.S.(snap.Checkpointable)
 	if !ok {
-		w.Failf("limitstream: underlying stream %T is not checkpointable", l.S)
+		c.Failf("limitstream: underlying stream %T is not checkpointable", l.S)
 		return
 	}
-	cp.Snapshot(w)
-	w.End()
+	cp.Checkpoint(c)
+	c.End()
 }
 
-// Restore rebuilds the budget cursor and delegates to the underlying
-// stream.
-func (l *LimitStream) Restore(r *snap.Reader) {
-	r.Begin("limitstream")
-	l.Budget = r.U64()
-	l.used = r.U64()
-	cp, ok := l.S.(snap.Checkpointable)
-	if !ok {
-		r.Failf("limitstream: underlying stream %T is not checkpointable", l.S)
-		return
-	}
-	cp.Restore(r)
-	r.End()
-}
-
-// Snapshot serializes one committed-instruction record (a leaf value: no
+// Checkpoint codes one committed-instruction record (a leaf value: no
 // section of its own).
-func (c *Committed) Snapshot(w *snap.Writer) {
-	w.U64(c.Seq)
-	w.U64(c.PC)
-	c.Inst.Snapshot(w)
-	w.U64(c.NextPC)
-	w.Bool(c.Taken)
-	// Decoded from Inst: not serialized, derived again by Restore.
+func (c *Committed) Checkpoint(cd *snap.Codec) {
+	cd.U64(&c.Seq)
+	cd.U64(&c.PC)
+	c.Inst.Checkpoint(cd)
+	cd.U64(&c.NextPC)
+	cd.Bool(&c.Taken)
+	// Decoded from Inst: not coded, derived again on decode.
 	_ = c.Src
 	_ = c.Dest
-	w.U64(c.EA)
-	w.U8(c.Size)
-}
-
-// Restore rebuilds one committed-instruction record.
-func (c *Committed) Restore(r *snap.Reader) {
-	c.Seq = r.U64()
-	c.PC = r.U64()
-	c.Inst.Restore(r)
-	c.NextPC = r.U64()
-	c.Taken = r.Bool()
-	c.EA = r.U64()
-	c.Size = r.U8()
-	c.Decode()
+	cd.U64(&c.EA)
+	cd.U8(&c.Size)
+	if cd.Decoding() {
+		c.Decode()
+	}
 }

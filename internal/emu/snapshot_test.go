@@ -61,7 +61,7 @@ func TestMemoryChecksumRoundTrip(t *testing.T) {
 	before := m.Mem.Checksum()
 
 	w := snap.NewWriter()
-	m.Mem.Snapshot(w)
+	m.Mem.Checkpoint(&w.Codec)
 	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestMemoryChecksumRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.Restore(r)
+	restored.Checkpoint(&r.Codec)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLimitStreamSnapshot(t *testing.T) {
 		}
 	}
 	w := snap.NewWriter()
-	ls.Snapshot(w)
+	ls.Checkpoint(&w.Codec)
 	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestLimitStreamSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls2.Restore(r)
+	ls2.Checkpoint(&r.Codec)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -116,8 +116,9 @@ func TestCheckpointedResumeFromPlantedCheckpoint(t *testing.T) {
 	}
 	opts := Options{Budget: ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}
 	w := snap.NewWriter()
+	fp := RunFingerprint("gzip", BaseConfig(), opts)
 	w.Begin("run")
-	w.U64(RunFingerprint("gzip", BaseConfig(), opts))
+	w.U64(&fp)
 	w.End()
 	p.Snapshot(w)
 	if err := snap.WriteFile(ckptPath(opts), w); err != nil {
@@ -220,8 +221,9 @@ func TestCheckpointedStaleCheckpointDiscarded(t *testing.T) {
 		t.Fatal("stream exhausted during the first segment")
 	}
 	w := snap.NewWriter()
+	fp := RunFingerprint("gzip", BaseConfig(), oldOpts)
 	w.Begin("run")
-	w.U64(RunFingerprint("gzip", BaseConfig(), oldOpts))
+	w.U64(&fp)
 	w.End()
 	p.Snapshot(w)
 	newOpts := Options{Budget: 2 * ckptBudget, CheckpointDir: dir, CheckpointEvery: ckptEvery}

@@ -46,9 +46,7 @@ func savedConsumed(t *testing.T, st *Store, e NameEntry) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd.Begin("run")
-	rd.Expect("run fingerprint", fp)
-	rd.End()
+	checkpointRun(&rd.Codec, fp)
 	p.Restore(rd)
 	if err := rd.Close(); err != nil {
 		t.Fatal(err)

@@ -417,6 +417,15 @@ func (r *Runner) runSampled(key string, prog *isa.Program, cfg pipeline.Config) 
 	return &s, nil
 }
 
+// checkpointRun codes the "run" section that opens every checkpoint the
+// runner writes: the run fingerprint, which decoding refuses unless it is
+// fp.
+func checkpointRun(c *snap.Codec, fp uint64) {
+	c.Begin("run")
+	c.Check("run fingerprint", fp)
+	c.End()
+}
+
 // runCheckpointed executes one run as a sequence of RunTo segments,
 // persisting the full simulator state after each one as <fp>.ckpt in
 // CheckpointDir. A completed run puts its stats into the directory's Store
@@ -447,10 +456,7 @@ func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, l
 	}
 	reset()
 	if rd, err := snap.ReadFile(ckptPath); err == nil {
-		rd.Begin("run")
-		rd.Expect("run fingerprint", fp)
-		rd.End()
-		if rd.Err() == nil {
+		if checkpointRun(&rd.Codec, fp); rd.Err() == nil {
 			p.Restore(rd)
 		}
 		if rd.Err() != nil || rd.Close() != nil {
@@ -472,9 +478,7 @@ func (r *Runner) runCheckpointed(key string, fp uint64, bm workload.Benchmark, l
 			break
 		}
 		w := snap.NewWriter()
-		w.Begin("run")
-		w.U64(fp)
-		w.End()
+		checkpointRun(&w.Codec, fp)
 		p.Snapshot(w)
 		if err := snap.WriteFile(ckptPath, w); err != nil {
 			return nil, fmt.Errorf("writing checkpoint %s: %w", ckptPath, err)

@@ -2,24 +2,14 @@ package isa
 
 import "ctcp/internal/snap"
 
-// Snapshot serializes the decoded instruction. Inst is a leaf value: it
-// writes raw fields with no section of its own, relying on the enclosing
-// component section for checksumming.
-func (i *Inst) Snapshot(w *snap.Writer) {
-	w.U8(uint8(i.Op))
-	w.U8(uint8(i.Ra))
-	w.U8(uint8(i.Rb))
-	w.U8(uint8(i.Rc))
-	w.I64(i.Imm)
-	w.Bool(i.UseImm)
-}
-
-// Restore rebuilds the instruction from r.
-func (i *Inst) Restore(r *snap.Reader) {
-	i.Op = Op(r.U8())
-	i.Ra = Reg(r.U8())
-	i.Rb = Reg(r.U8())
-	i.Rc = Reg(r.U8())
-	i.Imm = r.I64()
-	i.UseImm = r.Bool()
+// Checkpoint codes the decoded instruction. Inst is a leaf value: it codes
+// raw fields with no section of its own, relying on the enclosing component
+// section for checksumming.
+func (i *Inst) Checkpoint(c *snap.Codec) {
+	c.U8((*uint8)(&i.Op))
+	c.U8((*uint8)(&i.Ra))
+	c.U8((*uint8)(&i.Rb))
+	c.U8((*uint8)(&i.Rc))
+	c.I64(&i.Imm)
+	c.Bool(&i.UseImm)
 }

@@ -1,84 +1,72 @@
-// Fixture for the snapcomplete analyzer: every named field of a type with
-// snap-shaped Snapshot/Restore methods must be referenced in the union of
-// the two methods' intra-package call paths — serialized, restored, or
-// audited with `_ = x.field`. Types with only one of the two methods are
-// reported at the type declaration.
+// Fixture for the snapcomplete analyzer: every named field of a type with a
+// checkpoint method (first parameter *snap.Codec, *snap.Writer or
+// *snap.Reader) must be referenced in the union of those methods'
+// intra-package call paths — coded, or audited with `_ = x.field`.
 package fixture
 
 import "ctcp/internal/snap"
 
-// Core is complete: PC is serialized, seq only in Restore, scratch is
-// audited in a helper reached transitively from Snapshot.
+// Core is complete: PC and seq are coded, and scratch is audited in a
+// helper reached transitively from Checkpoint.
 type Core struct {
 	PC      uint64
 	seq     uint64
 	scratch []int
 }
 
-func (c *Core) Snapshot(w *snap.Writer) {
-	w.Begin("core")
-	w.U64(c.PC)
-	w.U64(c.seq)
+func (c *Core) Checkpoint(cd *snap.Codec) {
+	cd.Begin("core")
+	cd.U64(&c.PC)
+	cd.U64(&c.seq)
 	c.auditScratch()
-	w.End()
-}
-
-func (c *Core) Restore(r *snap.Reader) {
-	r.Begin("core")
-	c.PC = r.U64()
-	c.seq = r.U64()
-	c.scratch = c.scratch[:0]
-	r.End()
+	cd.End()
 }
 
 func (c *Core) auditScratch() {
 	_ = c.scratch // transient: rebuilt as the pipeline refills
 }
 
-// Leaky forgot a field: hits is serialized, misses fell through the cracks.
+// Leaky forgot a field: hits is coded, misses fell through the cracks.
 type Leaky struct {
 	hits   uint64
 	misses uint64 // want:snapcomplete
 }
 
-func (l *Leaky) Snapshot(w *snap.Writer) {
-	w.Begin("leaky")
-	w.U64(l.hits)
-	w.End()
+func (l *Leaky) Checkpoint(c *snap.Codec) {
+	c.Begin("leaky")
+	c.U64(&l.hits)
+	c.End()
 }
 
-func (l *Leaky) Restore(r *snap.Reader) {
-	r.Begin("leaky")
-	l.hits = r.U64()
-	r.End()
+// Wrapped is coded by an unexported method behind Snapshot/Restore entry
+// points: busy is read only by the wrappers' guard, which counts, and lost
+// is in neither the wrappers nor the method.
+type Wrapped struct {
+	pc   uint64
+	busy bool
+	lost uint64 // want:snapcomplete
 }
 
-// Orphan has a Snapshot nothing can restore.
-type Orphan struct { // want:snapcomplete
-	val uint64
+func (w *Wrapped) Snapshot(sw *snap.Writer) {
+	if w.busy {
+		sw.Failf("wrapped: busy")
+		return
+	}
+	w.checkpoint(&sw.Codec)
 }
 
-func (o *Orphan) Snapshot(w *snap.Writer) {
-	w.Begin("orphan")
-	w.U64(o.val)
-	w.End()
+func (w *Wrapped) Restore(r *snap.Reader) { w.checkpoint(&r.Codec) }
+
+func (w *Wrapped) checkpoint(c *snap.Codec) {
+	c.Begin("wrapped")
+	c.U64(&w.pc)
+	c.End()
 }
 
-// Sink has a Restore with no producer.
-type Sink struct { // want:snapcomplete
-	val uint64
-}
-
-func (s *Sink) Restore(r *snap.Reader) {
-	r.Begin("sink")
-	s.val = r.U64()
-	r.End()
-}
-
-// NotCheckpointable's Snapshot does not take *snap.Writer, so the analyzer
+// NotCheckpointable's Checkpoint does not take a snap codec, so the analyzer
 // leaves it (and its unreferenced field) alone.
 type NotCheckpointable struct {
 	ignored uint64
 }
 
-func (n *NotCheckpointable) Snapshot(out *[]byte) { *out = append(*out, 0) }
+func (n *NotCheckpointable) Checkpoint(out *[]byte) { *out = append(*out, 0) }

@@ -225,10 +225,10 @@ func TestSnapshotDeterministic(t *testing.T) {
 	_, p := newSegPipe(t, "gzip", core.FDRT, resumeInsts)
 	p.RunTo(resumeInsts / 2)
 
-	enc := func(cp snap.Checkpointable) []byte {
+	enc := func(p *Pipeline) []byte {
 		t.Helper()
 		w := snap.NewWriter()
-		cp.Snapshot(w)
+		p.Snapshot(w)
 		data, err := w.Finish()
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)

@@ -12,7 +12,7 @@ import (
 // "" when it is. Snapshot and Restore both demand an empty machine: nothing
 // buffered, nothing in flight, no pending redirect. RunTo leaves the
 // pipeline exactly here between segments; Snapshot at any
-// other point would have to serialize the whole out-of-order window, which
+// other point would have to encode the whole out-of-order window, which
 // the drained-boundary contract deliberately avoids.
 func (p *Pipeline) snapReady() string {
 	switch {
@@ -75,7 +75,7 @@ func (p *Pipeline) snapReady() string {
 	return ""
 }
 
-// Snapshot serializes the pipeline and every component it owns. It is only
+// Snapshot encodes the pipeline and every component it owns. It is only
 // legal at a drained trace boundary — the state RunTo leaves between
 // segments — where the out-of-order window is empty and all machine state
 // lives in the timing tables, the profile structures, and the components.
@@ -87,83 +87,10 @@ func (p *Pipeline) Snapshot(w *snap.Writer) {
 		w.Failf("pipeline snapshot outside a drained boundary: %s", why)
 		return
 	}
-	w.Begin("pipeline")
-	// Configuration fingerprint. The full Config is not serialized (it can
-	// carry a RetireHook closure); these five knobs determine every table
-	// geometry the sections below assume.
-	w.Int(int(p.cfg.Strategy))
-	w.Int(p.cfg.Geom.Clusters)
-	w.Int(p.cfg.Geom.Width)
-	w.Int(p.cfg.FetchWidth)
-	w.Int(p.cfg.ROBSize)
-	_ = p.geom    // copy of cfg.Geom made by Reset
-	_ = p.distTab // pure function of geom, rebuilt by Reset
-	_ = p.fwdTab  // pure function of geom, rebuilt by Reset
-
-	w.I64(p.now)
-	w.I64(p.nextFetch)
-	w.I64(p.btbBubble)
-	w.I64(p.lastRetireCycle)
-	w.I64(p.lastDrain)
-	w.U64(p.groupSeq)
-	w.U64(p.consumed)
-	w.U64(p.fetchLimit)
-	w.U64(p.S.Retired) // the renamed count's slot; Restore checks they agree
-	w.Bool(p.streamDone)
-
-	w.I64Slice(p.sbDrain)
-	// Of each cluster's record only the FU free cycles carry state across
-	// a drained boundary: the queue, window, mask, station counts and
-	// masks are empty there (snapReady), and writeUsed, budget and open
-	// are per-cycle scratch, rebuilt before they are read, never
-	// serialized.
-	w.Int(len(p.cl))
-	for c := range p.cl {
-		w.I64Slice(p.cl[c].fuFree[:])
-	}
-	p.ports.snapshot(w, p.now)
-	snapshotPCHist(w, &p.pcHist)
-	snapshotStats(w, &p.S)
-
-	// The buffered peek is empty at a drained boundary (asserted above);
-	// predictCond is p.bp.PredictCond bound by Reset; portsUsed is
-	// per-cycle scratch like the writeUsed counts it guards, and the due
-	// lists are empty at a drained boundary (asserted above). The inflight
-	// store holds no live slot at a drained boundary (snapReady checks every
-	// structure that could reference one), so it is equivalent to the fresh
-	// ring a restored pipeline starts with: residual slot contents are
-	// don't-care either way (every field is written before its first read in
-	// a new tenancy — see infStore.alloc), and neither the ring position nor
-	// the generations are observable across the boundary. The
-	// disambiguation ring's contents behind the watermark are don't-care by
-	// construction (snapReady asserts the watermark has caught up to the
-	// sequence counter, and both counters only ever appear in relative
-	// comparisons, so a restored pipeline restarting them at 1 schedules
-	// identically).
-	_ = p.peekedRec
-	_ = p.mach // p.stream as an *emu.Machine, derived by Reset
-	_ = p.predictCond
-	_ = p.portsUsed
-	_ = p.due
-	_ = p.st
-	_ = p.robHead // the ring position of the empty ROB, likewise unobservable
-	_ = p.storeRing
-	_ = p.storeRingMask
-
-	if cs, ok := p.stream.(snap.Checkpointable); ok {
-		cs.Snapshot(w)
-	} else {
-		w.Failf("pipeline stream %T is not snap.Checkpointable", p.stream)
-	}
-	p.bp.Snapshot(w)
-	p.icache.Snapshot(w)
-	p.mem.Snapshot(w)
-	p.tc.Snapshot(w)
-	p.fill.Snapshot(w)
-	w.End()
+	p.checkpoint(&w.Codec)
 }
 
-// Restore rebuilds the pipeline from r. The receiver must be freshly
+// Restore decodes the pipeline from r. The receiver must be freshly
 // constructed by New, or returned to that state by Reset, with the same
 // configuration the snapshot was taken under and a stream of the same
 // concrete type (its position is part of the encoding). After Restore the
@@ -174,175 +101,186 @@ func (p *Pipeline) Restore(r *snap.Reader) {
 		r.Failf("pipeline restore target is not freshly constructed: %s", why)
 		return
 	}
-	r.Begin("pipeline")
-	r.ExpectInt("pipeline strategy", int(p.cfg.Strategy))
-	r.ExpectInt("pipeline clusters", p.cfg.Geom.Clusters)
-	r.ExpectInt("pipeline cluster width", p.cfg.Geom.Width)
-	r.ExpectInt("pipeline fetch width", p.cfg.FetchWidth)
-	r.ExpectInt("pipeline ROB size", p.cfg.ROBSize)
+	p.checkpoint(&r.Codec)
+}
 
-	p.now = r.I64()
-	p.nextFetch = r.I64()
-	p.btbBubble = r.I64()
-	p.lastRetireCycle = r.I64()
-	p.lastDrain = r.I64()
-	p.groupSeq = r.U64()
-	p.consumed = r.U64()
-	p.fetchLimit = r.U64()
-	renamed := r.U64()
-	p.streamDone = r.Bool()
+// checkpoint codes the pipeline section at a drained boundary, which
+// Snapshot and Restore have checked.
+func (p *Pipeline) checkpoint(c *snap.Codec) {
+	c.Begin("pipeline")
+	// Configuration fingerprint. The full Config is not coded (it can
+	// carry a RetireHook closure); these five knobs determine every table
+	// geometry the sections below assume.
+	c.CheckInt("pipeline strategy", int(p.cfg.Strategy))
+	c.CheckInt("pipeline clusters", p.cfg.Geom.Clusters)
+	c.CheckInt("pipeline cluster width", p.cfg.Geom.Width)
+	c.CheckInt("pipeline fetch width", p.cfg.FetchWidth)
+	c.CheckInt("pipeline ROB size", p.cfg.ROBSize)
+	_ = p.geom    // copy of cfg.Geom made by Reset
+	_ = p.distTab // pure function of geom, rebuilt by Reset
+	_ = p.fwdTab  // pure function of geom, rebuilt by Reset
 
-	p.sbDrain = r.I64Slice()
-	nc := r.Int()
-	if r.Err() != nil {
-		return
+	c.I64(&p.now)
+	c.I64(&p.nextFetch)
+	c.I64(&p.btbBubble)
+	c.I64(&p.lastRetireCycle)
+	c.I64(&p.lastDrain)
+	c.U64(&p.groupSeq)
+	c.U64(&p.consumed)
+	c.U64(&p.fetchLimit)
+	renamed := p.S.Retired // the renamed count's slot; checked against Retired below
+	c.U64(&renamed)
+	c.Bool(&p.streamDone)
+
+	c.I64s(&p.sbDrain)
+	// Of each cluster's record only the FU free cycles carry state across
+	// a drained boundary: the queue, window, mask, station counts and
+	// masks are empty there (snapReady), and writeUsed, budget and open
+	// are per-cycle scratch, rebuilt before they are read, never coded.
+	nc := len(p.cl)
+	if c.Int(&nc); c.Err() == nil && nc != len(p.cl) {
+		c.Failf("pipeline snapshot has %d clusters of FUs, this configuration has %d", nc, len(p.cl))
 	}
-	if nc != len(p.cl) {
-		r.Failf("pipeline snapshot has %d clusters of FUs, this configuration has %d", nc, len(p.cl))
-		return
-	}
-	for c := range p.cl {
-		fuFree := &p.cl[c].fuFree
-		row := r.I64Slice()
-		if r.Err() != nil {
-			return
+	for i := 0; i < nc && c.Err() == nil; i++ {
+		fuFree := &p.cl[i].fuFree
+		n := len(fuFree)
+		if c.Len(&n, 8); c.Err() == nil && n != len(fuFree) {
+			c.Failf("pipeline cluster %d has %d FUs in the snapshot, %d in this configuration", i, n, len(fuFree))
 		}
-		if len(row) != len(fuFree) {
-			r.Failf("pipeline cluster %d has %d FUs in the snapshot, %d in this configuration", c, len(row), len(fuFree))
-			return
+		for j := range fuFree {
+			c.I64(&fuFree[j])
 		}
-		copy(fuFree[:], row)
 	}
-	p.ports.restore(r)
-	restorePCHist(r, &p.pcHist)
-	restoreStats(r, &p.S)
-	if r.Err() == nil && renamed != p.S.Retired {
-		r.Failf("pipeline snapshot renamed %d instructions but retired %d at a drained boundary", renamed, p.S.Retired)
+	p.ports.checkpoint(c, p.now)
+	checkpointPCHist(c, &p.pcHist)
+	checkpointStats(c, &p.S)
+	if c.Err() == nil && renamed != p.S.Retired {
+		c.Failf("pipeline snapshot renamed %d instructions but retired %d at a drained boundary", renamed, p.S.Retired)
 	}
 
-	p.havePeek = false
-	p.peekedRec = emu.Committed{}
-	p.pendingRedirect = noID
+	// The buffered peek is empty at a drained boundary (snapReady), and a
+	// decode leaves it so; predictCond is p.bp.PredictCond bound by Reset;
+	// portsUsed is per-cycle scratch like the writeUsed counts it guards,
+	// and the due lists are empty at a drained boundary (snapReady). The
+	// inflight store holds no live slot at a drained boundary (snapReady
+	// checks every structure that could reference one), so it is
+	// equivalent to the fresh ring a restored pipeline starts with:
+	// residual slot contents are don't-care either way (every field is
+	// written before its first read in a new tenancy — see infStore.alloc),
+	// and neither the ring position nor the generations are observable
+	// across the boundary. The disambiguation ring's contents behind the
+	// watermark are don't-care by construction (snapReady asserts the
+	// watermark has caught up to the sequence counter, and both counters
+	// only ever appear in relative comparisons, so a restored pipeline
+	// restarting them at 1 schedules identically).
+	if c.Decoding() {
+		p.havePeek = false
+		p.peekedRec = emu.Committed{}
+		p.pendingRedirect = noID
+	}
+	_ = p.mach // p.stream as an *emu.Machine, derived by Reset
+	_ = p.predictCond
+	_ = p.portsUsed
+	_ = p.due
+	_ = p.st
+	_ = p.robHead // the ring position of the empty ROB, likewise unobservable
+	_ = p.storeRing
+	_ = p.storeRingMask
 
 	if cs, ok := p.stream.(snap.Checkpointable); ok {
-		cs.Restore(r)
+		cs.Checkpoint(c)
 	} else {
-		r.Failf("pipeline stream %T is not snap.Checkpointable", p.stream)
+		c.Failf("pipeline stream %T is not snap.Checkpointable", p.stream)
 	}
-	p.bp.Restore(r)
-	p.icache.Restore(r)
-	p.mem.Restore(r)
-	p.tc.Restore(r)
-	p.fill.Restore(r)
-	r.End()
+	p.bp.Checkpoint(c)
+	p.icache.Checkpoint(c)
+	p.mem.Checkpoint(c)
+	p.tc.Checkpoint(c)
+	p.fill.Checkpoint(c)
+	c.End()
 }
 
-// snapshot emits the port schedule's live bookings: ring slots whose
-// absolute cycle is current (>= now) and booked. Lapped slots read as empty
-// to book() and are dropped; emission is in ascending cycle order.
-func (ps *portSched) snapshot(w *snap.Writer, now int64) {
+// checkpoint codes the port schedule's live bookings: ring slots whose
+// absolute cycle is current (>= now) and booked, in ascending cycle order.
+// Lapped slots read as empty to book() and are dropped. Decoding resets the
+// ring and replays the bookings.
+func (ps *portSched) checkpoint(c *snap.Codec, now int64) {
 	type booking struct {
 		cycle int64
-		used  int32
+		used  int
 	}
 	var live []booking
-	for i := range ps.cycle {
-		if ps.cycle[i] >= now && ps.used[i] > 0 {
-			live = append(live, booking{ps.cycle[i], ps.used[i]})
+	if c.Decoding() {
+		ps.reset()
+	} else {
+		for i := range ps.cycle {
+			if ps.cycle[i] >= now && ps.used[i] > 0 {
+				live = append(live, booking{ps.cycle[i], int(ps.used[i])})
+			}
 		}
+		sort.Slice(live, func(i, j int) bool { return live[i].cycle < live[j].cycle })
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].cycle < live[j].cycle })
-	w.Int(len(live))
-	for _, b := range live {
-		w.I64(b.cycle)
-		w.Int(int(b.used))
+	n := len(live)
+	if c.Int(&n); c.Err() == nil && (n < 0 || n > portWindow) {
+		c.Failf("port schedule has %d bookings (window %d)", n, portWindow)
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var b booking
+		if !c.Decoding() {
+			b = live[i]
+		}
+		c.I64(&b.cycle)
+		if c.Int(&b.used); c.Decoding() && c.Err() == nil {
+			idx := b.cycle & (portWindow - 1)
+			ps.cycle[idx] = b.cycle
+			ps.used[idx] = int32(b.used)
+		}
 	}
 }
 
-// restore resets the ring and replays the live bookings.
-func (ps *portSched) restore(r *snap.Reader) {
-	ps.reset()
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > portWindow {
-		r.Failf("port schedule has %d bookings (window %d)", n, portWindow)
-		return
-	}
-	for i := 0; i < n; i++ {
-		cycle := r.I64()
-		used := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		idx := cycle & (portWindow - 1)
-		ps.cycle[idx] = cycle
-		ps.used[idx] = int32(used)
-	}
-}
-
-// snapshotPCHist emits the per-static-PC producer history: the count of
+// checkpointPCHist codes the per-static-PC producer history: the count of
 // non-zero entries, then each one keyed by its PC in ascending PC order. The
-// table's dense base/length are layout, not state: restorePCHist regrows an
-// equivalent table through Ensure.
-func snapshotPCHist(w *snap.Writer, t *pcmap.Map[pcStats]) {
+// table's dense base/length are layout, not state: decoding regrows an
+// equivalent table through Ensure into the (fresh) table.
+func checkpointPCHist(c *snap.Codec, t *pcmap.Map[pcStats]) {
 	var pcs []uint64
-	t.ForEach(func(pc uint64, e *pcStats) {
-		if *e != (pcStats{}) {
-			pcs = append(pcs, pc)
-		}
-	})
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	w.Int(len(pcs))
-	for _, pc := range pcs {
-		e := t.Lookup(pc)
-		w.U64(pc)
-		w.U64(e.lastProd[0])
-		w.U64(e.lastProd[1])
-		w.U64(e.lastCritInter[0])
-		w.U64(e.lastCritInter[1])
+	if !c.Decoding() {
+		t.ForEach(func(pc uint64, e *pcStats) {
+			if *e != (pcStats{}) {
+				pcs = append(pcs, pc)
+			}
+		})
+		sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	}
-}
-
-// restorePCHist replays the entries through Ensure into the (fresh) table.
-func restorePCHist(r *snap.Reader, t *pcmap.Map[pcStats]) {
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 {
-		r.Failf("pc table has negative entry count %d", n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		pc := r.U64()
+	n := len(pcs)
+	c.Len(&n, 8+4*8)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var pc uint64
 		var e pcStats
-		e.lastProd[0] = r.U64()
-		e.lastProd[1] = r.U64()
-		e.lastCritInter[0] = r.U64()
-		e.lastCritInter[1] = r.U64()
-		if r.Err() != nil {
-			return
+		if !c.Decoding() {
+			pc = pcs[i]
+			e = *t.Lookup(pc)
 		}
-		*t.Ensure(pc) = e
+		c.U64(&pc)
+		c.U64(&e.lastProd[0])
+		c.U64(&e.lastProd[1])
+		c.U64(&e.lastCritInter[0])
+		if c.U64(&e.lastCritInter[1]); c.Decoding() && c.Err() == nil {
+			*t.Ensure(pc) = e
+		}
 	}
 }
 
-// snapshotStats serializes the pipeline-local statistics. The BP/TC/Fill
+// checkpointStats codes the pipeline-local statistics. The BP/TC/Fill
 // sub-structures are excluded (tagged snap:"-"): they are copies Finish takes
-// from the live components (each serialized in its own section), and a
-// segmented run only calls Finish once, after the last segment. The trailing
-// zero is the length of the per-cycle pipe trace Stats once carried; it stays
-// so checkpoints written before its removal still decode.
-func snapshotStats(w *snap.Writer, s *Stats) {
-	w.Counters(s)
-	w.Int(0)
-}
-
-func restoreStats(r *snap.Reader, s *Stats) {
-	r.Counters(s)
-	if n := r.Int(); r.Err() == nil && n != 0 {
-		r.Failf("pipeline stats carry a %d-line pipe trace, which this build no longer records", n)
+// from the live components (each coded in its own section), and a segmented
+// run only calls Finish once, after the last segment. The trailing zero is
+// the length of the per-cycle pipe trace Stats once carried; it stays so
+// checkpoints written before its removal still decode.
+func checkpointStats(c *snap.Codec, s *Stats) {
+	c.Counters(s)
+	var pipeTrace int
+	if c.Int(&pipeTrace); pipeTrace != 0 {
+		c.Failf("pipeline stats carry a %d-line pipe trace, which this build no longer records", pipeTrace)
 	}
 }

@@ -70,7 +70,8 @@ func TestStatsWalk(t *testing.T) {
 
 	w := snap.NewWriter()
 	w.Counters(&s)
-	w.Int(0)
+	pipeTrace := 0
+	w.Int(&pipeTrace)
 	b, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +81,12 @@ func TestStatsWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range untagged {
-		if got, want := r.U64(), word(f); got != want {
-			t.Errorf("Counters word for %s = %d, want %d", f.Path(), got, want)
+		var got uint64
+		if r.U64(&got); got != word(f) {
+			t.Errorf("Counters word for %s = %d, want %d", f.Path(), got, word(f))
 		}
 	}
-	if r.Int() != 0 || r.Close() != nil {
+	if r.Int(&pipeTrace); pipeTrace != 0 || r.Close() != nil {
 		t.Errorf("Counters wrote more than the %d untagged leaves", len(untagged))
 	}
 }

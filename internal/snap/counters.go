@@ -81,36 +81,27 @@ func signed(f Field) bool {
 	panic(fmt.Sprintf("snap: field %s has kind %s, not an integer counter", f.Name(), f.Value.Kind()))
 }
 
-// Counters appends every counter of the stats struct v points to, in field
+// Counters codes every counter of the stats struct v points to, in field
 // declaration order: int and int64 fields as I64, uint and uint64 fields as
 // U64, so the bytes are those of the equivalent hand-written sequence of
 // calls, and nested structs inline. Fields tagged `snap:"-"` are skipped (a
-// component's own section serializes that sub-struct); any other kind
-// panics naming Type.Field. Leaf records encoded once per slot stay
-// hand-coded (DESIGN §10).
-func (w *Writer) Counters(v any) {
+// component's own section codes that sub-struct); any other kind panics
+// naming Type.Field. Leaf records coded once per slot stay hand-coded
+// (DESIGN §10).
+func (c *Codec) Counters(v any) {
 	Walk(reflect.ValueOf(v).Elem(), func(f Field) {
 		switch {
 		case f.Tagged:
 		case signed(f):
-			w.I64(f.Value.Int())
+			x := f.Value.Int()
+			if c.I64(&x); c.dec {
+				f.Value.SetInt(x)
+			}
 		default:
-			w.U64(f.Value.Uint())
-		}
-	})
-}
-
-// Counters reads back the counters Writer.Counters wrote into the struct
-// v points to. After an error every counter read is zero, like every other
-// getter.
-func (r *Reader) Counters(v any) {
-	Walk(reflect.ValueOf(v).Elem(), func(f Field) {
-		switch {
-		case f.Tagged:
-		case signed(f):
-			f.Value.SetInt(r.I64())
-		default:
-			f.Value.SetUint(r.U64())
+			x := f.Value.Uint()
+			if c.U64(&x); c.dec {
+				f.Value.SetUint(x)
+			}
 		}
 	})
 }

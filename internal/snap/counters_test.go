@@ -38,12 +38,13 @@ func TestCounters(t *testing.T) {
 	// The bytes are those of the hand-written sequence, declaration order,
 	// nested struct inline, tagged struct absent.
 	hand := NewWriter()
-	hand.I64(s.Cycles)
-	hand.U64(s.Hits)
-	hand.U64(uint64(s.N))
-	hand.U64(s.Inner.A)
-	hand.I64(int64(s.Inner.B))
-	hand.U64(s.Last)
+	n, b := uint64(s.N), int64(s.Inner.B)
+	hand.I64(&s.Cycles)
+	hand.U64(&s.Hits)
+	hand.U64(&n)
+	hand.U64(&s.Inner.A)
+	hand.I64(&b)
+	hand.U64(&s.Last)
 	want, err := hand.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -70,19 +71,19 @@ func TestCounters(t *testing.T) {
 		t.Errorf("round trip = %+v, want %+v", got, wantBack)
 	}
 
-	// A truncated stream sets the sticky error and zeroes what it could
+	// A truncated stream sets the sticky error and stores nothing it could
 	// not read.
 	r, err = NewReader(want[:len(want)-4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var short sampleCounters
+	short := sampleCounters{Last: 5}
 	r.Counters(&short)
 	if r.Err() == nil {
 		t.Fatal("truncated counters decoded without error")
 	}
-	if short.Last != 0 || short.Inner != s.Inner {
-		t.Errorf("truncated decode = %+v, want every field but Last", short)
+	if short.Last != 5 || short.Inner != s.Inner {
+		t.Errorf("truncated decode = %+v, want every field but Last, and Last untouched", short)
 	}
 
 	// A field that is not a counter panics, naming it.
@@ -129,8 +130,9 @@ func TestCountersRejectInt32(t *testing.T) {
 		return ""
 	}
 	enc := NewWriter()
-	enc.U64(0)
-	enc.U64(0)
+	var zero uint64
+	enc.U64(&zero)
+	enc.U64(&zero)
 	b, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -12,14 +12,19 @@
 // section's full encoding (marker through checksum) is part of its parent's
 // payload, so parent checksums cover children. Scalars inside a payload are
 // raw fixed-width little-endian values with no per-value tags; the schema
-// is the Snapshot/Restore code itself (for stats structs, their field
-// declaration order; see Writer.Counters), which is why Reader.End is strict
-// (the payload must be consumed exactly) and why component codecs start by
-// checking a configuration fingerprint with Reader.Expect.
+// is each component's Checkpoint method (for stats structs, their field
+// declaration order; see Codec.Counters), which is why End is strict when
+// decoding (the payload must be consumed exactly) and why component codecs
+// start by checking a configuration fingerprint with Codec.Check.
 //
-// Writer and Reader both carry a sticky error: after the first failure every
-// subsequent call is a no-op (getters return zero values), so Snapshot and
-// Restore implementations can be written straight-line and check Err once.
+// One Codec type serves both directions. Each value method takes a pointer:
+// encoding appends the value it points to, decoding stores through it. A
+// component therefore states its layout once, in one Checkpoint method that
+// makes the same calls either way; Writer and Reader wrap a Codec and add
+// only what is specific to one direction. A Codec carries a sticky error:
+// after the first failure every subsequent call is a no-op that stores
+// nothing, so Checkpoint implementations can be written straight-line and
+// check Err once.
 package snap
 
 import (
@@ -41,14 +46,13 @@ const (
 )
 
 // Checkpointable is the contract every stateful simulator component
-// implements: Snapshot serializes the component's architectural and profile
-// state into w, and Restore rebuilds exactly that state from r into a
-// freshly constructed component with the same configuration. Transient
-// scratch state (pools, per-cycle buffers) is deliberately excluded and is
-// rebuilt empty on restore.
+// implements: Checkpoint codes the component's architectural and profile
+// state. Encoding, it appends that state to c; decoding, it rebuilds
+// exactly that state from c into a component constructed with the same
+// configuration. Transient scratch state (pools, per-cycle buffers) is
+// deliberately excluded and is rebuilt empty on decode.
 type Checkpointable interface {
-	Snapshot(w *Writer)
-	Restore(r *Reader)
+	Checkpoint(c *Codec)
 }
 
 // fnv64a is the FNV-64a hash used for per-section checksums.
@@ -61,15 +65,313 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// Writer builds a snapshot in memory. All methods are no-ops after the
-// first error. Writers are single-use: create with NewWriter or
-// NewWriterBuffer, emit sections, then call Finish or WriteFile.
-type Writer struct {
+// Codec encodes or decodes one snapshot; which, is fixed when its Writer or
+// Reader is made. All methods are no-ops after the first error.
+type Codec struct {
+	dec   bool
 	buf   []byte
-	open  []int    // payload start offsets of open sections
+	off   int      // decoding: the read position in buf
+	open  []int    // open sections: payload start offsets (encoding) or end offsets (decoding)
 	names []string // names of open sections (for error messages)
 	err   error
 }
+
+// Decoding reports whether c decodes. Sections that are not a field-by-field
+// image of their state (sorted key lists, presence bits) branch on it.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Failf records an error; all subsequent calls become no-ops.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("snap: "+format, args...)
+	}
+}
+
+// Err returns the first error recorded on the codec.
+func (c *Codec) Err() error { return c.err }
+
+// limit returns the end offset of the innermost open section being decoded
+// (or the whole buffer when no section is open).
+func (c *Codec) limit() int {
+	if len(c.open) == 0 {
+		return len(c.buf)
+	}
+	return c.open[len(c.open)-1]
+}
+
+// need checks that n more bytes are available inside the section being
+// decoded.
+func (c *Codec) need(n int) bool {
+	if c.err != nil {
+		return false
+	}
+	if c.off+n > c.limit() {
+		c.Failf("truncated data in section %q", c.current())
+		return false
+	}
+	return true
+}
+
+func (c *Codec) current() string {
+	if len(c.names) == 0 {
+		return "<top>"
+	}
+	return c.names[len(c.names)-1]
+}
+
+// Begin opens a named section; every Begin must be matched by End.
+// Encoding writes the section header. Decoding verifies the marker, the
+// name, the payload bounds, and the payload checksum.
+func (c *Codec) Begin(name string) {
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		if len(name) > 0xFFFF {
+			c.Failf("section name too long (%d bytes)", len(name))
+			return
+		}
+		c.buf = append(c.buf, sectionMarker)
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(len(name)))
+		c.buf = append(c.buf, name...)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, 0) // payload length, backpatched by End
+		c.open = append(c.open, len(c.buf))
+		c.names = append(c.names, name)
+		return
+	}
+	if !c.need(1 + 2) {
+		return
+	}
+	if c.buf[c.off] != sectionMarker {
+		c.Failf("expected section %q, found no section marker", name)
+		return
+	}
+	nameLen := int(binary.LittleEndian.Uint16(c.buf[c.off+1:]))
+	c.off += 3
+	if !c.need(nameLen + 4) {
+		return
+	}
+	got := string(c.buf[c.off : c.off+nameLen])
+	c.off += nameLen
+	if got != name {
+		c.Failf("expected section %q, found %q", name, got)
+		return
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(c.buf[c.off:]))
+	c.off += 4
+	if !c.need(payloadLen + 8) {
+		return
+	}
+	payload := c.buf[c.off : c.off+payloadLen]
+	if fnv64a(payload) != binary.LittleEndian.Uint64(c.buf[c.off+payloadLen:]) {
+		c.Failf("section %q checksum mismatch (corrupt snapshot)", name)
+		return
+	}
+	c.open = append(c.open, c.off+payloadLen)
+	c.names = append(c.names, name)
+}
+
+// End closes the innermost open section. Encoding backpatches its payload
+// length and appends the payload checksum. Decoding requires the payload to
+// be consumed exactly: leftover bytes mean the two directions disagree
+// about the schema, which is an error.
+func (c *Codec) End() {
+	if c.err != nil {
+		return
+	}
+	if len(c.open) == 0 {
+		c.Failf("End without matching Begin")
+		return
+	}
+	at := c.open[len(c.open)-1]
+	if c.dec && c.off != at {
+		c.Failf("section %q has %d unread bytes", c.current(), at-c.off)
+		return
+	}
+	c.open = c.open[:len(c.open)-1]
+	c.names = c.names[:len(c.names)-1]
+	if c.dec {
+		c.off += 8 // skip the payload checksum
+		return
+	}
+	payload := c.buf[at:]
+	if len(payload) > 0x7FFFFFFF {
+		c.Failf("section payload too large (%d bytes)", len(payload))
+		return
+	}
+	binary.LittleEndian.PutUint32(c.buf[at-4:], uint32(len(payload)))
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, fnv64a(payload))
+}
+
+// U64 codes a fixed-width little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	switch {
+	case c.err != nil:
+	case !c.dec:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	case c.need(8):
+		*v = binary.LittleEndian.Uint64(c.buf[c.off:])
+		c.off += 8
+	}
+}
+
+// I64 codes a fixed-width little-endian int64.
+func (c *Codec) I64(v *int64) {
+	u := uint64(*v)
+	if c.U64(&u); c.dec {
+		*v = int64(u)
+	}
+}
+
+// Int codes an int as a fixed-width int64.
+func (c *Codec) Int(v *int) {
+	u := uint64(*v)
+	if c.U64(&u); c.dec {
+		*v = int(int64(u))
+	}
+}
+
+// U8 codes one byte.
+func (c *Codec) U8(v *uint8) {
+	switch {
+	case c.err != nil:
+	case !c.dec:
+		c.buf = append(c.buf, *v)
+	case c.need(1):
+		*v = c.buf[c.off]
+		c.off++
+	}
+}
+
+// Bool codes one byte (0 or 1).
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if c.U8(&b); c.dec {
+		*v = b != 0
+	}
+}
+
+// Len codes a length prefix. Decoding refuses a negative length, or one
+// whose elements, at least elemSize bytes each, cannot fit in what is left
+// of the section, and leaves *n zero after any error, so a loop over it
+// does nothing.
+func (c *Codec) Len(n *int, elemSize int) {
+	if c.Int(n); !c.dec {
+		return
+	}
+	if c.err == nil && (*n < 0 || (elemSize > 0 && *n > (c.limit()-c.off)/elemSize)) {
+		c.Failf("invalid length %d in section %q", *n, c.current())
+	}
+	if c.err != nil {
+		*n = 0
+	}
+}
+
+// raw codes len(b) bytes with no length prefix: encoding appends b,
+// decoding copies into it.
+func (c *Codec) raw(b []byte) {
+	switch {
+	case c.err != nil:
+	case !c.dec:
+		c.buf = append(c.buf, b...)
+	case c.need(len(b)):
+		c.off += copy(b, c.buf[c.off:])
+	}
+}
+
+// Bytes codes a length-prefixed byte slice; decoding stores a fresh copy.
+func (c *Codec) Bytes(b *[]byte) {
+	n := len(*b)
+	if c.Len(&n, 1); c.dec && c.err == nil {
+		*b = make([]byte, n)
+	}
+	c.raw(*b)
+}
+
+// Fill codes a length-prefixed byte slice in place: decoding copies the
+// bytes into b and refuses a length other than len(b). It serves storage
+// the decoder already owns (emu's memory pages), which a decode must
+// neither replace nor leave aliasing the snapshot.
+func (c *Codec) Fill(b []byte) {
+	n := len(b)
+	if c.Len(&n, 1); c.err == nil && n != len(b) {
+		c.Failf("%d bytes in section %q where %d belong", n, c.current(), len(b))
+	}
+	c.raw(b)
+}
+
+// String codes a length-prefixed string.
+func (c *Codec) String(s *string) {
+	n := len(*s)
+	switch c.Len(&n, 1); {
+	case c.err != nil:
+	case !c.dec:
+		c.buf = append(c.buf, *s...)
+	case c.need(n):
+		*s = string(c.buf[c.off : c.off+n])
+		c.off += n
+	}
+}
+
+// U64s codes a length-prefixed []uint64; decoding stores a fresh slice.
+func (c *Codec) U64s(s *[]uint64) {
+	n := len(*s)
+	if c.Len(&n, 8); c.dec && c.err == nil {
+		*s = make([]uint64, n)
+	}
+	for i := range *s {
+		c.U64(&(*s)[i])
+	}
+}
+
+// I64s codes a length-prefixed []int64; decoding stores a fresh slice.
+func (c *Codec) I64s(s *[]int64) {
+	n := len(*s)
+	if c.Len(&n, 8); c.dec && c.err == nil {
+		*s = make([]int64, n)
+	}
+	for i := range *s {
+		c.I64(&(*s)[i])
+	}
+}
+
+// Bools codes a length-prefixed []bool, one byte per element; decoding
+// stores a fresh slice.
+func (c *Codec) Bools(s *[]bool) {
+	n := len(*s)
+	if c.Len(&n, 1); c.dec && c.err == nil {
+		*s = make([]bool, n)
+	}
+	for i := range *s {
+		c.Bool(&(*s)[i])
+	}
+}
+
+// Check codes a configuration fingerprint: encoding writes want, decoding
+// refuses any other value. A snapshot can only be decoded into a component
+// constructed with the same configuration.
+func (c *Codec) Check(label string, want uint64) {
+	got := want
+	if c.U64(&got); got != want {
+		c.Failf("%s mismatch: snapshot has %d, this configuration has %d", label, got, want)
+	}
+}
+
+// CheckInt is Check for int-typed configuration values.
+func (c *Codec) CheckInt(label string, want int) {
+	got := want
+	if c.Int(&got); got != want {
+		c.Failf("%s mismatch: snapshot has %d, this configuration has %d", label, got, want)
+	}
+}
+
+// Writer encodes a snapshot in memory. Writers are single-use: create one
+// with NewWriter or NewWriterBuffer, code sections into its Codec, then
+// call Finish or WriteFile.
+type Writer struct{ Codec }
 
 // NewWriter returns a Writer with the format header already emitted.
 func NewWriter() *Writer { return NewWriterBuffer(make([]byte, 0, 4096)) }
@@ -80,132 +382,10 @@ func NewWriter() *Writer { return NewWriterBuffer(make([]byte, 0, 4096)) }
 // know roughly how large one will be pass the storage here; the encoding
 // never depends on what buf held.
 func NewWriterBuffer(buf []byte) *Writer {
-	w := &Writer{buf: buf[:0]}
+	w := &Writer{Codec{buf: buf[:0]}}
 	w.buf = append(w.buf, magic...)
 	w.buf = binary.LittleEndian.AppendUint16(w.buf, Version)
 	return w
-}
-
-// Failf records an error; all subsequent calls become no-ops.
-func (w *Writer) Failf(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("snap: "+format, args...)
-	}
-}
-
-// Err returns the first error recorded on the writer.
-func (w *Writer) Err() error { return w.err }
-
-// Begin opens a named section. Every Begin must be matched by End.
-func (w *Writer) Begin(name string) {
-	if w.err != nil {
-		return
-	}
-	if len(name) > 0xFFFF {
-		w.Failf("section name too long (%d bytes)", len(name))
-		return
-	}
-	w.buf = append(w.buf, sectionMarker)
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(name)))
-	w.buf = append(w.buf, name...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0) // payload length, backpatched by End
-	w.open = append(w.open, len(w.buf))
-	w.names = append(w.names, name)
-}
-
-// End closes the innermost open section, backpatching its payload length
-// and appending the payload checksum.
-func (w *Writer) End() {
-	if w.err != nil {
-		return
-	}
-	if len(w.open) == 0 {
-		w.Failf("End without matching Begin")
-		return
-	}
-	start := w.open[len(w.open)-1]
-	w.open = w.open[:len(w.open)-1]
-	w.names = w.names[:len(w.names)-1]
-	payload := w.buf[start:]
-	if len(payload) > 0x7FFFFFFF {
-		w.Failf("section payload too large (%d bytes)", len(payload))
-		return
-	}
-	binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(len(payload)))
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, fnv64a(payload))
-}
-
-// U64 appends a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-// I64 appends a fixed-width little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int appends an int as a fixed-width int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) {
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, v)
-}
-
-// Bool appends one byte (0 or 1).
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.Int(len(b))
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Int(len(s))
-	if w.err != nil {
-		return
-	}
-	w.buf = append(w.buf, s...)
-}
-
-// U64Slice appends a length-prefixed []uint64.
-func (w *Writer) U64Slice(s []uint64) {
-	w.Int(len(s))
-	for _, v := range s {
-		w.U64(v)
-	}
-}
-
-// I64Slice appends a length-prefixed []int64.
-func (w *Writer) I64Slice(s []int64) {
-	w.Int(len(s))
-	for _, v := range s {
-		w.I64(v)
-	}
-}
-
-// BoolSlice appends a length-prefixed []bool, one byte per element.
-func (w *Writer) BoolSlice(s []bool) {
-	w.Int(len(s))
-	for _, v := range s {
-		w.Bool(v)
-	}
 }
 
 // Finish returns the encoded snapshot. It fails if any section is still
@@ -215,20 +395,14 @@ func (w *Writer) Finish() ([]byte, error) {
 		return nil, w.err
 	}
 	if len(w.open) != 0 {
-		return nil, fmt.Errorf("snap: section %q not closed", w.names[len(w.names)-1])
+		return nil, fmt.Errorf("snap: section %q not closed", w.current())
 	}
 	return w.buf, nil
 }
 
-// Reader decodes a snapshot produced by Writer. All getters return zero
-// values after the first error; check Err (or use Close) once at the end.
-type Reader struct {
-	buf   []byte
-	off   int
-	ends  []int    // payload end offsets of open sections
-	names []string // names of open sections (for error messages)
-	err   error
-}
+// Reader decodes a snapshot produced by Writer through its Codec; check Err
+// (or use Close) once at the end.
+type Reader struct{ Codec }
 
 // NewReader validates the format header and returns a Reader positioned at
 // the first section.
@@ -243,239 +417,7 @@ func NewReader(data []byte) (*Reader, error) {
 	if v != Version {
 		return nil, fmt.Errorf("snap: format version %d (this build reads version %d)", v, Version)
 	}
-	return &Reader{buf: data, off: len(magic) + 2}, nil
-}
-
-// Failf records an error; all subsequent calls become no-ops.
-func (r *Reader) Failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snap: "+format, args...)
-	}
-}
-
-// Err returns the first error recorded on the reader.
-func (r *Reader) Err() error { return r.err }
-
-// limit returns the end offset of the innermost open section (or the whole
-// buffer when no section is open).
-func (r *Reader) limit() int {
-	if len(r.ends) == 0 {
-		return len(r.buf)
-	}
-	return r.ends[len(r.ends)-1]
-}
-
-// need checks that n more bytes are available inside the current section.
-func (r *Reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off+n > r.limit() {
-		r.Failf("truncated data in section %q", r.current())
-		return false
-	}
-	return true
-}
-
-func (r *Reader) current() string {
-	if len(r.names) == 0 {
-		return "<top>"
-	}
-	return r.names[len(r.names)-1]
-}
-
-// Begin opens the named section, verifying the marker, the name, the
-// payload bounds, and the payload checksum.
-func (r *Reader) Begin(name string) {
-	if !r.need(1 + 2) {
-		return
-	}
-	if r.buf[r.off] != sectionMarker {
-		r.Failf("expected section %q, found no section marker", name)
-		return
-	}
-	nameLen := int(binary.LittleEndian.Uint16(r.buf[r.off+1:]))
-	r.off += 3
-	if !r.need(nameLen + 4) {
-		return
-	}
-	got := string(r.buf[r.off : r.off+nameLen])
-	r.off += nameLen
-	if got != name {
-		r.Failf("expected section %q, found %q", name, got)
-		return
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(r.buf[r.off:]))
-	r.off += 4
-	if !r.need(payloadLen + 8) {
-		return
-	}
-	payload := r.buf[r.off : r.off+payloadLen]
-	want := binary.LittleEndian.Uint64(r.buf[r.off+payloadLen:])
-	if sum := fnv64a(payload); sum != want {
-		r.Failf("section %q checksum mismatch (corrupt snapshot)", name)
-		return
-	}
-	r.ends = append(r.ends, r.off+payloadLen)
-	r.names = append(r.names, name)
-}
-
-// End closes the innermost open section. The payload must be fully
-// consumed: leftover bytes mean the reader and writer disagree about the
-// schema, which is an error.
-func (r *Reader) End() {
-	if r.err != nil {
-		return
-	}
-	if len(r.ends) == 0 {
-		r.Failf("End without matching Begin")
-		return
-	}
-	end := r.ends[len(r.ends)-1]
-	if r.off != end {
-		r.Failf("section %q has %d unread bytes", r.current(), end-r.off)
-		return
-	}
-	r.ends = r.ends[:len(r.ends)-1]
-	r.names = r.names[:len(r.names)-1]
-	r.off += 8 // skip the payload checksum
-}
-
-// U64 reads a fixed-width little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-// I64 reads a fixed-width little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-// Bool reads one byte written by Writer.Bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// sliceLen reads and sanity-checks a length prefix, where elemSize bounds
-// the remaining bytes each element must occupy.
-func (r *Reader) sliceLen(elemSize int) int {
-	n := r.Int()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || (elemSize > 0 && n > (r.limit()-r.off)/elemSize) {
-		r.Failf("invalid length %d in section %q", n, r.current())
-		return 0
-	}
-	return n
-}
-
-// Bytes reads a length-prefixed byte slice (a fresh copy).
-func (r *Reader) Bytes() []byte {
-	n := r.sliceLen(1)
-	if r.err != nil || !r.need(n) {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
-}
-
-// BytesView reads a length-prefixed byte slice without copying it: the
-// result aliases the snapshot buffer and is valid only until that buffer is
-// reused. It serves decoders that copy the bytes into storage they already
-// own (emu's memory pages); everything else uses Bytes.
-func (r *Reader) BytesView() []byte {
-	n := r.sliceLen(1)
-	if r.err != nil || !r.need(n) {
-		return nil
-	}
-	b := r.buf[r.off : r.off+n : r.off+n]
-	r.off += n
-	return b
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.sliceLen(1)
-	if r.err != nil || !r.need(n) {
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// U64Slice reads a length-prefixed []uint64.
-func (r *Reader) U64Slice() []uint64 {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
-	return out
-}
-
-// I64Slice reads a length-prefixed []int64.
-func (r *Reader) I64Slice() []int64 {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
-	return out
-}
-
-// BoolSlice reads a length-prefixed []bool.
-func (r *Reader) BoolSlice() []bool {
-	n := r.sliceLen(1)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.Bool()
-	}
-	return out
-}
-
-// Expect reads a uint64 and fails unless it equals want. Component codecs
-// use it to fingerprint configuration: a snapshot can only be restored into
-// a component constructed with the same configuration.
-func (r *Reader) Expect(label string, want uint64) {
-	got := r.U64()
-	if r.err == nil && got != want {
-		r.Failf("%s mismatch: snapshot has %d, this configuration has %d", label, got, want)
-	}
-}
-
-// ExpectInt is Expect for int-typed configuration values.
-func (r *Reader) ExpectInt(label string, want int) {
-	got := r.Int()
-	if r.err == nil && got != want {
-		r.Failf("%s mismatch: snapshot has %d, this configuration has %d", label, got, want)
-	}
+	return &Reader{Codec{dec: true, buf: data, off: len(magic) + 2}}, nil
 }
 
 // Close verifies the snapshot was consumed exactly: no recorded error, no
@@ -484,7 +426,7 @@ func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	if len(r.ends) != 0 {
+	if len(r.open) != 0 {
 		return fmt.Errorf("snap: section %q not closed", r.current())
 	}
 	if r.off != len(r.buf) {

@@ -1,82 +1,80 @@
 package snap
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// writeSample emits one snapshot exercising every scalar and slice type
-// plus nested sections.
-func writeSample() *Writer { return fillSample(NewWriter()) }
+// sample holds one value of every kind the codec codes.
+type sample struct {
+	u64     uint64
+	i64     int64
+	n       int
+	u8      uint8
+	yes, no bool
+	bytes   []byte
+	str     string
+	u64s    []uint64
+	i64s    []int64
+	bools   []bool
+	last    uint64
+}
 
-// fillSample emits the sample sections into w.
-func fillSample(w *Writer) *Writer {
-	w.Begin("outer")
-	w.U64(0xDEADBEEF01234567)
-	w.I64(-42)
-	w.Int(7)
-	w.U8(0xAB)
-	w.Bool(true)
-	w.Bool(false)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
-	w.Begin("inner")
-	w.U64Slice([]uint64{9, 8, 7})
-	w.I64Slice([]int64{-1, 0, 1})
-	w.BoolSlice([]bool{true, false, true})
-	w.End()
-	w.U64(99)
-	w.End()
+func wantSample() sample {
+	return sample{
+		u64: 0xDEADBEEF01234567, i64: -42, n: 7, u8: 0xAB, yes: true,
+		bytes: []byte{1, 2, 3}, str: "hello",
+		u64s: []uint64{9, 8, 7}, i64s: []int64{-1, 0, 1}, bools: []bool{true, false, true},
+		last: 99,
+	}
+}
+
+// codeSample codes v in nested sections, one call per value. The same calls
+// write the sample and read it back.
+func codeSample(c *Codec, v *sample) {
+	c.Begin("outer")
+	c.U64(&v.u64)
+	c.I64(&v.i64)
+	c.Int(&v.n)
+	c.U8(&v.u8)
+	c.Bool(&v.yes)
+	c.Bool(&v.no)
+	c.Bytes(&v.bytes)
+	c.String(&v.str)
+	c.Begin("inner")
+	c.U64s(&v.u64s)
+	c.I64s(&v.i64s)
+	c.Bools(&v.bools)
+	c.End()
+	c.U64(&v.last)
+	c.End()
+}
+
+// writeSample encodes the sample into a new writer.
+func writeSample() *Writer { return encodeSample(NewWriter()) }
+
+// encodeSample encodes the sample into w.
+func encodeSample(w *Writer) *Writer {
+	v := wantSample()
+	codeSample(&w.Codec, &v)
 	return w
 }
 
-func readSample(t *testing.T, data []byte) {
+// readSample decodes the sample from r and requires it to be the one
+// written, consumed exactly.
+func readSample(t *testing.T, r *Reader) {
 	t.Helper()
-	r, err := NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Begin("outer")
-	if got := r.U64(); got != 0xDEADBEEF01234567 {
-		t.Errorf("U64 = %#x", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.Int(); got != 7 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.U8(); got != 0xAB {
-		t.Errorf("U8 = %#x", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round-trip failed")
-	}
-	if got := r.Bytes(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	r.Begin("inner")
-	if got := r.U64Slice(); len(got) != 3 || got[0] != 9 || got[2] != 7 {
-		t.Errorf("U64Slice = %v", got)
-	}
-	if got := r.I64Slice(); len(got) != 3 || got[0] != -1 || got[2] != 1 {
-		t.Errorf("I64Slice = %v", got)
-	}
-	if got := r.BoolSlice(); len(got) != 3 || !got[0] || got[1] {
-		t.Errorf("BoolSlice = %v", got)
-	}
-	r.End()
-	if got := r.U64(); got != 99 {
-		t.Errorf("trailing U64 = %d", got)
-	}
-	r.End()
+	var got sample
+	codeSample(&r.Codec, &got)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if want := wantSample(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }
 
@@ -85,56 +83,74 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readSample(t, data)
-}
-
-// TestBytesView: the view reads what Bytes reads, aliases the snapshot
-// instead of copying it, and cannot be appended into the bytes after it.
-func TestBytesView(t *testing.T) {
-	w := NewWriter()
-	w.Begin("s")
-	w.Bytes([]byte{1, 2, 3})
-	w.U64(99)
-	w.End()
-	data, err := w.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, err := NewReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Begin("s")
-	v := r.BytesView()
-	if string(v) != "\x01\x02\x03" {
-		t.Errorf("BytesView = %v, want [1 2 3]", v)
+	readSample(t, r)
+}
+
+// TestFill: Fill writes what Bytes writes, decodes into the storage it is
+// given without aliasing the snapshot, and refuses a length other than that
+// storage's or one that runs past the section's payload.
+func TestFill(t *testing.T) {
+	w := NewWriter()
+	w.Begin("s")
+	w.Fill([]byte{1, 2, 3})
+	ninetyNine := uint64(99)
+	w.U64(&ninetyNine)
+	w.End()
+	data := mustBytes(t, w)
+	w = NewWriter()
+	w.Begin("s")
+	w.Bytes(&[]byte{1, 2, 3})
+	w.U64(&ninetyNine)
+	w.End()
+	if !bytes.Equal(mustBytes(t, w), data) {
+		t.Error("Fill and Bytes encode differently")
 	}
-	if cap(v) != len(v) {
-		t.Errorf("view has capacity %d past its %d bytes", cap(v), len(v))
+
+	decode := func(data []byte, dst []byte) *Reader {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Begin("s")
+		r.Fill(dst)
+		return r
 	}
-	data[len(magic)+2+3+1+4+8] = 7 // the view's first byte, in place
-	if v[0] != 7 {
-		t.Error("BytesView copied the bytes")
+	dst := make([]byte, 3)
+	r := decode(data, dst)
+	if string(dst) != "\x01\x02\x03" {
+		t.Errorf("Fill decoded %v, want [1 2 3]", dst)
 	}
-	if got := r.U64(); got != 99 {
-		t.Errorf("U64 after the view = %d, want 99", got)
+	at := len(magic) + 2 + 3 + 1 + 4 + 8 // the encoded first byte
+	data[at] = 7
+	if dst[0] != 1 {
+		t.Error("Fill aliased the snapshot instead of copying it")
+	}
+	data[at] = 1
+	var got uint64
+	if r.U64(&got); got != 99 {
+		t.Errorf("U64 after Fill = %d, want 99", got)
+	}
+
+	// A length other than the storage's fails and stores nothing.
+	dst = []byte{5, 5, 5, 5}
+	if r = decode(data, dst); r.Err() == nil || !strings.Contains(r.Err().Error(), "where 4") || dst[0] != 5 {
+		t.Errorf("Fill of 3 bytes into 4 decoded %v (err %v), want a refusal", dst, r.Err())
 	}
 
 	// A length prefix that runs past the section's payload must fail.
 	w = NewWriter()
 	w.Begin("s")
-	w.Int(100)
-	w.U8(1)
+	hundred, one := 100, uint8(1)
+	w.Int(&hundred)
+	w.U8(&one)
 	w.End()
-	if data, err = w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if r, err = NewReader(data); err != nil {
-		t.Fatal(err)
-	}
-	r.Begin("s")
-	if r.BytesView() != nil || r.Err() == nil {
-		t.Error("a view past the payload's end did not fail")
+	dst = make([]byte, 100)
+	if r = decode(mustBytes(t, w), dst); r.Err() == nil || !strings.Contains(r.Err().Error(), "invalid length 100") || dst[0] != 0 {
+		t.Error("a Fill past the payload's end did not fail")
 	}
 }
 
@@ -169,7 +185,7 @@ func TestWriterBufferIsOnlyStorage(t *testing.T) {
 	}
 
 	buf := dirty(len(want))
-	got, err := fillSample(NewWriterBuffer(buf)).Finish()
+	got, err := encodeSample(NewWriterBuffer(buf)).Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestWriterBufferIsOnlyStorage(t *testing.T) {
 	}
 
 	// Too small: the writer grows past the buffer mid-encoding.
-	got, err = fillSample(NewWriterBuffer(dirty(len(want) / 2))).Finish()
+	got, err = encodeSample(NewWriterBuffer(dirty(len(want) / 2))).Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,27 +225,8 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		func() {
 			defer func() { recover() }() // any panic is a failure mode we don't allow
-			silent := true
-			r.Begin("outer")
-			r.U64()
-			r.I64()
-			r.Int()
-			r.U8()
-			r.Bool()
-			r.Bool()
-			r.Bytes()
-			_ = r.String()
-			r.Begin("inner")
-			r.U64Slice()
-			r.I64Slice()
-			r.BoolSlice()
-			r.End()
-			r.U64()
-			r.End()
-			if r.Close() != nil {
-				silent = false
-			}
-			if silent {
+			codeSample(&r.Codec, &sample{})
+			if r.Close() == nil {
 				t.Errorf("byte %d corrupted: read completed without error", i)
 			}
 		}()
@@ -257,8 +254,9 @@ func TestBadMagicAndVersion(t *testing.T) {
 
 func TestSectionNameMismatch(t *testing.T) {
 	w := NewWriter()
+	one := uint64(1)
 	w.Begin("alpha")
-	w.U64(1)
+	w.U64(&one)
 	w.End()
 	data, err := w.Finish()
 	if err != nil {
@@ -276,9 +274,10 @@ func TestSectionNameMismatch(t *testing.T) {
 
 func TestStrictSectionConsumption(t *testing.T) {
 	w := NewWriter()
+	one, two := uint64(1), uint64(2)
 	w.Begin("s")
-	w.U64(1)
-	w.U64(2)
+	w.U64(&one)
+	w.U64(&two)
 	w.End()
 	data, err := w.Finish()
 	if err != nil {
@@ -288,8 +287,9 @@ func TestStrictSectionConsumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var v uint64
 	r.Begin("s")
-	r.U64() // leave one value unread
+	r.U64(&v) // leave one value unread
 	r.End()
 	if r.Err() == nil {
 		t.Error("unread payload bytes accepted by End")
@@ -301,9 +301,9 @@ func TestStrictSectionConsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Begin("s")
-	r2.U64()
-	r2.U64()
-	r2.U64()
+	r2.U64(&v)
+	r2.U64(&v)
+	r2.U64(&v)
 	if r2.Err() == nil {
 		t.Error("read past section end accepted")
 	}
@@ -311,8 +311,9 @@ func TestStrictSectionConsumption(t *testing.T) {
 
 func TestUnclosedSection(t *testing.T) {
 	w := NewWriter()
+	one := uint64(1)
 	w.Begin("open")
-	w.U64(1)
+	w.U64(&one)
 	if _, err := w.Finish(); err == nil {
 		t.Error("Finish succeeded with an open section")
 	}
@@ -325,7 +326,8 @@ func TestStickyErrors(t *testing.T) {
 	if w.Err() == nil || !strings.Contains(w.Err().Error(), "first failure") {
 		t.Errorf("writer sticky error = %v", w.Err())
 	}
-	w.U64(1)
+	one := uint64(1)
+	w.U64(&one)
 	w.Begin("x")
 	if _, err := w.Finish(); err == nil {
 		t.Error("Finish ignored sticky error")
@@ -336,29 +338,46 @@ func TestStickyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Failf("boom")
-	if r.U64() != 0 || r.Int() != 0 || r.String() != "" || r.Bytes() != nil {
-		t.Error("getters returned data after sticky error")
+	u, n, str, b := uint64(1), 2, "kept", []byte{3}
+	r.U64(&u)
+	r.Int(&n)
+	r.String(&str)
+	r.Bytes(&b)
+	if u != 1 || n != 2 || str != "kept" || len(b) != 1 || b[0] != 3 {
+		t.Error("decoding stored data after sticky error")
 	}
 	if r.Err() == nil || !strings.Contains(r.Err().Error(), "boom") {
 		t.Errorf("reader sticky error = %v", r.Err())
 	}
 }
 
-func TestExpect(t *testing.T) {
+// TestCheck: encoding a check writes the value it expects, and decoding
+// refuses any other.
+func TestCheck(t *testing.T) {
 	w := NewWriter()
 	w.Begin("cfg")
-	w.U64(4)
-	w.Int(16)
+	w.Check("clusters", 4)
+	w.CheckInt("width", 16)
 	w.End()
 	data := mustBytes(t, w)
+
+	hand := NewWriter()
+	four, sixteen := uint64(4), 16
+	hand.Begin("cfg")
+	hand.U64(&four)
+	hand.Int(&sixteen)
+	hand.End()
+	if !bytes.Equal(mustBytes(t, hand), data) {
+		t.Error("Check and CheckInt do not write the values they expect")
+	}
 
 	r, err := NewReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Begin("cfg")
-	r.Expect("clusters", 4)
-	r.ExpectInt("width", 16)
+	r.Check("clusters", 4)
+	r.CheckInt("width", 16)
 	r.End()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -369,9 +388,20 @@ func TestExpect(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Begin("cfg")
-	r2.Expect("clusters", 8)
+	r2.Check("clusters", 8)
 	if r2.Err() == nil || !strings.Contains(r2.Err().Error(), "clusters") {
-		t.Errorf("Expect mismatch not reported: %v", r2.Err())
+		t.Errorf("Check mismatch not reported: %v", r2.Err())
+	}
+
+	r3, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3.Begin("cfg")
+	r3.Check("clusters", 4)
+	r3.CheckInt("width", 32)
+	if r3.Err() == nil || !strings.Contains(r3.Err().Error(), "width") {
+		t.Errorf("CheckInt mismatch not reported: %v", r3.Err())
 	}
 }
 
@@ -384,11 +414,8 @@ func TestWriteReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spot-check the file round-trips through the same reader path.
-	r.Begin("outer")
-	if got := r.U64(); got != 0xDEADBEEF01234567 {
-		t.Errorf("file round-trip U64 = %#x", got)
-	}
+	// The file round-trips through the same decoding path.
+	readSample(t, r)
 
 	// No temp files left behind by the atomic write.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -406,9 +433,6 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
-// TestWriteFileBytes: the raw-byte atomic write replaces an existing file in
-// one rename (readers never observe a truncated intermediate) and leaves no
-// temp files behind.
 func TestWriteFileBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
 	if err := WriteFileBytes(path, []byte("first version, longer payload")); err != nil {

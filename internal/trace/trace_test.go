@@ -276,7 +276,7 @@ func TestBuilderInvariantsQuick(t *testing.T) {
 	}
 }
 
-// roundTrip snapshots a builder holding the partial trace recs and restores
+// roundTrip encodes a builder holding the partial trace recs and decodes
 // the section, returning the partial trace it records and the reader.
 func roundTrip(t *testing.T, recs []*emu.Committed) (*Trace, *snap.Reader) {
 	t.Helper()
@@ -287,7 +287,7 @@ func roundTrip(t *testing.T, recs []*emu.Committed) (*Trace, *snap.Reader) {
 		}
 	}
 	w := snap.NewWriter()
-	b.Snapshot(w, func(i int) *emu.Committed { return recs[i] })
+	b.Checkpoint(&w.Codec, func(i int) *emu.Committed { return recs[i] })
 	data, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func roundTrip(t *testing.T, recs []*emu.Committed) (*Trace, *snap.Reader) {
 		t.Fatal(err)
 	}
 	rb := NewBuilder(DefaultConfig())
-	part := rb.ReadSnapshot(r)
+	part := rb.Checkpoint(&r.Codec, nil)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestBuilderSnapshotRestore(t *testing.T) {
 		}
 	}
 	b := NewBuilder(DefaultConfig())
-	b.Replay(r, part, func(i int) *emu.Committed { return recs[i] })
+	b.Replay(&r.Codec, part, func(i int) *emu.Committed { return recs[i] })
 	if err := r.Close(); err != nil {
 		t.Fatalf("intact section refused: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestBuilderSnapshotRestore(t *testing.T) {
 	other[1] = brInst(0x1004, false)
 	part, r = roundTrip(t, recs)
 	b = NewBuilder(DefaultConfig())
-	b.Replay(r, part, func(i int) *emu.Committed { return other[i] })
+	b.Replay(&r.Codec, part, func(i int) *emu.Committed { return other[i] })
 	if r.Err() == nil {
 		t.Error("a section whose slot disagrees with its record was accepted")
 	}
@@ -353,7 +353,7 @@ func TestCacheSnapshotRestore(t *testing.T) {
 	c.Lookup(0x1000, func(uint64) bool { return true })
 	encode := func(c *Cache) []byte {
 		w := snap.NewWriter()
-		c.Snapshot(w)
+		c.Checkpoint(&w.Codec)
 		data, err := w.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -366,7 +366,7 @@ func TestCacheSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := NewCache(DefaultConfig())
-	got.Restore(r)
+	got.Checkpoint(&r.Codec)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
